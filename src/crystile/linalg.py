@@ -40,20 +40,8 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
-def vscale(c, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def vdot(u: Vec, v: Vec):
     return sum((a * b for a, b in zip(u, v)), ZERO)
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
 
 
 def is_integral(q) -> bool:
@@ -77,16 +65,8 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vdot(row, col) for col in bt) for row in a)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def transpose(m: Mat) -> Mat:

@@ -672,10 +672,6 @@ def _facet_proj_sq_distance(fpoly: ConvexPolytope, x, g):
     return gram_norm2(g, vsub(x, proj))
 
 
-def ball_intersects(poly: ConvexPolytope, center, r2) -> bool:
-    return sq_distance_point(poly, center) <= rat(r2)
-
-
 # --- facet-to-facet classification --------------------------------------------
 
 @dataclass(frozen=True)

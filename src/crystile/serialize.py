@@ -158,7 +158,10 @@ def dump_json(obj) -> str:
 
 def load_json_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def write_json_file(path: str, obj) -> None:

@@ -5,6 +5,8 @@ is the frame's integer span).  All comparisons are exact: tiles are
 canonicalized mod the lattice and compared as vertex sets, so tiling
 equality, patch equality, and automorphism verification involve no
 tolerances.  Only the metric values of distance bounds are floats.
+Validation accepts unit covolume plus exact facet matching modulo the
+lattice; the pairwise face classification runs only to explain a rejection.
 
 The hull of a tiling with crystallographic automorphism group Aut(T) is,
 as a topological space with its isometry action, the group quotient
@@ -37,6 +39,8 @@ from .linalg import (
     vsub,
     zero_vec,
     common_denominator,
+    gram_dot,
+    vdot,
 )
 from .isometry import (
     Frame,
@@ -119,7 +123,77 @@ def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> Peri
 
 
 def validate_tiling(tiling: PeriodicTiling) -> list:
-    """Exact checks: unit covolume and facet-to-facet meeting of neighbors.
+    """Exact tiling check; returns [] or the problems found.
+
+    Accepts when every cell tile is full-dimensional, the cell volumes sum
+    to 1 (unit covolume) and every facet is matched modulo the lattice:
+    its vertex set, translated by the integer vector that puts its least
+    vertex in [0,1)^n (the canonical_tile convention), is the vertex set
+    of exactly two cell-tile facets, and their normals point in opposite
+    directions.  Any failure falls back to _pairwise_problems, so error
+    messages and witnesses come from the pairwise face classification.
+
+    The fast criterion holds iff the tiles cover space with disjoint
+    interiors and every two tiles A, B meet in a face of both (or not at
+    all), which is what the pairwise scan certifies.  Keys are canonical
+    mod the lattice, so a key occurring exactly twice says that exactly
+    two tiles of the whole tiling have that facet, on opposite sides.
+
+    * Covering multiplicity.  Let m(y) count the tiles containing y, for y
+      off every tile boundary.  Take x on a hyperplane H, in the relative
+      interior of facets and on no other hyperplane or lower face.  Each
+      tile with x on its boundary has a facet in H through x, and exactly
+      one other tile, across H, has that same facet; no third tile has it.
+      So as many tiles end at x from each side of H, and m agrees on both
+      sides.  Any two points off the boundaries are joined by a path
+      that crosses them only at such points (the rest has codimension
+      2), so m is constant, and integrating over a unit cell gives
+      m = sum of volumes = 1: the tiles cover space and their interiors
+      are disjoint.
+    * Shared minimal faces.  Take p in tiles A and B and a ball about p
+      that meets only tiles and tile facets through p.  A path in the ball
+      from the interior of A to that of B, avoiding the codimension-2
+      skeleton, passes from tile C to tile D only through a facet that the
+      two share (multiplicity 1 makes D the matched tile), and that facet
+      P contains p.  C and D then have the same minimal face containing
+      p, namely that of P, so A and B do too; call it F(p).
+    * Face-to-face.  Let p be a relative-interior point of the convex set
+      A n B.  F(p) lies in A n B, and any point q of A n B lies on a
+      segment in A with p inside it, so q lies in the face F(p) of A.
+      Hence A n B = F(p), a face of both (any n >= 2; for n = 1 disjoint
+      interiors already make every meeting a shared endpoint).
+
+    Conversely, in a face-to-face tiling each facet P of A is A n B for
+    the unique tile B across its relative interior; P is a facet of B, and
+    no other tile has it as a facet, so each key occurs exactly twice.
+    """
+    return [] if _facet_matching_accepts(tiling) else _pairwise_problems(tiling)
+
+
+def _facet_matching_accepts(tiling: PeriodicTiling) -> bool:
+    """The fast criterion of validate_tiling: full-dimensional tiles, unit
+    covolume, and each canonicalized facet bounding exactly two cell tiles
+    from opposite sides."""
+    n = tiling.frame.dim
+    if any(t.dim != n for t in tiling.cell_tiles):
+        return False
+    if sum((volume(t) for t in tiling.cell_tiles), ZERO) != 1:
+        return False
+    g = tiling.frame.gram
+    normals = {}
+    for t in tiling.cell_tiles:
+        for h in t.facets():
+            a = mat_vec(g, h.normal)
+            on = [p for p in t.vertices if vdot(a, p) == h.offset]
+            shift = tuple(-math.floor(c) for c in on[0])
+            key = tuple(vadd(p, shift) for p in on)
+            normals.setdefault(key, []).append(h.normal)
+    return all(len(ns) == 2 and gram_dot(g, *ns) < 0 for ns in normals.values())
+
+
+def _pairwise_problems(tiling: PeriodicTiling) -> list:
+    """Full-dimensionality, unit covolume, and pairwise face classification
+    of neighbors (meet_face_to_face); explains why a tiling is rejected.
 
     Neighbor offsets are derived from bounding boxes, which covers at
     least the 3x3(x3) block and also catches wide tiles whose neighbors
@@ -167,8 +241,6 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
 
 def _quick_separated(g, a: ConvexPolytope, b: ConvexPolytope) -> bool:
     """True when some facet of one tile strictly separates the other."""
-    from .linalg import gram_dot
-
     for p, q in ((a, b), (b, a)):
         for h in p.facets():
             if all(gram_dot(g, h.normal, v) < h.offset for v in q.vertices):

@@ -172,6 +172,14 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_truncated_file_is_input_error(tmp_path, square_file, capsys):
+    trunc = tmp_path / "trunc.json"
+    trunc.write_text(open(square_file).read()[:40])
+    code, _, err = run_cli(capsys, "aut", str(trunc))
+    assert code == 2
+    assert "input error" in err
+
+
 def test_render_cli(tmp_path, square_file, capsys):
     svg = str(tmp_path / "out.svg")
     code, out, _ = run_cli(

@@ -10,14 +10,18 @@ from crystile.isometry import (
     identity_iso,
     inverse,
     linear_about,
+    standard_frame,
     translation_iso,
 )
-from crystile.groups import generic_point, preset
+from crystile.construction import construct_tiling
+from crystile.groups import WALLPAPER_NAMES, generic_point, preset
 from crystile.polytope import ConvexPolytope
 from crystile.tiling import (
     LN_3_2,
     TilingValidationError,
     WitnessError,
+    _facet_matching_accepts,
+    _pairwise_problems,
     automorphism_group,
     automorphism_group_with_embedding,
     combine_witnesses,
@@ -31,6 +35,7 @@ from crystile.tiling import (
     tilings_equal,
     transform_tiling,
     translation_mld_check,
+    validate_tiling,
     verify_witness,
 )
 from crystile.voronoi import voronoi_tiling
@@ -48,20 +53,67 @@ def as_int_mats(mats):
     return {tuple(tuple(int(x) for x in row) for row in m) for m in mats}
 
 
-def test_tiling_validation_rejects_gaps(frame2):
-    # two half-width tiles leave a gap: volume defect
-    a = ConvexPolytope(frame2, [(0, 0), (Q(1, 4), 0), (0, 1), (Q(1, 4), 1)])
-    with pytest.raises(TilingValidationError):
-        periodic_tiling(frame2, [a])
+F2, F3 = standard_frame(2), standard_frame(3)
+C, E, A = Q(3, 7), Q(1, 11), Q(2, 7)
+
+# Rejected cell-tile lists.  Coverage defects: a quarter-width strip leaves
+# a gap (volume defect); strips of widths c and 1-c, the second shifted
+# left by 1/11, overlap.
+COVERAGE_DEFECTS = {
+    "gap": [ConvexPolytope(F2, [(0, 0), (Q(1, 4), 0), (0, 1), (Q(1, 4), 1)])],
+    "overlap": [
+        ConvexPolytope(F2, [(0, 0), (C, 0), (0, 1), (C, 1)]),
+        ConvexPolytope(F2, [(C - E, 0), (1 - E, 0), (C - E, 1), (1 - E, 1)]),
+    ],
+}
+# Non-face meetings: unit squares shifted half a step per row meet
+# edge-to-half-edge; a volume-1 brick whose top face is shifted by (2/7, 0)
+# meets the brick above in a top face that is not its bottom face.
+OFFSET_ROWS = {
+    "rows-2d": [ConvexPolytope(F2, [(0, 0), (1, 0), (Q(1, 2), 1), (Q(3, 2), 1)])],
+    "brick-3d": [
+        ConvexPolytope(F3, [(x + A * z, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+    ],
+}
+REJECTED = {**COVERAGE_DEFECTS, **OFFSET_ROWS}
 
 
-def test_tiling_validation_rejects_offset_rows(frame2):
-    # unit squares shifted half a step per row meet edge-to-half-edge
-    sheared = ConvexPolytope(
-        frame2, [(0, 0), (1, 0), (Q(1, 2), 1), (Q(3, 2), 1)]
-    )
-    with pytest.raises(TilingValidationError):
-        periodic_tiling(frame2, [sheared])
+def assert_rejected_like_pairwise_scan(tiles):
+    frame = tiles[0].frame
+    with pytest.raises(TilingValidationError) as err:
+        periodic_tiling(frame, tiles)
+    expected = _pairwise_problems(periodic_tiling(frame, tiles, validate=False))
+    assert expected and err.value.problems == expected
+
+
+@pytest.mark.parametrize("case", sorted(COVERAGE_DEFECTS))
+def test_tiling_validation_rejects_gaps(case):
+    assert_rejected_like_pairwise_scan(COVERAGE_DEFECTS[case])
+
+
+@pytest.mark.parametrize("case", sorted(OFFSET_ROWS))
+def test_tiling_validation_rejects_offset_rows(case):
+    assert_rejected_like_pairwise_scan(OFFSET_ROWS[case])
+
+
+def oracle_tilings(case):
+    if case in REJECTED:
+        return [periodic_tiling(REJECTED[case][0].frame, REJECTED[case], validate=False)]
+    g = preset(case)
+    if case == "P1":
+        return [construct_tiling(g, 0)]
+    return [voronoi_tiling(g, generic_point(g, 0)), construct_tiling(g, 0)]
+
+
+@pytest.mark.parametrize("case", list(WALLPAPER_NAMES) + ["P1"] + sorted(REJECTED))
+def test_facet_matching_agrees_with_pairwise_scan(case):
+    # differential oracle: the fast criterion accepts exactly when the
+    # pairwise face classification finds no problem, and a rejection
+    # reports the pairwise scan's problem list unchanged
+    for t in oracle_tilings(case):
+        expected = _pairwise_problems(t)
+        assert _facet_matching_accepts(t) == (expected == [])
+        assert validate_tiling(t) == expected
 
 
 def test_patch_counts(square_tiling):
