@@ -33,6 +33,7 @@ from .linalg import (
     solve_mod_lattice,
     transpose,
     vadd,
+    vdot,
     vec,
     vsub,
     zero_vec,
@@ -47,12 +48,17 @@ class GroupValidationError(ValueError):
 
 
 def _canon_seitz(m: Mat, v: Vec):
-    return (mat(m), tuple(frac_part(x) for x in vec(v)))
+    """Seitz pair with an int point part (m must be integral) and the
+    translation reduced to [0,1)^n."""
+    return (tuple(tuple(int(x) for x in row) for row in m), tuple(frac_part(x) for x in v))
 
 
 def _seitz_mul(a, b):
     (m1, v1), (m2, v2) = a, b
-    return _canon_seitz(mat_mul(m1, m2), vadd(mat_vec(m1, v2), v1))
+    cols = tuple(zip(*m2))
+    m = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in m1)
+    v = tuple(sum((x * y for x, y in zip(row, v2)), t) for row, t in zip(m1, v1))
+    return m, tuple(frac_part(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,7 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     if violations:
         raise GroupValidationError(violations)
 
-    ident = (identity_mat(n), zero_vec(n))
+    ident = _canon_seitz(identity_mat(n), zero_vec(n))
     if ident not in canon:
         if any(m == ident[0] for m, _ in canon):
             violations.append("pure translation outside the lattice (identity rep has nonzero part)")
@@ -154,25 +160,34 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
 
 
 def span_seitz(frame: Frame, generators, name: str = None, max_order: int = 1024) -> CrystalGroup:
-    """Close a generator list under multiplication mod the lattice."""
-    elems = {_canon_seitz(identity_mat(frame.dim), zero_vec(frame.dim))}
-    frontier = [_canon_seitz(m, v) for m, v in generators]
-    elems.update(frontier)
+    """Close a generator list under multiplication mod the lattice.
+
+    Each round multiplies the newest elements on the right by the
+    generators.  Elements of a finite point group have finite order mod the
+    lattice, so these words already form the group; any other input grows
+    past max_order.
+    """
+    gens = [(mat(m), vec(v)) for m, v in generators]
+    if not all(is_integral_mat(m) for m, _ in gens):
+        raise GroupValidationError(["generator with a non-integer point part"])
+    gens = [_canon_seitz(m, v) for m, v in gens]
+    frontier = [_canon_seitz(identity_mat(frame.dim), zero_vec(frame.dim))]
+    elems = set(frontier)
     while frontier:
         new = []
-        for a in list(elems):
-            for b in frontier:
-                for prod in (_seitz_mul(a, b), _seitz_mul(b, a)):
-                    if prod not in elems:
-                        elems.add(prod)
-                        new.append(prod)
+        for a in frontier:
+            for b in gens:
+                prod = _seitz_mul(a, b)
+                if prod not in elems:
+                    elems.add(prod)
+                    new.append(prod)
         if len(elems) > max_order:
             raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
         frontier = new
     return validate_group(frame, sorted(elems), name=name)
 
 
-# --- preset catalog ---------------------------------------------------------
+# --- presets ----------------------------------------------------------------
 
 def _wallpaper_generators():
     half = Q(1, 2)
@@ -229,41 +244,22 @@ DEMO3D_NAMES = tuple(_demo3d_generators().keys())
 PRESET_NAMES = WALLPAPER_NAMES + DEMO3D_NAMES
 
 
-def _preset_from_generators(name: str) -> CrystalGroup:
-    wall = _wallpaper_generators()
-    if name in wall:
-        kind, gens = wall[name]
-        frame = hexagonal_frame() if kind == "hex" else standard_frame(2)
-        return span_seitz(frame, gens, name=name)
-    return span_seitz(standard_frame(3), _demo3d_generators()[name], name=name)
-
-
 @lru_cache(maxsize=None)
 def preset(name: str) -> CrystalGroup:
     """One of the 17 wallpaper groups, or a 3D demonstration group.
 
     Square-lattice presets use the identity Gram matrix; hexagonal ones
-    use [[1,-1/2],[-1/2,1]].  The catalog ships as JSON data files (see
-    scripts/regen_preset_data.py); each file passes validate_group on
-    load, with the generator closure as fallback.
+    use [[1,-1/2],[-1/2,1]].  Each group is the closure of its generators
+    (_wallpaper_generators, _demo3d_generators), built once per process.
     """
-    if name not in PRESET_NAMES:
-        raise KeyError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    try:
-        from importlib import resources
-
-        text = (
-            resources.files("crystile")
-            .joinpath("data", "presets", f"{name}.json")
-            .read_text(encoding="utf-8")
-        )
-    except (FileNotFoundError, ModuleNotFoundError, OSError):
-        return _preset_from_generators(name)
-    import json
-
-    from .serialize import group_from_json
-
-    return group_from_json(json.loads(text))
+    wall = _wallpaper_generators()
+    if name in wall:
+        kind, gens = wall[name]
+        frame = hexagonal_frame() if kind == "hex" else standard_frame(2)
+        return span_seitz(frame, gens, name=name)
+    if name in DEMO3D_NAMES:
+        return span_seitz(standard_frame(3), _demo3d_generators()[name], name=name)
+    raise KeyError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
 
 # --- orbits and stabilizers -------------------------------------------------
@@ -472,7 +468,7 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
             a = mat_sub(identity_mat(n), mprime)
             for i in range(n):
                 rows.append(a[i])
-                rhs.append(w[i] - vdot_row(u[i], v))
+                rhs.append(w[i] - vdot(u[i], v))
         if not ok:
             continue
         c = solve_mod_lattice(tuple(rows), tuple(rhs))
@@ -480,10 +476,6 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
             c = tuple(frac_part(x) for x in c)
             return Isometry(g1.frame, u, c, target=g2.frame)
     return None
-
-
-def vdot_row(row, v):
-    return sum((a * b for a, b in zip(row, v)), ZERO)
 
 
 def is_conjugate_subgroup(g1: CrystalGroup, g2: CrystalGroup, gamma: Isometry) -> bool:

@@ -72,9 +72,6 @@ class Frame:
             if minor <= 0:
                 raise FrameError(f"leading principal minor {k} is not positive")
 
-    def inner(self, u: Vec, v: Vec):
-        return sum((a * b for a, b in zip(mat_vec(self.gram, v), u)), ZERO)
-
     def norm2(self, v: Vec):
         return gram_norm2(self.gram, v)
 
@@ -185,11 +182,7 @@ def compose(a: Isometry, b: Isometry) -> Isometry:
 
 def inverse(a: Isometry) -> Isometry:
     linv = mat_inv(a.linear)
-    return Isometry(a.target, linv, vneg_vec(mat_vec(linv, a.translation)), target=a.frame)
-
-
-def vneg_vec(v: Vec) -> Vec:
-    return tuple(-x for x in v)
+    return Isometry(a.target, linv, tuple(-x for x in mat_vec(linv, a.translation)), target=a.frame)
 
 
 @dataclass(frozen=True)

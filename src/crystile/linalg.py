@@ -1,8 +1,8 @@
 """Small exact linear algebra kernel over rationals.
 
 Vectors are tuples of Q, matrices are tuples of row tuples.  Sizes here
-are tiny (n <= 3 geometry, Seitz stacks up to ~36 rows), so everything
-is plain Gaussian elimination with exact pivots.
+are tiny (n <= 3 geometry, Seitz stacks up to ~36 rows), so every
+elimination is one exact Gauss-Jordan routine, _rref.
 """
 
 from __future__ import annotations
@@ -73,6 +73,40 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
+def _rref(rows: list, ncols: int):
+    """Gauss-Jordan elimination of `rows` (lists, changed in place) to reduced
+    row echelon form, searching the first ncols columns for pivots; further
+    columns (right-hand sides, an identity block) are carried along.
+
+    Returns (pivot columns, det), where det is the product of the pivots
+    times the sign of the row swaps: the determinant when the matrix is
+    square and of full rank.
+    """
+    nrows = len(rows)
+    pivots = []
+    det = ONE
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det *= rows[r][col]
+        inv = ONE / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots, det
+
+
 def mat_det(m: Mat):
     n = len(m)
     if n == 1:
@@ -85,39 +119,15 @@ def mat_det(m: Mat):
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
-    # fallback: elimination
-    rows = [list(r) for r in m]
-    det = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = ONE / rows[col][col]
-        for r in range(col + 1, n):
-            f = rows[r][col] * inv
-            if f != 0:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
+    pivots, det = _rref([list(r) for r in m], n)
+    return det if len(pivots) == n else ZERO
 
 
 def mat_inv(m: Mat) -> Mat:
     n = len(m)
     aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if len(_rref(aug, n)[0]) != n:
+        raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in aug)
 
 
@@ -126,29 +136,11 @@ def solve_linear(m: Mat, b: Vec):
 
     For underdetermined consistent systems, free variables are set to 0.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    ncols = len(m[0]) if m else 0
     aug = [list(row) + [bi] for row, bi in zip(m, b)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = ONE / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
+    pivots, _ = _rref(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None
     x = [ZERO] * ncols
     for i, col in enumerate(pivots):
         x[col] = aug[i][ncols]
@@ -156,54 +148,18 @@ def solve_linear(m: Mat, b: Vec):
 
 
 def mat_rank(m: Mat) -> int:
-    nrows = len(m)
-    if nrows == 0:
+    if not m:
         return 0
-    ncols = len(m[0])
-    rows = [list(r) for r in m]
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_rref([list(r) for r in m], len(m[0]))[0])
 
 
 def nullspace(m: Mat) -> list:
     """Basis of {x : m x = 0}."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    ncols = len(m[0]) if m else 0
     rows = [list(r) for r in m]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, _ = _rref(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[fc] = ONE
         for i, pc in enumerate(pivots):

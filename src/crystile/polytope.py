@@ -3,7 +3,9 @@
 All set logic is exact rational: halfspace intersection, face enumeration,
 volumes, congruence matching, and facet-to-facet classification use no
 floating predicates anywhere.  Volumes are lattice-normalized (Euclidean
-volume divided by sqrt(det G)), which keeps them rational.
+volume divided by sqrt(det G)), which keeps them rational.  Halfspaces are
+stored by their coordinate covector a = G n, so containment is the plain
+dot product a . x and never touches the Gram matrix.
 """
 
 from __future__ import annotations
@@ -14,19 +16,18 @@ from itertools import combinations
 
 from .rational import Q, ZERO, ONE, rat
 from .linalg import (
-    Mat,
-    Vec,
     gram_dot,
     gram_norm2,
-    mat,
     mat_det,
     mat_inv,
+    mat_mul,
     mat_rank,
     mat_vec,
     nullspace,
     solve_linear,
     transpose,
     vadd,
+    vdot,
     vec,
     vsub,
 )
@@ -43,15 +44,19 @@ class InteriorOverlapError(PolytopeError):
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """The set {x : <normal, x>_G >= offset}; normal is in frame coordinates."""
+    """The set {x : covector . x >= offset} in frame coordinates.
 
-    normal: Vec
+    The covector is G n for the Gram normal n, so this is {x : <n, x>_G >=
+    offset}; storing G n keeps every containment test a plain dot product.
+    """
+
+    covector: tuple
     offset: object
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", vec(self.normal))
+        object.__setattr__(self, "covector", vec(self.covector))
         object.__setattr__(self, "offset", rat(self.offset))
-        if all(a == 0 for a in self.normal):
+        if all(a == 0 for a in self.covector):
             raise PolytopeError("zero normal")
 
 
@@ -162,21 +167,18 @@ class ConvexPolytope:
 
     def contains(self, x) -> bool:
         x = vec(x)
-        g = self.frame.gram
-        return all(gram_dot(g, h.normal, x) >= h.offset for h in self.facets())
+        return all(vdot(h.covector, x) >= h.offset for h in self.facets())
 
     def strictly_contains(self, x) -> bool:
         x = vec(x)
-        g = self.frame.gram
-        return all(gram_dot(g, h.normal, x) > h.offset for h in self.facets())
+        return all(vdot(h.covector, x) > h.offset for h in self.facets())
 
     def translate(self, v) -> "ConvexPolytope":
         v = vec(v)
-        g = self.frame.gram
         moved = None
         if self._facets is not None:
             moved = tuple(
-                HalfSpace(h.normal, h.offset + gram_dot(g, h.normal, v)) for h in self._facets
+                HalfSpace(h.covector, h.offset + vdot(h.covector, v)) for h in self._facets
             )
         out = ConvexPolytope(
             self.frame, [vadd(p, v) for p in self.vertices], assume_minimal=True, _facets=moved
@@ -218,7 +220,7 @@ def _extreme_points(frame: Frame, pts):
     keep = []
     for i, p in enumerate(pts):
         others = pts[:i] + pts[i + 1 :]
-        if not _in_hull(frame, p, others):
+        if not _in_hull(frame.dim, p, others):
             keep.append(p)
     return keep
 
@@ -244,13 +246,11 @@ def _hull_2d(pts):
     return lower[:-1] + upper[:-1]
 
 
-def _supporting_halfspaces(frame: Frame, pts):
-    """All supporting hyperplanes of conv(pts) spanned by point subsets.
+def _supporting_halfspaces(n: int, pts):
+    """All supporting hyperplanes of conv(pts) in R^n spanned by point subsets.
 
-    Brute force over (dim)-subsets; used only on user-supplied vertex data.
+    Brute force over n-subsets; used only on user-supplied vertex data.
     """
-    n = frame.dim
-    ginv = mat_inv(frame.gram)
     found = {}
     for sub in combinations(pts, n):
         if _affine_rank(sub) != n - 1:
@@ -258,8 +258,8 @@ def _supporting_halfspaces(frame: Frame, pts):
         f = _coordinate_normal(sub)
         if f is None:
             continue
-        c = sum((a * b for a, b in zip(f, sub[0])), ZERO)
-        vals = [sum((a * b for a, b in zip(f, p)), ZERO) for p in pts]
+        c = vdot(f, sub[0])
+        vals = [vdot(f, p) for p in pts]
         if all(v >= c for v in vals):
             pass
         elif all(v <= c for v in vals):
@@ -271,7 +271,7 @@ def _supporting_halfspaces(frame: Frame, pts):
         scale = ONE / abs(lead)
         key = (tuple(x * scale for x in f), c * scale)
         if key not in found:
-            found[key] = HalfSpace(mat_vec(ginv, f), c)
+            found[key] = HalfSpace(f, c)
     return list(found.values())
 
 
@@ -285,17 +285,14 @@ def _coordinate_normal(points):
     return ker[0]
 
 
-def _in_hull(frame: Frame, p, pts) -> bool:
+def _in_hull(n: int, p, pts) -> bool:
     rank = _affine_rank(pts)
     if rank < _affine_rank(list(pts) + [p]):
         return False
     if rank == 0:
         return p == pts[0]
-    if rank == frame.dim:
-        g = frame.gram
-        return all(
-            gram_dot(g, h.normal, p) >= h.offset for h in _supporting_halfspaces(frame, pts)
-        )
+    if rank == n:
+        return all(vdot(h.covector, p) >= h.offset for h in _supporting_halfspaces(n, pts))
     # lower-dimensional hull: restrict to affine coordinates and recurse
     p0 = pts[0]
     basis = _independent_directions(pts, rank)
@@ -303,8 +300,7 @@ def _in_hull(frame: Frame, p, pts) -> bool:
     pc = _affine_coords(p, p0, basis)
     if pc is None or any(c is None for c in coords):
         return False
-    sub = Frame(rank, _sub_gram(frame.gram, basis))
-    return _in_hull(sub, pc, [c for c in coords])
+    return _in_hull(rank, pc, coords)
 
 
 def _independent_directions(pts, rank):
@@ -324,18 +320,12 @@ def _affine_coords(p, p0, basis):
     return solve_linear(cols, vsub(p, p0))
 
 
-def _sub_gram(gram, basis):
-    return tuple(tuple(gram_dot(gram, bi, bj) for bj in basis) for bi in basis)
-
-
 def _facets_from_vertices(frame: Frame, poly: ConvexPolytope):
     n = frame.dim
-    ginv = mat_inv(frame.gram)
     pts = poly.vertices
     if n == 1:
         lo, hi = pts[0][0], pts[-1][0]
-        a = mat_vec(ginv, (ONE,))
-        return (HalfSpace(a, lo), HalfSpace(tuple(-x for x in a), -hi))
+        return (HalfSpace((ONE,), lo), HalfSpace((-ONE,), -hi))
     if n == 2:
         cyc = poly.cyclic_vertices()
         out = []
@@ -348,9 +338,9 @@ def _facets_from_vertices(frame: Frame, poly: ConvexPolytope):
             if f[0] * c[0] + f[1] * c[1] < cv:
                 f = (-f[0], -f[1])
                 cv = -cv
-            out.append(HalfSpace(mat_vec(ginv, f), cv))
+            out.append(HalfSpace(f, cv))
         return tuple(out)
-    return tuple(_supporting_halfspaces(frame, pts))
+    return tuple(_supporting_halfspaces(n, pts))
 
 
 def faces(poly: ConvexPolytope, m: int):
@@ -362,9 +352,8 @@ def faces(poly: ConvexPolytope, m: int):
         return [ConvexPolytope(poly.frame, [p], assume_minimal=True) for p in poly.vertices]
     if m == n - 1:
         out = []
-        g = poly.frame.gram
         for h in poly.facets():
-            on = [p for p in poly.vertices if gram_dot(g, h.normal, p) == h.offset]
+            on = [p for p in poly.vertices if vdot(h.covector, p) == h.offset]
             out.append(ConvexPolytope(poly.frame, on, assume_minimal=True))
         return out
     # n == 3, m == 1: edges via common active facets of rank 2
@@ -372,18 +361,16 @@ def faces(poly: ConvexPolytope, m: int):
 
 
 def _edges_3d(poly: ConvexPolytope):
-    g = poly.frame.gram
     hs = poly.facets()
     active = []
     for p in poly.vertices:
-        active.append({i for i, h in enumerate(hs) if gram_dot(g, h.normal, p) == h.offset})
+        active.append({i for i, h in enumerate(hs) if vdot(h.covector, p) == h.offset})
     out = []
     for (i, u), (j, w) in combinations(enumerate(poly.vertices), 2):
         common = active[i] & active[j]
         if len(common) < 2:
             continue
-        normals = tuple(hs[k].normal for k in common)
-        if mat_rank(normals) == 2:
+        if mat_rank(tuple(hs[k].covector for k in common)) == 2:
             out.append(ConvexPolytope(poly.frame, [u, w], assume_minimal=True))
     return out
 
@@ -464,53 +451,44 @@ def halfspace_intersection(frame: Frame, halfspaces):
     """Exact intersection of halfspaces: a polytope, "unbounded", or "empty"."""
     hs = list(halfspaces)
     n = frame.dim
-    g = frame.gram
     if not hs:
         return "unbounded"
-    rows = tuple(mat_vec(g, h.normal) for h in hs)
-    if mat_rank(rows) < n:
-        return "unbounded" if _feasible(frame, hs) else "empty"
-    pts = _candidate_vertices(frame, hs)
+    if mat_rank(tuple(h.covector for h in hs)) < n:
+        return "unbounded" if _feasible(n, hs) else "empty"
+    pts = _candidate_vertices(n, hs)
     if not pts:
         return "empty"
-    if _has_recession_ray(frame, hs):
+    if _has_recession_ray(n, hs):
         return "unbounded"
     return ConvexPolytope(frame, pts, assume_minimal=True)
 
 
-def _candidate_vertices(frame: Frame, hs):
-    n = frame.dim
-    g = frame.gram
-    rows = [mat_vec(g, h.normal) for h in hs]
+def _candidate_vertices(n: int, hs):
+    """Sorted points of the intersection where n independent hyperplanes meet."""
     out = set()
-    for idx in combinations(range(len(hs)), n):
-        sys_rows = tuple(rows[i] for i in idx)
-        if mat_rank(sys_rows) != n:
+    for system in combinations(hs, n):
+        rows = tuple(h.covector for h in system)
+        if mat_rank(rows) != n:
             continue
-        x = solve_linear(sys_rows, tuple(hs[i].offset for i in idx))
+        x = solve_linear(rows, tuple(h.offset for h in system))
         if x is None:
             continue
-        if all(gram_dot(g, h.normal, x) >= h.offset for h in hs):
+        if all(vdot(h.covector, x) >= h.offset for h in hs):
             out.add(x)
     return sorted(out)
 
 
-def _has_recession_ray(frame: Frame, hs) -> bool:
+def _has_recession_ray(n: int, hs) -> bool:
     """Pointed-case check: any extreme recession direction lies on n-1
-    independent active constraints of the cone {d : <a_i, d>_G >= 0}."""
-    n = frame.dim
-    g = frame.gram
-    rows = [mat_vec(g, h.normal) for h in hs]
+    independent active constraints of the cone {d : a_i . d >= 0}."""
+    rows = [h.covector for h in hs]
 
     def admissible(d):
-        return not all(x == 0 for x in d) and all(
-            sum((r * x for r, x in zip(row, d)), ZERO) >= 0 for row in rows
-        )
+        return not all(x == 0 for x in d) and all(vdot(row, d) >= 0 for row in rows)
 
     if n == 1:
         return admissible((ONE,)) or admissible((-ONE,))
-    for idx in combinations(range(len(hs)), n - 1):
-        sub = tuple(rows[i] for i in idx)
+    for sub in combinations(rows, n - 1):
         if mat_rank(sub) != n - 1:
             continue
         ker = nullspace(sub)
@@ -522,28 +500,19 @@ def _has_recession_ray(frame: Frame, hs) -> bool:
     return False
 
 
-def _feasible(frame: Frame, hs) -> bool:
+def _feasible(n: int, hs) -> bool:
     """Exact feasibility of an intersection of halfspaces (any rank)."""
     if not hs:
         return True
-    n = frame.dim
-    g = frame.gram
-    rows = tuple(mat_vec(g, h.normal) for h in hs)
-    r = mat_rank(rows)
+    covectors = [h.covector for h in hs]
+    r = mat_rank(tuple(covectors))
     if r == n:
-        return bool(_candidate_vertices(frame, hs))
-    # constraints only see the span of their normals; restrict and recurse
-    normals = [h.normal for h in hs]
-    basis = _independent_directions([vec([ZERO] * n)] + normals, r)
-    sub_gram = _sub_gram(g, basis)
-    sub = Frame(r, sub_gram)
-    ginv = mat_inv(sub_gram)
-    sub_hs = []
-    for h in hs:
-        coeffs = tuple(gram_dot(g, h.normal, b) for b in basis)
-        a = mat_vec(ginv, coeffs)
-        sub_hs.append(HalfSpace(a, h.offset))
-    return _feasible(sub, sub_hs)
+        return bool(_candidate_vertices(n, hs))
+    # x -> (a_i . b)_b over a basis b of the covectors' span keeps every
+    # constraint value and reaches all of R^r; recurse there
+    basis = _independent_directions([(ZERO,) * n] + covectors, r)
+    return _feasible(r, [HalfSpace(tuple(vdot(a, b) for b in basis), h.offset)
+                         for a, h in zip(covectors, hs)])
 
 
 # --- congruence ---------------------------------------------------------------
@@ -595,7 +564,7 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
     for image in tuple_candidates(0, []):
         b0 = image[0]
         bcols = transpose(tuple(vsub(b, b0) for b in image[1:]))
-        lin = tuple(tuple(row) for row in _mat_mul(bcols, ainv))
+        lin = mat_mul(bcols, ainv)
         trans = vsub(b0, mat_vec(lin, a0))
         try:
             iso = Isometry(p.frame, lin, trans)
@@ -604,11 +573,6 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
         if {iso(v) for v in p.vertices} == qset:
             return iso
     return None
-
-
-def _mat_mul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt) for row in a)
 
 
 # --- metric helpers -----------------------------------------------------------
@@ -689,9 +653,12 @@ def meet_face_to_face(p: ConvexPolytope, q: ConvexPolytope) -> MeetResult:
     """
     if p.frame != q.frame:
         raise PolytopeError("frame mismatch")
+    # cheap reject via coordinate bounding boxes
+    for (lo1, hi1), (lo2, hi2) in zip(p.bounding_box(), q.bounding_box()):
+        if hi1 < lo2 or hi2 < lo1:
+            return MeetResult("disjoint")
     n = p.frame.dim
-    g = p.frame.gram
-    inter = _intersection_vertices(p, q)
+    inter = _candidate_vertices(n, list(p.facets()) + list(q.facets()))
     if not inter:
         return MeetResult("disjoint")
     rank = _affine_rank(inter)
@@ -701,25 +668,3 @@ def meet_face_to_face(p: ConvexPolytope, q: ConvexPolytope) -> MeetResult:
     if vset in face_vertex_sets(p) and vset in face_vertex_sets(q):
         return MeetResult("shared-face", face_dim=rank, witness=tuple(inter))
     return MeetResult("violation", face_dim=rank, witness=tuple(inter))
-
-
-def _intersection_vertices(p: ConvexPolytope, q: ConvexPolytope):
-    n = p.frame.dim
-    g = p.frame.gram
-    # cheap reject via coordinate bounding boxes
-    for (lo1, hi1), (lo2, hi2) in zip(p.bounding_box(), q.bounding_box()):
-        if hi1 < lo2 or hi2 < lo1:
-            return []
-    hs = list(p.facets()) + list(q.facets())
-    rows = [mat_vec(g, h.normal) for h in hs]
-    out = set()
-    for idx in combinations(range(len(hs)), n):
-        sys_rows = tuple(rows[i] for i in idx)
-        if mat_rank(sys_rows) != n:
-            continue
-        x = solve_linear(sys_rows, tuple(hs[i].offset for i in idx))
-        if x is None:
-            continue
-        if p.contains(x) and q.contains(x):
-            out.add(x)
-    return sorted(out)

@@ -46,6 +46,19 @@ def parse_matrix(value, dim):
     return rows
 
 
+def _frame_from_json(data: dict) -> Frame:
+    """The frame of a group or tiling file.  A missing field raises KeyError;
+    a dim that is not a positive integer or a Gram matrix that is not
+    symmetric positive definite is a SchemaError."""
+    try:
+        dim = int(data["dim"])
+        return Frame(dim, parse_matrix(data["gram"], dim))
+    except SchemaError:
+        raise
+    except (ValueError, OverflowError) as exc:  # int() of a bad dim, or FrameError
+        raise SchemaError(f"bad dim or gram: {exc}") from exc
+
+
 def vector_json(v):
     return [rat_json(x) for x in v]
 
@@ -72,9 +85,8 @@ def group_to_json(group: CrystalGroup) -> dict:
 
 def group_from_json(data: dict) -> CrystalGroup:
     try:
-        dim = int(data["dim"])
-        gram = parse_matrix(data["gram"], dim)
-        frame = Frame(dim, gram)
+        frame = _frame_from_json(data)
+        dim = frame.dim
         pairs = [
             (parse_matrix(rep["linear"], dim), parse_vector(rep["translation"], dim))
             for rep in data["reps"]
@@ -111,8 +123,8 @@ def tiling_to_json(tiling: PeriodicTiling) -> dict:
 
 def tiling_from_json(data: dict, validate: bool = True) -> PeriodicTiling:
     try:
-        dim = int(data["dim"])
-        frame = Frame(dim, parse_matrix(data["gram"], dim))
+        frame = _frame_from_json(data)
+        dim = frame.dim
         tiles = [
             ConvexPolytope(frame, [parse_vector(p, dim) for p in t["vertices"]])
             for t in data["cell_tiles"]
@@ -157,11 +169,13 @@ def dump_json(obj) -> str:
 
 
 def load_json_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
+    except OSError as exc:  # a directory, an unreadable or a missing file
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
 
 
 def write_json_file(path: str, obj) -> None:

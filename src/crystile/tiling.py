@@ -39,7 +39,6 @@ from .linalg import (
     vsub,
     zero_vec,
     common_denominator,
-    gram_dot,
     vdot,
 )
 from .isometry import (
@@ -179,16 +178,16 @@ def _facet_matching_accepts(tiling: PeriodicTiling) -> bool:
         return False
     if sum((volume(t) for t in tiling.cell_tiles), ZERO) != 1:
         return False
-    g = tiling.frame.gram
-    normals = {}
+    covectors = {}
     for t in tiling.cell_tiles:
         for h in t.facets():
-            a = mat_vec(g, h.normal)
-            on = [p for p in t.vertices if vdot(a, p) == h.offset]
+            on = [p for p in t.vertices if vdot(h.covector, p) == h.offset]
             shift = tuple(-math.floor(c) for c in on[0])
             key = tuple(vadd(p, shift) for p in on)
-            normals.setdefault(key, []).append(h.normal)
-    return all(len(ns) == 2 and gram_dot(g, *ns) < 0 for ns in normals.values())
+            covectors.setdefault(key, []).append(h.covector)
+    # facets with one vertex set lie in one hyperplane, so their covectors
+    # are parallel and point opposite ways iff their dot product is negative
+    return all(len(cs) == 2 and vdot(*cs) < 0 for cs in covectors.values())
 
 
 def _pairwise_problems(tiling: PeriodicTiling) -> list:
@@ -209,7 +208,6 @@ def _pairwise_problems(tiling: PeriodicTiling) -> list:
         total += volume(t)
     if total != 1:
         problems.append(f"cell volumes sum to {total}, expected 1")
-    g = tiling.frame.gram
     for i, t in enumerate(tiling.cell_tiles):
         box_t = t.bounding_box()
         for j in range(i, len(tiling.cell_tiles)):
@@ -225,7 +223,7 @@ def _pairwise_problems(tiling: PeriodicTiling) -> list:
                     if nz <= 0:
                         continue  # skip self and one of each +-k pair
                 shifted = s.translate(tuple(Q(c) for c in k))
-                if _quick_separated(g, t, shifted):
+                if _quick_separated(t, shifted):
                     continue
                 try:
                     res = meet_face_to_face(t, shifted)
@@ -239,11 +237,11 @@ def _pairwise_problems(tiling: PeriodicTiling) -> list:
     return problems
 
 
-def _quick_separated(g, a: ConvexPolytope, b: ConvexPolytope) -> bool:
+def _quick_separated(a: ConvexPolytope, b: ConvexPolytope) -> bool:
     """True when some facet of one tile strictly separates the other."""
     for p, q in ((a, b), (b, a)):
         for h in p.facets():
-            if all(gram_dot(g, h.normal, v) < h.offset for v in q.vertices):
+            if all(vdot(h.covector, v) < h.offset for v in q.vertices):
                 return True
     return False
 
@@ -271,9 +269,8 @@ def patch(tiling: PeriodicTiling, center, r2) -> Patch:
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
     from .rational import isqrt_ceil
-    from .linalg import mat_inv as _mi
 
-    ginv = _mi(tiling.frame.gram)
+    ginv = mat_inv(tiling.frame.gram)
     out = []
     for t in tiling.cell_tiles:
         box = t.bounding_box()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rational import rat
-from .linalg import Vec, gram_norm2, is_integral_vec, mat_vec, vadd, vec, vsub
+from .linalg import Vec, gram_norm2, is_integral_vec, mat_vec, vadd, vdot, vec, vsub
 from .isometry import Frame, Isometry
 from .groups import CrystalGroup, orbit_in_ball, stabilizer
 from .polytope import ConvexPolytope, HalfSpace, halfspace_intersection
@@ -39,11 +39,9 @@ class DeloneCertificate:
 
 def bisector_halfspace(frame: Frame, x0: Vec, x: Vec) -> HalfSpace:
     """Half-plane of points at least as close to x0 as to x (contains x0)."""
-    a = vsub(x0, x)
+    a = mat_vec(frame.gram, vsub(x0, x))
     mid = tuple((p + q) / 2 for p, q in zip(x0, x))
-    from .linalg import gram_dot
-
-    return HalfSpace(a, gram_dot(frame.gram, a, mid))
+    return HalfSpace(a, vdot(a, mid))
 
 
 def _orbit_contains(group: CrystalGroup, x: Vec, y: Vec) -> bool:
@@ -82,8 +80,6 @@ def cell_with_certificate(group: CrystalGroup, x, x0=None):
 def _cell_from_sites(frame: Frame, x0: Vec, sites):
     """Incremental exact cell: bisectors that cannot cut the running cell
     are skipped (the final cell is contained in every intermediate one)."""
-    from .linalg import gram_dot
-
     n = frame.dim
     g = frame.gram
     ordered = sorted(sites, key=lambda s: gram_norm2(g, vsub(s, x0)))
@@ -91,9 +87,7 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites):
     cell = None
     for s in ordered:
         h = bisector_halfspace(frame, x0, s)
-        if cell is not None and all(
-            gram_dot(g, h.normal, v) >= h.offset for v in cell.vertices
-        ):
+        if cell is not None and all(vdot(h.covector, v) >= h.offset for v in cell.vertices):
             continue
         hs.append(h)
         res = halfspace_intersection(frame, hs)

@@ -192,3 +192,27 @@ def test_render_cli(tmp_path, square_file, capsys):
     svg2 = str(tmp_path / "out2.svg")
     run_cli(capsys, "render", square_file, "--svg", svg2, "--window", "-2", "-2", "2", "2")
     assert open(svg).read() == open(svg2).read()
+
+
+@pytest.mark.parametrize("verb", ["aut", "validate-group"])
+def test_directory_is_input_error(tmp_path, verb, capsys):
+    code, _, err = run_cli(capsys, verb, str(tmp_path))
+    assert code == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("verb,dim,gram", [
+    ("validate-group", "x", [[1, 0], [0, 1]]),
+    ("validate-group", 2, [[1, 2], [2, 1]]),
+    ("validate-group", 0, []),
+    ("aut", "x", [[1, 0], [0, 1]]),
+    ("aut", 2, [[1, 2], [2, 1]]),
+    ("aut", 0, []),
+])
+def test_bad_dim_or_gram_is_input_error(tmp_path, verb, dim, gram, capsys):
+    body = {"reps": []} if verb == "validate-group" else {"cell_tiles": []}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": dim, "gram": gram, **body}))
+    code, _, err = run_cli(capsys, verb, str(path))
+    assert code == 2
+    assert "input error" in err

@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vsub
 from crystile.isometry import Isometry
-from crystile.groups import preset, generic_point
+from crystile.groups import WALLPAPER_NAMES, preset, generic_point
 from crystile.polytope import ConvexPolytope, volume
+from crystile.serialize import dump_json, tiling_to_json
 from crystile.voronoi import voronoi_tiling
 from crystile.tiling import automorphism_group, prototiles, tilings_equal, transform_tiling
 from crystile.construction import (
@@ -171,3 +174,32 @@ def test_subdivision_preserves_volume():
     cert = generic_apex(vt.provenance.base_cell, 2)
     sub = cone_subdivide(vt, cert)
     assert sum(volume(t) for t in sub.cell_tiles) == 1
+
+
+# sha256 of the tiling JSON of construct_tiling(preset(name), 0), as recorded
+# for seed 0 in bench/reference_digests.json
+SEED0_DIGESTS = {
+    "p1": "7b3216f017d1100488fdcba5c54af74c78a1cf92e084ef9b9d9a9318b2292d22",
+    "p2": "04e3eb5a3cc222b45a9fde64967bdd28f1907532a5bbed82eee401d27be960b1",
+    "pm": "515cf3c2d936c407cea619a4d2b41110d717c45ca2a4624acaeae2330c864cef",
+    "pg": "d2e76869a2a7130551e4e397845d8b6957f4f3434eb7a08797c02f4e0408eb2b",
+    "cm": "7983e151fbb1253b20e2445b9e0460e602603639d824cf5d50133738a56cdc37",
+    "pmm": "2c3c2b969b02e6d166e8b35d55c6bb734f4d6e30fb9b572d8eaeb751e7d22e27",
+    "pmg": "d25029dc3d8d880d85a1b4bedf7514676feefe62837a5afd304d9d34fe84b02b",
+    "pgg": "3df64a2df2fbbbbc58aba81f5530211c8c7950a51abbee98527638e15addc68d",
+    "cmm": "99c3d2ca7cff8dfe324dbfec6969583f216bb861145e243eaeadab2d2b3a061a",
+    "p4": "76ea8d4adc492ec1d79e1e11de7ba3f8b0b971ad4847d519c2a8c9aa2ef8bfa9",
+    "p4m": "30707d0d90a991a4beb2519e007316d56d220ee9ea774074325d2aa08ecdc82c",
+    "p4g": "82cd530db3e53bac363db2edec6a971eceaa155ea3969acdee687bcdbd4ff3e4",
+    "p3": "df321a965ad6e0a381e9e98aa74438c1c78bf39f572a445fd1f8ecb1cf6a724c",
+    "p3m1": "5069cc3689971e11f3c86eef595f04c95a7584dc5500776355d95d25fbae4d71",
+    "p31m": "4315a5d2334a23353aa89c14115907d6ebeedd476e70c30ccf19303eee76b16a",
+    "p6": "2bb203775255ed58fda1d6c15cc4bee7331f7c559006e7972f4b1a6244d47a49",
+    "p6m": "2dbc8803c964718667e15306ae48372c7a5e2c521c56801a98bb94674f82aa46",
+}
+
+
+@pytest.mark.parametrize("name", WALLPAPER_NAMES)
+def test_seed0_construction_digests(name):
+    text = dump_json(tiling_to_json(construct_tiling(preset(name), 0)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED0_DIGESTS[name]

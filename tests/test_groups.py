@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from crystile.rational import Q
@@ -266,14 +268,45 @@ def test_lattice_isometries_orders(frame2, hexframe):
     assert len(lattice_isometries(hexframe, hexframe)) == 12
 
 
-def test_preset_data_files_match_generators():
-    from crystile.groups import PRESET_NAMES, _preset_from_generators
+# sha256 of dump_json(group_to_json(preset(name))), byte for byte the group
+# JSON files the presets were once shipped as
+PRESET_DIGESTS = {
+    "p1": "b1c17b87cc1acb5596dbc50ba048f920097b14b2ee5894b75c447f310fea4da6",
+    "p2": "3064e1f23431ca4433e8e73cc70a273c40faeb0697a11749b811395dbc8d2b58",
+    "pm": "fa2e5eafe3b64b91ea0509e9d52eb7b18302da67b4dc52413d8f58db62340b02",
+    "pg": "21542fc70aea2a3f9d77a3bcf52b2707de423d8586c713cc1eba3ca54abc20b2",
+    "cm": "be6b7ab15fce386ef761cef17eacc4da45977d19c29b6da3a4815bf47226eecd",
+    "pmm": "84d906c0deec336f68ff0c04800f080004ff4fa5dc465151568e00d17ca75b51",
+    "pmg": "46409fab8d3e8897c7071dba1083cf92e7779da4ee3ede38c11434c349969a78",
+    "pgg": "9e34b473d5b63f7bfc1a2ccb318599483a3fb32794ede6b98d83bcd0459a849b",
+    "cmm": "27fc7526670514fce51aed480d2290c33ac7e956b7ebafb9e6dad339520f5135",
+    "p4": "e09a56844bc68d9579c9f531cab8fc4e54f87d35ae4afc77ea2dead0dab55a24",
+    "p4m": "ac20b95340bf51e9b7a875990d4f1500f5e3a812ad4ce06df99b08ee6a9a3106",
+    "p4g": "17eb6dd3c4c105767e57de9d1dac3ad9f3f9e6b46b8eae56ed65e29411b887d5",
+    "p3": "03b776c51cc92afce2359bad9ce67052e91f7b392071977b056e69d7e03bedd8",
+    "p3m1": "fa1fd3f6be546d16380a7983f49a3ce5e1e49058c0f7a7b711ab7c94ff2cf812",
+    "p31m": "02dd503ac07259ec8f67f28e31937831dfba01b5249af9b679df0be6b6247ef7",
+    "p6": "649e78f5722a5c2b3caac7e95ab49642876060723160c7c328471f95b8b956c8",
+    "p6m": "36a90bd90a7c338fa4f6800bbad8f44eb074b30cddfee37fd99779cf5a29562b",
+    "P1": "ca5678e2a2953cce135b1d92d3217bccfeff1f4a5bcc2596d165a23c33bb8e5c",
+    "P222": "631022cb689583b1f59b794b11a03540a34242fdaf87c38b4a3a853bab46ea31",
+    "Pm-3m": "e0aa364cd325bd801f118191b95771c8368e92bcdb41db3c13a4810e5d0b1937",
+}
 
+
+def test_preset_group_json_digests():
+    from crystile.groups import PRESET_NAMES
+    from crystile.serialize import dump_json, group_to_json
+
+    assert set(PRESET_DIGESTS) == set(PRESET_NAMES)
     for name in PRESET_NAMES:
-        shipped = preset(name)
-        generated = _preset_from_generators(name)
-        assert shipped.reps == generated.reps, name
-        assert shipped.frame == generated.frame, name
+        text = dump_json(group_to_json(preset(name)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRESET_DIGESTS[name], name
+
+
+def test_span_seitz_rejects_shear(frame2):
+    with pytest.raises(GroupValidationError, match="exceeded bound"):
+        span_seitz(frame2, [(((1, 1), (0, 1)), (0, 0))])
 
 
 def test_demo_3d_presets(frame3):

@@ -119,3 +119,172 @@ def test_hermite_preserves_lattice_membership(cols):
         coords = solve_linear(transpose(tuple(vec(b) for b in basis)), vec(c))
         assert coords is not None
         assert is_integral_vec(coords)
+
+
+# --- differential oracle: the separate elimination loops that linalg's one
+# Gauss-Jordan routine replaced, kept verbatim as references --------------
+
+ZERO, ONE = Q(0), Q(1)
+
+
+def _ref_mat_det(m):
+    n = len(m)
+    rows = [list(r) for r in m]
+    det = ONE
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = ONE / rows[col][col]
+        for r in range(col + 1, n):
+            f = rows[r][col] * inv
+            if f != 0:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def _ref_mat_inv(m):
+    n = len(m)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = ONE / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _ref_solve_linear(m, b):
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    aug = [list(row) + [bi] for row, bi in zip(m, b)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = ONE / aug[r][col]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols] != 0:
+            return None
+    x = [ZERO] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][ncols]
+    return tuple(x)
+
+
+def _ref_mat_rank(m):
+    nrows = len(m)
+    if nrows == 0:
+        return 0
+    ncols = len(m[0])
+    rows = [list(r) for r in m]
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def _ref_nullspace(m):
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rows = [list(r) for r in m]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+# small numerators make zero entries, dependent rows and singular matrices common
+entries = st.builds(Q, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows > 1 and draw(st.booleans()):
+        # force a dependent row: a combination of two other rows
+        i = draw(st.integers(0, nrows - 1))
+        others = st.sampled_from(rows[:i] + rows[i + 1:])
+        u, w, a, b = draw(others), draw(others), draw(entries), draw(entries)
+        rows[i] = [a * x + b * y for x, y in zip(u, w)]
+    return tuple(tuple(r) for r in rows)
+
+
+def _inv_or_singular(inv, m):
+    try:
+        return inv(m)
+    except ValueError:
+        return "singular"
+
+
+@given(rational_matrices(), st.data())
+def test_eliminations_match_reference_loops(m, data):
+    b = tuple(data.draw(st.lists(entries, min_size=len(m), max_size=len(m))))
+    assert mat_rank(m) == _ref_mat_rank(m)
+    assert nullspace(m) == _ref_nullspace(m)
+    assert solve_linear(m, b) == _ref_solve_linear(m, b)
+
+
+@given(rational_matrices(square=True))
+def test_square_eliminations_match_reference_loops(m):
+    # sizes 4 and 5 take mat_det's elimination branch
+    assert mat_det(m) == _ref_mat_det(m)
+    assert _inv_or_singular(mat_inv, m) == _inv_or_singular(_ref_mat_inv, m)
