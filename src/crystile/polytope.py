@@ -6,6 +6,11 @@ floating predicates anywhere.  Volumes are lattice-normalized (Euclidean
 volume divided by sqrt(det G)), which keeps them rational.  Halfspaces are
 stored by their coordinate covector a = G n, so containment is the plain
 dot product a . x and never touches the Gram matrix.
+
+Each polytope derives its boundary once and caches it: facet halfspaces,
+faces of each dimension and the cyclic vertex order (ring) of a polygon, in
+the plane or in space.  Edges are consecutive ring vertices; volumes,
+simplex fans and point distances all read that one cached boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from itertools import combinations
 
 from .rational import Q, ZERO, ONE, rat
 from .linalg import (
-    gram_dot,
     gram_norm2,
     mat_det,
     mat_inv,
@@ -91,12 +95,13 @@ class ConvexPolytope:
     """Dual V-rep/H-rep convex polytope with exact rational data.
 
     Vertices are kept sorted lexicographically (the canonical form used
-    for exact tile comparison); facet halfspaces are computed on demand
+    for exact tile comparison); facet halfspaces, the cyclic vertex order
+    of a polygon and the faces of each dimension are computed on demand
     and cached.  Lower-dimensional polytopes (faces) carry vertex lists
     only.
     """
 
-    __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_hash")
+    __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_hash")
 
     def __init__(self, frame: Frame, vertices, assume_minimal: bool = False, _facets=None):
         pts = sorted(set(vec(p) for p in vertices))
@@ -112,6 +117,7 @@ class ConvexPolytope:
         self._dim = None
         self._bbox = None
         self._cycle = None
+        self._faces = None
         self._hash = None
 
     # -- identity -----------------------------------------------------------
@@ -149,12 +155,22 @@ class ConvexPolytope:
         return self._bbox
 
     def cyclic_vertices(self):
-        """Vertices in CCW order (2D full-dimensional polygons only)."""
-        if self.frame.dim != 2 or self.dim != 2:
-            raise PolytopeError("cyclic order is for full-dimensional polygons")
+        """Vertices of a 2-dimensional polytope in cyclic order.
+
+        In the plane the order is CCW; in space it is CCW in the affine
+        coordinates spanned from the first vertex by the first two
+        independent edge directions.
+        """
+        if self.dim != 2:
+            raise PolytopeError("cyclic order is for 2-dimensional polytopes")
         if self._cycle is None:
-            c = _centroid(self.vertices)
-            self._cycle = tuple(_sort_ccw(self.vertices, c))
+            pts = self.vertices
+            coords = pts
+            if self.frame.dim != 2:
+                basis = _independent_directions(pts, 2)
+                coords = [_affine_coords(p, pts[0], basis) for p in pts]
+            back = dict(zip(coords, pts))
+            self._cycle = tuple(back[c] for c in _sort_ccw(coords, _centroid(coords)))
         return self._cycle
 
     def facets(self):
@@ -344,44 +360,61 @@ def _facets_from_vertices(frame: Frame, poly: ConvexPolytope):
 
 
 def faces(poly: ConvexPolytope, m: int):
-    """All m-faces as (lower-dimensional) polytopes, 0 <= m < dim."""
+    """All m-faces as (lower-dimensional) polytopes, 0 <= m < dim.
+
+    Computed once per polytope.  Facets follow facets(); the edges of a
+    polygon follow its cyclic order, and the edges of a 3-polytope are the
+    consecutive vertex pairs of its facet rings, sorted.
+    """
     n = poly.dim
     if not 0 <= m < n:
         raise PolytopeError(f"face dimension {m} out of range for a {n}-polytope")
-    if m == 0:
-        return [ConvexPolytope(poly.frame, [p], assume_minimal=True) for p in poly.vertices]
-    if m == n - 1:
-        out = []
-        for h in poly.facets():
-            on = [p for p in poly.vertices if vdot(h.covector, p) == h.offset]
-            out.append(ConvexPolytope(poly.frame, on, assume_minimal=True))
-        return out
-    # n == 3, m == 1: edges via common active facets of rank 2
-    return _edges_3d(poly)
-
-
-def _edges_3d(poly: ConvexPolytope):
-    hs = poly.facets()
-    active = []
-    for p in poly.vertices:
-        active.append({i for i, h in enumerate(hs) if vdot(h.covector, p) == h.offset})
-    out = []
-    for (i, u), (j, w) in combinations(enumerate(poly.vertices), 2):
-        common = active[i] & active[j]
-        if len(common) < 2:
-            continue
-        if mat_rank(tuple(hs[k].covector for k in common)) == 2:
-            out.append(ConvexPolytope(poly.frame, [u, w], assume_minimal=True))
+    if poly._faces is None:
+        poly._faces = {}
+    out = poly._faces.get(m)
+    if out is None:
+        if m == 0:
+            vertex_lists = [[p] for p in poly.vertices]
+        elif m == 1 and n == 2:
+            vertex_lists = _ring_edges(poly.cyclic_vertices())
+        elif m == 1:
+            vertex_lists = sorted({tuple(sorted(e)) for f in faces(poly, 2)
+                                   for e in _ring_edges(f.cyclic_vertices())})
+        else:
+            vertex_lists = [[p for p in poly.vertices if vdot(h.covector, p) == h.offset]
+                            for h in poly.facets()]
+        out = poly._faces[m] = tuple(
+            ConvexPolytope(poly.frame, vs, assume_minimal=True) for vs in vertex_lists
+        )
     return out
+
+
+def _ring_edges(ring):
+    return list(zip(ring, ring[1:] + ring[:1]))
 
 
 def face_vertex_sets(poly: ConvexPolytope):
     """Frozensets of vertex tuples for every proper face (all dimensions)."""
-    out = set()
-    for m in range(0, poly.dim):
-        for f in faces(poly, m):
-            out.add(frozenset(f.vertices))
+    return {frozenset(f.vertices) for m in range(poly.dim) for f in faces(poly, m)}
+
+
+def _fan(poly: ConvexPolytope):
+    """Simplices (vertex tuples) that tile a full-dimensional polytope: in
+    the plane, triangles from the first ring vertex; in space, cones from
+    the first vertex over each facet's ring fan (flat cones included)."""
+    if poly.frame.dim == 2:
+        ring = poly.cyclic_vertices()
+        return [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+    base = poly.vertices[0]
+    out = []
+    for f in faces(poly, 2):
+        ring = f.cyclic_vertices()
+        out += [(base, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
     return out
+
+
+def _simplex_det(simplex):
+    return mat_det(tuple(vsub(p, simplex[0]) for p in simplex[1:]))
 
 
 def volume(poly: ConvexPolytope):
@@ -391,58 +424,13 @@ def volume(poly: ConvexPolytope):
         raise PolytopeError("volume requires a full-dimensional polytope")
     if n == 1:
         return poly.vertices[-1][0] - poly.vertices[0][0]
-    if n == 2:
-        cyc = poly.cyclic_vertices()
-        acc = ZERO
-        for i, u in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            acc += u[0] * w[1] - u[1] * w[0]
-        return abs(acc) / 2
-    # n == 3: cone facet triangulations over a base vertex
-    base = poly.vertices[0]
-    acc = ZERO
-    for fpoly in faces(poly, 2):
-        ring = _facet_cycle_3d(fpoly)
-        for i in range(1, len(ring) - 1):
-            e1 = vsub(ring[0], base)
-            e2 = vsub(ring[i], base)
-            e3 = vsub(ring[i + 1], base)
-            acc += abs(mat_det((e1, e2, e3)))
-    return acc / 6
-
-
-def _facet_cycle_3d(fpoly: ConvexPolytope):
-    pts = fpoly.vertices
-    if len(pts) == 3:
-        return list(pts)
-    p0 = pts[0]
-    basis = _independent_directions(pts, 2)
-    coords = [_affine_coords(p, p0, basis) for p in pts]
-    c = _centroid(coords)
-    order = _sort_ccw(coords, c)
-    back = {tuple(cc): p for cc, p in zip(coords, pts)}
-    return [back[tuple(cc)] for cc in order]
+    return sum((abs(_simplex_det(s)) for s in _fan(poly)), ZERO) / (2 if n == 2 else 6)
 
 
 def simplex_decomposition(poly: ConvexPolytope):
     """A fan of simplices (as polytopes) from the first vertex; parts tile poly."""
-    n = poly.frame.dim
-    if n == 2:
-        cyc = list(poly.cyclic_vertices())
-        base = cyc[0]
-        return [
-            ConvexPolytope(poly.frame, [base, cyc[i], cyc[i + 1]], assume_minimal=True)
-            for i in range(1, len(cyc) - 1)
-        ]
-    base = poly.vertices[0]
-    parts = []
-    for fpoly in faces(poly, 2):
-        ring = _facet_cycle_3d(fpoly)
-        for i in range(1, len(ring) - 1):
-            simplex = [base, ring[0], ring[i], ring[i + 1]]
-            if _affine_rank(simplex) == 3:
-                parts.append(ConvexPolytope(poly.frame, simplex, assume_minimal=True))
-    return parts
+    return [ConvexPolytope(poly.frame, s, assume_minimal=True)
+            for s in _fan(poly) if _simplex_det(s) != 0]
 
 
 # --- halfspace intersection --------------------------------------------------
@@ -584,56 +572,52 @@ def sq_distance_point(poly: ConvexPolytope, x):
     if poly.dim == poly.frame.dim and poly.contains(x):
         return ZERO
     best = min(gram_norm2(g, vsub(x, v)) for v in poly.vertices)
-    # edges
-    edge_list = []
-    if poly.dim >= 1:
-        if poly.frame.dim == 2 and poly.dim == 2:
-            cyc = poly.cyclic_vertices()
-            edge_list = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-        elif poly.dim == 1:
-            edge_list = [(poly.vertices[0], poly.vertices[-1])]
-        elif poly.dim == 2:
-            ring = _facet_cycle_3d(poly)
-            edge_list = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-        else:
-            edge_list = [(e.vertices[0], e.vertices[1]) for e in faces(poly, 1)]
-    for u, w in edge_list:
+    edges = faces(poly, 1) if poly.dim >= 2 else [poly] if poly.dim == 1 else []
+    for e in edges:
+        u, w = e.vertices
         d = vsub(w, u)
-        den = gram_norm2(g, d)
-        t = gram_dot(g, vsub(x, u), d) / den
+        gd = mat_vec(g, d)
+        t = vdot(gd, vsub(x, u)) / vdot(gd, d)
         if 0 < t < 1:
             proj = vadd(u, tuple(t * c for c in d))
             best = min(best, gram_norm2(g, vsub(x, proj)))
     if poly.frame.dim == 3 and poly.dim >= 2:
-        fps = faces(poly, 2) if poly.dim == 3 else [poly]
-        for fp in fps:
-            val = _facet_proj_sq_distance(fp, x, g)
+        # x is nearest to a point inside a facet only from beyond that
+        # facet's plane, so facets whose halfspace holds x are skipped
+        polygons = [poly] if poly.dim == 2 else [
+            f for h, f in zip(poly.facets(), faces(poly, 2)) if vdot(h.covector, x) < h.offset
+        ]
+        for f in polygons:
+            val = _polygon_proj_sq_distance(f, x, g)
             if val is not None:
                 best = min(best, val)
     return best
 
 
-def _facet_proj_sq_distance(fpoly: ConvexPolytope, x, g):
-    pts = fpoly.vertices
-    p0 = pts[0]
-    basis = _independent_directions(pts, 2)
-    rows = tuple(tuple(gram_dot(g, bi, bj) for bj in basis) for bi in basis)
-    rhs = tuple(gram_dot(g, bi, vsub(x, p0)) for bi in basis)
-    st = solve_linear(rows, rhs)
-    if st is None:
-        return None
-    proj = vadd(p0, vadd(tuple(st[0] * c for c in basis[0]), tuple(st[1] * c for c in basis[1])))
-    coords = [_affine_coords(p, p0, basis) for p in pts]
-    pc = (st[0], st[1])
-    c2 = _centroid(coords)
-    ring = _sort_ccw(coords, c2)
-    m = len(ring)
-    for i in range(m):
-        a, b = ring[i], ring[(i + 1) % m]
-        cross = (b[0] - a[0]) * (pc[1] - a[1]) - (b[1] - a[1]) * (pc[0] - a[0])
-        if cross < 0:
+def _polygon_proj_sq_distance(f: ConvexPolytope, x, g):
+    """Squared distance from x to its Gram projection onto the plane of the
+    polygon f (in space), or None when the projection falls outside f.
+
+    The ring is convex, so the projection lies in f iff it is on the inner
+    side of every ring edge: the coordinate cross product of the edge and
+    the projection has a nonnegative component along the ring normal."""
+    ring = f.cyclic_vertices()
+    o = ring[0]
+    e1, e2 = vsub(ring[1], o), vsub(ring[2], o)
+    xo = vsub(x, o)
+    a1, a2 = mat_vec(g, e1), mat_vec(g, e2)
+    rows = ((vdot(a1, e1), vdot(a1, e2)), (vdot(a2, e1), vdot(a2, e2)))
+    s, t = solve_linear(rows, (vdot(a1, xo), vdot(a2, xo)))
+    proj = tuple(oc + s * a + t * b for oc, a, b in zip(o, e1, e2))
+    normal = _cross(e1, e2)
+    for a, b in _ring_edges(ring):
+        if vdot(_cross(vsub(b, a), vsub(proj, a)), normal) < 0:
             return None
     return gram_norm2(g, vsub(x, proj))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 # --- facet-to-facet classification --------------------------------------------

@@ -11,7 +11,7 @@ import json
 from .rational import rat, rat_json
 from .isometry import Frame, Isometry
 from .groups import CrystalGroup, validate_group
-from .polytope import ConvexPolytope
+from .polytope import ConvexPolytope, PolytopeError
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
 
 
@@ -129,22 +129,25 @@ def tiling_from_json(data: dict, validate: bool = True) -> PeriodicTiling:
             ConvexPolytope(frame, [parse_vector(p, dim) for p in t["vertices"]])
             for t in data["cell_tiles"]
         ]
-    except (KeyError, TypeError) as exc:
+        prov = None
+        pj = data.get("provenance")
+        if pj is not None and not isinstance(pj, dict):
+            raise SchemaError(f"provenance must be an object, got {pj!r}")
+        if pj:
+            group = group_from_json(pj["group"]) if "group" in pj else None
+            base_cell = None
+            if "base_cell" in pj:
+                vertices = pj["base_cell"]["vertices"]
+                base_cell = ConvexPolytope(frame, [parse_vector(p, dim) for p in vertices])
+            prov = Provenance(
+                kind=pj.get("kind", "unknown"),
+                group=group,
+                base_point=parse_vector(pj["base_point"], dim) if "base_point" in pj else None,
+                base_cell=base_cell,
+                apex=parse_vector(pj["apex"], dim) if "apex" in pj else None,
+            )
+    except (KeyError, TypeError, PolytopeError) as exc:  # PolytopeError: e.g. an empty tile
         raise SchemaError(f"malformed tiling file: {exc}") from exc
-    prov = None
-    pj = data.get("provenance")
-    if pj:
-        group = group_from_json(pj["group"]) if "group" in pj else None
-        base_cell = None
-        if "base_cell" in pj:
-            base_cell = ConvexPolytope(frame, [parse_vector(p, dim) for p in pj["base_cell"]["vertices"]])
-        prov = Provenance(
-            kind=pj.get("kind", "unknown"),
-            group=group,
-            base_point=parse_vector(pj["base_point"], dim) if "base_point" in pj else None,
-            base_cell=base_cell,
-            apex=parse_vector(pj["apex"], dim) if "apex" in pj else None,
-        )
     return periodic_tiling(frame, tiles, provenance=prov, validate=validate)
 
 

@@ -62,6 +62,7 @@ from .polytope import (
     ConvexPolytope,
     InteriorOverlapError,
     congruent,
+    faces,
     meet_face_to_face,
     sq_distance_point,
     volume,
@@ -180,10 +181,9 @@ def _facet_matching_accepts(tiling: PeriodicTiling) -> bool:
         return False
     covectors = {}
     for t in tiling.cell_tiles:
-        for h in t.facets():
-            on = [p for p in t.vertices if vdot(h.covector, p) == h.offset]
-            shift = tuple(-math.floor(c) for c in on[0])
-            key = tuple(vadd(p, shift) for p in on)
+        for h, f in zip(t.facets(), faces(t, n - 1)):
+            shift = tuple(-math.floor(c) for c in f.vertices[0])
+            key = tuple(vadd(p, shift) for p in f.vertices)
             covectors.setdefault(key, []).append(h.covector)
     # facets with one vertex set lie in one hyperplane, so their covectors
     # are parallel and point opposite ways iff their dot product is negative
@@ -279,9 +279,9 @@ def patch(tiling: PeriodicTiling, center, r2) -> Patch:
             w = isqrt_ceil(r2 * ginv[i][i])
             ranges.append(range(math.floor(center[i] - hi) - w, math.ceil(center[i] - lo) + w + 1))
         for k in product(*ranges):
-            cand = t.translate(tuple(Q(c) for c in k))
-            if sq_distance_point(cand, center) <= r2:
-                out.append(cand)
+            # dist(t + k, c) = dist(t, c - k): test the cell tile, translate only kept tiles
+            if sq_distance_point(t, vsub(center, k)) <= r2:
+                out.append(t.translate(k))
     out.sort(key=lambda t: t.vertices)
     return Patch(tiles=tuple(out), center=center, sq_radius=r2)
 

@@ -216,3 +216,30 @@ def test_bad_dim_or_gram_is_input_error(tmp_path, verb, dim, gram, capsys):
     code, _, err = run_cli(capsys, verb, str(path))
     assert code == 2
     assert "input error" in err
+
+
+# fields that replace those of a valid square-tiling file
+MALFORMED_TILING = {
+    "provenance-int": {"provenance": 5},
+    "provenance-list": {"provenance": [1]},
+    "base-cell-no-vertices": {"provenance": {"kind": "voronoi", "base_cell": {}}},
+    "tile-no-vertices": {"cell_tiles": [{"vertices": []}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TILING))
+def test_malformed_tiling_file_is_input_error(tmp_path, square_tiling, case, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**tiling_to_json(square_tiling), **MALFORMED_TILING[case]}))
+    code, _, err = run_cli(capsys, "aut", str(path))
+    assert code == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("r2", ["0", "-1", "257", "10000"])
+def test_orbit_radius_out_of_bounds_is_input_error(r2, capsys):
+    code, _, err = run_cli(
+        capsys, "orbit", "--group", "p6m", "--point", "1/5,1/10", "--radius2", r2
+    )
+    assert code == 2
+    assert "input error" in err and "256" in err

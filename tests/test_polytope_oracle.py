@@ -1,0 +1,268 @@
+"""Differential oracle for the cached polytope boundary.
+
+The functions below are the boundary code that derived a polytope's faces,
+edges, facet rings and point distances afresh on every call, and the patch
+loop that translated every candidate tile before testing it.  They are kept
+verbatim (apart from their names) and compared for exact equality with the
+cached versions on the cell tiles and patches of real tilings.
+"""
+
+import math
+import random
+from functools import lru_cache
+from itertools import combinations, product
+
+import pytest
+
+from crystile.construction import construct_tiling
+from crystile.groups import WALLPAPER_NAMES, generic_point, preset
+from crystile.linalg import (
+    gram_dot,
+    gram_norm2,
+    mat_det,
+    mat_inv,
+    mat_rank,
+    solve_linear,
+    vadd,
+    vdot,
+    vec,
+    vsub,
+)
+from crystile.polytope import (
+    ConvexPolytope,
+    _affine_coords,
+    _affine_rank,
+    _centroid,
+    _independent_directions,
+    _sort_ccw,
+    faces,
+    simplex_decomposition,
+    sq_distance_point,
+    volume,
+)
+from crystile.rational import Q, ZERO, isqrt_ceil, rat
+from crystile.tiling import Patch, patch
+from crystile.voronoi import voronoi_cell, voronoi_tiling
+
+from conftest import random_rational_point
+
+
+# --- the uncached boundary code ------------------------------------------------
+
+def old_faces(poly: ConvexPolytope, m: int):
+    n = poly.dim
+    if m == 0:
+        return [ConvexPolytope(poly.frame, [p], assume_minimal=True) for p in poly.vertices]
+    if m == n - 1:
+        out = []
+        for h in poly.facets():
+            on = [p for p in poly.vertices if vdot(h.covector, p) == h.offset]
+            out.append(ConvexPolytope(poly.frame, on, assume_minimal=True))
+        return out
+    # n == 3, m == 1: edges via common active facets of rank 2
+    return _edges_3d(poly)
+
+
+def _edges_3d(poly: ConvexPolytope):
+    hs = poly.facets()
+    active = []
+    for p in poly.vertices:
+        active.append({i for i, h in enumerate(hs) if vdot(h.covector, p) == h.offset})
+    out = []
+    for (i, u), (j, w) in combinations(enumerate(poly.vertices), 2):
+        common = active[i] & active[j]
+        if len(common) < 2:
+            continue
+        if mat_rank(tuple(hs[k].covector for k in common)) == 2:
+            out.append(ConvexPolytope(poly.frame, [u, w], assume_minimal=True))
+    return out
+
+
+def old_volume(poly: ConvexPolytope):
+    n = poly.frame.dim
+    if n == 2:
+        cyc = poly.cyclic_vertices()
+        acc = ZERO
+        for i, u in enumerate(cyc):
+            w = cyc[(i + 1) % len(cyc)]
+            acc += u[0] * w[1] - u[1] * w[0]
+        return abs(acc) / 2
+    # n == 3: cone facet triangulations over a base vertex
+    base = poly.vertices[0]
+    acc = ZERO
+    for fpoly in old_faces(poly, 2):
+        ring = _facet_cycle_3d(fpoly)
+        for i in range(1, len(ring) - 1):
+            e1 = vsub(ring[0], base)
+            e2 = vsub(ring[i], base)
+            e3 = vsub(ring[i + 1], base)
+            acc += abs(mat_det((e1, e2, e3)))
+    return acc / 6
+
+
+def _facet_cycle_3d(fpoly: ConvexPolytope):
+    pts = fpoly.vertices
+    if len(pts) == 3:
+        return list(pts)
+    p0 = pts[0]
+    basis = _independent_directions(pts, 2)
+    coords = [_affine_coords(p, p0, basis) for p in pts]
+    c = _centroid(coords)
+    order = _sort_ccw(coords, c)
+    back = {tuple(cc): p for cc, p in zip(coords, pts)}
+    return [back[tuple(cc)] for cc in order]
+
+
+def old_simplex_decomposition(poly: ConvexPolytope):
+    n = poly.frame.dim
+    if n == 2:
+        cyc = list(poly.cyclic_vertices())
+        base = cyc[0]
+        return [
+            ConvexPolytope(poly.frame, [base, cyc[i], cyc[i + 1]], assume_minimal=True)
+            for i in range(1, len(cyc) - 1)
+        ]
+    base = poly.vertices[0]
+    parts = []
+    for fpoly in old_faces(poly, 2):
+        ring = _facet_cycle_3d(fpoly)
+        for i in range(1, len(ring) - 1):
+            simplex = [base, ring[0], ring[i], ring[i + 1]]
+            if _affine_rank(simplex) == 3:
+                parts.append(ConvexPolytope(poly.frame, simplex, assume_minimal=True))
+    return parts
+
+
+def old_sq_distance_point(poly: ConvexPolytope, x):
+    x = vec(x)
+    g = poly.frame.gram
+    if poly.dim == poly.frame.dim and poly.contains(x):
+        return ZERO
+    best = min(gram_norm2(g, vsub(x, v)) for v in poly.vertices)
+    # edges
+    edge_list = []
+    if poly.dim >= 1:
+        if poly.frame.dim == 2 and poly.dim == 2:
+            cyc = poly.cyclic_vertices()
+            edge_list = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
+        elif poly.dim == 1:
+            edge_list = [(poly.vertices[0], poly.vertices[-1])]
+        elif poly.dim == 2:
+            ring = _facet_cycle_3d(poly)
+            edge_list = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+        else:
+            edge_list = [(e.vertices[0], e.vertices[1]) for e in old_faces(poly, 1)]
+    for u, w in edge_list:
+        d = vsub(w, u)
+        den = gram_norm2(g, d)
+        t = gram_dot(g, vsub(x, u), d) / den
+        if 0 < t < 1:
+            proj = vadd(u, tuple(t * c for c in d))
+            best = min(best, gram_norm2(g, vsub(x, proj)))
+    if poly.frame.dim == 3 and poly.dim >= 2:
+        fps = old_faces(poly, 2) if poly.dim == 3 else [poly]
+        for fp in fps:
+            val = _facet_proj_sq_distance(fp, x, g)
+            if val is not None:
+                best = min(best, val)
+    return best
+
+
+def _facet_proj_sq_distance(fpoly: ConvexPolytope, x, g):
+    pts = fpoly.vertices
+    p0 = pts[0]
+    basis = _independent_directions(pts, 2)
+    rows = tuple(tuple(gram_dot(g, bi, bj) for bj in basis) for bi in basis)
+    rhs = tuple(gram_dot(g, bi, vsub(x, p0)) for bi in basis)
+    st = solve_linear(rows, rhs)
+    if st is None:
+        return None
+    proj = vadd(p0, vadd(tuple(st[0] * c for c in basis[0]), tuple(st[1] * c for c in basis[1])))
+    coords = [_affine_coords(p, p0, basis) for p in pts]
+    pc = (st[0], st[1])
+    c2 = _centroid(coords)
+    ring = _sort_ccw(coords, c2)
+    m = len(ring)
+    for i in range(m):
+        a, b = ring[i], ring[(i + 1) % m]
+        cross = (b[0] - a[0]) * (pc[1] - a[1]) - (b[1] - a[1]) * (pc[0] - a[0])
+        if cross < 0:
+            return None
+    return gram_norm2(g, vsub(x, proj))
+
+
+def old_patch(tiling, center, r2) -> Patch:
+    center = vec(center)
+    r2 = rat(r2)
+    ginv = mat_inv(tiling.frame.gram)
+    out = []
+    for t in tiling.cell_tiles:
+        box = t.bounding_box()
+        ranges = []
+        for i, (lo, hi) in enumerate(box):
+            w = isqrt_ceil(r2 * ginv[i][i])
+            ranges.append(range(math.floor(center[i] - hi) - w, math.ceil(center[i] - lo) + w + 1))
+        for k in product(*ranges):
+            cand = t.translate(tuple(Q(c) for c in k))
+            if old_sq_distance_point(cand, center) <= r2:
+                out.append(cand)
+    out.sort(key=lambda t: t.vertices)
+    return Patch(tiles=tuple(out), center=center, sq_radius=r2)
+
+
+# --- cases ---------------------------------------------------------------------
+
+CASES = list(WALLPAPER_NAMES) + ["P1", "P222"]
+
+
+@lru_cache(maxsize=None)
+def case_tilings(case):
+    """(tilings, loose polytopes) of one case."""
+    g = preset(case)
+    if case == "P1":
+        return [construct_tiling(g, 0)], []
+    if case == "P222":
+        return [], [voronoi_cell(g, generic_point(g, 0))]
+    return [voronoi_tiling(g, generic_point(g, 0)), construct_tiling(g, 0)], []
+
+
+def fresh(poly):
+    # a copy with empty caches, so each side derives its own boundary
+    return ConvexPolytope(poly.frame, poly.vertices, assume_minimal=True)
+
+
+def keys(polys):
+    return [p.vertices for p in polys]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_boundary_matches_uncached_code(case):
+    tilings, loose = case_tilings(case)
+    polys = [t for tiling in tilings for t in tiling.cell_tiles] + loose
+    rng = random.Random(CASES.index(case))
+    for poly in polys:
+        old, new = fresh(poly), fresh(poly)
+        n = poly.dim
+        for m in range(n):
+            assert keys(faces(new, m)) == keys(old_faces(old, m))
+        assert volume(new) == old_volume(old)
+        assert keys(simplex_decomposition(new)) == keys(old_simplex_decomposition(old))
+        points = [random_rational_point(rng, n, span=3) for _ in range(4 if n == 3 else 8)]
+        points += list(poly.vertices[:2]) + [_centroid(poly.vertices)]
+        for x in points:
+            assert sq_distance_point(new, x) == old_sq_distance_point(old, x)
+        if n == 3:
+            for m in (1, 2):
+                for f in faces(new, m):
+                    for x in points[:3]:
+                        assert sq_distance_point(fresh(f), x) == old_sq_distance_point(fresh(f), x)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c != "P222"])
+def test_patch_matches_translate_first_loop(case):
+    tilings, _ = case_tilings(case)
+    rng = random.Random(100 + CASES.index(case))
+    for tiling in tilings:
+        center = random_rational_point(rng, tiling.dim, span=3)
+        r2 = Q(1, 8) if tiling.dim == 3 else Q(1)
+        assert patch(tiling, center, r2) == old_patch(tiling, center, r2)

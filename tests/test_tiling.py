@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,8 @@ from crystile.isometry import (
 )
 from crystile.construction import construct_tiling
 from crystile.groups import WALLPAPER_NAMES, generic_point, preset
-from crystile.polytope import ConvexPolytope
+from crystile import polytope
+from crystile.polytope import ConvexPolytope, faces
 from crystile.tiling import (
     LN_3_2,
     TilingValidationError,
@@ -129,6 +131,29 @@ def test_patch_bigger_radius(square_tiling):
     assert len(p.tiles) == 5
     p9 = patch(square_tiling, (Q(1, 2), Q(1, 2)), 1)
     assert len(p9.tiles) == 9
+
+
+def half_boxes(frame):
+    # the unit cell split into two boxes along the first axis, built afresh
+    # so that no facet or face cache is filled yet
+    h, corners = Q(1, 2), list(product((0, 1), repeat=frame.dim))
+    return [ConvexPolytope(frame, [(a + c[0] * h,) + c[1:] for c in corners]) for a in (0, h)]
+
+
+@pytest.mark.parametrize("frame", [F2, F3], ids=["2d", "3d"])
+def test_patch_derives_each_boundary_once(frame, monkeypatch):
+    # patch tests candidate translates against the cell tile itself, so each
+    # cell tile derives its facets once, however many translates it tries
+    calls = []
+    real = polytope._facets_from_vertices
+    monkeypatch.setattr(polytope, "_facets_from_vertices",
+                        lambda *a: calls.append(1) or real(*a))
+    tiling = periodic_tiling(frame, half_boxes(frame), validate=False)
+    p = patch(tiling, (Q(1, 3),) * frame.dim, 1)
+    assert len(p.tiles) > len(tiling.cell_tiles)
+    assert len(calls) == len(tiling.cell_tiles)
+    t = tiling.cell_tiles[0]
+    assert all(faces(t, m) is faces(t, m) for m in range(frame.dim))
 
 
 def test_patch_equivariance(square_tiling, frame2):
