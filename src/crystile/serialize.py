@@ -48,8 +48,11 @@ def parse_matrix(value, dim):
 
 def _frame_from_json(data: dict) -> Frame:
     """The frame of a group or tiling file.  A missing field raises KeyError;
-    a dim that is not a positive integer or a Gram matrix that is not
-    symmetric positive definite is a SchemaError."""
+    a dim that is not a positive integer (a bool or float included, which
+    int() would truncate) or a Gram matrix that is not symmetric positive
+    definite is a SchemaError."""
+    if isinstance(data["dim"], (bool, float)):
+        raise SchemaError(f"bad dim or gram: dim must be an integer, got {data['dim']!r}")
     try:
         dim = int(data["dim"])
         return Frame(dim, parse_matrix(data["gram"], dim))

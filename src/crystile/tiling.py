@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import product
 
-from .rational import Q, ZERO, rat, frac_part
+from .rational import Q, ZERO, rat, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
@@ -56,11 +56,13 @@ from .groups import (
     conjugacy_search,
     is_conjugate_subgroup,
     lattice_isometries,
+    lattice_points_in_ball,
     validate_group,
 )
 from .polytope import (
     ConvexPolytope,
     InteriorOverlapError,
+    _centroid,
     congruent,
     faces,
     meet_face_to_face,
@@ -72,6 +74,7 @@ LN_3_2 = math.log(1.5)
 WITNESS_SLACK = 1e-9
 PATCH_ENUM_RADIUS = Q(8)   # enumerated patch-equality radii are capped here
 RADIUS_CAP = Q(1 << 20)    # stand-in for "arbitrarily large" witness radii
+PAIRWISE_MAX_OFFSETS = 2048  # neighbor offsets a rejection's pairwise scan may visit
 
 
 class TilingValidationError(ValueError):
@@ -196,7 +199,9 @@ def _pairwise_problems(tiling: PeriodicTiling) -> list:
 
     Neighbor offsets are derived from bounding boxes, which covers at
     least the 3x3(x3) block and also catches wide tiles whose neighbors
-    sit further out.
+    sit further out.  When the boxes give more than PAIRWISE_MAX_OFFSETS
+    offsets in all, the scan is skipped and one problem names the count,
+    so a long thin tile cannot make the explanation run unboundedly long.
     """
     problems = []
     n = tiling.frame.dim
@@ -208,16 +213,19 @@ def _pairwise_problems(tiling: PeriodicTiling) -> list:
         total += volume(t)
     if total != 1:
         problems.append(f"cell volumes sum to {total}, expected 1")
+    tiles = tiling.cell_tiles
+    offsets = sum(math.prod(map(len, _offset_ranges(t, s)))
+                  for i, t in enumerate(tiles) for s in tiles[i:])
+    if offsets > PAIRWISE_MAX_OFFSETS:
+        problems.append(
+            f"pairwise scan skipped: its {offsets} neighbor offsets exceed "
+            f"PAIRWISE_MAX_OFFSETS = {PAIRWISE_MAX_OFFSETS}"
+        )
+        return problems
     for i, t in enumerate(tiling.cell_tiles):
-        box_t = t.bounding_box()
         for j in range(i, len(tiling.cell_tiles)):
             s = tiling.cell_tiles[j]
-            box_s = s.bounding_box()
-            ranges = [
-                range(math.ceil(lo1 - hi2), math.floor(hi1 - lo2) + 1)
-                for (lo1, hi1), (lo2, hi2) in zip(box_t, box_s)
-            ]
-            for k in product(*ranges):
+            for k in product(*_offset_ranges(t, s)):
                 if i == j:
                     nz = next((c for c in k if c != 0), 0)
                     if nz <= 0:
@@ -235,6 +243,15 @@ def _pairwise_problems(tiling: PeriodicTiling) -> list:
                         f"tiles {i} and {j}+{k} meet in a non-face: {res.witness}"
                     )
     return problems
+
+
+def _offset_ranges(a: ConvexPolytope, b: ConvexPolytope) -> list:
+    """Per axis, the integer offsets k at which b + k can meet a, from
+    their bounding boxes."""
+    return [
+        range(math.ceil(lo1 - hi2), math.floor(hi1 - lo2) + 1)
+        for (lo1, hi1), (lo2, hi2) in zip(a.bounding_box(), b.bounding_box())
+    ]
 
 
 def _quick_separated(a: ConvexPolytope, b: ConvexPolytope) -> bool:
@@ -262,38 +279,40 @@ class Patch:
         return frozenset(t.vertices for t in self.tiles)
 
 
+def _tiles_near(tiling: PeriodicTiling, center, r2):
+    """Yield (squared distance, cell tile t, lattice vector k) for each tile
+    t + k within r2 of center.  t lies within rho of its vertex centroid q,
+    so only k within r + rho of center - q qualify; the ball query takes an
+    exact bound >= (r + rho)^2, as r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2)."""
+    for t in tiling.cell_tiles:
+        q = _centroid(t.vertices)
+        rho2 = max(gram_norm2(tiling.frame.gram, vsub(v, q)) for v in t.vertices)
+        bound = r2 + rho2 + 2 * min((r2 + rho2) / 2, isqrt_ceil(r2 * rho2))
+        for k in lattice_points_in_ball(tiling.frame, vsub(center, q), bound):
+            # dist(t + k, c) = dist(t, c - k): test the cell tile, whose caches persist
+            d2 = sq_distance_point(t, vsub(center, k))
+            if d2 <= r2:
+                yield d2, t, k
+
+
 def patch(tiling: PeriodicTiling, center, r2) -> Patch:
     """Exactly the tiles whose squared distance to the center is <= r2."""
     center = vec(center)
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
-    from .rational import isqrt_ceil
-
-    ginv = mat_inv(tiling.frame.gram)
-    out = []
-    for t in tiling.cell_tiles:
-        box = t.bounding_box()
-        ranges = []
-        for i, (lo, hi) in enumerate(box):
-            w = isqrt_ceil(r2 * ginv[i][i])
-            ranges.append(range(math.floor(center[i] - hi) - w, math.ceil(center[i] - lo) + w + 1))
-        for k in product(*ranges):
-            # dist(t + k, c) = dist(t, c - k): test the cell tile, translate only kept tiles
-            if sq_distance_point(t, vsub(center, k)) <= r2:
-                out.append(t.translate(k))
-    out.sort(key=lambda t: t.vertices)
-    return Patch(tiles=tuple(out), center=center, sq_radius=r2)
+    tiles = sorted((t.translate(k) for _, t, k in _tiles_near(tiling, center, r2)),
+                   key=lambda t: t.vertices)
+    return Patch(tiles=tuple(tiles), center=center, sq_radius=r2)
 
 
-def transformed_patch(tiling: PeriodicTiling, iso: Isometry, center, r2) -> Patch:
-    """Patch of the transformed tiling iso(T) around `center`, computed via
-    the pullback identity [phi T]_{B_r(c)} = phi([T]_{B_r(phi^-1 c)})."""
-    center = vec(center)
-    pre = inverse(iso)(center)
-    base = patch(tiling, pre, r2)
-    tiles = tuple(sorted((t.transform(iso) for t in base.tiles), key=lambda t: t.vertices))
-    return Patch(tiles=tiles, center=center, sq_radius=rat(r2))
+def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
+    """{vertex key: squared distance} of the tiles of iso(T) within r2 of
+    center: they are iso(t + k) = iso(t) + L k for the tiles t + k of T
+    within r2 of iso^-1(center), L the linear part of iso."""
+    images = {t: t.transform(iso) for t in tiling.cell_tiles}
+    near = _tiles_near(tiling, inverse(iso)(center), r2)
+    return {images[t].translate(mat_vec(iso.linear, k)).vertices: d2 for d2, t, k in near}
 
 
 # --- transformation ----------------------------------------------------------
@@ -533,9 +552,7 @@ class DistanceBound:
 
 def _patch_equal(t1, iso1, t2, iso2, origin, radius) -> bool:
     r2 = radius * radius
-    pa = transformed_patch(t1, iso1, origin, r2)
-    pb = transformed_patch(t2, iso2, origin, r2)
-    return pa.keys() == pb.keys()
+    return _pulled_back(t1, iso1, origin, r2).keys() == _pulled_back(t2, iso2, origin, r2).keys()
 
 
 def _rational_below(x: float):
@@ -548,11 +565,10 @@ def _normalizes_lattice(iso: Isometry) -> bool:
 
 
 def _pair_match_radius(t1, phi, t2, psi, origin):
-    """(largest certified rational radius, global flag) for one witness pair.
-
-    The radius is limited by the 1/(2r) size constraint on the pair; a
-    global flag marks exact equality of the transformed tilings, which
-    certifies patch equality at every radius."""
+    """(largest certified radius on the grid cap j / 2^16, global flag) for
+    one witness pair.  The radius obeys the 1/(2r) size constraint; a global
+    flag marks exact equality of the transformed tilings, which certifies
+    patch equality at every radius."""
     delta = max(iso_size(origin, phi), iso_size(origin, psi))
     size_cap = RADIUS_CAP
     if delta > 0:
@@ -567,16 +583,16 @@ def _pair_match_radius(t1, phi, t2, psi, origin):
         if tilings_equal(ta, tb):
             return size_cap, True
     cap = min(size_cap, PATCH_ENUM_RADIUS)
-    if _patch_equal(t1, phi, t2, psi, origin, cap):
+    a = _pulled_back(t1, phi, origin, cap * cap)
+    b = _pulled_back(t2, psi, origin, cap * cap)
+    diff = a.keys() ^ b.keys()
+    if not diff:
         return cap, False
-    lo, hi = ZERO, cap
-    for _ in range(16):
-        mid = (lo + hi) / 2
-        if _patch_equal(t1, phi, t2, psi, origin, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, False
+    # the patches agree at radius r exactly when r^2 < m (m <= cap^2), so the
+    # largest such r on the grid is cap j / 2^16 with j^2 < m 2^32 / cap^2
+    m = min(d for key, d in (a | b).items() if key in diff)
+    j = max(isqrt_ceil(m * (1 << 32) / (cap * cap)) - 1, 0)
+    return cap * j / (1 << 16), False
 
 
 def _size_cap(phi, psi, origin, radius) -> bool:
@@ -585,11 +601,19 @@ def _size_cap(phi, psi, origin, radius) -> bool:
 
 
 def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
-    """Identity pair plus the half-shift pairs for the anchor translation."""
+    """Identity pair plus the half-shift pairs for each anchor translation.
+
+    Anchors: from the first vertex of tile 0 of T to that of tile 0 of T',
+    and to every tile of T' that is a translate of tile 0 of T (a shift may
+    reorder the canonical tiles); each also reduced to [-1/2, 1/2)^n."""
     frame = t1.frame
     pairs = [(identity_iso(frame), identity_iso(frame))]
-    tau_raw = vsub(t2.cell_tiles[0].vertices[0], t1.cell_tiles[0].vertices[0])
-    taus = {tau_raw, tuple(frac_part(x + Q(1, 2)) - Q(1, 2) for x in tau_raw)}
+    t0 = t1.cell_tiles[0]
+    anchors = [vsub(t2.cell_tiles[0].vertices[0], t0.vertices[0])]
+    anchors += [v for t in t2.cell_tiles if (v := _translate_match(t0, t)) is not None]
+    taus = set()
+    for v in anchors:
+        taus.update((v, tuple(frac_part(x + Q(1, 2)) - Q(1, 2) for x in v)))
     for tau in taus:
         if all(x == 0 for x in tau):
             continue
@@ -598,24 +622,21 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
     return pairs
 
 
-def distance_upper_bound(origin, t1: PeriodicTiling, t2: PeriodicTiling, candidates=None) -> DistanceBound:
+def distance_upper_bound(origin, t1: PeriodicTiling, t2: PeriodicTiling) -> DistanceBound:
     """Certified upper bound for d_O(T, T') from a finite witness set.
 
     Exact 0 for equal tilings; otherwise the best min{ln(3/2), ln(1+1/r)}
-    over candidate pairs, r found by rational binary search on verified
-    patch equality subject to the 1/(2r) size constraint."""
+    over the default candidate pairs, r read off one patch pair at the cap
+    (on the grid cap j / 2^16) subject to the 1/(2r) size constraint."""
     if t1.frame != t2.frame:
         raise ValueError("tilings must share a frame; conjugate one first")
     origin = vec(origin)
     if tilings_equal(t1, t2):
         w = (identity_iso(t1.frame), identity_iso(t1.frame), RADIUS_CAP, True)
         return DistanceBound(origin, 0.0, witness=w, tiling_a=t1, tiling_b=t2)
-    pairs = candidates if candidates is not None else default_candidates(t1, t2, origin)
-    if not pairs:
-        raise ValueError("empty candidate set")
     best_upper = LN_3_2
     best_witness = None
-    for phi, psi in pairs:
+    for phi, psi in default_candidates(t1, t2, origin):
         radius, glob = _pair_match_radius(t1, phi, t2, psi, origin)
         if radius <= 0 or not _size_cap(phi, psi, origin, radius):
             continue

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -201,6 +202,15 @@ def test_directory_is_input_error(tmp_path, verb, capsys):
     assert "input error" in err
 
 
+def valid_body(verb, n):
+    # the p1 group or the unit-cube tiling of an n-dimensional frame, so that
+    # only the dim or the Gram matrix can make the file malformed
+    if verb == "validate-group":
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        return {"reps": [{"linear": eye, "translation": [0] * n}]}
+    return {"cell_tiles": [{"vertices": [list(c) for c in product((0, 1), repeat=n)]}]}
+
+
 @pytest.mark.parametrize("verb,dim,gram", [
     ("validate-group", "x", [[1, 0], [0, 1]]),
     ("validate-group", 2, [[1, 2], [2, 1]]),
@@ -208,14 +218,33 @@ def test_directory_is_input_error(tmp_path, verb, capsys):
     ("aut", "x", [[1, 0], [0, 1]]),
     ("aut", 2, [[1, 2], [2, 1]]),
     ("aut", 0, []),
+    # int() would truncate 2.5 to 2 and read True as 1
+    ("validate-group", 2.5, [[1, 0], [0, 1]]),
+    ("validate-group", True, [[1]]),
+    ("aut", 2.5, [[1, 0], [0, 1]]),
+    ("aut", True, [[1]]),
 ])
 def test_bad_dim_or_gram_is_input_error(tmp_path, verb, dim, gram, capsys):
-    body = {"reps": []} if verb == "validate-group" else {"cell_tiles": []}
+    body = valid_body(verb, len(gram))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": dim, "gram": gram, **body}))
     code, _, err = run_cli(capsys, verb, str(path))
     assert code == 2
     assert "input error" in err
+
+
+def test_long_thin_tile_rejection_is_capped(tmp_path, capsys):
+    # a volume-1 tile [0, W] x [0, 1/W] overlaps its W - 1 nearest lattice
+    # translates; the explanation stops at PAIRWISE_MAX_OFFSETS offsets
+    w = 10 ** 4
+    verts = [[0, 0], [w, 0], [0, f"1/{w}"], [w, f"1/{w}"]]
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps({"dim": 2, "gram": [[1, 0], [0, 1]],
+                                "cell_tiles": [{"vertices": verts}]}))
+    code, _, err = run_cli(capsys, "aut", str(path))
+    assert code == 2
+    lines = [ln for ln in err.splitlines() if ln.startswith("violation:")]
+    assert len(lines) == 1 and "PAIRWISE_MAX_OFFSETS" in lines[0]
 
 
 # fields that replace those of a valid square-tiling file

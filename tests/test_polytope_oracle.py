@@ -41,6 +41,7 @@ from crystile.polytope import (
     volume,
 )
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
+from crystile import tiling as tiling_mod
 from crystile.tiling import Patch, patch
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
@@ -264,5 +265,23 @@ def test_patch_matches_translate_first_loop(case):
     rng = random.Random(100 + CASES.index(case))
     for tiling in tilings:
         center = random_rational_point(rng, tiling.dim, span=3)
-        r2 = Q(1, 8) if tiling.dim == 3 else Q(1)
-        assert patch(tiling, center, r2) == old_patch(tiling, center, r2)
+        radii = (Q(1, 8), Q(1)) if tiling.dim == 3 else (Q(1, 1 << 20), Q(1), Q(16))
+        for r2 in radii:
+            assert patch(tiling, center, r2) == old_patch(tiling, center, r2)
+
+
+def test_patch_work_grows_with_the_radius(monkeypatch):
+    # the padded box of the translate-first loop tested 675 translates at
+    # both radii; the lattice-ball query tests fewer, and fewer still at the
+    # smaller radius
+    calls = []
+    real = tiling_mod.sq_distance_point
+    monkeypatch.setattr(tiling_mod, "sq_distance_point", lambda *a: calls.append(1) or real(*a))
+    (p1,), _ = case_tilings("P1")
+    center = (Q(1, 3), Q(-2, 5), Q(1, 7))
+    counts = []
+    for r2 in (Q(1, 8), Q(1)):
+        calls.clear()
+        patch(p1, center, r2)
+        counts.append(len(calls))
+    assert counts[0] < counts[1] < 675

@@ -336,6 +336,20 @@ def test_distance_wraparound_shift(square_tiling, frame2):
     assert verify_witness(b)
 
 
+def test_distance_anchors_on_every_translate_of_tile_0(frame2):
+    # shifting two half-width strips by -1/10 makes the other strip the
+    # first canonical tile; anchoring only on tile 0 would find the 2/5
+    # shift (upper 0.3365), the reduced -1/10 anchor matches globally
+    h = Q(1, 2)
+    strips = periodic_tiling(frame2, [
+        ConvexPolytope(frame2, [(a, 0), (a + h, 0), (a, 1), (a + h, 1)]) for a in (0, h)
+    ])
+    shifted = transform_tiling(strips, translation_iso(frame2, (Q(-1, 10), 0)))
+    b = distance_upper_bound((0, 0), strips, shifted)
+    assert b.upper <= 0.0954
+    assert verify_witness(b)
+
+
 def test_distance_rejects_unsound_global_claims(square_tiling, frame2):
     from crystile.tiling import DistanceBound, RADIUS_CAP
 

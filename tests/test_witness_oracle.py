@@ -1,0 +1,213 @@
+"""Differential oracle for the distance-witness search.
+
+`old_transformed_patch`, `old_patch_equal` and `old_pair_match_radius` are
+the witness code that rebuilt both transformed patches for every radius of
+a 16-round bisection.  They are kept verbatim (apart from their names) and
+compared with the one-patch-pair search: every witness must agree in its
+radius (the same rational), its global flag and its upper bound.
+"""
+
+import random
+import sys
+from functools import lru_cache
+
+import pytest
+
+from crystile import tiling as tiling_mod
+from crystile.groups import generic_point, preset
+from crystile.isometry import inverse, iso_size, standard_frame, translation_iso
+from crystile.linalg import vec
+from crystile.polytope import ConvexPolytope, sq_distance_point
+from crystile.rational import Q, ZERO, rat
+from crystile.tiling import (
+    PATCH_ENUM_RADIUS,
+    RADIUS_CAP,
+    Patch,
+    _normalizes_lattice,
+    _pair_match_radius,
+    _rational_below,
+    default_candidates,
+    distance_upper_bound,
+    patch,
+    periodic_tiling,
+    tilings_equal,
+    transform_tiling,
+    verify_witness,
+)
+from crystile.voronoi import voronoi_tiling
+
+from conftest import random_rational_isometry, random_rational_point
+
+
+# --- the bisection search ------------------------------------------------------
+
+def old_transformed_patch(tiling, iso, center, r2) -> Patch:
+    """Patch of the transformed tiling iso(T) around `center`, computed via
+    the pullback identity [phi T]_{B_r(c)} = phi([T]_{B_r(phi^-1 c)})."""
+    center = vec(center)
+    pre = inverse(iso)(center)
+    base = patch(tiling, pre, r2)
+    tiles = tuple(sorted((t.transform(iso) for t in base.tiles), key=lambda t: t.vertices))
+    return Patch(tiles=tiles, center=center, sq_radius=rat(r2))
+
+
+def old_patch_equal(t1, iso1, t2, iso2, origin, radius) -> bool:
+    r2 = radius * radius
+    pa = old_transformed_patch(t1, iso1, origin, r2)
+    pb = old_transformed_patch(t2, iso2, origin, r2)
+    return pa.keys() == pb.keys()
+
+
+def old_pair_match_radius(t1, phi, t2, psi, origin):
+    """(largest certified rational radius, global flag) for one witness pair.
+
+    The radius is limited by the 1/(2r) size constraint on the pair; a
+    global flag marks exact equality of the transformed tilings, which
+    certifies patch equality at every radius."""
+    delta = max(iso_size(origin, phi), iso_size(origin, psi))
+    size_cap = RADIUS_CAP
+    if delta > 0:
+        size_cap = min(size_cap, _rational_below(1.0 / (2.0 * delta)))
+    if size_cap <= 0:
+        return ZERO, False
+    if _normalizes_lattice(phi) and _normalizes_lattice(psi):
+        # safe to compare the transformed tilings globally: no basis
+        # re-expression is involved, so equality is equality in the plane
+        ta = transform_tiling(t1, phi)
+        tb = transform_tiling(t2, psi)
+        if tilings_equal(ta, tb):
+            return size_cap, True
+    cap = min(size_cap, PATCH_ENUM_RADIUS)
+    if old_patch_equal(t1, phi, t2, psi, origin, cap):
+        return cap, False
+    lo, hi = ZERO, cap
+    for _ in range(16):
+        mid = (lo + hi) / 2
+        if old_patch_equal(t1, phi, t2, psi, origin, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, False
+
+
+# --- fixtures ------------------------------------------------------------------
+
+F2 = standard_frame(2)
+H = Q(1, 2)
+
+
+def square(x, y):
+    return ConvexPolytope(F2, [(x, y), (x + H, y), (x, y + H), (x + H, y + H)])
+
+
+def triangles(*tris):
+    return [ConvexPolytope(F2, t) for t in tris]
+
+
+# the unit square cut into four half-size squares (A); A with its top-right
+# quarter cut along (1/2,1/2)-(1,1) (B) or along (1,1/2)-(1/2,1) (C)
+QUARTERS = [square(0, 0), square(H, 0), square(0, H)]
+FIXTURES = {
+    "A": periodic_tiling(F2, QUARTERS + [square(H, H)]),
+    "B": periodic_tiling(F2, QUARTERS + triangles([(H, H), (1, H), (1, 1)],
+                                                  [(H, H), (1, 1), (H, 1)])),
+    "C": periodic_tiling(F2, QUARTERS + triangles([(H, H), (1, H), (H, 1)],
+                                                  [(1, H), (1, 1), (H, 1)])),
+}
+SQUARE = periodic_tiling(F2, [ConvexPolytope(F2, [(0, 0), (1, 0), (0, 1), (1, 1)])])
+
+
+def summary(bound):
+    w = bound.witness
+    return bound.upper, None if w is None else (w[2], w[3])
+
+
+@pytest.fixture(scope="module")
+def shared_queries():
+    """Memoized ball queries and patches, both pure (patches are checked
+    against the translate-first loop in test_polytope_oracle).  The
+    bisection re-runs the query at the cap, and the fixture pairs share
+    their tilings, origins and candidate pairs, so most work repeats."""
+    real = tiling_mod._tiles_near
+    queries = lru_cache(maxsize=None)(lambda *a: tuple(real(*a)))
+    patches = lru_cache(maxsize=None)(patch)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sys.modules[__name__], "patch", patches)
+        yield lambda *a: iter(queries(*a))
+    queries.cache_clear()
+    patches.cache_clear()
+
+
+def assert_same_witnesses(t1, t2, origins, monkeypatch, queries):
+    # every candidate pair of the bound runs both searches; the bound is
+    # then replayed from the bisection's results and must come out the same
+    for origin in origins:
+        monkeypatch.setattr(tiling_mod, "_tiles_near", queries)
+        old_results = []
+
+        def both(*args):
+            new, old = _pair_match_radius(*args), old_pair_match_radius(*args)
+            assert new == old and type(new[0]) is type(old[0])
+            old_results.append(old)
+            return new
+
+        monkeypatch.setattr(tiling_mod, "_pair_match_radius", both)
+        bound = distance_upper_bound(origin, t1, t2)
+        replay = iter(old_results)
+        monkeypatch.setattr(tiling_mod, "_pair_match_radius", lambda *a: next(replay))
+        assert summary(bound) == summary(distance_upper_bound(origin, t1, t2))
+        monkeypatch.undo()
+        assert verify_witness(bound)
+
+
+ORIGINS = [random_rational_point(random.Random(12), 2, span=4) for _ in range(12)]
+
+
+@pytest.mark.parametrize("pair", ["AB", "AC", "BC"])
+def test_witness_matches_bisection_on_quarter_squares(pair, monkeypatch, shared_queries):
+    assert_same_witnesses(FIXTURES[pair[0]], FIXTURES[pair[1]], ORIGINS, monkeypatch,
+                          shared_queries)
+
+
+def test_witness_matches_bisection_on_shift_chain(monkeypatch, shared_queries):
+    prev = SQUARE
+    for k in range(1, 4):
+        nxt = transform_tiling(prev, translation_iso(F2, (Q(k, 37), Q(1, 53 + k))))
+        assert_same_witnesses(prev, nxt, [(0, 0), (Q(1, 3), Q(-1, 5))], monkeypatch,
+                              shared_queries)
+        prev = nxt
+
+
+def test_witness_matches_bisection_on_shifted_p2_voronoi(monkeypatch, shared_queries):
+    g = preset("p2")
+    v = voronoi_tiling(g, generic_point(g, 0))
+    w = transform_tiling(v, translation_iso(v.frame, (Q(1, 29), Q(-1, 31))))
+    assert_same_witnesses(v, w, [(0, 0), (Q(1, 3), Q(1, 5))], monkeypatch, shared_queries)
+
+
+def test_pulled_back_keys_match_transformed_patches():
+    # random rational rotations and reflections, most of which do not
+    # normalize Z^2, exercise the linear part that moves the tile images;
+    # each distance must be the transformed tile's distance to the center
+    rng = random.Random(9)
+    tiling = FIXTURES["B"]
+    for _ in range(8):
+        iso = random_rational_isometry(rng, F2, span=3)
+        center = random_rational_point(rng, 2, span=3)
+        for r2 in (Q(1, 9), Q(2)):
+            old = old_transformed_patch(tiling, iso, center, r2)
+            expected = {t.vertices: sq_distance_point(t, center) for t in old.tiles}
+            assert tiling_mod._pulled_back(tiling, iso, center, r2) == expected
+
+
+def test_non_global_pair_runs_two_ball_queries(monkeypatch):
+    # the bisection built 2 patches at the cap and 2 more for each of its
+    # 16 rounds (34 in all); the search now reads one pair at the cap
+    calls = []
+    real = tiling_mod._tiles_near
+    monkeypatch.setattr(tiling_mod, "_tiles_near", lambda *a: calls.append(1) or real(*a))
+    a, b = FIXTURES["A"], FIXTURES["B"]
+    phi, psi = default_candidates(a, b, (0, 0))[0]
+    radius, glob = _pair_match_radius(a, phi, b, psi, (Q(1, 4), Q(1, 4)))
+    assert (radius, glob) == (Q(181, 512), False)
+    assert len(calls) == 2
