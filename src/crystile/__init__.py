@@ -38,6 +38,7 @@ from .polytope import (
     HalfSpace,
     InteriorOverlapError,
     MeetResult,
+    clip,
     congruent,
     faces,
     halfspace_intersection,

@@ -274,7 +274,9 @@ class OrbitPointSet:
     sq_radius: object = field(compare=False)
 
 
+@lru_cache(maxsize=None)
 def _inv_gram_diag(frame: Frame):
+    """Diagonal of G^-1, once per frame: (G^-1)_ii bounds |x_i|^2 by ||x||_G^2."""
     inv = mat_inv(frame.gram)
     return tuple(inv[i][i] for i in range(frame.dim))
 

@@ -11,6 +11,8 @@ Each polytope derives its boundary once and caches it: facet halfspaces,
 faces of each dimension and the cyclic vertex order (ring) of a polygon, in
 the plane or in space.  Edges are consecutive ring vertices; volumes,
 simplex fans and point distances all read that one cached boundary.
+Polytopes made by halfspace_intersection or clip carry their facet
+halfspaces from the start; only polytopes given by vertices recover them.
 """
 
 from __future__ import annotations
@@ -283,12 +285,16 @@ def _supporting_halfspaces(n: int, pts):
             c = -c
         else:
             continue
-        lead = next(x for x in f if x != 0)
-        scale = ONE / abs(lead)
-        key = (tuple(x * scale for x in f), c * scale)
-        if key not in found:
-            found[key] = HalfSpace(f, c)
+        h = HalfSpace(f, c)
+        found.setdefault(_halfspace_key(h), h)
     return list(found.values())
+
+
+def _halfspace_key(h: HalfSpace):
+    """(covector, offset) scaled so the first nonzero entry is +-1: equal
+    for halfspaces that are the same set."""
+    scale = ONE / abs(next(x for x in h.covector if x != 0))
+    return tuple(x * scale for x in h.covector), h.offset * scale
 
 
 def _coordinate_normal(points):
@@ -436,7 +442,10 @@ def simplex_decomposition(poly: ConvexPolytope):
 # --- halfspace intersection --------------------------------------------------
 
 def halfspace_intersection(frame: Frame, halfspaces):
-    """Exact intersection of halfspaces: a polytope, "unbounded", or "empty"."""
+    """Exact intersection of halfspaces: a polytope, "unbounded", or "empty".
+
+    A full-dimensional result carries its facets, taken from the input.
+    """
     hs = list(halfspaces)
     n = frame.dim
     if not hs:
@@ -448,7 +457,58 @@ def halfspace_intersection(frame: Frame, halfspaces):
         return "empty"
     if _has_recession_ray(n, hs):
         return "unbounded"
-    return ConvexPolytope(frame, pts, assume_minimal=True)
+    poly = ConvexPolytope(frame, pts, assume_minimal=True)
+    if poly.dim == n:
+        poly._facets = _tight_halfspaces(n, poly.vertices, hs)
+    return poly
+
+
+def _tight_halfspaces(n: int, pts, hs):
+    """The halfspaces of hs that are facets of the full-dimensional polytope
+    with vertices pts: those tight on n affinely independent vertices, each
+    hyperplane once, in input order."""
+    found = {}
+    for h in hs:
+        key = _halfspace_key(h)
+        if key not in found:
+            on = [p for p in pts if vdot(h.covector, p) == h.offset]
+            found[key] = h if len(on) >= n and _affine_rank(on) == n - 1 else None
+    return tuple(h for h in found.values() if h is not None)
+
+
+def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
+    """poly n h by one exact step of the double description method.
+
+    poly is full-dimensional and h keeps part of its interior.  Vertices
+    with a.v >= c stay, and each edge from a vertex strictly inside to one
+    strictly outside gives the point where it crosses the hyperplane.  Two
+    vertices span an edge iff at least n-1 facets hold both: for n <= 3
+    those facets meet poly in a face of dimension at most 1 through both
+    vertices, which is their edge.  (From n = 4 on, the combinatorial test
+    of Fukuda & Prodon 1996 also needs that no third vertex lies on all of
+    them.)  The facets are the old ones that still hold a vertex strictly
+    inside, then h.  A redundant h returns poly.
+    """
+    n = poly.frame.dim
+    facets = poly.facets()
+    vals = [vdot(h.covector, v) - h.offset for v in poly.vertices]
+    if all(s >= 0 for s in vals):
+        return poly
+    inside = [i for i, s in enumerate(vals) if s > 0]
+    if not inside:
+        raise PolytopeError("halfspace leaves no interior")
+    tight = [frozenset(k for k, f in enumerate(facets) if vdot(f.covector, v) == f.offset)
+             for v in poly.vertices]
+    pts = [v for v, s in zip(poly.vertices, vals) if s >= 0]
+    for i in inside:
+        for j, s in enumerate(vals):
+            if s < 0 and len(tight[i] & tight[j]) >= n - 1:
+                u, w = poly.vertices[i], poly.vertices[j]
+                t = vals[i] / (vals[i] - s)
+                pts.append(tuple(a + t * (b - a) for a, b in zip(u, w)))
+    held = frozenset().union(*(tight[i] for i in inside))
+    kept = tuple(f for k, f in enumerate(facets) if k in held) + (h,)
+    return ConvexPolytope(poly.frame, pts, assume_minimal=True, _facets=kept)
 
 
 def _candidate_vertices(n: int, hs):

@@ -547,7 +547,6 @@ class DistanceBound:
     witness: tuple = None
     tiling_a: PeriodicTiling = field(default=None, compare=False)
     tiling_b: PeriodicTiling = field(default=None, compare=False)
-    lower: float = None
 
 
 def _patch_equal(t1, iso1, t2, iso2, origin, radius) -> bool:

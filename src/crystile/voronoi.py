@@ -5,17 +5,28 @@ radius; the radius is grown until the cell's circumradius certifies that
 no farther site can cut it (any site beyond twice the circumradius has
 its bisector outside the cell).  The certificate records the radius that
 sufficed.
+
+Within one round of squared radius d2 the cell starts as the coordinate
+box x0 +- w_i, with w_i = isqrt_ceil(d2 (G^-1)_ii / 4) + 1, and is clipped
+by the bisectors nearest first, one double-description step each
+(polytope.clip), so it carries its facets throughout.  The box holds the
+Gram ball of squared radius d2/4 strictly inside.  If a box facet
+survives the clipping, the cell of the sites reaches outside that ball, so
+its circumradius rho has 4 rho^2 > d2 (or the cell is unbounded) and the
+round fails certification anyway; otherwise the box was redundant and the
+clipped box is exactly the cell of the sites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .rational import rat
+from .rational import ONE, ZERO, isqrt_ceil, rat
 from .linalg import Vec, gram_norm2, is_integral_vec, mat_vec, vadd, vdot, vec, vsub
 from .isometry import Frame, Isometry
-from .groups import CrystalGroup, orbit_in_ball, stabilizer
-from .polytope import ConvexPolytope, HalfSpace, halfspace_intersection
+from .groups import CrystalGroup, _inv_gram_diag, orbit_in_ball, stabilizer
+from .polytope import ConvexPolytope, HalfSpace, clip, halfspace_intersection
 
 
 class DegenerateSiteError(ValueError):
@@ -77,21 +88,25 @@ def cell_with_certificate(group: CrystalGroup, x, x0=None):
     return _cell_with_localization(group, x, x0, None)
 
 
-def _cell_from_sites(frame: Frame, x0: Vec, sites):
-    """Incremental exact cell: bisectors that cannot cut the running cell
-    are skipped (the final cell is contained in every intermediate one)."""
-    n = frame.dim
+def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
+    """The cell of x0 among sites, or None when it reaches beyond the Gram
+    ball of squared radius d2/4 about x0 (see the module docstring).
+
+    Clips the box around that ball by the bisectors nearest first; a
+    bisector that cannot cut the running cell leaves it unchanged."""
     g = frame.gram
-    ordered = sorted(sites, key=lambda s: gram_norm2(g, vsub(s, x0)))
-    hs = []
-    cell = None
-    for s in ordered:
-        h = bisector_halfspace(frame, x0, s)
-        if cell is not None and all(vdot(h.covector, v) >= h.offset for v in cell.vertices):
-            continue
-        hs.append(h)
-        res = halfspace_intersection(frame, hs)
-        cell = res if isinstance(res, ConvexPolytope) and res.dim == n else None
+    n = frame.dim
+    widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
+    box_facets = []
+    for i, (c, w) in enumerate(zip(x0, widths)):
+        e = tuple(ONE if j == i else ZERO for j in range(n))
+        box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
+    corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
+    cell = ConvexPolytope(frame, corners, assume_minimal=True, _facets=tuple(box_facets))
+    for s in sorted(sites, key=lambda s: gram_norm2(g, vsub(s, x0))):
+        cell = clip(cell, bisector_halfspace(frame, x0, s))
+    if not set(box_facets).isdisjoint(cell.facets()):
+        return None
     return cell
 
 
@@ -101,12 +116,11 @@ def _cell_with_localization(group: CrystalGroup, x: Vec, x0: Vec, sq_radius):
     d2 = rat(sq_radius) if sq_radius is not None else 4 * max(frame.gram[i][i] for i in range(n))
     for _ in range(24):
         sites = [s for s in orbit_in_ball(group, x, x0, d2).sites if s != x0]
-        if sites:
-            cell = _cell_from_sites(frame, x0, sites)
-            if cell is not None:
-                rho2 = max(gram_norm2(frame.gram, vsub(v, x0)) for v in cell.vertices)
-                if 4 * rho2 <= d2:
-                    return cell, d2
+        cell = _cell_from_sites(frame, x0, sites, d2)
+        if cell is not None:
+            rho2 = max(gram_norm2(frame.gram, vsub(v, x0)) for v in cell.vertices)
+            if 4 * rho2 <= d2:
+                return cell, d2
         if sq_radius is not None:
             raise UnboundedCellError(
                 "cell not certified at the forced localization radius"

@@ -11,7 +11,7 @@ from crystile.isometry import (
     rational_givens,
     standard_frame,
 )
-from crystile.polytope import ConvexPolytope
+from crystile.polytope import ConvexPolytope, _halfspace_key
 from crystile.tiling import periodic_tiling
 
 
@@ -80,3 +80,8 @@ def random_rational_isometry(rng: random.Random, frame: Frame, span: int = 6) ->
 
 def random_rational_point(rng: random.Random, n: int, span: int = 6):
     return tuple(Q(rng.randint(-span, span), rng.randint(1, span)) for _ in range(n))
+
+
+def facet_key_set(halfspaces):
+    """Halfspaces as a set, each scaled so its first nonzero covector entry is +-1."""
+    return frozenset(map(_halfspace_key, halfspaces))

@@ -5,7 +5,7 @@ import pytest
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vsub
 from crystile.isometry import Isometry
-from crystile.groups import WALLPAPER_NAMES, preset, generic_point
+from crystile.groups import preset, generic_point
 from crystile.polytope import ConvexPolytope, volume
 from crystile.serialize import dump_json, tiling_to_json
 from crystile.voronoi import voronoi_tiling
@@ -177,7 +177,8 @@ def test_subdivision_preserves_volume():
 
 
 # sha256 of the tiling JSON of construct_tiling(preset(name), 0), as recorded
-# for seed 0 in bench/reference_digests.json
+# for seed 0 in bench/reference_digests.json (wallpaper groups), and for P1
+# and P222 before their cells were built by clipping
 SEED0_DIGESTS = {
     "p1": "7b3216f017d1100488fdcba5c54af74c78a1cf92e084ef9b9d9a9318b2292d22",
     "p2": "04e3eb5a3cc222b45a9fde64967bdd28f1907532a5bbed82eee401d27be960b1",
@@ -196,10 +197,12 @@ SEED0_DIGESTS = {
     "p31m": "4315a5d2334a23353aa89c14115907d6ebeedd476e70c30ccf19303eee76b16a",
     "p6": "2bb203775255ed58fda1d6c15cc4bee7331f7c559006e7972f4b1a6244d47a49",
     "p6m": "2dbc8803c964718667e15306ae48372c7a5e2c521c56801a98bb94674f82aa46",
+    "P1": "42f8b7d5c0e11e80acc10dc8bf34bcda676ab5ec67ac1fe6a79d65fb43e069b8",
+    "P222": "796b19544dbcbc9726a7f5c4c1ec61916015f483de153780df9d60cb538c9e08",
 }
 
 
-@pytest.mark.parametrize("name", WALLPAPER_NAMES)
+@pytest.mark.parametrize("name", SEED0_DIGESTS)
 def test_seed0_construction_digests(name):
     text = dump_json(tiling_to_json(construct_tiling(preset(name), 0)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED0_DIGESTS[name]

@@ -1,14 +1,20 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from crystile import polytope as polytope_mod
 from crystile.rational import Q
-from crystile.linalg import gram_norm2, vsub
+from crystile.linalg import gram_norm2, vdot, vsub
+from crystile.isometry import standard_frame
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     InteriorOverlapError,
     PolytopeError,
+    _cross,
+    _facets_from_vertices,
+    clip,
     congruent,
     faces,
     halfspace_intersection,
@@ -18,7 +24,7 @@ from crystile.polytope import (
     volume,
 )
 
-from conftest import random_rational_isometry
+from conftest import facet_key_set, random_rational_isometry
 
 
 @pytest.fixture
@@ -107,6 +113,97 @@ def test_round_trip_owns_vertices(unit_square, rhomb, frame2):
         back = halfspace_intersection(frame2, poly.facets())
         assert isinstance(back, ConvexPolytope)
         assert back.vertices == poly.vertices
+
+
+def test_round_trip_carries_facets(frame2, frame3, monkeypatch):
+    # the input facets come back as the facets, each plane once; planes that
+    # touch only a vertex or an edge are dropped, and nothing is recovered
+    square = ConvexPolytope(frame2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    cube = ConvexPolytope(frame3, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    extra = {
+        2: [HalfSpace((1, 1), 0), HalfSpace((2, 0), 0)],
+        3: [HalfSpace((1, 1, 1), 0), HalfSpace((1, 1, 0), 0), HalfSpace((0, 0, 3), 0)],
+    }
+    for poly in (square, cube):
+        facets = poly.facets()
+        monkeypatch.setattr(polytope_mod, "_facets_from_vertices", None)
+        back = halfspace_intersection(poly.frame, extra[poly.frame.dim] + list(facets))
+        assert back.vertices == poly.vertices
+        assert facet_key_set(back.facets()) == facet_key_set(facets)
+        assert len(back.facets()) == len(facets)
+        assert len(faces(back, poly.frame.dim - 1)) == len(facets)
+        monkeypatch.undo()
+
+
+def test_clip_cube(frame3):
+    cube = ConvexPolytope(frame3, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
+    assert clip(cube, HalfSpace((1, 1, 1), 0)) is cube
+    corner = clip(cube, HalfSpace((-1, -1, -1), -1))
+    assert corner.vertices == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert len(corner.facets()) == 4
+    with pytest.raises(PolytopeError):
+        clip(cube, HalfSpace((-1, 0, 0), 0))
+
+
+def _nonzero(n):
+    return st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+
+
+@st.composite
+def cuts(draw, n):
+    """A random polytope about the origin and a halfspace cutting it: free,
+    through a vertex, through two vertices, or (in space) along an edge."""
+    frame = standard_frame(n)
+    hs = []
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        hs += [HalfSpace(e, -2), HalfSpace(tuple(-x for x in e), -2)]
+    for a in draw(st.lists(_nonzero(n), max_size=4)):
+        hs.append(HalfSpace(a, Q(-draw(st.integers(1, 6)), 3)))
+    poly = halfspace_intersection(frame, hs)
+    kind = draw(st.sampled_from(["free", "vertex", "pair", "edge"]))
+    a = draw(_nonzero(n))
+    if kind == "free":
+        return poly, HalfSpace(a, Q(draw(st.integers(-12, 12)), 4))
+    if kind == "vertex":
+        return poly, HalfSpace(a, vdot(a, draw(st.sampled_from(poly.vertices))))
+    if kind == "pair":
+        u, w = draw(st.lists(st.sampled_from(poly.vertices), min_size=2, max_size=2, unique=True))
+    else:
+        u, w = draw(st.sampled_from(faces(poly, 1))).vertices
+    d = vsub(w, u)
+    a = (-d[1], d[0]) if n == 2 else _cross(d, a)
+    assume(any(a))
+    if draw(st.booleans()):
+        a = tuple(-x for x in a)
+    return poly, HalfSpace(a, vdot(a, u))
+
+
+def check_clip(poly, h):
+    frame = poly.frame
+    assert facet_key_set(poly.facets()) == facet_key_set(_facets_from_vertices(frame, poly))
+    vals = [vdot(h.covector, v) - h.offset for v in poly.vertices]
+    assume(any(s > 0 for s in vals))
+    out = clip(poly, h)
+    if all(s >= 0 for s in vals):
+        assert out is poly
+        return
+    assert out.vertices == halfspace_intersection(frame, list(poly.facets()) + [h]).vertices
+    recovered = _facets_from_vertices(frame, out)
+    assert facet_key_set(out.facets()) == facet_key_set(recovered)
+    assert len(out.facets()) == len(recovered)
+
+
+@given(cuts(2))
+@settings(max_examples=80, deadline=None)
+def test_clip_matches_intersection_2d(case):
+    check_clip(*case)
+
+
+@given(cuts(3))
+@settings(max_examples=60, deadline=None)
+def test_clip_matches_intersection_3d(case):
+    check_clip(*case)
 
 
 def test_congruent_examples(unit_square, rhomb, frame2):

@@ -1,9 +1,10 @@
 import pytest
 
+from crystile import polytope, voronoi
 from crystile.rational import Q
 from crystile.isometry import Frame, Isometry
 from crystile.groups import generic_point, preset, span_seitz, WALLPAPER_NAMES, orbit_in_ball
-from crystile.polytope import volume
+from crystile.polytope import faces, volume
 from crystile.voronoi import (
     DegenerateSiteError,
     cell_with_certificate,
@@ -165,3 +166,20 @@ def test_single_site_unbounded(frame2):
 
     with pytest.raises(UnboundedCellError):
         voronoi_cell_of_sites(frame2, [(0, 0)], (0, 0))
+
+
+def test_p222_cells_carry_their_facets(monkeypatch):
+    # the cell is clipped from a box with its facets known throughout, so
+    # neither a halfspace intersection nor a facet recovery runs
+    calls = []
+    for module, name in ((polytope, "halfspace_intersection"),
+                         (voronoi, "halfspace_intersection"),
+                         (polytope, "_facets_from_vertices")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    g = preset("P222")
+    x = generic_point(g, 0)
+    delone_params(g, x)
+    assert len(faces(voronoi_cell(g, x), 2)) > 0
+    assert calls == []
