@@ -15,10 +15,10 @@ import random
 from dataclasses import dataclass
 
 from .rational import Q, rat
-from .linalg import gram_norm2, vadd, vec, vsub
+from .linalg import gram_norm2, vadd, vdot, vec, vsub
 from .isometry import Isometry
 from .groups import CrystalGroup, generic_point
-from .polytope import ConvexPolytope, faces
+from .polytope import ConvexPolytope, HalfSpace, _coordinate_normal, faces
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
 from .voronoi import voronoi_tiling
 
@@ -87,6 +87,22 @@ def generic_apex(cell: ConvexPolytope, seed: int) -> GenericityCertificate:
     raise ConstructionError("no generic apex found (degenerate cell?)")
 
 
+def _cone(fpoly: ConvexPolytope, h: HalfSpace, apex) -> ConvexPolytope:
+    """conv(fpoly + apex) with its facets: the base facet h, then the plane
+    through the apex and each ridge of fpoly (a ring edge in space, an
+    endpoint in the plane), facing a vertex of fpoly off that ridge."""
+    facets = [h]
+    for ridge in faces(fpoly, fpoly.dim - 1):
+        a = _coordinate_normal([apex, *ridge.vertices])
+        c = vdot(a, apex)
+        q = next(v for v in fpoly.vertices if v not in ridge.vertices)
+        if vdot(a, q) < c:
+            a, c = tuple(-x for x in a), -c
+        facets.append(HalfSpace(a, c))
+    return ConvexPolytope(fpoly.frame, list(fpoly.vertices) + [apex], assume_minimal=True,
+                          _facets=tuple(facets))
+
+
 def cone_subdivide(tiling: PeriodicTiling, cert: GenericityCertificate) -> PeriodicTiling:
     """Replace each Voronoi cell by the cones over its facets from the apex.
 
@@ -101,9 +117,7 @@ def cone_subdivide(tiling: PeriodicTiling, cert: GenericityCertificate) -> Perio
     group = prov.group
     base = prov.base_cell
     n = base.frame.dim
-    cones = []
-    for fpoly in faces(base, n - 1):
-        cones.append(ConvexPolytope(base.frame, list(fpoly.vertices) + [cert.apex], assume_minimal=True))
+    cones = [_cone(fpoly, h, cert.apex) for h, fpoly in zip(base.facets(), faces(base, n - 1))]
     tiles = []
     for m, v in group.reps:
         iso = Isometry(group.frame, m, v)

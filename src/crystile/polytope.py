@@ -9,10 +9,11 @@ dot product a . x and never touches the Gram matrix.
 
 Each polytope derives its boundary once and caches it: facet halfspaces,
 faces of each dimension and the cyclic vertex order (ring) of a polygon, in
-the plane or in space.  Edges are consecutive ring vertices; volumes,
-simplex fans and point distances all read that one cached boundary.
-Polytopes made by halfspace_intersection or clip carry their facet
-halfspaces from the start; only polytopes given by vertices recover them.
+the plane or in space.  Volumes, simplex fans and point distances all read
+that one cached boundary.  Polytopes made by halfspace_intersection or clip
+carry their facet halfspaces from the start, translate and transform map
+them along, and construction builds its cones with theirs; only polytopes
+given by vertices from outside recover them (_facets_from_vertices).
 """
 
 from __future__ import annotations
@@ -167,10 +168,7 @@ class ConvexPolytope:
             raise PolytopeError("cyclic order is for 2-dimensional polytopes")
         if self._cycle is None:
             pts = self.vertices
-            coords = pts
-            if self.frame.dim != 2:
-                basis = _independent_directions(pts, 2)
-                coords = [_affine_coords(p, pts[0], basis) for p in pts]
+            coords = pts if self.frame.dim == 2 else _plane_coords(pts)
             back = dict(zip(coords, pts))
             self._cycle = tuple(back[c] for c in _sort_ccw(coords, _centroid(coords)))
         return self._cycle
@@ -193,20 +191,24 @@ class ConvexPolytope:
 
     def translate(self, v) -> "ConvexPolytope":
         v = vec(v)
-        moved = None
-        if self._facets is not None:
-            moved = tuple(
-                HalfSpace(h.covector, h.offset + vdot(h.covector, v)) for h in self._facets
-            )
-        out = ConvexPolytope(
-            self.frame, [vadd(p, v) for p in self.vertices], assume_minimal=True, _facets=moved
-        )
-        return out
+        return ConvexPolytope(self.frame, [vadd(p, v) for p in self.vertices],
+                              assume_minimal=True, _facets=_carried(self._facets, v))
 
     def transform(self, iso: Isometry) -> "ConvexPolytope":
         if iso.frame != self.frame:
             raise PolytopeError("isometry frame mismatch")
-        return ConvexPolytope(iso.target, [iso(p) for p in self.vertices], assume_minimal=True)
+        return ConvexPolytope(iso.target, [iso(p) for p in self.vertices], assume_minimal=True,
+                              _facets=_carried(self._facets, iso.translation, iso.linear))
+
+
+def _carried(facets, t, linear=None):
+    """Facets a.x >= c moved along x -> L x + t (L = linear, default I):
+    with a' = L^-T a they become a'.y >= c + a'.t.  None stays None."""
+    if facets is None:
+        return None
+    lt = None if linear is None else transpose(mat_inv(linear))
+    covectors = (h.covector if lt is None else mat_vec(lt, h.covector) for h in facets)
+    return tuple(HalfSpace(a, h.offset + vdot(a, t)) for h, a in zip(facets, covectors))
 
 
 def _centroid(points):
@@ -219,28 +221,22 @@ def _centroid(points):
 
 
 def _extreme_points(frame: Frame, pts):
-    """Minimal generating subset of a point list (exact)."""
-    if len(pts) <= 2:
-        return pts if len(pts) < 2 or pts[0] != pts[1] else pts[:1]
+    """The vertices of conv(pts), for a sorted list of distinct points (exact).
+
+    Sorted collinear points run along their line, so the ends are the first
+    and last.  A planar set is hulled in the plane (in affine coordinates in
+    space).  Otherwise one pass finds the supporting planes, and a point is
+    a vertex iff the covectors of the planes through it have rank 3."""
     rank = _affine_rank(pts)
-    if frame.dim == 2 and rank == 2:
-        return sorted(_hull_2d(pts))
-    if rank == 1:
-        # keep the two ends of the segment
-        p0 = pts[0]
-        d = next(vsub(p, p0) for p in pts if p != p0)
-        i = next(i for i, x in enumerate(d) if x != 0)
-        span = sorted(pts, key=lambda p: (p[i] - p0[i]) / d[i])
-        ends = {span[0], span[-1]}
-        return sorted(ends)
-    # general exact redundancy elimination: p is a vertex iff it is not in
-    # the hull of the remaining points
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not _in_hull(frame.dim, p, others):
-            keep.append(p)
-    return keep
+    if rank <= 1:
+        return [pts[0], pts[-1]] if rank else pts
+    if rank == 2:
+        coords = pts if frame.dim == 2 else _plane_coords(pts)
+        back = dict(zip(coords, pts))
+        return sorted(back[c] for c in _hull_2d(coords))
+    hs = _supporting_halfspaces(3, pts)
+    return [p for p in pts
+            if mat_rank(tuple(h.covector for h in hs if vdot(h.covector, p) == h.offset)) == 3]
 
 
 def _hull_2d(pts):
@@ -267,7 +263,7 @@ def _hull_2d(pts):
 def _supporting_halfspaces(n: int, pts):
     """All supporting hyperplanes of conv(pts) in R^n spanned by point subsets.
 
-    Brute force over n-subsets; used only on user-supplied vertex data.
+    Brute force over n-subsets; used only on vertex data from outside.
     """
     found = {}
     for sub in combinations(pts, n):
@@ -307,24 +303,6 @@ def _coordinate_normal(points):
     return ker[0]
 
 
-def _in_hull(n: int, p, pts) -> bool:
-    rank = _affine_rank(pts)
-    if rank < _affine_rank(list(pts) + [p]):
-        return False
-    if rank == 0:
-        return p == pts[0]
-    if rank == n:
-        return all(vdot(h.covector, p) >= h.offset for h in _supporting_halfspaces(n, pts))
-    # lower-dimensional hull: restrict to affine coordinates and recurse
-    p0 = pts[0]
-    basis = _independent_directions(pts, rank)
-    coords = [_affine_coords(q, p0, basis) for q in pts]
-    pc = _affine_coords(p, p0, basis)
-    if pc is None or any(c is None for c in coords):
-        return False
-    return _in_hull(rank, pc, coords)
-
-
 def _independent_directions(pts, rank):
     p0 = pts[0]
     dirs = []
@@ -340,6 +318,13 @@ def _independent_directions(pts, rank):
 def _affine_coords(p, p0, basis):
     cols = transpose(tuple(basis))
     return solve_linear(cols, vsub(p, p0))
+
+
+def _plane_coords(pts):
+    """Affine coordinates of coplanar points in space, from the first point
+    along the first two independent directions."""
+    basis = _independent_directions(pts, 2)
+    return [_affine_coords(p, pts[0], basis) for p in pts]
 
 
 def _facets_from_vertices(frame: Frame, poly: ConvexPolytope):
@@ -368,8 +353,9 @@ def _facets_from_vertices(frame: Frame, poly: ConvexPolytope):
 def faces(poly: ConvexPolytope, m: int):
     """All m-faces as (lower-dimensional) polytopes, 0 <= m < dim.
 
-    Computed once per polytope.  Facets follow facets(); the edges of a
-    polygon follow its cyclic order, and the edges of a 3-polytope are the
+    Computed once per polytope.  The facets of a full-dimensional polytope
+    follow facets(), carried or recovered; the edges of a polygon in space
+    follow its cyclic order, and the edges of a 3-polytope are the
     consecutive vertex pairs of its facet rings, sorted.
     """
     n = poly.dim
@@ -379,16 +365,16 @@ def faces(poly: ConvexPolytope, m: int):
         poly._faces = {}
     out = poly._faces.get(m)
     if out is None:
-        if m == 0:
-            vertex_lists = [[p] for p in poly.vertices]
-        elif m == 1 and n == 2:
-            vertex_lists = _ring_edges(poly.cyclic_vertices())
-        elif m == 1:
-            vertex_lists = sorted({tuple(sorted(e)) for f in faces(poly, 2)
-                                   for e in _ring_edges(f.cyclic_vertices())})
-        else:
+        if m == n - 1 and n == poly.frame.dim:
             vertex_lists = [[p for p in poly.vertices if vdot(h.covector, p) == h.offset]
                             for h in poly.facets()]
+        elif m == 0:
+            vertex_lists = [[p] for p in poly.vertices]
+        elif n == 2:
+            vertex_lists = _ring_edges(poly.cyclic_vertices())
+        else:
+            vertex_lists = sorted({tuple(sorted(e)) for f in faces(poly, 2)
+                                   for e in _ring_edges(f.cyclic_vertices())})
         out = poly._faces[m] = tuple(
             ConvexPolytope(poly.frame, vs, assume_minimal=True) for vs in vertex_lists
         )

@@ -124,7 +124,7 @@ def tiling_to_json(tiling: PeriodicTiling) -> dict:
     return out
 
 
-def tiling_from_json(data: dict, validate: bool = True) -> PeriodicTiling:
+def tiling_from_json(data: dict) -> PeriodicTiling:
     try:
         frame = _frame_from_json(data)
         dim = frame.dim
@@ -151,7 +151,7 @@ def tiling_from_json(data: dict, validate: bool = True) -> PeriodicTiling:
             )
     except (KeyError, TypeError, PolytopeError) as exc:  # PolytopeError: e.g. an empty tile
         raise SchemaError(f"malformed tiling file: {exc}") from exc
-    return periodic_tiling(frame, tiles, provenance=prov, validate=validate)
+    return periodic_tiling(frame, tiles, provenance=prov)
 
 
 # --- isometries ------------------------------------------------------------------

@@ -106,13 +106,20 @@ class PeriodicTiling:
         return frozenset(t.vertices for t in self.cell_tiles)
 
 
+def _canonical_key(points):
+    """The sorted points translated by the integer vector that puts the
+    least of them in [0,1)^n: equal for point sets equal mod the lattice."""
+    pts = sorted(points)
+    shift = tuple(-math.floor(c) for c in pts[0])
+    return tuple(vadd(p, shift) for p in pts) if any(shift) else tuple(pts)
+
+
 def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
     """Translate by a lattice vector so the least vertex lies in [0,1)^n."""
-    v0 = tile.vertices[0]
-    shift = tuple(-math.floor(c) for c in v0)
-    if all(s == 0 for s in shift):
+    key = _canonical_key(tile.vertices)
+    if key == tile.vertices:
         return tile
-    return tile.translate(shift)
+    return tile.translate(vsub(key[0], tile.vertices[0]))
 
 
 def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> PeriodicTiling:
@@ -185,9 +192,7 @@ def _facet_matching_accepts(tiling: PeriodicTiling) -> bool:
     covectors = {}
     for t in tiling.cell_tiles:
         for h, f in zip(t.facets(), faces(t, n - 1)):
-            shift = tuple(-math.floor(c) for c in f.vertices[0])
-            key = tuple(vadd(p, shift) for p in f.vertices)
-            covectors.setdefault(key, []).append(h.covector)
+            covectors.setdefault(_canonical_key(f.vertices), []).append(h.covector)
     # facets with one vertex set lie in one hyperplane, so their covectors
     # are parallel and point opposite ways iff their dot product is negative
     return all(len(cs) == 2 and vdot(*cs) < 0 for cs in covectors.values())
@@ -310,9 +315,12 @@ def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
     """{vertex key: squared distance} of the tiles of iso(T) within r2 of
     center: they are iso(t + k) = iso(t) + L k for the tiles t + k of T
     within r2 of iso^-1(center), L the linear part of iso."""
-    images = {t: t.transform(iso) for t in tiling.cell_tiles}
-    near = _tiles_near(tiling, inverse(iso)(center), r2)
-    return {images[t].translate(mat_vec(iso.linear, k)).vertices: d2 for d2, t, k in near}
+    images = {t: sorted(map(iso, t.vertices)) for t in tiling.cell_tiles}
+    out = {}
+    for d2, t, k in _tiles_near(tiling, inverse(iso)(center), r2):
+        lk = mat_vec(iso.linear, k)
+        out[tuple(vadd(p, lk) for p in images[t])] = d2
+    return out
 
 
 # --- transformation ----------------------------------------------------------
@@ -364,19 +372,15 @@ def prototile_index(tiling: PeriodicTiling) -> dict:
 
 # --- automorphisms -------------------------------------------------------------
 
-def _translate_match(a: ConvexPolytope, b: ConvexPolytope):
-    """The translation with a + v == b, or None."""
-    v = vsub(b.vertices[0], a.vertices[0])
-    moved = tuple(vadd(p, v) for p in a.vertices)
-    return v if moved == b.vertices else None
+def _translate_match(a, b):
+    """The translation v with a + v == b for sorted vertex tuples, or None."""
+    v = vsub(b[0], a[0])
+    return v if tuple(vadd(p, v) for p in a) == b else None
 
 
 def _fixes_tiling(tiling: PeriodicTiling, iso: Isometry) -> bool:
     keys = tiling.tile_keys()
-    for t in tiling.cell_tiles:
-        if canonical_tile(t.transform(iso)).vertices not in keys:
-            return False
-    return True
+    return all(_canonical_key(map(iso, t.vertices)) in keys for t in tiling.cell_tiles)
 
 
 def maximal_translation_lattice(tiling: PeriodicTiling):
@@ -385,7 +389,7 @@ def maximal_translation_lattice(tiling: PeriodicTiling):
     t0 = tiling.cell_tiles[0]
     extra = []
     for t in tiling.cell_tiles:
-        v = _translate_match(t0, t)
+        v = _translate_match(t0.vertices, t.vertices)
         if v is None or is_integral_vec(v):
             continue
         if _fixes_tiling(tiling, translation_iso(tiling.frame, v)):
@@ -408,13 +412,9 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
     frame = tiling.frame
     new_gram = mat_mul(transpose(basis), mat_mul(frame.gram, basis))
     new_frame = Frame(frame.dim, new_gram)
-    binv = mat_inv(basis)
-    tiles = [
-        ConvexPolytope(new_frame, [mat_vec(binv, p) for p in t.vertices], assume_minimal=True)
-        for t in tiling.cell_tiles
-    ]
-    out = periodic_tiling(new_frame, tiles, validate=False)
     embed = Isometry(new_frame, basis, zero_vec(frame.dim), target=frame)
+    pull = inverse(embed)
+    out = periodic_tiling(new_frame, [t.transform(pull) for t in tiling.cell_tiles], validate=False)
     return out, embed
 
 
@@ -427,15 +427,13 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
         group, inner = automorphism_group_with_embedding(dense)
         return group, compose(embed, inner)
     frame = tiling.frame
-    n = frame.dim
     t0 = tiling.cell_tiles[0]
     seitz = []
     for m in lattice_isometries(frame, frame):
-        iso_m = Isometry(frame, m, zero_vec(n))
-        image = t0.transform(iso_m)
+        image = tuple(sorted(mat_vec(m, v) for v in t0.vertices))
         found = None
         for t in tiling.cell_tiles:
-            c = _translate_match(image, t)
+            c = _translate_match(image, t.vertices)
             if c is None:
                 continue
             cand = Isometry(frame, m, c)
@@ -607,9 +605,9 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
     reorder the canonical tiles); each also reduced to [-1/2, 1/2)^n."""
     frame = t1.frame
     pairs = [(identity_iso(frame), identity_iso(frame))]
-    t0 = t1.cell_tiles[0]
-    anchors = [vsub(t2.cell_tiles[0].vertices[0], t0.vertices[0])]
-    anchors += [v for t in t2.cell_tiles if (v := _translate_match(t0, t)) is not None]
+    t0 = t1.cell_tiles[0].vertices
+    anchors = [vsub(t2.cell_tiles[0].vertices[0], t0[0])]
+    anchors += [v for t in t2.cell_tiles if (v := _translate_match(t0, t.vertices)) is not None]
     taus = set()
     for v in anchors:
         taus.update((v, tuple(frac_part(x + Q(1, 2)) - Q(1, 2) for x in v)))

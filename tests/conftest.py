@@ -15,6 +15,21 @@ from crystile.polytope import ConvexPolytope, _halfspace_key
 from crystile.tiling import periodic_tiling
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) wraps module.name for the test and returns a
+    list that gets the name appended on every call; pass calls= to share one
+    list between several wrapped functions."""
+
+    def wrap(module, name, calls=None):
+        calls = [] if calls is None else calls
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+        return calls
+
+    return wrap
+
+
 @pytest.fixture(scope="session")
 def frame2():
     return standard_frame(2)

@@ -5,8 +5,10 @@ import pytest
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vsub
 from crystile.isometry import Isometry
-from crystile.groups import preset, generic_point
-from crystile.polytope import ConvexPolytope, volume
+from crystile import polytope
+from crystile import tiling as tiling_mod
+from crystile.groups import PRESET_NAMES, preset, generic_point
+from crystile.polytope import ConvexPolytope, _facets_from_vertices, volume
 from crystile.serialize import dump_json, tiling_to_json
 from crystile.voronoi import voronoi_tiling
 from crystile.tiling import automorphism_group, prototiles, tilings_equal, transform_tiling
@@ -16,6 +18,8 @@ from crystile.construction import (
     construct_tiling,
     generic_apex,
 )
+
+from conftest import facet_key_set
 
 
 @pytest.fixture
@@ -177,8 +181,9 @@ def test_subdivision_preserves_volume():
 
 
 # sha256 of the tiling JSON of construct_tiling(preset(name), 0), as recorded
-# for seed 0 in bench/reference_digests.json (wallpaper groups), and for P1
-# and P222 before their cells were built by clipping
+# for seed 0 in bench/reference_digests.json (wallpaper groups), for P1 and
+# P222 before their cells were built by clipping, and for Pm-3m before the
+# cones carried their facets
 SEED0_DIGESTS = {
     "p1": "7b3216f017d1100488fdcba5c54af74c78a1cf92e084ef9b9d9a9318b2292d22",
     "p2": "04e3eb5a3cc222b45a9fde64967bdd28f1907532a5bbed82eee401d27be960b1",
@@ -199,10 +204,31 @@ SEED0_DIGESTS = {
     "p6m": "2dbc8803c964718667e15306ae48372c7a5e2c521c56801a98bb94674f82aa46",
     "P1": "42f8b7d5c0e11e80acc10dc8bf34bcda676ab5ec67ac1fe6a79d65fb43e069b8",
     "P222": "796b19544dbcbc9726a7f5c4c1ec61916015f483de153780df9d60cb538c9e08",
+    "Pm-3m": "97da9a3c93b3d5ba6055fb2a7c49277256f924cebad883713de8552028c03597",
 }
 
 
 @pytest.mark.parametrize("name", SEED0_DIGESTS)
-def test_seed0_construction_digests(name):
+def test_seed0_construction_digests(name, count_calls):
+    # the cells are clipped, the cones built with their facets and both
+    # transformed with them, so no facet is recovered from vertices; each
+    # facet lines up with its face, so validation never falls back to the
+    # pairwise scan
+    recoveries = count_calls(polytope, "_facets_from_vertices")
+    scans = count_calls(tiling_mod, "_pairwise_problems")
     text = dump_json(tiling_to_json(construct_tiling(preset(name), 0)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED0_DIGESTS[name]
+    assert recoveries == [] and scans == []
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_carried_facets_match_recovery(name):
+    # every transformed Voronoi cell and every transformed cone carries the
+    # facets that recovery from its vertices finds, each plane once
+    g = preset(name)
+    tiles = voronoi_tiling(g, generic_point(g, 0)).cell_tiles + construct_tiling(g, 0).cell_tiles
+    for t in tiles:
+        assert t._facets is not None
+        carried = facet_key_set(t.facets())
+        assert len(carried) == len(t.facets())
+        assert carried == facet_key_set(_facets_from_vertices(g.frame, t))

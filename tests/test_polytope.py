@@ -6,7 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from crystile import polytope as polytope_mod
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vdot, vsub
-from crystile.isometry import standard_frame
+from crystile.isometry import Isometry, standard_frame
+from crystile.groups import preset
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
@@ -24,7 +25,7 @@ from crystile.polytope import (
     volume,
 )
 
-from conftest import facet_key_set, random_rational_isometry
+from conftest import facet_key_set, random_rational_isometry, random_rational_point
 
 
 @pytest.fixture
@@ -106,6 +107,30 @@ def test_hull_reduction(frame2):
         [(0, 0), (1, 0), (0, 1), (1, 1), (Q(1, 2), Q(1, 2)), (Q(1, 2), 0)],
     )
     assert len(p.vertices) == 4
+
+
+def test_vertex_input_hulls_in_one_pass(frame3, count_calls):
+    # one supporting-plane pass over all V points, not one per point
+    h = Q(1, 2)
+    corners = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    calls = count_calls(polytope_mod, "_supporting_halfspaces")
+    cube = ConvexPolytope(frame3, corners + [(h, h, h), (h, 0, 0), (h, h, 0), (1, 1, 1)])
+    assert cube.vertices == tuple(sorted(corners))
+    assert calls == ["_supporting_halfspaces"]
+
+
+def test_transform_carries_facets(hexframe, frame3):
+    # carried facets map along an isometry as recovery finds them on the
+    # image; in the hexagonal frame L^-T differs from L and from L^-1
+    rng = random.Random(7)
+    for frame, group in ((hexframe, preset("p6m")), (frame3, preset("Pm-3m"))):
+        box = [HalfSpace(tuple(s if j == i else 0 for j in range(frame.dim)), -2)
+               for i in range(frame.dim) for s in (1, -1)]
+        poly = halfspace_intersection(frame, box + [HalfSpace((1,) * frame.dim, -1)])
+        for m, _ in rng.sample(group.reps, 6):
+            image = poly.transform(Isometry(frame, m, random_rational_point(rng, frame.dim)))
+            assert image._facets is not None
+            assert facet_key_set(image.facets()) == facet_key_set(_facets_from_vertices(frame, image))
 
 
 def test_round_trip_owns_vertices(unit_square, rhomb, frame2):

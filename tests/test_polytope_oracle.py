@@ -1,10 +1,12 @@
-"""Differential oracle for the cached polytope boundary.
+"""Differential oracle for the cached polytope boundary and the vertex hull.
 
 The functions below are the boundary code that derived a polytope's faces,
-edges, facet rings and point distances afresh on every call, and the patch
-loop that translated every candidate tile before testing it.  They are kept
+edges, facet rings and point distances afresh on every call, the patch
+loop that translated every candidate tile before testing it, and the hull
+that tested each point against the hull of all the others.  They are kept
 verbatim (apart from their names) and compared for exact equality with the
-cached versions on the cell tiles and patches of real tilings.
+cached versions on the cell tiles and patches of real tilings, and with the
+one-pass hull on small rational point clouds.
 """
 
 import math
@@ -13,6 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystile.construction import construct_tiling
 from crystile.groups import WALLPAPER_NAMES, generic_point, preset
@@ -28,13 +31,16 @@ from crystile.linalg import (
     vec,
     vsub,
 )
+from crystile.isometry import standard_frame
 from crystile.polytope import (
     ConvexPolytope,
     _affine_coords,
     _affine_rank,
     _centroid,
+    _extreme_points,
     _independent_directions,
     _sort_ccw,
+    _supporting_halfspaces,
     faces,
     simplex_decomposition,
     sq_distance_point,
@@ -211,6 +217,104 @@ def old_patch(tiling, center, r2) -> Patch:
     return Patch(tiles=tuple(out), center=center, sq_radius=r2)
 
 
+# --- the hull by per-point exclusion -------------------------------------------
+
+def old_extreme_points(frame, pts):
+    """Minimal generating subset of a point list (exact)."""
+    if len(pts) <= 2:
+        return pts if len(pts) < 2 or pts[0] != pts[1] else pts[:1]
+    rank = _affine_rank(pts)
+    if frame.dim == 2 and rank == 2:
+        return sorted(old_hull_2d(pts))
+    if rank == 1:
+        # keep the two ends of the segment
+        p0 = pts[0]
+        d = next(vsub(p, p0) for p in pts if p != p0)
+        i = next(i for i, x in enumerate(d) if x != 0)
+        span = sorted(pts, key=lambda p: (p[i] - p0[i]) / d[i])
+        ends = {span[0], span[-1]}
+        return sorted(ends)
+    # general exact redundancy elimination: p is a vertex iff it is not in
+    # the hull of the remaining points
+    keep = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1 :]
+        if not old_in_hull(frame.dim, p, others):
+            keep.append(p)
+    return keep
+
+
+def old_hull_2d(pts):
+    pts = sorted(pts)
+
+    def half(points):
+        out = []
+        for p in points:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+                if cross <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(p)
+        return out
+
+    lower = half(pts)
+    upper = half(list(reversed(pts)))
+    return lower[:-1] + upper[:-1]
+
+
+def old_in_hull(n: int, p, pts) -> bool:
+    rank = _affine_rank(pts)
+    if rank < _affine_rank(list(pts) + [p]):
+        return False
+    if rank == 0:
+        return p == pts[0]
+    if rank == n:
+        return all(vdot(h.covector, p) >= h.offset for h in _supporting_halfspaces(n, pts))
+    # lower-dimensional hull: restrict to affine coordinates and recurse
+    p0 = pts[0]
+    basis = _independent_directions(pts, rank)
+    coords = [_affine_coords(q, p0, basis) for q in pts]
+    pc = _affine_coords(p, p0, basis)
+    if pc is None or any(c is None for c in coords):
+        return False
+    return old_in_hull(rank, pc, coords)
+
+
+@st.composite
+def clouds(draw, n):
+    """Rational points o + sum_i c_i d_i for k <= n random directions d_i (so
+    often coplanar or collinear), then centroids of 1 to 3 of them
+    (duplicates, edge and face midpoints, interior points)."""
+    ints = st.integers(-3, 3)
+    k = draw(st.integers(1, n))
+    origin = draw(st.tuples(*[ints] * n))
+    dirs = draw(st.lists(st.tuples(*[ints] * n).filter(any), min_size=k, max_size=k))
+    pts = []
+    for c in draw(st.lists(st.tuples(*[ints] * k), min_size=k + 1, max_size=7)):
+        pts.append(tuple(o + sum(ci * d[i] for ci, d in zip(c, dirs)) for i, o in enumerate(origin)))
+    for _ in range(draw(st.integers(0, 4))):
+        sub = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+        pts.append(tuple(Q(sum(xs), len(sub)) for xs in zip(*sub)))
+    return sorted(set(vec(p) for p in pts))
+
+
+@given(clouds(2))
+@settings(max_examples=150, deadline=None)
+def test_hull_matches_per_point_exclusion_2d(pts):
+    frame = standard_frame(2)
+    assert tuple(_extreme_points(frame, pts)) == tuple(old_extreme_points(frame, pts))
+
+
+@given(clouds(3))
+@settings(max_examples=80, deadline=None)
+def test_hull_matches_per_point_exclusion_3d(pts):
+    frame = standard_frame(3)
+    assert tuple(_extreme_points(frame, pts)) == tuple(old_extreme_points(frame, pts))
+
+
 # --- cases ---------------------------------------------------------------------
 
 CASES = list(WALLPAPER_NAMES) + ["P1", "P222"]
@@ -270,13 +374,11 @@ def test_patch_matches_translate_first_loop(case):
             assert patch(tiling, center, r2) == old_patch(tiling, center, r2)
 
 
-def test_patch_work_grows_with_the_radius(monkeypatch):
+def test_patch_work_grows_with_the_radius(count_calls):
     # the padded box of the translate-first loop tested 675 translates at
     # both radii; the lattice-ball query tests fewer, and fewer still at the
     # smaller radius
-    calls = []
-    real = tiling_mod.sq_distance_point
-    monkeypatch.setattr(tiling_mod, "sq_distance_point", lambda *a: calls.append(1) or real(*a))
+    calls = count_calls(tiling_mod, "sq_distance_point")
     (p1,), _ = case_tilings("P1")
     center = (Q(1, 3), Q(-2, 5), Q(1, 7))
     counts = []

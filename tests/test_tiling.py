@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from crystile.rational import Q
+from crystile.linalg import vdot
 from crystile.isometry import (
     Isometry,
     compose,
@@ -40,7 +41,7 @@ from crystile.tiling import (
     validate_tiling,
     verify_witness,
 )
-from crystile.voronoi import voronoi_tiling
+from crystile.voronoi import voronoi_cell, voronoi_tiling
 
 from conftest import random_rational_point
 
@@ -141,19 +142,28 @@ def half_boxes(frame):
 
 
 @pytest.mark.parametrize("frame", [F2, F3], ids=["2d", "3d"])
-def test_patch_derives_each_boundary_once(frame, monkeypatch):
+def test_patch_derives_each_boundary_once(frame, count_calls):
     # patch tests candidate translates against the cell tile itself, so each
     # cell tile derives its facets once, however many translates it tries
-    calls = []
-    real = polytope._facets_from_vertices
-    monkeypatch.setattr(polytope, "_facets_from_vertices",
-                        lambda *a: calls.append(1) or real(*a))
+    calls = count_calls(polytope, "_facets_from_vertices")
     tiling = periodic_tiling(frame, half_boxes(frame), validate=False)
     p = patch(tiling, (Q(1, 3),) * frame.dim, 1)
     assert len(p.tiles) > len(tiling.cell_tiles)
     assert len(calls) == len(tiling.cell_tiles)
     t = tiling.cell_tiles[0]
     assert all(faces(t, m) is faces(t, m) for m in range(frame.dim))
+
+
+@pytest.mark.parametrize("name", ["p1", "p3", "cmm"])
+def test_clipped_2d_cell_edges_follow_facets(name):
+    # a clipped cell carries its facets in clip order, and its edges are
+    # listed in that order, so facet matching zips each facet with its edge
+    g = preset(name)
+    cell = voronoi_cell(g, generic_point(g, 0))
+    for h, e in zip(cell.facets(), faces(cell, 1)):
+        assert all(vdot(h.covector, v) == h.offset for v in e.vertices)
+    if name == "p1":
+        assert _facet_matching_accepts(periodic_tiling(g.frame, [cell], validate=False))
 
 
 def test_patch_equivariance(square_tiling, frame2):

@@ -168,16 +168,14 @@ def test_single_site_unbounded(frame2):
         voronoi_cell_of_sites(frame2, [(0, 0)], (0, 0))
 
 
-def test_p222_cells_carry_their_facets(monkeypatch):
+def test_p222_cells_carry_their_facets(count_calls):
     # the cell is clipped from a box with its facets known throughout, so
     # neither a halfspace intersection nor a facet recovery runs
     calls = []
     for module, name in ((polytope, "halfspace_intersection"),
                          (voronoi, "halfspace_intersection"),
                          (polytope, "_facets_from_vertices")):
-        real = getattr(module, name)
-        monkeypatch.setattr(module, name,
-                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        count_calls(module, name, calls)
     g = preset("P222")
     x = generic_point(g, 0)
     delone_params(g, x)

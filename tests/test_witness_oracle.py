@@ -200,12 +200,10 @@ def test_pulled_back_keys_match_transformed_patches():
             assert tiling_mod._pulled_back(tiling, iso, center, r2) == expected
 
 
-def test_non_global_pair_runs_two_ball_queries(monkeypatch):
+def test_non_global_pair_runs_two_ball_queries(count_calls):
     # the bisection built 2 patches at the cap and 2 more for each of its
     # 16 rounds (34 in all); the search now reads one pair at the cap
-    calls = []
-    real = tiling_mod._tiles_near
-    monkeypatch.setattr(tiling_mod, "_tiles_near", lambda *a: calls.append(1) or real(*a))
+    calls = count_calls(tiling_mod, "_tiles_near")
     a, b = FIXTURES["A"], FIXTURES["B"]
     phi, psi = default_candidates(a, b, (0, 0))[0]
     radius, glob = _pair_match_radius(a, phi, b, psi, (Q(1, 4), Q(1, 4)))
