@@ -13,7 +13,7 @@ import os
 import sys
 
 from .rational import rat_json
-from .isometry import Isometry, IsometryError, identity_iso
+from .isometry import IsometryError, identity_iso
 from .groups import (
     CrystalGroup,
     GroupValidationError,
@@ -125,28 +125,28 @@ def cmd_voronoi(args) -> int:
     group = _load_group(args.group)
     x = _point_flag(args, group, args.point, args.seed)
     tiling = voronoi_tiling(group, x)
-    _finish_tiling(args, tiling)
+    _finish_tiling(args, tiling, automorphism_group(tiling).order())
     return 0
 
 
 def cmd_construct(args) -> int:
     group = _load_group(args.group)
     tiling = construct_tiling(group, args.seed)
-    _finish_tiling(args, tiling)
+    # construct_tiling has verified Aut(tiling) == group
+    _finish_tiling(args, tiling, group.order())
     return 0
 
 
-def _finish_tiling(args, tiling) -> None:
+def _finish_tiling(args, tiling, point_group_order: int) -> None:
     if args.out:
         io.write_json_file(args.out, io.tiling_to_json(tiling))
     if args.svg:
         write_svg(args.svg, tiling, window=tuple(args.window))
-    aut = automorphism_group(tiling)
     _emit(
         {
             "tiles_per_cell": len(tiling.cell_tiles),
             "prototiles": len(prototiles(tiling)),
-            "point_group_order": aut.order(),
+            "point_group_order": point_group_order,
             "out": args.out,
             "svg": args.svg,
         }

@@ -1,12 +1,12 @@
 """Realize a prescribed crystallographic group as a tiling automorphism group.
 
-Pipeline: pick a generic orbit point, build the Voronoi-cell tiling of its
-orbit, then subdivide every cell into cones over its facets from a generic
-interior apex.  Genericity (distinct apex-to-vertex distances, disjoint
-from the edge lengths) breaks every symmetry the undecorated Voronoi
-tiling had beyond the group itself; the result is verified by exact
-automorphism-group computation before being returned, so the operation is
-self-certifying.
+Pipeline: pick a generic orbit point, cut its certified Voronoi cell into
+cones over its facets from a generic interior apex, and map the cones by
+every coset representative.  Genericity (distinct apex-to-vertex distances,
+disjoint from the edge lengths) breaks every symmetry the undecorated
+Voronoi tiling had beyond the group itself.  The subdivision is validated
+once, and Aut(result) == group is verified exactly before returning, so
+the operation is self-certifying.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .rational import Q, rat
+from .rational import Q
 from .linalg import gram_norm2, vadd, vdot, vec, vsub
 from .isometry import Isometry
 from .groups import CrystalGroup, generic_point
 from .polytope import ConvexPolytope, HalfSpace, _coordinate_normal, faces
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
-from .voronoi import voronoi_tiling
+from .voronoi import cell_with_certificate
+
+MAX_ATTEMPTS = 8  # seeds construct_tiling tries before it gives up
 
 
 class ConstructionError(RuntimeError):
@@ -103,33 +105,29 @@ def _cone(fpoly: ConvexPolytope, h: HalfSpace, apex) -> ConvexPolytope:
                           _facets=tuple(facets))
 
 
-def cone_subdivide(tiling: PeriodicTiling, cert: GenericityCertificate) -> PeriodicTiling:
-    """Replace each Voronoi cell by the cones over its facets from the apex.
+def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate) -> PeriodicTiling:
+    """Cut the Voronoi cell of base_point, cert.cell, into the cones over its
+    facets from cert.apex, and map the cones by every coset representative.
 
-    Tiles per unit cell become |reps| * (#facets of the base cell); the
-    output passes full tiling validation.
+    The cell must hold base_point strictly inside.  Tiles per unit cell
+    become |reps| * (#facets of the cell); the output passes full tiling
+    validation, the one check that the cell's images tile space.
     """
-    prov = tiling.provenance
-    if prov is None or prov.kind != "voronoi":
-        raise ValueError("cone_subdivide expects a Voronoi-cell tiling with provenance")
-    if cert.cell != prov.base_cell:
-        raise ValueError("certificate does not match the tiling's base cell")
-    group = prov.group
-    base = prov.base_cell
+    base_point = vec(base_point)
+    base = cert.cell
+    if not base.strictly_contains(base_point):
+        raise ValueError("the certificate's cell does not hold the base point strictly inside")
     n = base.frame.dim
     cones = [_cone(fpoly, h, cert.apex) for h, fpoly in zip(base.facets(), faces(base, n - 1))]
-    tiles = []
-    for m, v in group.reps:
-        iso = Isometry(group.frame, m, v)
-        for cone in cones:
-            tiles.append(cone.transform(iso))
+    isos = [Isometry(group.frame, m, v) for m, v in group.reps]
+    tiles = [cone.transform(iso) for iso in isos for cone in cones]
     out = periodic_tiling(
         group.frame,
         tiles,
         provenance=Provenance(
             kind="cone_subdivision",
             group=group,
-            base_point=prov.base_point,
+            base_point=base_point,
             base_cell=base,
             apex=cert.apex,
         ),
@@ -143,22 +141,21 @@ def cone_subdivide(tiling: PeriodicTiling, cert: GenericityCertificate) -> Perio
     return out
 
 
-def construct_tiling(group: CrystalGroup, seed: int, max_attempts: int = 8) -> PeriodicTiling:
+def construct_tiling(group: CrystalGroup, seed: int) -> PeriodicTiling:
     """A simple tiling whose automorphism group is exactly the given group.
 
     The postcondition Aut(result) == group is verified exactly before
     returning (same lattice, same Seitz pairs mod the lattice); failed
-    attempts resample with the next seed.
+    attempts resample with the next seed, up to MAX_ATTEMPTS seeds.
     """
     from .tiling import automorphism_group
 
     last_problem = None
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         s = seed + attempt
         x = generic_point(group, s)
-        vt = voronoi_tiling(group, x)
-        cert = generic_apex(vt.provenance.base_cell, s)
-        candidate = cone_subdivide(vt, cert)
+        cell, _ = cell_with_certificate(group, x)
+        candidate = cone_subdivide(group, x, generic_apex(cell, s))
         aut = automorphism_group(candidate)
         if aut.frame == group.frame and aut.reps == group.reps:
             return candidate
@@ -166,4 +163,4 @@ def construct_tiling(group: CrystalGroup, seed: int, max_attempts: int = 8) -> P
             f"seed {s}: Aut has point order {aut.order()} over gram {aut.frame.gram}, "
             f"wanted order {group.order()} over {group.frame.gram}"
         )
-    raise ConstructionError(f"verification failed after {max_attempts} attempts: {last_problem}")
+    raise ConstructionError(f"verification failed after {MAX_ATTEMPTS} attempts: {last_problem}")

@@ -159,13 +159,18 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     return CrystalGroup(frame=frame, reps=reps, name=name)
 
 
-def span_seitz(frame: Frame, generators, name: str = None, max_order: int = 1024) -> CrystalGroup:
+# Largest closure span_seitz builds: crystallographic point groups have order
+# at most 48, so a closure past this cap is non-crystallographic input.
+MAX_GROUP_ORDER = 1024
+
+
+def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
     """Close a generator list under multiplication mod the lattice.
 
     Each round multiplies the newest elements on the right by the
     generators.  Elements of a finite point group have finite order mod the
     lattice, so these words already form the group; any other input grows
-    past max_order.
+    past MAX_GROUP_ORDER.
     """
     gens = [(mat(m), vec(v)) for m, v in generators]
     if not all(is_integral_mat(m) for m, _ in gens):
@@ -181,7 +186,7 @@ def span_seitz(frame: Frame, generators, name: str = None, max_order: int = 1024
                 if prod not in elems:
                     elems.add(prod)
                     new.append(prod)
-        if len(elems) > max_order:
+        if len(elems) > MAX_GROUP_ORDER:
             raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
         frontier = new
     return validate_group(frame, sorted(elems), name=name)
@@ -387,14 +392,8 @@ def is_symmorphic(group: CrystalGroup):
 def lattice_vectors_with_norm(frame: Frame, value) -> list:
     """Integer vectors with exact Gram norm^2 == value, sorted."""
     value = rat(value)
-    diag = _inv_gram_diag(frame)
-    bounds = [(-isqrt_ceil(value * gii), isqrt_ceil(value * gii)) for gii in diag]
-    out = []
-    for k in enumerate_box(bounds):
-        kv = tuple(Q(x) for x in k)
-        if gram_norm2(frame.gram, kv) == value:
-            out.append(kv)
-    return sorted(out)
+    ball = lattice_points_in_ball(frame, zero_vec(frame.dim), value)
+    return sorted(k for k in ball if gram_norm2(frame.gram, k) == value)
 
 
 def lattice_isometries(source: Frame, target: Frame) -> list:

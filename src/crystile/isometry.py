@@ -263,7 +263,7 @@ def iso_size(origin, a: Isometry) -> float:
 
 # --- orthogonal square roots ----------------------------------------------
 
-def ortho_sqrt(alpha: np.ndarray, tol: float = OP_NORM_TOL) -> np.ndarray:
+def ortho_sqrt(alpha: np.ndarray) -> np.ndarray:
     """Square root of a Cartesian orthogonal matrix via halved rotation angles.
 
     The matrix is block-diagonalized into planar rotation blocks R(theta),
@@ -277,7 +277,7 @@ def ortho_sqrt(alpha: np.ndarray, tol: float = OP_NORM_TOL) -> np.ndarray:
     if not np.allclose(alpha.T @ alpha, np.eye(n), atol=1e-9):
         raise ValueError("input is not orthogonal")
     dev = np.linalg.svd(alpha - np.eye(n), compute_uv=False)[0]
-    if dev >= 2.0 - tol:
+    if dev >= 2.0 - OP_NORM_TOL:
         raise ValueError(f"||alpha - 1||_op = {dev:.6f} admits a (-1) block; "
                          "no halved-angle square root exists")
     vals, vecs = np.linalg.eig(alpha)

@@ -12,8 +12,9 @@ faces of each dimension and the cyclic vertex order (ring) of a polygon, in
 the plane or in space.  Volumes, simplex fans and point distances all read
 that one cached boundary.  Polytopes made by halfspace_intersection or clip
 carry their facet halfspaces from the start, translate and transform map
-them along, and construction builds its cones with theirs; only polytopes
-given by vertices from outside recover them (_facets_from_vertices).
+them along, and construction builds its cones with theirs.  Vertex input
+in space keeps the supporting planes its hull pass finds; any other
+polytope recovers its facets on first use (_facets_from_vertices).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class ConvexPolytope:
         if any(len(p) != frame.dim for p in pts):
             raise PolytopeError("vertex dimension mismatch")
         if not assume_minimal:
-            pts = _extreme_points(frame, pts)
+            pts, _facets = _hull(frame, pts)
         self.frame = frame
         self.vertices = tuple(pts)
         self._facets = _facets
@@ -221,22 +222,30 @@ def _centroid(points):
 
 
 def _extreme_points(frame: Frame, pts):
-    """The vertices of conv(pts), for a sorted list of distinct points (exact).
+    """The vertices of conv(pts), for a sorted list of distinct points (exact)."""
+    return _hull(frame, pts)[0]
+
+
+def _hull(frame: Frame, pts):
+    """(vertices, facets) of conv(pts), for a sorted list of distinct points
+    (exact); facets is None unless the hull pass found them.
 
     Sorted collinear points run along their line, so the ends are the first
     and last.  A planar set is hulled in the plane (in affine coordinates in
-    space).  Otherwise one pass finds the supporting planes, and a point is
-    a vertex iff the covectors of the planes through it have rank 3."""
+    space).  Otherwise one pass finds the supporting planes, which are the
+    facets (each is spanned by three affinely independent points), and a
+    point is a vertex iff the covectors of the planes through it have rank 3."""
     rank = _affine_rank(pts)
     if rank <= 1:
-        return [pts[0], pts[-1]] if rank else pts
+        return ([pts[0], pts[-1]] if rank else pts), None
     if rank == 2:
         coords = pts if frame.dim == 2 else _plane_coords(pts)
         back = dict(zip(coords, pts))
-        return sorted(back[c] for c in _hull_2d(coords))
+        return sorted(back[c] for c in _hull_2d(coords)), None
     hs = _supporting_halfspaces(3, pts)
     return [p for p in pts
-            if mat_rank(tuple(h.covector for h in hs if vdot(h.covector, p) == h.offset)) == 3]
+            if mat_rank(tuple(h.covector for h in hs if vdot(h.covector, p) == h.offset)) == 3
+            ], tuple(hs)
 
 
 def _hull_2d(pts):

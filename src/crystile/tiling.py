@@ -53,11 +53,11 @@ from .isometry import (
 )
 from .groups import (
     CrystalGroup,
+    _canon_seitz,
     conjugacy_search,
     is_conjugate_subgroup,
     lattice_isometries,
     lattice_points_in_ball,
-    validate_group,
 )
 from .polytope import (
     ConvexPolytope,
@@ -420,7 +420,10 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
 
 def automorphism_group_with_embedding(tiling: PeriodicTiling):
     """Aut(T) over its maximal translation lattice, plus the coordinate map
-    from the group's frame back into the tiling's frame."""
+    from the group's frame back into the tiling's frame.  The verified Seitz
+    pairs (one translation class per point part, the lattice being maximal)
+    form the group as they are: Aut(T) is closed, so validate_group's
+    closure pass would only re-prove it."""
     basis = maximal_translation_lattice(tiling)
     if basis != identity_mat(tiling.frame.dim):
         dense, embed = reexpress_over_lattice(tiling, basis)
@@ -431,19 +434,12 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
     seitz = []
     for m in lattice_isometries(frame, frame):
         image = tuple(sorted(mat_vec(m, v) for v in t0.vertices))
-        found = None
         for t in tiling.cell_tiles:
             c = _translate_match(image, t.vertices)
-            if c is None:
-                continue
-            cand = Isometry(frame, m, c)
-            if _fixes_tiling(tiling, cand):
-                found = tuple(frac_part(x) for x in c)
+            if c is not None and _fixes_tiling(tiling, Isometry(frame, m, c)):
+                seitz.append(_canon_seitz(m, c))
                 break
-        if found is not None:
-            seitz.append((m, found))
-    group = validate_group(frame, seitz)
-    return group, identity_iso(frame)
+    return CrystalGroup(frame=frame, reps=tuple(sorted(seitz))), identity_iso(frame)
 
 
 def automorphism_group(tiling: PeriodicTiling) -> CrystalGroup:

@@ -49,7 +49,10 @@ class DeloneCertificate:
 
 
 def bisector_halfspace(frame: Frame, x0: Vec, x: Vec) -> HalfSpace:
-    """Half-plane of points at least as close to x0 as to x (contains x0)."""
+    """Half-plane of points at least as close to x0 as to x (contains x0).
+
+    Its covector is a = G(x0 - x) and its offset c = a.(x0 + x)/2, so
+    2(a.y - c) = |y - x|_G^2 - |y - x0|_G^2; at y = x0 that is |x0 - x|_G^2."""
     a = mat_vec(frame.gram, vsub(x0, x))
     mid = tuple((p + q) / 2 for p, q in zip(x0, x))
     return HalfSpace(a, vdot(a, mid))
@@ -68,23 +71,12 @@ def voronoi_cell(group: CrystalGroup, x, x0=None, sq_radius=None):
     Returns the cell polytope; pass sq_radius to force a specific
     localization radius (used by the localization-stability checks).
     """
-    x = vec(x)
-    x0 = x if x0 is None else vec(x0)
-    if len(stabilizer(group, x)) != 1:
-        raise DegenerateSiteError("base point has nontrivial stabilizer")
-    if not _orbit_contains(group, x, x0):
-        raise ValueError("x0 is not a site of the orbit")
-    cell, used = _cell_with_localization(group, x, x0, sq_radius)
-    return cell
+    return _cell_with_localization(group, x, x0, sq_radius)[0]
 
 
 def cell_with_certificate(group: CrystalGroup, x, x0=None):
-    x = vec(x)
-    x0 = x if x0 is None else vec(x0)
-    if len(stabilizer(group, x)) != 1:
-        raise DegenerateSiteError("base point has nontrivial stabilizer")
-    if not _orbit_contains(group, x, x0):
-        raise ValueError("x0 is not a site of the orbit")
+    """(cell, localization squared radius) of the orbit site x0, as in
+    voronoi_cell; every facet of the cell is a bisector_halfspace."""
     return _cell_with_localization(group, x, x0, None)
 
 
@@ -110,7 +102,15 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
     return cell
 
 
-def _cell_with_localization(group: CrystalGroup, x: Vec, x0: Vec, sq_radius):
+def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
+    """(cell, squared radius) of the site x0 (x when None); the one check
+    that x has a trivial stabilizer and x0 is a site of its orbit."""
+    x = vec(x)
+    x0 = x if x0 is None else vec(x0)
+    if len(stabilizer(group, x)) != 1:
+        raise DegenerateSiteError("base point has nontrivial stabilizer")
+    if not _orbit_contains(group, x, x0):
+        raise ValueError("x0 is not a site of the orbit")
     frame = group.frame
     n = frame.dim
     d2 = rat(sq_radius) if sq_radius is not None else 4 * max(frame.gram[i][i] for i in range(n))
@@ -148,25 +148,18 @@ def voronoi_cell_of_sites(frame: Frame, sites, x0) -> ConvexPolytope:
 def delone_params(group: CrystalGroup, x) -> DeloneCertificate:
     """Exact Delone certificate of the periodic orbit of x.
 
-    min_sq_distance is scanned within a guard shell around one site (the
-    first candidate bounds the scan radius, making the minimum exact);
-    covering_sq_radius is the circumradius^2 of the Voronoi cell, which
-    by orbit transitivity covers every cell.
+    Both numbers are read off the certified Voronoi cell of x.
+    min_sq_distance is the least 2(a.x - c) over its facets a.y >= c: each
+    facet is the bisector of x and a site s, where that is |x - s|_G^2
+    (bisector_halfspace), and the nearest site's bisector is always a
+    facet, as its midpoint is strictly closer to x and s than to any other
+    site.  covering_sq_radius is the circumradius^2 of the cell, which by
+    orbit transitivity covers every cell.
     """
     x = vec(x)
-    stab = stabilizer(group, x)
-    if len(stab) != 1:
-        raise DegenerateSiteError("duplicate sites: base point has nontrivial stabilizer")
-    frame = group.frame
-    probe = max(frame.gram[i][i] for i in range(frame.dim))
-    while True:
-        sites = [s for s in orbit_in_ball(group, x, x, probe).sites if s != x]
-        if sites:
-            break
-        probe *= 4
-    min_sq = min(gram_norm2(frame.gram, vsub(s, x)) for s in sites)
-    cell, used = _cell_with_localization(group, x, x, None)
-    cover_sq = max(gram_norm2(frame.gram, vsub(v, x)) for v in cell.vertices)
+    cell, used = cell_with_certificate(group, x)
+    min_sq = min(2 * (vdot(h.covector, x) - h.offset) for h in cell.facets())
+    cover_sq = max(gram_norm2(group.frame.gram, vsub(v, x)) for v in cell.vertices)
     return DeloneCertificate(
         min_sq_distance=min_sq,
         covering_sq_radius=cover_sq,
@@ -183,12 +176,7 @@ def voronoi_tiling(group: CrystalGroup, x):
     from .tiling import Provenance, periodic_tiling
 
     x = vec(x)
-    if len(stabilizer(group, x)) != 1:
-        raise DegenerateSiteError("voronoi_tiling needs a base point with trivial stabilizer")
-    cell, used = _cell_with_localization(group, x, x, None)
-    tiles = []
-    for m, v in group.reps:
-        iso = Isometry(group.frame, m, v)
-        tiles.append(cell.transform(iso))
+    cell, _ = cell_with_certificate(group, x)
+    tiles = [cell.transform(Isometry(group.frame, m, v)) for m, v in group.reps]
     prov = Provenance(kind="voronoi", group=group, base_point=x, base_cell=cell)
     return periodic_tiling(group.frame, tiles, provenance=prov, validate=True)

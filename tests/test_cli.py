@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 
+from crystile import cli as cli_mod
+from crystile import tiling as tiling_mod
 from crystile.cli import main
 from crystile.rational import Q
 from crystile.serialize import (
@@ -85,6 +87,20 @@ def test_construct_deterministic(tmp_path, capsys):
     run_cli(capsys, "construct", "--group", "p4", "--seed", "3", "--out", a)
     run_cli(capsys, "construct", "--group", "p4", "--seed", "3", "--out", b)
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_construct_reports_verified_order(capsys, count_calls):
+    # the point-group order comes from construct_tiling's verified
+    # postcondition, so Aut is computed once; the stdout bytes are pinned
+    auts = count_calls(tiling_mod, "automorphism_group")
+    count_calls(cli_mod, "automorphism_group", auts)
+    code, out, _ = run_cli(capsys, "construct", "--group", "p4g")
+    assert code == 0
+    assert out == (
+        '{\n  "out": null,\n  "point_group_order": 8,\n  "prototiles": 4,\n'
+        '  "svg": null,\n  "tiles_per_cell": 32\n}\n'
+    )
+    assert auts == ["automorphism_group"]
 
 
 def test_emitted_tiling_revalidates(tmp_path, capsys):

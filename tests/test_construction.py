@@ -5,12 +5,14 @@ import pytest
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vsub
 from crystile.isometry import Isometry
+from crystile import groups as groups_mod
 from crystile import polytope
 from crystile import tiling as tiling_mod
+from crystile import voronoi as voronoi_mod
 from crystile.groups import PRESET_NAMES, preset, generic_point
 from crystile.polytope import ConvexPolytope, _facets_from_vertices, volume
 from crystile.serialize import dump_json, tiling_to_json
-from crystile.voronoi import voronoi_tiling
+from crystile.voronoi import cell_with_certificate, voronoi_tiling
 from crystile.tiling import automorphism_group, prototiles, tilings_equal, transform_tiling
 from crystile.construction import (
     certificate_for,
@@ -68,9 +70,9 @@ def test_generic_apex_terminates(centered_square):
 
 def test_cone_subdivide_square_counts(frame2):
     g = preset("p1")
-    vt = voronoi_tiling(g, (0, 0))
-    cert = generic_apex(vt.provenance.base_cell, 0)
-    sub = cone_subdivide(vt, cert)
+    cell, _ = cell_with_certificate(g, (0, 0))
+    cert = generic_apex(cell, 0)
+    sub = cone_subdivide(g, (0, 0), cert)
     assert len(sub.cell_tiles) == 4
     assert len(prototiles(sub)) == 4
     assert sum(volume(t) for t in sub.cell_tiles) == 1
@@ -80,29 +82,29 @@ def test_cone_subdivide_hex_cell_counts(frame2):
     # generically the p2 cells are hexagonal: 6 cones per cell
     g = preset("p2")
     x = generic_point(g, 0)
-    vt = voronoi_tiling(g, x)
-    facets = len(vt.provenance.base_cell.facets())
+    cell, _ = cell_with_certificate(g, x)
+    facets = len(cell.facets())
     assert facets == 6
-    cert = generic_apex(vt.provenance.base_cell, 0)
-    sub = cone_subdivide(vt, cert)
+    cert = generic_apex(cell, 0)
+    sub = cone_subdivide(g, x, cert)
     assert len(sub.cell_tiles) == 2 * facets
 
 
 def test_cone_subdivide_refuses_bad_certificate(frame2):
+    # the unit square holds the base point (0, 0) only on its boundary
     g = preset("p1")
-    vt = voronoi_tiling(g, (0, 0))
     other = ConvexPolytope(frame2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     cert = generic_apex(other, 0)
     with pytest.raises(ValueError):
-        cone_subdivide(vt, cert)
+        cone_subdivide(g, (0, 0), cert)
 
 
 def test_cone_edge_signatures_distinct(frame2):
     # within one subdivided cell the cones' edge-length lists differ pairwise
     g = preset("p1")
-    vt = voronoi_tiling(g, (0, 0))
-    cert = generic_apex(vt.provenance.base_cell, 0)
-    sub = cone_subdivide(vt, cert)
+    cell, _ = cell_with_certificate(g, (0, 0))
+    cert = generic_apex(cell, 0)
+    sub = cone_subdivide(g, (0, 0), cert)
     gm = frame2.gram
     sigs = []
     for t in sub.cell_tiles:
@@ -163,9 +165,9 @@ def test_group_inside_aut_before_verification():
     # equivariance of the pipeline: Gamma fixes the subdivided tiling
     g = preset("p4")
     x = generic_point(g, 1)
-    vt = voronoi_tiling(g, x)
-    cert = generic_apex(vt.provenance.base_cell, 1)
-    sub = cone_subdivide(vt, cert)
+    cell, _ = cell_with_certificate(g, x)
+    cert = generic_apex(cell, 1)
+    sub = cone_subdivide(g, x, cert)
     for m, v in g.reps:
         phi = Isometry(g.frame, m, v)
         assert tilings_equal(transform_tiling(sub, phi), sub)
@@ -174,9 +176,9 @@ def test_group_inside_aut_before_verification():
 def test_subdivision_preserves_volume():
     g = preset("p3")
     x = generic_point(g, 2)
-    vt = voronoi_tiling(g, x)
-    cert = generic_apex(vt.provenance.base_cell, 2)
-    sub = cone_subdivide(vt, cert)
+    cell, _ = cell_with_certificate(g, x)
+    cert = generic_apex(cell, 2)
+    sub = cone_subdivide(g, x, cert)
     assert sum(volume(t) for t in sub.cell_tiles) == 1
 
 
@@ -213,12 +215,21 @@ def test_seed0_construction_digests(name, count_calls):
     # the cells are clipped, the cones built with their facets and both
     # transformed with them, so no facet is recovered from vertices; each
     # facet lines up with its face, so validation never falls back to the
-    # pairwise scan
+    # pairwise scan.  The cones come straight from the certified cell, so
+    # the subdivision is the one tiling validated, and Aut is computed once
+    # and built from its verified pairs without validate_group
+    group = preset(name)
     recoveries = count_calls(polytope, "_facets_from_vertices")
     scans = count_calls(tiling_mod, "_pairwise_problems")
-    text = dump_json(tiling_to_json(construct_tiling(preset(name), 0)))
+    validations = count_calls(tiling_mod, "validate_tiling")
+    auts = count_calls(tiling_mod, "automorphism_group")
+    voronoi_tilings = count_calls(voronoi_mod, "voronoi_tiling")
+    group_checks = count_calls(groups_mod, "validate_group")
+    text = dump_json(tiling_to_json(construct_tiling(group, 0)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED0_DIGESTS[name]
     assert recoveries == [] and scans == []
+    assert len(validations) == 1 and voronoi_tilings == []
+    assert len(auts) == 1 and group_checks == []
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -110,13 +110,17 @@ def test_hull_reduction(frame2):
 
 
 def test_vertex_input_hulls_in_one_pass(frame3, count_calls):
-    # one supporting-plane pass over all V points, not one per point
+    # one supporting-plane pass over all V points, not one per point, and
+    # its planes are kept as the facets, so facets() makes no second pass
     h = Q(1, 2)
     corners = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
     calls = count_calls(polytope_mod, "_supporting_halfspaces")
     cube = ConvexPolytope(frame3, corners + [(h, h, h), (h, 0, 0), (h, h, 0), (1, 1, 1)])
     assert cube.vertices == tuple(sorted(corners))
+    facets = cube.facets()
     assert calls == ["_supporting_halfspaces"]
+    assert len(facets) == 6
+    assert facet_key_set(facets) == facet_key_set(_facets_from_vertices(frame3, cube))
 
 
 def test_transform_carries_facets(hexframe, frame3):

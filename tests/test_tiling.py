@@ -136,9 +136,11 @@ def test_patch_bigger_radius(square_tiling):
 
 def half_boxes(frame):
     # the unit cell split into two boxes along the first axis, built afresh
-    # so that no facet or face cache is filled yet
+    # so that no facet or face cache is filled yet (the corners are the
+    # vertices, so no hull pass runs, which in space would keep its planes)
     h, corners = Q(1, 2), list(product((0, 1), repeat=frame.dim))
-    return [ConvexPolytope(frame, [(a + c[0] * h,) + c[1:] for c in corners]) for a in (0, h)]
+    return [ConvexPolytope(frame, [(a + c[0] * h,) + c[1:] for c in corners], assume_minimal=True)
+            for a in (0, h)]
 
 
 @pytest.mark.parametrize("frame", [F2, F3], ids=["2d", "3d"])

@@ -1,9 +1,19 @@
+from itertools import product
+
 import pytest
 
 from crystile import polytope, voronoi
-from crystile.rational import Q
+from crystile.rational import Q, frac_part
+from crystile.linalg import gram_norm2, mat_vec, vadd, vsub
 from crystile.isometry import Frame, Isometry
-from crystile.groups import generic_point, preset, span_seitz, WALLPAPER_NAMES, orbit_in_ball
+from crystile.groups import (
+    PRESET_NAMES,
+    WALLPAPER_NAMES,
+    generic_point,
+    orbit_in_ball,
+    preset,
+    span_seitz,
+)
 from crystile.polytope import faces, volume
 from crystile.voronoi import (
     DegenerateSiteError,
@@ -36,6 +46,22 @@ def test_delone_p4m_generic_positive():
     cert = delone_params(g, x)
     assert cert.min_sq_distance > 0
     assert cert.covering_sq_radius > 0
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_delone_min_matches_brute_force(name):
+    # the minimum read off the cell's facets against a scan of every site
+    # m x + v + k with k in {-2..2}^n, (m x + v) reduced to [0,1)^n: the
+    # site x + e_1 bounds the minimum by G_11 = 1, and every site within
+    # squared distance 1 of x in [0,1)^n has coordinates within
+    # sqrt((G^-1)_ii) <= 2/sqrt(3) of x, so the scan holds the nearest one
+    g = preset(name)
+    for seed in (0, 1, 2) if g.dim == 2 else (0,):
+        x = generic_point(g, seed)
+        sites = [vadd(tuple(frac_part(c) for c in vadd(mat_vec(m, x), v)), k)
+                 for m, v in g.reps for k in product(range(-2, 3), repeat=g.dim)]
+        brute = min(gram_norm2(g.frame.gram, vsub(s, x)) for s in sites if s != x)
+        assert delone_params(g, x).min_sq_distance == brute
 
 
 def test_delone_rejects_degenerate():
