@@ -18,6 +18,7 @@ from .rational import Q, ZERO, ONE, rat, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
+    common_denominator,
     enumerate_box,
     gram_dot,
     gram_norm2,
@@ -286,11 +287,22 @@ def _inv_gram_diag(frame: Frame):
     return tuple(inv[i][i] for i in range(frame.dim))
 
 
+@lru_cache(maxsize=None)
+def _int_gram(frame: Frame):
+    """(E, E G) for the common denominator E of the Gram entries, once per frame."""
+    e = common_denominator(x for row in frame.gram for x in row)
+    return e, tuple(tuple(int(x * e) for x in row) for row in frame.gram)
+
+
 def lattice_points_in_ball(frame: Frame, center: Vec, r2) -> list:
     """All k in Z^n with ||k - center||_G^2 <= r2, by exact box enumeration.
 
     The box bound |w_i| <= sqrt(r2 * (G^-1)_ii) on the ellipsoid is exact,
-    so the enumeration provably covers the ball.
+    so the enumeration provably covers the ball.  Each box point is tested
+    in integers: with D the common denominator of the centre and the Gram
+    entries, D^3 ||k - c||_G^2 = (Dk - Dc)^T (DG) (Dk - Dc) is an int, and it
+    is <= D^3 r2 iff it is <= floor(D^3 r2).  The kept points, in box order,
+    become Q tuples.
     """
     r2 = rat(r2)
     if r2 < 0:
@@ -300,11 +312,16 @@ def lattice_points_in_ball(frame: Frame, center: Vec, r2) -> list:
     for ci, gii in zip(center, diag):
         w = isqrt_ceil(r2 * gii)
         bounds.append((math.floor(ci) - w, math.ceil(ci) + w))
+    e, eg = _int_gram(frame)
+    d = math.lcm(e, *(c.denominator for c in center))
+    dc = [int(c * d) for c in center]
+    dg = [[x * (d // e) for x in row] for row in eg]
+    limit = math.floor(d ** 3 * r2)
     out = []
     for k in enumerate_box(bounds):
-        kv = tuple(Q(x) for x in k)
-        if gram_norm2(frame.gram, vsub(kv, center)) <= r2:
-            out.append(kv)
+        y = [d * ki - ci for ki, ci in zip(k, dc)]
+        if sum(yi * gij * yj for yi, row in zip(y, dg) for gij, yj in zip(row, y)) <= limit:
+            out.append(tuple(Q(x) for x in k))
     return out
 
 

@@ -12,15 +12,26 @@ faces of each dimension and the cyclic vertex order (ring) of a polygon, in
 the plane or in space.  Volumes, simplex fans and point distances all read
 that one cached boundary.  Polytopes made by halfspace_intersection or clip
 carry their facet halfspaces from the start, translate and transform map
-them along, and construction builds its cones with theirs.  Vertex input
-in space keeps the supporting planes its hull pass finds; any other
-polytope recovers its facets on first use (_facets_from_vertices).
+them along (L^-T once per linear part), and construction builds its cones
+with theirs.  Vertex input in space keeps the supporting planes its hull
+pass finds; any other polytope recovers its facets on first use
+(_facets_from_vertices).  A translate keeps the sorted vertex tuple as it
+is, without re-sorting.
+
+Point distances read one more cache, the quadratic data of _quadratic_data:
+- per vertex v: G v and v.Gv;
+- per edge u -> w, with d = w - u: the index of u, G d, d.Gd and Gd.u;
+- in space, per facet (or for a polygon itself): its plane basis e1, e2
+  from ring[0], their covectors G e_i, the 2x2 Gram and its determinant,
+  and one side test per ring edge.
+So a distance costs one x.Gx, one dot per vertex and edge, and in space one
+2x2 solve by Cramer's rule per facet whose plane x lies beyond.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 from itertools import combinations
 
 from .rational import Q, ZERO, ONE, rat
@@ -105,7 +116,8 @@ class ConvexPolytope:
     only.
     """
 
-    __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_hash")
+    __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
+                 "_hash")
 
     def __init__(self, frame: Frame, vertices, assume_minimal: bool = False, _facets=None):
         pts = sorted(set(vec(p) for p in vertices))
@@ -115,14 +127,25 @@ class ConvexPolytope:
             raise PolytopeError("vertex dimension mismatch")
         if not assume_minimal:
             pts, _facets = _hull(frame, pts)
+        self._set(frame, tuple(pts), _facets)
+
+    def _set(self, frame, vertices, facets):
         self.frame = frame
-        self.vertices = tuple(pts)
-        self._facets = _facets
+        self.vertices = vertices
+        self._facets = facets
         self._dim = None
         self._bbox = None
         self._cycle = None
         self._faces = None
+        self._quad = None
         self._hash = None
+
+    @classmethod
+    def _from_sorted(cls, frame: Frame, vertices: tuple, facets=None) -> "ConvexPolytope":
+        """The polytope on a tuple of exact, distinct, sorted vertices, as is."""
+        poly = cls.__new__(cls)
+        poly._set(frame, vertices, facets)
+        return poly
 
     # -- identity -----------------------------------------------------------
 
@@ -191,9 +214,12 @@ class ConvexPolytope:
         return all(vdot(h.covector, x) > h.offset for h in self.facets())
 
     def translate(self, v) -> "ConvexPolytope":
+        # a translation keeps the vertices exact, distinct and in lexicographic order
         v = vec(v)
-        return ConvexPolytope(self.frame, [vadd(p, v) for p in self.vertices],
-                              assume_minimal=True, _facets=_carried(self._facets, v))
+        out = ConvexPolytope._from_sorted(self.frame, tuple(vadd(p, v) for p in self.vertices),
+                                          _carried(self._facets, v))
+        out._dim = self._dim
+        return out
 
     def transform(self, iso: Isometry) -> "ConvexPolytope":
         if iso.frame != self.frame:
@@ -207,9 +233,15 @@ def _carried(facets, t, linear=None):
     with a' = L^-T a they become a'.y >= c + a'.t.  None stays None."""
     if facets is None:
         return None
-    lt = None if linear is None else transpose(mat_inv(linear))
+    lt = None if linear is None else _inverse_transpose(linear)
     covectors = (h.covector if lt is None else mat_vec(lt, h.covector) for h in facets)
     return tuple(HalfSpace(a, h.offset + vdot(a, t)) for h, a in zip(facets, covectors))
+
+
+@lru_cache(maxsize=256)
+def _inverse_transpose(linear):
+    """L^-T, once per distinct linear part (point groups repeat a few matrices)."""
+    return transpose(mat_inv(linear))
 
 
 def _centroid(points):
@@ -621,54 +653,106 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
 # --- metric helpers -----------------------------------------------------------
 
 def sq_distance_point(poly: ConvexPolytope, x):
-    """Exact squared Gram distance from a point to the polytope."""
+    """Exact squared Gram distance from a point to the polytope.
+
+    Reads the polytope's cached quadratic data (_quadratic_data): one x.Gx,
+    one dot per vertex and edge, and in space one 2x2 solve per polygon."""
     x = vec(x)
-    g = poly.frame.gram
-    if poly.dim == poly.frame.dim and poly.contains(x):
-        return ZERO
-    best = min(gram_norm2(g, vsub(x, v)) for v in poly.vertices)
-    edges = faces(poly, 1) if poly.dim >= 2 else [poly] if poly.dim == 1 else []
-    for e in edges:
-        u, w = e.vertices
-        d = vsub(w, u)
-        gd = mat_vec(g, d)
-        t = vdot(gd, vsub(x, u)) / vdot(gd, d)
-        if 0 < t < 1:
-            proj = vadd(u, tuple(t * c for c in d))
-            best = min(best, gram_norm2(g, vsub(x, proj)))
-    if poly.frame.dim == 3 and poly.dim >= 2:
-        # x is nearest to a point inside a facet only from beyond that
-        # facet's plane, so facets whose halfspace holds x are skipped
-        polygons = [poly] if poly.dim == 2 else [
-            f for h, f in zip(poly.facets(), faces(poly, 2)) if vdot(h.covector, x) < h.offset
-        ]
-        for f in polygons:
-            val = _polygon_proj_sq_distance(f, x, g)
+    verts, edges, polygons = _quadratic_data(poly)
+    full = poly.dim == poly.frame.dim
+    if full:
+        slack = [vdot(h.covector, x) - h.offset for h in poly.facets()]
+        if all(s >= 0 for s in slack):
+            return ZERO
+    xgx = vdot(mat_vec(poly.frame.gram, x), x)
+    # |x - v|^2 = x.Gx - 2 Gv.x + v.Gv
+    dist = [xgx - 2 * vdot(gv, x) + vgv for gv, vgv in verts]
+    best = min(dist)
+    for iu, gd, dgd, gdu in edges:
+        # t = <x - u, d>_G; the projection u + (t / d.Gd) d is inside the edge iff 0 < t < d.Gd
+        t = vdot(gd, x) - gdu
+        if 0 < t < dgd:
+            best = min(best, dist[iu] - t * t / dgd)
+    # x is nearest to a point inside a facet only from beyond that facet's
+    # plane, so facets whose halfspace holds x are skipped
+    for k, data in enumerate(polygons):
+        if not full or slack[k] < 0:
+            val = _polygon_proj_sq_distance(data, x, dist)
             if val is not None:
                 best = min(best, val)
     return best
 
 
-def _polygon_proj_sq_distance(f: ConvexPolytope, x, g):
-    """Squared distance from x to its Gram projection onto the plane of the
-    polygon f (in space), or None when the projection falls outside f.
+def _quadratic_data(poly: ConvexPolytope):
+    """The Gram data sq_distance_point reads, computed once per polytope:
 
-    The ring is convex, so the projection lies in f iff it is on the inner
-    side of every ring edge: the coordinate cross product of the edge and
-    the projection has a nonnegative component along the ring normal."""
+    - per vertex v: (G v, v.Gv);
+    - per edge u -> w, with d = w - u: (index of u, G d, d.Gd, Gd.u);
+    - in space, per facet (aligned with facets()) or for a polygon itself:
+      the plane data of _polygon_proj_sq_distance.
+    """
+    if poly._quad is None:
+        g = poly.frame.gram
+        index = {v: i for i, v in enumerate(poly.vertices)}
+        verts = []
+        for v in poly.vertices:
+            gv = mat_vec(g, v)
+            verts.append((gv, vdot(gv, v)))
+        edges = []
+        for e in faces(poly, 1) if poly.dim >= 2 else [poly] if poly.dim == 1 else []:
+            u, w = e.vertices
+            d = vsub(w, u)
+            gd = mat_vec(g, d)
+            edges.append((index[u], gd, vdot(gd, d), vdot(gd, u)))
+        polygons = ()
+        if poly.frame.dim == 3 and poly.dim >= 2:
+            polygons = tuple(_polygon_data(f, g, index)
+                             for f in ([poly] if poly.dim == 2 else faces(poly, 2)))
+        poly._quad = (tuple(verts), tuple(edges), polygons)
+    return poly._quad
+
+
+def _polygon_data(f: ConvexPolytope, g, index):
+    """Plane data of the polygon f in space: the index of o = ring[0], the
+    covectors a_i = G e_i of its basis e1, e2 = ring[1] - o, ring[2] - o with
+    a_i.o, the 2x2 Gram m11, m12, m22 of that basis and its determinant, and
+    per ring edge a -> b the side test of a projection (see
+    _polygon_proj_sq_distance)."""
     ring = f.cyclic_vertices()
     o = ring[0]
     e1, e2 = vsub(ring[1], o), vsub(ring[2], o)
-    xo = vsub(x, o)
     a1, a2 = mat_vec(g, e1), mat_vec(g, e2)
-    rows = ((vdot(a1, e1), vdot(a1, e2)), (vdot(a2, e1), vdot(a2, e2)))
-    s, t = solve_linear(rows, (vdot(a1, xo), vdot(a2, xo)))
-    proj = tuple(oc + s * a + t * b for oc, a, b in zip(o, e1, e2))
+    m11, m12, m22 = vdot(a1, e1), vdot(a1, e2), vdot(a2, e2)
+    det = m11 * m22 - m12 * m12
     normal = _cross(e1, e2)
+    sides = []
     for a, b in _ring_edges(ring):
-        if vdot(_cross(vsub(b, a), vsub(proj, a)), normal) < 0:
+        c = _cross(normal, vsub(b, a))
+        sides.append((vdot(c, e1), vdot(c, e2), det * vdot(c, vsub(o, a))))
+    return index[o], a1, a2, vdot(a1, o), vdot(a2, o), m11, m12, m22, det, tuple(sides)
+
+
+def _polygon_proj_sq_distance(data, x, dist):
+    """Squared distance from x to its Gram projection onto the plane of a
+    polygon in space, or None when the projection falls outside it; data is
+    its _polygon_data and dist the squared distances from x to the vertices.
+
+    The projection is o + s e1 + t e2 with M (s, t) = (b1, b2) for the 2x2
+    Gram M and b_i = a_i.(x - o); by Cramer s det = m22 b1 - m12 b2 and
+    t det = m11 b2 - m12 b1.  Its squared distance to x is |x - o|^2 -
+    (s b1 + t b2).  The ring is convex, so the projection lies in the
+    polygon iff it is on the inner side of every ring edge a -> b: the
+    coordinate cross product of b - a and proj - a has a nonnegative
+    component along the ring normal n, that is c.(proj - a) >= 0 for
+    c = n x (b - a), or, times det > 0, det c.(o - a) + s det c.e1 +
+    t det c.e2 >= 0."""
+    io, a1, a2, a1o, a2o, m11, m12, m22, det, sides = data
+    b1, b2 = vdot(a1, x) - a1o, vdot(a2, x) - a2o
+    s_det, t_det = m22 * b1 - m12 * b2, m11 * b2 - m12 * b1
+    for ce1, ce2, co in sides:
+        if co + s_det * ce1 + t_det * ce2 < 0:
             return None
-    return gram_norm2(g, vsub(x, proj))
+    return dist[io] - (s_det * b1 + t_det * b2) / det
 
 
 def _cross(a, b):

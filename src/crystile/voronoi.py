@@ -15,6 +15,14 @@ survives the clipping, the cell of the sites reaches outside that ball, so
 its circumradius rho has 4 rho^2 > d2 (or the cell is unbounded) and the
 round fails certification anyway; otherwise the box was redundant and the
 clipped box is exactly the cell of the sites.
+
+The clipping stops at the first site s with |s - x0|^2 >= 4 rho^2, rho^2
+the running cell's squared circumradius about x0 (updated only when a clip
+changes the cell).  Then every vertex v has |v - x0| <= rho <= |s - x0|/2
+<= |s - x0| - |v - x0| <= |v - s|, so v lies in the bisector halfspace of
+s and the clip returns the cell unchanged; every later site is at least as
+far, so the same holds for it.  The final rho^2 is the one certification
+reads.
 """
 
 from __future__ import annotations
@@ -81,11 +89,13 @@ def cell_with_certificate(group: CrystalGroup, x, x0=None):
 
 
 def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
-    """The cell of x0 among sites, or None when it reaches beyond the Gram
-    ball of squared radius d2/4 about x0 (see the module docstring).
+    """(cell, rho2) of x0 among sites, rho2 its squared circumradius about
+    x0, or None when the cell reaches beyond the Gram ball of squared radius
+    d2/4 about x0 (see the module docstring).
 
-    Clips the box around that ball by the bisectors nearest first; a
-    bisector that cannot cut the running cell leaves it unchanged."""
+    Clips the box around that ball by the bisectors nearest first (ties in
+    the order of sites) and stops at the first site s with |s - x0|^2 >=
+    4 rho2, where no bisector can cut the running cell."""
     g = frame.gram
     n = frame.dim
     widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
@@ -95,11 +105,22 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
         box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
     cell = ConvexPolytope(frame, corners, assume_minimal=True, _facets=tuple(box_facets))
-    for s in sorted(sites, key=lambda s: gram_norm2(g, vsub(s, x0))):
-        cell = clip(cell, bisector_halfspace(frame, x0, s))
+    rho2 = _sq_circumradius(g, cell, x0)
+    for key, s in sorted(((gram_norm2(g, vsub(s, x0)), s) for s in sites), key=lambda ks: ks[0]):
+        if key >= 4 * rho2:
+            break
+        clipped = clip(cell, bisector_halfspace(frame, x0, s))
+        if clipped is not cell:
+            cell = clipped
+            rho2 = _sq_circumradius(g, cell, x0)
     if not set(box_facets).isdisjoint(cell.facets()):
         return None
-    return cell
+    return cell, rho2
+
+
+def _sq_circumradius(g, cell: ConvexPolytope, x0: Vec):
+    """max |v - x0|_G^2 over the vertices of cell."""
+    return max(gram_norm2(g, vsub(v, x0)) for v in cell.vertices)
 
 
 def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
@@ -116,11 +137,9 @@ def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
     d2 = rat(sq_radius) if sq_radius is not None else 4 * max(frame.gram[i][i] for i in range(n))
     for _ in range(24):
         sites = [s for s in orbit_in_ball(group, x, x0, d2).sites if s != x0]
-        cell = _cell_from_sites(frame, x0, sites, d2)
-        if cell is not None:
-            rho2 = max(gram_norm2(frame.gram, vsub(v, x0)) for v in cell.vertices)
-            if 4 * rho2 <= d2:
-                return cell, d2
+        found = _cell_from_sites(frame, x0, sites, d2)
+        if found is not None and 4 * found[1] <= d2:
+            return found[0], d2
         if sq_radius is not None:
             raise UnboundedCellError(
                 "cell not certified at the forced localization radius"
@@ -159,7 +178,7 @@ def delone_params(group: CrystalGroup, x) -> DeloneCertificate:
     x = vec(x)
     cell, used = cell_with_certificate(group, x)
     min_sq = min(2 * (vdot(h.covector, x) - h.offset) for h in cell.facets())
-    cover_sq = max(gram_norm2(group.frame.gram, vsub(v, x)) for v in cell.vertices)
+    cover_sq = _sq_circumradius(group.frame.gram, cell, x)
     return DeloneCertificate(
         min_sq_distance=min_sq,
         covering_sq_radius=cover_sq,

@@ -1,7 +1,10 @@
 import random
+from functools import lru_cache
 
 import pytest
 
+from crystile.construction import construct_tiling
+from crystile.groups import preset
 from crystile.rational import Q
 from crystile.linalg import identity_mat, mat_mul
 from crystile.isometry import (
@@ -28,6 +31,12 @@ def count_calls(monkeypatch):
         return calls
 
     return wrap
+
+
+@lru_cache(maxsize=None)
+def seed0_construction(name):
+    """construct_tiling(preset(name), 0), built once per test session."""
+    return construct_tiling(preset(name), 0)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from crystile.rational import Q
-from crystile.linalg import gram_norm2, vsub
+from crystile.linalg import gram_norm2, vadd, vsub
 from crystile.isometry import Isometry
 from crystile import groups as groups_mod
 from crystile import polytope
@@ -21,7 +21,7 @@ from crystile.construction import (
     generic_apex,
 )
 
-from conftest import facet_key_set
+from conftest import facet_key_set, seed0_construction
 
 
 @pytest.fixture
@@ -243,3 +243,31 @@ def test_carried_facets_match_recovery(name):
         carried = facet_key_set(t.facets())
         assert len(carried) == len(t.facets())
         assert carried == facet_key_set(_facets_from_vertices(g.frame, t))
+
+
+def test_construction_inverts_each_linear_part_once(count_calls):
+    # carried facets read L^-T from a cache keyed by the matrix, so the twelve
+    # point parts of p6m are inverted once each (36 inversions, one per
+    # transform, before)
+    polytope._inverse_transpose.cache_clear()
+    calls = count_calls(polytope, "mat_inv")
+    construct_tiling(preset("p6m"), 0)
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_translate_keeps_sorted_vertices_and_facets(name):
+    # a translation keeps exact vertices distinct and sorted, so translate
+    # builds its result without re-sorting; it matches a polytope built from
+    # the shifted vertices, with facets recovered from them
+    tiling = seed0_construction(name)
+    shifts = [(Q(1, 3), Q(-5, 7), 2), (-1, Q(2, 11), Q(1, 2)), (Q(-9, 4), 0, Q(3, 5))]
+    for t in tiling.cell_tiles:
+        for v in shifts:
+            v = v[:tiling.dim]
+            moved = t.translate(v)
+            ref = ConvexPolytope(t.frame, [vadd(p, tuple(map(Q, v))) for p in t.vertices],
+                                 assume_minimal=True)
+            assert moved.vertices == ref.vertices
+            assert len(moved.facets()) == len(ref.facets())
+            assert facet_key_set(moved.facets()) == facet_key_set(ref.facets())

@@ -1,0 +1,198 @@
+"""Differential oracle for the cached squared Gram distances.
+
+old_sq_distance_point (with old_polygon_proj_sq_distance and old_cross) is
+the point distance that formed every Gram product afresh on each call, and
+old_lattice_points_in_ball the ball query that filtered each box point by
+a Fraction Gram norm.  They are kept verbatim (apart from their names) and
+compared for exact equality with the cached-data distance and the integer
+ball test: distances from random rational points to every cell tile of
+four seed-0 constructions, and ball lists, in order, in frames with
+rational Gram entries.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from crystile.groups import _inv_gram_diag, lattice_points_in_ball
+from crystile.isometry import Frame, hexagonal_frame, standard_frame
+from crystile.linalg import enumerate_box, gram_norm2, mat_vec, solve_linear, vadd, vdot, vec, vsub
+from crystile.polytope import ConvexPolytope, _ring_edges, faces, sq_distance_point
+from crystile.rational import Q, ZERO, isqrt_ceil, rat
+
+from conftest import seed0_construction
+
+
+# --- the code that formed every Gram product per call -----------------------------
+
+def old_sq_distance_point(poly: ConvexPolytope, x):
+    """Exact squared Gram distance from a point to the polytope."""
+    x = vec(x)
+    g = poly.frame.gram
+    if poly.dim == poly.frame.dim and poly.contains(x):
+        return ZERO
+    best = min(gram_norm2(g, vsub(x, v)) for v in poly.vertices)
+    edges = faces(poly, 1) if poly.dim >= 2 else [poly] if poly.dim == 1 else []
+    for e in edges:
+        u, w = e.vertices
+        d = vsub(w, u)
+        gd = mat_vec(g, d)
+        t = vdot(gd, vsub(x, u)) / vdot(gd, d)
+        if 0 < t < 1:
+            proj = vadd(u, tuple(t * c for c in d))
+            best = min(best, gram_norm2(g, vsub(x, proj)))
+    if poly.frame.dim == 3 and poly.dim >= 2:
+        # x is nearest to a point inside a facet only from beyond that
+        # facet's plane, so facets whose halfspace holds x are skipped
+        polygons = [poly] if poly.dim == 2 else [
+            f for h, f in zip(poly.facets(), faces(poly, 2)) if vdot(h.covector, x) < h.offset
+        ]
+        for f in polygons:
+            val = old_polygon_proj_sq_distance(f, x, g)
+            if val is not None:
+                best = min(best, val)
+    return best
+
+
+def old_polygon_proj_sq_distance(f: ConvexPolytope, x, g):
+    """Squared distance from x to its Gram projection onto the plane of the
+    polygon f (in space), or None when the projection falls outside f.
+
+    The ring is convex, so the projection lies in f iff it is on the inner
+    side of every ring edge: the coordinate cross product of the edge and
+    the projection has a nonnegative component along the ring normal."""
+    ring = f.cyclic_vertices()
+    o = ring[0]
+    e1, e2 = vsub(ring[1], o), vsub(ring[2], o)
+    xo = vsub(x, o)
+    a1, a2 = mat_vec(g, e1), mat_vec(g, e2)
+    rows = ((vdot(a1, e1), vdot(a1, e2)), (vdot(a2, e1), vdot(a2, e2)))
+    s, t = solve_linear(rows, (vdot(a1, xo), vdot(a2, xo)))
+    proj = tuple(oc + s * a + t * b for oc, a, b in zip(o, e1, e2))
+    normal = old_cross(e1, e2)
+    for a, b in _ring_edges(ring):
+        if vdot(old_cross(vsub(b, a), vsub(proj, a)), normal) < 0:
+            return None
+    return gram_norm2(g, vsub(x, proj))
+
+
+def old_cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def old_lattice_points_in_ball(frame: Frame, center, r2) -> list:
+    """All k in Z^n with ||k - center||_G^2 <= r2, by exact box enumeration.
+
+    The box bound |w_i| <= sqrt(r2 * (G^-1)_ii) on the ellipsoid is exact,
+    so the enumeration provably covers the ball.
+    """
+    r2 = rat(r2)
+    if r2 < 0:
+        return []
+    diag = _inv_gram_diag(frame)
+    bounds = []
+    for ci, gii in zip(center, diag):
+        w = isqrt_ceil(r2 * gii)
+        bounds.append((math.floor(ci) - w, math.ceil(ci) + w))
+    out = []
+    for k in enumerate_box(bounds):
+        kv = tuple(Q(x) for x in k)
+        if gram_norm2(frame.gram, vsub(kv, center)) <= r2:
+            out.append(kv)
+    return out
+
+
+# --- strategies -------------------------------------------------------------------
+
+def rationals(lo, hi, max_den=7):
+    return st.builds(lambda n, d: Q(n, d), st.integers(lo * max_den, hi * max_den),
+                     st.integers(1, max_den))
+
+
+def points(dim, lo=-2, hi=3):
+    return st.tuples(*[rationals(lo, hi)] * dim)
+
+
+# --- distances to the tiles of seed-0 constructions ----------------------------------
+
+DISTANCE_CASES = ("p6m", "p4g", "P222", "Pm-3m")
+
+
+@pytest.mark.parametrize("case", DISTANCE_CASES)
+def test_cached_distance_matches_gram_products(case):
+    tiling = seed0_construction(case)
+
+    @given(points(tiling.dim))
+    @settings(max_examples=40 if tiling.dim == 2 else 8, deadline=None)
+    def check(x):
+        for t in tiling.cell_tiles:
+            assert sq_distance_point(t, x) == old_sq_distance_point(t, x)
+
+    check()
+
+
+@pytest.mark.parametrize("case", DISTANCE_CASES)
+def test_cached_distance_matches_on_the_boundary(case):
+    # vertices, edge midpoints and points just beyond them sit where the
+    # edge and facet tests change sides
+    tiles = seed0_construction(case).cell_tiles[:6]
+    for t in tiles:
+        for e in faces(t, 1):
+            u, w = e.vertices
+            mid = tuple((a + b) / 2 for a, b in zip(u, w))
+            for x in (u, mid, tuple(2 * c for c in mid), vsub(tuple(3 * c for c in u), w)):
+                for s in tiles:
+                    assert sq_distance_point(s, x) == old_sq_distance_point(s, x)
+
+
+def test_cached_distance_of_lower_dimensional_polytopes(frame2, frame3):
+    # a point, a segment and a polygon in space have no facets to test
+    polys = [ConvexPolytope(frame2, [(0, 0)]),
+             ConvexPolytope(frame2, [(0, 0), (Q(3, 2), 1)], assume_minimal=True),
+             ConvexPolytope(frame3, [(0, 0, 0), (1, 0, 0), (0, 1, 1)])]
+
+    @given(points(3, -3, 3))
+    @settings(max_examples=60, deadline=None)
+    def check(x):
+        for p in polys:
+            y = x[:p.frame.dim]
+            assert sq_distance_point(p, y) == old_sq_distance_point(p, y)
+
+    check()
+
+
+# --- lattice balls ----------------------------------------------------------------------
+
+BCC = Frame(3, tuple(tuple(Q(3 if i == j else -1, 4) for j in range(3)) for i in range(3)))
+BALL_FRAMES = {
+    "Z2": standard_frame(2),
+    "Z3": standard_frame(3),
+    "hexagonal": hexagonal_frame(),
+    "bcc": BCC,
+}
+
+
+@pytest.mark.parametrize("name", BALL_FRAMES)
+def test_integer_ball_test_matches_fraction_filter(name):
+    frame = BALL_FRAMES[name]
+
+    @given(points(frame.dim, -3, 3), rationals(-1, 6, 11))
+    @settings(max_examples=120 if frame.dim == 2 else 40, deadline=None)
+    def check(center, r2):
+        assert lattice_points_in_ball(frame, center, r2) == old_lattice_points_in_ball(frame, center, r2)
+
+    check()
+
+
+@pytest.mark.parametrize("name", BALL_FRAMES)
+def test_integer_ball_test_keeps_the_sphere(name):
+    # lattice points exactly on the sphere are kept, as the Fraction test kept them
+    frame = BALL_FRAMES[name]
+    center = tuple(Q(1, 3) for _ in range(frame.dim))
+    span = 2 if frame.dim == 2 else 1
+    for k in enumerate_box([(-span, span)] * frame.dim):
+        r2 = gram_norm2(frame.gram, vsub(vec(k), center))
+        ball = lattice_points_in_ball(frame, center, r2)
+        assert vec(k) in ball
+        assert ball == old_lattice_points_in_ball(frame, center, r2)

@@ -335,3 +335,14 @@ def test_3d_meet(frame3):
     assert r.kind == "shared-face" and r.face_dim == 0
     r = meet_face_to_face(cube, cube.translate((1, Q(1, 2), 0)))
     assert r.kind == "violation"
+
+
+def test_repeated_distance_makes_one_gram_product(frame2, count_calls):
+    # the vertex and edge Gram data are cached on the tile, so a second call
+    # from a point outside it forms only G x
+    tile = ConvexPolytope(frame2, [(0, 0), (2, 0), (0, 1), (1, 2)])
+    x = (Q(7, 2), Q(-1, 3))
+    first = sq_distance_point(tile, x)
+    calls = count_calls(polytope_mod, "mat_vec")
+    assert sq_distance_point(tile, x) == first > 0
+    assert calls == ["mat_vec"]

@@ -1,4 +1,4 @@
-"""Differential oracle for Voronoi cells built by clipping a box.
+"""Differential oracles for Voronoi cells built by clipping a box.
 
 old_cell_from_sites and old_cell_with_localization are the cell code that
 re-ran halfspace_intersection on the growing bisector list after every
@@ -6,6 +6,14 @@ useful bisector.  They are kept verbatim (apart from their names) and
 compared for exact equality with the clipped cells: vertex tuples and the
 localization radius that certified them, and the carried facets against
 facets recovered from the vertices.
+
+unpruned_cell_from_sites is the clipping code that clipped by every site,
+before the loop stopped at the first site beyond twice the running
+circumradius, and unpruned_cell_with_localization the localization loop
+around it.  They are kept verbatim (apart from their names and the
+base-point checks, which the cases below pass) and compared for exact
+equality with the pruned cells: vertex tuples, facet tuples in order and
+the localization radius.
 """
 
 import math
@@ -13,10 +21,23 @@ from itertools import product
 
 import pytest
 
-from crystile.groups import WALLPAPER_NAMES, generic_point, orbit_in_ball, preset
+from crystile.groups import (
+    PRESET_NAMES,
+    WALLPAPER_NAMES,
+    _inv_gram_diag,
+    generic_point,
+    orbit_in_ball,
+    preset,
+)
 from crystile.linalg import gram_norm2, mat_vec, vadd, vdot, vsub
-from crystile.polytope import ConvexPolytope, _facets_from_vertices, halfspace_intersection
-from crystile.rational import Q, isqrt_ceil, rat
+from crystile.polytope import (
+    ConvexPolytope,
+    HalfSpace,
+    _facets_from_vertices,
+    clip,
+    halfspace_intersection,
+)
+from crystile.rational import ONE, Q, ZERO, isqrt_ceil, rat
 from crystile.voronoi import (
     UnboundedCellError,
     _cell_with_localization,
@@ -65,6 +86,49 @@ def old_cell_with_localization(group, x, x0, sq_radius):
     raise UnboundedCellError("Voronoi cell did not stabilize (non-Delone input?)")
 
 
+# --- the clipping code that clipped by every site ----------------------------------
+
+def unpruned_cell_from_sites(frame, x0, sites, d2):
+    """The cell of x0 among sites, or None when it reaches beyond the Gram
+    ball of squared radius d2/4 about x0 (see the module docstring).
+
+    Clips the box around that ball by the bisectors nearest first; a
+    bisector that cannot cut the running cell leaves it unchanged."""
+    g = frame.gram
+    n = frame.dim
+    widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
+    box_facets = []
+    for i, (c, w) in enumerate(zip(x0, widths)):
+        e = tuple(ONE if j == i else ZERO for j in range(n))
+        box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
+    corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
+    cell = ConvexPolytope(frame, corners, assume_minimal=True, _facets=tuple(box_facets))
+    for s in sorted(sites, key=lambda s: gram_norm2(g, vsub(s, x0))):
+        cell = clip(cell, bisector_halfspace(frame, x0, s))
+    if not set(box_facets).isdisjoint(cell.facets()):
+        return None
+    return cell
+
+
+def unpruned_cell_with_localization(group, x, x0, sq_radius):
+    frame = group.frame
+    n = frame.dim
+    d2 = rat(sq_radius) if sq_radius is not None else 4 * max(frame.gram[i][i] for i in range(n))
+    for _ in range(24):
+        sites = [s for s in orbit_in_ball(group, x, x0, d2).sites if s != x0]
+        cell = unpruned_cell_from_sites(frame, x0, sites, d2)
+        if cell is not None:
+            rho2 = max(gram_norm2(frame.gram, vsub(v, x0)) for v in cell.vertices)
+            if 4 * rho2 <= d2:
+                return cell, d2
+        if sq_radius is not None:
+            raise UnboundedCellError(
+                "cell not certified at the forced localization radius"
+            )
+        d2 *= 4
+    raise UnboundedCellError("Voronoi cell did not stabilize (non-Delone input?)")
+
+
 # --- cases ---------------------------------------------------------------------------
 
 # every preset at three generic points, except Pm-3m at one: the
@@ -100,3 +164,28 @@ def test_pm3m_delone_minimum_matches_brute_force():
         for k in product(*ranges):
             dists.append(gram_norm2(g.frame.gram, vsub(vadd(b, tuple(Q(c) for c in k)), x)))
     assert cert.min_sq_distance == min(d for d in dists if d > 0)
+
+
+# the Delone points of the space-3d benchmark at seed 0 (P222)
+DELONE_POINTS = [
+    ("18/47", "29/43", "12/19"), ("5/19", "4/23", "5/7"), ("4/7", "21/23", "18/29"),
+    ("2/13", "17/23", "2/41"), ("40/43", "17/23", "2/7"), ("1/19", "3/13", "6/7"),
+    ("6/11", "4/19", "31/43"), ("13/43", "3/7", "20/31"), ("7/11", "2/43", "13/17"),
+    ("2/7", "1/19", "30/41"),
+]
+PRUNING_CASES = (
+    [pytest.param(c, generic_point(preset(c), s), id=f"{c}-seed{s}")
+     for c in PRESET_NAMES for s in range(3)]
+    + [pytest.param("P222", tuple(Q(c) for c in x), id=f"P222-delone{i}")
+       for i, x in enumerate(DELONE_POINTS)]
+)
+
+
+@pytest.mark.parametrize("case, x", PRUNING_CASES)
+def test_pruned_cell_matches_clipping_by_every_site(case, x):
+    g = preset(case)
+    cell, d2 = _cell_with_localization(g, x, x, None)
+    old, old_d2 = unpruned_cell_with_localization(g, x, x, None)
+    assert cell.vertices == old.vertices
+    assert cell.facets() == old.facets()
+    assert d2 == old_d2
