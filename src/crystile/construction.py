@@ -18,7 +18,7 @@ from .rational import Q
 from .linalg import gram_norm2, vadd, vdot, vec, vsub
 from .isometry import Isometry
 from .groups import CrystalGroup, generic_point
-from .polytope import ConvexPolytope, HalfSpace, _coordinate_normal, faces
+from .polytope import ConvexPolytope, HalfSpace, _coordinate_normal, _edges, faces
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
 from .voronoi import cell_with_certificate
 
@@ -56,9 +56,7 @@ def certificate_for(cell: ConvexPolytope, apex) -> GenericityCertificate:
     apex = vec(apex)
     g = cell.frame.gram
     vd = tuple(gram_norm2(g, vsub(apex, v)) for v in cell.vertices)
-    el = tuple(
-        gram_norm2(g, vsub(e.vertices[1], e.vertices[0])) for e in faces(cell, 1)
-    )
+    el = tuple(gram_norm2(g, vsub(e.vertices[1], e.vertices[0])) for e in _edges(cell))
     return GenericityCertificate(
         apex=apex, cell=cell, vertex_sq_distances=vd, edge_sq_lengths=tuple(sorted(el))
     )
@@ -92,17 +90,22 @@ def generic_apex(cell: ConvexPolytope, seed: int) -> GenericityCertificate:
 def _cone(fpoly: ConvexPolytope, h: HalfSpace, apex) -> ConvexPolytope:
     """conv(fpoly + apex) with its facets: the base facet h, then the plane
     through the apex and each ridge of fpoly (a ring edge in space, an
-    endpoint in the plane), facing a vertex of fpoly off that ridge."""
+    endpoint in the plane), facing a vertex of fpoly off that ridge; on the
+    line, the plane -a.x >= -a.apex through the apex."""
     facets = [h]
-    for ridge in faces(fpoly, fpoly.dim - 1):
-        a = _coordinate_normal([apex, *ridge.vertices])
-        c = vdot(a, apex)
-        q = next(v for v in fpoly.vertices if v not in ridge.vertices)
-        if vdot(a, q) < c:
-            a, c = tuple(-x for x in a), -c
-        facets.append(HalfSpace(a, c))
-    return ConvexPolytope(fpoly.frame, list(fpoly.vertices) + [apex], assume_minimal=True,
-                          _facets=tuple(facets))
+    if fpoly.dim == 0:
+        a = tuple(-x for x in h.covector)
+        facets.append(HalfSpace(a, vdot(a, apex)))
+    else:
+        for ridge in faces(fpoly, fpoly.dim - 1):
+            a = _coordinate_normal([apex, *ridge.vertices])
+            c = vdot(a, apex)
+            q = next(v for v in fpoly.vertices if v not in ridge.vertices)
+            if vdot(a, q) < c:
+                a, c = tuple(-x for x in a), -c
+            facets.append(HalfSpace(a, c))
+    return ConvexPolytope._from_sorted(fpoly.frame, tuple(sorted((*fpoly.vertices, apex))),
+                                       tuple(facets))
 
 
 def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate) -> PeriodicTiling:
@@ -146,7 +149,8 @@ def construct_tiling(group: CrystalGroup, seed: int) -> PeriodicTiling:
 
     The postcondition Aut(result) == group is verified exactly before
     returning (same lattice, same Seitz pairs mod the lattice); failed
-    attempts resample with the next seed, up to MAX_ATTEMPTS seeds.
+    attempts resample with the next seed, up to MAX_ATTEMPTS seeds.  On the
+    line the trivial group raises ConstructionError: two cones admit a mirror.
     """
     from .tiling import automorphism_group
 

@@ -7,16 +7,16 @@ volume divided by sqrt(det G)), which keeps them rational.  Halfspaces are
 stored by their coordinate covector a = G n, so containment is the plain
 dot product a . x and never touches the Gram matrix.
 
-Each polytope derives its boundary once and caches it: facet halfspaces,
-faces of each dimension and the cyclic vertex order (ring) of a polygon, in
-the plane or in space.  Volumes, simplex fans and point distances all read
-that one cached boundary.  Polytopes made by halfspace_intersection or clip
-carry their facet halfspaces from the start, translate and transform map
-them along (L^-T once per linear part), and construction builds its cones
-with theirs.  Vertex input in space keeps the supporting planes its hull
-pass finds; any other polytope recovers its facets on first use
-(_facets_from_vertices).  A translate keeps the sorted vertex tuple as it
-is, without re-sorting.
+A polytope carries its facets exactly when it is full-dimensional
+(_facets is None otherwise); they are never recovered from vertices.
+ConvexPolytope(frame, vertices) checks and hulls outside input once, and
+the hull emits the facets.  Internal code builds from exact, distinct,
+sorted vertices with ConvexPolytope._from_sorted(frame, vertices, facets):
+halfspace_intersection and clip keep the input halfspaces that bound the
+result, translate and transform map them (L^-T once per linear part), and
+the construction's cones and the Voronoi box come with their own.  Faces,
+the ring (cyclic vertex order) of a polygon and point-distance data are
+derived once and cached.
 
 Point distances read one more cache, the quadratic data of _quadratic_data:
 - per vertex v: G v and v.Gv;
@@ -110,30 +110,28 @@ class ConvexPolytope:
     """Dual V-rep/H-rep convex polytope with exact rational data.
 
     Vertices are kept sorted lexicographically (the canonical form used
-    for exact tile comparison); facet halfspaces, the cyclic vertex order
-    of a polygon and the faces of each dimension are computed on demand
-    and cached.  Lower-dimensional polytopes (faces) carry vertex lists
-    only.
+    for exact tile comparison).  A full-dimensional polytope carries its
+    facet halfspaces from construction; a lower-dimensional one (a face)
+    carries its vertex list only.  The cyclic vertex order of a polygon
+    and the faces of each dimension are computed on demand and cached.
     """
 
     __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
                  "_hash")
 
-    def __init__(self, frame: Frame, vertices, assume_minimal: bool = False, _facets=None):
+    def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
         if not pts:
             raise PolytopeError("empty vertex list")
         if any(len(p) != frame.dim for p in pts):
             raise PolytopeError("vertex dimension mismatch")
-        if not assume_minimal:
-            pts, _facets = _hull(frame, pts)
-        self._set(frame, tuple(pts), _facets)
+        self._set(frame, *_hull(frame, pts))
 
     def _set(self, frame, vertices, facets):
         self.frame = frame
-        self.vertices = vertices
+        self.vertices = tuple(vertices)
         self._facets = facets
-        self._dim = None
+        self._dim = None if facets is None else frame.dim
         self._bbox = None
         self._cycle = None
         self._faces = None
@@ -141,8 +139,9 @@ class ConvexPolytope:
         self._hash = None
 
     @classmethod
-    def _from_sorted(cls, frame: Frame, vertices: tuple, facets=None) -> "ConvexPolytope":
-        """The polytope on a tuple of exact, distinct, sorted vertices, as is."""
+    def _from_sorted(cls, frame: Frame, vertices: tuple, facets) -> "ConvexPolytope":
+        """The polytope on a tuple of exact, distinct, sorted vertices, as is,
+        with its facets when it is full-dimensional and None otherwise."""
         poly = cls.__new__(cls)
         poly._set(frame, vertices, facets)
         return poly
@@ -200,9 +199,7 @@ class ConvexPolytope:
     def facets(self):
         """Facet halfspaces; the polytope is their intersection."""
         if self._facets is None:
-            if self.dim != self.frame.dim:
-                raise PolytopeError("H-rep requires a full-dimensional polytope")
-            self._facets = _facets_from_vertices(self.frame, self)
+            raise PolytopeError("H-rep requires a full-dimensional polytope")
         return self._facets
 
     def contains(self, x) -> bool:
@@ -216,16 +213,14 @@ class ConvexPolytope:
     def translate(self, v) -> "ConvexPolytope":
         # a translation keeps the vertices exact, distinct and in lexicographic order
         v = vec(v)
-        out = ConvexPolytope._from_sorted(self.frame, tuple(vadd(p, v) for p in self.vertices),
-                                          _carried(self._facets, v))
-        out._dim = self._dim
-        return out
+        return ConvexPolytope._from_sorted(self.frame, tuple(vadd(p, v) for p in self.vertices),
+                                           _carried(self._facets, v))
 
     def transform(self, iso: Isometry) -> "ConvexPolytope":
         if iso.frame != self.frame:
             raise PolytopeError("isometry frame mismatch")
-        return ConvexPolytope(iso.target, [iso(p) for p in self.vertices], assume_minimal=True,
-                              _facets=_carried(self._facets, iso.translation, iso.linear))
+        return ConvexPolytope._from_sorted(iso.target, tuple(sorted(map(iso, self.vertices))),
+                                           _carried(self._facets, iso.translation, iso.linear))
 
 
 def _carried(facets, t, linear=None):
@@ -253,27 +248,33 @@ def _centroid(points):
     return tuple(x * inv for x in acc)
 
 
-def _extreme_points(frame: Frame, pts):
-    """The vertices of conv(pts), for a sorted list of distinct points (exact)."""
-    return _hull(frame, pts)[0]
-
-
 def _hull(frame: Frame, pts):
     """(vertices, facets) of conv(pts), for a sorted list of distinct points
-    (exact); facets is None unless the hull pass found them.
+    (exact); facets is None exactly when the points span less than frame.dim.
 
     Sorted collinear points run along their line, so the ends are the first
-    and last.  A planar set is hulled in the plane (in affine coordinates in
-    space).  Otherwise one pass finds the supporting planes, which are the
-    facets (each is spanned by three affinely independent points), and a
-    point is a vertex iff the covectors of the planes through it have rank 3."""
+    and last (on the line, the facets x >= lo and -x >= -hi).  A planar set
+    in space is hulled in affine coordinates; in the plane each edge u -> w
+    of the CCW ring bounds its left side, a = (u1 - w1, w0 - u0), a.x >= a.u.
+    Otherwise one pass finds the supporting planes, which are the facets
+    (each is spanned by three affinely independent points), and a point is a
+    vertex iff the covectors of the planes through it have rank 3."""
     rank = _affine_rank(pts)
-    if rank <= 1:
+    if rank <= 1 and rank < frame.dim:
         return ([pts[0], pts[-1]] if rank else pts), None
-    if rank == 2:
-        coords = pts if frame.dim == 2 else _plane_coords(pts)
+    if rank == 1:
+        return [pts[0], pts[-1]], (HalfSpace((ONE,), pts[0][0]), HalfSpace((-ONE,), -pts[-1][0]))
+    if rank == 2 and frame.dim == 3:
+        coords = _plane_coords(pts)
         back = dict(zip(coords, pts))
         return sorted(back[c] for c in _hull_2d(coords)), None
+    if rank == 2:
+        ring = _hull_2d(pts)
+        facets = []
+        for u, w in _ring_edges(ring):
+            a = (u[1] - w[1], w[0] - u[0])
+            facets.append(HalfSpace(a, vdot(a, u)))
+        return sorted(ring), tuple(facets)
     hs = _supporting_halfspaces(3, pts)
     return [p for p in pts
             if mat_rank(tuple(h.covector for h in hs if vdot(h.covector, p) == h.offset)) == 3
@@ -368,36 +369,13 @@ def _plane_coords(pts):
     return [_affine_coords(p, pts[0], basis) for p in pts]
 
 
-def _facets_from_vertices(frame: Frame, poly: ConvexPolytope):
-    n = frame.dim
-    pts = poly.vertices
-    if n == 1:
-        lo, hi = pts[0][0], pts[-1][0]
-        return (HalfSpace((ONE,), lo), HalfSpace((-ONE,), -hi))
-    if n == 2:
-        cyc = poly.cyclic_vertices()
-        out = []
-        c = _centroid(pts)
-        for i, u in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            d = vsub(w, u)
-            f = (-d[1], d[0])
-            cv = f[0] * u[0] + f[1] * u[1]
-            if f[0] * c[0] + f[1] * c[1] < cv:
-                f = (-f[0], -f[1])
-                cv = -cv
-            out.append(HalfSpace(f, cv))
-        return tuple(out)
-    return tuple(_supporting_halfspaces(n, pts))
-
-
 def faces(poly: ConvexPolytope, m: int):
     """All m-faces as (lower-dimensional) polytopes, 0 <= m < dim.
 
     Computed once per polytope.  The facets of a full-dimensional polytope
-    follow facets(), carried or recovered; the edges of a polygon in space
-    follow its cyclic order, and the edges of a 3-polytope are the
-    consecutive vertex pairs of its facet rings, sorted.
+    follow facets(); the edges of a polygon in space follow its cyclic
+    order, and the edges of a 3-polytope are the consecutive vertex pairs
+    of its facet rings, sorted.
     """
     n = poly.dim
     if not 0 <= m < n:
@@ -417,9 +395,17 @@ def faces(poly: ConvexPolytope, m: int):
             vertex_lists = sorted({tuple(sorted(e)) for f in faces(poly, 2)
                                    for e in _ring_edges(f.cyclic_vertices())})
         out = poly._faces[m] = tuple(
-            ConvexPolytope(poly.frame, vs, assume_minimal=True) for vs in vertex_lists
+            ConvexPolytope._from_sorted(poly.frame, tuple(sorted(vs)), None)
+            for vs in vertex_lists
         )
     return out
+
+
+def _edges(poly: ConvexPolytope):
+    """The 1-faces of poly, poly itself for a segment, none for a point."""
+    if poly.dim >= 2:
+        return faces(poly, 1)
+    return (poly,) if poly.dim == 1 else ()
 
 
 def _ring_edges(ring):
@@ -462,8 +448,7 @@ def volume(poly: ConvexPolytope):
 
 def simplex_decomposition(poly: ConvexPolytope):
     """A fan of simplices (as polytopes) from the first vertex; parts tile poly."""
-    return [ConvexPolytope(poly.frame, s, assume_minimal=True)
-            for s in _fan(poly) if _simplex_det(s) != 0]
+    return [ConvexPolytope(poly.frame, s) for s in _fan(poly) if _simplex_det(s) != 0]
 
 
 # --- halfspace intersection --------------------------------------------------
@@ -484,10 +469,8 @@ def halfspace_intersection(frame: Frame, halfspaces):
         return "empty"
     if _has_recession_ray(n, hs):
         return "unbounded"
-    poly = ConvexPolytope(frame, pts, assume_minimal=True)
-    if poly.dim == n:
-        poly._facets = _tight_halfspaces(n, poly.vertices, hs)
-    return poly
+    facets = _tight_halfspaces(n, pts, hs) if _affine_rank(pts) == n else None
+    return ConvexPolytope._from_sorted(frame, tuple(pts), facets)
 
 
 def _tight_halfspaces(n: int, pts, hs):
@@ -535,7 +518,7 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
                 pts.append(tuple(a + t * (b - a) for a, b in zip(u, w)))
     held = frozenset().union(*(tight[i] for i in inside))
     kept = tuple(f for k, f in enumerate(facets) if k in held) + (h,)
-    return ConvexPolytope(poly.frame, pts, assume_minimal=True, _facets=kept)
+    return ConvexPolytope._from_sorted(poly.frame, tuple(sorted(pts)), kept)
 
 
 def _candidate_vertices(n: int, hs):
@@ -699,7 +682,7 @@ def _quadratic_data(poly: ConvexPolytope):
             gv = mat_vec(g, v)
             verts.append((gv, vdot(gv, v)))
         edges = []
-        for e in faces(poly, 1) if poly.dim >= 2 else [poly] if poly.dim == 1 else []:
+        for e in _edges(poly):
             u, w = e.vertices
             d = vsub(w, u)
             gd = mat_vec(g, d)

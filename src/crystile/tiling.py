@@ -345,6 +345,14 @@ def transform_tiling(tiling: PeriodicTiling, iso: Isometry) -> PeriodicTiling:
     return periodic_tiling(tiling.frame, tiles, validate=False)
 
 
+def _image_keys(tiling: PeriodicTiling, iso: Isometry) -> frozenset:
+    """The tile keys of transform_tiling(tiling, iso) for an iso that
+    normalizes the lattice, without building the tiles."""
+    if iso.frame != tiling.frame or iso.target != tiling.frame:
+        raise IsometryError("isometry incompatible with the tiling frame")
+    return frozenset(_canonical_key(map(iso, t.vertices)) for t in tiling.cell_tiles)
+
+
 # --- prototiles ---------------------------------------------------------------
 
 def prototiles(tiling: PeriodicTiling) -> list:
@@ -571,9 +579,7 @@ def _pair_match_radius(t1, phi, t2, psi, origin):
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
         # safe to compare the transformed tilings globally: no basis
         # re-expression is involved, so equality is equality in the plane
-        ta = transform_tiling(t1, phi)
-        tb = transform_tiling(t2, psi)
-        if tilings_equal(ta, tb):
+        if _image_keys(t1, phi) == _image_keys(t2, psi):
             return size_cap, True
     cap = min(size_cap, PATCH_ENUM_RADIUS)
     a = _pulled_back(t1, phi, origin, cap * cap)
@@ -654,8 +660,8 @@ def verify_witness(bound: DistanceBound) -> bool:
     if glob:
         if not (_normalizes_lattice(phi) and _normalizes_lattice(psi)):
             return False
-        return tilings_equal(transform_tiling(bound.tiling_a, phi),
-                             transform_tiling(bound.tiling_b, psi))
+        same = _image_keys(bound.tiling_a, phi) == _image_keys(bound.tiling_b, psi)
+        return same and bound.tiling_a.frame == bound.tiling_b.frame
     return _patch_equal(bound.tiling_a, phi, bound.tiling_b, psi, bound.origin, radius)
 
 

@@ -104,7 +104,7 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
         e = tuple(ONE if j == i else ZERO for j in range(n))
         box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
-    cell = ConvexPolytope(frame, corners, assume_minimal=True, _facets=tuple(box_facets))
+    cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets))
     rho2 = _sq_circumradius(g, cell, x0)
     for key, s in sorted(((gram_norm2(g, vsub(s, x0)), s) for s in sites), key=lambda ks: ks[0]):
         if key >= 4 * rho2:

@@ -5,8 +5,8 @@ import pytest
 
 from crystile.construction import construct_tiling
 from crystile.groups import preset
-from crystile.rational import Q
-from crystile.linalg import identity_mat, mat_mul
+from crystile.rational import ONE, Q
+from crystile.linalg import identity_mat, mat_mul, vec, vsub
 from crystile.isometry import (
     Frame,
     Isometry,
@@ -14,7 +14,14 @@ from crystile.isometry import (
     rational_givens,
     standard_frame,
 )
-from crystile.polytope import ConvexPolytope, _halfspace_key
+from crystile.polytope import (
+    ConvexPolytope,
+    HalfSpace,
+    _affine_rank,
+    _centroid,
+    _halfspace_key,
+    _supporting_halfspaces,
+)
 from crystile.tiling import periodic_tiling
 
 
@@ -109,3 +116,39 @@ def random_rational_point(rng: random.Random, n: int, span: int = 6):
 def facet_key_set(halfspaces):
     """Halfspaces as a set, each scaled so its first nonzero covector entry is +-1."""
     return frozenset(map(_halfspace_key, halfspaces))
+
+
+def recovered_facets(frame, poly):
+    """The facets of a full-dimensional polytope recovered from its vertices
+    alone, as the polytope kernel once did on first use: the reference that
+    every carried facet set is compared against."""
+    n = frame.dim
+    pts = poly.vertices
+    if n == 1:
+        lo, hi = pts[0][0], pts[-1][0]
+        return (HalfSpace((ONE,), lo), HalfSpace((-ONE,), -hi))
+    if n == 2:
+        cyc = poly.cyclic_vertices()
+        out = []
+        c = _centroid(pts)
+        for i, u in enumerate(cyc):
+            w = cyc[(i + 1) % len(cyc)]
+            d = vsub(w, u)
+            f = (-d[1], d[0])
+            cv = f[0] * u[0] + f[1] * u[1]
+            if f[0] * c[0] + f[1] * c[1] < cv:
+                f = (-f[0], -f[1])
+                cv = -cv
+            out.append(HalfSpace(f, cv))
+        return tuple(out)
+    return tuple(_supporting_halfspaces(n, pts))
+
+
+def bare(frame, points, facets=None):
+    """The polytope whose vertices are exactly the given points, not hulled.
+    A full-dimensional one carries the given facets, or recovered_facets
+    when none are given."""
+    pts = tuple(sorted(set(map(vec, points))))
+    if facets is None and _affine_rank(pts) == frame.dim:
+        facets = recovered_facets(frame, ConvexPolytope._from_sorted(frame, pts, None))
+    return ConvexPolytope._from_sorted(frame, pts, None if facets is None else tuple(facets))

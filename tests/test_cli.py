@@ -82,6 +82,21 @@ def test_construct_and_aut(tmp_path, capsys):
     assert svg.startswith("<svg") and "proto-" in svg
 
 
+def test_construct_and_aut_on_the_line(tmp_path, capsys):
+    group_file = tmp_path / "mirror.json"
+    group_file.write_text(json.dumps({
+        "dim": 1, "gram": [[1]],
+        "reps": [{"linear": [[1]], "translation": [0]},
+                 {"linear": [[-1]], "translation": [0]}],
+    }))
+    out_file = str(tmp_path / "t.json")
+    code, _, _ = run_cli(capsys, "construct", "--group", str(group_file), "--out", out_file)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "aut", out_file)
+    assert code == 0
+    assert json.loads(out)["point_group_order"] == 2
+
+
 def test_construct_deterministic(tmp_path, capsys):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     run_cli(capsys, "construct", "--group", "p4", "--seed", "3", "--out", a)

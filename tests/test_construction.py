@@ -4,24 +4,25 @@ import pytest
 
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vadd, vsub
-from crystile.isometry import Isometry
+from crystile.isometry import Frame, Isometry
 from crystile import groups as groups_mod
 from crystile import polytope
 from crystile import tiling as tiling_mod
 from crystile import voronoi as voronoi_mod
-from crystile.groups import PRESET_NAMES, preset, generic_point
-from crystile.polytope import ConvexPolytope, _facets_from_vertices, volume
+from crystile.groups import PRESET_NAMES, preset, generic_point, validate_group
+from crystile.polytope import ConvexPolytope, volume
 from crystile.serialize import dump_json, tiling_to_json
 from crystile.voronoi import cell_with_certificate, voronoi_tiling
 from crystile.tiling import automorphism_group, prototiles, tilings_equal, transform_tiling
 from crystile.construction import (
+    ConstructionError,
     certificate_for,
     cone_subdivide,
     construct_tiling,
     generic_apex,
 )
 
-from conftest import facet_key_set, seed0_construction
+from conftest import bare, facet_key_set, recovered_facets, seed0_construction
 
 
 @pytest.fixture
@@ -126,6 +127,20 @@ def test_construct_p1_kills_d4():
     assert aut.reps == g.reps
 
 
+def test_construct_on_the_line():
+    # the cell is an interval, its one edge, and the cone over each endpoint
+    # is the segment to the apex; two cones per cell always admit a
+    # reflection, so the trivial group cannot be realized
+    frame = Frame(1, [[1]])
+    mirror = validate_group(frame, [(((1,),), (0,)), (((-1,),), (0,))])
+    t = construct_tiling(mirror, 0)
+    assert len(t.cell_tiles) == 4
+    aut = automorphism_group(t)
+    assert aut.frame == mirror.frame and aut.reps == mirror.reps
+    with pytest.raises(ConstructionError):
+        construct_tiling(validate_group(frame, [(((1,),), (0,))]), 0)
+
+
 def test_construct_p4m_and_p6():
     for name in ("p4m", "p6"):
         g = preset(name)
@@ -212,14 +227,11 @@ SEED0_DIGESTS = {
 
 @pytest.mark.parametrize("name", SEED0_DIGESTS)
 def test_seed0_construction_digests(name, count_calls):
-    # the cells are clipped, the cones built with their facets and both
-    # transformed with them, so no facet is recovered from vertices; each
-    # facet lines up with its face, so validation never falls back to the
-    # pairwise scan.  The cones come straight from the certified cell, so
+    # each facet lines up with its face, so validation never falls back to
+    # the pairwise scan.  The cones come straight from the certified cell, so
     # the subdivision is the one tiling validated, and Aut is computed once
     # and built from its verified pairs without validate_group
     group = preset(name)
-    recoveries = count_calls(polytope, "_facets_from_vertices")
     scans = count_calls(tiling_mod, "_pairwise_problems")
     validations = count_calls(tiling_mod, "validate_tiling")
     auts = count_calls(tiling_mod, "automorphism_group")
@@ -227,7 +239,7 @@ def test_seed0_construction_digests(name, count_calls):
     group_checks = count_calls(groups_mod, "validate_group")
     text = dump_json(tiling_to_json(construct_tiling(group, 0)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED0_DIGESTS[name]
-    assert recoveries == [] and scans == []
+    assert scans == []
     assert len(validations) == 1 and voronoi_tilings == []
     assert len(auts) == 1 and group_checks == []
 
@@ -242,7 +254,7 @@ def test_carried_facets_match_recovery(name):
         assert t._facets is not None
         carried = facet_key_set(t.facets())
         assert len(carried) == len(t.facets())
-        assert carried == facet_key_set(_facets_from_vertices(g.frame, t))
+        assert carried == facet_key_set(recovered_facets(g.frame, t))
 
 
 def test_construction_inverts_each_linear_part_once(count_calls):
@@ -266,8 +278,7 @@ def test_translate_keeps_sorted_vertices_and_facets(name):
         for v in shifts:
             v = v[:tiling.dim]
             moved = t.translate(v)
-            ref = ConvexPolytope(t.frame, [vadd(p, tuple(map(Q, v))) for p in t.vertices],
-                                 assume_minimal=True)
+            ref = bare(t.frame, [vadd(p, tuple(map(Q, v))) for p in t.vertices])
             assert moved.vertices == ref.vertices
             assert len(moved.facets()) == len(ref.facets())
             assert facet_key_set(moved.facets()) == facet_key_set(ref.facets())

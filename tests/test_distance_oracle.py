@@ -21,7 +21,7 @@ from crystile.linalg import enumerate_box, gram_norm2, mat_vec, solve_linear, va
 from crystile.polytope import ConvexPolytope, _ring_edges, faces, sq_distance_point
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
 
-from conftest import seed0_construction
+from conftest import bare, seed0_construction
 
 
 # --- the code that formed every Gram product per call -----------------------------
@@ -149,7 +149,7 @@ def test_cached_distance_matches_on_the_boundary(case):
 def test_cached_distance_of_lower_dimensional_polytopes(frame2, frame3):
     # a point, a segment and a polygon in space have no facets to test
     polys = [ConvexPolytope(frame2, [(0, 0)]),
-             ConvexPolytope(frame2, [(0, 0), (Q(3, 2), 1)], assume_minimal=True),
+             bare(frame2, [(0, 0), (Q(3, 2), 1)]),
              ConvexPolytope(frame3, [(0, 0, 0), (1, 0, 0), (0, 1, 1)])]
 
     @given(points(3, -3, 3))

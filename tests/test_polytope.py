@@ -14,7 +14,6 @@ from crystile.polytope import (
     InteriorOverlapError,
     PolytopeError,
     _cross,
-    _facets_from_vertices,
     clip,
     congruent,
     faces,
@@ -25,7 +24,7 @@ from crystile.polytope import (
     volume,
 )
 
-from conftest import facet_key_set, random_rational_isometry, random_rational_point
+from conftest import facet_key_set, random_rational_isometry, random_rational_point, recovered_facets
 
 
 @pytest.fixture
@@ -120,7 +119,7 @@ def test_vertex_input_hulls_in_one_pass(frame3, count_calls):
     facets = cube.facets()
     assert calls == ["_supporting_halfspaces"]
     assert len(facets) == 6
-    assert facet_key_set(facets) == facet_key_set(_facets_from_vertices(frame3, cube))
+    assert facet_key_set(facets) == facet_key_set(recovered_facets(frame3, cube))
 
 
 def test_transform_carries_facets(hexframe, frame3):
@@ -134,7 +133,7 @@ def test_transform_carries_facets(hexframe, frame3):
         for m, _ in rng.sample(group.reps, 6):
             image = poly.transform(Isometry(frame, m, random_rational_point(rng, frame.dim)))
             assert image._facets is not None
-            assert facet_key_set(image.facets()) == facet_key_set(_facets_from_vertices(frame, image))
+            assert facet_key_set(image.facets()) == facet_key_set(recovered_facets(frame, image))
 
 
 def test_round_trip_owns_vertices(unit_square, rhomb, frame2):
@@ -144,9 +143,9 @@ def test_round_trip_owns_vertices(unit_square, rhomb, frame2):
         assert back.vertices == poly.vertices
 
 
-def test_round_trip_carries_facets(frame2, frame3, monkeypatch):
+def test_round_trip_carries_facets(frame2, frame3):
     # the input facets come back as the facets, each plane once; planes that
-    # touch only a vertex or an edge are dropped, and nothing is recovered
+    # touch only a vertex or an edge are dropped
     square = ConvexPolytope(frame2, [(0, 0), (1, 0), (0, 1), (1, 1)])
     cube = ConvexPolytope(frame3, [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
     extra = {
@@ -155,13 +154,11 @@ def test_round_trip_carries_facets(frame2, frame3, monkeypatch):
     }
     for poly in (square, cube):
         facets = poly.facets()
-        monkeypatch.setattr(polytope_mod, "_facets_from_vertices", None)
         back = halfspace_intersection(poly.frame, extra[poly.frame.dim] + list(facets))
         assert back.vertices == poly.vertices
         assert facet_key_set(back.facets()) == facet_key_set(facets)
         assert len(back.facets()) == len(facets)
         assert len(faces(back, poly.frame.dim - 1)) == len(facets)
-        monkeypatch.undo()
 
 
 def test_clip_cube(frame3):
@@ -210,7 +207,7 @@ def cuts(draw, n):
 
 def check_clip(poly, h):
     frame = poly.frame
-    assert facet_key_set(poly.facets()) == facet_key_set(_facets_from_vertices(frame, poly))
+    assert facet_key_set(poly.facets()) == facet_key_set(recovered_facets(frame, poly))
     vals = [vdot(h.covector, v) - h.offset for v in poly.vertices]
     assume(any(s > 0 for s in vals))
     out = clip(poly, h)
@@ -218,7 +215,7 @@ def check_clip(poly, h):
         assert out is poly
         return
     assert out.vertices == halfspace_intersection(frame, list(poly.facets()) + [h]).vertices
-    recovered = _facets_from_vertices(frame, out)
+    recovered = recovered_facets(frame, out)
     assert facet_key_set(out.facets()) == facet_key_set(recovered)
     assert len(out.facets()) == len(recovered)
 

@@ -6,7 +6,9 @@ loop that translated every candidate tile before testing it, and the hull
 that tested each point against the hull of all the others.  They are kept
 verbatim (apart from their names) and compared for exact equality with the
 cached versions on the cell tiles and patches of real tilings, and with the
-one-pass hull on small rational point clouds.
+one-pass hull on small rational point clouds.  On the same clouds, the facets
+every polytope carries are compared with recovered_facets (conftest.py), the
+recovery from vertices that the kernel no longer has.
 """
 
 import math
@@ -31,17 +33,20 @@ from crystile.linalg import (
     vec,
     vsub,
 )
-from crystile.isometry import standard_frame
+from crystile.isometry import Isometry, standard_frame
 from crystile.polytope import (
     ConvexPolytope,
+    HalfSpace,
+    PolytopeError,
     _affine_coords,
     _affine_rank,
     _centroid,
-    _extreme_points,
     _independent_directions,
     _sort_ccw,
     _supporting_halfspaces,
+    clip,
     faces,
+    halfspace_intersection,
     simplex_decomposition,
     sq_distance_point,
     volume,
@@ -51,7 +56,13 @@ from crystile import tiling as tiling_mod
 from crystile.tiling import Patch, patch
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
-from conftest import random_rational_point
+from conftest import (
+    bare,
+    facet_key_set,
+    random_rational_orthogonal,
+    random_rational_point,
+    recovered_facets,
+)
 
 
 # --- the uncached boundary code ------------------------------------------------
@@ -59,12 +70,12 @@ from conftest import random_rational_point
 def old_faces(poly: ConvexPolytope, m: int):
     n = poly.dim
     if m == 0:
-        return [ConvexPolytope(poly.frame, [p], assume_minimal=True) for p in poly.vertices]
+        return [bare(poly.frame, [p]) for p in poly.vertices]
     if m == n - 1:
         out = []
         for h in poly.facets():
             on = [p for p in poly.vertices if vdot(h.covector, p) == h.offset]
-            out.append(ConvexPolytope(poly.frame, on, assume_minimal=True))
+            out.append(bare(poly.frame, on))
         return out
     # n == 3, m == 1: edges via common active facets of rank 2
     return _edges_3d(poly)
@@ -81,7 +92,7 @@ def _edges_3d(poly: ConvexPolytope):
         if len(common) < 2:
             continue
         if mat_rank(tuple(hs[k].covector for k in common)) == 2:
-            out.append(ConvexPolytope(poly.frame, [u, w], assume_minimal=True))
+            out.append(bare(poly.frame, [u, w]))
     return out
 
 
@@ -126,7 +137,7 @@ def old_simplex_decomposition(poly: ConvexPolytope):
         cyc = list(poly.cyclic_vertices())
         base = cyc[0]
         return [
-            ConvexPolytope(poly.frame, [base, cyc[i], cyc[i + 1]], assume_minimal=True)
+            bare(poly.frame, [base, cyc[i], cyc[i + 1]])
             for i in range(1, len(cyc) - 1)
         ]
     base = poly.vertices[0]
@@ -136,7 +147,7 @@ def old_simplex_decomposition(poly: ConvexPolytope):
         for i in range(1, len(ring) - 1):
             simplex = [base, ring[0], ring[i], ring[i + 1]]
             if _affine_rank(simplex) == 3:
-                parts.append(ConvexPolytope(poly.frame, simplex, assume_minimal=True))
+                parts.append(bare(poly.frame, simplex))
     return parts
 
 
@@ -305,14 +316,57 @@ def clouds(draw, n):
 @settings(max_examples=150, deadline=None)
 def test_hull_matches_per_point_exclusion_2d(pts):
     frame = standard_frame(2)
-    assert tuple(_extreme_points(frame, pts)) == tuple(old_extreme_points(frame, pts))
+    assert ConvexPolytope(frame, pts).vertices == tuple(old_extreme_points(frame, pts))
 
 
 @given(clouds(3))
 @settings(max_examples=80, deadline=None)
 def test_hull_matches_per_point_exclusion_3d(pts):
     frame = standard_frame(3)
-    assert tuple(_extreme_points(frame, pts)) == tuple(old_extreme_points(frame, pts))
+    assert ConvexPolytope(frame, pts).vertices == tuple(old_extreme_points(frame, pts))
+
+
+# --- facets exactly on full-dimensional polytopes --------------------------------
+
+def check_facet_invariant(poly):
+    """_facets is None exactly when poly is lower-dimensional; otherwise the
+    carried facets are the recovered ones, each plane once."""
+    if _affine_rank(poly.vertices) < poly.frame.dim:
+        assert poly._facets is None
+        with pytest.raises(PolytopeError):
+            poly.facets()
+        return
+    assert poly._facets is not None
+    carried = facet_key_set(poly.facets())
+    assert len(carried) == len(poly.facets())
+    assert carried == facet_key_set(recovered_facets(poly.frame, poly))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_facets_carried_exactly_when_full_dimensional(n, data):
+    # vertex input (collinear and coplanar clouds included) and every
+    # polytope derived from it carry facets iff they are full-dimensional
+    frame = standard_frame(n)
+    poly = ConvexPolytope(frame, data.draw(clouds(n)))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    lin = ((Q(-1),),) if n == 1 else random_rational_orthogonal(rng, n)
+    derived = [poly, poly.translate(random_rational_point(rng, n)),
+               poly.transform(Isometry(frame, lin, random_rational_point(rng, n)))]
+    derived += [f for m in range(poly.dim) for f in faces(poly, m)]
+    if poly.dim == n:
+        facets = list(poly.facets())
+        a = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+        derived += [clip(poly, HalfSpace(a, vdot(a, _centroid(poly.vertices)))),
+                    halfspace_intersection(frame, facets),
+                    # a facet taken from both sides: the facet itself
+                    halfspace_intersection(frame, facets + [HalfSpace(
+                        tuple(-x for x in facets[0].covector), -facets[0].offset)])]
+        if n > 1:
+            derived += simplex_decomposition(poly)
+    for p in derived:
+        check_facet_invariant(p)
 
 
 # --- cases ---------------------------------------------------------------------
@@ -333,7 +387,7 @@ def case_tilings(case):
 
 def fresh(poly):
     # a copy with empty caches, so each side derives its own boundary
-    return ConvexPolytope(poly.frame, poly.vertices, assume_minimal=True)
+    return bare(poly.frame, poly.vertices)
 
 
 def keys(polys):

@@ -33,7 +33,6 @@ from crystile.linalg import gram_norm2, mat_vec, vadd, vdot, vsub
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
-    _facets_from_vertices,
     clip,
     halfspace_intersection,
 )
@@ -45,7 +44,7 @@ from crystile.voronoi import (
     delone_params,
 )
 
-from conftest import facet_key_set
+from conftest import bare, facet_key_set, recovered_facets
 
 
 # --- the cell code that re-intersected all bisectors -------------------------------
@@ -102,7 +101,7 @@ def unpruned_cell_from_sites(frame, x0, sites, d2):
         e = tuple(ONE if j == i else ZERO for j in range(n))
         box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
-    cell = ConvexPolytope(frame, corners, assume_minimal=True, _facets=tuple(box_facets))
+    cell = bare(frame, corners, box_facets)
     for s in sorted(sites, key=lambda s: gram_norm2(g, vsub(s, x0))):
         cell = clip(cell, bisector_halfspace(frame, x0, s))
     if not set(box_facets).isdisjoint(cell.facets()):
@@ -146,7 +145,7 @@ def test_clipped_cell_matches_reintersection(case, seed):
     assert cell.vertices == old.vertices
     assert d2 == old_d2
     assert len(cell.facets()) == len(facet_key_set(cell.facets()))
-    assert facet_key_set(cell.facets()) == facet_key_set(_facets_from_vertices(g.frame, cell))
+    assert facet_key_set(cell.facets()) == facet_key_set(recovered_facets(g.frame, cell))
 
 
 def test_pm3m_delone_minimum_matches_brute_force():
