@@ -18,14 +18,20 @@ the construction's cones and the Voronoi box come with their own.  Faces,
 the ring (cyclic vertex order) of a polygon and point-distance data are
 derived once and cached.
 
-Point distances read one more cache, the quadratic data of _quadratic_data:
+Point distances read one more cache, the quadratic data of _quadratic_data,
+held as Python ints over one common denominator D per polytope:
+- D G;
 - per vertex v: G v and v.Gv;
 - per edge u -> w, with d = w - u: the index of u, G d, d.Gd and Gd.u;
+- per facet: its covector and offset (scaled to integers);
 - in space, per facet (or for a polygon itself): its plane basis e1, e2
   from ring[0], their covectors G e_i, the 2x2 Gram and its determinant,
   and one side test per ring edge.
-So a distance costs one x.Gx, one dot per vertex and edge, and in space one
-2x2 solve by Cramer's rule per facet whose plane x lies beyond.
+sq_distance_point scales x once to an integer vector over its denominator
+and runs every test in integers, comparing rational candidates by
+cross-multiplying; it forms one Q, the distance, per call.  A distance
+costs one x.Gx, one dot per vertex and edge, and in space one 2x2 solve by
+Cramer's rule per facet whose plane x lies beyond.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
+from math import factorial, lcm
+from operator import mul
 
 from .rational import Q, ZERO, ONE, rat
 from .linalg import (
@@ -73,8 +81,10 @@ class HalfSpace:
     offset: object
 
     def __post_init__(self):
-        object.__setattr__(self, "covector", vec(self.covector))
-        object.__setattr__(self, "offset", rat(self.offset))
+        cov, off = self.covector, self.offset
+        if type(cov) is not tuple or type(off) is not Q or any(type(a) is not Q for a in cov):
+            object.__setattr__(self, "covector", vec(cov))
+            object.__setattr__(self, "offset", rat(off))
         if all(a == 0 for a in self.covector):
             raise PolytopeError("zero normal")
 
@@ -418,9 +428,12 @@ def face_vertex_sets(poly: ConvexPolytope):
 
 
 def _fan(poly: ConvexPolytope):
-    """Simplices (vertex tuples) that tile a full-dimensional polytope: in
-    the plane, triangles from the first ring vertex; in space, cones from
-    the first vertex over each facet's ring fan (flat cones included)."""
+    """Simplices (vertex tuples) that tile a full-dimensional polytope: an
+    interval is its own; in the plane, triangles from the first ring vertex;
+    in space, cones from the first vertex over each facet's ring fan (flat
+    cones included)."""
+    if poly.frame.dim == 1:
+        return [poly.vertices]
     if poly.frame.dim == 2:
         ring = poly.cyclic_vertices()
         return [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
@@ -441,9 +454,7 @@ def volume(poly: ConvexPolytope):
     n = poly.frame.dim
     if poly.dim != n:
         raise PolytopeError("volume requires a full-dimensional polytope")
-    if n == 1:
-        return poly.vertices[-1][0] - poly.vertices[0][0]
-    return sum((abs(_simplex_det(s)) for s in _fan(poly)), ZERO) / (2 if n == 2 else 6)
+    return sum((abs(_simplex_det(s)) for s in _fan(poly)), ZERO) / factorial(n)
 
 
 def simplex_decomposition(poly: ConvexPolytope):
@@ -638,104 +649,155 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
 def sq_distance_point(poly: ConvexPolytope, x):
     """Exact squared Gram distance from a point to the polytope.
 
-    Reads the polytope's cached quadratic data (_quadratic_data): one x.Gx,
-    one dot per vertex and edge, and in space one 2x2 solve per polygon."""
-    x = vec(x)
-    verts, edges, polygons = _quadratic_data(poly)
-    full = poly.dim == poly.frame.dim
-    if full:
-        slack = [vdot(h.covector, x) - h.offset for h in poly.facets()]
-        if all(s >= 0 for s in slack):
-            return ZERO
-    xgx = vdot(mat_vec(poly.frame.gram, x), x)
-    # |x - v|^2 = x.Gx - 2 Gv.x + v.Gv
-    dist = [xgx - 2 * vdot(gv, x) + vgv for gv, vgv in verts]
-    best = min(dist)
+    Runs on the integer quadratic data of _quadratic_data (denominator D) and
+    on x = X / e, X integral, e > 0: every test below is an integer sign
+    test, and a candidate num / den (den > 0) stands for the distance
+    num / (den D e^2), so candidates compare by cross-multiplying.  One Q is
+    formed at the end, or ZERO is returned when the polytope holds x."""
+    # ints and Q as they are, other exact input (such as '1/3') through rat
+    e, xs = _integral([c if isinstance(c, (int, Q)) else rat(c) for c in x])
+    d, dg, verts, edges, facets, polygons = _quadratic_data(poly)
+    # A.X - e C = m e (a.x - c) for each facet a.x >= c
+    slack = [_dot(a, xs) - e * c for a, c in facets]
+    if facets and all(s >= 0 for s in slack):
+        return ZERO
+    e2 = e * e
+    xgx = _dot(_mat_vec(dg, xs), xs)
+    # D e^2 |x - v|^2 = X.(D G)X - 2e (D Gv).X + e^2 D v.Gv
+    dist = [xgx - 2 * e * _dot(gv, xs) + e2 * vgv for gv, vgv in verts]
+    num, den = min(dist), 1
     for iu, gd, dgd, gdu in edges:
-        # t = <x - u, d>_G; the projection u + (t / d.Gd) d is inside the edge iff 0 < t < d.Gd
-        t = vdot(gd, x) - gdu
-        if 0 < t < dgd:
-            best = min(best, dist[iu] - t * t / dgd)
+        # t = D e <x - u, d>_G; the projection onto the line of the edge lies
+        # inside it iff 0 < t < e D d.Gd, at D e^2 times the squared distance
+        # dist[iu] - t^2 / (D d.Gd)
+        t = _dot(gd, xs) - e * gdu
+        if 0 < t < e * dgd:
+            cand = dist[iu] * dgd - t * t
+            if cand * den < num * dgd:
+                num, den = cand, dgd
     # x is nearest to a point inside a facet only from beyond that facet's
     # plane, so facets whose halfspace holds x are skipped
     for k, data in enumerate(polygons):
-        if not full or slack[k] < 0:
-            val = _polygon_proj_sq_distance(data, x, dist)
-            if val is not None:
-                best = min(best, val)
-    return best
+        if not facets or slack[k] < 0:
+            cand = _polygon_proj_sq_distance(data, xs, e, dist)
+            if cand is not None and cand[0] * den < num * cand[1]:
+                num, den = cand
+    return Q(num, den * d * e2)
+
+
+def _integral(values):
+    """(m, (m q for q in values)) for exact rationals: m > 0 is their least
+    common denominator and the entries are integers."""
+    m = lcm(*(q.denominator for q in values))
+    return m, tuple(q.numerator * (m // q.denominator) for q in values)
+
+
+def _dot(u, v):
+    # ints stay ints here; linalg.vdot starts its sum from a Q zero
+    return sum(map(mul, u, v))
+
+
+def _mat_vec(m, v):
+    return tuple(_dot(row, v) for row in m)
 
 
 def _quadratic_data(poly: ConvexPolytope):
-    """The Gram data sq_distance_point reads, computed once per polytope:
+    """The integer data sq_distance_point reads, computed once per polytope.
 
-    - per vertex v: (G v, v.Gv);
-    - per edge u -> w, with d = w - u: (index of u, G d, d.Gd, Gd.u);
+    With G = H / g and the vertices v = P / V over the least common
+    denominators (H, P integral), every entry below is an integer: the
+    distance data over D = g V^2, where D G = V^2 H, D Gv = V HP and
+    D v.Gv = P.HP.  The tuple holds
+    - D and D G;
+    - per vertex v: (D Gv, D v.Gv);
+    - per edge u -> w, with d = w - u: (index of u, D Gd, D d.Gd, D Gd.u);
+    - per facet a.x >= c: (A, C) = m (a, c) for the least m > 0 making both
+      integral (empty for a lower-dimensional polytope);
     - in space, per facet (aligned with facets()) or for a polygon itself:
       the plane data of _polygon_proj_sq_distance.
     """
     if poly._quad is None:
-        g = poly.frame.gram
-        index = {v: i for i, v in enumerate(poly.vertices)}
+        n = poly.frame.dim
+        gden, h = _integral([a for row in poly.frame.gram for a in row])
+        h = tuple(h[i:i + n] for i in range(0, n * n, n))
+        vden, flat = _integral([c for p in poly.vertices for c in p])
+        pts = [flat[i:i + n] for i in range(0, len(flat), n)]
+        index = {p: i for i, p in enumerate(poly.vertices)}
         verts = []
-        for v in poly.vertices:
-            gv = mat_vec(g, v)
-            verts.append((gv, vdot(gv, v)))
+        for p in pts:
+            hp = _mat_vec(h, p)
+            verts.append((_scale(vden, hp), _dot(hp, p)))
         edges = []
-        for e in _edges(poly):
-            u, w = e.vertices
-            d = vsub(w, u)
-            gd = mat_vec(g, d)
-            edges.append((index[u], gd, vdot(gd, d), vdot(gd, u)))
+        for f in _edges(poly):
+            iu, iw = index[f.vertices[0]], index[f.vertices[1]]
+            d = vsub(pts[iw], pts[iu])
+            hd = _mat_vec(h, d)
+            edges.append((iu, _scale(vden, hd), _dot(hd, d), _dot(hd, pts[iu])))
+        facets = []
+        for f in poly._facets or ():
+            ac = _integral(f.covector + (f.offset,))[1]
+            facets.append((ac[:-1], ac[-1]))
         polygons = ()
-        if poly.frame.dim == 3 and poly.dim >= 2:
-            polygons = tuple(_polygon_data(f, g, index)
+        if n == 3 and poly.dim >= 2:
+            polygons = tuple(_polygon_data(f, h, vden, pts, index)
                              for f in ([poly] if poly.dim == 2 else faces(poly, 2)))
-        poly._quad = (tuple(verts), tuple(edges), polygons)
+        dg = tuple(_scale(vden * vden, row) for row in h)
+        poly._quad = (gden * vden * vden, dg, tuple(verts), tuple(edges), tuple(facets), polygons)
     return poly._quad
 
 
-def _polygon_data(f: ConvexPolytope, g, index):
-    """Plane data of the polygon f in space: the index of o = ring[0], the
-    covectors a_i = G e_i of its basis e1, e2 = ring[1] - o, ring[2] - o with
-    a_i.o, the 2x2 Gram m11, m12, m22 of that basis and its determinant, and
+def _scale(k, u):
+    return tuple(k * c for c in u)
+
+
+def _polygon_data(f: ConvexPolytope, h, vden, pts, index):
+    """Plane data of the polygon f in space, over D (see _quadratic_data):
+    the index of o = ring[0], the covectors D a_i = D G e_i of its basis
+    e1, e2 = ring[1] - o, ring[2] - o with D a_i.o, the 2x2 Gram
+    M = D (e_i.G e_j) of that basis as m11, m12, m22 and its determinant, and
     per ring edge a -> b the side test of a projection (see
-    _polygon_proj_sq_distance)."""
-    ring = f.cyclic_vertices()
-    o = ring[0]
-    e1, e2 = vsub(ring[1], o), vsub(ring[2], o)
-    a1, a2 = mat_vec(g, e1), mat_vec(g, e2)
-    m11, m12, m22 = vdot(a1, e1), vdot(a1, e2), vdot(a2, e2)
+    _polygon_proj_sq_distance).  In the integer vertex coordinates P = V p
+    (V = vden), E_i = V e_i: D a_i = V H E_i, D a_i.o = HE_i.P_o and
+    M = E_i.H E_j."""
+    ring = [index[p] for p in f.cyclic_vertices()]
+    o = pts[ring[0]]
+    e1, e2 = vsub(pts[ring[1]], o), vsub(pts[ring[2]], o)
+    h1, h2 = _mat_vec(h, e1), _mat_vec(h, e2)
+    m11, m12, m22 = _dot(h1, e1), _dot(h1, e2), _dot(h2, e2)
     det = m11 * m22 - m12 * m12
     normal = _cross(e1, e2)
     sides = []
     for a, b in _ring_edges(ring):
-        c = _cross(normal, vsub(b, a))
-        sides.append((vdot(c, e1), vdot(c, e2), det * vdot(c, vsub(o, a))))
-    return index[o], a1, a2, vdot(a1, o), vdot(a2, o), m11, m12, m22, det, tuple(sides)
+        c = _cross(normal, vsub(pts[b], pts[a]))
+        sides.append((_dot(c, e1), _dot(c, e2), det * _dot(c, vsub(o, pts[a]))))
+    return (ring[0], _scale(vden, h1), _scale(vden, h2), _dot(h1, o), _dot(h2, o),
+            m11, m12, m22, det, tuple(sides))
 
 
-def _polygon_proj_sq_distance(data, x, dist):
-    """Squared distance from x to its Gram projection onto the plane of a
-    polygon in space, or None when the projection falls outside it; data is
-    its _polygon_data and dist the squared distances from x to the vertices.
+def _polygon_proj_sq_distance(data, xs, e, dist):
+    """The candidate (num, den) of the squared distance from x = xs / e to its
+    Gram projection onto the plane of a polygon in space (see
+    sq_distance_point), or None when the projection falls outside it; data
+    is its _polygon_data and dist the vertex candidates.
 
-    The projection is o + s e1 + t e2 with M (s, t) = (b1, b2) for the 2x2
-    Gram M and b_i = a_i.(x - o); by Cramer s det = m22 b1 - m12 b2 and
-    t det = m11 b2 - m12 b1.  Its squared distance to x is |x - o|^2 -
-    (s b1 + t b2).  The ring is convex, so the projection lies in the
-    polygon iff it is on the inner side of every ring edge a -> b: the
+    The projection is o + s e1 + t e2 with m (s, t) = (b1, b2) for the 2x2
+    Gram m and b_i = a_i.(x - o); by Cramer s det m = m22 b1 - m12 b2 and
+    t det m = m11 b2 - m12 b1.  Its squared distance to x is |x - o|^2 -
+    (s b1 + t b2).  Here B_i = D e b_i and M = D m, so S = M22 B1 - M12 B2 =
+    D^2 e s det m, likewise T, and D e^2 times that distance is dist[io] -
+    (S B1 + T B2) / det M.  The ring is convex, so the projection lies in
+    the polygon iff it is on the inner side of every ring edge a -> b: the
     coordinate cross product of b - a and proj - a has a nonnegative
     component along the ring normal n, that is c.(proj - a) >= 0 for
-    c = n x (b - a), or, times det > 0, det c.(o - a) + s det c.e1 +
-    t det c.e2 >= 0."""
+    c = n x (b - a), or, times D^2 e det m > 0 (and the positive scale of
+    the integer c), e det M c.(o - a) + S c.e1 + T c.e2 >= 0."""
     io, a1, a2, a1o, a2o, m11, m12, m22, det, sides = data
-    b1, b2 = vdot(a1, x) - a1o, vdot(a2, x) - a2o
-    s_det, t_det = m22 * b1 - m12 * b2, m11 * b2 - m12 * b1
+    b1, b2 = _dot(a1, xs) - e * a1o, _dot(a2, xs) - e * a2o
+    s, t = m22 * b1 - m12 * b2, m11 * b2 - m12 * b1
     for ce1, ce2, co in sides:
-        if co + s_det * ce1 + t_det * ce2 < 0:
+        if e * co + s * ce1 + t * ce2 < 0:
             return None
-    return dist[io] - (s_det * b1 + t_det * b2) / det
+    return dist[io] * det - (s * b1 + t * b2), det
 
 
 def _cross(a, b):

@@ -4,10 +4,12 @@ old_sq_distance_point (with old_polygon_proj_sq_distance and old_cross) is
 the point distance that formed every Gram product afresh on each call, and
 old_lattice_points_in_ball the ball query that filtered each box point by
 a Fraction Gram norm.  They are kept verbatim (apart from their names) and
-compared for exact equality with the cached-data distance and the integer
-ball test: distances from random rational points to every cell tile of
-four seed-0 constructions, and ball lists, in order, in frames with
-rational Gram entries.
+compared for exact equality with the integer-scaled distance and the
+integer ball test: distances (each an exact Q, also the zero inside a
+tile) from random and boundary points to every cell tile of four seed-0
+constructions, to a square shifted as the metric benchmark shifts it and
+to a parallelepiped in a bcc frame, and ball lists, in order, in frames
+with rational Gram entries.
 """
 
 import math
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from crystile.groups import _inv_gram_diag, lattice_points_in_ball
 from crystile.isometry import Frame, hexagonal_frame, standard_frame
 from crystile.linalg import enumerate_box, gram_norm2, mat_vec, solve_linear, vadd, vdot, vec, vsub
-from crystile.polytope import ConvexPolytope, _ring_edges, faces, sq_distance_point
+from crystile.polytope import ConvexPolytope, _centroid, _ring_edges, faces, sq_distance_point
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
 
 from conftest import bare, seed0_construction
@@ -114,20 +116,57 @@ def points(dim, lo=-2, hi=3):
     return st.tuples(*[rationals(lo, hi)] * dim)
 
 
-# --- distances to the tiles of seed-0 constructions ----------------------------------
+# --- distances to the tiles of seed-0 constructions and two hand-made tiles -------------
 
-DISTANCE_CASES = ("p6m", "p4g", "P222", "Pm-3m")
+BCC = Frame(3, tuple(tuple(Q(3 if i == j else -1, 4) for j in range(3)) for i in range(3)))
+
+
+def shifted_square():
+    # the unit square after two shifts of the kind the metric benchmark
+    # chains, with coordinate denominators 37, 50 and 53
+    square = ConvexPolytope(standard_frame(2), [(0, 0), (1, 0), (0, 1), (1, 1)])
+    return square.translate((Q(7, 50), Q(-3, 37))).translate((Q(2, 53), Q(9, 50)))
+
+
+def bcc_parallelepiped():
+    # parallelogram facets in the non-diagonal bcc frame with vertex
+    # denominators 7, 11 and 13, so the polygon test runs on scaled data
+    o = (Q(1, 7), Q(-2, 11), Q(3, 13))
+    edges = [(Q(18, 7), Q(2, 11), ZERO), (Q(-2, 7), Q(26, 11), Q(4, 13)),
+             (Q(4, 7), Q(-2, 11), Q(30, 13))]
+    pts = [o]
+    for e in edges:
+        pts += [vadd(p, e) for p in pts]
+    return ConvexPolytope(BCC, pts)
+
+
+DISTANCE_CASES = ("p6m", "p4g", "P222", "Pm-3m", "shifted square", "bcc parallelepiped")
+
+
+def case_tiles(case):
+    if case == "shifted square":
+        return (shifted_square(),)
+    if case == "bcc parallelepiped":
+        return (bcc_parallelepiped(),)
+    return seed0_construction(case).cell_tiles
+
+
+def assert_same_distance(poly, x):
+    d2 = sq_distance_point(poly, x)
+    assert d2 == old_sq_distance_point(poly, x)
+    assert type(d2) is Q
 
 
 @pytest.mark.parametrize("case", DISTANCE_CASES)
 def test_cached_distance_matches_gram_products(case):
-    tiling = seed0_construction(case)
+    tiles = case_tiles(case)
+    dim = tiles[0].frame.dim
 
-    @given(points(tiling.dim))
-    @settings(max_examples=40 if tiling.dim == 2 else 8, deadline=None)
+    @given(points(dim))
+    @settings(max_examples=40 if dim == 2 or len(tiles) == 1 else 8, deadline=None)
     def check(x):
-        for t in tiling.cell_tiles:
-            assert sq_distance_point(t, x) == old_sq_distance_point(t, x)
+        for t in tiles:
+            assert_same_distance(t, x)
 
     check()
 
@@ -135,15 +174,19 @@ def test_cached_distance_matches_gram_products(case):
 @pytest.mark.parametrize("case", DISTANCE_CASES)
 def test_cached_distance_matches_on_the_boundary(case):
     # vertices, edge midpoints and points just beyond them sit where the
-    # edge and facet tests change sides
-    tiles = seed0_construction(case).cell_tiles[:6]
+    # edge and facet tests change sides; the vertex centroid is inside
+    tiles = case_tiles(case)[:6]
     for t in tiles:
         for e in faces(t, 1):
             u, w = e.vertices
             mid = tuple((a + b) / 2 for a, b in zip(u, w))
             for x in (u, mid, tuple(2 * c for c in mid), vsub(tuple(3 * c for c in u), w)):
                 for s in tiles:
-                    assert sq_distance_point(s, x) == old_sq_distance_point(s, x)
+                    assert_same_distance(s, x)
+        inside = _centroid(t.vertices)
+        for s in tiles:
+            assert_same_distance(s, inside)
+        assert sq_distance_point(t, inside) == ZERO
 
 
 def test_cached_distance_of_lower_dimensional_polytopes(frame2, frame3):
@@ -156,15 +199,13 @@ def test_cached_distance_of_lower_dimensional_polytopes(frame2, frame3):
     @settings(max_examples=60, deadline=None)
     def check(x):
         for p in polys:
-            y = x[:p.frame.dim]
-            assert sq_distance_point(p, y) == old_sq_distance_point(p, y)
+            assert_same_distance(p, x[:p.frame.dim])
 
     check()
 
 
 # --- lattice balls ----------------------------------------------------------------------
 
-BCC = Frame(3, tuple(tuple(Q(3 if i == j else -1, 4) for j in range(3)) for i in range(3)))
 BALL_FRAMES = {
     "Z2": standard_frame(2),
     "Z3": standard_frame(3),

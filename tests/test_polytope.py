@@ -335,11 +335,17 @@ def test_3d_meet(frame3):
 
 
 def test_repeated_distance_makes_one_gram_product(frame2, count_calls):
-    # the vertex and edge Gram data are cached on the tile, so a second call
-    # from a point outside it forms only G x
+    # the integer quadratic data are cached on the tile, so a second call
+    # from a point outside it scales x once and forms only (D G) X, with no
+    # Fraction Gram product and no face lookup
     tile = ConvexPolytope(frame2, [(0, 0), (2, 0), (0, 1), (1, 2)])
     x = (Q(7, 2), Q(-1, 3))
     first = sq_distance_point(tile, x)
-    calls = count_calls(polytope_mod, "mat_vec")
-    assert sq_distance_point(tile, x) == first > 0
-    assert calls == ["mat_vec"]
+    quad = tile._quad
+    calls = []
+    for name in ("mat_vec", "faces", "_edges", "_integral", "_mat_vec"):
+        count_calls(polytope_mod, name, calls)
+    second = sq_distance_point(tile, x)
+    assert tile._quad is quad
+    assert second == first > 0 and type(second) is Q
+    assert calls == ["_integral", "_mat_vec"]

@@ -363,8 +363,7 @@ def test_facets_carried_exactly_when_full_dimensional(n, data):
                     # a facet taken from both sides: the facet itself
                     halfspace_intersection(frame, facets + [HalfSpace(
                         tuple(-x for x in facets[0].covector), -facets[0].offset)])]
-        if n > 1:
-            derived += simplex_decomposition(poly)
+        derived += simplex_decomposition(poly)
     for p in derived:
         check_facet_invariant(p)
 
