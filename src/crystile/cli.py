@@ -9,6 +9,7 @@ results go to stdout, diagnostics to stderr.  Exit codes: 0 success
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -36,12 +37,20 @@ from .tiling import (
 )
 from .construction import ConstructionError, construct_tiling
 from . import serialize as io
-from .svg import write_svg
+from .svg import window_cells, write_svg
 
 
 # Cap on `orbit --radius2` (p6m, Fraction backend, 2-vCPU host: about 2 s at
 # 256, over 20 s at 10000).
 ORBIT_MAX_RADIUS2 = 256
+
+# Cap on the lattice cells a `--window` spans in the plane (svg.window_cells;
+# the default window spans 121-195).  Rendering the p6m construction, 36
+# tiles per cell, on a 2-vCPU host: about 1 s at 1073 cells (window +-10),
+# 7 s at 7575 (+-30).
+RENDER_MAX_CELLS = 4096
+WINDOW_HELP = (f"Cartesian render window: finite, X0 < X1, Y0 < Y1, spanning at most "
+               f"{RENDER_MAX_CELLS} lattice cells")
 
 
 class InputError(Exception):
@@ -70,6 +79,18 @@ def _point_flag(args, group, flag_value, seed):
     if flag_value:
         return io.parse_vector(flag_value, group.dim)
     return generic_point(group, seed)
+
+
+def _check_window(window, frame) -> None:
+    """A render window is finite with x0 < x1 and y0 < y1, and in the plane
+    spans at most RENDER_MAX_CELLS lattice cells."""
+    x0, y0, x1, y1 = window
+    if not all(math.isfinite(w) for w in window) or not (x0 < x1 and y0 < y1):
+        raise InputError(f"--window needs finite X0 < X1 and Y0 < Y1, got {window}")
+    if frame.dim == 2 and (cells := window_cells(frame, window)) > RENDER_MAX_CELLS:
+        raise InputError(
+            f"--window spans {cells} lattice cells, more than RENDER_MAX_CELLS = {RENDER_MAX_CELLS}"
+        )
 
 
 def cmd_validate_group(args) -> int:
@@ -123,6 +144,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_voronoi(args) -> int:
     group = _load_group(args.group)
+    _check_window(args.window, group.frame)
     x = _point_flag(args, group, args.point, args.seed)
     tiling = voronoi_tiling(group, x)
     _finish_tiling(args, tiling, automorphism_group(tiling).order())
@@ -131,6 +153,7 @@ def cmd_voronoi(args) -> int:
 
 def cmd_construct(args) -> int:
     group = _load_group(args.group)
+    _check_window(args.window, group.frame)
     tiling = construct_tiling(group, args.seed)
     # construct_tiling has verified Aut(tiling) == group
     _finish_tiling(args, tiling, group.order())
@@ -225,6 +248,7 @@ def cmd_distance(args) -> int:
 
 def cmd_render(args) -> int:
     tiling = _load_tiling(args.tiling)
+    _check_window(args.window, tiling.frame)
     write_svg(args.svg, tiling, window=tuple(args.window))
     _emit({"svg": args.svg, "tiles_per_cell": len(tiling.cell_tiles)})
     return 0
@@ -239,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--svg", default=None, help="write an SVG rendering here")
         sp.add_argument(
             "--window", nargs=4, type=float, default=[-3.0, -3.0, 3.0, 3.0],
-            metavar=("X0", "Y0", "X1", "Y1"), help="Cartesian render window",
+            metavar=("X0", "Y0", "X1", "Y1"), help=WINDOW_HELP,
         )
 
     sp = sub.add_parser("validate-group", help="canonicalize and check a group file")
@@ -296,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--svg", required=True)
     sp.add_argument(
         "--window", nargs=4, type=float, default=[-3.0, -3.0, 3.0, 3.0],
-        metavar=("X0", "Y0", "X1", "Y1"),
+        metavar=("X0", "Y0", "X1", "Y1"), help=WINDOW_HELP,
     )
     sp.set_defaults(func=cmd_render)
     return p

@@ -16,7 +16,10 @@ halfspace_intersection and clip keep the input halfspaces that bound the
 result, translate and transform map them (L^-T once per linear part), and
 the construction's cones and the Voronoi box come with their own.  Faces,
 the ring (cyclic vertex order) of a polygon and point-distance data are
-derived once and cached.
+derived once and cached, and so is each vertex's tight set (the facets
+through it, _tight_sets), which the facets of faces() read.  clip carries
+the tight sets to its output instead of recomputing them: a chain of clips
+computes them once, for the polytope it starts from.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -127,7 +130,7 @@ class ConvexPolytope:
     """
 
     __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
-                 "_hash")
+                 "_tight", "_hash")
 
     def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
@@ -146,6 +149,7 @@ class ConvexPolytope:
         self._cycle = None
         self._faces = None
         self._quad = None
+        self._tight = None
         self._hash = None
 
     @classmethod
@@ -395,8 +399,9 @@ def faces(poly: ConvexPolytope, m: int):
     out = poly._faces.get(m)
     if out is None:
         if m == n - 1 and n == poly.frame.dim:
-            vertex_lists = [[p for p in poly.vertices if vdot(h.covector, p) == h.offset]
-                            for h in poly.facets()]
+            tight = _tight_sets(poly)
+            vertex_lists = [[p for p, t in zip(poly.vertices, tight) if k in t]
+                            for k in range(len(poly.facets()))]
         elif m == 0:
             vertex_lists = [[p] for p in poly.vertices]
         elif n == 2:
@@ -509,6 +514,12 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
     of Fukuda & Prodon 1996 also needs that no third vertex lies on all of
     them.)  The facets are the old ones that still hold a vertex strictly
     inside, then h.  A redundant h returns poly.
+
+    The tight sets (_tight_sets) are carried, not recomputed: a vertex
+    strictly inside keeps its set, a vertex on h keeps the facets of its
+    set that stay and gains h, and a crossing point on the edge u -> w lies
+    on exactly the facets through both u and w (a supporting hyperplane
+    through an interior point of an edge holds the edge), and on h.
     """
     n = poly.frame.dim
     facets = poly.facets()
@@ -518,18 +529,42 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
     inside = [i for i, s in enumerate(vals) if s > 0]
     if not inside:
         raise PolytopeError("halfspace leaves no interior")
-    tight = [frozenset(k for k, f in enumerate(facets) if vdot(f.covector, v) == f.offset)
-             for v in poly.vertices]
-    pts = [v for v, s in zip(poly.vertices, vals) if s >= 0]
+    tight = _tight_sets(poly)
+    held = sorted(frozenset().union(*(tight[i] for i in inside)))
+    renumber = {k: i for i, k in enumerate(held)}
+    on_h = len(held)
+    out = []
+    for v, s, t in zip(poly.vertices, vals, tight):
+        if s > 0:
+            out.append((v, frozenset(renumber[k] for k in t)))
+        elif s == 0:
+            out.append((v, frozenset([on_h, *(renumber[k] for k in t if k in renumber)])))
+    outside = [(j, s) for j, s in enumerate(vals) if s < 0]
     for i in inside:
-        for j, s in enumerate(vals):
-            if s < 0 and len(tight[i] & tight[j]) >= n - 1:
+        for j, s in outside:
+            common = tight[i] & tight[j]
+            if len(common) >= n - 1:
                 u, w = poly.vertices[i], poly.vertices[j]
                 t = vals[i] / (vals[i] - s)
-                pts.append(tuple(a + t * (b - a) for a, b in zip(u, w)))
-    held = frozenset().union(*(tight[i] for i in inside))
-    kept = tuple(f for k, f in enumerate(facets) if k in held) + (h,)
-    return ConvexPolytope._from_sorted(poly.frame, tuple(sorted(pts)), kept)
+                out.append((tuple(a + t * (b - a) for a, b in zip(u, w)),
+                            frozenset([on_h, *(renumber[k] for k in common)])))
+    out.sort(key=lambda vt: vt[0])
+    kept = tuple(facets[k] for k in held) + (h,)
+    clipped = ConvexPolytope._from_sorted(poly.frame, tuple(v for v, _ in out), kept)
+    clipped._tight = tuple(t for _, t in out)
+    return clipped
+
+
+def _tight_sets(poly: ConvexPolytope):
+    """Per vertex of a full-dimensional polytope, the frozenset of indices
+    into facets() of the facets through it; computed once, or carried by
+    clip."""
+    if poly._tight is None:
+        facets = poly.facets()
+        poly._tight = tuple(
+            frozenset(k for k, f in enumerate(facets) if vdot(f.covector, v) == f.offset)
+            for v in poly.vertices)
+    return poly._tight
 
 
 def _candidate_vertices(n: int, hs):

@@ -48,13 +48,16 @@ def parse_matrix(value, dim):
 
 def _frame_from_json(data: dict) -> Frame:
     """The frame of a group or tiling file.  A missing field raises KeyError;
-    a dim that is not a positive integer (a bool or float included, which
-    int() would truncate) or a Gram matrix that is not symmetric positive
-    definite is a SchemaError."""
+    a dim that is not 1, 2 or 3 (a bool or float included, which int() would
+    truncate) or a Gram matrix that is not symmetric positive definite is a
+    SchemaError.  The polytope kernel is exact for n <= 3 only (clip's edge
+    test, faces)."""
     if isinstance(data["dim"], (bool, float)):
         raise SchemaError(f"bad dim or gram: dim must be an integer, got {data['dim']!r}")
     try:
         dim = int(data["dim"])
+        if dim not in (1, 2, 3):
+            raise SchemaError(f"bad dim or gram: dim must be 1, 2 or 3, got {dim}")
         return Frame(dim, parse_matrix(data["gram"], dim))
     except SchemaError:
         raise

@@ -18,15 +18,10 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}".rstrip("0").rstrip(".")
 
 
-def tiling_svg(tiling: PeriodicTiling, window=(-3.0, -3.0, 3.0, 3.0)) -> str:
-    """Deterministic SVG of the tiles meeting a Cartesian window."""
-    if tiling.dim != 2:
-        raise ValueError("SVG rendering is for planar tilings")
+def _cell_range(frame, window):
+    """(lo, hi): per frame axis, the least and greatest lattice-cell offset
+    whose cell can reach the Cartesian window (finite) of a planar frame."""
     x0, y0, x1, y1 = (float(w) for w in window)
-    classes = prototile_index(tiling)
-    frame = tiling.frame
-
-    # frame-coordinate ranges whose cells can reach the window
     corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
     import numpy as np
     from .isometry import embedding_inv
@@ -35,6 +30,23 @@ def tiling_svg(tiling: PeriodicTiling, window=(-3.0, -3.0, 3.0, 3.0)) -> str:
     pre = [cinv @ np.array(c) for c in corners]
     lo = [math.floor(min(p[i] for p in pre)) - 2 for i in range(2)]
     hi = [math.ceil(max(p[i] for p in pre)) + 2 for i in range(2)]
+    return lo, hi
+
+
+def window_cells(frame, window) -> int:
+    """The number of lattice cells tiling_svg visits for a finite window."""
+    lo, hi = _cell_range(frame, window)
+    return (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1)
+
+
+def tiling_svg(tiling: PeriodicTiling, window=(-3.0, -3.0, 3.0, 3.0)) -> str:
+    """Deterministic SVG of the tiles meeting a Cartesian window."""
+    if tiling.dim != 2:
+        raise ValueError("SVG rendering is for planar tilings")
+    x0, y0, x1, y1 = (float(w) for w in window)
+    classes = prototile_index(tiling)
+    frame = tiling.frame
+    lo, hi = _cell_range(frame, window)
 
     paths = []
     for idx, tile in enumerate(tiling.cell_tiles):

@@ -9,7 +9,8 @@ sufficed.
 Within one round of squared radius d2 the cell starts as the coordinate
 box x0 +- w_i, with w_i = isqrt_ceil(d2 (G^-1)_ii / 4) + 1, and is clipped
 by the bisectors nearest first, one double-description step each
-(polytope.clip), so it carries its facets throughout.  The box holds the
+(polytope.clip), so it carries its facets, and each vertex the set of
+facets through it, throughout.  The box holds the
 Gram ball of squared radius d2/4 strictly inside.  If a box facet
 survives the clipping, the cell of the sites reaches outside that ball, so
 its circumradius rho has 4 rho^2 > d2 (or the cell is unbounded) and the
@@ -22,18 +23,25 @@ changes the cell).  Then every vertex v has |v - x0| <= rho <= |s - x0|/2
 <= |s - x0| - |v - x0| <= |v - s|, so v lies in the bisector halfspace of
 s and the clip returns the cell unchanged; every later site is at least as
 far, so the same holds for it.  The final rho^2 is the one certification
-reads.
+reads, and delone_params reports it as the covering radius.
+
+The sites are ordered by exact integer keys: over the common denominator
+D of x0 and the sites, D^2 E |s - x0|^2 = (D s - D x0).(EG)(D s - D x0)
+with EG the integer Gram matrix over its denominator E, the form
+groups.lattice_points_in_ball tests.  Each vertex's |v - x0|^2 is computed
+once per round, when it first appears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import ceil, lcm
 
 from .rational import ONE, ZERO, isqrt_ceil, rat
 from .linalg import Vec, gram_norm2, is_integral_vec, mat_vec, vadd, vdot, vec, vsub
 from .isometry import Frame, Isometry
-from .groups import CrystalGroup, _inv_gram_diag, orbit_in_ball, stabilizer
+from .groups import CrystalGroup, _int_gram, _inv_gram_diag, orbit_in_ball, stabilizer
 from .polytope import ConvexPolytope, HalfSpace, clip, halfspace_intersection
 
 
@@ -85,7 +93,7 @@ def voronoi_cell(group: CrystalGroup, x, x0=None, sq_radius=None):
 def cell_with_certificate(group: CrystalGroup, x, x0=None):
     """(cell, localization squared radius) of the orbit site x0, as in
     voronoi_cell; every facet of the cell is a bisector_halfspace."""
-    return _cell_with_localization(group, x, x0, None)
+    return _cell_with_localization(group, x, x0, None)[:2]
 
 
 def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
@@ -95,7 +103,11 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
 
     Clips the box around that ball by the bisectors nearest first (ties in
     the order of sites) and stops at the first site s with |s - x0|^2 >=
-    4 rho2, where no bisector can cut the running cell."""
+    4 rho2, where no bisector can cut the running cell.  The sites are
+    ordered by the integers D^2 (s - x0).(EG)(s - x0), D the common
+    denominator of x0 and the sites and EG the integer Gram matrix of
+    groups._int_gram, and the stop compares them with the least integer
+    at or above D^2 E 4 rho2.  Each vertex's |v - x0|^2 is computed once."""
     g = frame.gram
     n = frame.dim
     widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
@@ -105,27 +117,41 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
         box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
     cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets))
-    rho2 = _sq_circumradius(g, cell, x0)
-    for key, s in sorted(((gram_norm2(g, vsub(s, x0)), s) for s in sites), key=lambda ks: ks[0]):
-        if key >= 4 * rho2:
+    e, eg = _int_gram(frame)
+    d = lcm(*(c.denominator for p in (x0, *sites) for c in p))
+    dx0 = [c.numerator * (d // c.denominator) for c in x0]
+    keys = []
+    for s in sites:
+        y = [c.numerator * (d // c.denominator) - c0 for c, c0 in zip(s, dx0)]
+        keys.append(sum(yi * gij * yj for yi, row in zip(y, eg) for gij, yj in zip(row, y)))
+    scale = 4 * d * d * e
+    radii = {}
+
+    def sq_circumradius(poly):
+        for v in poly.vertices:
+            if v not in radii:
+                radii[v] = gram_norm2(g, vsub(v, x0))
+        return max(radii[v] for v in poly.vertices)
+
+    rho2 = sq_circumradius(cell)
+    stop = ceil(scale * rho2)
+    for key, s in sorted(zip(keys, sites), key=lambda ks: ks[0]):
+        if key >= stop:
             break
         clipped = clip(cell, bisector_halfspace(frame, x0, s))
         if clipped is not cell:
             cell = clipped
-            rho2 = _sq_circumradius(g, cell, x0)
+            rho2 = sq_circumradius(cell)
+            stop = ceil(scale * rho2)
     if not set(box_facets).isdisjoint(cell.facets()):
         return None
     return cell, rho2
 
 
-def _sq_circumradius(g, cell: ConvexPolytope, x0: Vec):
-    """max |v - x0|_G^2 over the vertices of cell."""
-    return max(gram_norm2(g, vsub(v, x0)) for v in cell.vertices)
-
-
 def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
-    """(cell, squared radius) of the site x0 (x when None); the one check
-    that x has a trivial stabilizer and x0 is a site of its orbit."""
+    """(cell, squared radius, squared circumradius about x0) of the site x0
+    (x when None); the one check that x has a trivial stabilizer and x0 is
+    a site of its orbit."""
     x = vec(x)
     x0 = x if x0 is None else vec(x0)
     if len(stabilizer(group, x)) != 1:
@@ -139,7 +165,7 @@ def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
         sites = [s for s in orbit_in_ball(group, x, x0, d2).sites if s != x0]
         found = _cell_from_sites(frame, x0, sites, d2)
         if found is not None and 4 * found[1] <= d2:
-            return found[0], d2
+            return found[0], d2, found[1]
         if sq_radius is not None:
             raise UnboundedCellError(
                 "cell not certified at the forced localization radius"
@@ -173,12 +199,11 @@ def delone_params(group: CrystalGroup, x) -> DeloneCertificate:
     (bisector_halfspace), and the nearest site's bisector is always a
     facet, as its midpoint is strictly closer to x and s than to any other
     site.  covering_sq_radius is the circumradius^2 of the cell, which by
-    orbit transitivity covers every cell.
+    orbit transitivity covers every cell; the localization computed it.
     """
     x = vec(x)
-    cell, used = cell_with_certificate(group, x)
+    cell, used, cover_sq = _cell_with_localization(group, x, None, None)
     min_sq = min(2 * (vdot(h.covector, x) - h.offset) for h in cell.facets())
-    cover_sq = _sq_circumradius(group.frame.gram, cell, x)
     return DeloneCertificate(
         min_sq_distance=min_sq,
         covering_sq_radius=cover_sq,

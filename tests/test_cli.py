@@ -18,6 +18,7 @@ from crystile.serialize import (
 )
 from crystile.groups import preset
 from crystile.isometry import translation_iso
+from crystile.svg import window_cells
 from crystile.tiling import tilings_equal, transform_tiling
 
 
@@ -242,6 +243,9 @@ def valid_body(verb, n):
     return {"cell_tiles": [{"vertices": [list(c) for c in product((0, 1), repeat=n)]}]}
 
 
+EYE4 = [[int(i == j) for j in range(4)] for i in range(4)]
+
+
 @pytest.mark.parametrize("verb,dim,gram", [
     ("validate-group", "x", [[1, 0], [0, 1]]),
     ("validate-group", 2, [[1, 2], [2, 1]]),
@@ -254,6 +258,9 @@ def valid_body(verb, n):
     ("validate-group", True, [[1]]),
     ("aut", 2.5, [[1, 0], [0, 1]]),
     ("aut", True, [[1]]),
+    # the polytope kernel is for n <= 3: a 4D group or tiling file
+    ("validate-group", 4, EYE4),
+    ("aut", 4, EYE4),
 ])
 def test_bad_dim_or_gram_is_input_error(tmp_path, verb, dim, gram, capsys):
     body = valid_body(verb, len(gram))
@@ -303,3 +310,57 @@ def test_orbit_radius_out_of_bounds_is_input_error(r2, capsys):
     )
     assert code == 2
     assert "input error" in err and "256" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["voronoi", "--group"],
+    ["construct", "--group"],
+    ["orbit", "--point", "1/5,1/7,1/9,1/11", "--radius2", "1", "--group"],
+], ids=["voronoi", "construct", "orbit"])
+def test_4d_group_file_is_input_error(tmp_path, argv, capsys):
+    # voronoi and construct died in faces with a RecursionError, and orbit
+    # certified the orbit with a clip that is exact for n <= 3 only
+    path = tmp_path / "g4.json"
+    path.write_text(json.dumps({"dim": 4, "gram": EYE4, **valid_body("validate-group", 4)}))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "1, 2 or 3" in err
+
+
+# windows that are not finite, not ordered, or span more than RENDER_MAX_CELLS
+# lattice cells (+-10^6 ran for minutes; inf raised OverflowError)
+BAD_WINDOWS = {
+    "huge": ["0", "0", "1000000", "1000000"],
+    "inf": ["0", "0", "inf", "1"],
+    "nan": ["nan", "0", "1", "1"],
+    "x-reversed": ["1", "0", "0", "1"],
+    "y-empty": ["0", "1", "1", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_WINDOWS))
+@pytest.mark.parametrize("verb", ["voronoi", "construct", "render"])
+def test_bad_window_is_input_error(tmp_path, square_file, verb, case, capsys):
+    if verb == "render":
+        argv = ["render", square_file, "--svg", str(tmp_path / "out.svg")]
+    else:
+        argv = [verb, "--group", "p6m"]
+    code, out, err = run_cli(capsys, *argv, "--window", *BAD_WINDOWS[case])
+    assert code == 2 and out == ""
+    assert "input error" in err and "--window" in err
+    assert not (tmp_path / "out.svg").exists()
+
+
+def test_window_within_the_cell_cap_renders(square_file, tmp_path, capsys):
+    # the largest square window within the cap renders; one step more is refused
+    frame = preset("p1").frame
+    assert window_cells(frame, (-3, -3, 3, 3)) == 121
+    assert window_cells(frame, (-29, -29, 29, 29)) == 63 ** 2 <= cli_mod.RENDER_MAX_CELLS
+    assert window_cells(frame, (-30, -30, 30, 30)) > cli_mod.RENDER_MAX_CELLS
+    svg = str(tmp_path / "out.svg")
+    code, _, _ = run_cli(capsys, "render", square_file, "--svg", svg,
+                         "--window", "-29", "-29", "29", "29")
+    assert code == 0
+    code, _, err = run_cli(capsys, "render", square_file, "--svg", svg,
+                           "--window", "-30", "-30", "30", "30")
+    assert code == 2 and "RENDER_MAX_CELLS" in err

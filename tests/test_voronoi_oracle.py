@@ -140,7 +140,7 @@ CASES.append(("Pm-3m", 0))
 def test_clipped_cell_matches_reintersection(case, seed):
     g = preset(case)
     x = generic_point(g, seed)
-    cell, d2 = _cell_with_localization(g, x, x, None)
+    cell, d2, _ = _cell_with_localization(g, x, x, None)
     old, old_d2 = old_cell_with_localization(g, x, x, None)
     assert cell.vertices == old.vertices
     assert d2 == old_d2
@@ -183,7 +183,7 @@ PRUNING_CASES = (
 @pytest.mark.parametrize("case, x", PRUNING_CASES)
 def test_pruned_cell_matches_clipping_by_every_site(case, x):
     g = preset(case)
-    cell, d2 = _cell_with_localization(g, x, x, None)
+    cell, d2, _ = _cell_with_localization(g, x, x, None)
     old, old_d2 = unpruned_cell_with_localization(g, x, x, None)
     assert cell.vertices == old.vertices
     assert cell.facets() == old.facets()
