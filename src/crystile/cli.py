@@ -93,6 +93,12 @@ def _check_window(window, frame) -> None:
         )
 
 
+def _check_svg(svg, frame) -> None:
+    """--svg renders planar tilings only."""
+    if svg and frame.dim != 2:
+        raise InputError(f"--svg renders planar tilings only, not dimension {frame.dim}")
+
+
 def cmd_validate_group(args) -> int:
     data = io.load_json_file(args.file)
     group = io.group_from_json(data)
@@ -145,6 +151,7 @@ def cmd_orbit(args) -> int:
 def cmd_voronoi(args) -> int:
     group = _load_group(args.group)
     _check_window(args.window, group.frame)
+    _check_svg(args.svg, group.frame)
     x = _point_flag(args, group, args.point, args.seed)
     tiling = voronoi_tiling(group, x)
     _finish_tiling(args, tiling, automorphism_group(tiling).order())
@@ -154,6 +161,7 @@ def cmd_voronoi(args) -> int:
 def cmd_construct(args) -> int:
     group = _load_group(args.group)
     _check_window(args.window, group.frame)
+    _check_svg(args.svg, group.frame)
     tiling = construct_tiling(group, args.seed)
     # construct_tiling has verified Aut(tiling) == group
     _finish_tiling(args, tiling, group.order())
@@ -249,6 +257,7 @@ def cmd_distance(args) -> int:
 def cmd_render(args) -> int:
     tiling = _load_tiling(args.tiling)
     _check_window(args.window, tiling.frame)
+    _check_svg(args.svg, tiling.frame)
     write_svg(args.svg, tiling, window=tuple(args.window))
     _emit({"svg": args.svg, "tiles_per_cell": len(tiling.cell_tiles)})
     return 0

@@ -10,7 +10,9 @@ dot product a . x and never touches the Gram matrix.
 A polytope carries its facets exactly when it is full-dimensional
 (_facets is None otherwise); they are never recovered from vertices.
 ConvexPolytope(frame, vertices) checks and hulls outside input once, and
-the hull emits the facets.  Internal code builds from exact, distinct,
+the hull emits the facets: past the line it is read off the polar, which
+clip builds (see _hull), so one exact step serves vertex input and
+Voronoi cells alike.  Internal code builds from exact, distinct,
 sorted vertices with ConvexPolytope._from_sorted(frame, vertices, facets):
 halfspace_intersection and clip keep the input halfspaces that bound the
 result, translate and transform map them (L^-T once per linear part), and
@@ -61,7 +63,7 @@ from .linalg import (
     vec,
     vsub,
 )
-from .isometry import Frame, Isometry, IsometryError
+from .isometry import Frame, Isometry, IsometryError, standard_frame
 
 
 class PolytopeError(ValueError):
@@ -138,6 +140,9 @@ class ConvexPolytope:
             raise PolytopeError("empty vertex list")
         if any(len(p) != frame.dim for p in pts):
             raise PolytopeError("vertex dimension mismatch")
+        if frame.dim > 3:
+            # clip's edge test, and so the hull, is exact for n <= 3 only
+            raise PolytopeError("vertex input is for dimension 1, 2 or 3")
         self._set(frame, *_hull(frame, pts))
 
     def _set(self, frame, vertices, facets):
@@ -267,79 +272,41 @@ def _hull(frame: Frame, pts):
     (exact); facets is None exactly when the points span less than frame.dim.
 
     Sorted collinear points run along their line, so the ends are the first
-    and last (on the line, the facets x >= lo and -x >= -hi).  A planar set
-    in space is hulled in affine coordinates; in the plane each edge u -> w
-    of the CCW ring bounds its left side, a = (u1 - w1, w0 - u0), a.x >= a.u.
-    Otherwise one pass finds the supporting planes, which are the facets
-    (each is spanned by three affinely independent points), and a point is a
-    vertex iff the covectors of the planes through it have rank 3."""
-    rank = _affine_rank(pts)
+    and last (on the line, the facets x >= lo and -x >= -hi).  Otherwise the
+    hull is read off its polar (Ziegler, Lectures on Polytopes, 2.3), which
+    clip builds.  In coordinates x of the affine hull (the points themselves,
+    or _plane_coords for a planar set in space) of rank r, let c be the
+    centroid of r + 1 affinely independent points: c is interior, and each
+    point p gives the dual halfspace (x_p - c).y <= 1, which holds y = 0
+    inside.  Those of the r + 1 points bound a simplex; clipping it by each
+    other point's halfspace gives the polar.  The points whose halfspaces are
+    its facets are the vertices, and in full dimension each of its vertices
+    y is the facet (x - c).y <= 1, that is -y.x >= -1 - y.c."""
+    base = _independent_points(pts, frame.dim)
+    rank = len(base) - 1
     if rank <= 1 and rank < frame.dim:
         return ([pts[0], pts[-1]] if rank else pts), None
     if rank == 1:
         return [pts[0], pts[-1]], (HalfSpace((ONE,), pts[0][0]), HalfSpace((-ONE,), -pts[-1][0]))
-    if rank == 2 and frame.dim == 3:
-        coords = _plane_coords(pts)
-        back = dict(zip(coords, pts))
-        return sorted(back[c] for c in _hull_2d(coords)), None
-    if rank == 2:
-        ring = _hull_2d(pts)
-        facets = []
-        for u, w in _ring_edges(ring):
-            a = (u[1] - w[1], w[0] - u[0])
-            facets.append(HalfSpace(a, vdot(a, u)))
-        return sorted(ring), tuple(facets)
-    hs = _supporting_halfspaces(3, pts)
-    return [p for p in pts
-            if mat_rank(tuple(h.covector for h in hs if vdot(h.covector, p) == h.offset)) == 3
-            ], tuple(hs)
-
-
-def _hull_2d(pts):
-    pts = sorted(pts)
-
-    def half(points):
-        out = []
-        for p in points:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-                if cross <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
-    return lower[:-1] + upper[:-1]
-
-
-def _supporting_halfspaces(n: int, pts):
-    """All supporting hyperplanes of conv(pts) in R^n spanned by point subsets.
-
-    Brute force over n-subsets; used only on vertex data from outside.
-    """
-    found = {}
-    for sub in combinations(pts, n):
-        if _affine_rank(sub) != n - 1:
-            continue
-        f = _coordinate_normal(sub)
-        if f is None:
-            continue
-        c = vdot(f, sub[0])
-        vals = [vdot(f, p) for p in pts]
-        if all(v >= c for v in vals):
-            pass
-        elif all(v <= c for v in vals):
-            f = tuple(-x for x in f)
-            c = -c
-        else:
-            continue
-        h = HalfSpace(f, c)
-        found.setdefault(_halfspace_key(h), h)
-    return list(found.values())
+    coords = pts if rank == frame.dim else _plane_coords(pts)
+    c = _centroid([coords[i] for i in base])
+    # a point at c lies inside and gives no halfspace
+    dual = [HalfSpace(vsub(c, x), -ONE) if x != c else None for x in coords]
+    simplex = tuple(dual[i] for i in base)
+    # corner j of the simplex is on the planes of all base points but the j-th
+    corners = [solve_linear(tuple(h.covector for h in simplex[:j] + simplex[j + 1:]),
+                            (-ONE,) * rank) for j in range(rank + 1)]
+    polar = ConvexPolytope._from_sorted(frame if rank == frame.dim else standard_frame(rank),
+                                        tuple(sorted(corners)), simplex)
+    for i, h in enumerate(dual):
+        if h is not None and i not in base:
+            polar = clip(polar, h)
+    point_of = {h.covector: p for h, p in zip(dual, pts) if h is not None}
+    vertices = sorted(point_of[h.covector] for h in polar.facets())
+    if rank < frame.dim:
+        return vertices, None
+    return vertices, tuple(HalfSpace(tuple(-a for a in y), -ONE - vdot(y, c))
+                           for y in polar.vertices)
 
 
 def _halfspace_key(h: HalfSpace):
@@ -359,16 +326,24 @@ def _coordinate_normal(points):
     return ker[0]
 
 
-def _independent_directions(pts, rank):
+def _independent_points(pts, rank):
+    """Indices of pts[0] and of each later point whose direction from it is
+    independent of the directions before, until rank directions are found
+    (fewer when the points span less)."""
     p0 = pts[0]
-    dirs = []
-    for p in pts[1:]:
-        d = vsub(p, p0)
-        if mat_rank(tuple(dirs + [d])) > len(dirs):
-            dirs.append(d)
+    dirs, out = [], [0]
+    for i in range(1, len(pts)):
         if len(dirs) == rank:
             break
-    return dirs
+        d = vsub(pts[i], p0)
+        if mat_rank(tuple(dirs + [d])) > len(dirs):
+            dirs.append(d)
+            out.append(i)
+    return out
+
+
+def _independent_directions(pts, rank):
+    return [vsub(pts[i], pts[0]) for i in _independent_points(pts, rank)[1:]]
 
 
 def _affine_coords(p, p0, basis):

@@ -1,12 +1,13 @@
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
 from crystile.construction import construct_tiling
 from crystile.groups import preset
 from crystile.rational import ONE, Q
-from crystile.linalg import identity_mat, mat_mul, vec, vsub
+from crystile.linalg import identity_mat, mat_mul, vdot, vec, vsub
 from crystile.isometry import (
     Frame,
     Isometry,
@@ -19,8 +20,8 @@ from crystile.polytope import (
     HalfSpace,
     _affine_rank,
     _centroid,
+    _coordinate_normal,
     _halfspace_key,
-    _supporting_halfspaces,
 )
 from crystile.tiling import periodic_tiling
 
@@ -116,6 +117,34 @@ def random_rational_point(rng: random.Random, n: int, span: int = 6):
 def facet_key_set(halfspaces):
     """Halfspaces as a set, each scaled so its first nonzero covector entry is +-1."""
     return frozenset(map(_halfspace_key, halfspaces))
+
+
+# the supporting-plane pass the kernel's hull once ran, verbatim: the reference
+# of recovered_facets and of the per-point hull in test_polytope_oracle.py
+def _supporting_halfspaces(n: int, pts):
+    """All supporting hyperplanes of conv(pts) in R^n spanned by point subsets.
+
+    Brute force over n-subsets; used only on vertex data from outside.
+    """
+    found = {}
+    for sub in combinations(pts, n):
+        if _affine_rank(sub) != n - 1:
+            continue
+        f = _coordinate_normal(sub)
+        if f is None:
+            continue
+        c = vdot(f, sub[0])
+        vals = [vdot(f, p) for p in pts]
+        if all(v >= c for v in vals):
+            pass
+        elif all(v <= c for v in vals):
+            f = tuple(-x for x in f)
+            c = -c
+        else:
+            continue
+        h = HalfSpace(f, c)
+        found.setdefault(_halfspace_key(h), h)
+    return list(found.values())
 
 
 def recovered_facets(frame, poly):

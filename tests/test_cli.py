@@ -364,3 +364,23 @@ def test_window_within_the_cell_cap_renders(square_file, tmp_path, capsys):
     code, _, err = run_cli(capsys, "render", square_file, "--svg", svg,
                            "--window", "-30", "-30", "30", "30")
     assert code == 2 and "RENDER_MAX_CELLS" in err
+
+
+@pytest.mark.parametrize("verb", ["construct", "voronoi", "render"])
+def test_svg_of_a_non_planar_tiling_is_input_error(tmp_path, verb, capsys, count_calls):
+    # construct built the whole P1 construction before the renderer refused
+    # it (exit 1), and render of a 3D file exited 1 through a ValueError
+    built = count_calls(cli_mod, "construct_tiling")
+    count_calls(cli_mod, "voronoi_tiling", calls=built)
+    svg = tmp_path / "out.svg"
+    if verb == "render":
+        path = tmp_path / "cube.json"
+        path.write_text(json.dumps({"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                    **valid_body("aut", 3)}))
+        argv = ["render", str(path)]
+    else:
+        argv = [verb, "--group", "P1"]
+    code, out, err = run_cli(capsys, *argv, "--svg", str(svg))
+    assert code == 2 and out == ""
+    assert "input error" in err and "--svg" in err
+    assert built == [] and not svg.exists()

@@ -11,7 +11,7 @@ from crystile import tiling as tiling_mod
 from crystile import voronoi as voronoi_mod
 from crystile.groups import PRESET_NAMES, preset, generic_point, validate_group
 from crystile.polytope import ConvexPolytope, volume
-from crystile.serialize import dump_json, tiling_to_json
+from crystile.serialize import dump_json, tiling_from_json, tiling_to_json
 from crystile.voronoi import cell_with_certificate, voronoi_tiling
 from crystile.tiling import automorphism_group, prototiles, tilings_equal, transform_tiling
 from crystile.construction import (
@@ -242,6 +242,18 @@ def test_seed0_construction_digests(name, count_calls):
     assert scans == []
     assert len(validations) == 1 and voronoi_tilings == []
     assert len(auts) == 1 and group_checks == []
+
+
+@pytest.mark.parametrize("name", ["p6m", "P222", "Pm-3m"])
+def test_saved_construction_loads_back(name):
+    # a loaded file's tiles are hulled from their vertices: they serialize
+    # to the pinned digest again, with the facets the construction carried
+    built = seed0_construction(name)
+    loaded = tiling_from_json(tiling_to_json(built))
+    text = dump_json(tiling_to_json(loaded))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED0_DIGESTS[name]
+    assert ({t.vertices: facet_key_set(t.facets()) for t in loaded.cell_tiles}
+            == {t.vertices: facet_key_set(t.facets()) for t in built.cell_tiles})
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

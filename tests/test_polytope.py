@@ -109,15 +109,17 @@ def test_hull_reduction(frame2):
 
 
 def test_vertex_input_hulls_in_one_pass(frame3, count_calls):
-    # one supporting-plane pass over all V points, not one per point, and
-    # its planes are kept as the facets, so facets() makes no second pass
+    # the polar is a simplex on the first four affinely independent points,
+    # clipped once by each other distinct point (the corner (1, 1, 1) is
+    # given twice), and its vertices are kept as the facets, so facets()
+    # makes no second pass
     h = Q(1, 2)
     corners = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    calls = count_calls(polytope_mod, "_supporting_halfspaces")
+    calls = count_calls(polytope_mod, "clip")
     cube = ConvexPolytope(frame3, corners + [(h, h, h), (h, 0, 0), (h, h, 0), (1, 1, 1)])
     assert cube.vertices == tuple(sorted(corners))
     facets = cube.facets()
-    assert calls == ["_supporting_halfspaces"]
+    assert len(calls) == 11 - 4 == 7
     assert len(facets) == 6
     assert facet_key_set(facets) == facet_key_set(recovered_facets(frame3, cube))
 
@@ -349,3 +351,11 @@ def test_repeated_distance_makes_one_gram_product(frame2, count_calls):
     assert tile._quad is quad
     assert second == first > 0 and type(second) is Q
     assert calls == ["_integral", "_mat_vec"]
+
+
+def test_vertex_input_beyond_dimension_3_is_refused():
+    # the 4D simplex came out with no vertices and no facets; clip, and so
+    # the hull, is exact for n <= 3 only
+    simplex = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    with pytest.raises(PolytopeError):
+        ConvexPolytope(standard_frame(4), simplex)

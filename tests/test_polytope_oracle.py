@@ -6,9 +6,10 @@ loop that translated every candidate tile before testing it, and the hull
 that tested each point against the hull of all the others.  They are kept
 verbatim (apart from their names) and compared for exact equality with the
 cached versions on the cell tiles and patches of real tilings, and with the
-one-pass hull on small rational point clouds.  On the same clouds, the facets
-every polytope carries are compared with recovered_facets (conftest.py), the
-recovery from vertices that the kernel no longer has.
+hull through the polar on small rational point clouds and large degenerate
+inputs.  On the same inputs, the facets every polytope carries are compared
+with recovered_facets (conftest.py), the recovery from vertices that the
+kernel no longer has.
 """
 
 import math
@@ -43,7 +44,6 @@ from crystile.polytope import (
     _centroid,
     _independent_directions,
     _sort_ccw,
-    _supporting_halfspaces,
     clip,
     faces,
     halfspace_intersection,
@@ -57,6 +57,7 @@ from crystile.tiling import Patch, patch
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
 from conftest import (
+    _supporting_halfspaces,
     bare,
     facet_key_set,
     random_rational_orthogonal,
@@ -324,6 +325,36 @@ def test_hull_matches_per_point_exclusion_2d(pts):
 def test_hull_matches_per_point_exclusion_3d(pts):
     frame = standard_frame(3)
     assert ConvexPolytope(frame, pts).vertices == tuple(old_extreme_points(frame, pts))
+
+
+def _in_space(a, b):
+    # the plane point (a, b) on a tilted rational plane in space
+    return (1 + a, a + b, 2 * b - 1)
+
+
+_CIRCLE = [((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t))
+           for t in (Q(i, 4) for i in range(-5, 5))]
+_POLYGON = [(0, 0), (3, 0), (4, 2), (2, 4), (0, 3)]
+
+# large, degenerate vertex input: many points on each facet, and points on
+# edges, on facets and inside
+LARGE_CLOUDS = {
+    "prism-20": [(x, y, z) for x, y in _CIRCLE for z in (0, 1)],
+    "grid-27": list(product(range(3), repeat=3)),
+    "polygon-in-space": [_in_space(a, b) for a, b in _POLYGON + [
+        (Q(3, 2), 0), (Q(7, 2), 1), (3, 3), (1, 1), (2, 2), (Q(1, 2), Q(3, 2))]],
+}
+
+
+@pytest.mark.parametrize("case,vertices", [
+    ("prism-20", 20), ("grid-27", 8), ("polygon-in-space", 5)])
+def test_hull_of_large_degenerate_input(case, vertices):
+    frame = standard_frame(3)
+    pts = sorted(set(map(vec, LARGE_CLOUDS[case])))
+    poly = ConvexPolytope(frame, pts)
+    assert len(poly.vertices) == vertices
+    assert poly.vertices == tuple(old_extreme_points(frame, pts))
+    check_facet_invariant(poly)
 
 
 # --- facets exactly on full-dimensional polytopes --------------------------------
