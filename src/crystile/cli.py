@@ -224,6 +224,8 @@ def cmd_ld(args) -> int:
 def cmd_mld(args) -> int:
     t1 = _load_tiling(args.a)
     t2 = _load_tiling(args.b)
+    if t1.dim != t2.dim:
+        raise InputError(f"MLD compares tilings of one dimension, not {t1.dim} and {t2.dim}")
     gamma = mld_check(t1, t2)
     _emit(
         {

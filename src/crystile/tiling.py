@@ -8,6 +8,19 @@ tolerances.  Only the metric values of distance bounds are floats.
 Validation accepts unit covolume plus exact facet matching modulo the
 lattice; the pairwise face classification runs only to explain a rejection.
 
+Tile images are compared as integer keys.  Cell tiles are scaled once to
+int vertices X = d x over their least common denominator d, and the image
+of a tiling under x -> L x + t over one common denominator D of X, L and
+t, so each image vertex is A X + b and a lattice translate adds S k, all
+as Python ints.  A key is the least common denominator of a vertex tuple
+followed by its numerators (one gcd per key), so keys formed over
+different denominators are equal exactly when the vertex tuples are; mod
+the lattice, the floor shift (X // d) d of the least vertex is subtracted
+first.  Facet matching, automorphism checks, the maximal translation
+lattice, image keys and pulled-back patches hash these int tuples, and a
+translation found among them becomes rational again only for its Seitz
+pair.
+
 The hull of a tiling with crystallographic automorphism group Aut(T) is,
 as a topological space with its isometry action, the group quotient
 Isom(E^n)/Aut(T); it is not modeled here beyond that description.  When
@@ -20,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
+from operator import add, sub
 
 from .rational import Q, ZERO, rat, frac_part, isqrt_ceil
 from .linalg import (
@@ -29,16 +43,13 @@ from .linalg import (
     hermite_column_basis,
     identity_mat,
     is_integral_mat,
-    is_integral_vec,
     mat_inv,
     mat_mul,
     mat_vec,
     transpose,
-    vadd,
     vec,
     vsub,
     zero_vec,
-    common_denominator,
     vdot,
 )
 from .isometry import (
@@ -63,6 +74,8 @@ from .polytope import (
     ConvexPolytope,
     InteriorOverlapError,
     _centroid,
+    _dot,
+    _integral,
     congruent,
     faces,
     meet_face_to_face,
@@ -102,24 +115,11 @@ class PeriodicTiling:
     def dim(self) -> int:
         return self.frame.dim
 
-    def tile_keys(self):
-        return frozenset(t.vertices for t in self.cell_tiles)
-
-
-def _canonical_key(points):
-    """The sorted points translated by the integer vector that puts the
-    least of them in [0,1)^n: equal for point sets equal mod the lattice."""
-    pts = sorted(points)
-    shift = tuple(-math.floor(c) for c in pts[0])
-    return tuple(vadd(p, shift) for p in pts) if any(shift) else tuple(pts)
-
 
 def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
     """Translate by a lattice vector so the least vertex lies in [0,1)^n."""
-    key = _canonical_key(tile.vertices)
-    if key == tile.vertices:
-        return tile
-    return tile.translate(vsub(key[0], tile.vertices[0]))
+    shift = tuple(-math.floor(c) for c in tile.vertices[0])
+    return tile.translate(shift) if any(shift) else tile
 
 
 def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> PeriodicTiling:
@@ -189,10 +189,12 @@ def _facet_matching_accepts(tiling: PeriodicTiling) -> bool:
         return False
     if sum((volume(t) for t in tiling.cell_tiles), ZERO) != 1:
         return False
+    facets = [(h.covector, f) for t in tiling.cell_tiles
+              for h, f in zip(t.facets(), faces(t, n - 1))]
+    d, verts = _int_vertices([f for _, f in facets])
     covectors = {}
-    for t in tiling.cell_tiles:
-        for h, f in zip(t.facets(), faces(t, n - 1)):
-            covectors.setdefault(_canonical_key(f.vertices), []).append(h.covector)
+    for (a, _), pts in zip(facets, verts):
+        covectors.setdefault(_lattice_key(d, pts), []).append(a)
     # facets with one vertex set lie in one hyperplane, so their covectors
     # are parallel and point opposite ways iff their dot product is negative
     return all(len(cs) == 2 and vdot(*cs) < 0 for cs in covectors.values())
@@ -272,6 +274,59 @@ def tilings_equal(a: PeriodicTiling, b: PeriodicTiling) -> bool:
     return a.frame == b.frame and a.cell_tiles == b.cell_tiles
 
 
+# --- integer tile keys ----------------------------------------------------------
+
+def _int_vertices(tiles):
+    """(d, cells): d > 0 the least common denominator of every vertex
+    coordinate of the tiles, and per tile its vertices X = d x as int
+    tuples, in the tile's (sorted) order."""
+    d = math.lcm(*(c.denominator for t in tiles for p in t.vertices for c in p))
+    return d, tuple(tuple(tuple(c.numerator * (d // c.denominator) for c in p)
+                          for p in t.vertices) for t in tiles)
+
+
+def _key(d, flat):
+    """The key of the vertex tuple whose coordinates, in order, are
+    flat / d (ints, d > 0): the least common denominator and the
+    numerators over it, (d / g, flat / g) with g = gcd(d, *flat).  Two keys
+    are equal exactly when their vertex tuples are, whatever d each was
+    formed over."""
+    flat = tuple(flat)
+    g = math.gcd(d, *flat)
+    return (d,) + flat if g == 1 else (d // g,) + tuple(c // g for c in flat)
+
+
+def _lattice_key(d, pts):
+    """_key of the sorted int vertex tuples pts / d translated by the
+    integer vector that puts the least of them in [0,1)^n (the floor shift
+    (X // d) d): equal for vertex tuples equal mod the lattice."""
+    shift = tuple(c // d * d for c in pts[0])
+    if any(shift):
+        pts = [tuple(map(sub, p, shift)) for p in pts]
+    return _key(d, (c for p in pts for c in p))
+
+
+def _affine(m, c, x):
+    """m x + c for an int matrix m and int vectors c, x."""
+    return tuple(_dot(row, x) + ci for row, ci in zip(m, c))
+
+
+def _int_image(tiling: PeriodicTiling, iso: Isometry):
+    """(D, S, images) for iso(x) = L x + t over one common denominator D:
+    iso maps the cell tile t_i onto the sorted int vertex tuples
+    images[i] / D, and a lattice vector k to the translation S k / D
+    (S = D L, an int matrix)."""
+    dv, cells = _int_vertices(tiling.cell_tiles)
+    ld, lin = _integral([c for row in iso.linear for c in row])
+    td, tr = _integral(iso.translation)
+    d = math.lcm(ld * dv, td)
+    n = tiling.dim
+    a = tuple(tuple(d // (ld * dv) * c for c in lin[i:i + n]) for i in range(0, n * n, n))
+    b = tuple(d // td * c for c in tr)
+    images = [sorted(_affine(a, b, p) for p in pts) for pts in cells]
+    return d, tuple(tuple(dv * c for c in row) for row in a), images
+
+
 # --- patches -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -312,14 +367,20 @@ def patch(tiling: PeriodicTiling, center, r2) -> Patch:
 
 
 def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
-    """{vertex key: squared distance} of the tiles of iso(T) within r2 of
-    center: they are iso(t + k) = iso(t) + L k for the tiles t + k of T
-    within r2 of iso^-1(center), L the linear part of iso."""
-    images = {t: sorted(map(iso, t.vertices)) for t in tiling.cell_tiles}
+    """{_key of the vertex tuple: squared distance} of the tiles of iso(T)
+    within r2 of center: they are iso(t + k) = iso(t) + L k for the tiles
+    t + k of T within r2 of iso^-1(center), L the linear part of iso.  Each
+    cell tile's image is sorted once, as ints over one denominator; a
+    translate keeps that order and adds S k to every vertex."""
+    d, s, images = _int_image(tiling, iso)
+    flat = {t: (tuple(c for p in pts for c in p), len(pts))
+            for t, pts in zip(tiling.cell_tiles, images)}
     out = {}
     for d2, t, k in _tiles_near(tiling, inverse(iso)(center), r2):
-        lk = mat_vec(iso.linear, k)
-        out[tuple(vadd(p, lk) for p in images[t])] = d2
+        k = [x.numerator for x in k]
+        base, m = flat[t]
+        shift = tuple(_dot(row, k) for row in s)
+        out[_key(d, map(add, base, shift * m))] = d2
     return out
 
 
@@ -350,7 +411,8 @@ def _image_keys(tiling: PeriodicTiling, iso: Isometry) -> frozenset:
     normalizes the lattice, without building the tiles."""
     if iso.frame != tiling.frame or iso.target != tiling.frame:
         raise IsometryError("isometry incompatible with the tiling frame")
-    return frozenset(_canonical_key(map(iso, t.vertices)) for t in tiling.cell_tiles)
+    d, _, images = _int_image(tiling, iso)
+    return frozenset(_lattice_key(d, pts) for pts in images)
 
 
 # --- prototiles ---------------------------------------------------------------
@@ -381,34 +443,42 @@ def prototile_index(tiling: PeriodicTiling) -> dict:
 # --- automorphisms -------------------------------------------------------------
 
 def _translate_match(a, b):
-    """The translation v with a + v == b for sorted vertex tuples, or None."""
-    v = vsub(b[0], a[0])
-    return v if tuple(vadd(p, v) for p in a) == b else None
+    """The int translation v with a + v == b for sorted int vertex tuples,
+    or None."""
+    v = tuple(map(sub, b[0], a[0]))
+    return v if tuple(tuple(map(add, p, v)) for p in a) == b else None
 
 
-def _fixes_tiling(tiling: PeriodicTiling, iso: Isometry) -> bool:
-    keys = tiling.tile_keys()
-    return all(_canonical_key(map(iso, t.vertices)) in keys for t in tiling.cell_tiles)
+def _fixes_tiling(d, cells, keys, m, c) -> bool:
+    """Whether X -> m X + c, on the cell tiles' int vertices X = d x
+    (_int_vertices), maps every cell tile onto a tile: its lattice key is
+    one of the cell keys."""
+    return all(_lattice_key(d, sorted(_affine(m, c, p) for p in pts)) in keys for pts in cells)
+
+
+def _int_cells(tiling: PeriodicTiling):
+    """(d, cells, keys): _int_vertices of the cell tiles and their keys."""
+    d, cells = _int_vertices(tiling.cell_tiles)
+    return d, cells, frozenset(_key(d, (c for p in pts for c in p)) for pts in cells)
 
 
 def maximal_translation_lattice(tiling: PeriodicTiling):
     """Basis (columns) of {v : T + v = T} as a superlattice of Z^n."""
     n = tiling.frame.dim
-    t0 = tiling.cell_tiles[0]
+    d, cells, keys = _int_cells(tiling)
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     extra = []
-    for t in tiling.cell_tiles:
-        v = _translate_match(t0.vertices, t.vertices)
-        if v is None or is_integral_vec(v):
+    for pts in cells:
+        v = _translate_match(cells[0], pts)
+        if v is None or all(x % d == 0 for x in v):
             continue
-        if _fixes_tiling(tiling, translation_iso(tiling.frame, v)):
+        if _fixes_tiling(d, cells, keys, one, v):
             extra.append(v)
     if not extra:
         return identity_mat(n)
-    den = common_denominator([x for v in extra for x in v])
-    cols = [tuple(Q(den) if i == j else ZERO for i in range(n)) for j in range(n)]
-    cols += [tuple(x * den for x in v) for v in extra]
-    basis = hermite_column_basis([tuple(int(x) for x in c) for c in cols])
-    return transpose(tuple(tuple(Q(x, den) for x in col) for col in basis))
+    cols = [tuple(d * x for x in col) for col in one] + extra
+    basis = hermite_column_basis(cols)
+    return transpose(tuple(tuple(Q(x, d) for x in col) for col in basis))
 
 
 def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
@@ -438,14 +508,16 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
         group, inner = automorphism_group_with_embedding(dense)
         return group, compose(embed, inner)
     frame = tiling.frame
-    t0 = tiling.cell_tiles[0]
+    d, cells, keys = _int_cells(tiling)
+    zero = (0,) * frame.dim
     seitz = []
     for m in lattice_isometries(frame, frame):
-        image = tuple(sorted(mat_vec(m, v) for v in t0.vertices))
-        for t in tiling.cell_tiles:
-            c = _translate_match(image, t.vertices)
-            if c is not None and _fixes_tiling(tiling, Isometry(frame, m, c)):
-                seitz.append(_canon_seitz(m, c))
+        mi = tuple(tuple(int(x) for x in row) for row in m)
+        image = sorted(_affine(mi, zero, p) for p in cells[0])
+        for pts in cells:
+            c = _translate_match(image, pts)
+            if c is not None and _fixes_tiling(d, cells, keys, mi, c):
+                seitz.append(_canon_seitz(m, tuple(Q(x, d) for x in c)))
                 break
     return CrystalGroup(frame=frame, reps=tuple(sorted(seitz))), identity_iso(frame)
 
@@ -607,9 +679,10 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
     reorder the canonical tiles); each also reduced to [-1/2, 1/2)^n."""
     frame = t1.frame
     pairs = [(identity_iso(frame), identity_iso(frame))]
-    t0 = t1.cell_tiles[0].vertices
-    anchors = [vsub(t2.cell_tiles[0].vertices[0], t0[0])]
-    anchors += [v for t in t2.cell_tiles if (v := _translate_match(t0, t.vertices)) is not None]
+    anchors = [vsub(t2.cell_tiles[0].vertices[0], t1.cell_tiles[0].vertices[0])]
+    d, cells = _int_vertices((t1.cell_tiles[0],) + t2.cell_tiles)
+    anchors += [tuple(Q(x, d) for x in v) for pts in cells[1:]
+                if (v := _translate_match(cells[0], pts)) is not None]
     taus = set()
     for v in anchors:
         taus.update((v, tuple(frac_part(x + Q(1, 2)) - Q(1, 2) for x in v)))

@@ -21,6 +21,8 @@ from crystile.isometry import translation_iso
 from crystile.svg import window_cells
 from crystile.tiling import tilings_equal, transform_tiling
 
+from conftest import seed0_construction
+
 
 @pytest.fixture
 def square_file(tmp_path, square_tiling):
@@ -146,6 +148,21 @@ def test_mld_shifted_square(tmp_path, square_tiling, square_file, capsys, frame2
     data = json.loads(out)
     assert data["gamma"] is not None
     assert data["gamma"]["linear"] == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("order", ["2d-3d", "3d-2d"])
+def test_mld_across_dimensions_is_input_error(tmp_path, order, capsys, count_calls):
+    # tilings of different dimension are an input error, as a frame mismatch
+    # is for ld and distance, found before any automorphism group is computed
+    files = {}
+    for name in ("p2", "P1"):
+        files[name] = str(tmp_path / f"{name}.json")
+        write_json_file(files[name], tiling_to_json(seed0_construction(name)))
+    auts = count_calls(tiling_mod, "automorphism_group_with_embedding")
+    pair = (files["p2"], files["P1"]) if order == "2d-3d" else (files["P1"], files["p2"])
+    code, out, err = run_cli(capsys, "mld", *pair)
+    assert code == 2 and out == "" and "input error" in err
+    assert auts == []
 
 
 def test_ld_cli(square_file, rhomb_file, capsys):

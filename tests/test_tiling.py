@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from crystile.rational import Q
+from crystile import linalg as linalg_mod
 from crystile.linalg import vdot
 from crystile.isometry import (
     Isometry,
@@ -12,6 +14,7 @@ from crystile.isometry import (
     identity_iso,
     inverse,
     linear_about,
+    rational_givens,
     standard_frame,
     translation_iso,
 )
@@ -24,6 +27,7 @@ from crystile.tiling import (
     WitnessError,
     _facet_matching_accepts,
     _pairwise_problems,
+    _pulled_back,
     automorphism_group,
     automorphism_group_with_embedding,
     combine_witnesses,
@@ -149,6 +153,29 @@ def test_patch_derives_each_boundary_once(frame):
     assert len(p.tiles) > len(tiling.cell_tiles)
     t = tiling.cell_tiles[0]
     assert all(faces(t, m) is faces(t, m) for m in range(frame.dim))
+
+
+def test_pulled_back_linalg_work_is_set_by_the_cell_tiles(square_tiling, count_calls):
+    # each cell tile's image is formed once as ints; a visited translate
+    # only adds an int shift, so a ball of 16 times the area makes the same
+    # linalg.mat_vec and linalg.vadd calls, wherever a module binds them
+    tiling = transform_tiling(square_tiling, translation_iso(F2, (Q(1, 3), Q(-1, 5))))
+    iso = Isometry(F2, rational_givens(2, 0, 1, Q(1, 2)), (Q(2, 7), Q(1, 3)))
+    center = (Q(1, 4), Q(-2, 9))
+    _pulled_back(tiling, iso, center, 64)  # fills the cell tile's distance caches
+    originals = {name: getattr(linalg_mod, name) for name in ("mat_vec", "vadd")}
+    calls = []
+    for module in [m for n, m in sorted(sys.modules.items()) if n.startswith("crystile")]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                count_calls(module, name, calls)
+    counts = []
+    for r2 in (4, 64):
+        calls.clear()
+        visited = len(_pulled_back(tiling, iso, center, r2))
+        counts.append((visited, sorted(calls)))
+    (small, small_calls), (large, large_calls) = counts
+    assert large > 10 * small and large_calls == small_calls
 
 
 @pytest.mark.parametrize("name", ["p1", "p3", "cmm"])

@@ -185,10 +185,17 @@ def test_witness_matches_bisection_on_shifted_p2_voronoi(monkeypatch, shared_que
     assert_same_witnesses(v, w, [(0, 0), (Q(1, 3), Q(1, 5))], monkeypatch, shared_queries)
 
 
+def int_key(tile):
+    """The integer key of a tile's vertex tuple (tiling._key)."""
+    d, (pts,) = tiling_mod._int_vertices([tile])
+    return tiling_mod._key(d, (c for p in pts for c in p))
+
+
 def test_pulled_back_keys_match_transformed_patches():
     # random rational rotations and reflections, most of which do not
     # normalize Z^2, exercise the linear part that moves the tile images;
-    # each distance must be the transformed tile's distance to the center
+    # each distance must be the transformed tile's distance to the center,
+    # and each key must decode to the transformed tile's vertex tuple
     rng = random.Random(9)
     tiling = FIXTURES["B"]
     for _ in range(8):
@@ -196,8 +203,12 @@ def test_pulled_back_keys_match_transformed_patches():
         center = random_rational_point(rng, 2, span=3)
         for r2 in (Q(1, 9), Q(2)):
             old = old_transformed_patch(tiling, iso, center, r2)
-            expected = {t.vertices: sq_distance_point(t, center) for t in old.tiles}
-            assert tiling_mod._pulled_back(tiling, iso, center, r2) == expected
+            expected = {int_key(t): sq_distance_point(t, center) for t in old.tiles}
+            got = tiling_mod._pulled_back(tiling, iso, center, r2)
+            assert got == expected
+            decoded = {tuple(tuple(Q(c, k[0]) for c in k[i:i + 2]) for i in range(1, len(k), 2))
+                       for k in got}
+            assert decoded == old.keys()
 
 
 def test_non_global_pair_runs_two_ball_queries(count_calls):
