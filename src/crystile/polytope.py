@@ -19,9 +19,10 @@ result, translate and transform map them (L^-T once per linear part), and
 the construction's cones and the Voronoi box come with their own.  Faces,
 the ring (cyclic vertex order) of a polygon and point-distance data are
 derived once and cached, and so is each vertex's tight set (the facets
-through it, _tight_sets), which the facets of faces() read.  clip carries
-the tight sets to its output instead of recomputing them: a chain of clips
-computes them once, for the polytope it starts from.
+through it, _tight_sets), which the facets of faces() read.  clip,
+translate and transform carry the tight sets to their output instead of
+recomputing them: a chain of clips computes them once, for the polytope
+it starts from, and the images of a tile under a group once, for the tile.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -145,7 +146,7 @@ class ConvexPolytope:
             raise PolytopeError("vertex input is for dimension 1, 2 or 3")
         self._set(frame, *_hull(frame, pts))
 
-    def _set(self, frame, vertices, facets):
+    def _set(self, frame, vertices, facets, tight=None):
         self.frame = frame
         self.vertices = tuple(vertices)
         self._facets = facets
@@ -154,15 +155,16 @@ class ConvexPolytope:
         self._cycle = None
         self._faces = None
         self._quad = None
-        self._tight = None
+        self._tight = tight
         self._hash = None
 
     @classmethod
-    def _from_sorted(cls, frame: Frame, vertices: tuple, facets) -> "ConvexPolytope":
+    def _from_sorted(cls, frame: Frame, vertices: tuple, facets, tight=None) -> "ConvexPolytope":
         """The polytope on a tuple of exact, distinct, sorted vertices, as is,
-        with its facets when it is full-dimensional and None otherwise."""
+        with its facets when it is full-dimensional and None otherwise, and
+        its tight sets (_tight_sets) when they are known."""
         poly = cls.__new__(cls)
-        poly._set(frame, vertices, facets)
+        poly._set(frame, vertices, facets, tight)
         return poly
 
     # -- identity -----------------------------------------------------------
@@ -230,16 +232,22 @@ class ConvexPolytope:
         return all(vdot(h.covector, x) > h.offset for h in self.facets())
 
     def translate(self, v) -> "ConvexPolytope":
-        # a translation keeps the vertices exact, distinct and in lexicographic order
+        # a translation keeps the vertices exact, distinct and in lexicographic
+        # order, and (an isometry) each vertex's tight set
         v = vec(v)
         return ConvexPolytope._from_sorted(self.frame, tuple(vadd(p, v) for p in self.vertices),
-                                           _carried(self._facets, v))
+                                           _carried(self._facets, v), _tight_sets(self))
 
     def transform(self, iso: Isometry) -> "ConvexPolytope":
         if iso.frame != self.frame:
             raise PolytopeError("isometry frame mismatch")
-        return ConvexPolytope._from_sorted(iso.target, tuple(sorted(map(iso, self.vertices))),
-                                           _carried(self._facets, iso.translation, iso.linear))
+        # an isometry keeps incidences: each image vertex keeps its tight set
+        pts = tuple(map(iso, self.vertices))
+        order = sorted(range(len(pts)), key=pts.__getitem__)
+        tight = _tight_sets(self)
+        return ConvexPolytope._from_sorted(iso.target, tuple(pts[i] for i in order),
+                                           _carried(self._facets, iso.translation, iso.linear),
+                                           tight and tuple(tight[i] for i in order))
 
 
 def _carried(facets, t, linear=None):
@@ -525,16 +533,15 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
                             frozenset([on_h, *(renumber[k] for k in common)])))
     out.sort(key=lambda vt: vt[0])
     kept = tuple(facets[k] for k in held) + (h,)
-    clipped = ConvexPolytope._from_sorted(poly.frame, tuple(v for v, _ in out), kept)
-    clipped._tight = tuple(t for _, t in out)
-    return clipped
+    return ConvexPolytope._from_sorted(poly.frame, tuple(v for v, _ in out), kept,
+                                       tuple(t for _, t in out))
 
 
 def _tight_sets(poly: ConvexPolytope):
     """Per vertex of a full-dimensional polytope, the frozenset of indices
-    into facets() of the facets through it; computed once, or carried by
-    clip."""
-    if poly._tight is None:
+    into facets() of the facets through it, and None for a lower-dimensional
+    one; computed once, or carried by clip, translate and transform."""
+    if poly._tight is None and poly._facets is not None:
         facets = poly.facets()
         poly._tight = tuple(
             frozenset(k for k, f in enumerate(facets) if vdot(f.covector, v) == f.offset)

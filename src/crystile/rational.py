@@ -3,8 +3,9 @@
 Everything that touches group logic or set geometry runs on exact
 rationals; floats appear only where a square root is unavoidable
 (norms, the isometry metric, rendering).  gmpy2's mpq is used when
-present since it is roughly an order of magnitude faster than
-fractions.Fraction; the two are drop-in compatible for our usage.
+present (the optional `fast` extra) since it is roughly an order of
+magnitude faster than fractions.Fraction; the two are drop-in compatible
+for our usage, and without gmpy2 the package runs on Fraction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: the `fast` extra
     Q = Fraction
 
 ZERO = Q(0)

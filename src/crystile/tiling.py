@@ -5,8 +5,8 @@ is the frame's integer span).  All comparisons are exact: tiles are
 canonicalized mod the lattice and compared as vertex sets, so tiling
 equality, patch equality, and automorphism verification involve no
 tolerances.  Only the metric values of distance bounds are floats.
-Validation accepts unit covolume plus exact facet matching modulo the
-lattice; the pairwise face classification runs only to explain a rejection.
+Validation is one pass of exact facet matching modulo the lattice plus
+unit covolume, and a rejection is explained by what that pass found.
 
 Tile images are compared as integer keys.  Cell tiles are scaled once to
 int vertices X = d x over their least common denominator d, and the image
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from functools import lru_cache
 from operator import add, sub
 
-from .rational import Q, ZERO, rat, frac_part, isqrt_ceil
+from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
@@ -72,13 +72,11 @@ from .groups import (
 )
 from .polytope import (
     ConvexPolytope,
-    InteriorOverlapError,
     _centroid,
     _dot,
     _integral,
     congruent,
     faces,
-    meet_face_to_face,
     sq_distance_point,
     volume,
 )
@@ -87,7 +85,6 @@ LN_3_2 = math.log(1.5)
 WITNESS_SLACK = 1e-9
 PATCH_ENUM_RADIUS = Q(8)   # enumerated patch-equality radii are capped here
 RADIUS_CAP = Q(1 << 20)    # stand-in for "arbitrarily large" witness radii
-PAIRWISE_MAX_OFFSETS = 2048  # neighbor offsets a rejection's pairwise scan may visit
 
 
 class TilingValidationError(ValueError):
@@ -133,21 +130,23 @@ def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> Peri
 
 
 def validate_tiling(tiling: PeriodicTiling) -> list:
-    """Exact tiling check; returns [] or the problems found.
+    """Exact tiling check in one pass; returns [] or the problems it found.
 
     Accepts when every cell tile is full-dimensional, the cell volumes sum
     to 1 (unit covolume) and every facet is matched modulo the lattice:
     its vertex set, translated by the integer vector that puts its least
     vertex in [0,1)^n (the canonical_tile convention), is the vertex set
     of exactly two cell-tile facets, and their normals point in opposite
-    directions.  Any failure falls back to _pairwise_problems, so error
-    messages and witnesses come from the pairwise face classification.
+    directions.  The problems are each tile that is not full-dimensional,
+    or else the volume sum when it is not 1 and each facet key not held
+    once from each side, with its tiles and vertices, in tile then facet
+    order: the same linear pass accepts and explains.
 
-    The fast criterion holds iff the tiles cover space with disjoint
-    interiors and every two tiles A, B meet in a face of both (or not at
-    all), which is what the pairwise scan certifies.  Keys are canonical
-    mod the lattice, so a key occurring exactly twice says that exactly
-    two tiles of the whole tiling have that facet, on opposite sides.
+    The criterion holds iff the tiles cover space with disjoint interiors
+    and every two tiles A, B meet in a face of both (or not at all).  Keys
+    are canonical mod the lattice, so a key occurring exactly twice says
+    that exactly two tiles of the whole tiling have that facet, on
+    opposite sides.
 
     * Covering multiplicity.  Let m(y) count the tiles containing y, for y
       off every tile boundary.  Take x on a hyperplane H, in the relative
@@ -177,97 +176,36 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
     the unique tile B across its relative interior; P is a facet of B, and
     no other tile has it as a facet, so each key occurs exactly twice.
     """
-    return [] if _facet_matching_accepts(tiling) else _pairwise_problems(tiling)
-
-
-def _facet_matching_accepts(tiling: PeriodicTiling) -> bool:
-    """The fast criterion of validate_tiling: full-dimensional tiles, unit
-    covolume, and each canonicalized facet bounding exactly two cell tiles
-    from opposite sides."""
     n = tiling.frame.dim
-    if any(t.dim != n for t in tiling.cell_tiles):
-        return False
-    if sum((volume(t) for t in tiling.cell_tiles), ZERO) != 1:
-        return False
-    facets = [(h.covector, f) for t in tiling.cell_tiles
+    tiles = tiling.cell_tiles
+    problems = [f"tile {i} is not full-dimensional" for i, t in enumerate(tiles) if t.dim != n]
+    if problems:
+        return problems
+    total = sum((volume(t) for t in tiles), ZERO)
+    if total != 1:
+        problems.append(f"cell volumes sum to {rat_str(total)}, expected 1")
+    facets = [(i, h.covector, f) for i, t in enumerate(tiles)
               for h, f in zip(t.facets(), faces(t, n - 1))]
-    d, verts = _int_vertices([f for _, f in facets])
-    covectors = {}
-    for (a, _), pts in zip(facets, verts):
-        covectors.setdefault(_lattice_key(d, pts), []).append(a)
+    d, verts = _int_vertices([f for _, _, f in facets])
+    held = {}
+    for facet, pts in zip(facets, verts):
+        held.setdefault(_lattice_key(d, pts), []).append(facet)
     # facets with one vertex set lie in one hyperplane, so their covectors
     # are parallel and point opposite ways iff their dot product is negative
-    return all(len(cs) == 2 and vdot(*cs) < 0 for cs in covectors.values())
-
-
-def _pairwise_problems(tiling: PeriodicTiling) -> list:
-    """Full-dimensionality, unit covolume, and pairwise face classification
-    of neighbors (meet_face_to_face); explains why a tiling is rejected.
-
-    Neighbor offsets are derived from bounding boxes, which covers at
-    least the 3x3(x3) block and also catches wide tiles whose neighbors
-    sit further out.  When the boxes give more than PAIRWISE_MAX_OFFSETS
-    offsets in all, the scan is skipped and one problem names the count,
-    so a long thin tile cannot make the explanation run unboundedly long.
-    """
-    problems = []
-    n = tiling.frame.dim
-    total = ZERO
-    for t in tiling.cell_tiles:
-        if t.dim != n:
-            problems.append("tile is not full-dimensional")
-            return problems
-        total += volume(t)
-    if total != 1:
-        problems.append(f"cell volumes sum to {total}, expected 1")
-    tiles = tiling.cell_tiles
-    offsets = sum(math.prod(map(len, _offset_ranges(t, s)))
-                  for i, t in enumerate(tiles) for s in tiles[i:])
-    if offsets > PAIRWISE_MAX_OFFSETS:
-        problems.append(
-            f"pairwise scan skipped: its {offsets} neighbor offsets exceed "
-            f"PAIRWISE_MAX_OFFSETS = {PAIRWISE_MAX_OFFSETS}"
-        )
-        return problems
-    for i, t in enumerate(tiling.cell_tiles):
-        for j in range(i, len(tiling.cell_tiles)):
-            s = tiling.cell_tiles[j]
-            for k in product(*_offset_ranges(t, s)):
-                if i == j:
-                    nz = next((c for c in k if c != 0), 0)
-                    if nz <= 0:
-                        continue  # skip self and one of each +-k pair
-                shifted = s.translate(tuple(Q(c) for c in k))
-                if _quick_separated(t, shifted):
-                    continue
-                try:
-                    res = meet_face_to_face(t, shifted)
-                except InteriorOverlapError:
-                    problems.append(f"tiles {i} and {j}+{k} have overlapping interiors")
-                    continue
-                if res.kind == "violation":
-                    problems.append(
-                        f"tiles {i} and {j}+{k} meet in a non-face: {res.witness}"
-                    )
+    problems += [_facet_problem(fs) for fs in held.values()
+                 if len(fs) != 2 or vdot(fs[0][1], fs[1][1]) >= 0]
     return problems
 
 
-def _offset_ranges(a: ConvexPolytope, b: ConvexPolytope) -> list:
-    """Per axis, the integer offsets k at which b + k can meet a, from
-    their bounding boxes."""
-    return [
-        range(math.ceil(lo1 - hi2), math.floor(hi1 - lo2) + 1)
-        for (lo1, hi1), (lo2, hi2) in zip(a.bounding_box(), b.bounding_box())
-    ]
-
-
-def _quick_separated(a: ConvexPolytope, b: ConvexPolytope) -> bool:
-    """True when some facet of one tile strictly separates the other."""
-    for p, q in ((a, b), (b, a)):
-        for h in p.facets():
-            if all(vdot(h.covector, v) < h.offset for v in q.vertices):
-                return True
-    return False
+def _facet_problem(held) -> str:
+    """The problem of a facet key whose (tile index, covector, facet)
+    entries, held, are not one from each side."""
+    where = "facet [" + ", ".join(f"({', '.join(map(rat_str, p))})"
+                                  for p in held[0][2].vertices) + "]"
+    tiles = ", ".join(str(i) for i, _, _ in held)
+    if len(held) == 1:
+        return f"{where} of tile {tiles} has no matching facet"
+    return f"{where} is held by {len(held)} facets, of tiles {tiles}; expected one from each side"
 
 
 def tilings_equal(a: PeriodicTiling, b: PeriodicTiling) -> bool:
@@ -496,6 +434,14 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
     return out, embed
 
 
+@lru_cache(maxsize=None)
+def _lattice_automorphisms(frame: Frame):
+    """(U, U as ints) for each U of lattice_isometries(frame, frame), once
+    per frame."""
+    return tuple((m, tuple(tuple(int(x) for x in row) for row in m))
+                 for m in lattice_isometries(frame, frame))
+
+
 def automorphism_group_with_embedding(tiling: PeriodicTiling):
     """Aut(T) over its maximal translation lattice, plus the coordinate map
     from the group's frame back into the tiling's frame.  The verified Seitz
@@ -511,8 +457,7 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
     d, cells, keys = _int_cells(tiling)
     zero = (0,) * frame.dim
     seitz = []
-    for m in lattice_isometries(frame, frame):
-        mi = tuple(tuple(int(x) for x in row) for row in m)
+    for m, mi in _lattice_automorphisms(frame):
         image = sorted(_affine(mi, zero, p) for p in cells[0])
         for pts in cells:
             c = _translate_match(image, pts)

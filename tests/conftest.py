@@ -1,12 +1,13 @@
+import math
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from crystile.construction import construct_tiling
 from crystile.groups import preset
-from crystile.rational import ONE, Q
+from crystile.rational import ONE, Q, ZERO
 from crystile.linalg import identity_mat, mat_mul, vdot, vec, vsub
 from crystile.isometry import (
     Frame,
@@ -18,12 +19,15 @@ from crystile.isometry import (
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
+    InteriorOverlapError,
     _affine_rank,
     _centroid,
     _coordinate_normal,
     _halfspace_key,
+    meet_face_to_face,
+    volume,
 )
-from crystile.tiling import periodic_tiling
+from crystile.tiling import PeriodicTiling, periodic_tiling
 
 
 @pytest.fixture
@@ -181,3 +185,79 @@ def bare(frame, points, facets=None):
     if facets is None and _affine_rank(pts) == frame.dim:
         facets = recovered_facets(frame, ConvexPolytope._from_sorted(frame, pts, None))
     return ConvexPolytope._from_sorted(frame, pts, None if facets is None else tuple(facets))
+
+
+# the pairwise neighbour scan that once explained a rejected tiling, verbatim
+# but for its public name: the reference whose verdicts validate_tiling's
+# facet matching must reproduce
+PAIRWISE_MAX_OFFSETS = 2048  # neighbor offsets a rejection's pairwise scan may visit
+
+
+def pairwise_problems(tiling: PeriodicTiling) -> list:
+    """Full-dimensionality, unit covolume, and pairwise face classification
+    of neighbors (meet_face_to_face); explains why a tiling is rejected.
+
+    Neighbor offsets are derived from bounding boxes, which covers at
+    least the 3x3(x3) block and also catches wide tiles whose neighbors
+    sit further out.  When the boxes give more than PAIRWISE_MAX_OFFSETS
+    offsets in all, the scan is skipped and one problem names the count,
+    so a long thin tile cannot make the explanation run unboundedly long.
+    """
+    problems = []
+    n = tiling.frame.dim
+    total = ZERO
+    for t in tiling.cell_tiles:
+        if t.dim != n:
+            problems.append("tile is not full-dimensional")
+            return problems
+        total += volume(t)
+    if total != 1:
+        problems.append(f"cell volumes sum to {total}, expected 1")
+    tiles = tiling.cell_tiles
+    offsets = sum(math.prod(map(len, _offset_ranges(t, s)))
+                  for i, t in enumerate(tiles) for s in tiles[i:])
+    if offsets > PAIRWISE_MAX_OFFSETS:
+        problems.append(
+            f"pairwise scan skipped: its {offsets} neighbor offsets exceed "
+            f"PAIRWISE_MAX_OFFSETS = {PAIRWISE_MAX_OFFSETS}"
+        )
+        return problems
+    for i, t in enumerate(tiling.cell_tiles):
+        for j in range(i, len(tiling.cell_tiles)):
+            s = tiling.cell_tiles[j]
+            for k in product(*_offset_ranges(t, s)):
+                if i == j:
+                    nz = next((c for c in k if c != 0), 0)
+                    if nz <= 0:
+                        continue  # skip self and one of each +-k pair
+                shifted = s.translate(tuple(Q(c) for c in k))
+                if _quick_separated(t, shifted):
+                    continue
+                try:
+                    res = meet_face_to_face(t, shifted)
+                except InteriorOverlapError:
+                    problems.append(f"tiles {i} and {j}+{k} have overlapping interiors")
+                    continue
+                if res.kind == "violation":
+                    problems.append(
+                        f"tiles {i} and {j}+{k} meet in a non-face: {res.witness}"
+                    )
+    return problems
+
+
+def _offset_ranges(a: ConvexPolytope, b: ConvexPolytope) -> list:
+    """Per axis, the integer offsets k at which b + k can meet a, from
+    their bounding boxes."""
+    return [
+        range(math.ceil(lo1 - hi2), math.floor(hi1 - lo2) + 1)
+        for (lo1, hi1), (lo2, hi2) in zip(a.bounding_box(), b.bounding_box())
+    ]
+
+
+def _quick_separated(a: ConvexPolytope, b: ConvexPolytope) -> bool:
+    """True when some facet of one tile strictly separates the other."""
+    for p, q in ((a, b), (b, a)):
+        for h in p.facets():
+            if all(vdot(h.covector, v) < h.offset for v in q.vertices):
+                return True
+    return False

@@ -288,9 +288,9 @@ def test_bad_dim_or_gram_is_input_error(tmp_path, verb, dim, gram, capsys):
     assert "input error" in err
 
 
-def test_long_thin_tile_rejection_is_capped(tmp_path, capsys):
+def test_long_thin_tile_rejection_names_its_two_edges(tmp_path, capsys):
     # a volume-1 tile [0, W] x [0, 1/W] overlaps its W - 1 nearest lattice
-    # translates; the explanation stops at PAIRWISE_MAX_OFFSETS offsets
+    # translates; its ends match each other, its long edges match nothing
     w = 10 ** 4
     verts = [[0, 0], [w, 0], [0, f"1/{w}"], [w, f"1/{w}"]]
     path = tmp_path / "thin.json"
@@ -299,7 +299,26 @@ def test_long_thin_tile_rejection_is_capped(tmp_path, capsys):
     code, _, err = run_cli(capsys, "aut", str(path))
     assert code == 2
     lines = [ln for ln in err.splitlines() if ln.startswith("violation:")]
-    assert len(lines) == 1 and "PAIRWISE_MAX_OFFSETS" in lines[0]
+    assert lines == [
+        f"violation: facet [(0, 0), ({w}, 0)] of tile 0 has no matching facet",
+        f"violation: facet [(0, 1/{w}), ({w}, 1/{w})] of tile 0 has no matching facet",
+    ]
+
+
+def test_grid_gap_rejection_names_each_open_facet(tmp_path, capsys):
+    # k x k boxes of 1/k x 1/(2k) fill the lower half of the cell: the
+    # volume defect and the k bottom and k top edges, one line each
+    k = 20
+    boxes = [[[f"{i + a}/{k}", f"{j + b}/{2 * k}"] for a in (0, 1) for b in (0, 1)]
+             for i in range(k) for j in range(k)]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"dim": 2, "gram": [[1, 0], [0, 1]],
+                                "cell_tiles": [{"vertices": v} for v in boxes]}))
+    code, _, err = run_cli(capsys, "aut", str(path))
+    assert code == 2
+    lines = [ln for ln in err.splitlines() if ln.startswith("violation:")]
+    assert len(lines) == 2 * k + 1
+    assert lines[0] == "violation: cell volumes sum to 1/2, expected 1"
 
 
 # fields that replace those of a valid square-tiling file

@@ -227,19 +227,16 @@ SEED0_DIGESTS = {
 
 @pytest.mark.parametrize("name", SEED0_DIGESTS)
 def test_seed0_construction_digests(name, count_calls):
-    # each facet lines up with its face, so validation never falls back to
-    # the pairwise scan.  The cones come straight from the certified cell, so
-    # the subdivision is the one tiling validated, and Aut is computed once
-    # and built from its verified pairs without validate_group
+    # the cones come straight from the certified cell, so the subdivision
+    # is the one tiling validated, and Aut is computed once and built from
+    # its verified pairs without validate_group
     group = preset(name)
-    scans = count_calls(tiling_mod, "_pairwise_problems")
     validations = count_calls(tiling_mod, "validate_tiling")
     auts = count_calls(tiling_mod, "automorphism_group")
     voronoi_tilings = count_calls(voronoi_mod, "voronoi_tiling")
     group_checks = count_calls(groups_mod, "validate_group")
     text = dump_json(tiling_to_json(construct_tiling(group, 0)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEED0_DIGESTS[name]
-    assert scans == []
     assert len(validations) == 1 and voronoi_tilings == []
     assert len(auts) == 1 and group_checks == []
 
@@ -267,6 +264,19 @@ def test_carried_facets_match_recovery(name):
         carried = facet_key_set(t.facets())
         assert len(carried) == len(t.facets())
         assert carried == facet_key_set(recovered_facets(g.frame, t))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_carried_tight_sets_match_recomputation(name):
+    # transform and translate carry each vertex's tight set, since an
+    # isometry keeps incidences: every transformed Voronoi cell and cone
+    # holds the sets that a fresh copy of it computes
+    g = preset(name)
+    tiles = voronoi_tiling(g, generic_point(g, 0)).cell_tiles + seed0_construction(name).cell_tiles
+    for t in tiles:
+        assert t._tight is not None
+        fresh = ConvexPolytope._from_sorted(t.frame, t.vertices, t.facets())
+        assert t._tight == polytope._tight_sets(fresh)
 
 
 def test_construction_inverts_each_linear_part_once(count_calls):

@@ -9,7 +9,9 @@ of the package through the imports.  The one edit: `_fixes_tiling` read
 its keys from `PeriodicTiling.tile_keys()`, which went with it, so the
 method's body stands in its place.  The new code must return the same
 groups, embeddings, lattices, verdicts and candidate pairs, and its image
-keys must decode to the old vertex tuples.
+keys must decode to the old vertex tuples.  Verdicts are also compared
+with the pairwise scan of conftest.pairwise_problems where it runs in
+seconds: not on P222 (minutes) nor on Pm-3m (past its offset cap).
 """
 
 import math
@@ -53,7 +55,7 @@ from crystile.rational import Q, ZERO, frac_part
 from crystile.tiling import PeriodicTiling, reexpress_over_lattice, transform_tiling
 from crystile.voronoi import voronoi_tiling
 
-from conftest import seed0_construction
+from conftest import pairwise_problems, seed0_construction
 from test_tiling import REJECTED
 from test_witness_oracle import FIXTURES, SQUARE
 
@@ -187,12 +189,18 @@ def assert_same_aut(tiling):
     assert tiling_mod.maximal_translation_lattice(tiling) == maximal_translation_lattice(tiling)
 
 
+def assert_same_verdict(tiling, accepts, scan=True):
+    assert (tiling_mod.validate_tiling(tiling) == []) is _facet_matching_accepts(tiling) is accepts
+    if scan:
+        assert (pairwise_problems(tiling) == []) is accepts
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_aut_and_facet_matching_match_the_fraction_keys(name):
     g = preset(name)
     for tiling in (voronoi_tiling(g, generic_point(g, 0)), seed0_construction(name)):
         assert_same_aut(tiling)
-        assert tiling_mod._facet_matching_accepts(tiling) is _facet_matching_accepts(tiling) is True
+        assert_same_verdict(tiling, True, scan=name not in ("P222", "Pm-3m"))
 
 
 def test_non_maximal_lattice_matches_the_fraction_keys():
@@ -206,7 +214,7 @@ def test_non_maximal_lattice_matches_the_fraction_keys():
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_rejected_tilings_keep_their_verdict(case):
     tiling = tiling_mod.periodic_tiling(REJECTED[case][0].frame, REJECTED[case], validate=False)
-    assert tiling_mod._facet_matching_accepts(tiling) is _facet_matching_accepts(tiling) is False
+    assert_same_verdict(tiling, False)
 
 
 def test_default_candidates_match_the_fraction_keys():

@@ -25,8 +25,6 @@ from crystile.tiling import (
     LN_3_2,
     TilingValidationError,
     WitnessError,
-    _facet_matching_accepts,
-    _pairwise_problems,
     _pulled_back,
     automorphism_group,
     automorphism_group_with_embedding,
@@ -46,7 +44,7 @@ from crystile.tiling import (
 )
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
-from conftest import bare, random_rational_point
+from conftest import bare, pairwise_problems, random_rational_point
 
 ROT90 = ((0, -1), (1, 0))
 D4 = {
@@ -84,22 +82,73 @@ OFFSET_ROWS = {
 REJECTED = {**COVERAGE_DEFECTS, **OFFSET_ROWS}
 
 
-def assert_rejected_like_pairwise_scan(tiles):
+# what validate_tiling reports for each: the unmatched facets, and the
+# volume defect of the gap
+REJECTION_PROBLEMS = {
+    "gap": [
+        "cell volumes sum to 1/4, expected 1",
+        "facet [(0, 0), (0, 1)] of tile 0 has no matching facet",
+        "facet [(1/4, 0), (1/4, 1)] of tile 0 has no matching facet",
+    ],
+    "overlap": [
+        "facet [(0, 0), (0, 1)] of tile 0 has no matching facet",
+        "facet [(3/7, 0), (3/7, 1)] of tile 0 has no matching facet",
+        "facet [(26/77, 0), (26/77, 1)] of tile 1 has no matching facet",
+        "facet [(10/11, 0), (10/11, 1)] of tile 1 has no matching facet",
+    ],
+    "rows-2d": [
+        "facet [(0, 0), (1, 0)] of tile 0 has no matching facet",
+        "facet [(1/2, 1), (3/2, 1)] of tile 0 has no matching facet",
+    ],
+    "brick-3d": [
+        "facet [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)] of tile 0 has no matching facet",
+        "facet [(2/7, 0, 1), (2/7, 1, 1), (9/7, 0, 1), (9/7, 1, 1)] of tile 0 has no matching facet",
+    ],
+}
+
+
+def assert_rejected_with_pinned_problems(case):
+    tiles = REJECTED[case]
     frame = tiles[0].frame
     with pytest.raises(TilingValidationError) as err:
         periodic_tiling(frame, tiles)
-    expected = _pairwise_problems(periodic_tiling(frame, tiles, validate=False))
-    assert expected and err.value.problems == expected
+    assert err.value.problems == REJECTION_PROBLEMS[case]
+    assert pairwise_problems(periodic_tiling(frame, tiles, validate=False))
 
 
 @pytest.mark.parametrize("case", sorted(COVERAGE_DEFECTS))
 def test_tiling_validation_rejects_gaps(case):
-    assert_rejected_like_pairwise_scan(COVERAGE_DEFECTS[case])
+    assert_rejected_with_pinned_problems(case)
 
 
 @pytest.mark.parametrize("case", sorted(OFFSET_ROWS))
 def test_tiling_validation_rejects_offset_rows(case):
-    assert_rejected_like_pairwise_scan(OFFSET_ROWS[case])
+    assert_rejected_with_pinned_problems(case)
+
+
+def test_validation_names_facets_held_wrongly():
+    # a triangle on the left edge of the left half-cell holds that edge
+    # from the same side; with the right half-cell, whose right edge is the
+    # same mod the lattice, three facets hold it
+    h = Q(1, 2)
+    tri = ConvexPolytope(F2, [(0, 0), (0, 1), (h, h)])
+    halves = [ConvexPolytope(F2, [(a, 0), (a + h, 0), (a, 1), (a + h, 1)]) for a in (0, h)]
+    diagonals = [
+        "facet [(0, 0), (1/2, 1/2)] of tile 1 has no matching facet",
+        "facet [(0, 1), (1/2, 1/2)] of tile 1 has no matching facet",
+    ]
+    expected = {
+        1: ["cell volumes sum to 3/4, expected 1",
+            "facet [(0, 0), (0, 1)] is held by 2 facets, of tiles 0, 1; expected one from each side",
+            "facet [(1/2, 0), (1/2, 1)] of tile 0 has no matching facet", *diagonals],
+        2: ["cell volumes sum to 5/4, expected 1",
+            "facet [(0, 0), (0, 1)] is held by 3 facets, of tiles 0, 1, 2; expected one from each side",
+            *diagonals],
+    }
+    for k, problems in expected.items():
+        tiling = periodic_tiling(F2, [tri, *halves[:k]], validate=False)
+        assert validate_tiling(tiling) == problems
+        assert pairwise_problems(tiling)
 
 
 def oracle_tilings(case):
@@ -113,13 +162,10 @@ def oracle_tilings(case):
 
 @pytest.mark.parametrize("case", list(WALLPAPER_NAMES) + ["P1"] + sorted(REJECTED))
 def test_facet_matching_agrees_with_pairwise_scan(case):
-    # differential oracle: the fast criterion accepts exactly when the
-    # pairwise face classification finds no problem, and a rejection
-    # reports the pairwise scan's problem list unchanged
+    # differential oracle: facet matching accepts exactly when the
+    # pairwise face classification finds no problem
     for t in oracle_tilings(case):
-        expected = _pairwise_problems(t)
-        assert _facet_matching_accepts(t) == (expected == [])
-        assert validate_tiling(t) == expected
+        assert (validate_tiling(t) == []) == (pairwise_problems(t) == [])
 
 
 def test_patch_counts(square_tiling):
@@ -187,7 +233,7 @@ def test_clipped_2d_cell_edges_follow_facets(name):
     for h, e in zip(cell.facets(), faces(cell, 1)):
         assert all(vdot(h.covector, v) == h.offset for v in e.vertices)
     if name == "p1":
-        assert _facet_matching_accepts(periodic_tiling(g.frame, [cell], validate=False))
+        assert validate_tiling(periodic_tiling(g.frame, [cell], validate=False)) == []
 
 
 def test_patch_equivariance(square_tiling, frame2):
