@@ -10,19 +10,17 @@ dot product a . x and never touches the Gram matrix.
 A polytope carries its facets exactly when it is full-dimensional
 (_facets is None otherwise); they are never recovered from vertices.
 ConvexPolytope(frame, vertices) checks and hulls outside input once, and
-the hull emits the facets: past the line it is read off the polar, which
-clip builds (see _hull), so one exact step serves vertex input and
-Voronoi cells alike.  Internal code builds from exact, distinct,
-sorted vertices with ConvexPolytope._from_sorted(frame, vertices, facets):
-halfspace_intersection and clip keep the input halfspaces that bound the
-result, translate and transform map them (L^-T once per linear part), and
-the construction's cones and the Voronoi box come with their own.  Faces,
-the ring (cyclic vertex order) of a polygon and point-distance data are
-derived once and cached, and so is each vertex's tight set (the facets
-through it, _tight_sets), which the facets of faces() read.  clip,
-translate and transform carry the tight sets to their output instead of
-recomputing them: a chain of clips computes them once, for the polytope
-it starts from, and the images of a tile under a group once, for the tile.
+the hull emits the facets and their incidences: past the line it is read
+off the polar, which clip builds (see _hull), so one exact step serves
+vertex input and Voronoi cells alike.  Internal code builds from exact,
+distinct, sorted vertices with ConvexPolytope._from_sorted(frame, vertices,
+facets): halfspace_intersection and clip keep the input halfspaces that
+bound the result, translate and transform map them (L^-T once per linear
+part), and the construction's cones and the Voronoi box come with their
+own.  The tight sets (the facets through each vertex, _tight_sets) are
+the one source of faces, volumes and rings (see _facet_edges), each
+derived once.  The hull, clip, translate and transform carry them, so a
+chain of clips computes them once and a tile's images under a group never.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -43,7 +41,7 @@ Cramer's rule per facet whose plane x lies beyond.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm
 from operator import mul
@@ -95,26 +93,6 @@ class HalfSpace:
             raise PolytopeError("zero normal")
 
 
-def _angular_cmp(a, b):
-    # exact CCW comparison of nonzero direction vectors (2 components)
-    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
-    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
-    if ha != hb:
-        return ha - hb
-    cross = a[0] * b[1] - a[1] * b[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
-
-
-def _sort_ccw(points, center):
-    dirs = [(vsub(p, center), p) for p in points]
-    dirs.sort(key=cmp_to_key(lambda x, y: _angular_cmp(x[0], y[0])))
-    return [p for _, p in dirs]
-
-
 def _affine_rank(points) -> int:
     if len(points) <= 1:
         return 0
@@ -128,8 +106,8 @@ class ConvexPolytope:
     Vertices are kept sorted lexicographically (the canonical form used
     for exact tile comparison).  A full-dimensional polytope carries its
     facet halfspaces from construction; a lower-dimensional one (a face)
-    carries its vertex list only.  The cyclic vertex order of a polygon
-    and the faces of each dimension are computed on demand and cached.
+    carries its vertex list only.  Tight sets, the ring (cyclic vertex
+    order) of a polygon and the faces of each dimension are cached.
     """
 
     __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
@@ -146,25 +124,25 @@ class ConvexPolytope:
             raise PolytopeError("vertex input is for dimension 1, 2 or 3")
         self._set(frame, *_hull(frame, pts))
 
-    def _set(self, frame, vertices, facets, tight=None):
+    def _set(self, frame, vertices, facets, tight=None, cycle=None):
         self.frame = frame
         self.vertices = tuple(vertices)
         self._facets = facets
         self._dim = None if facets is None else frame.dim
         self._bbox = None
-        self._cycle = None
+        self._cycle = cycle
         self._faces = None
         self._quad = None
         self._tight = tight
         self._hash = None
 
     @classmethod
-    def _from_sorted(cls, frame: Frame, vertices: tuple, facets, tight=None) -> "ConvexPolytope":
+    def _from_sorted(cls, frame: Frame, vertices: tuple, facets, tight=None, cycle=None):
         """The polytope on a tuple of exact, distinct, sorted vertices, as is,
         with its facets when it is full-dimensional and None otherwise, and
-        its tight sets (_tight_sets) when they are known."""
+        its tight sets (_tight_sets) and ring when they are known."""
         poly = cls.__new__(cls)
-        poly._set(frame, vertices, facets, tight)
+        poly._set(frame, vertices, facets, tight, cycle)
         return poly
 
     # -- identity -----------------------------------------------------------
@@ -202,19 +180,17 @@ class ConvexPolytope:
         return self._bbox
 
     def cyclic_vertices(self):
-        """Vertices of a 2-dimensional polytope in cyclic order.
-
-        In the plane the order is CCW; in space it is CCW in the affine
-        coordinates spanned from the first vertex by the first two
-        independent edge directions.
-        """
-        if self.dim != 2:
-            raise PolytopeError("cyclic order is for 2-dimensional polytopes")
+        """Vertices of a 2-dimensional polytope in cyclic order (either way),
+        walked along its edges (_walk): in the plane its facets.  In space the
+        facets from faces() and the hull of planar vertex input come with
+        their rings, and any other polygon is hulled once."""
         if self._cycle is None:
-            pts = self.vertices
-            coords = pts if self.frame.dim == 2 else _plane_coords(pts)
-            back = dict(zip(coords, pts))
-            self._cycle = tuple(back[c] for c in _sort_ccw(coords, _centroid(coords)))
+            if self.dim != 2:
+                raise PolytopeError("cyclic order is for 2-dimensional polytopes")
+            if self._facets is None:
+                self._cycle = ConvexPolytope(self.frame, self.vertices)._cycle
+            else:
+                self._cycle = _walk(f.vertices for f in faces(self, 1))
         return self._cycle
 
     def facets(self):
@@ -276,27 +252,35 @@ def _centroid(points):
 
 
 def _hull(frame: Frame, pts):
-    """(vertices, facets) of conv(pts), for a sorted list of distinct points
-    (exact); facets is None exactly when the points span less than frame.dim.
+    """ConvexPolytope._set's arguments for conv(pts), pts sorted, distinct and
+    exact: vertices, facets (None below rank frame.dim), then the tight sets
+    or, for a polygon in space, the ring.
 
     Sorted collinear points run along their line, so the ends are the first
     and last (on the line, the facets x >= lo and -x >= -hi).  Otherwise the
     hull is read off its polar (Ziegler, Lectures on Polytopes, 2.3), which
-    clip builds.  In coordinates x of the affine hull (the points themselves,
-    or _plane_coords for a planar set in space) of rank r, let c be the
-    centroid of r + 1 affinely independent points: c is interior, and each
-    point p gives the dual halfspace (x_p - c).y <= 1, which holds y = 0
-    inside.  Those of the r + 1 points bound a simplex; clipping it by each
-    other point's halfspace gives the polar.  The points whose halfspaces are
-    its facets are the vertices, and in full dimension each of its vertices
-    y is the facet (x - c).y <= 1, that is -y.x >= -1 - y.c."""
+    clip builds.  In coordinates x of the affine hull of rank r (the points,
+    or for a planar set in space the two coordinates left after dropping one
+    whose axis crosses the plane), let c be the centroid of r + 1 affinely
+    independent points: c is interior, and each point p gives the dual
+    halfspace (x_p - c).y <= 1, which holds y = 0 inside.  Those of the
+    r + 1 points bound a simplex; clipping it by each other point's
+    halfspace gives the polar.  The points whose halfspaces are its facets
+    are the vertices, and in full dimension each of its vertices y is the
+    facet (x - c).y <= 1, that is -y.x >= -1 - y.c.  Incidences reverse (p
+    is on facet y iff y is on p's polar facet), and a polygon's edges are
+    the pairs of polar facets through each polar vertex."""
     base = _independent_points(pts, frame.dim)
     rank = len(base) - 1
     if rank <= 1 and rank < frame.dim:
         return ([pts[0], pts[-1]] if rank else pts), None
     if rank == 1:
         return [pts[0], pts[-1]], (HalfSpace((ONE,), pts[0][0]), HalfSpace((-ONE,), -pts[-1][0]))
-    coords = pts if rank == frame.dim else _plane_coords(pts)
+    coords = pts
+    if rank < frame.dim:
+        normal = _cross(*(vsub(pts[i], pts[0]) for i in base[1:]))
+        k = next(i for i, a in enumerate(normal) if a != 0)
+        coords = [p[:k] + p[k + 1:] for p in pts]
     c = _centroid([coords[i] for i in base])
     # a point at c lies inside and gives no halfspace
     dual = [HalfSpace(vsub(c, x), -ONE) if x != c else None for x in coords]
@@ -310,11 +294,16 @@ def _hull(frame: Frame, pts):
         if h is not None and i not in base:
             polar = clip(polar, h)
     point_of = {h.covector: p for h, p in zip(dual, pts) if h is not None}
-    vertices = sorted(point_of[h.covector] for h in polar.facets())
+    # polar facet j is the dual halfspace of the hull vertex vertex_of[j]
+    vertex_of = [point_of[h.covector] for h in polar.facets()]
+    polar_tight = _tight_sets(polar)
     if rank < frame.dim:
-        return vertices, None
-    return vertices, tuple(HalfSpace(tuple(-a for a in y), -ONE - vdot(y, c))
-                           for y in polar.vertices)
+        return sorted(vertex_of), None, None, _walk(
+            [vertex_of[j] for j in t] for t in polar_tight)
+    order = sorted(range(len(vertex_of)), key=vertex_of.__getitem__)
+    return ([vertex_of[j] for j in order],
+            tuple(HalfSpace(tuple(-a for a in y), -ONE - vdot(y, c)) for y in polar.vertices),
+            tuple(frozenset(k for k, t in enumerate(polar_tight) if j in t) for j in order))
 
 
 def _halfspace_key(h: HalfSpace):
@@ -350,29 +339,14 @@ def _independent_points(pts, rank):
     return out
 
 
-def _independent_directions(pts, rank):
-    return [vsub(pts[i], pts[0]) for i in _independent_points(pts, rank)[1:]]
-
-
-def _affine_coords(p, p0, basis):
-    cols = transpose(tuple(basis))
-    return solve_linear(cols, vsub(p, p0))
-
-
-def _plane_coords(pts):
-    """Affine coordinates of coplanar points in space, from the first point
-    along the first two independent directions."""
-    basis = _independent_directions(pts, 2)
-    return [_affine_coords(p, pts[0], basis) for p in pts]
-
-
 def faces(poly: ConvexPolytope, m: int):
     """All m-faces as (lower-dimensional) polytopes, 0 <= m < dim.
 
-    Computed once per polytope.  The facets of a full-dimensional polytope
-    follow facets(); the edges of a polygon in space follow its cyclic
-    order, and the edges of a 3-polytope are the consecutive vertex pairs
-    of its facet rings, sorted.
+    Computed once per polytope, from the tight sets of a full-dimensional
+    one (see _facet_edges): its facets follow facets(), each with its ring
+    in space, walked from its edges, and the edges of a 3-polytope are the
+    union of its facets' edges, sorted.  A polygon in space has the edges
+    of its ring.
     """
     n = poly.dim
     if not 0 <= m < n:
@@ -381,22 +355,52 @@ def faces(poly: ConvexPolytope, m: int):
         poly._faces = {}
     out = poly._faces.get(m)
     if out is None:
+        vs = poly.vertices
         if m == n - 1 and n == poly.frame.dim:
-            tight = _tight_sets(poly)
-            vertex_lists = [[p for p, t in zip(poly.vertices, tight) if k in t]
-                            for k in range(len(poly.facets()))]
-        elif m == 0:
-            vertex_lists = [[p] for p in poly.vertices]
-        elif n == 2:
-            vertex_lists = _ring_edges(poly.cyclic_vertices())
+            out = tuple(ConvexPolytope._from_sorted(
+                poly.frame, tuple(vs[i] for i in on), None,
+                cycle=tuple(vs[i] for i in _walk(edges)) if m == 2 else None)
+                for on, edges in _facet_edges(poly))
         else:
-            vertex_lists = sorted({tuple(sorted(e)) for f in faces(poly, 2)
-                                   for e in _ring_edges(f.cyclic_vertices())})
-        out = poly._faces[m] = tuple(
-            ConvexPolytope._from_sorted(poly.frame, tuple(sorted(vs)), None)
-            for vs in vertex_lists
-        )
+            if m == 0:
+                vertex_lists = [(p,) for p in vs]
+            elif n == 2:
+                vertex_lists = [tuple(sorted(e)) for e in _ring_edges(poly.cyclic_vertices())]
+            else:
+                vertex_lists = [(vs[i], vs[j]) for i, j in
+                                sorted({e for _, edges in _facet_edges(poly) for e in edges})]
+            out = tuple(ConvexPolytope._from_sorted(poly.frame, vl, None) for vl in vertex_lists)
+        poly._faces[m] = out
     return out
+
+
+def _facet_edges(poly: ConvexPolytope):
+    """Per facet of a full-dimensional polytope, its vertex indices and its
+    edges: the index pairs i < j whose tight sets share at least n - 1
+    facets (the rule of clip; in the plane a facet is itself one edge)."""
+    n = poly.frame.dim
+    tight = _tight_sets(poly)
+    out = []
+    for k in range(len(poly.facets())):
+        on = [i for i, t in enumerate(tight) if k in t]
+        out.append((on, [(i, j) for i, j in combinations(on, 2)
+                         if len(tight[i] & tight[j]) >= n - 1]))
+    return out
+
+
+def _walk(edges):
+    """The ring through a polygon's edges (vertex pairs, two at each vertex),
+    from the least vertex towards its lesser neighbour."""
+    nbrs = {}
+    for u, w in edges:
+        nbrs.setdefault(u, []).append(w)
+        nbrs.setdefault(w, []).append(u)
+    ring = [min(nbrs)]
+    ring.append(min(nbrs[ring[0]]))
+    while len(ring) < len(nbrs):
+        a, b = nbrs[ring[-1]]
+        ring.append(b if a == ring[-2] else a)
+    return tuple(ring)
 
 
 def _edges(poly: ConvexPolytope):
@@ -416,25 +420,24 @@ def face_vertex_sets(poly: ConvexPolytope):
 
 
 def _fan(poly: ConvexPolytope):
-    """Simplices (vertex tuples) that tile a full-dimensional polytope: an
-    interval is its own; in the plane, triangles from the first ring vertex;
-    in space, cones from the first vertex over each facet's ring fan (flat
-    cones included)."""
+    """The pulling triangulation (De Loera, Rambau & Santos, Triangulations,
+    4.3) of a full-dimensional polytope, as vertex tuples: an interval is its
+    own simplex, else a cone from base = vertices[0] over each facet not
+    through it, in the plane (base, u, w) on its edge {u, w}, in space
+    (base, f, u, w) over each edge {u, w} not through its first vertex f."""
+    vs = poly.vertices
     if poly.frame.dim == 1:
-        return [poly.vertices]
-    if poly.frame.dim == 2:
-        ring = poly.cyclic_vertices()
-        return [(ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
-    base = poly.vertices[0]
+        return [vs]
     out = []
-    for f in faces(poly, 2):
-        ring = f.cyclic_vertices()
-        out += [(base, ring[0], ring[i], ring[i + 1]) for i in range(1, len(ring) - 1)]
+    for on, edges in _facet_edges(poly):
+        f = on[0]
+        if f == 0:
+            continue
+        if poly.frame.dim == 2:
+            out += [(vs[0], vs[i], vs[j]) for i, j in edges]
+        else:
+            out += [(vs[0], vs[f], vs[i], vs[j]) for i, j in edges if i != f]
     return out
-
-
-def _simplex_det(simplex):
-    return mat_det(tuple(vsub(p, simplex[0]) for p in simplex[1:]))
 
 
 def volume(poly: ConvexPolytope):
@@ -442,12 +445,13 @@ def volume(poly: ConvexPolytope):
     n = poly.frame.dim
     if poly.dim != n:
         raise PolytopeError("volume requires a full-dimensional polytope")
-    return sum((abs(_simplex_det(s)) for s in _fan(poly)), ZERO) / factorial(n)
+    dets = (mat_det(tuple(vsub(p, s[0]) for p in s[1:])) for s in _fan(poly))
+    return sum(map(abs, dets), ZERO) / factorial(n)
 
 
 def simplex_decomposition(poly: ConvexPolytope):
-    """A fan of simplices (as polytopes) from the first vertex; parts tile poly."""
-    return [ConvexPolytope(poly.frame, s) for s in _fan(poly) if _simplex_det(s) != 0]
+    """The pulling triangulation (_fan) as polytopes; its parts tile poly."""
+    return [ConvexPolytope(poly.frame, s) for s in _fan(poly)]
 
 
 # --- halfspace intersection --------------------------------------------------
@@ -540,7 +544,7 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
 def _tight_sets(poly: ConvexPolytope):
     """Per vertex of a full-dimensional polytope, the frozenset of indices
     into facets() of the facets through it, and None for a lower-dimensional
-    one; computed once, or carried by clip, translate and transform."""
+    one; computed once, or carried by the hull, clip, translate and transform."""
     if poly._tight is None and poly._facets is not None:
         facets = poly.facets()
         poly._tight = tuple(
@@ -596,7 +600,8 @@ def _feasible(n: int, hs) -> bool:
         return bool(_candidate_vertices(n, hs))
     # x -> (a_i . b)_b over a basis b of the covectors' span keeps every
     # constraint value and reaches all of R^r; recurse there
-    basis = _independent_directions([(ZERO,) * n] + covectors, r)
+    pts = [(ZERO,) * n] + covectors
+    basis = [pts[i] for i in _independent_points(pts, r)[1:]]
     return _feasible(r, [HalfSpace(tuple(vdot(a, b) for b in basis), h.offset)
                          for a, h in zip(covectors, hs)])
 
@@ -626,13 +631,7 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
     if profile(p.vertices) != profile(q.vertices):
         return None
 
-    anchors = [p.vertices[0]]
-    for cand in p.vertices[1:]:
-        trial = anchors + [cand]
-        if _affine_rank(trial) == len(trial) - 1:
-            anchors.append(cand)
-        if len(anchors) == n + 1:
-            break
+    anchors = [p.vertices[i] for i in _independent_points(p.vertices, n)]
     a0 = anchors[0]
     acols = transpose(tuple(vsub(a, a0) for a in anchors[1:]))
     ainv = mat_inv(acols)

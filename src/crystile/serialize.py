@@ -1,12 +1,14 @@
 """JSON schemas for groups, tilings, and isometries.
 
 Rationals are written as plain ints when integral, else as "p/q" strings;
-both forms (plus integer strings) parse back.
+both forms (plus integer strings) parse back, and no other string does.
+Their digits are capped by Python's int_max_str_digits.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 from .rational import rat, rat_json
 from .isometry import Frame, Isometry
@@ -20,7 +22,9 @@ class SchemaError(ValueError):
 
 
 def parse_rational(value):
-    if isinstance(value, bool) or isinstance(value, float):
+    # matched before any conversion, so a form like "1e3000000" costs nothing
+    if (isinstance(value, (bool, float))
+            or isinstance(value, str) and not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", value)):
         raise SchemaError(f"rationals must be ints or 'p/q' strings, got {value!r}")
     try:
         return rat(value)
@@ -185,6 +189,8 @@ def load_json_file(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid UTF-8 JSON: {exc}") from exc
+    except ValueError as exc:  # an int past Python's int_max_str_digits
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def write_json_file(path: str, obj) -> None:

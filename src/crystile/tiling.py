@@ -120,7 +120,8 @@ def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
 
 
 def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> PeriodicTiling:
-    canon = sorted({canonical_tile(t) for t in tiles}, key=lambda t: t.vertices)
+    # every tile is kept: a repeated tile is a double cover, which validation rejects
+    canon = sorted((canonical_tile(t) for t in tiles), key=lambda t: t.vertices)
     tiling = PeriodicTiling(frame=frame, cell_tiles=tuple(canon), provenance=provenance)
     if validate:
         problems = validate_tiling(tiling)
@@ -430,7 +431,10 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
     new_frame = Frame(frame.dim, new_gram)
     embed = Isometry(new_frame, basis, zero_vec(frame.dim), target=frame)
     pull = inverse(embed)
-    out = periodic_tiling(new_frame, [t.transform(pull) for t in tiling.cell_tiles], validate=False)
+    # the old cell holds several cells of the denser lattice: keep one copy
+    # of the tiles that agree modulo it
+    tiles = {canonical_tile(t.transform(pull)) for t in tiling.cell_tiles}
+    out = periodic_tiling(new_frame, tiles, validate=False)
     return out, embed
 
 

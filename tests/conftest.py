@@ -1,6 +1,6 @@
 import math
 import random
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
 
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from crystile.construction import construct_tiling
 from crystile.groups import preset
 from crystile.rational import ONE, Q, ZERO
-from crystile.linalg import identity_mat, mat_mul, vdot, vec, vsub
+from crystile.linalg import identity_mat, mat_mul, solve_linear, transpose, vdot, vec, vsub
 from crystile.isometry import (
     Frame,
     Isometry,
@@ -24,6 +24,7 @@ from crystile.polytope import (
     _centroid,
     _coordinate_normal,
     _halfspace_key,
+    _independent_points,
     meet_face_to_face,
     volume,
 )
@@ -151,6 +152,64 @@ def _supporting_halfspaces(n: int, pts):
     return list(found.values())
 
 
+# the exact angular sort that ordered a polygon's ring before rings were
+# walked along edges, and the plane coordinates it sorted in space, verbatim:
+# the reference of the walked rings
+def _angular_cmp(a, b):
+    # exact CCW comparison of nonzero direction vectors (2 components)
+    ha = 0 if (a[1] > 0 or (a[1] == 0 and a[0] > 0)) else 1
+    hb = 0 if (b[1] > 0 or (b[1] == 0 and b[0] > 0)) else 1
+    if ha != hb:
+        return ha - hb
+    cross = a[0] * b[1] - a[1] * b[0]
+    if cross > 0:
+        return -1
+    if cross < 0:
+        return 1
+    return 0
+
+
+def _sort_ccw(points, center):
+    dirs = [(vsub(p, center), p) for p in points]
+    dirs.sort(key=cmp_to_key(lambda x, y: _angular_cmp(x[0], y[0])))
+    return [p for _, p in dirs]
+
+
+def _independent_directions(pts, rank):
+    return [vsub(pts[i], pts[0]) for i in _independent_points(pts, rank)[1:]]
+
+
+def _affine_coords(p, p0, basis):
+    cols = transpose(tuple(basis))
+    return solve_linear(cols, vsub(p, p0))
+
+
+def _plane_coords(pts):
+    """Affine coordinates of coplanar points in space, from the first point
+    along the first two independent directions."""
+    basis = _independent_directions(pts, 2)
+    return [_affine_coords(p, pts[0], basis) for p in pts]
+
+
+def old_ring(poly):
+    """The ring of a polygon by angle about its centroid: CCW in the plane,
+    and in space CCW in the plane coordinates of _plane_coords."""
+    pts = poly.vertices
+    coords = pts if poly.frame.dim == 2 else _plane_coords(pts)
+    back = dict(zip(coords, pts))
+    return tuple(back[c] for c in _sort_ccw(coords, _centroid(coords)))
+
+
+def same_cycle(a, b):
+    """True when the sequences a and b are one cycle, up to rotation and
+    reversal."""
+    a, b = tuple(a), tuple(b)
+    if len(a) != len(b) or set(a) != set(b):
+        return False
+    doubled = b + b
+    return any(doubled[i:i + len(a)] in (a, a[::-1]) for i in range(len(b)))
+
+
 def recovered_facets(frame, poly):
     """The facets of a full-dimensional polytope recovered from its vertices
     alone, as the polytope kernel once did on first use: the reference that
@@ -161,7 +220,7 @@ def recovered_facets(frame, poly):
         lo, hi = pts[0][0], pts[-1][0]
         return (HalfSpace((ONE,), lo), HalfSpace((-ONE,), -hi))
     if n == 2:
-        cyc = poly.cyclic_vertices()
+        cyc = old_ring(poly)
         out = []
         c = _centroid(pts)
         for i, u in enumerate(cyc):

@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import product
 
 import pytest
@@ -319,6 +320,37 @@ def test_grid_gap_rejection_names_each_open_facet(tmp_path, capsys):
     lines = [ln for ln in err.splitlines() if ln.startswith("violation:")]
     assert len(lines) == 2 * k + 1
     assert lines[0] == "violation: cell volumes sum to 1/2, expected 1"
+
+
+@pytest.mark.parametrize("second", [[[0, 0], [1, 0], [0, 1], [1, 1]],
+                                    [[1, 0], [2, 0], [1, 1], [2, 1]]],
+                         ids=["twice", "translate"])
+def test_repeated_tile_is_a_double_cover(tmp_path, second, capsys):
+    # the unit square listed twice, or with its lattice translate, covers
+    # the plane twice: the volume sum and every facet say so
+    square = [[0, 0], [1, 0], [0, 1], [1, 1]]
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps({"dim": 2, "gram": [[1, 0], [0, 1]],
+                                "cell_tiles": [{"vertices": square}, {"vertices": second}]}))
+    code, _, err = run_cli(capsys, "aut", str(path))
+    assert code == 2
+    lines = [ln for ln in err.splitlines() if ln.startswith("violation:")]
+    assert lines[0] == "violation: cell volumes sum to 2, expected 1"
+    assert len(lines) == 3
+
+
+@pytest.mark.parametrize("token", ['"1e3000000"', "9" * 5000], ids=["exponent", "digits"])
+def test_oversized_rational_is_input_error(tmp_path, token, capsys):
+    # "1e3000000" is no documented form, and a 5,000-digit int is past
+    # Python's int_max_str_digits: both are refused at once, before any big
+    # number is built
+    path = tmp_path / "big.json"
+    path.write_text('{"dim": 2, "gram": [[1, 0], [0, 1]], "cell_tiles": '
+                    '[{"vertices": [[0, 0], [1, 0], [0, 1], [1, %s]]}]}' % token)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "aut", str(path))
+    assert code == 2 and "input error" in err
+    assert time.perf_counter() - start < 1
 
 
 # fields that replace those of a valid square-tiling file

@@ -23,7 +23,7 @@ from crystile.linalg import enumerate_box, gram_norm2, mat_vec, solve_linear, va
 from crystile.polytope import ConvexPolytope, _centroid, _ring_edges, faces, sq_distance_point
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
 
-from conftest import bare, seed0_construction
+from conftest import bare, old_ring, seed0_construction
 
 
 # --- the code that formed every Gram product per call -----------------------------
@@ -64,7 +64,7 @@ def old_polygon_proj_sq_distance(f: ConvexPolytope, x, g):
     The ring is convex, so the projection lies in f iff it is on the inner
     side of every ring edge: the coordinate cross product of the edge and
     the projection has a nonnegative component along the ring normal."""
-    ring = f.cyclic_vertices()
+    ring = old_ring(f)
     o = ring[0]
     e1, e2 = vsub(ring[1], o), vsub(ring[2], o)
     xo = vsub(x, o)

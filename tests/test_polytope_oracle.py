@@ -1,7 +1,8 @@
 """Differential oracle for the cached polytope boundary and the vertex hull.
 
 The functions below are the boundary code that derived a polytope's faces,
-edges, facet rings and point distances afresh on every call, the patch
+edges, facet rings (by angle, old_ring in conftest.py) and point distances
+afresh on every call, the pulling triangulation from those faces, the patch
 loop that translated every candidate tile before testing it, and the hull
 that tested each point against the hull of all the others.  They are kept
 verbatim (apart from their names) and compared for exact equality with the
@@ -14,6 +15,7 @@ kernel no longer has.
 
 import math
 import random
+import re
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crystile.construction import construct_tiling
-from crystile.groups import WALLPAPER_NAMES, generic_point, preset
+from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset
 from crystile.linalg import (
     gram_dot,
     gram_norm2,
@@ -34,16 +36,13 @@ from crystile.linalg import (
     vec,
     vsub,
 )
-from crystile.isometry import Isometry, standard_frame
+from crystile.isometry import Isometry, standard_frame, to_cartesian
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     PolytopeError,
-    _affine_coords,
     _affine_rank,
     _centroid,
-    _independent_directions,
-    _sort_ccw,
     clip,
     faces,
     halfspace_intersection,
@@ -52,17 +51,24 @@ from crystile.polytope import (
     volume,
 )
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
+from crystile.svg import _cell_range, _fmt, tiling_svg
 from crystile import tiling as tiling_mod
 from crystile.tiling import Patch, patch
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
 from conftest import (
+    _affine_coords,
+    _independent_directions,
+    _sort_ccw,
     _supporting_halfspaces,
     bare,
     facet_key_set,
+    old_ring,
     random_rational_orthogonal,
     random_rational_point,
     recovered_facets,
+    same_cycle,
+    seed0_construction,
 )
 
 
@@ -100,7 +106,7 @@ def _edges_3d(poly: ConvexPolytope):
 def old_volume(poly: ConvexPolytope):
     n = poly.frame.dim
     if n == 2:
-        cyc = poly.cyclic_vertices()
+        cyc = old_ring(poly)
         acc = ZERO
         for i, u in enumerate(cyc):
             w = cyc[(i + 1) % len(cyc)]
@@ -132,23 +138,24 @@ def _facet_cycle_3d(fpoly: ConvexPolytope):
     return [back[tuple(cc)] for cc in order]
 
 
-def old_simplex_decomposition(poly: ConvexPolytope):
+def pulling_fan(poly: ConvexPolytope):
+    """The pulling triangulation from the brute-force incidences: a cone from
+    the first vertex over each facet not through it, the facet pulled in turn
+    at its own first vertex (in space, over its edges not through that)."""
     n = poly.frame.dim
-    if n == 2:
-        cyc = list(poly.cyclic_vertices())
-        base = cyc[0]
-        return [
-            bare(poly.frame, [base, cyc[i], cyc[i + 1]])
-            for i in range(1, len(cyc) - 1)
-        ]
     base = poly.vertices[0]
+    edges = _edges_3d(poly) if n == 3 else []
     parts = []
-    for fpoly in old_faces(poly, 2):
-        ring = _facet_cycle_3d(fpoly)
-        for i in range(1, len(ring) - 1):
-            simplex = [base, ring[0], ring[i], ring[i + 1]]
-            if _affine_rank(simplex) == 3:
-                parts.append(bare(poly.frame, simplex))
+    for fpoly in old_faces(poly, n - 1):
+        if base in fpoly.vertices:
+            continue
+        if n == 2:
+            parts.append(bare(poly.frame, [base, *fpoly.vertices]))
+            continue
+        f = fpoly.vertices[0]
+        for e in edges:
+            if set(e.vertices) <= set(fpoly.vertices) and f not in e.vertices:
+                parts.append(bare(poly.frame, [base, f, *e.vertices]))
     return parts
 
 
@@ -162,7 +169,7 @@ def old_sq_distance_point(poly: ConvexPolytope, x):
     edge_list = []
     if poly.dim >= 1:
         if poly.frame.dim == 2 and poly.dim == 2:
-            cyc = poly.cyclic_vertices()
+            cyc = old_ring(poly)
             edge_list = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
         elif poly.dim == 1:
             edge_list = [(poly.vertices[0], poly.vertices[-1])]
@@ -435,7 +442,7 @@ def test_boundary_matches_uncached_code(case):
         for m in range(n):
             assert keys(faces(new, m)) == keys(old_faces(old, m))
         assert volume(new) == old_volume(old)
-        assert keys(simplex_decomposition(new)) == keys(old_simplex_decomposition(old))
+        assert keys(simplex_decomposition(new)) == keys(pulling_fan(old))
         points = [random_rational_point(rng, n, span=3) for _ in range(4 if n == 3 else 8)]
         points += list(poly.vertices[:2]) + [_centroid(poly.vertices)]
         for x in points:
@@ -471,3 +478,69 @@ def test_patch_work_grows_with_the_radius(count_calls):
         patch(p1, center, r2)
         counts.append(len(calls))
     assert counts[0] < counts[1] < 675
+
+
+# --- rings walked along edges, and the hull's incidences ----------------------------
+
+def check_rings(poly):
+    """The rings of poly (a polygon) or of its facets (a 3-polytope) are the
+    angular-sort rings up to rotation and reversal; in space, so is the ring
+    of a copy that has to hull itself."""
+    polygons = [poly] if poly.dim == 2 else faces(poly, 2)
+    for f in polygons:
+        assert same_cycle(f.cyclic_vertices(), old_ring(f))
+        if f.frame.dim == 3:
+            assert same_cycle(fresh(f).cyclic_vertices(), old_ring(f))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_rings_match_the_angular_sort(name):
+    # the construction's tiles, and in the plane the Voronoi cells too (its
+    # cone tiles there are triangles)
+    tilings = [seed0_construction(name)]
+    if name in WALLPAPER_NAMES:
+        tilings.append(case_tilings(name)[0][0])
+    for tiling in tilings:
+        for t in tiling.cell_tiles:
+            check_rings(t)
+
+
+@pytest.mark.parametrize("case", ["plane", "space", "plane-in-space"])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_rings_and_hull_incidences_on_clouds(case, data):
+    pts = data.draw(clouds(3 if case == "space" else 2))
+    if case == "plane-in-space":
+        pts = [vec(_in_space(*p)) for p in pts]
+    frame = standard_frame(len(pts[0]))
+    poly = ConvexPolytope(frame, pts)
+    if poly.dim == frame.dim:
+        # the hull carries its tight sets, read off the polar
+        assert poly._tight == tuple(
+            frozenset(k for k, h in enumerate(poly.facets()) if vdot(h.covector, v) == h.offset)
+            for v in poly.vertices)
+    if poly.dim >= 2:
+        check_rings(poly)
+
+
+@pytest.mark.parametrize("name", WALLPAPER_NAMES)
+def test_svg_paths_walk_tile_edges(name):
+    # each path visits the vertices of one tile translate once, along its
+    # edges; the Voronoi cells are polygons, the construction's tiles triangles
+    (tiling, _), _ = case_tilings(name)
+    window = (0, 0, 1, 1)
+    (lo0, lo1), (hi0, hi1) = _cell_range(tiling.frame, window)
+    outlines = {}
+    for t in tiling.cell_tiles:
+        index = {p: i for i, p in enumerate(t.vertices)}
+        edges = [[index[p] for p in e.vertices] for e in faces(t, 1)]
+        for k in product(range(lo0, hi0 + 1), range(lo1, hi1 + 1)):
+            pts = ["%s,%s" % tuple(map(_fmt, to_cartesian(tiling.frame, vadd(p, k))))
+                   for p in t.vertices]
+            outlines[frozenset(pts)] = {frozenset((pts[i], pts[j])) for i, j in edges}
+    paths = re.findall(r' d="M (.*?) Z"', tiling_svg(tiling, window))
+    assert paths
+    for d in paths:
+        ring = d.split(" L ")
+        assert len(set(ring)) == len(ring)
+        assert set(map(frozenset, zip(ring, ring[1:] + ring[:1]))) == outlines[frozenset(ring)]

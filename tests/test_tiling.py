@@ -36,6 +36,7 @@ from crystile.tiling import (
     patch,
     periodic_tiling,
     prototiles,
+    reexpress_over_lattice,
     tilings_equal,
     transform_tiling,
     translation_mld_check,
@@ -299,6 +300,9 @@ def test_automorphism_rhomb_is_d2(rhomb_tiling):
 
 
 def test_automorphism_half_scale(half_scale_tiling):
+    # over the (1/2 Z)^2 lattice the four squares are one tile, kept once
+    dense, _ = reexpress_over_lattice(half_scale_tiling, ((Q(1, 2), 0), (0, Q(1, 2))))
+    assert len(dense.cell_tiles) == 1 and validate_tiling(dense) == []
     aut, emb = automorphism_group_with_embedding(half_scale_tiling)
     assert aut.order() == 8
     assert aut.frame.gram == ((Q(1, 4), 0), (0, Q(1, 4)))
