@@ -13,6 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from .rational import Q, ZERO, ONE, rat, frac_part, isqrt_ceil
 from .linalg import (
@@ -54,12 +55,21 @@ def _canon_seitz(m: Mat, v: Vec):
     return (tuple(tuple(int(x) for x in row) for row in m), tuple(frac_part(x) for x in v))
 
 
-def _seitz_mul(a, b):
-    (m1, v1), (m2, v2) = a, b
-    cols = tuple(zip(*m2))
-    m = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in m1)
-    v = tuple(sum((x * y for x, y in zip(row, v2)), t) for row, t in zip(m1, v1))
-    return m, tuple(frac_part(x) for x in v)
+def _int_mat_mul(a, b):
+    """a b for int matrices."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _int_seitz_translation(m1, t1, t2, d):
+    """(M1 t2 + t1) mod d: the translation over the denominator d of the
+    Seitz product (M1, t1 / d)(M2, t2 / d), whose point part is M1 M2."""
+    return tuple((sum(map(mul, row, t2)) + x) % d for row, x in zip(m1, t1))
+
+
+def _int_translations(v, d):
+    """The rationals v over the denominator d (each denominator divides d)."""
+    return tuple(x.numerator * (d // x.denominator) for x in v)
 
 
 @dataclass(frozen=True)
@@ -101,12 +111,31 @@ class CrystalGroup:
 def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     """Canonicalize and check a group description; raises GroupValidationError.
 
-    Checks: integer Gram-orthogonal point parts, pairwise distinct point
-    parts, closure modulo the lattice, and presence of the identity.  The
-    full-rank lattice condition holds by the basis convention and the
-    frame's positive-definiteness check.
+    The checks run in this order, each on ints, and a failing stage raises
+    with its violations before the next one runs:
+
+    1. per rep: the shape, an integer point part M, and Gram-orthogonality
+       as M^T (E G) M == E G over the common denominator E of the Gram
+       entries (_int_gram); det M = +-1 follows, as det G != 0;
+    2. the identity is present and no point part occurs twice;
+    3. the point parts are closed under products, over all pairs of int
+       matrices.  A failure is reported alone ("missing point part"): the
+       translations of a set that is not a group have nothing to check;
+    4. closure modulo the lattice.  Generators are taken greedily, each rep
+       whose point part the ones before it do not generate, so there are
+       at most log2 |P| of them; d is the lcm of their translation
+       denominators.  Every element of the group is a word in them, so in a
+       valid group every translation is in (1/d) Z^n, and a rep whose
+       denominator does not divide d fails closure at once.  Otherwise the
+       |P|^2 products (M1 t2 + t1) mod d are compared on int translations
+       t = d v, stopping at the first mismatch.
+
+    The full-rank lattice condition holds by the basis convention and the
+    frame's positive-definiteness check.  The reps keep their translations
+    as rationals in [0,1)^n.
     """
     n = frame.dim
+    _, eg = _int_gram(frame)
     violations = []
     canon = []
     for idx, (m, v) in enumerate(seitz_pairs):
@@ -118,14 +147,11 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
         if not is_integral_mat(m):
             violations.append(f"rep {idx}: non-integer point part")
             continue
-        if mat_mul(transpose(m), mat_mul(frame.gram, m)) != frame.gram:
+        m, v = _canon_seitz(m, v)
+        if _int_mat_mul(transpose(m), _int_mat_mul(eg, m)) != eg:
             violations.append(f"rep {idx}: point part is not Gram-orthogonal (M^T G M != G)")
             continue
-        d = mat_det(m)
-        if d != 1 and d != -1:
-            violations.append(f"rep {idx}: determinant {d} not in {{+1,-1}}")
-            continue
-        canon.append(_canon_seitz(m, v))
+        canon.append((m, v))
     if violations:
         raise GroupValidationError(violations)
 
@@ -140,24 +166,55 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
         if m in seen and seen[m] != v:
             violations.append("duplicate point parts with different translations")
         seen[m] = v
-    if len(seen) != len(canon):
-        canon = [(m, v) for m, v in dict.fromkeys(canon)]
     if violations:
         raise GroupValidationError(violations)
 
-    by_m = dict(canon)
-    for m1, v1 in canon:
-        for m2, v2 in canon:
-            m12, w = _seitz_mul((m1, v1), (m2, v2))
-            if m12 not in by_m:
-                violations.append("closure failure: missing point part for a product")
-            elif by_m[m12] != w:
-                violations.append("closure failure: product translation differs mod lattice")
-    if violations:
-        raise GroupValidationError(sorted(set(violations)))
+    reps = tuple(sorted(set(canon)))
+    # table[i][j] indexes the point part M_i M_j, whose columns are M_i
+    # applied to those of M_j: each M_i maps the few distinct columns once
+    cols = [tuple(zip(*m)) for m, _ in reps]
+    index = {c: i for i, c in enumerate(cols)}
+    distinct = set().union(*cols)
+    table = []
+    for m, _ in reps:
+        image = {c: tuple(sum(map(mul, row, c)) for row in m) for c in distinct}
+        table.append([index.get(tuple(map(image.__getitem__, c))) for c in cols])
+    if any(None in row for row in table):
+        raise GroupValidationError(["closure failure: missing point part for a product"])
 
-    reps = tuple(sorted(canon))
+    one = reps.index(ident)
+    gens, generated = [], {one}
+    for i in range(len(reps)):
+        if i not in generated:
+            gens.append(i)
+            generated = _generated(table, one, gens)
+    differs = ["closure failure: product translation differs mod lattice"]
+    d = math.lcm(*(x.denominator for i in gens for x in reps[i][1]))
+    if any(d % x.denominator for _, v in reps for x in v):
+        raise GroupValidationError(differs)
+    ts = [_int_translations(v, d) for _, v in reps]
+    for (m1, _), t1, row in zip(reps, ts, table):
+        for t2, k in zip(ts, row):
+            if _int_seitz_translation(m1, t1, t2, d) != ts[k]:
+                raise GroupValidationError(differs)
     return CrystalGroup(frame=frame, reps=reps, name=name)
+
+
+def _generated(table, ident, gens) -> set:
+    """The indices of the subgroup that the indices gens generate, in a
+    group whose product table of indices is table."""
+    out = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = table[a][g]
+                if c not in out:
+                    out.add(c)
+                    new.append(c)
+        frontier = new
+    return out
 
 
 # Largest closure span_seitz builds: crystallographic point groups have order
@@ -171,26 +228,31 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
     Each round multiplies the newest elements on the right by the
     generators.  Elements of a finite point group have finite order mod the
     lattice, so these words already form the group; any other input grows
-    past MAX_GROUP_ORDER.
+    past MAX_GROUP_ORDER.  The words are int Seitz pairs over the common
+    denominator d of the generators' translations, which every product
+    keeps.
     """
     gens = [(mat(m), vec(v)) for m, v in generators]
     if not all(is_integral_mat(m) for m, _ in gens):
         raise GroupValidationError(["generator with a non-integer point part"])
     gens = [_canon_seitz(m, v) for m, v in gens]
-    frontier = [_canon_seitz(identity_mat(frame.dim), zero_vec(frame.dim))]
+    d = math.lcm(*(x.denominator for _, v in gens for x in v))
+    gens = [(m, _int_translations(v, d)) for m, v in gens]
+    n = frame.dim
+    frontier = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)]
     elems = set(frontier)
     while frontier:
         new = []
-        for a in frontier:
-            for b in gens:
-                prod = _seitz_mul(a, b)
+        for m1, t1 in frontier:
+            for m2, t2 in gens:
+                prod = (_int_mat_mul(m1, m2), _int_seitz_translation(m1, t1, t2, d))
                 if prod not in elems:
                     elems.add(prod)
                     new.append(prod)
         if len(elems) > MAX_GROUP_ORDER:
             raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
         frontier = new
-    return validate_group(frame, sorted(elems), name=name)
+    return validate_group(frame, sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems), name=name)
 
 
 # --- presets ----------------------------------------------------------------

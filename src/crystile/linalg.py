@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from operator import mul
 
 from .rational import Q, ZERO, ONE, rat
 
@@ -233,16 +234,17 @@ def hermite_column_basis(int_cols: list) -> list:
     return [tuple(c) for c in basis]
 
 
-def smith_normal_form(a: Mat):
-    """U A V = D over the integers, U and V unimodular, D diagonal.
+def _smith(a, carry):
+    """Diagonalize the integral matrix a by unimodular row and column
+    operations, applying each row operation to the rows of carry too.
 
-    Input entries must be integral rationals.  Returns (U, D, V) as
-    rational matrices with integer entries.
+    Returns (D, carry, V) as int lists: D = U a V is diagonal and the
+    returned carry is U carry, for the U that the row operations form.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     A = [[int(x) for x in row] for row in a]
-    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    U = [list(row) for row in carry]
     V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
 
     def swap_rows(i, j):
@@ -301,30 +303,44 @@ def smith_normal_form(a: Mat):
             U[t] = [-x for x in U[t]]
         t += 1
     # divisibility chain is irrelevant for congruence solving; skip it
+    return A, U, V
+
+
+def smith_normal_form(a: Mat):
+    """U A V = D over the integers, U and V unimodular, D diagonal.
+
+    Input entries must be integral rationals.  Returns (U, D, V) as
+    rational matrices with integer entries.
+    """
+    n = len(a)
+    D, U, V = _smith(a, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
     toQ = lambda M: tuple(tuple(Q(x) for x in row) for row in M)
-    return toQ(U), toQ(A), toQ(V)
+    return toQ(U), toQ(D), toQ(V)
 
 
 def solve_mod_lattice(a_stack: Mat, b_stack: Vec):
     """One rational solution x of  a_stack @ x = b_stack (mod Z^rows), or None.
 
-    a_stack must have integer entries; b_stack may be rational.
+    a_stack must have integer entries; b_stack may be rational.  The Smith
+    form runs on ints with b scaled once to e b over its common denominator
+    e, so U e b comes out of the row operations without U being formed:
+    row i says D_ii y_i = (U e b)_i / e (mod Z), solvable iff e divides
+    (U e b)_i where D_ii = 0.  With y_i = (U e b)_i / (D_ii e) over the
+    common denominator L, x = V y is one Q per coordinate, (V L y)_j / L.
     """
     nrows = len(a_stack)
     ncols = len(a_stack[0]) if nrows else 0
     if nrows == 0:
         return zero_vec(ncols)
-    U, D, V = smith_normal_form(a_stack)
-    c = mat_vec(U, b_stack)
-    y = [ZERO] * ncols
-    for i in range(nrows):
-        d = D[i][i] if i < ncols else ZERO
-        if d != 0:
-            y[i] = c[i] / d
-        elif not is_integral(c[i]):
-            return None
-    x = mat_vec(V, tuple(y))
-    return x
+    b = [Q(x) for x in b_stack]
+    e = common_denominator(b)
+    D, c, V = _smith(a_stack, [[x.numerator * (e // x.denominator)] for x in b])
+    diag = [D[i][i] * e for i in range(min(nrows, ncols)) if D[i][i] != 0]
+    if any(ci % e for (ci,) in c[len(diag):]):
+        return None
+    lcd = math.lcm(*diag)
+    y = [ci * (lcd // di) for (ci,), di in zip(c, diag)]
+    return tuple(Q(sum(map(mul, row, y)), lcd) for row in V)
 
 
 def enumerate_box(bounds) -> product:

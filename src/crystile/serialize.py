@@ -21,15 +21,21 @@ class SchemaError(ValueError):
     pass
 
 
+def _short(text: str) -> str:
+    """text, or its first 40 characters and its length when it is longer:
+    an error echoes a value without copying a huge one."""
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def parse_rational(value):
     # matched before any conversion, so a form like "1e3000000" costs nothing
     if (isinstance(value, (bool, float))
             or isinstance(value, str) and not re.fullmatch(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", value)):
-        raise SchemaError(f"rationals must be ints or 'p/q' strings, got {value!r}")
+        raise SchemaError(f"rationals must be ints or 'p/q' strings, got {_short(repr(value))}")
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {value!r}: {exc}") from exc
+        raise SchemaError(f"bad rational {_short(repr(value))}: {_short(str(exc))}") from exc
 
 
 def parse_vector(value, dim=None):

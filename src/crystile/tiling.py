@@ -120,14 +120,16 @@ def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
 
 
 def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> PeriodicTiling:
-    # every tile is kept: a repeated tile is a double cover, which validation rejects
-    canon = sorted((canonical_tile(t) for t in tiles), key=lambda t: t.vertices)
-    tiling = PeriodicTiling(frame=frame, cell_tiles=tuple(canon), provenance=provenance)
+    # every tile is kept: a repeated tile is a double cover, which validation
+    # rejects; it checks the tiles in input order, so a problem names a tile
+    # by its index among the given tiles, and then they are sorted
+    canon = tuple(canonical_tile(t) for t in tiles)
     if validate:
-        problems = validate_tiling(tiling)
+        problems = validate_tiling(PeriodicTiling(frame=frame, cell_tiles=canon))
         if problems:
             raise TilingValidationError(problems)
-    return tiling
+    canon = tuple(sorted(canon, key=lambda t: t.vertices))
+    return PeriodicTiling(frame=frame, cell_tiles=canon, provenance=provenance)
 
 
 def validate_tiling(tiling: PeriodicTiling) -> list:

@@ -6,9 +6,31 @@ from itertools import combinations, product
 import pytest
 
 from crystile.construction import construct_tiling
-from crystile.groups import preset
-from crystile.rational import ONE, Q, ZERO
-from crystile.linalg import identity_mat, mat_mul, solve_linear, transpose, vdot, vec, vsub
+from crystile.groups import (
+    MAX_GROUP_ORDER,
+    CrystalGroup,
+    GroupValidationError,
+    _canon_seitz,
+    preset,
+)
+from crystile.rational import ONE, Q, ZERO, frac_part
+from crystile.linalg import (
+    Mat,
+    Vec,
+    identity_mat,
+    is_integral,
+    is_integral_mat,
+    mat,
+    mat_det,
+    mat_mul,
+    mat_vec,
+    solve_linear,
+    transpose,
+    vdot,
+    vec,
+    vsub,
+    zero_vec,
+)
 from crystile.isometry import (
     Frame,
     Isometry,
@@ -320,3 +342,198 @@ def _quick_separated(a: ConvexPolytope, b: ConvexPolytope) -> bool:
             if all(vdot(h.covector, v) < h.offset for v in q.vertices):
                 return True
     return False
+
+
+# the Fraction group kernel that validate_group, span_seitz and
+# solve_mod_lattice ran before their int rewrite, verbatim but for the old_
+# prefix on public names: the reference of tests/test_group_oracle.py
+def _seitz_mul(a, b):
+    (m1, v1), (m2, v2) = a, b
+    cols = tuple(zip(*m2))
+    m = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in m1)
+    v = tuple(sum((x * y for x, y in zip(row, v2)), t) for row, t in zip(m1, v1))
+    return m, tuple(frac_part(x) for x in v)
+
+
+def old_validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
+    """Canonicalize and check a group description; raises GroupValidationError.
+
+    Checks: integer Gram-orthogonal point parts, pairwise distinct point
+    parts, closure modulo the lattice, and presence of the identity.  The
+    full-rank lattice condition holds by the basis convention and the
+    frame's positive-definiteness check.
+    """
+    n = frame.dim
+    violations = []
+    canon = []
+    for idx, (m, v) in enumerate(seitz_pairs):
+        m = mat(m)
+        v = vec(v)
+        if len(m) != n or any(len(r) != n for r in m) or len(v) != n:
+            violations.append(f"rep {idx}: shape mismatch")
+            continue
+        if not is_integral_mat(m):
+            violations.append(f"rep {idx}: non-integer point part")
+            continue
+        if mat_mul(transpose(m), mat_mul(frame.gram, m)) != frame.gram:
+            violations.append(f"rep {idx}: point part is not Gram-orthogonal (M^T G M != G)")
+            continue
+        d = mat_det(m)
+        if d != 1 and d != -1:
+            violations.append(f"rep {idx}: determinant {d} not in {{+1,-1}}")
+            continue
+        canon.append(_canon_seitz(m, v))
+    if violations:
+        raise GroupValidationError(violations)
+
+    ident = _canon_seitz(identity_mat(n), zero_vec(n))
+    if ident not in canon:
+        if any(m == ident[0] for m, _ in canon):
+            violations.append("pure translation outside the lattice (identity rep has nonzero part)")
+        else:
+            canon.append(ident)
+    seen = {}
+    for m, v in canon:
+        if m in seen and seen[m] != v:
+            violations.append("duplicate point parts with different translations")
+        seen[m] = v
+    if len(seen) != len(canon):
+        canon = [(m, v) for m, v in dict.fromkeys(canon)]
+    if violations:
+        raise GroupValidationError(violations)
+
+    by_m = dict(canon)
+    for m1, v1 in canon:
+        for m2, v2 in canon:
+            m12, w = _seitz_mul((m1, v1), (m2, v2))
+            if m12 not in by_m:
+                violations.append("closure failure: missing point part for a product")
+            elif by_m[m12] != w:
+                violations.append("closure failure: product translation differs mod lattice")
+    if violations:
+        raise GroupValidationError(sorted(set(violations)))
+
+    reps = tuple(sorted(canon))
+    return CrystalGroup(frame=frame, reps=reps, name=name)
+
+
+def old_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
+    """Close a generator list under multiplication mod the lattice.
+
+    Each round multiplies the newest elements on the right by the
+    generators.  Elements of a finite point group have finite order mod the
+    lattice, so these words already form the group; any other input grows
+    past MAX_GROUP_ORDER.
+    """
+    gens = [(mat(m), vec(v)) for m, v in generators]
+    if not all(is_integral_mat(m) for m, _ in gens):
+        raise GroupValidationError(["generator with a non-integer point part"])
+    gens = [_canon_seitz(m, v) for m, v in gens]
+    frontier = [_canon_seitz(identity_mat(frame.dim), zero_vec(frame.dim))]
+    elems = set(frontier)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in gens:
+                prod = _seitz_mul(a, b)
+                if prod not in elems:
+                    elems.add(prod)
+                    new.append(prod)
+        if len(elems) > MAX_GROUP_ORDER:
+            raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
+        frontier = new
+    return old_validate_group(frame, sorted(elems), name=name)
+
+
+def old_smith_normal_form(a: Mat):
+    """U A V = D over the integers, U and V unimodular, D diagonal.
+
+    Input entries must be integral rationals.  Returns (U, D, V) as
+    rational matrices with integer entries.
+    """
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    A = [[int(x) for x in row] for row in a]
+    U = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    V = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+
+    def addmul_row(dst, src, f):
+        A[dst] = [x + f * y for x, y in zip(A[dst], A[src])]
+        U[dst] = [x + f * y for x, y in zip(U[dst], U[src])]
+
+    def addmul_col(dst, src, f):
+        for row in A:
+            row[dst] += f * row[src]
+        for row in V:
+            row[dst] += f * row[src]
+
+    t = 0
+    while t < min(nrows, ncols):
+        # find a nonzero pivot in the remaining block
+        piv = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if A[i][j] != 0:
+                    if piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]]):
+                        piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, nrows):
+                if A[i][t] != 0:
+                    q = A[i][t] // A[t][t]
+                    addmul_row(i, t, -q)
+                    if A[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if A[t][j] != 0:
+                    q = A[t][j] // A[t][t]
+                    addmul_col(j, t, -q)
+                    if A[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    # divisibility chain is irrelevant for congruence solving; skip it
+    toQ = lambda M: tuple(tuple(Q(x) for x in row) for row in M)
+    return toQ(U), toQ(A), toQ(V)
+
+
+def old_solve_mod_lattice(a_stack: Mat, b_stack: Vec):
+    """One rational solution x of  a_stack @ x = b_stack (mod Z^rows), or None.
+
+    a_stack must have integer entries; b_stack may be rational.
+    """
+    nrows = len(a_stack)
+    ncols = len(a_stack[0]) if nrows else 0
+    if nrows == 0:
+        return zero_vec(ncols)
+    U, D, V = old_smith_normal_form(a_stack)
+    c = mat_vec(U, b_stack)
+    y = [ZERO] * ncols
+    for i in range(nrows):
+        d = D[i][i] if i < ncols else ZERO
+        if d != 0:
+            y[i] = c[i] / d
+        elif not is_integral(c[i]):
+            return None
+    x = mat_vec(V, tuple(y))
+    return x

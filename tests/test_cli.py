@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from itertools import product
 
@@ -7,7 +8,8 @@ import pytest
 from crystile import cli as cli_mod
 from crystile import tiling as tiling_mod
 from crystile.cli import main
-from crystile.rational import Q
+from crystile.linalg import identity_mat, mat_vec, vadd, vsub
+from crystile.rational import Q, rat_json
 from crystile.serialize import (
     group_from_json,
     group_to_json,
@@ -339,11 +341,27 @@ def test_repeated_tile_is_a_double_cover(tmp_path, second, capsys):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("token", ['"1e3000000"', "9" * 5000], ids=["exponent", "digits"])
+def test_violation_names_a_tile_by_its_index_in_the_file(tmp_path, capsys):
+    # the file's second tile is a segment; sorted by their vertices, it
+    # would come first, and the line said "tile 0"
+    tiles = [[["1/2", 0], ["3/2", 0], ["1/2", 1], ["3/2", 1]], [[0, 0], [0, 1]]]
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"dim": 2, "gram": [[1, 0], [0, 1]],
+                                "cell_tiles": [{"vertices": v} for v in tiles]}))
+    code, _, err = run_cli(capsys, "aut", str(path))
+    assert code == 2
+    assert [ln for ln in err.splitlines() if ln.startswith("violation:")] == [
+        "violation: tile 1 is not full-dimensional"]
+
+
+@pytest.mark.parametrize("token", ['"1e3000000"', "9" * 5000, '"%s/3"' % ("9" * 5000),
+                                   '"%s"' % ("x" * 5000)],
+                         ids=["exponent", "digits", "long-numerator", "long-string"])
 def test_oversized_rational_is_input_error(tmp_path, token, capsys):
     # "1e3000000" is no documented form, and a 5,000-digit int is past
     # Python's int_max_str_digits: both are refused at once, before any big
-    # number is built
+    # number is built.  The message echoes a short prefix of a long value
+    # and its length, not the whole value (once a 5,000-byte line)
     path = tmp_path / "big.json"
     path.write_text('{"dim": 2, "gram": [[1, 0], [0, 1]], "cell_tiles": '
                     '[{"vertices": [[0, 0], [1, 0], [0, 1], [1, %s]]}]}' % token)
@@ -351,6 +369,7 @@ def test_oversized_rational_is_input_error(tmp_path, token, capsys):
     code, _, err = run_cli(capsys, "aut", str(path))
     assert code == 2 and "input error" in err
     assert time.perf_counter() - start < 1
+    assert all(len(line.encode()) < 200 for line in err.replace(str(path), "").splitlines())
 
 
 # fields that replace those of a valid square-tiling file
@@ -452,3 +471,50 @@ def test_svg_of_a_non_planar_tiling_is_input_error(tmp_path, verb, capsys, count
     assert code == 2 and out == ""
     assert "input error" in err and "--svg" in err
     assert built == [] and not svg.exists()
+
+
+def _pm3m_file(path, translation):
+    """Pm-3m as a group file whose rep (M, v) has the translation
+    translation(M, v)."""
+    reps = [{"linear": [[int(x) for x in row] for row in m],
+             "translation": [rat_json(x) for x in translation(m, v)]}
+            for m, v in preset("Pm-3m").reps]
+    path.write_text(json.dumps({"dim": 3, "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                "reps": reps}))
+
+
+def test_pm3m_file_with_huge_stray_denominators_is_rejected_fast(tmp_path, capsys):
+    # each of the 47 non-identity reps gets its own random ~4,000-digit
+    # denominator: the Fraction pair loop took about 6 s on them, the
+    # generators' common denominator rejects them at once
+    rng = random.Random(1)
+
+    def translation(m, v):
+        if m == identity_mat(3):
+            return v
+        q = rng.randrange(10 ** 3999, 10 ** 4000)
+        return [Q(rng.randrange(1, q), q) for _ in range(3)]
+
+    path = tmp_path / "hostile.json"
+    _pm3m_file(path, translation)
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "validate-group", str(path))
+    assert code == 2
+    assert err.splitlines() == ["violation: closure failure: product translation differs mod lattice"]
+    assert time.perf_counter() - start < 3
+
+
+def test_pm3m_file_shifted_by_a_huge_denominator_is_accepted(tmp_path, capsys):
+    # the origin shift s has 2,100-digit denominators, so the translations
+    # s - M s have denominators of up to 4,200 digits: the Fraction pair
+    # loop took 2-4 s, the int pass over their common denominator less
+    rng = random.Random(2)
+    qs = [rng.randrange(10 ** 2099, 10 ** 2100) for _ in range(3)]
+    s = tuple(Q(rng.randrange(1, q), q) for q in qs)
+    path = tmp_path / "shifted.json"
+    _pm3m_file(path, lambda m, v: vadd(vsub(s, mat_vec(m, s)), v))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "validate-group", str(path))
+    assert code == 0
+    assert time.perf_counter() - start < 5
+    assert len(json.loads(out)["reps"]) == 48

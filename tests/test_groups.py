@@ -64,6 +64,27 @@ def test_validate_rejects_closure_failure(frame2):
     assert any("closure" in v for v in exc.value.violations)
 
 
+def test_pm3m_validation_makes_one_int_seitz_product_per_pair(count_calls):
+    # the translation pass multiplies every ordered pair of reps once, in
+    # ints: |P|^2 = 2,304 products for Pm-3m; the Fraction product is gone
+    import crystile.groups as groups_mod
+
+    g = preset("Pm-3m")
+    products = count_calls(groups_mod, "_int_seitz_translation")
+    assert validate_group(g.frame, g.reps).reps == g.reps
+    assert len(products) == 48 ** 2 == 2304
+    assert not hasattr(groups_mod, "_seitz_mul")
+
+
+def test_validate_rejects_a_denominator_the_generators_lack(frame2):
+    # pmm's half turn and one mirror generate it; a half translation on the
+    # other mirror alone is no product of theirs
+    pairs = [(m, (Q(1, 2), 0) if m == ((1, 0), (0, -1)) else v) for m, v in preset("pmm").reps]
+    with pytest.raises(GroupValidationError) as exc:
+        validate_group(frame2, pairs)
+    assert exc.value.violations == ["closure failure: product translation differs mod lattice"]
+
+
 def test_validate_canonicalizes_translations(frame2):
     g = validate_group(frame2, [(((-1, 0), (0, -1)), (Q(5, 2), Q(-3, 2)))])
     (_, v), = [rv for rv in g.reps if rv[0] != identity_mat(2)]
