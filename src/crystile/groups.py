@@ -127,8 +127,12 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
        denominators.  Every element of the group is a word in them, so in a
        valid group every translation is in (1/d) Z^n, and a rep whose
        denominator does not divide d fails closure at once.  Otherwise the
-       |P|^2 products (M1 t2 + t1) mod d are compared on int translations
-       t = d v, stopping at the first mismatch.
+       products (M_A t_B + t_A) mod d, for every rep A and every generator
+       B, are compared with t_AB on int translations t = d v, stopping at
+       the first mismatch: |P| |gens| products.  They suffice, by induction
+       on the length of a word B' g in the generators: t_{AB'g} ==
+       M_A M_B' t_g + t_{AB'} == M_A (M_B' t_g + t_B') + t_A == M_A t_{B'g}
+       + t_A (mod d), and the identity's translation is 0 by stage 2.
 
     The full-rank lattice condition holds by the basis convention and the
     frame's positive-definiteness check.  The reps keep their translations
@@ -194,8 +198,8 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
         raise GroupValidationError(differs)
     ts = [_int_translations(v, d) for _, v in reps]
     for (m1, _), t1, row in zip(reps, ts, table):
-        for t2, k in zip(ts, row):
-            if _int_seitz_translation(m1, t1, t2, d) != ts[k]:
+        for j in gens:
+            if _int_seitz_translation(m1, t1, ts[j], d) != ts[row[j]]:
                 raise GroupValidationError(differs)
     return CrystalGroup(frame=frame, reps=reps, name=name)
 
@@ -361,48 +365,60 @@ def lattice_points_in_ball(frame: Frame, center: Vec, r2) -> list:
 
     The box bound |w_i| <= sqrt(r2 * (G^-1)_ii) on the ellipsoid is exact,
     so the enumeration provably covers the ball.  Each box point is tested
-    in integers: with D the common denominator of the centre and the Gram
-    entries, D^3 ||k - c||_G^2 = (Dk - Dc)^T (DG) (Dk - Dc) is an int, and it
-    is <= D^3 r2 iff it is <= floor(D^3 r2).  The kept points, in box order,
-    become Q tuples.
+    in integers (_ball).  The kept points, in box order, are int tuples.
     """
     r2 = rat(r2)
     if r2 < 0:
         return []
-    diag = _inv_gram_diag(frame)
+    d = math.lcm(*(c.denominator for c in center))
+    return _ball(frame, d, _int_translations(center, d), r2)
+
+
+def _ball(frame: Frame, d, dc, r2) -> list:
+    """lattice_points_in_ball about the centre c = dc / d (ints, d > 0), for
+    r2 >= 0.  With D a common multiple of d and of the denominator E of the
+    Gram entries, D^3 ||k - c||_G^2 = (Dk - Dc)^T (DG) (Dk - Dc) is an int,
+    and it is <= D^3 r2 iff it is <= floor(D^3 r2)."""
     bounds = []
-    for ci, gii in zip(center, diag):
+    for ci, gii in zip(dc, _inv_gram_diag(frame)):
         w = isqrt_ceil(r2 * gii)
-        bounds.append((math.floor(ci) - w, math.ceil(ci) + w))
+        bounds.append((ci // d - w, -(-ci // d) + w))
     e, eg = _int_gram(frame)
-    d = math.lcm(e, *(c.denominator for c in center))
-    dc = [int(c * d) for c in center]
-    dg = [[x * (d // e) for x in row] for row in eg]
-    limit = math.floor(d ** 3 * r2)
+    big = math.lcm(e, d)
+    dc = [c * (big // d) for c in dc]
+    dg = [[x * (big // e) for x in row] for row in eg]
+    limit = math.floor(big ** 3 * r2)
     out = []
     for k in enumerate_box(bounds):
-        y = [d * ki - ci for ki, ci in zip(k, dc)]
-        if sum(yi * gij * yj for yi, row in zip(y, dg) for gij, yj in zip(row, y)) <= limit:
-            out.append(tuple(Q(x) for x in k))
+        y = [big * ki - ci for ki, ci in zip(k, dc)]
+        if sum(map(mul, y, [sum(map(mul, row, y)) for row in dg])) <= limit:
+            out.append(k)
     return out
 
 
 def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
-    """Exactly the orbit points gamma(x) with squared distance <= r2 to center."""
+    """Exactly the orbit points gamma(x) with squared distance <= r2 to center.
+
+    Over the common denominator d of x, the centre and the reps'
+    translations, the sites are the int vectors M X + d v + d k, X = d x,
+    for each rep (M, v) and each k of the ball query about the centre
+    minus M x + v.  They are deduplicated and sorted as int tuples, which
+    is their order as rationals, and each becomes a Q tuple once."""
     x = vec(x)
     center = vec(center)
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
+    d = math.lcm(*(c.denominator for p in (x, center, *(v for _, v in group.reps)) for c in p))
+    dx, dc = _int_translations(x, d), _int_translations(center, d)
     sites = set()
     for m, v in group.reps:
-        base = vadd(mat_vec(m, x), v)
-        # k must satisfy ||base + k - center||^2 <= r2
-        for k in lattice_points_in_ball(group.frame, vsub(center, base), r2):
-            sites.add(vadd(base, k))
+        base = [sum(map(mul, row, dx)) + t for row, t in zip(m, _int_translations(v, d))]
+        for k in _ball(group.frame, d, [c - b for c, b in zip(dc, base)], r2):
+            sites.add(tuple(b + d * ki for b, ki in zip(base, k)))
     return OrbitPointSet(
         frame=group.frame,
-        sites=tuple(sorted(sites)),
+        sites=tuple(tuple(Q(c, d) for c in s) for s in sorted(sites)),
         group=group,
         base_point=x,
         center=center,
@@ -471,7 +487,7 @@ def is_symmorphic(group: CrystalGroup):
 def lattice_vectors_with_norm(frame: Frame, value) -> list:
     """Integer vectors with exact Gram norm^2 == value, sorted."""
     value = rat(value)
-    ball = lattice_points_in_ball(frame, zero_vec(frame.dim), value)
+    ball = [vec(k) for k in lattice_points_in_ball(frame, zero_vec(frame.dim), value)]
     return sorted(k for k in ball if gram_norm2(frame.gram, k) == value)
 
 

@@ -21,6 +21,11 @@ own.  The tight sets (the facets through each vertex, _tight_sets) are
 the one source of faces, volumes and rings (see _facet_edges), each
 derived once.  The hull, clip, translate and transform carry them, so a
 chain of clips computes them once and a tile's images under a group never.
+clip runs on ints: each polytope caches its vertices as int rows over their
+least common denominator (_int_rows, read by _quadratic_data too), the
+halfspace is scaled to ints once per call, the side values a.v - c are int
+dots and each crossing point is formed from two int rows, one Q per
+coordinate.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -32,7 +37,8 @@ held as Python ints over one common denominator D per polytope:
   from ring[0], their covectors G e_i, the 2x2 Gram and its determinant,
   and one side test per ring edge.
 sq_distance_point scales x once to an integer vector over its denominator
-and runs every test in integers, comparing rational candidates by
+and runs every test in integers (_sq_distance, which the patch query calls
+with its own int points), comparing rational candidates by
 cross-multiplying; it forms one Q, the distance, per call.  A distance
 costs one x.Gx, one dot per vertex and edge, and in space one 2x2 solve by
 Cramer's rule per facet whose plane x lies beyond.
@@ -111,7 +117,7 @@ class ConvexPolytope:
     """
 
     __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
-                 "_tight", "_hash")
+                 "_ints", "_tight", "_hash")
 
     def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
@@ -133,6 +139,7 @@ class ConvexPolytope:
         self._cycle = cycle
         self._faces = None
         self._quad = None
+        self._ints = None
         self._tight = tight
         self._hash = None
 
@@ -507,10 +514,19 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
     set that stay and gains h, and a crossing point on the edge u -> w lies
     on exactly the facets through both u and w (a supporting hyperplane
     through an interior point of an edge holds the edge), and on h.
+
+    The arithmetic is on ints: with the vertices P / V of _int_rows and
+    (A, C) = m (a, c) for the least m > 0 making both integral, the side
+    value of v = P / V is s = A.P - C V = m V (a.v - c), of the same sign.
+    The crossing on u -> w is u + t (w - u) with t = s_u / (s_u - s_w),
+    that is (s_u W - s_w U) / (V (s_u - s_w)): one Q per coordinate.
     """
     n = poly.frame.dim
     facets = poly.facets()
-    vals = [vdot(h.covector, v) - h.offset for v in poly.vertices]
+    vden, rows = _int_rows(poly)
+    ac = _integral(h.covector + (h.offset,))[1]
+    a, c = ac[:-1], ac[-1] * vden
+    vals = [_dot(a, p) - c for p in rows]
     if all(s >= 0 for s in vals):
         return poly
     inside = [i for i, s in enumerate(vals) if s > 0]
@@ -528,12 +544,12 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
             out.append((v, frozenset([on_h, *(renumber[k] for k in t if k in renumber)])))
     outside = [(j, s) for j, s in enumerate(vals) if s < 0]
     for i in inside:
+        si, u = vals[i], rows[i]
         for j, s in outside:
             common = tight[i] & tight[j]
             if len(common) >= n - 1:
-                u, w = poly.vertices[i], poly.vertices[j]
-                t = vals[i] / (vals[i] - s)
-                out.append((tuple(a + t * (b - a) for a, b in zip(u, w)),
+                den = vden * (si - s)
+                out.append((tuple(Q(si * wk - s * uk, den) for uk, wk in zip(u, rows[j])),
                             frozenset([on_h, *(renumber[k] for k in common)])))
     out.sort(key=lambda vt: vt[0])
     kept = tuple(facets[k] for k in held) + (h,)
@@ -663,15 +679,20 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
 # --- metric helpers -----------------------------------------------------------
 
 def sq_distance_point(poly: ConvexPolytope, x):
-    """Exact squared Gram distance from a point to the polytope.
-
-    Runs on the integer quadratic data of _quadratic_data (denominator D) and
-    on x = X / e, X integral, e > 0: every test below is an integer sign
-    test, and a candidate num / den (den > 0) stands for the distance
-    num / (den D e^2), so candidates compare by cross-multiplying.  One Q is
-    formed at the end, or ZERO is returned when the polytope holds x."""
+    """Exact squared Gram distance from a point to the polytope (see
+    _sq_distance)."""
     # ints and Q as they are, other exact input (such as '1/3') through rat
-    e, xs = _integral([c if isinstance(c, (int, Q)) else rat(c) for c in x])
+    return _sq_distance(poly, *_integral([c if isinstance(c, (int, Q)) else rat(c) for c in x]))
+
+
+def _sq_distance(poly: ConvexPolytope, e, xs):
+    """sq_distance_point at x = xs / e, for an int vector xs and an int e > 0.
+
+    Runs on the integer quadratic data of _quadratic_data (denominator D):
+    every test below is an integer sign test, and a candidate num / den
+    (den > 0) stands for the distance num / (den D e^2), so candidates
+    compare by cross-multiplying.  One Q is formed at the end, or ZERO is
+    returned when the polytope holds x."""
     d, dg, verts, edges, facets, polygons = _quadratic_data(poly)
     # A.X - e C = m e (a.x - c) for each facet a.x >= c
     slack = [_dot(a, xs) - e * c for a, c in facets]
@@ -708,6 +729,17 @@ def _integral(values):
     return m, tuple(q.numerator * (m // q.denominator) for q in values)
 
 
+def _int_rows(poly: ConvexPolytope):
+    """(V, rows): V > 0 the least common denominator of the vertex
+    coordinates and per vertex the int tuple P = V v, in vertex order;
+    computed once per polytope, for clip and _quadratic_data."""
+    if poly._ints is None:
+        vden, flat = _integral([c for p in poly.vertices for c in p])
+        n = poly.frame.dim
+        poly._ints = vden, tuple(flat[i:i + n] for i in range(0, len(flat), n))
+    return poly._ints
+
+
 def _dot(u, v):
     # ints stay ints here; linalg.vdot starts its sum from a Q zero
     return sum(map(mul, u, v))
@@ -736,8 +768,7 @@ def _quadratic_data(poly: ConvexPolytope):
         n = poly.frame.dim
         gden, h = _integral([a for row in poly.frame.gram for a in row])
         h = tuple(h[i:i + n] for i in range(0, n * n, n))
-        vden, flat = _integral([c for p in poly.vertices for c in p])
-        pts = [flat[i:i + n] for i in range(0, len(flat), n)]
+        vden, pts = _int_rows(poly)
         index = {p: i for i, p in enumerate(poly.vertices)}
         verts = []
         for p in pts:

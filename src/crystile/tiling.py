@@ -75,9 +75,9 @@ from .polytope import (
     _centroid,
     _dot,
     _integral,
+    _sq_distance,
     congruent,
     faces,
-    sq_distance_point,
     volume,
 )
 
@@ -284,14 +284,18 @@ def _tiles_near(tiling: PeriodicTiling, center, r2):
     """Yield (squared distance, cell tile t, lattice vector k) for each tile
     t + k within r2 of center.  t lies within rho of its vertex centroid q,
     so only k within r + rho of center - q qualify; the ball query takes an
-    exact bound >= (r + rho)^2, as r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2)."""
+    exact bound >= (r + rho)^2, as r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2).
+    The ball query yields k as int tuples, and each test point c - k goes to
+    the int body of sq_distance_point as e c - e k over the centre's least
+    common denominator e."""
+    e, ec = _integral(center)
     for t in tiling.cell_tiles:
         q = _centroid(t.vertices)
         rho2 = max(gram_norm2(tiling.frame.gram, vsub(v, q)) for v in t.vertices)
         bound = r2 + rho2 + 2 * min((r2 + rho2) / 2, isqrt_ceil(r2 * rho2))
         for k in lattice_points_in_ball(tiling.frame, vsub(center, q), bound):
             # dist(t + k, c) = dist(t, c - k): test the cell tile, whose caches persist
-            d2 = sq_distance_point(t, vsub(center, k))
+            d2 = _sq_distance(t, e, tuple(c - e * ki for c, ki in zip(ec, k)))
             if d2 <= r2:
                 yield d2, t, k
 
@@ -318,7 +322,6 @@ def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
             for t, pts in zip(tiling.cell_tiles, images)}
     out = {}
     for d2, t, k in _tiles_near(tiling, inverse(iso)(center), r2):
-        k = [x.numerator for x in k]
         base, m = flat[t]
         shift = tuple(_dot(row, k) for row in s)
         out[_key(d, map(add, base, shift * m))] = d2

@@ -25,24 +25,37 @@ s and the clip returns the cell unchanged; every later site is at least as
 far, so the same holds for it.  The final rho^2 is the one certification
 reads, and delone_params reports it as the covering radius.
 
-The sites are ordered by exact integer keys: over the common denominator
-D of x0 and the sites, D^2 E |s - x0|^2 = (D s - D x0).(EG)(D s - D x0)
-with EG the integer Gram matrix over its denominator E, the form
-groups.lattice_points_in_ball tests.  Each vertex's |v - x0|^2 is computed
-once per round, when it first appears.
+The loop runs on Python ints.  groups.orbit_in_ball enumerates the sites
+as numerators over one common denominator.  They are ordered by exact
+integer keys: over the common denominator D of x0 and the sites,
+D^2 E |s - x0|^2 = y.(EG)y for y = D s - D x0, with EG the integer Gram
+matrix over its denominator E, the form groups.lattice_points_in_ball
+tests.  Each bisector is formed from y and (EG)y.  clip reads each cell's
+int vertex rows (polytope._int_rows), and rho^2 is read off the same
+rows after each cut that changes the cell.  Q values are formed only for the results: one per
+bisector entry, crossing coordinate and site coordinate, and rho^2 once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, lcm
+from math import lcm
 
-from .rational import ONE, ZERO, isqrt_ceil, rat
-from .linalg import Vec, gram_norm2, is_integral_vec, mat_vec, vadd, vdot, vec, vsub
+from .rational import ONE, Q, ZERO, isqrt_ceil, rat
+from .linalg import Vec, is_integral_vec, mat_vec, vadd, vdot, vec, vsub
 from .isometry import Frame, Isometry
 from .groups import CrystalGroup, _int_gram, _inv_gram_diag, orbit_in_ball, stabilizer
-from .polytope import ConvexPolytope, HalfSpace, clip, halfspace_intersection
+from .polytope import (
+    ConvexPolytope,
+    HalfSpace,
+    _dot,
+    _int_rows,
+    _integral,
+    _mat_vec,
+    clip,
+    halfspace_intersection,
+)
 
 
 class DegenerateSiteError(ValueError):
@@ -69,9 +82,21 @@ def bisector_halfspace(frame: Frame, x0: Vec, x: Vec) -> HalfSpace:
 
     Its covector is a = G(x0 - x) and its offset c = a.(x0 + x)/2, so
     2(a.y - c) = |y - x|_G^2 - |y - x0|_G^2; at y = x0 that is |x0 - x|_G^2."""
-    a = mat_vec(frame.gram, vsub(x0, x))
-    mid = tuple((p + q) / 2 for p, q in zip(x0, x))
-    return HalfSpace(a, vdot(a, mid))
+    n = frame.dim
+    d, flat = _integral(tuple(x0) + tuple(x))
+    dx0 = flat[:n]
+    y = [b - a for a, b in zip(dx0, flat[n:])]
+    return _bisector(frame, d, dx0, y, _mat_vec(_int_gram(frame)[1], y))
+
+
+def _bisector(frame: Frame, d, dx0, y, gy):
+    """bisector_halfspace of x0 = dx0 / d and x = x0 + y / d, for int
+    vectors dx0, y and gy = (EG) y, EG the integer Gram matrix over E
+    (groups._int_gram): a = -gy / (E d) and c = a.(x0 + x)/2 =
+    -gy.(2 dx0 + y) / (2 E d^2), one Q per entry."""
+    ed = _int_gram(frame)[0] * d
+    c = _dot(gy, [2 * a + b for a, b in zip(dx0, y)])
+    return HalfSpace(tuple(Q(-g, ed) for g in gy), Q(-c, 2 * ed * d))
 
 
 def _orbit_contains(group: CrystalGroup, x: Vec, y: Vec) -> bool:
@@ -104,11 +129,14 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
     Clips the box around that ball by the bisectors nearest first (ties in
     the order of sites) and stops at the first site s with |s - x0|^2 >=
     4 rho2, where no bisector can cut the running cell.  The sites are
-    ordered by the integers D^2 (s - x0).(EG)(s - x0), D the common
-    denominator of x0 and the sites and EG the integer Gram matrix of
-    groups._int_gram, and the stop compares them with the least integer
-    at or above D^2 E 4 rho2.  Each vertex's |v - x0|^2 is computed once."""
-    g = frame.gram
+    ordered by the integers y.(EG)y for y = D (s - x0), D the common
+    denominator of x0 and the sites and EG the integer Gram matrix over E
+    of groups._int_gram, and each bisector is formed from y and (EG)y
+    (_bisector).  rho2 is read off the cell's int vertex rows P / V
+    (polytope._int_rows): over L = lcm(V, D), Y = (L / V) P - (L / D) D x0
+    gives E L^2 |v - x0|^2 = Y.(EG)Y, and the stop compares the keys with
+    the least integer at or above 4 D^2 E rho2.  One Q, rho2, is formed at
+    the end."""
     n = frame.dim
     widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
     box_facets = []
@@ -116,36 +144,42 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
         e = tuple(ONE if j == i else ZERO for j in range(n))
         box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
-    cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets))
+    # the corner taking the low (b = 0) or high (b = 1) end on axis i lies on box facet 2i + b
+    tight = tuple(frozenset(2 * i + b for i, b in enumerate(bits))
+                  for bits in product((0, 1), repeat=n))
+    cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets), tight)
     e, eg = _int_gram(frame)
     d = lcm(*(c.denominator for p in (x0, *sites) for c in p))
     dx0 = [c.numerator * (d // c.denominator) for c in x0]
-    keys = []
+    ordered = []
     for s in sites:
         y = [c.numerator * (d // c.denominator) - c0 for c, c0 in zip(s, dx0)]
-        keys.append(sum(yi * gij * yj for yi, row in zip(y, eg) for gij, yj in zip(row, y)))
-    scale = 4 * d * d * e
-    radii = {}
+        gy = _mat_vec(eg, y)
+        ordered.append((_dot(gy, y), y, gy))
 
     def sq_circumradius(poly):
-        for v in poly.vertices:
-            if v not in radii:
-                radii[v] = gram_norm2(g, vsub(v, x0))
-        return max(radii[v] for v in poly.vertices)
+        """(num, L): E L^2 rho2 = num, over L = lcm(V, D)."""
+        vden, rows = _int_rows(poly)
+        el = lcm(vden, d)
+        a, b = el // vden, el // d
+        bx0 = [b * c for c in dx0]
+        return max(_dot(_mat_vec(eg, y), y) for y in
+                   ([a * p - c for p, c in zip(row, bx0)] for row in rows)), el
 
-    rho2 = sq_circumradius(cell)
-    stop = ceil(scale * rho2)
-    for key, s in sorted(zip(keys, sites), key=lambda ks: ks[0]):
+    num, el = sq_circumradius(cell)
+    # ceil(4 D^2 E rho2) with E L^2 rho2 = num
+    stop = -(-4 * d * d * num // (el * el))
+    for key, y, gy in sorted(ordered, key=lambda kyg: kyg[0]):
         if key >= stop:
             break
-        clipped = clip(cell, bisector_halfspace(frame, x0, s))
+        clipped = clip(cell, _bisector(frame, d, dx0, y, gy))
         if clipped is not cell:
             cell = clipped
-            rho2 = sq_circumradius(cell)
-            stop = ceil(scale * rho2)
+            num, el = sq_circumradius(cell)
+            stop = -(-4 * d * d * num // (el * el))
     if not set(box_facets).isdisjoint(cell.facets()):
         return None
-    return cell, rho2
+    return cell, Q(num, e * el * el)
 
 
 def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):

@@ -2,10 +2,13 @@
 
 clip_recomputed is clip as it was before it carried the tight sets: on
 every clip that cuts it recomputed the set of facets through each vertex,
-one dot product per vertex per facet.  It is kept verbatim (apart from its
-name) and compared with clip for exact equality of the vertex tuples and
-the facet tuples, after every step of hypothesis-drawn chains of clips on
-boxes and cubes, and on every clip that the seed-0 Voronoi cell of each
+one dot product per vertex per facet.  It is also clip as it was before
+it ran on ints: its side values a.v - c and its crossing points are
+Fraction arithmetic.  It is kept verbatim (apart from its name) and
+compared with clip for exact equality of the vertex tuples and the facet
+tuples, after every step of hypothesis-drawn chains of clips on boxes and
+cubes (with small cuts, and with cuts whose entries have denominators of
+up to ten digits), and on every clip that the seed-0 Voronoi cell of each
 preset makes.  After each step the tight sets clip carries are compared
 with the sets recomputed from the facets.
 """
@@ -13,7 +16,7 @@ with the sets recomputed from the facets.
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from crystile import voronoi
 from crystile.groups import PRESET_NAMES, generic_point, preset
@@ -138,3 +141,35 @@ def test_seed0_cell_clips_match_recomputed_tight_sets(name, monkeypatch):
     g = preset(name)
     cell, _ = voronoi.cell_with_certificate(g, generic_point(g, 0))
     assert _tight_sets(cell) == recomputed_tight(cell)
+
+
+def big_rational(data, digits=10):
+    return Q(data.draw(st.integers(-10 ** digits, 10 ** digits)),
+             data.draw(st.integers(1, 10 ** digits)))
+
+
+def draw_big_cut(data, poly):
+    """A halfspace for poly with rational entries of up to ten-digit
+    denominators: free, or through a vertex or a point inside an edge."""
+    n = poly.frame.dim
+    a = tuple(big_rational(data) for _ in range(n))
+    assume(any(a))
+    kind = data.draw(st.sampled_from(["free", "vertex", "edge"]))
+    if kind == "free":
+        return HalfSpace(a, big_rational(data) / 10 ** 9)
+    if kind == "vertex":
+        return HalfSpace(a, vdot(a, data.draw(st.sampled_from(poly.vertices))))
+    u, w = data.draw(st.sampled_from(faces(poly, 1))).vertices
+    t = Q(data.draw(st.integers(1, 10 ** 10 - 1)), 10 ** 10)
+    return HalfSpace(a, vdot(a, tuple(p + t * (q - p) for p, q in zip(u, w))))
+
+
+@pytest.mark.parametrize("n, steps", [(2, 8), (3, 6)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_clip_chains_with_large_denominators_match_fraction_clip(n, steps, data):
+    widths = data.draw(st.tuples(*[st.integers(1, 3)] * n))
+    poly = ConvexPolytope(standard_frame(n), product(*((-w, w) for w in widths)))
+    for _ in range(steps):
+        poly = checked_clip(poly, draw_big_cut(data, poly))
+        assert all(type(c) is Q for v in poly.vertices for c in v)

@@ -64,15 +64,17 @@ def test_validate_rejects_closure_failure(frame2):
     assert any("closure" in v for v in exc.value.violations)
 
 
-def test_pm3m_validation_makes_one_int_seitz_product_per_pair(count_calls):
-    # the translation pass multiplies every ordered pair of reps once, in
-    # ints: |P|^2 = 2,304 products for Pm-3m; the Fraction product is gone
+def test_pm3m_validation_makes_one_int_seitz_product_per_rep_and_generator(count_calls):
+    # the translation pass multiplies each rep by each generator once, in
+    # ints: 48 reps times the 4 generators the greedy choice takes for
+    # Pm-3m, 192 products where all ordered pairs took 2,304; the Fraction
+    # product is gone
     import crystile.groups as groups_mod
 
     g = preset("Pm-3m")
     products = count_calls(groups_mod, "_int_seitz_translation")
     assert validate_group(g.frame, g.reps).reps == g.reps
-    assert len(products) == 48 ** 2 == 2304
+    assert len(products) == 48 * 4 == 192
     assert not hasattr(groups_mod, "_seitz_mul")
 
 
@@ -336,3 +338,21 @@ def test_demo_3d_presets(frame3):
     assert preset("Pm-3m").order() == 48
     orb = orbit_in_ball(preset("P222"), (Q(1, 5), Q(1, 7), Q(1, 11)), (0, 0, 0), 2)
     assert len(orb.sites) > 4
+
+
+def test_public_results_keep_q_entries():
+    # the ball query yields int tuples; what the package hands out stays Q:
+    # lattice vectors, lattice isometries, rep translations (point parts
+    # are int matrices), orbit sites and cell vertices
+    from crystile.voronoi import voronoi_cell
+
+    frame = preset("p6m").frame
+    assert all(type(c) is Q for k in lattice_vectors_with_norm(frame, 1) for c in k)
+    assert all(type(c) is Q for u in lattice_isometries(frame, frame) for row in u for c in row)
+    for name in ("p4g", "p6m", "Pm-3m"):
+        g = preset(name)
+        assert all(type(c) is int for m, _ in g.reps for row in m for c in row)
+        assert all(type(c) is Q for _, v in g.reps for c in v)
+        x = generic_point(g, 0)
+        assert all(type(c) is Q for s in orbit_in_ball(g, x, x, 2).sites for c in s)
+        assert all(type(c) is Q for v in voronoi_cell(g, x).vertices for c in v)

@@ -468,8 +468,8 @@ def test_patch_matches_translate_first_loop(case):
 def test_patch_work_grows_with_the_radius(count_calls):
     # the padded box of the translate-first loop tested 675 translates at
     # both radii; the lattice-ball query tests fewer, and fewer still at the
-    # smaller radius
-    calls = count_calls(tiling_mod, "sq_distance_point")
+    # smaller radius.  Each test is one call of sq_distance_point's int body.
+    calls = count_calls(tiling_mod, "_sq_distance")
     (p1,), _ = case_tilings("P1")
     center = (Q(1, 3), Q(-2, 5), Q(1, 7))
     counts = []

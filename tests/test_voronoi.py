@@ -228,3 +228,26 @@ def test_certified_cell_stops_clipping_beyond_twice_the_circumradius(name, clips
     g = preset(name)
     cell_with_certificate(g, generic_point(g, 0))
     assert (len(cut), sum(cut)) == (clips, SEED0_CUTS[name])
+
+
+def test_delone_params_calls_the_traced_orbit_query_and_clip(monkeypatch):
+    # the bench tracer counts voronoi.localization_rounds and
+    # voronoi.orbit_sites from the orbit_in_ball calls that delone_params
+    # makes through voronoi's binding; a refactor that bypassed it would
+    # zero them.  The counts are those of the Fraction cell code, for the
+    # first Delone point of the space-3d benchmark at seed 0.
+    orbits, clips = [], []
+    real_orbit, real_clip = voronoi.orbit_in_ball, voronoi.clip
+
+    def orbit(*args):
+        out = real_orbit(*args)
+        orbits.append(len(out.sites))
+        return out
+
+    monkeypatch.setattr(voronoi, "orbit_in_ball", orbit)
+    monkeypatch.setattr(voronoi, "clip", lambda *args: clips.append(1) or real_clip(*args))
+    x = (Q(18, 47), Q(29, 43), Q(12, 19))
+    cert = delone_params(preset("P222"), x)
+    assert orbits == [124]
+    assert len(clips) == 28
+    assert cert.localization_sq_radius == 4
