@@ -13,17 +13,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 
 from .rational import Q, ZERO, ONE, rat, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
-    common_denominator,
     enumerate_box,
     gram_dot,
-    gram_norm2,
     identity_mat,
+    int_dot,
+    int_mat_mul,
+    int_mat_vec,
+    integral,
+    integral_rows,
     is_integral_mat,
     is_integral_vec,
     mat,
@@ -40,7 +42,7 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .isometry import Frame, Isometry, hexagonal_frame, standard_frame
+from .isometry import Frame, Isometry, _inv_gram_diag, hexagonal_frame, int_gram, standard_frame
 
 
 class GroupValidationError(ValueError):
@@ -55,21 +57,10 @@ def _canon_seitz(m: Mat, v: Vec):
     return (tuple(tuple(int(x) for x in row) for row in m), tuple(frac_part(x) for x in v))
 
 
-def _int_mat_mul(a, b):
-    """a b for int matrices."""
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
 def _int_seitz_translation(m1, t1, t2, d):
     """(M1 t2 + t1) mod d: the translation over the denominator d of the
     Seitz product (M1, t1 / d)(M2, t2 / d), whose point part is M1 M2."""
-    return tuple((sum(map(mul, row, t2)) + x) % d for row, x in zip(m1, t1))
-
-
-def _int_translations(v, d):
-    """The rationals v over the denominator d (each denominator divides d)."""
-    return tuple(x.numerator * (d // x.denominator) for x in v)
+    return tuple((int_dot(row, t2) + x) % d for row, x in zip(m1, t1))
 
 
 @dataclass(frozen=True)
@@ -116,7 +107,7 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
 
     1. per rep: the shape, an integer point part M, and Gram-orthogonality
        as M^T (E G) M == E G over the common denominator E of the Gram
-       entries (_int_gram); det M = +-1 follows, as det G != 0;
+       entries (isometry.int_gram); det M = +-1 follows, as det G != 0;
     2. the identity is present and no point part occurs twice;
     3. the point parts are closed under products, over all pairs of int
        matrices.  A failure is reported alone ("missing point part"): the
@@ -139,7 +130,7 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     as rationals in [0,1)^n.
     """
     n = frame.dim
-    _, eg = _int_gram(frame)
+    _, eg = int_gram(frame)
     violations = []
     canon = []
     for idx, (m, v) in enumerate(seitz_pairs):
@@ -152,7 +143,7 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
             violations.append(f"rep {idx}: non-integer point part")
             continue
         m, v = _canon_seitz(m, v)
-        if _int_mat_mul(transpose(m), _int_mat_mul(eg, m)) != eg:
+        if int_mat_mul(transpose(m), int_mat_mul(eg, m)) != eg:
             violations.append(f"rep {idx}: point part is not Gram-orthogonal (M^T G M != G)")
             continue
         canon.append((m, v))
@@ -181,7 +172,7 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     distinct = set().union(*cols)
     table = []
     for m, _ in reps:
-        image = {c: tuple(sum(map(mul, row, c)) for row in m) for c in distinct}
+        image = {c: int_mat_vec(m, c) for c in distinct}
         table.append([index.get(tuple(map(image.__getitem__, c))) for c in cols])
     if any(None in row for row in table):
         raise GroupValidationError(["closure failure: missing point part for a product"])
@@ -193,10 +184,10 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
             gens.append(i)
             generated = _generated(table, one, gens)
     differs = ["closure failure: product translation differs mod lattice"]
-    d = math.lcm(*(x.denominator for i in gens for x in reps[i][1]))
+    d = integral([x for i in gens for x in reps[i][1]])[0]
     if any(d % x.denominator for _, v in reps for x in v):
         raise GroupValidationError(differs)
-    ts = [_int_translations(v, d) for _, v in reps]
+    ts = [integral(v, d)[1] for _, v in reps]
     for (m1, _), t1, row in zip(reps, ts, table):
         for j in gens:
             if _int_seitz_translation(m1, t1, ts[j], d) != ts[row[j]]:
@@ -240,8 +231,8 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
     if not all(is_integral_mat(m) for m, _ in gens):
         raise GroupValidationError(["generator with a non-integer point part"])
     gens = [_canon_seitz(m, v) for m, v in gens]
-    d = math.lcm(*(x.denominator for _, v in gens for x in v))
-    gens = [(m, _int_translations(v, d)) for m, v in gens]
+    d = integral([x for _, v in gens for x in v])[0]
+    gens = [(m, integral(v, d)[1]) for m, v in gens]
     n = frame.dim
     frontier = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)]
     elems = set(frontier)
@@ -249,7 +240,7 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
         new = []
         for m1, t1 in frontier:
             for m2, t2 in gens:
-                prod = (_int_mat_mul(m1, m2), _int_seitz_translation(m1, t1, t2, d))
+                prod = (int_mat_mul(m1, m2), _int_seitz_translation(m1, t1, t2, d))
                 if prod not in elems:
                     elems.add(prod)
                     new.append(prod)
@@ -346,53 +337,44 @@ class OrbitPointSet:
     sq_radius: object = field(compare=False)
 
 
-@lru_cache(maxsize=None)
-def _inv_gram_diag(frame: Frame):
-    """Diagonal of G^-1, once per frame: (G^-1)_ii bounds |x_i|^2 by ||x||_G^2."""
-    inv = mat_inv(frame.gram)
-    return tuple(inv[i][i] for i in range(frame.dim))
-
-
-@lru_cache(maxsize=None)
-def _int_gram(frame: Frame):
-    """(E, E G) for the common denominator E of the Gram entries, once per frame."""
-    e = common_denominator(x for row in frame.gram for x in row)
-    return e, tuple(tuple(int(x * e) for x in row) for row in frame.gram)
-
-
 def lattice_points_in_ball(frame: Frame, center: Vec, r2) -> list:
     """All k in Z^n with ||k - center||_G^2 <= r2, by exact box enumeration.
 
     The box bound |w_i| <= sqrt(r2 * (G^-1)_ii) on the ellipsoid is exact,
-    so the enumeration provably covers the ball.  Each box point is tested
-    in integers (_ball).  The kept points, in box order, are int tuples.
+    so the enumeration provably covers the ball.  The test runs in integers,
+    and on the box's last axis it is solved for an interval (_ball).  The
+    kept points, in box order, are int tuples.
     """
     r2 = rat(r2)
     if r2 < 0:
         return []
-    d = math.lcm(*(c.denominator for c in center))
-    return _ball(frame, d, _int_translations(center, d), r2)
+    return _ball(frame, *integral(center), r2)
 
 
 def _ball(frame: Frame, d, dc, r2) -> list:
     """lattice_points_in_ball about the centre c = dc / d (ints, d > 0), for
-    r2 >= 0.  With D a common multiple of d and of the denominator E of the
-    Gram entries, D^3 ||k - c||_G^2 = (Dk - Dc)^T (DG) (Dk - Dc) is an int,
-    and it is <= D^3 r2 iff it is <= floor(D^3 r2)."""
-    bounds = []
-    for ci, gii in zip(dc, _inv_gram_diag(frame)):
-        w = isqrt_ceil(r2 * gii)
-        bounds.append((ci // d - w, -(-ci // d) + w))
-    e, eg = _int_gram(frame)
+    r2 >= 0.  With D = lcm(d, E) for the Gram denominator E (isometry.int_gram),
+    y = Dk - Dc and A = DG, D^3 ||k - c||_G^2 = y.Ay is an int, <= D^3 r2 iff
+    <= L = floor(D^3 r2).  For y = (y', y_n), b = A_n'.y', g = y'.A'y' and
+    a = A_nn > 0, y.Ay <= L iff (a y_n + b)^2 <= b^2 - a (g - L): the box is
+    walked on its first n - 1 axes, and the kept y_n are one interval."""
+    e, eg = int_gram(frame)
     big = math.lcm(e, d)
-    dc = [c * (big // d) for c in dc]
-    dg = [[x * (big // e) for x in row] for row in eg]
+    *dc, cn = [c * (big // d) for c in dc]
+    *dg, last = [[x * (big // e) for x in row] for row in eg]
+    a = last[-1]
+    ws = [isqrt_ceil(r2 * gii) for gii in _inv_gram_diag(frame)]
+    bounds = [(ci // big - w, -(-ci // big) + w) for ci, w in zip(dc, ws)]
     limit = math.floor(big ** 3 * r2)
     out = []
     for k in enumerate_box(bounds):
         y = [big * ki - ci for ki, ci in zip(k, dc)]
-        if sum(map(mul, y, [sum(map(mul, row, y)) for row in dg])) <= limit:
-            out.append(k)
+        b = int_dot(last, y)
+        bound = b * b - a * (int_dot(y, [int_dot(row, y) for row in dg]) - limit)
+        if bound >= 0:
+            # a y_n + b = a big t + b - a cn for y_n = big t - cn
+            s, b = math.isqrt(bound), b - a * cn
+            out += [k + (t,) for t in range(-((s + b) // (a * big)), (s - b) // (a * big) + 1)]
     return out
 
 
@@ -409,11 +391,10 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
-    d = math.lcm(*(c.denominator for p in (x, center, *(v for _, v in group.reps)) for c in p))
-    dx, dc = _int_translations(x, d), _int_translations(center, d)
+    d, (dx, dc, *ts) = integral_rows((x, center, *(v for _, v in group.reps)))
     sites = set()
-    for m, v in group.reps:
-        base = [sum(map(mul, row, dx)) + t for row, t in zip(m, _int_translations(v, d))]
+    for (m, _), t in zip(group.reps, ts):
+        base = [a + b for a, b in zip(int_mat_vec(m, dx), t)]
         for k in _ball(group.frame, d, [c - b for c, b in zip(dc, base)], r2):
             sites.add(tuple(b + d * ki for b, ki in zip(base, k)))
     return OrbitPointSet(
@@ -485,10 +466,13 @@ def is_symmorphic(group: CrystalGroup):
 # --- conjugacy ---------------------------------------------------------------
 
 def lattice_vectors_with_norm(frame: Frame, value) -> list:
-    """Integer vectors with exact Gram norm^2 == value, sorted."""
+    """Integer vectors with exact Gram norm^2 == value, sorted: the int ball
+    points k with k.(EG)k == E value (isometry.int_gram), as Q tuples."""
     value = rat(value)
-    ball = [vec(k) for k in lattice_points_in_ball(frame, zero_vec(frame.dim), value)]
-    return sorted(k for k in ball if gram_norm2(frame.gram, k) == value)
+    e, eg = int_gram(frame)
+    ev = e * value
+    ball = lattice_points_in_ball(frame, zero_vec(frame.dim), value)
+    return sorted(vec(k) for k in ball if int_dot(k, int_mat_vec(eg, k)) == ev)
 
 
 def lattice_isometries(source: Frame, target: Frame) -> list:
@@ -532,6 +516,15 @@ def lattice_isometries(source: Frame, target: Frame) -> list:
     return results
 
 
+def _conjugated_rep(u: Mat, uinv: Mat, m: Mat, g2: CrystalGroup):
+    """(M', w) for M' = U M U^-1 and g2's rep (M', w), or None if it has none."""
+    mprime = mat_mul(u, mat_mul(m, uinv))
+    if not is_integral_mat(mprime):
+        return None
+    w = g2.rep_for(mprime)
+    return None if w is None else (mprime, w)
+
+
 def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
     """An isometry gamma with gamma g1 gamma^-1 == g2 as sets, or None.
 
@@ -551,26 +544,18 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
         uinv = mat_inv(u)
         rows = []
         rhs = []
-        ok = True
         for m, v in g1.reps:
-            mprime = mat_mul(u, mat_mul(m, uinv))
-            if not is_integral_mat(mprime):
-                ok = False
+            found = _conjugated_rep(u, uinv, m, g2)
+            if found is None:
                 break
-            w = g2.rep_for(mprime)
-            if w is None:
-                ok = False
-                break
-            a = mat_sub(identity_mat(n), mprime)
-            for i in range(n):
-                rows.append(a[i])
-                rhs.append(w[i] - vdot(u[i], v))
-        if not ok:
-            continue
-        c = solve_mod_lattice(tuple(rows), tuple(rhs))
-        if c is not None:
-            c = tuple(frac_part(x) for x in c)
-            return Isometry(g1.frame, u, c, target=g2.frame)
+            mprime, w = found
+            rows += mat_sub(identity_mat(n), mprime)
+            rhs += (wi - vdot(ui, v) for wi, ui in zip(w, u))
+        else:
+            c = solve_mod_lattice(tuple(rows), tuple(rhs))
+            if c is not None:
+                c = tuple(frac_part(x) for x in c)
+                return Isometry(g1.frame, u, c, target=g2.frame)
     return None
 
 
@@ -590,12 +575,10 @@ def is_conjugate_subgroup(g1: CrystalGroup, g2: CrystalGroup, gamma: Isometry) -
     c = gamma.translation
     n = g1.dim
     for m, v in g1.reps:
-        mprime = mat_mul(u, mat_mul(m, uinv))
-        if not is_integral_mat(mprime):
+        found = _conjugated_rep(u, uinv, m, g2)
+        if found is None:
             return False
-        w = g2.rep_for(mprime)
-        if w is None:
-            return False
+        mprime, w = found
         t = vadd(mat_vec(u, v), mat_vec(mat_sub(identity_mat(n), mprime), c))
         if not is_integral_vec(vsub(t, w)):
             return False

@@ -26,6 +26,7 @@ from .linalg import (
     Vec,
     gram_norm2,
     identity_mat,
+    integral_rows,
     mat,
     mat_det,
     mat_inv,
@@ -98,6 +99,19 @@ def embedding(frame: Frame) -> np.ndarray:
 @lru_cache(maxsize=None)
 def embedding_inv(frame: Frame) -> np.ndarray:
     return np.linalg.inv(embedding(frame))
+
+
+@lru_cache(maxsize=None)
+def int_gram(frame: Frame):
+    """(E, E G), E the least common denominator of the Gram entries."""
+    return integral_rows(frame.gram)
+
+
+@lru_cache(maxsize=None)
+def _inv_gram_diag(frame: Frame):
+    """Diagonal of G^-1, once per frame: (G^-1)_ii bounds |x_i|^2 by ||x||_G^2."""
+    inv = mat_inv(frame.gram)
+    return tuple(inv[i][i] for i in range(frame.dim))
 
 
 def to_cartesian(frame: Frame, v: Vec) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""Small exact linear algebra kernel over rationals.
+"""Small exact linear algebra kernel, in two layers.
 
-Vectors are tuples of Q, matrices are tuples of row tuples.  Sizes here
-are tiny (n <= 3 geometry, Seitz stacks up to ~36 rows), so every
-elimination is one exact Gauss-Jordan routine, _rref.
+Rational: vectors are tuples of Q, matrices tuples of row tuples.  Sizes
+are tiny (n <= 3 geometry, Seitz stacks up to ~36 rows), so every rational
+elimination is one exact Gauss-Jordan routine, _rref.  Integer: hot paths
+scale rationals once to ints over a common denominator (integral,
+integral_rows) and multiply ints (int_dot, int_mat_vec, int_mat_mul); the
+Hermite and Smith normal forms (solve_mod_lattice) run on ints too.
 """
 
 from __future__ import annotations
@@ -177,14 +180,36 @@ def gram_norm2(gram: Mat, v: Vec):
     return gram_dot(gram, v, v)
 
 
-def common_denominator(values) -> int:
-    d = 1
-    for v in values:
-        d = d * Q(v).denominator // math.gcd(d, Q(v).denominator)
-    return d
+# --- the integer layer ----------------------------------------------------
+
+def integral(values, d=None):
+    """(d, ints) for a sequence of exact rationals (Q or int): each value
+    times d, as a Python int, where d is their least common denominator or,
+    when given, a multiple of it."""
+    if d is None:
+        d = math.lcm(*(q.denominator for q in values))
+    return d, tuple(q.numerator * (d // q.denominator) for q in values)
 
 
-# --- integer normal forms -------------------------------------------------
+def integral_rows(rows, d=None):
+    """integral of the entries of a sequence of rows of one length, as rows."""
+    d, flat = integral([q for row in rows for q in row], d)
+    return d, tuple(zip(*[iter(flat)] * (len(rows[0]) if rows else 1)))
+
+
+def int_dot(u, v):
+    # ints stay ints here; vdot starts its sum from a Q zero
+    return sum(map(mul, u, v))
+
+
+def int_mat_vec(m, v):
+    return tuple([sum(map(mul, row, v)) for row in m])
+
+
+def int_mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
+
 
 def hermite_column_basis(int_cols: list) -> list:
     """Column-style Hermite form of the lattice spanned by integer columns.
@@ -332,15 +357,14 @@ def solve_mod_lattice(a_stack: Mat, b_stack: Vec):
     ncols = len(a_stack[0]) if nrows else 0
     if nrows == 0:
         return zero_vec(ncols)
-    b = [Q(x) for x in b_stack]
-    e = common_denominator(b)
-    D, c, V = _smith(a_stack, [[x.numerator * (e // x.denominator)] for x in b])
+    e, eb = integral([Q(x) for x in b_stack])
+    D, c, V = _smith(a_stack, [[x] for x in eb])
     diag = [D[i][i] * e for i in range(min(nrows, ncols)) if D[i][i] != 0]
     if any(ci % e for (ci,) in c[len(diag):]):
         return None
     lcd = math.lcm(*diag)
     y = [ci * (lcd // di) for (ci,), di in zip(c, diag)]
-    return tuple(Q(sum(map(mul, row, y)), lcd) for row in V)
+    return tuple(Q(int_dot(row, y), lcd) for row in V)
 
 
 def enumerate_box(bounds) -> product:

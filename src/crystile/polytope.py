@@ -21,11 +21,11 @@ own.  The tight sets (the facets through each vertex, _tight_sets) are
 the one source of faces, volumes and rings (see _facet_edges), each
 derived once.  The hull, clip, translate and transform carry them, so a
 chain of clips computes them once and a tile's images under a group never.
-clip runs on ints: each polytope caches its vertices as int rows over their
-least common denominator (_int_rows, read by _quadratic_data too), the
-halfspace is scaled to ints once per call, the side values a.v - c are int
-dots and each crossing point is formed from two int rows, one Q per
-coordinate.
+clip runs on ints (the integer layer of linalg): each polytope caches its
+vertices as int rows over their least common denominator (_int_rows, read
+by _quadratic_data too), the halfspace is scaled to ints once per call, the
+side values a.v - c are int dots and each crossing point is formed from two
+int rows, one Q per coordinate.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -49,12 +49,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
-from operator import mul
+from math import factorial
 
 from .rational import Q, ZERO, ONE, rat
 from .linalg import (
     gram_norm2,
+    int_dot,
+    int_mat_vec,
+    integral,
+    integral_rows,
     mat_det,
     mat_inv,
     mat_mul,
@@ -68,7 +71,7 @@ from .linalg import (
     vec,
     vsub,
 )
-from .isometry import Frame, Isometry, IsometryError, standard_frame
+from .isometry import Frame, Isometry, IsometryError, int_gram, standard_frame
 
 
 class PolytopeError(ValueError):
@@ -524,9 +527,9 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
     n = poly.frame.dim
     facets = poly.facets()
     vden, rows = _int_rows(poly)
-    ac = _integral(h.covector + (h.offset,))[1]
+    ac = integral(h.covector + (h.offset,))[1]
     a, c = ac[:-1], ac[-1] * vden
-    vals = [_dot(a, p) - c for p in rows]
+    vals = [int_dot(a, p) - c for p in rows]
     if all(s >= 0 for s in vals):
         return poly
     inside = [i for i, s in enumerate(vals) if s > 0]
@@ -682,7 +685,7 @@ def sq_distance_point(poly: ConvexPolytope, x):
     """Exact squared Gram distance from a point to the polytope (see
     _sq_distance)."""
     # ints and Q as they are, other exact input (such as '1/3') through rat
-    return _sq_distance(poly, *_integral([c if isinstance(c, (int, Q)) else rat(c) for c in x]))
+    return _sq_distance(poly, *integral([c if isinstance(c, (int, Q)) else rat(c) for c in x]))
 
 
 def _sq_distance(poly: ConvexPolytope, e, xs):
@@ -695,19 +698,19 @@ def _sq_distance(poly: ConvexPolytope, e, xs):
     returned when the polytope holds x."""
     d, dg, verts, edges, facets, polygons = _quadratic_data(poly)
     # A.X - e C = m e (a.x - c) for each facet a.x >= c
-    slack = [_dot(a, xs) - e * c for a, c in facets]
+    slack = [int_dot(a, xs) - e * c for a, c in facets]
     if facets and all(s >= 0 for s in slack):
         return ZERO
     e2 = e * e
-    xgx = _dot(_mat_vec(dg, xs), xs)
+    xgx = int_dot(int_mat_vec(dg, xs), xs)
     # D e^2 |x - v|^2 = X.(D G)X - 2e (D Gv).X + e^2 D v.Gv
-    dist = [xgx - 2 * e * _dot(gv, xs) + e2 * vgv for gv, vgv in verts]
+    dist = [xgx - 2 * e * int_dot(gv, xs) + e2 * vgv for gv, vgv in verts]
     num, den = min(dist), 1
     for iu, gd, dgd, gdu in edges:
         # t = D e <x - u, d>_G; the projection onto the line of the edge lies
         # inside it iff 0 < t < e D d.Gd, at D e^2 times the squared distance
         # dist[iu] - t^2 / (D d.Gd)
-        t = _dot(gd, xs) - e * gdu
+        t = int_dot(gd, xs) - e * gdu
         if 0 < t < e * dgd:
             cand = dist[iu] * dgd - t * t
             if cand * den < num * dgd:
@@ -722,40 +725,22 @@ def _sq_distance(poly: ConvexPolytope, e, xs):
     return Q(num, den * d * e2)
 
 
-def _integral(values):
-    """(m, (m q for q in values)) for exact rationals: m > 0 is their least
-    common denominator and the entries are integers."""
-    m = lcm(*(q.denominator for q in values))
-    return m, tuple(q.numerator * (m // q.denominator) for q in values)
-
-
 def _int_rows(poly: ConvexPolytope):
     """(V, rows): V > 0 the least common denominator of the vertex
     coordinates and per vertex the int tuple P = V v, in vertex order;
     computed once per polytope, for clip and _quadratic_data."""
     if poly._ints is None:
-        vden, flat = _integral([c for p in poly.vertices for c in p])
-        n = poly.frame.dim
-        poly._ints = vden, tuple(flat[i:i + n] for i in range(0, len(flat), n))
+        poly._ints = integral_rows(poly.vertices)
     return poly._ints
-
-
-def _dot(u, v):
-    # ints stay ints here; linalg.vdot starts its sum from a Q zero
-    return sum(map(mul, u, v))
-
-
-def _mat_vec(m, v):
-    return tuple(_dot(row, v) for row in m)
 
 
 def _quadratic_data(poly: ConvexPolytope):
     """The integer data sq_distance_point reads, computed once per polytope.
 
-    With G = H / g and the vertices v = P / V over the least common
-    denominators (H, P integral), every entry below is an integer: the
-    distance data over D = g V^2, where D G = V^2 H, D Gv = V HP and
-    D v.Gv = P.HP.  The tuple holds
+    With G = H / g (isometry.int_gram, cached per frame) and the vertices
+    v = P / V (_int_rows), every entry below is an integer: the distance
+    data over D = g V^2, where D G = V^2 H, D Gv = V HP and D v.Gv = P.HP.
+    The tuple holds
     - D and D G;
     - per vertex v: (D Gv, D v.Gv);
     - per edge u -> w, with d = w - u: (index of u, D Gd, D d.Gd, D Gd.u);
@@ -766,24 +751,21 @@ def _quadratic_data(poly: ConvexPolytope):
     """
     if poly._quad is None:
         n = poly.frame.dim
-        gden, h = _integral([a for row in poly.frame.gram for a in row])
-        h = tuple(h[i:i + n] for i in range(0, n * n, n))
+        gden, h = int_gram(poly.frame)
         vden, pts = _int_rows(poly)
         index = {p: i for i, p in enumerate(poly.vertices)}
         verts = []
         for p in pts:
-            hp = _mat_vec(h, p)
-            verts.append((_scale(vden, hp), _dot(hp, p)))
+            hp = int_mat_vec(h, p)
+            verts.append((_scale(vden, hp), int_dot(hp, p)))
         edges = []
         for f in _edges(poly):
             iu, iw = index[f.vertices[0]], index[f.vertices[1]]
             d = vsub(pts[iw], pts[iu])
-            hd = _mat_vec(h, d)
-            edges.append((iu, _scale(vden, hd), _dot(hd, d), _dot(hd, pts[iu])))
-        facets = []
-        for f in poly._facets or ():
-            ac = _integral(f.covector + (f.offset,))[1]
-            facets.append((ac[:-1], ac[-1]))
+            hd = int_mat_vec(h, d)
+            edges.append((iu, _scale(vden, hd), int_dot(hd, d), int_dot(hd, pts[iu])))
+        scaled = (integral(f.covector + (f.offset,))[1] for f in poly._facets or ())
+        facets = [(ac[:-1], ac[-1]) for ac in scaled]
         polygons = ()
         if n == 3 and poly.dim >= 2:
             polygons = tuple(_polygon_data(f, h, vden, pts, index)
@@ -809,15 +791,15 @@ def _polygon_data(f: ConvexPolytope, h, vden, pts, index):
     ring = [index[p] for p in f.cyclic_vertices()]
     o = pts[ring[0]]
     e1, e2 = vsub(pts[ring[1]], o), vsub(pts[ring[2]], o)
-    h1, h2 = _mat_vec(h, e1), _mat_vec(h, e2)
-    m11, m12, m22 = _dot(h1, e1), _dot(h1, e2), _dot(h2, e2)
+    h1, h2 = int_mat_vec(h, e1), int_mat_vec(h, e2)
+    m11, m12, m22 = int_dot(h1, e1), int_dot(h1, e2), int_dot(h2, e2)
     det = m11 * m22 - m12 * m12
     normal = _cross(e1, e2)
     sides = []
     for a, b in _ring_edges(ring):
         c = _cross(normal, vsub(pts[b], pts[a]))
-        sides.append((_dot(c, e1), _dot(c, e2), det * _dot(c, vsub(o, pts[a]))))
-    return (ring[0], _scale(vden, h1), _scale(vden, h2), _dot(h1, o), _dot(h2, o),
+        sides.append((int_dot(c, e1), int_dot(c, e2), det * int_dot(c, vsub(o, pts[a]))))
+    return (ring[0], _scale(vden, h1), _scale(vden, h2), int_dot(h1, o), int_dot(h2, o),
             m11, m12, m22, det, tuple(sides))
 
 
@@ -839,7 +821,7 @@ def _polygon_proj_sq_distance(data, xs, e, dist):
     c = n x (b - a), or, times D^2 e det m > 0 (and the positive scale of
     the integer c), e det M c.(o - a) + S c.e1 + T c.e2 >= 0."""
     io, a1, a2, a1o, a2o, m11, m12, m22, det, sides = data
-    b1, b2 = _dot(a1, xs) - e * a1o, _dot(a2, xs) - e * a2o
+    b1, b2 = int_dot(a1, xs) - e * a1o, int_dot(a2, xs) - e * a2o
     s, t = m22 * b1 - m12 * b2, m11 * b2 - m12 * b1
     for ce1, ce2, co in sides:
         if e * co + s * ce1 + t * ce2 < 0:

@@ -75,6 +75,14 @@ def _frame_from_json(data: dict) -> Frame:
         raise SchemaError(f"bad dim or gram: {exc}") from exc
 
 
+def _label(data: dict, key: str, default=None):
+    """The string data[key] (written back as given), or default if absent."""
+    value = data.get(key, default)
+    if key in data and not isinstance(value, str):
+        raise SchemaError(f"{key} must be a string, got {_short(repr(value))}")
+    return value
+
+
 def vector_json(v):
     return [rat_json(x) for x in v]
 
@@ -109,7 +117,7 @@ def group_from_json(data: dict) -> CrystalGroup:
         ]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"malformed group file: {exc}") from exc
-    return validate_group(frame, pairs, name=data.get("name"))
+    return validate_group(frame, pairs, name=_label(data, "name"))
 
 
 # --- tilings -------------------------------------------------------------------
@@ -156,7 +164,7 @@ def tiling_from_json(data: dict) -> PeriodicTiling:
                 vertices = pj["base_cell"]["vertices"]
                 base_cell = ConvexPolytope(frame, [parse_vector(p, dim) for p in vertices])
             prov = Provenance(
-                kind=pj.get("kind", "unknown"),
+                kind=_label(pj, "kind", "unknown"),
                 group=group,
                 base_point=parse_vector(pj["base_point"], dim) if "base_point" in pj else None,
                 base_cell=base_cell,

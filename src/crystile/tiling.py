@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from operator import add, sub
 
 from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil
@@ -42,6 +43,9 @@ from .linalg import (
     gram_norm2,
     hermite_column_basis,
     identity_mat,
+    int_mat_vec,
+    integral,
+    integral_rows,
     is_integral_mat,
     mat_inv,
     mat_mul,
@@ -73,8 +77,6 @@ from .groups import (
 from .polytope import (
     ConvexPolytope,
     _centroid,
-    _dot,
-    _integral,
     _sq_distance,
     congruent,
     faces,
@@ -221,9 +223,9 @@ def _int_vertices(tiles):
     """(d, cells): d > 0 the least common denominator of every vertex
     coordinate of the tiles, and per tile its vertices X = d x as int
     tuples, in the tile's (sorted) order."""
-    d = math.lcm(*(c.denominator for t in tiles for p in t.vertices for c in p))
-    return d, tuple(tuple(tuple(c.numerator * (d // c.denominator) for c in p)
-                          for p in t.vertices) for t in tiles)
+    d, pts = integral_rows([p for t in tiles for p in t.vertices])
+    pts = iter(pts)
+    return d, tuple(tuple(islice(pts, len(t.vertices))) for t in tiles)
 
 
 def _key(d, flat):
@@ -249,23 +251,20 @@ def _lattice_key(d, pts):
 
 def _affine(m, c, x):
     """m x + c for an int matrix m and int vectors c, x."""
-    return tuple(_dot(row, x) + ci for row, ci in zip(m, c))
+    return tuple(map(add, int_mat_vec(m, x), c))
 
 
 def _int_image(tiling: PeriodicTiling, iso: Isometry):
     """(D, S, images) for iso(x) = L x + t over one common denominator D:
     iso maps the cell tile t_i onto the sorted int vertex tuples
     images[i] / D, and a lattice vector k to the translation S k / D
-    (S = D L, an int matrix)."""
-    dv, cells = _int_vertices(tiling.cell_tiles)
-    ld, lin = _integral([c for row in iso.linear for c in row])
-    td, tr = _integral(iso.translation)
-    d = math.lcm(ld * dv, td)
-    n = tiling.dim
-    a = tuple(tuple(d // (ld * dv) * c for c in lin[i:i + n]) for i in range(0, n * n, n))
-    b = tuple(d // td * c for c in tr)
+    (S = D L, an int matrix).  With the vertices X / d and (A, B) = m (L, t)
+    integral, iso(X / d) = (A X + d B) / D for D = m d."""
+    d, cells = _int_vertices(tiling.cell_tiles)
+    m, (*a, b) = integral_rows((*iso.linear, iso.translation))
+    b = tuple(d * c for c in b)
     images = [sorted(_affine(a, b, p) for p in pts) for pts in cells]
-    return d, tuple(tuple(dv * c for c in row) for row in a), images
+    return m * d, tuple(tuple(d * c for c in row) for row in a), images
 
 
 # --- patches -----------------------------------------------------------------
@@ -288,7 +287,7 @@ def _tiles_near(tiling: PeriodicTiling, center, r2):
     The ball query yields k as int tuples, and each test point c - k goes to
     the int body of sq_distance_point as e c - e k over the centre's least
     common denominator e."""
-    e, ec = _integral(center)
+    e, ec = integral(center)
     for t in tiling.cell_tiles:
         q = _centroid(t.vertices)
         rho2 = max(gram_norm2(tiling.frame.gram, vsub(v, q)) for v in t.vertices)
@@ -323,7 +322,7 @@ def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
     out = {}
     for d2, t, k in _tiles_near(tiling, inverse(iso)(center), r2):
         base, m = flat[t]
-        shift = tuple(_dot(row, k) for row in s)
+        shift = int_mat_vec(s, k)
         out[_key(d, map(add, base, shift * m))] = d2
     return out
 
@@ -447,8 +446,7 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
 def _lattice_automorphisms(frame: Frame):
     """(U, U as ints) for each U of lattice_isometries(frame, frame), once
     per frame."""
-    return tuple((m, tuple(tuple(int(x) for x in row) for row in m))
-                 for m in lattice_isometries(frame, frame))
+    return tuple((m, integral_rows(m)[1]) for m in lattice_isometries(frame, frame))
 
 
 def automorphism_group_with_embedding(tiling: PeriodicTiling):
@@ -464,10 +462,9 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
         return group, compose(embed, inner)
     frame = tiling.frame
     d, cells, keys = _int_cells(tiling)
-    zero = (0,) * frame.dim
     seitz = []
     for m, mi in _lattice_automorphisms(frame):
-        image = sorted(_affine(mi, zero, p) for p in cells[0])
+        image = sorted(int_mat_vec(mi, p) for p in cells[0])
         for pts in cells:
             c = _translate_match(image, pts)
             if c is not None and _fixes_tiling(d, cells, keys, mi, c):

@@ -25,15 +25,17 @@ s and the clip returns the cell unchanged; every later site is at least as
 far, so the same holds for it.  The final rho^2 is the one certification
 reads, and delone_params reports it as the covering radius.
 
-The loop runs on Python ints.  groups.orbit_in_ball enumerates the sites
-as numerators over one common denominator.  They are ordered by exact
-integer keys: over the common denominator D of x0 and the sites,
-D^2 E |s - x0|^2 = y.(EG)y for y = D s - D x0, with EG the integer Gram
-matrix over its denominator E, the form groups.lattice_points_in_ball
+The loop runs on Python ints (the integer layer of linalg).
+groups.orbit_in_ball enumerates the sites as numerators over one common
+denominator.  They are ordered by exact integer keys: over the common
+denominator D of x0 and the sites, D^2 E |s - x0|^2 = y.(EG)y for
+y = D s - D x0, with EG the frame's integer Gram matrix over its
+denominator E (isometry.int_gram), the form groups.lattice_points_in_ball
 tests.  Each bisector is formed from y and (EG)y.  clip reads each cell's
-int vertex rows (polytope._int_rows), and rho^2 is read off the same
-rows after each cut that changes the cell.  Q values are formed only for the results: one per
-bisector entry, crossing coordinate and site coordinate, and rho^2 once.
+int vertex rows (polytope._int_rows), and rho^2 is read off the same rows
+after each cut that changes the cell.  Q values are formed only for the
+results: one per bisector entry, crossing coordinate and site coordinate,
+and rho^2 once.
 """
 
 from __future__ import annotations
@@ -43,19 +45,11 @@ from itertools import product
 from math import lcm
 
 from .rational import ONE, Q, ZERO, isqrt_ceil, rat
-from .linalg import Vec, is_integral_vec, mat_vec, vadd, vdot, vec, vsub
-from .isometry import Frame, Isometry
-from .groups import CrystalGroup, _int_gram, _inv_gram_diag, orbit_in_ball, stabilizer
-from .polytope import (
-    ConvexPolytope,
-    HalfSpace,
-    _dot,
-    _int_rows,
-    _integral,
-    _mat_vec,
-    clip,
-    halfspace_intersection,
-)
+from .linalg import (Vec, int_dot, int_mat_vec, integral_rows, is_integral_vec, mat_vec, vadd,
+                     vdot, vec, vsub)
+from .isometry import Frame, Isometry, _inv_gram_diag, int_gram
+from .groups import CrystalGroup, orbit_in_ball, stabilizer
+from .polytope import ConvexPolytope, HalfSpace, _int_rows, clip, halfspace_intersection
 
 
 class DegenerateSiteError(ValueError):
@@ -82,20 +76,18 @@ def bisector_halfspace(frame: Frame, x0: Vec, x: Vec) -> HalfSpace:
 
     Its covector is a = G(x0 - x) and its offset c = a.(x0 + x)/2, so
     2(a.y - c) = |y - x|_G^2 - |y - x0|_G^2; at y = x0 that is |x0 - x|_G^2."""
-    n = frame.dim
-    d, flat = _integral(tuple(x0) + tuple(x))
-    dx0 = flat[:n]
-    y = [b - a for a, b in zip(dx0, flat[n:])]
-    return _bisector(frame, d, dx0, y, _mat_vec(_int_gram(frame)[1], y))
+    d, (dx0, dx) = integral_rows((x0, x))
+    y = [b - a for a, b in zip(dx0, dx)]
+    return _bisector(frame, d, dx0, y, int_mat_vec(int_gram(frame)[1], y))
 
 
 def _bisector(frame: Frame, d, dx0, y, gy):
     """bisector_halfspace of x0 = dx0 / d and x = x0 + y / d, for int
     vectors dx0, y and gy = (EG) y, EG the integer Gram matrix over E
-    (groups._int_gram): a = -gy / (E d) and c = a.(x0 + x)/2 =
+    (isometry.int_gram): a = -gy / (E d) and c = a.(x0 + x)/2 =
     -gy.(2 dx0 + y) / (2 E d^2), one Q per entry."""
-    ed = _int_gram(frame)[0] * d
-    c = _dot(gy, [2 * a + b for a, b in zip(dx0, y)])
+    ed = int_gram(frame)[0] * d
+    c = int_dot(gy, [2 * a + b for a, b in zip(dx0, y)])
     return HalfSpace(tuple(Q(-g, ed) for g in gy), Q(-c, 2 * ed * d))
 
 
@@ -131,7 +123,7 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
     4 rho2, where no bisector can cut the running cell.  The sites are
     ordered by the integers y.(EG)y for y = D (s - x0), D the common
     denominator of x0 and the sites and EG the integer Gram matrix over E
-    of groups._int_gram, and each bisector is formed from y and (EG)y
+    of isometry.int_gram, and each bisector is formed from y and (EG)y
     (_bisector).  rho2 is read off the cell's int vertex rows P / V
     (polytope._int_rows): over L = lcm(V, D), Y = (L / V) P - (L / D) D x0
     gives E L^2 |v - x0|^2 = Y.(EG)Y, and the stop compares the keys with
@@ -148,14 +140,13 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
     tight = tuple(frozenset(2 * i + b for i, b in enumerate(bits))
                   for bits in product((0, 1), repeat=n))
     cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets), tight)
-    e, eg = _int_gram(frame)
-    d = lcm(*(c.denominator for p in (x0, *sites) for c in p))
-    dx0 = [c.numerator * (d // c.denominator) for c in x0]
+    e, eg = int_gram(frame)
+    d, (dx0, *ds) = integral_rows((x0, *sites))
     ordered = []
-    for s in sites:
-        y = [c.numerator * (d // c.denominator) - c0 for c, c0 in zip(s, dx0)]
-        gy = _mat_vec(eg, y)
-        ordered.append((_dot(gy, y), y, gy))
+    for s in ds:
+        y = [c - c0 for c, c0 in zip(s, dx0)]
+        gy = int_mat_vec(eg, y)
+        ordered.append((int_dot(gy, y), y, gy))
 
     def sq_circumradius(poly):
         """(num, L): E L^2 rho2 = num, over L = lcm(V, D)."""
@@ -163,7 +154,7 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
         el = lcm(vden, d)
         a, b = el // vden, el // d
         bx0 = [b * c for c in dx0]
-        return max(_dot(_mat_vec(eg, y), y) for y in
+        return max(int_dot(int_mat_vec(eg, y), y) for y in
                    ([a * p - c for p, c in zip(row, bx0)] for row in rows)), el
 
     num, el = sq_circumradius(cell)

@@ -212,6 +212,38 @@ def test_validate_group_accepts_preset_file(tmp_path, capsys):
     assert len(json.loads(out)["reps"]) == 12
 
 
+# a group name and a provenance kind are written back as given, so a value
+# that is not a string is refused (an object name was echoed with exit 0)
+NOT_STRINGS = {"object": {"x": [1, 2]}, "int": 5, "null": None, "list": ["p1"]}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_STRINGS))
+def test_non_string_group_name_is_input_error(tmp_path, case, capsys):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"dim": 2, "gram": [[1, 0], [0, 1]], "reps": [],
+                                "name": NOT_STRINGS[case]}))
+    code, out, err = run_cli(capsys, "validate-group", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "name must be a string" in err
+
+
+@pytest.mark.parametrize("case", sorted(NOT_STRINGS))
+def test_non_string_provenance_kind_is_input_error(tmp_path, square_tiling, case, capsys):
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({**tiling_to_json(square_tiling),
+                                "provenance": {"kind": NOT_STRINGS[case]}}))
+    code, out, err = run_cli(capsys, "aut", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "kind must be a string" in err
+
+
+def test_string_name_and_kind_are_written_back(square_tiling):
+    group = group_from_json({**group_to_json(preset("p1")), "name": "mine"})
+    assert group.name == "mine" and group_to_json(group)["name"] == "mine"
+    data = {**tiling_to_json(square_tiling), "provenance": {"kind": "drawn"}}
+    assert tiling_to_json(tiling_from_json(data))["provenance"] == {"kind": "drawn"}
+
+
 def test_degenerate_point_is_domain_failure(capsys):
     code, _, err = run_cli(
         capsys, "voronoi", "--group", "p4m", "--point", "0,0"

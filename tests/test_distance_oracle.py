@@ -17,8 +17,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystile.groups import _inv_gram_diag, lattice_points_in_ball
-from crystile.isometry import Frame, hexagonal_frame, standard_frame
+from crystile.groups import lattice_points_in_ball
+from crystile.isometry import Frame, _inv_gram_diag, hexagonal_frame, standard_frame
 from crystile.linalg import enumerate_box, gram_norm2, mat_vec, solve_linear, vadd, vdot, vec, vsub
 from crystile.polytope import ConvexPolytope, _centroid, _ring_edges, faces, sq_distance_point
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
@@ -207,6 +207,9 @@ def test_cached_distance_of_lower_dimensional_polytopes(frame2, frame3):
 # --- lattice balls ----------------------------------------------------------------------
 
 BALL_FRAMES = {
+    # in 1D the ball is one interval of the only axis, with no box walked
+    "Z1": standard_frame(1),
+    "1D 7/3": Frame(1, ((Q(7, 3),),)),
     "Z2": standard_frame(2),
     "Z3": standard_frame(3),
     "hexagonal": hexagonal_frame(),
@@ -220,6 +223,21 @@ def test_integer_ball_test_matches_fraction_filter(name):
 
     @given(points(frame.dim, -3, 3), rationals(-1, 6, 11))
     @settings(max_examples=120 if frame.dim == 2 else 40, deadline=None)
+    def check(center, r2):
+        assert lattice_points_in_ball(frame, center, r2) == old_lattice_points_in_ball(frame, center, r2)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ["1D 7/3", "hexagonal", "bcc"])
+def test_integer_ball_test_matches_fraction_filter_at_large_denominators(name):
+    # the interval ends are isqrt bounds of products of ten-digit numbers
+    frame = BALL_FRAMES[name]
+    den = st.integers(10**9, 10**10)
+
+    @given(st.tuples(*[st.builds(Q, st.integers(-3 * 10**9, 3 * 10**9), den)] * frame.dim),
+           st.builds(Q, st.integers(0, 5 * 10**9), den))
+    @settings(max_examples=40, deadline=None)
     def check(center, r2):
         assert lattice_points_in_ball(frame, center, r2) == old_lattice_points_in_ball(frame, center, r2)
 

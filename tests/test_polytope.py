@@ -345,12 +345,12 @@ def test_repeated_distance_makes_one_gram_product(frame2, count_calls):
     first = sq_distance_point(tile, x)
     quad = tile._quad
     calls = []
-    for name in ("mat_vec", "faces", "_edges", "_integral", "_mat_vec"):
+    for name in ("mat_vec", "faces", "_edges", "integral", "integral_rows", "int_mat_vec"):
         count_calls(polytope_mod, name, calls)
     second = sq_distance_point(tile, x)
     assert tile._quad is quad
     assert second == first > 0 and type(second) is Q
-    assert calls == ["_integral", "_mat_vec"]
+    assert calls == ["integral", "int_mat_vec"]
 
 
 def test_vertex_input_beyond_dimension_3_is_refused():

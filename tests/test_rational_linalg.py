@@ -1,6 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from crystile.groups import PRESET_NAMES, preset
+from crystile.isometry import Frame, int_gram
 from crystile.rational import (
     Q,
     frac_part,
@@ -14,6 +18,11 @@ from crystile.rational import (
 from crystile.linalg import (
     hermite_column_basis,
     identity_mat,
+    int_dot,
+    int_mat_mul,
+    int_mat_vec,
+    integral,
+    integral_rows,
     is_integral_vec,
     mat,
     mat_det,
@@ -288,3 +297,59 @@ def test_square_eliminations_match_reference_loops(m):
     # sizes 4 and 5 take mat_det's elimination branch
     assert mat_det(m) == _ref_mat_det(m)
     assert _inv_or_singular(mat_inv, m) == _inv_or_singular(_ref_mat_inv, m)
+
+
+# --- the integer layer ------------------------------------------------------
+
+@given(st.lists(rationals | st.integers(-50, 50), max_size=6), st.integers(1, 6))
+def test_integral_round_trips_over_the_least_or_a_given_denominator(values, k):
+    d, ints = integral(values)
+    assert all(type(x) is int for x in ints)
+    assert [Q(x, d) for x in ints] == values
+    # d / p for a prime p of d would leave a value non-integral iff p does
+    # not divide every scaled value: d is least iff gcd(d, ints) == 1
+    assert d > 0 and math.gcd(d, *ints) == 1
+    assert integral(values, k * d) == (k * d, tuple(k * x for x in ints))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=4)))
+def test_integral_rows_scale_the_entries_as_one_list(rows):
+    d, ints = integral_rows(rows)
+    assert (d, sum(ints, ())) == integral([x for row in rows for x in row])
+    assert [len(row) for row in ints] == [len(row) for row in rows]
+
+
+int_entries = st.integers(-10**6, 10**6)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_int_products_match_the_rational_ones(r, n, c, data):
+    a = data.draw(st.lists(st.lists(int_entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    b = data.draw(st.lists(st.lists(int_entries, min_size=c, max_size=c), min_size=n, max_size=n))
+    v = data.draw(st.lists(int_entries, min_size=n, max_size=n))
+    got = int_mat_mul(a, b), int_mat_vec(a, v), int_dot(a[0], v)
+    assert got == (mat_mul(mat(a), mat(b)), mat_vec(mat(a), vec(v)), mat_vec(mat(a), vec(v))[0])
+    assert all(type(x) is int for x in sum(got[0], ()) + got[1] + (got[2],))
+
+
+def _check_int_gram(frame):
+    e, eg = int_gram(frame)
+    assert eg == tuple(tuple(e * x for x in row) for row in frame.gram)
+    assert all(type(x) is int for row in eg for x in row)
+    assert math.gcd(e, *(x for row in eg for x in row)) == 1
+    assert int_gram(frame) is int_gram(frame)
+
+
+def test_int_gram_of_every_preset_frame():
+    for name in PRESET_NAMES:
+        _check_int_gram(preset(name).frame)
+
+
+@given(st.integers(1, 3), st.data())
+def test_int_gram_of_random_positive_definite_grams(n, data):
+    # G = L L^T for a lower-triangular L with a positive diagonal
+    low = [[data.draw(rationals) if j < i else abs(data.draw(rationals)) + Q(1, 7) if j == i else 0
+            for j in range(n)] for i in range(n)]
+    gram = mat_mul(mat(low), transpose(mat(low)))
+    _check_int_gram(Frame(n, gram))

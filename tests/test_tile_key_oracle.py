@@ -39,7 +39,6 @@ from crystile.isometry import (
     translation_iso,
 )
 from crystile.linalg import (
-    common_denominator,
     hermite_column_basis,
     identity_mat,
     is_integral_vec,
@@ -120,7 +119,7 @@ def maximal_translation_lattice(tiling: PeriodicTiling):
             extra.append(v)
     if not extra:
         return identity_mat(n)
-    den = common_denominator([x for v in extra for x in v])
+    den = math.lcm(*(x.denominator for v in extra for x in v))
     cols = [tuple(Q(den) if i == j else ZERO for i in range(n)) for j in range(n)]
     cols += [tuple(x * den for x in v) for v in extra]
     basis = hermite_column_basis([tuple(int(x) for x in c) for c in cols])

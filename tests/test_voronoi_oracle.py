@@ -38,14 +38,13 @@ from crystile.groups import (
     PRESET_NAMES,
     WALLPAPER_NAMES,
     OrbitPointSet,
-    _int_gram,
-    _inv_gram_diag,
     generic_point,
     lattice_points_in_ball,
     orbit_in_ball,
     preset,
     stabilizer,
 )
+from crystile.isometry import _inv_gram_diag, int_gram
 from crystile.linalg import gram_norm2, mat_vec, vadd, vdot, vec, vsub
 from crystile.polytope import (
     ConvexPolytope,
@@ -169,7 +168,7 @@ def fraction_cell_from_sites(frame, x0, sites, d2):
     4 rho2, where no bisector can cut the running cell.  The sites are
     ordered by the integers D^2 (s - x0).(EG)(s - x0), D the common
     denominator of x0 and the sites and EG the integer Gram matrix of
-    groups._int_gram, and the stop compares them with the least integer
+    isometry.int_gram, and the stop compares them with the least integer
     at or above D^2 E 4 rho2.  Each vertex's |v - x0|^2 is computed once."""
     g = frame.gram
     n = frame.dim
@@ -180,7 +179,7 @@ def fraction_cell_from_sites(frame, x0, sites, d2):
         box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
     cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets))
-    e, eg = _int_gram(frame)
+    e, eg = int_gram(frame)
     d = lcm(*(c.denominator for p in (x0, *sites) for c in p))
     dx0 = [c.numerator * (d // c.denominator) for c in x0]
     keys = []
