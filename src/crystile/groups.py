@@ -14,12 +14,11 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .rational import Q, ZERO, ONE, rat, frac_part, isqrt_ceil
+from .rational import Q, rat, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
     enumerate_box,
-    gram_dot,
     identity_mat,
     int_dot,
     int_mat_mul,
@@ -42,7 +41,8 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .isometry import Frame, Isometry, _inv_gram_diag, hexagonal_frame, int_gram, standard_frame
+from .isometry import (Frame, Isometry, _inv_gram_diag, hexagonal_frame, int_gram,
+                       is_gram_orthogonal, standard_frame)
 
 
 class GroupValidationError(ValueError):
@@ -106,8 +106,8 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     with its violations before the next one runs:
 
     1. per rep: the shape, an integer point part M, and Gram-orthogonality
-       as M^T (E G) M == E G over the common denominator E of the Gram
-       entries (isometry.int_gram); det M = +-1 follows, as det G != 0;
+       M^T (E G) M == E G on the frame's int_gram, by the rule Isometry uses
+       (isometry.is_gram_orthogonal); det M = +-1 follows, as det G != 0;
     2. the identity is present and no point part occurs twice;
     3. the point parts are closed under products, over all pairs of int
        matrices.  A failure is reported alone ("missing point part"): the
@@ -130,7 +130,7 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     as rationals in [0,1)^n.
     """
     n = frame.dim
-    _, eg = int_gram(frame)
+    g = int_gram(frame)
     violations = []
     canon = []
     for idx, (m, v) in enumerate(seitz_pairs):
@@ -143,7 +143,7 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
             violations.append(f"rep {idx}: non-integer point part")
             continue
         m, v = _canon_seitz(m, v)
-        if int_mat_mul(transpose(m), int_mat_mul(eg, m)) != eg:
+        if not is_gram_orthogonal(1, m, g, g):
             violations.append(f"rep {idx}: point part is not Gram-orthogonal (M^T G M != G)")
             continue
         canon.append((m, v))
@@ -476,41 +476,33 @@ def lattice_vectors_with_norm(frame: Frame, value) -> list:
 
 
 def lattice_isometries(source: Frame, target: Frame) -> list:
-    """Integer matrices U with U^T G_target U = G_source and |det U| = 1.
-
-    These are exactly the isometric lattice identifications; columns are
-    found among target-lattice vectors with the prescribed Gram products.
-    The identity-like candidates are ordered first for determinism.
-    """
+    """Integer matrices U with U^T G_target U = G_source: the isometric
+    lattice identifications, identity-like candidates first.  Column i is a
+    target ball point u with u.(E_t G_t)u == E_t (G_s)_ii (int_gram), pruned
+    on its int products with the columns before it; the Grams' equal
+    determinants give det U = +-1."""
     n = source.dim
-    if target.dim != n:
+    if target.dim != n or mat_det(source.gram) != mat_det(target.gram):
         return []
-    if mat_det(source.gram) != mat_det(target.gram):
-        return []
+    e, eg = int_gram(target)
+    want = [[e * x for x in row] for row in source.gram]
     col_candidates = []
     for i in range(n):
-        cands = lattice_vectors_with_norm(target, source.gram[i][i])
-        ei = tuple(ONE if j == i else ZERO for j in range(n))
-        cands.sort(key=lambda u: (u != ei, u))
+        ball = lattice_points_in_ball(target, zero_vec(n), source.gram[i][i])
+        cands = [(k, gk) for k in ball if int_dot(k, gk := int_mat_vec(eg, k)) == want[i][i]]
+        ei = tuple(int(j == i) for j in range(n))
+        cands.sort(key=lambda kg: (kg[0] != ei, kg[0]))
         col_candidates.append(cands)
     results = []
 
     def extend(cols):
         i = len(cols)
         if i == n:
-            u = transpose(tuple(cols))
-            d = mat_det(u)
-            if d == 1 or d == -1:
-                results.append(u)
+            results.append(transpose(tuple(vec(k) for k, _ in cols)))
             return
-        for cand in col_candidates[i]:
-            ok = True
-            for j, prev in enumerate(cols):
-                if gram_dot(target.gram, cand, prev) != source.gram[i][j]:
-                    ok = False
-                    break
-            if ok:
-                extend(cols + [cand])
+        for cand, gk in col_candidates[i]:
+            if all(int_dot(cand, gprev) == want[i][j] for j, (_, gprev) in enumerate(cols)):
+                extend(cols + [(cand, gk)])
 
     extend([])
     return results

@@ -8,8 +8,10 @@ condition that the Cartesian image of L is orthogonal.  This keeps every
 piece of group arithmetic exact: hexagonal point groups have irrational
 Cartesian matrices but integer matrices in a lattice-adapted basis.
 
-Only the metric values themselves (Euclidean norms, operator norms, and
-orthogonal square roots) live in floating point.
+Gram-orthogonality is tested once, on ints (is_gram_orthogonal).  The
+metric d_O is sqrt(p) + sqrt(q) of exact rationals p, q; that sum, the
+operator norm of a general matrix and orthogonal square roots are floats,
+and the witness-size test in tiling still compares the float sum.
 """
 
 from __future__ import annotations
@@ -26,15 +28,16 @@ from .linalg import (
     Vec,
     gram_norm2,
     identity_mat,
+    int_mat_mul,
     integral_rows,
     mat,
     mat_det,
     mat_inv,
     mat_mul,
-    mat_sub,
     mat_vec,
     transpose,
     vadd,
+    vdot,
     vec,
     vsub,
     zero_vec,
@@ -107,6 +110,18 @@ def int_gram(frame: Frame):
     return integral_rows(frame.gram)
 
 
+def is_gram_orthogonal(k, m, source, target) -> bool:
+    """Whether L = M / k (int k > 0, int M) has L^T G_t L == G_s, given the
+    int_gram pairs source = (E_s, E_s G_s) and target = (E_t, E_t G_t): as
+    E_s M^T (E_t G_t) M == k^2 E_t (E_s G_s).  Equal frames give det L = +-1."""
+    (es, egs), (et, egt) = source, target
+    pulled = int_mat_mul(transpose(m), int_mat_mul(egt, m))
+    f = k * k * et
+    if f == es:
+        return pulled == egs
+    return all(es * p == f * g for rp, rg in zip(pulled, egs) for p, g in zip(rp, rg))
+
+
 @lru_cache(maxsize=None)
 def _inv_gram_diag(frame: Frame):
     """Diagonal of G^-1, once per frame: (G^-1)_ii bounds |x_i|^2 by ||x||_G^2."""
@@ -125,7 +140,7 @@ class Isometry:
     Most isometries are endomorphisms of one frame (target == frame); maps
     with distinct frames arise from conjugacy searches between groups whose
     lattices carry different Gram matrices.  The Gram-orthogonality
-    invariant is linear^T G_target linear == G_source, checked exactly.
+    invariant is linear^T G_target linear == G_source (is_gram_orthogonal).
     """
 
     frame: Frame
@@ -141,15 +156,12 @@ class Isometry:
         n = self.frame.dim
         if self.target.dim != n:
             raise IsometryError("frame dimension mismatch")
-        if len(self.linear) != n or len(self.translation) != n:
+        if {len(self.linear), len(self.translation), *map(len, self.linear)} != {n}:
             raise IsometryError("shape mismatch")
-        pulled = mat_mul(transpose(self.linear), mat_mul(self.target.gram, self.linear))
-        if pulled != self.frame.gram:
+        source = int_gram(self.frame)
+        target = source if self.target is self.frame else int_gram(self.target)
+        if not is_gram_orthogonal(*integral_rows(self.linear), source, target):
             raise IsometryError("linear part is not Gram-orthogonal")
-        if self.frame == self.target:
-            d = mat_det(self.linear)
-            if d != 1 and d != -1:
-                raise IsometryError("determinant must be +-1")
 
     def __call__(self, x: Vec) -> Vec:
         return vadd(mat_vec(self.linear, vec(x)), self.translation)
@@ -258,16 +270,21 @@ def operator_norm(frame: Frame, m) -> float:
 
 
 def iso_distance(origin, a: Isometry, b: Isometry) -> float:
-    """The metric d_O: Euclidean distance of translation parts about O plus
-    the operator-norm distance of the orthogonal parts."""
+    """d_O(a, b) = |a(O) - b(O)|_G + ||A - B||_op = sqrt(p) + sqrt(q), n <= 3:
+    C = A^-1 B is orthogonal and ||A - B|| = ||1 - C||, so q = n - tr C when
+    det C = 1 (2 - 2 cos t for a turn by t), and 4 when det C = -1 (eigenvalue -1)."""
     if a.frame != b.frame or a.target != b.target or a.frame != a.target:
         raise IsometryError("metric requires endomorphisms of one frame")
-    da = decompose(a, origin)
-    db = decompose(b, origin)
-    trans = a.frame.norm(vsub(da.trans_part, db.trans_part))
-    if da.ortho_part == db.ortho_part:
+    n, o = a.frame.dim, vec(origin)
+    if n > 3 or len(o) != n:
+        raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
+    trans = a.frame.norm(vsub(a(o), b(o)))
+    if a.linear == b.linear:
         return trans
-    return trans + operator_norm(a.frame, mat_sub(da.ortho_part, db.ortho_part))
+    if mat_det(a.linear) != mat_det(b.linear):
+        return trans + 2.0
+    tr = sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b.linear)))
+    return trans + sqrt_float(n - tr)
 
 
 def iso_size(origin, a: Isometry) -> float:

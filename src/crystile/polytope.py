@@ -71,7 +71,7 @@ from .linalg import (
     vec,
     vsub,
 )
-from .isometry import Frame, Isometry, IsometryError, int_gram, standard_frame
+from .isometry import Frame, Isometry, int_gram, standard_frame
 
 
 class PolytopeError(ValueError):
@@ -670,10 +670,8 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
         bcols = transpose(tuple(vsub(b, b0) for b in image[1:]))
         lin = mat_mul(bcols, ainv)
         trans = vsub(b0, mat_vec(lin, a0))
-        try:
-            iso = Isometry(p.frame, lin, trans)
-        except IsometryError:
-            continue
+        # matching every squared distance of n + 1 independent anchors makes lin Gram-orthogonal
+        iso = Isometry(p.frame, lin, trans)
         if {iso(v) for v in p.vertices} == qset:
             return iso
     return None

@@ -486,14 +486,12 @@ def is_crystallographic(tiling: PeriodicTiling):
 # --- LD / MLD ------------------------------------------------------------------
 
 def _lattice_covering_sq(frame: Frame):
-    """Covering radius^2 of the frame's integer lattice (circumradius of the
-    origin's Voronoi cell)."""
+    """Covering radius^2 of the frame's integer lattice: the circumradius^2
+    of the origin's Voronoi cell, which its localization computes."""
     from .groups import span_seitz
-    from .voronoi import cell_with_certificate
+    from .voronoi import delone_params
 
-    p1 = span_seitz(frame, [])
-    cell, _ = cell_with_certificate(p1, zero_vec(frame.dim))
-    return max(gram_norm2(frame.gram, v) for v in cell.vertices)
+    return delone_params(span_seitz(frame, []), zero_vec(frame.dim)).covering_sq_radius
 
 
 @dataclass(frozen=True)
