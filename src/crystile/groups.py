@@ -386,8 +386,7 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
     for each rep (M, v) and each k of the ball query about the centre
     minus M x + v.  They are deduplicated and sorted as int tuples, which
     is their order as rationals, and each becomes a Q tuple once."""
-    x = vec(x)
-    center = vec(center)
+    x, center = vec(x, group.dim), vec(center, group.dim)
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
@@ -409,7 +408,7 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
 
 def stabilizer(group: CrystalGroup, x) -> list:
     """All group elements fixing x exactly, as full Seitz pairs (M, v + k)."""
-    x = vec(x)
+    x = vec(x, group.dim)
     out = []
     for m, v in group.reps:
         k = vsub(x, vadd(mat_vec(m, x), v))

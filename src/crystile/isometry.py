@@ -17,7 +17,7 @@ and the witness-size test in tiling still compares the float sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -60,6 +60,7 @@ class Frame:
 
     dim: int
     gram: Mat
+    _hash: int = field(init=False, repr=False, compare=False)  # frames key caches: hash once
 
     def __post_init__(self):
         if self.dim < 1:
@@ -75,6 +76,10 @@ class Frame:
             minor = mat_det(tuple(row[:k] for row in g[:k]))
             if minor <= 0:
                 raise FrameError(f"leading principal minor {k} is not positive")
+        object.__setattr__(self, "_hash", hash((self.dim, g)))
+
+    def __hash__(self):
+        return self._hash
 
     def norm2(self, v: Vec):
         return gram_norm2(self.gram, v)
@@ -123,10 +128,16 @@ def is_gram_orthogonal(k, m, source, target) -> bool:
 
 
 @lru_cache(maxsize=None)
+def int_inv_gram(frame: Frame):
+    """(F, F G^-1), F the least common denominator of the entries of G^-1."""
+    return integral_rows(mat_inv(frame.gram))
+
+
+@lru_cache(maxsize=None)
 def _inv_gram_diag(frame: Frame):
     """Diagonal of G^-1, once per frame: (G^-1)_ii bounds |x_i|^2 by ||x||_G^2."""
-    inv = mat_inv(frame.gram)
-    return tuple(inv[i][i] for i in range(frame.dim))
+    f, inv = int_inv_gram(frame)
+    return tuple(Q(inv[i][i], f) for i in range(frame.dim))
 
 
 def to_cartesian(frame: Frame, v: Vec) -> np.ndarray:
@@ -147,6 +158,8 @@ class Isometry:
     linear: Mat
     translation: Vec
     target: Frame = None
+    # (m, A, B): (A, B) = m (linear, translation) as ints, m > 0 least
+    _ints: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "linear", mat(self.linear))
@@ -160,8 +173,10 @@ class Isometry:
             raise IsometryError("shape mismatch")
         source = int_gram(self.frame)
         target = source if self.target is self.frame else int_gram(self.target)
-        if not is_gram_orthogonal(*integral_rows(self.linear), source, target):
+        m, (*a, b) = integral_rows((*self.linear, self.translation))
+        if not is_gram_orthogonal(m, a, source, target):
             raise IsometryError("linear part is not Gram-orthogonal")
+        object.__setattr__(self, "_ints", (m, tuple(a), b))
 
     def __call__(self, x: Vec) -> Vec:
         return vadd(mat_vec(self.linear, vec(x)), self.translation)

@@ -20,8 +20,11 @@ Vec = tuple
 Mat = tuple
 
 
-def vec(entries) -> Vec:
-    return tuple(rat(e) for e in entries)
+def vec(entries, n=None) -> Vec:
+    v = tuple(rat(e) for e in entries)
+    if n is not None and len(v) != n:  # zip below would truncate it
+        raise ValueError(f"expected a {n}-vector, got {len(v)} entries")
+    return v
 
 
 def mat(rows) -> Mat:

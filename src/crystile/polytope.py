@@ -15,17 +15,18 @@ off the polar, which clip builds (see _hull), so one exact step serves
 vertex input and Voronoi cells alike.  Internal code builds from exact,
 distinct, sorted vertices with ConvexPolytope._from_sorted(frame, vertices,
 facets): halfspace_intersection and clip keep the input halfspaces that
-bound the result, translate and transform map them (L^-T once per linear
-part), and the construction's cones and the Voronoi box come with their
-own.  The tight sets (the facets through each vertex, _tight_sets) are
-the one source of faces, volumes and rings (see _facet_edges), each
-derived once.  The hull, clip, translate and transform carry them, so a
-chain of clips computes them once and a tile's images under a group never.
-clip runs on ints (the integer layer of linalg): each polytope caches its
-vertices as int rows over their least common denominator (_int_rows, read
-by _quadratic_data too), the halfspace is scaled to ints once per call, the
-side values a.v - c are int dots and each crossing point is formed from two
-int rows, one Q per coordinate.
+bound the result, translate and transform map them, and the construction's
+cones and the Voronoi box come with their own.  The tight sets (the facets
+through each vertex, _tight_sets) are the one source of faces, volumes and
+rings (see _facet_edges), each derived once.  The hull, clip, translate and
+transform carry them, so a chain of clips computes them once and a tile's
+images under a group never.  The arithmetic is on ints (linalg's integer
+layer): each polytope caches, when first asked, its vertices as int rows
+over their least common denominator (_int_rows) and its facets scaled to
+ints (_facet_ints).  clip's side values, tight sets and volumes are int dots
+and determinants of the rows, and a clip's crossing point is formed from two
+rows, one Q per coordinate.  translate and transform (_moved) map the rows
+and facet ints, and the image keeps them, so it is never rescaled.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -49,12 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
+from operator import add, sub
 
 from .rational import Q, ZERO, ONE, rat
 from .linalg import (
     gram_norm2,
     int_dot,
+    int_mat_mul,
     int_mat_vec,
     integral,
     integral_rows,
@@ -71,7 +74,7 @@ from .linalg import (
     vec,
     vsub,
 )
-from .isometry import Frame, Isometry, int_gram, standard_frame
+from .isometry import Frame, Isometry, int_gram, int_inv_gram, standard_frame
 
 
 class PolytopeError(ValueError):
@@ -120,7 +123,7 @@ class ConvexPolytope:
     """
 
     __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
-                 "_ints", "_tight", "_hash")
+                 "_ints", "_fints", "_tight", "_hash")
 
     def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
@@ -143,6 +146,7 @@ class ConvexPolytope:
         self._faces = None
         self._quad = None
         self._ints = None
+        self._fints = None
         self._tight = tight
         self._hash = None
 
@@ -210,46 +214,70 @@ class ConvexPolytope:
         return self._facets
 
     def contains(self, x) -> bool:
-        x = vec(x)
+        x = vec(x, self.frame.dim)
         return all(vdot(h.covector, x) >= h.offset for h in self.facets())
 
     def strictly_contains(self, x) -> bool:
-        x = vec(x)
+        x = vec(x, self.frame.dim)
         return all(vdot(h.covector, x) > h.offset for h in self.facets())
 
     def translate(self, v) -> "ConvexPolytope":
-        # a translation keeps the vertices exact, distinct and in lexicographic
-        # order, and (an isometry) each vertex's tight set
-        v = vec(v)
-        return ConvexPolytope._from_sorted(self.frame, tuple(vadd(p, v) for p in self.vertices),
-                                           _carried(self._facets, v), _tight_sets(self))
+        e, k = integral(vec(v, self.frame.dim))
+        return _moved(self, self.frame, e, None, k)
 
     def transform(self, iso: Isometry) -> "ConvexPolytope":
         if iso.frame != self.frame:
             raise PolytopeError("isometry frame mismatch")
-        # an isometry keeps incidences: each image vertex keeps its tight set
-        pts = tuple(map(iso, self.vertices))
+        m, a, b = iso._ints
+        return _moved(self, iso.target, m, a, b)
+
+
+def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
+    """poly under x -> (A x + B) / m (A = None for m I, a translate) into frame:
+    with the vertices P / V of _int_rows, the image rows are A P + V B over
+    m V, sorted (over V as they are for an int translate), and a facet
+    (A_h, C_h) / s of _facet_ints maps with L^-T = N / d (_inverse_transpose)
+    to (m N A_h, d m C_h + N A_h . B) / (d s m), each reduced (_reduced) and
+    kept as the image's int form.  Each vertex keeps its tight set."""
+    vden, rows = _int_rows(poly)
+    vb = [vden * c for c in b]
+    pts = [tuple(map(add, [m * c for c in p] if a is None else int_mat_vec(a, p), vb))
+           for p in rows]
+    tight = _tight_sets(poly)
+    if a is not None:
         order = sorted(range(len(pts)), key=pts.__getitem__)
-        tight = _tight_sets(self)
-        return ConvexPolytope._from_sorted(iso.target, tuple(pts[i] for i in order),
-                                           _carried(self._facets, iso.translation, iso.linear),
-                                           tight and tuple(tight[i] for i in order))
+        pts = [pts[i] for i in order]
+        tight = tight and tuple(tight[i] for i in order)
+    den, pts = (vden, tuple(pts)) if a is None and m == 1 else _reduced(m * vden, pts)
+    facets = fints = None
+    if poly._facets is not None:
+        d, lt = (1, None) if a is None else _inverse_transpose(poly.frame, frame, m, a)
+        fints = []
+        for s, (*ah, ch) in _facet_ints(poly):
+            na = ah if lt is None else int_mat_vec(lt, ah)
+            e, (ac,) = _reduced(d * s * m, [(*(m * x for x in na), d * m * ch + int_dot(na, b))])
+            fints.append((e, ac))
+        facets = tuple(HalfSpace(tuple(Q(x, e) for x in ac[:-1]), Q(ac[-1], e)) for e, ac in fints)
+    out = ConvexPolytope._from_sorted(frame, tuple(tuple(Q(c, den) for c in p) for p in pts),
+                                      facets, tight)
+    out._ints, out._fints = (den, pts), fints and tuple(fints)
+    return out
 
 
-def _carried(facets, t, linear=None):
-    """Facets a.x >= c moved along x -> L x + t (L = linear, default I):
-    with a' = L^-T a they become a'.y >= c + a'.t.  None stays None."""
-    if facets is None:
-        return None
-    lt = None if linear is None else _inverse_transpose(linear)
-    covectors = (h.covector if lt is None else mat_vec(lt, h.covector) for h in facets)
-    return tuple(HalfSpace(a, h.offset + vdot(a, t)) for h, a in zip(facets, covectors))
+def _reduced(den, rows):
+    """(den / g, rows / g) for int rows over den > 0 and g = gcd(den, entries):
+    what integral_rows gives for the values rows / den."""
+    g = gcd(den, *(c for p in rows for c in p))
+    return den // g, tuple(rows) if g == 1 else tuple(tuple(c // g for c in p) for p in rows)
 
 
 @lru_cache(maxsize=256)
-def _inverse_transpose(linear):
-    """L^-T, once per distinct linear part (point groups repeat a few matrices)."""
-    return transpose(mat_inv(linear))
+def _inverse_transpose(source: Frame, target: Frame, m, a):
+    """(d, N) with N / d = L^-T for the Gram-orthogonal L = A / m from source
+    to target, once per linear part: L^T G_t L = G_s gives L^-T = G_t L G_s^-1,
+    a product of int Grams (isometry.int_gram, int_inv_gram), no elimination."""
+    (et, ht), (fs, js) = int_gram(target), int_inv_gram(source)
+    return _reduced(et * m * fs, int_mat_mul(ht, int_mat_mul(a, js)))
 
 
 def _centroid(points):
@@ -431,37 +459,41 @@ def face_vertex_sets(poly: ConvexPolytope):
 
 def _fan(poly: ConvexPolytope):
     """The pulling triangulation (De Loera, Rambau & Santos, Triangulations,
-    4.3) of a full-dimensional polytope, as vertex tuples: an interval is its
-    own simplex, else a cone from base = vertices[0] over each facet not
-    through it, in the plane (base, u, w) on its edge {u, w}, in space
-    (base, f, u, w) over each edge {u, w} not through its first vertex f."""
-    vs = poly.vertices
+    4.3) of a full-dimensional polytope, as tuples of vertex indices: an
+    interval is its own simplex, else a cone from base = vertex 0 over each
+    facet not through it, in the plane (base, u, w) on its edge {u, w}, in
+    space (base, f, u, w) over each edge {u, w} not through its first vertex f."""
     if poly.frame.dim == 1:
-        return [vs]
+        return [(0, 1)]
     out = []
     for on, edges in _facet_edges(poly):
         f = on[0]
         if f == 0:
             continue
         if poly.frame.dim == 2:
-            out += [(vs[0], vs[i], vs[j]) for i, j in edges]
+            out += [(0, i, j) for i, j in edges]
         else:
-            out += [(vs[0], vs[f], vs[i], vs[j]) for i, j in edges if i != f]
+            out += [(0, f, i, j) for i, j in edges if i != f]
     return out
 
 
 def volume(poly: ConvexPolytope):
-    """Exact lattice-normalized volume (Euclidean volume / sqrt(det G))."""
+    """Exact lattice-normalized volume (Euclidean volume / sqrt(det G)): sum
+    |det| of the differences of the rows P / V of _int_rows over _fan / n! V^n."""
     n = poly.frame.dim
     if poly.dim != n:
         raise PolytopeError("volume requires a full-dimensional polytope")
-    dets = (mat_det(tuple(vsub(p, s[0]) for p in s[1:])) for s in _fan(poly))
-    return sum(map(abs, dets), ZERO) / factorial(n)
+    vden, rows = _int_rows(poly)
+    total = 0
+    for s in _fan(poly):
+        base = rows[s[0]]
+        total += abs(mat_det(tuple(tuple(map(sub, rows[i], base)) for i in s[1:])))
+    return Q(total, factorial(n) * vden ** n)
 
 
 def simplex_decomposition(poly: ConvexPolytope):
     """The pulling triangulation (_fan) as polytopes; its parts tile poly."""
-    return [ConvexPolytope(poly.frame, s) for s in _fan(poly)]
+    return [ConvexPolytope(poly.frame, [poly.vertices[i] for i in s]) for s in _fan(poly)]
 
 
 # --- halfspace intersection --------------------------------------------------
@@ -565,10 +597,11 @@ def _tight_sets(poly: ConvexPolytope):
     into facets() of the facets through it, and None for a lower-dimensional
     one; computed once, or carried by the hull, clip, translate and transform."""
     if poly._tight is None and poly._facets is not None:
-        facets = poly.facets()
-        poly._tight = tuple(
-            frozenset(k for k, f in enumerate(facets) if vdot(f.covector, v) == f.offset)
-            for v in poly.vertices)
+        # a.v == c iff A.P == C V for v = P / V (_int_rows) and (A, C) = s (a, c)
+        vden, rows = _int_rows(poly)
+        facets = [(ac[:-1], ac[-1] * vden) for _, ac in _facet_ints(poly)]
+        poly._tight = tuple(frozenset(k for k, (a, c) in enumerate(facets) if int_dot(a, p) == c)
+                            for p in rows)
     return poly._tight
 
 
@@ -682,8 +715,7 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
 def sq_distance_point(poly: ConvexPolytope, x):
     """Exact squared Gram distance from a point to the polytope (see
     _sq_distance)."""
-    # ints and Q as they are, other exact input (such as '1/3') through rat
-    return _sq_distance(poly, *integral([c if isinstance(c, (int, Q)) else rat(c) for c in x]))
+    return _sq_distance(poly, *integral(vec(x, poly.frame.dim)))
 
 
 def _sq_distance(poly: ConvexPolytope, e, xs):
@@ -726,10 +758,18 @@ def _sq_distance(poly: ConvexPolytope, e, xs):
 def _int_rows(poly: ConvexPolytope):
     """(V, rows): V > 0 the least common denominator of the vertex
     coordinates and per vertex the int tuple P = V v, in vertex order;
-    computed once per polytope, for clip and _quadratic_data."""
+    computed once per polytope, or carried by translate and transform."""
     if poly._ints is None:
         poly._ints = integral_rows(poly.vertices)
     return poly._ints
+
+
+def _facet_ints(poly: ConvexPolytope):
+    """Per facet a.x >= c, integral(a + (c,)), that is (s, (A, C)) with (A, C)
+    = s (a, c) for the least s > 0; once per polytope, or carried by _moved."""
+    if poly._fints is None:
+        poly._fints = tuple(integral(f.covector + (f.offset,)) for f in poly._facets or ())
+    return poly._fints
 
 
 def _quadratic_data(poly: ConvexPolytope):
@@ -762,8 +802,7 @@ def _quadratic_data(poly: ConvexPolytope):
             d = vsub(pts[iw], pts[iu])
             hd = int_mat_vec(h, d)
             edges.append((iu, _scale(vden, hd), int_dot(hd, d), int_dot(hd, pts[iu])))
-        scaled = (integral(f.covector + (f.offset,))[1] for f in poly._facets or ())
-        facets = [(ac[:-1], ac[-1]) for ac in scaled]
+        facets = [(ac[:-1], ac[-1]) for _, ac in _facet_ints(poly)]
         polygons = ()
         if n == 3 and poly.dim >= 2:
             polygons = tuple(_polygon_data(f, h, vden, pts, index)

@@ -16,7 +16,8 @@ as Python ints.  A key is the least common denominator of a vertex tuple
 followed by its numerators (one gcd per key), so keys formed over
 different denominators are equal exactly when the vertex tuples are; mod
 the lattice, the floor shift (X // d) d of the least vertex is subtracted
-first.  Facet matching, automorphism checks, the maximal translation
+first.  Facet matching keys each facet over its own tile's int rows
+(polytope._int_rows); automorphism checks, the maximal translation
 lattice, image keys and pulled-back patches hash these int tuples, and a
 translation found among them becomes rational again only for its Seitz
 pair.
@@ -43,6 +44,7 @@ from .linalg import (
     gram_norm2,
     hermite_column_basis,
     identity_mat,
+    int_dot,
     int_mat_vec,
     integral,
     integral_rows,
@@ -54,7 +56,6 @@ from .linalg import (
     vec,
     vsub,
     zero_vec,
-    vdot,
 )
 from .isometry import (
     Frame,
@@ -77,9 +78,11 @@ from .groups import (
 from .polytope import (
     ConvexPolytope,
     _centroid,
+    _facet_edges,
+    _facet_ints,
+    _int_rows,
     _sq_distance,
     congruent,
-    faces,
     volume,
 )
 
@@ -189,24 +192,24 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
     total = sum((volume(t) for t in tiles), ZERO)
     if total != 1:
         problems.append(f"cell volumes sum to {rat_str(total)}, expected 1")
-    facets = [(i, h.covector, f) for i, t in enumerate(tiles)
-              for h, f in zip(t.facets(), faces(t, n - 1))]
-    d, verts = _int_vertices([f for _, _, f in facets])
     held = {}
-    for facet, pts in zip(facets, verts):
-        held.setdefault(_lattice_key(d, pts), []).append(facet)
-    # facets with one vertex set lie in one hyperplane, so their covectors
+    for i, t in enumerate(tiles):
+        vden, rows = _int_rows(t)  # a facet's vertices are rows of its tile
+        for (on, _), (_, ac) in zip(_facet_edges(t), _facet_ints(t)):
+            held.setdefault(_lattice_key(vden, [rows[j] for j in on]), []).append((i, ac[:-1], on))
+    # facets with one vertex set lie in one hyperplane, so their (int) covectors
     # are parallel and point opposite ways iff their dot product is negative
-    problems += [_facet_problem(fs) for fs in held.values()
-                 if len(fs) != 2 or vdot(fs[0][1], fs[1][1]) >= 0]
+    problems += [_facet_problem(tiles, fs) for fs in held.values()
+                 if len(fs) != 2 or int_dot(fs[0][1], fs[1][1]) >= 0]
     return problems
 
 
-def _facet_problem(held) -> str:
-    """The problem of a facet key whose (tile index, covector, facet)
-    entries, held, are not one from each side."""
-    where = "facet [" + ", ".join(f"({', '.join(map(rat_str, p))})"
-                                  for p in held[0][2].vertices) + "]"
+def _facet_problem(tiles, held) -> str:
+    """The problem of a facet key whose (tile index, int covector, vertex
+    indices) entries, held, are not one from each side."""
+    i, _, on = held[0]
+    where = "facet [" + ", ".join(f"({', '.join(map(rat_str, tiles[i].vertices[j]))})"
+                                  for j in on) + "]"
     tiles = ", ".join(str(i) for i, _, _ in held)
     if len(held) == 1:
         return f"{where} of tile {tiles} has no matching facet"
@@ -258,10 +261,10 @@ def _int_image(tiling: PeriodicTiling, iso: Isometry):
     """(D, S, images) for iso(x) = L x + t over one common denominator D:
     iso maps the cell tile t_i onto the sorted int vertex tuples
     images[i] / D, and a lattice vector k to the translation S k / D
-    (S = D L, an int matrix).  With the vertices X / d and (A, B) = m (L, t)
-    integral, iso(X / d) = (A X + d B) / D for D = m d."""
+    (S = D L, an int matrix).  With the vertices X / d and iso's int form
+    (A, B) = m (L, t), iso(X / d) = (A X + d B) / D for D = m d."""
     d, cells = _int_vertices(tiling.cell_tiles)
-    m, (*a, b) = integral_rows((*iso.linear, iso.translation))
+    m, a, b = iso._ints
     b = tuple(d * c for c in b)
     images = [sorted(_affine(a, b, p) for p in pts) for pts in cells]
     return m * d, tuple(tuple(d * c for c in row) for row in a), images
@@ -301,7 +304,7 @@ def _tiles_near(tiling: PeriodicTiling, center, r2):
 
 def patch(tiling: PeriodicTiling, center, r2) -> Patch:
     """Exactly the tiles whose squared distance to the center is <= r2."""
-    center = vec(center)
+    center = vec(center, tiling.dim)
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")

@@ -177,8 +177,8 @@ def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
     """(cell, squared radius, squared circumradius about x0) of the site x0
     (x when None); the one check that x has a trivial stabilizer and x0 is
     a site of its orbit."""
-    x = vec(x)
-    x0 = x if x0 is None else vec(x0)
+    x = vec(x, group.dim)
+    x0 = x if x0 is None else vec(x0, group.dim)
     if len(stabilizer(group, x)) != 1:
         raise DegenerateSiteError("base point has nontrivial stabilizer")
     if not _orbit_contains(group, x, x0):
@@ -226,7 +226,7 @@ def delone_params(group: CrystalGroup, x) -> DeloneCertificate:
     site.  covering_sq_radius is the circumradius^2 of the cell, which by
     orbit transitivity covers every cell; the localization computed it.
     """
-    x = vec(x)
+    x = vec(x, group.dim)
     cell, used, cover_sq = _cell_with_localization(group, x, None, None)
     min_sq = min(2 * (vdot(h.covector, x) - h.offset) for h in cell.facets())
     return DeloneCertificate(
@@ -244,7 +244,7 @@ def voronoi_tiling(group: CrystalGroup, x):
     """
     from .tiling import Provenance, periodic_tiling
 
-    x = vec(x)
+    x = vec(x, group.dim)
     cell, _ = cell_with_certificate(group, x)
     tiles = [cell.transform(Isometry(group.frame, m, v)) for m, v in group.reps]
     prov = Provenance(kind="voronoi", group=group, base_point=x, base_cell=cell)

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -6,6 +7,7 @@ from crystile.rational import Q
 from crystile.linalg import gram_norm2, vadd, vsub
 from crystile.isometry import Frame, Isometry
 from crystile import groups as groups_mod
+from crystile import linalg as linalg_mod
 from crystile import polytope
 from crystile import tiling as tiling_mod
 from crystile import voronoi as voronoi_mod
@@ -279,14 +281,29 @@ def test_carried_tight_sets_match_recomputation(name):
         assert t._tight == polytope._tight_sets(fresh)
 
 
-def test_construction_inverts_each_linear_part_once(count_calls):
-    # carried facets read L^-T from a cache keyed by the matrix, so the twelve
-    # point parts of p6m are inverted once each (36 inversions, one per
-    # transform, before)
+def test_construction_moves_tiles_on_ints(count_calls, monkeypatch):
+    # translate and transform run on each tile's int rows and int facets, so
+    # the p6m construction makes no linalg.vdot or mat_vec call from them,
+    # wherever a module binds those names, and forms the integer L^-T of
+    # carried facets once per distinct point part (twelve)
+    calls = []
+    for module in [m for n, m in sorted(sys.modules.items()) if n.startswith("crystile")]:
+        for name in ("vdot", "mat_vec"):
+            if getattr(module, name, None) is getattr(linalg_mod, name):
+                count_calls(module, name, calls)
+    moves = []
+    for name in ("translate", "transform"):
+        def counted(self, x, real=getattr(ConvexPolytope, name)):
+            before = len(calls)
+            out = real(self, x)
+            moves.append(len(calls) - before)
+            return out
+        monkeypatch.setattr(ConvexPolytope, name, counted)
     polytope._inverse_transpose.cache_clear()
-    calls = count_calls(polytope, "mat_inv")
-    construct_tiling(preset("p6m"), 0)
-    assert len(calls) == 12
+    group = preset("p6m")
+    construct_tiling(group, 0)
+    assert len(moves) > 2 * len(group.reps) and set(moves) == {0}
+    assert polytope._inverse_transpose.cache_info().misses == len({m for m, _ in group.reps}) == 12
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -14,8 +14,11 @@ from crystile.isometry import (
     IsometryError,
     compose,
     decompose,
+    _inv_gram_diag,
     embedding,
+    hexagonal_frame,
     identity_iso,
+    int_gram,
     inverse,
     iso_distance,
     linear_about,
@@ -29,6 +32,22 @@ from crystile.isometry import (
 from conftest import random_rational_isometry, random_rational_point
 
 ROT90 = ((0, -1), (1, 0))
+
+
+def test_equal_frames_hash_once_and_share_cache_entries():
+    # a frame keys the per-frame caches; its hash is computed once, when it
+    # is built, and equal frames built separately find each other's entries
+    a, b = hexagonal_frame(), Frame(2, [["1", "-1/2"], [Q(-1, 2), 1]])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert int_gram(a) is int_gram(b) and _inv_gram_diag(a) is _inv_gram_diag(b)
+    assert embedding(a) is embedding(b)
+    # hashing reads the stored value, not the Gram matrix
+    gram = a.gram
+    object.__setattr__(a, "gram", None)
+    try:
+        assert hash(a) == hash(b)
+    finally:
+        object.__setattr__(a, "gram", gram)
 
 
 def test_frame_rejects_bad_gram():

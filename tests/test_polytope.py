@@ -7,7 +7,7 @@ from crystile import polytope as polytope_mod
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vdot, vsub
 from crystile.isometry import Isometry, standard_frame
-from crystile.groups import preset
+from crystile.groups import orbit_in_ball, preset, stabilizer
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
@@ -23,8 +23,11 @@ from crystile.polytope import (
     sq_distance_point,
     volume,
 )
+from crystile.tiling import patch
+from crystile.voronoi import delone_params, voronoi_cell, voronoi_tiling
 
-from conftest import facet_key_set, random_rational_isometry, random_rational_point, recovered_facets
+from conftest import (facet_key_set, random_rational_isometry, random_rational_point,
+                      recovered_facets, seed0_construction)
 
 
 @pytest.fixture
@@ -359,3 +362,29 @@ def test_vertex_input_beyond_dimension_3_is_refused():
     simplex = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
     with pytest.raises(PolytopeError):
         ConvexPolytope(standard_frame(4), simplex)
+
+
+ENTRY_POINTS = {
+    "translate": lambda sq, t, g, x: sq.translate(x),
+    "contains": lambda sq, t, g, x: sq.contains(x),
+    "strictly_contains": lambda sq, t, g, x: sq.strictly_contains(x),
+    "sq_distance_point": lambda sq, t, g, x: sq_distance_point(sq, x),
+    "patch": lambda sq, t, g, x: patch(t, x, 1),
+    "stabilizer": lambda sq, t, g, x: stabilizer(g, x),
+    "orbit_in_ball point": lambda sq, t, g, x: orbit_in_ball(g, x, (0, 0), 1),
+    "orbit_in_ball center": lambda sq, t, g, x: orbit_in_ball(g, (Q(1, 3), Q(1, 7)), x, 1),
+    "voronoi_cell": lambda sq, t, g, x: voronoi_cell(g, x),
+    "delone_params": lambda sq, t, g, x: delone_params(g, x),
+    "voronoi_tiling": lambda sq, t, g, x: voronoi_tiling(g, x),
+}
+
+
+@pytest.mark.parametrize("x", [(5,), (Q(1, 2), Q(1, 2), Q(1, 3))], ids=["1-vector", "3-vector"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_refuse_points_of_the_wrong_length(unit_square, entry, x):
+    # zip would truncate a 3-vector to its first two entries (or a 1-vector
+    # to one) and answer for another point; every public entry taking a
+    # point of the plane refuses it instead
+    group = preset("p2")
+    with pytest.raises(ValueError, match=f"expected a 2-vector, got {len(x)} entries"):
+        ENTRY_POINTS[entry](unit_square, seed0_construction("p2"), group, x)
