@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul, sub
 
 from .rational import Q
-from .linalg import gram_norm2, vadd, vdot, vec, vsub
+from .linalg import gram_norm2, int_dot, integral_rows, vec, vsub
 from .isometry import Isometry
 from .groups import CrystalGroup, generic_point
-from .polytope import ConvexPolytope, HalfSpace, _coordinate_normal, _edges, faces
+from .polytope import ConvexPolytope, _cross, _edges, _reduced_facet, faces
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
 from .voronoi import cell_with_certificate
 
@@ -75,11 +76,8 @@ def generic_apex(cell: ConvexPolytope, seed: int) -> GenericityCertificate:
     k = len(cell.vertices)
     for attempt in range(256):
         weights = [Q(rng.randrange(1, 64 + attempt)) for _ in range(k)]
-        total = sum(weights, Q(0))
-        apex = None
-        for w, v in zip(weights, cell.vertices):
-            scaled = tuple(w / total * c for c in v)
-            apex = scaled if apex is None else vadd(apex, scaled)
+        total = sum(weights)
+        apex = tuple(sum(map(mul, weights, col)) / total for col in zip(*cell.vertices))
         try:
             return certificate_for(cell, apex)
         except ValueError:
@@ -87,23 +85,30 @@ def generic_apex(cell: ConvexPolytope, seed: int) -> GenericityCertificate:
     raise ConstructionError("no generic apex found (degenerate cell?)")
 
 
-def _cone(fpoly: ConvexPolytope, h: HalfSpace, apex) -> ConvexPolytope:
-    """conv(fpoly + apex) with its facets: the base facet h, then the plane
-    through the apex and each ridge of fpoly (a ring edge in space, an
-    endpoint in the plane), facing a vertex of fpoly off that ridge; on the
-    line, the plane -a.x >= -a.apex through the apex."""
+def _cone(fpoly: ConvexPolytope, h, apex) -> ConvexPolytope:
+    """conv(fpoly + apex) with its stored facets (see polytope): the base
+    facet h, then the plane a.x >= a.apex through the apex and each ridge of
+    fpoly (a ring edge in space, an endpoint in the plane), facing a vertex
+    q of fpoly off that ridge, and on the line the plane -a.x >= -a.apex.
+    Over one denominator D, a = +-N / k for the int cross product N of the
+    apex-to-ridge differences (in the plane their perpendicular) and its
+    last nonzero entry k, the sign making a.q >= a.apex."""
+    d, (x, *rows) = integral_rows((apex, *fpoly.vertices))
     facets = [h]
     if fpoly.dim == 0:
-        a = tuple(-x for x in h.covector)
-        facets.append(HalfSpace(a, vdot(a, apex)))
+        # -a.y >= -a.apex for a = A / s is (-A D, -A X) over s D
+        s, (a, _) = h
+        facets.append(_reduced_facet(s * d, (-a * d, -a * x[0])))
     else:
+        row_of = dict(zip(fpoly.vertices, rows))
         for ridge in faces(fpoly, fpoly.dim - 1):
-            a = _coordinate_normal([apex, *ridge.vertices])
-            c = vdot(a, apex)
-            q = next(v for v in fpoly.vertices if v not in ridge.vertices)
-            if vdot(a, q) < c:
-                a, c = tuple(-x for x in a), -c
-            facets.append(HalfSpace(a, c))
+            u, *w = (tuple(map(sub, row_of[v], x)) for v in ridge.vertices)
+            nrm = _cross(u, w[0]) if w else (u[1], -u[0])
+            k = next(c for c in reversed(nrm) if c)
+            q = next(r for v, r in row_of.items() if v not in ridge.vertices)
+            sign = 1 if int_dot(nrm, tuple(map(sub, q, x))) > 0 else -1
+            facets.append(_reduced_facet(d * abs(k), (*(sign * d * c for c in nrm),
+                                                      sign * int_dot(nrm, x))))
     return ConvexPolytope._from_sorted(fpoly.frame, tuple(sorted((*fpoly.vertices, apex))),
                                        tuple(facets))
 
@@ -121,7 +126,7 @@ def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate)
     if not base.strictly_contains(base_point):
         raise ValueError("the certificate's cell does not hold the base point strictly inside")
     n = base.frame.dim
-    cones = [_cone(fpoly, h, cert.apex) for h, fpoly in zip(base.facets(), faces(base, n - 1))]
+    cones = [_cone(fpoly, h, cert.apex) for h, fpoly in zip(base._facets, faces(base, n - 1))]
     isos = [Isometry(group.frame, m, v) for m, v in group.reps]
     tiles = [cone.transform(iso) for iso in isos for cone in cones]
     return periodic_tiling(

@@ -7,33 +7,33 @@ volume divided by sqrt(det G)), which keeps them rational.  Halfspaces are
 stored by their coordinate covector a = G n, so containment is the plain
 dot product a . x and never touches the Gram matrix.
 
-A polytope carries its facets exactly when it is full-dimensional
-(_facets is None otherwise); they are never recovered from vertices.
-ConvexPolytope(frame, vertices) checks and hulls outside input once, and
-the hull emits the facets and their incidences: past the line it is read
-off the polar, which clip builds (see _hull), so one exact step serves
-vertex input and Voronoi cells alike.  Internal code builds from exact,
-distinct, sorted vertices with ConvexPolytope._from_sorted(frame, vertices,
-facets): halfspace_intersection and clip keep the input halfspaces that
-bound the result, translate and transform map them, and the construction's
-cones and the Voronoi box come with their own.  The tight sets (the facets
-through each vertex, _tight_sets) are the one source of faces, volumes and
-rings (see _facet_edges), each derived once.  The hull, clip, translate and
-transform carry them, so a chain of clips computes them once and a tile's
-images under a group never.  The arithmetic is on ints (linalg's integer
-layer): each polytope caches, when first asked, its vertices as int rows
-over their least common denominator (_int_rows) and its facets scaled to
-ints (_facet_ints).  clip's side values, tight sets and volumes are int dots
-and determinants of the rows, and a clip's crossing point is formed from two
-rows, one Q per coordinate.  translate and transform (_moved) map the rows
-and facet ints, and the image keeps them, so it is never rescaled.
+A full-dimensional polytope stores each facet a.x >= c once, as the int
+pair (s, (A..., C)) = linalg.integral(a + (c,)), (A, C) = s (a, c) for the
+least s > 0; a lower-dimensional one has _facets None.  Facets are never
+recovered from vertices.  HalfSpace is the public form, checked where input
+arrives: facets() builds one per pair, and clip and halfspace_intersection
+take them.  Facets made inside (images under invertible maps, bisectors of
+distinct sites, hull facets) are not checked again.
+ConvexPolytope(frame, vertices) checks and hulls outside input once; the
+hull emits the facets and their incidences, past the line off the polar
+that clip builds (see _hull).  Internal code builds from exact, distinct,
+sorted vertices with ConvexPolytope._from_sorted(frame, vertices, facets):
+clip and halfspace_intersection keep the input facets that bound the
+result, translate and transform map them, and the cones, the Voronoi box
+and the bisectors come with their own.  The tight sets (the facets through
+each vertex, _tight_sets) are the one source of faces, volumes and rings
+(see _facet_edges); the hull, clip, translate and transform carry them.
+The arithmetic is on ints (linalg's integer layer): side values, tight
+sets, containment and volumes are int dots and determinants of the facet
+pairs and of the vertex rows over their least common denominator
+(_int_rows, cached; translate and transform map and keep them), and a
+clip's crossing point is formed from two rows, one Q per coordinate.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
 - D G;
 - per vertex v: G v and v.Gv;
 - per edge u -> w, with d = w - u: the index of u, G d, d.Gd and Gd.u;
-- per facet: its covector and offset (scaled to integers);
 - in space, per facet (or for a polygon itself): its plane basis e1, e2
   from ring[0], their covectors G e_i, the 2x2 Gram and its determinant,
   and one side test per ring edge.
@@ -69,7 +69,6 @@ from .linalg import (
     nullspace,
     solve_linear,
     transpose,
-    vadd,
     vdot,
     vec,
     vsub,
@@ -97,12 +96,16 @@ class HalfSpace:
     offset: object
 
     def __post_init__(self):
-        cov, off = self.covector, self.offset
-        if type(cov) is not tuple or type(off) is not Q or any(type(a) is not Q for a in cov):
-            object.__setattr__(self, "covector", vec(cov))
-            object.__setattr__(self, "offset", rat(off))
+        object.__setattr__(self, "covector", vec(self.covector))
+        object.__setattr__(self, "offset", rat(self.offset))
         if all(a == 0 for a in self.covector):
             raise PolytopeError("zero normal")
+
+
+def _halfspace(facet) -> HalfSpace:
+    """The HalfSpace a.x >= c of a stored facet (s, (A, C)) = s (a, c)."""
+    s, ac = facet
+    return HalfSpace(tuple(Q(x, s) for x in ac[:-1]), Q(ac[-1], s))
 
 
 def _affine_rank(points) -> int:
@@ -123,7 +126,7 @@ class ConvexPolytope:
     """
 
     __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
-                 "_ints", "_fints", "_tight", "_hash")
+                 "_ints", "_tight", "_hash")
 
     def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
@@ -146,15 +149,15 @@ class ConvexPolytope:
         self._faces = None
         self._quad = None
         self._ints = None
-        self._fints = None
         self._tight = tight
         self._hash = None
 
     @classmethod
     def _from_sorted(cls, frame: Frame, vertices: tuple, facets, tight=None, cycle=None):
         """The polytope on a tuple of exact, distinct, sorted vertices, as is,
-        with its facets when it is full-dimensional and None otherwise, and
-        its tight sets (_tight_sets) and ring when they are known."""
+        with its facets as int pairs (see the module docstring) when it is
+        full-dimensional and None otherwise, and its tight sets (_tight_sets)
+        and ring when they are known."""
         poly = cls.__new__(cls)
         poly._set(frame, vertices, facets, tight, cycle)
         return poly
@@ -209,17 +212,13 @@ class ConvexPolytope:
 
     def facets(self):
         """Facet halfspaces; the polytope is their intersection."""
-        if self._facets is None:
-            raise PolytopeError("H-rep requires a full-dimensional polytope")
-        return self._facets
+        return tuple(map(_halfspace, _facet_pairs(self)))
 
     def contains(self, x) -> bool:
-        x = vec(x, self.frame.dim)
-        return all(vdot(h.covector, x) >= h.offset for h in self.facets())
+        return all(s >= 0 for s in _slacks(_facet_pairs(self), *integral(vec(x, self.frame.dim))))
 
     def strictly_contains(self, x) -> bool:
-        x = vec(x, self.frame.dim)
-        return all(vdot(h.covector, x) > h.offset for h in self.facets())
+        return all(s > 0 for s in _slacks(_facet_pairs(self), *integral(vec(x, self.frame.dim))))
 
     def translate(self, v) -> "ConvexPolytope":
         e, k = integral(vec(v, self.frame.dim))
@@ -235,10 +234,10 @@ class ConvexPolytope:
 def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
     """poly under x -> (A x + B) / m (A = None for m I, a translate) into frame:
     with the vertices P / V of _int_rows, the image rows are A P + V B over
-    m V, sorted (over V as they are for an int translate), and a facet
-    (A_h, C_h) / s of _facet_ints maps with L^-T = N / d (_inverse_transpose)
-    to (m N A_h, d m C_h + N A_h . B) / (d s m), each reduced (_reduced) and
-    kept as the image's int form.  Each vertex keeps its tight set."""
+    m V, sorted (over V as they are for an int translate) and kept as the
+    image's int form, and a facet (s, (A_h, C_h)) maps with L^-T = N / d
+    (_inverse_transpose) to (m N A_h, d m C_h + N A_h . B) / (d s m), reduced
+    (_reduced).  Each vertex keeps its tight set."""
     vden, rows = _int_rows(poly)
     vb = [vden * c for c in b]
     pts = [tuple(map(add, [m * c for c in p] if a is None else int_mat_vec(a, p), vb))
@@ -249,18 +248,18 @@ def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
         pts = [pts[i] for i in order]
         tight = tight and tuple(tight[i] for i in order)
     den, pts = (vden, tuple(pts)) if a is None and m == 1 else _reduced(m * vden, pts)
-    facets = fints = None
+    facets = None
     if poly._facets is not None:
         d, lt = (1, None) if a is None else _inverse_transpose(poly.frame, frame, m, a)
-        fints = []
-        for s, (*ah, ch) in _facet_ints(poly):
+        facets = []
+        for s, (*ah, ch) in poly._facets:
             na = ah if lt is None else int_mat_vec(lt, ah)
-            e, (ac,) = _reduced(d * s * m, [(*(m * x for x in na), d * m * ch + int_dot(na, b))])
-            fints.append((e, ac))
-        facets = tuple(HalfSpace(tuple(Q(x, e) for x in ac[:-1]), Q(ac[-1], e)) for e, ac in fints)
+            facets.append(_reduced_facet(d * s * m, (*(m * x for x in na),
+                                                     d * m * ch + int_dot(na, b))))
+        facets = tuple(facets)
     out = ConvexPolytope._from_sorted(frame, tuple(tuple(Q(c, den) for c in p) for p in pts),
                                       facets, tight)
-    out._ints, out._fints = (den, pts), fints and tuple(fints)
+    out._ints = den, pts
     return out
 
 
@@ -269,6 +268,12 @@ def _reduced(den, rows):
     what integral_rows gives for the values rows / den."""
     g = gcd(den, *(c for p in rows for c in p))
     return den // g, tuple(rows) if g == 1 else tuple(tuple(c // g for c in p) for p in rows)
+
+
+def _reduced_facet(den, row):
+    """The stored facet (see the module docstring) of the values row / den."""
+    den, (row,) = _reduced(den, [row])
+    return den, row
 
 
 @lru_cache(maxsize=256)
@@ -281,12 +286,7 @@ def _inverse_transpose(source: Frame, target: Frame, m, a):
 
 
 def _centroid(points):
-    n = len(points)
-    inv = Q(1, n)
-    acc = points[0]
-    for p in points[1:]:
-        acc = vadd(acc, p)
-    return tuple(x * inv for x in acc)
+    return tuple(sum(c, ZERO) / len(points) for c in zip(*points))
 
 
 def _hull(frame: Frame, pts):
@@ -313,7 +313,7 @@ def _hull(frame: Frame, pts):
     if rank <= 1 and rank < frame.dim:
         return ([pts[0], pts[-1]] if rank else pts), None
     if rank == 1:
-        return [pts[0], pts[-1]], (HalfSpace((ONE,), pts[0][0]), HalfSpace((-ONE,), -pts[-1][0]))
+        return [pts[0], pts[-1]], (integral((ONE, pts[0][0])), integral((-ONE, -pts[-1][0])))
     coords = pts
     if rank < frame.dim:
         normal = _cross(*(vsub(pts[i], pts[0]) for i in base[1:]))
@@ -321,44 +321,27 @@ def _hull(frame: Frame, pts):
         coords = [p[:k] + p[k + 1:] for p in pts]
     c = _centroid([coords[i] for i in base])
     # a point at c lies inside and gives no halfspace
-    dual = [HalfSpace(vsub(c, x), -ONE) if x != c else None for x in coords]
-    simplex = tuple(dual[i] for i in base)
+    ys = [vsub(c, x) if x != c else None for x in coords]
+    dual = [None if y is None else integral(y + (-ONE,)) for y in ys]
     # corner j of the simplex is on the planes of all base points but the j-th
-    corners = [solve_linear(tuple(h.covector for h in simplex[:j] + simplex[j + 1:]),
+    corners = [solve_linear(tuple(ys[i] for k, i in enumerate(base) if k != j),
                             (-ONE,) * rank) for j in range(rank + 1)]
     polar = ConvexPolytope._from_sorted(frame if rank == frame.dim else standard_frame(rank),
-                                        tuple(sorted(corners)), simplex)
+                                        tuple(sorted(corners)), tuple(dual[i] for i in base))
     for i, h in enumerate(dual):
         if h is not None and i not in base:
-            polar = clip(polar, h)
-    point_of = {h.covector: p for h, p in zip(dual, pts) if h is not None}
+            polar = _clip(polar, h)
+    point_of = {h: p for h, p in zip(dual, pts) if h is not None}
     # polar facet j is the dual halfspace of the hull vertex vertex_of[j]
-    vertex_of = [point_of[h.covector] for h in polar.facets()]
+    vertex_of = [point_of[h] for h in polar._facets]
     polar_tight = _tight_sets(polar)
     if rank < frame.dim:
         return sorted(vertex_of), None, None, _walk(
             [vertex_of[j] for j in t] for t in polar_tight)
     order = sorted(range(len(vertex_of)), key=vertex_of.__getitem__)
     return ([vertex_of[j] for j in order],
-            tuple(HalfSpace(tuple(-a for a in y), -ONE - vdot(y, c)) for y in polar.vertices),
+            tuple(integral(tuple(-a for a in y) + (-ONE - vdot(y, c),)) for y in polar.vertices),
             tuple(frozenset(k for k, t in enumerate(polar_tight) if j in t) for j in order))
-
-
-def _halfspace_key(h: HalfSpace):
-    """(covector, offset) scaled so the first nonzero entry is +-1: equal
-    for halfspaces that are the same set."""
-    scale = ONE / abs(next(x for x in h.covector if x != 0))
-    return tuple(x * scale for x in h.covector), h.offset * scale
-
-
-def _coordinate_normal(points):
-    """Coordinate functional vanishing on the affine hull of n points (rank n-1)."""
-    p0 = points[0]
-    rows = tuple(vsub(p, p0) for p in points[1:])
-    ker = nullspace(rows)
-    if len(ker) != 1:
-        return None
-    return ker[0]
 
 
 def _independent_points(pts, rank):
@@ -419,7 +402,7 @@ def _facet_edges(poly: ConvexPolytope):
     n = poly.frame.dim
     tight = _tight_sets(poly)
     out = []
-    for k in range(len(poly.facets())):
+    for k in range(len(poly._facets)):
         on = [i for i, t in enumerate(tight) if k in t]
         out.append((on, [(i, j) for i, j in combinations(on, 2)
                          if len(tight[i] & tight[j]) >= n - 1]))
@@ -501,7 +484,8 @@ def simplex_decomposition(poly: ConvexPolytope):
 def halfspace_intersection(frame: Frame, halfspaces):
     """Exact intersection of halfspaces: a polytope, "unbounded", or "empty".
 
-    A full-dimensional result carries its facets, taken from the input.
+    A full-dimensional result carries its facets, taken from the input
+    (as int pairs, see the module docstring).
     """
     hs = list(halfspaces)
     n = frame.dim
@@ -514,21 +498,22 @@ def halfspace_intersection(frame: Frame, halfspaces):
         return "empty"
     if _has_recession_ray(n, hs):
         return "unbounded"
-    facets = _tight_halfspaces(n, pts, hs) if _affine_rank(pts) == n else None
+    facets = None
+    if _affine_rank(pts) == n:
+        facets = tuple(integral(h.covector + (h.offset,)) for h in _tight_halfspaces(n, pts, hs))
     return ConvexPolytope._from_sorted(frame, tuple(pts), facets)
 
 
 def _tight_halfspaces(n: int, pts, hs):
     """The halfspaces of hs that are facets of the full-dimensional polytope
     with vertices pts: those tight on n affinely independent vertices, each
-    hyperplane once, in input order."""
+    facet once (its vertices span its hyperplane), in input order."""
     found = {}
     for h in hs:
-        key = _halfspace_key(h)
-        if key not in found:
-            on = [p for p in pts if vdot(h.covector, p) == h.offset]
-            found[key] = h if len(on) >= n and _affine_rank(on) == n - 1 else None
-    return tuple(h for h in found.values() if h is not None)
+        on = tuple(p for p in pts if vdot(h.covector, p) == h.offset)
+        if len(on) >= n and _affine_rank(on) == n - 1:
+            found.setdefault(on, h)
+    return tuple(found.values())
 
 
 def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
@@ -550,18 +535,22 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
     on exactly the facets through both u and w (a supporting hyperplane
     through an interior point of an edge holds the edge), and on h.
 
-    The arithmetic is on ints: with the vertices P / V of _int_rows and
-    (A, C) = m (a, c) for the least m > 0 making both integral, the side
-    value of v = P / V is s = A.P - C V = m V (a.v - c), of the same sign.
-    The crossing on u -> w is u + t (w - u) with t = s_u / (s_u - s_w),
-    that is (s_u W - s_w U) / (V (s_u - s_w)): one Q per coordinate.
+    The arithmetic is on ints (_clip): with the vertices P / V of _int_rows
+    and the stored facet (m, (A, C)) of h, the side value of v = P / V is
+    s = A.P - C V = m V (a.v - c), of the same sign.  The crossing on u -> w
+    is u + t (w - u) with t = s_u / (s_u - s_w), that is
+    (s_u W - s_w U) / (V (s_u - s_w)): one Q per coordinate.
     """
+    return _clip(poly, integral(h.covector + (h.offset,)))
+
+
+def _clip(poly: ConvexPolytope, facet) -> ConvexPolytope:
+    """clip by a stored facet."""
     n = poly.frame.dim
-    facets = poly.facets()
+    facets = _facet_pairs(poly)
     vden, rows = _int_rows(poly)
-    ac = integral(h.covector + (h.offset,))[1]
-    a, c = ac[:-1], ac[-1] * vden
-    vals = [int_dot(a, p) - c for p in rows]
+    *a, c = facet[1]
+    vals = [int_dot(a, p) - c * vden for p in rows]
     if all(s >= 0 for s in vals):
         return poly
     inside = [i for i, s in enumerate(vals) if s > 0]
@@ -587,7 +576,7 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
                 out.append((tuple(Q(si * wk - s * uk, den) for uk, wk in zip(u, rows[j])),
                             frozenset([on_h, *(renumber[k] for k in common)])))
     out.sort(key=lambda vt: vt[0])
-    kept = tuple(facets[k] for k in held) + (h,)
+    kept = tuple(facets[k] for k in held) + (facet,)
     return ConvexPolytope._from_sorted(poly.frame, tuple(v for v, _ in out), kept,
                                        tuple(t for _, t in out))
 
@@ -599,9 +588,8 @@ def _tight_sets(poly: ConvexPolytope):
     if poly._tight is None and poly._facets is not None:
         # a.v == c iff A.P == C V for v = P / V (_int_rows) and (A, C) = s (a, c)
         vden, rows = _int_rows(poly)
-        facets = [(ac[:-1], ac[-1] * vden) for _, ac in _facet_ints(poly)]
-        poly._tight = tuple(frozenset(k for k, (a, c) in enumerate(facets) if int_dot(a, p) == c)
-                            for p in rows)
+        poly._tight = tuple(frozenset(k for k, s in enumerate(_slacks(poly._facets, vden, p))
+                                      if s == 0) for p in rows)
     return poly._tight
 
 
@@ -726,10 +714,9 @@ def _sq_distance(poly: ConvexPolytope, e, xs):
     (den > 0) stands for the distance num / (den D e^2), so candidates
     compare by cross-multiplying.  One Q is formed at the end, or ZERO is
     returned when the polytope holds x."""
-    d, dg, verts, edges, facets, polygons = _quadratic_data(poly)
-    # A.X - e C = m e (a.x - c) for each facet a.x >= c
-    slack = [int_dot(a, xs) - e * c for a, c in facets]
-    if facets and all(s >= 0 for s in slack):
+    d, dg, verts, edges, polygons = _quadratic_data(poly)
+    slack = poly._facets and _slacks(poly._facets, e, xs)
+    if slack and all(s >= 0 for s in slack):
         return ZERO
     e2 = e * e
     xgx = int_dot(int_mat_vec(dg, xs), xs)
@@ -748,7 +735,7 @@ def _sq_distance(poly: ConvexPolytope, e, xs):
     # x is nearest to a point inside a facet only from beyond that facet's
     # plane, so facets whose halfspace holds x are skipped
     for k, data in enumerate(polygons):
-        if not facets or slack[k] < 0:
+        if not slack or slack[k] < 0:
             cand = _polygon_proj_sq_distance(data, xs, e, dist)
             if cand is not None and cand[0] * den < num * cand[1]:
                 num, den = cand
@@ -764,12 +751,18 @@ def _int_rows(poly: ConvexPolytope):
     return poly._ints
 
 
-def _facet_ints(poly: ConvexPolytope):
-    """Per facet a.x >= c, integral(a + (c,)), that is (s, (A, C)) with (A, C)
-    = s (a, c) for the least s > 0; once per polytope, or carried by _moved."""
-    if poly._fints is None:
-        poly._fints = tuple(integral(f.covector + (f.offset,)) for f in poly._facets or ())
-    return poly._fints
+def _facet_pairs(poly: ConvexPolytope):
+    """The stored facets (s, (A, C)) of a full-dimensional polytope."""
+    if poly._facets is None:
+        raise PolytopeError("H-rep requires a full-dimensional polytope")
+    return poly._facets
+
+
+def _slacks(facets, e, xs):
+    """Per stored facet (s, (A, C)), A.X - e C = s e (a.x - c) at x = xs / e:
+    of the sign of a.x - c."""
+    xe = (*xs, -e)
+    return [int_dot(ac, xe) for _, ac in facets]
 
 
 def _quadratic_data(poly: ConvexPolytope):
@@ -782,8 +775,6 @@ def _quadratic_data(poly: ConvexPolytope):
     - D and D G;
     - per vertex v: (D Gv, D v.Gv);
     - per edge u -> w, with d = w - u: (index of u, D Gd, D d.Gd, D Gd.u);
-    - per facet a.x >= c: (A, C) = m (a, c) for the least m > 0 making both
-      integral (empty for a lower-dimensional polytope);
     - in space, per facet (aligned with facets()) or for a polygon itself:
       the plane data of _polygon_proj_sq_distance.
     """
@@ -802,13 +793,12 @@ def _quadratic_data(poly: ConvexPolytope):
             d = vsub(pts[iw], pts[iu])
             hd = int_mat_vec(h, d)
             edges.append((iu, _scale(vden, hd), int_dot(hd, d), int_dot(hd, pts[iu])))
-        facets = [(ac[:-1], ac[-1]) for _, ac in _facet_ints(poly)]
         polygons = ()
         if n == 3 and poly.dim >= 2:
             polygons = tuple(_polygon_data(f, h, vden, pts, index)
                              for f in ([poly] if poly.dim == 2 else faces(poly, 2)))
         dg = tuple(_scale(vden * vden, row) for row in h)
-        poly._quad = (gden * vden * vden, dg, tuple(verts), tuple(edges), tuple(facets), polygons)
+        poly._quad = (gden * vden * vden, dg, tuple(verts), tuple(edges), polygons)
     return poly._quad
 
 

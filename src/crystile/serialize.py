@@ -102,7 +102,7 @@ def group_to_json(group: CrystalGroup) -> dict:
             for m, v in group.reps
         ],
     }
-    if group.name:
+    if group.name is not None:
         out["name"] = group.name
     return out
 
@@ -159,6 +159,8 @@ def tiling_from_json(data: dict) -> PeriodicTiling:
             raise SchemaError(f"provenance must be an object, got {pj!r}")
         if pj:
             group = group_from_json(pj["group"]) if "group" in pj else None
+            if group is not None and group.frame != frame:
+                raise SchemaError("provenance group is over another frame than the tiling")
             base_cell = None
             if "base_cell" in pj:
                 vertices = pj["base_cell"]["vertices"]

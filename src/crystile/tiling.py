@@ -79,7 +79,6 @@ from .polytope import (
     ConvexPolytope,
     _centroid,
     _facet_edges,
-    _facet_ints,
     _int_rows,
     _sq_distance,
     congruent,
@@ -195,7 +194,7 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
     held = {}
     for i, t in enumerate(tiles):
         vden, rows = _int_rows(t)  # a facet's vertices are rows of its tile
-        for (on, _), (_, ac) in zip(_facet_edges(t), _facet_ints(t)):
+        for (on, _), (_, ac) in zip(_facet_edges(t), t._facets):
             held.setdefault(_lattice_key(vden, [rows[j] for j in on]), []).append((i, ac[:-1], on))
     # facets with one vertex set lie in one hyperplane, so their (int) covectors
     # are parallel and point opposite ways iff their dot product is negative

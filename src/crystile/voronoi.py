@@ -31,11 +31,11 @@ denominator.  They are ordered by exact integer keys: over the common
 denominator D of x0 and the sites, D^2 E |s - x0|^2 = y.(EG)y for
 y = D s - D x0, with EG the frame's integer Gram matrix over its
 denominator E (isometry.int_gram), the form groups.lattice_points_in_ball
-tests.  Each bisector is formed from y and (EG)y.  clip reads each cell's
-int vertex rows (polytope._int_rows), and rho^2 is read off the same rows
-after each cut that changes the cell.  Q values are formed only for the
-results: one per bisector entry, crossing coordinate and site coordinate,
-and rho^2 once.
+tests.  Each bisector is formed from y and (EG)y as an int facet pair
+(polytope).  clip reads each cell's int vertex rows (polytope._int_rows),
+and rho^2 is read off the same rows after each cut that changes the cell.
+Q values are formed only for the results: one per crossing coordinate and
+site coordinate, and rho^2 once.
 """
 
 from __future__ import annotations
@@ -45,11 +45,12 @@ from itertools import product
 from math import lcm
 
 from .rational import ONE, Q, ZERO, isqrt_ceil, rat
-from .linalg import (Vec, int_dot, int_mat_vec, integral_rows, is_integral_vec, mat_vec, vadd,
-                     vdot, vec, vsub)
+from .linalg import (Vec, int_dot, int_mat_vec, integral, integral_rows, is_integral_vec,
+                     mat_vec, vadd, vec, vsub)
 from .isometry import Frame, Isometry, _inv_gram_diag, int_gram
 from .groups import CrystalGroup, orbit_in_ball, stabilizer
-from .polytope import ConvexPolytope, HalfSpace, _int_rows, clip, halfspace_intersection
+from .polytope import (ConvexPolytope, HalfSpace, _clip, _halfspace, _int_rows, _reduced_facet,
+                       _slacks, halfspace_intersection)
 
 
 class DegenerateSiteError(ValueError):
@@ -78,17 +79,17 @@ def bisector_halfspace(frame: Frame, x0: Vec, x: Vec) -> HalfSpace:
     2(a.y - c) = |y - x|_G^2 - |y - x0|_G^2; at y = x0 that is |x0 - x|_G^2."""
     d, (dx0, dx) = integral_rows((x0, x))
     y = [b - a for a, b in zip(dx0, dx)]
-    return _bisector(frame, d, dx0, y, int_mat_vec(int_gram(frame)[1], y))
+    return _halfspace(_bisector(frame, d, dx0, y, int_mat_vec(int_gram(frame)[1], y)))
 
 
 def _bisector(frame: Frame, d, dx0, y, gy):
-    """bisector_halfspace of x0 = dx0 / d and x = x0 + y / d, for int
-    vectors dx0, y and gy = (EG) y, EG the integer Gram matrix over E
-    (isometry.int_gram): a = -gy / (E d) and c = a.(x0 + x)/2 =
-    -gy.(2 dx0 + y) / (2 E d^2), one Q per entry."""
+    """bisector_halfspace of x0 = dx0 / d and x = x0 + y / d as a stored
+    facet pair (polytope), for int vectors dx0, y and gy = (EG) y, EG the
+    integer Gram matrix over E (isometry.int_gram): a = -gy / (E d) and
+    c = a.(x0 + x)/2 = -gy.(2 dx0 + y) / (2 E d^2), all over 2 E d^2."""
     ed = int_gram(frame)[0] * d
     c = int_dot(gy, [2 * a + b for a, b in zip(dx0, y)])
-    return HalfSpace(tuple(Q(-g, ed) for g in gy), Q(-c, 2 * ed * d))
+    return _reduced_facet(2 * ed * d, (*(-2 * d * g for g in gy), -c))
 
 
 def _orbit_contains(group: CrystalGroup, x: Vec, y: Vec) -> bool:
@@ -134,7 +135,7 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
     box_facets = []
     for i, (c, w) in enumerate(zip(x0, widths)):
         e = tuple(ONE if j == i else ZERO for j in range(n))
-        box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
+        box_facets += [integral(e + (c - w,)), integral(tuple(-x for x in e) + (-c - w,))]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
     # the corner taking the low (b = 0) or high (b = 1) end on axis i lies on box facet 2i + b
     tight = tuple(frozenset(2 * i + b for i, b in enumerate(bits))
@@ -163,12 +164,12 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
     for key, y, gy in sorted(ordered, key=lambda kyg: kyg[0]):
         if key >= stop:
             break
-        clipped = clip(cell, _bisector(frame, d, dx0, y, gy))
+        clipped = _clip(cell, _bisector(frame, d, dx0, y, gy))
         if clipped is not cell:
             cell = clipped
             num, el = sq_circumradius(cell)
             stop = -(-4 * d * d * num // (el * el))
-    if not set(box_facets).isdisjoint(cell.facets()):
+    if not set(box_facets).isdisjoint(cell._facets):
         return None
     return cell, Q(num, e * el * el)
 
@@ -228,7 +229,9 @@ def delone_params(group: CrystalGroup, x) -> DeloneCertificate:
     """
     x = vec(x, group.dim)
     cell, used, cover_sq = _cell_with_localization(group, x, None, None)
-    min_sq = min(2 * (vdot(h.covector, x) - h.offset) for h in cell.facets())
+    # 2 (a.x - c) = 2 (A.X - e C) / (s e) at x = X / e for each facet (s, (A, C))
+    e, xs = integral(x)
+    min_sq = min(Q(2 * v, s * e) for (s, _), v in zip(cell._facets, _slacks(cell._facets, e, xs)))
     return DeloneCertificate(
         min_sq_distance=min_sq,
         covering_sq_radius=cover_sq,

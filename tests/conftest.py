@@ -18,12 +18,14 @@ from crystile.linalg import (
     Mat,
     Vec,
     identity_mat,
+    integral,
     is_integral,
     is_integral_mat,
     mat,
     mat_det,
     mat_mul,
     mat_vec,
+    nullspace,
     solve_linear,
     transpose,
     vdot,
@@ -44,9 +46,8 @@ from crystile.polytope import (
     InteriorOverlapError,
     _affine_rank,
     _centroid,
-    _coordinate_normal,
-    _halfspace_key,
     _independent_points,
+    faces,
     meet_face_to_face,
     volume,
 )
@@ -141,9 +142,67 @@ def random_rational_point(rng: random.Random, n: int, span: int = 6):
     return tuple(Q(rng.randint(-span, span), rng.randint(1, span)) for _ in range(n))
 
 
+# the halfspace key the kernel once deduplicated facets by, verbatim: the key
+# every facet set below is compared with
+def _halfspace_key(h: HalfSpace):
+    """(covector, offset) scaled so the first nonzero entry is +-1: equal
+    for halfspaces that are the same set."""
+    scale = ONE / abs(next(x for x in h.covector if x != 0))
+    return tuple(x * scale for x in h.covector), h.offset * scale
+
+
 def facet_key_set(halfspaces):
     """Halfspaces as a set, each scaled so its first nonzero covector entry is +-1."""
     return frozenset(map(_halfspace_key, halfspaces))
+
+
+def with_halfspaces(frame, vertices, halfspaces, tight=None):
+    """ConvexPolytope._from_sorted with the facets given as HalfSpaces (or
+    None), stored as the kernel stores them: the one place the reference
+    code below and in the oracles hands HalfSpaces to the kernel."""
+    facets = None if halfspaces is None else tuple(
+        integral(h.covector + (h.offset,)) for h in halfspaces)
+    return ConvexPolytope._from_sorted(frame, vertices, facets, tight)
+
+
+def halfspaces(poly):
+    """poly's facets as HalfSpaces, None for a lower-dimensional poly: what
+    the reference code read from poly._facets when the kernel stored them so."""
+    return None if poly._facets is None else poly.facets()
+
+
+# the nullspace covector the kernel's cones once used, verbatim: the
+# reference of the int cone planes and of _supporting_halfspaces below
+def _coordinate_normal(points):
+    """Coordinate functional vanishing on the affine hull of n points (rank n-1)."""
+    p0 = points[0]
+    rows = tuple(vsub(p, p0) for p in points[1:])
+    ker = nullspace(rows)
+    if len(ker) != 1:
+        return None
+    return ker[0]
+
+
+# construction._cone as it was when it ran in Fraction, verbatim but for its
+# name and the conftest helper it builds through: the reference of the cones
+def old_cone(fpoly: ConvexPolytope, h: HalfSpace, apex) -> ConvexPolytope:
+    """conv(fpoly + apex) with its facets: the base facet h, then the plane
+    through the apex and each ridge of fpoly (a ring edge in space, an
+    endpoint in the plane), facing a vertex of fpoly off that ridge; on the
+    line, the plane -a.x >= -a.apex through the apex."""
+    facets = [h]
+    if fpoly.dim == 0:
+        a = tuple(-x for x in h.covector)
+        facets.append(HalfSpace(a, vdot(a, apex)))
+    else:
+        for ridge in faces(fpoly, fpoly.dim - 1):
+            a = _coordinate_normal([apex, *ridge.vertices])
+            c = vdot(a, apex)
+            q = next(v for v in fpoly.vertices if v not in ridge.vertices)
+            if vdot(a, q) < c:
+                a, c = tuple(-x for x in a), -c
+            facets.append(HalfSpace(a, c))
+    return with_halfspaces(fpoly.frame, tuple(sorted((*fpoly.vertices, apex))), tuple(facets))
 
 
 # the supporting-plane pass the kernel's hull once ran, verbatim: the reference
@@ -265,7 +324,7 @@ def bare(frame, points, facets=None):
     pts = tuple(sorted(set(map(vec, points))))
     if facets is None and _affine_rank(pts) == frame.dim:
         facets = recovered_facets(frame, ConvexPolytope._from_sorted(frame, pts, None))
-    return ConvexPolytope._from_sorted(frame, pts, None if facets is None else tuple(facets))
+    return with_halfspaces(frame, pts, facets)
 
 
 # the pairwise neighbour scan that once explained a rejected tiling, verbatim

@@ -238,10 +238,25 @@ def test_non_string_provenance_kind_is_input_error(tmp_path, square_tiling, case
 
 
 def test_string_name_and_kind_are_written_back(square_tiling):
-    group = group_from_json({**group_to_json(preset("p1")), "name": "mine"})
-    assert group.name == "mine" and group_to_json(group)["name"] == "mine"
+    # an empty name is a name as given too
+    for name in ("mine", ""):
+        group = group_from_json({**group_to_json(preset("p1")), "name": name})
+        assert group.name == name and group_to_json(group)["name"] == name
     data = {**tiling_to_json(square_tiling), "provenance": {"kind": "drawn"}}
     assert tiling_to_json(tiling_from_json(data))["provenance"] == {"kind": "drawn"}
+
+
+@pytest.mark.parametrize("other", ["P1", "p6"])
+def test_provenance_group_over_another_frame_is_input_error(tmp_path, other, capsys):
+    # a provenance group must act on the tiling's frame: a 3D group, or a
+    # hexagonal-frame group on the square p4 construction, is refused
+    data = tiling_to_json(seed0_construction("p4"))
+    data["provenance"]["group"] = group_to_json(preset(other))
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "aut", str(path))
+    assert code == 2 and out == ""
+    assert "input error" in err and "provenance group" in err
 
 
 def test_degenerate_point_is_domain_failure(capsys):

@@ -27,11 +27,14 @@ from crystile.polytope import (
     HalfSpace,
     PolytopeError,
     _cross,
+    _halfspace,
     _tight_sets,
     clip,
     faces,
 )
 from crystile.rational import Q
+
+from conftest import with_halfspaces
 
 
 # --- the clip that recomputed the tight sets -------------------------------------
@@ -68,7 +71,7 @@ def clip_recomputed(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
                 pts.append(tuple(a + t * (b - a) for a, b in zip(u, w)))
     held = frozenset().union(*(tight[i] for i in inside))
     kept = tuple(f for k, f in enumerate(facets) if k in held) + (h,)
-    return ConvexPolytope._from_sorted(poly.frame, tuple(sorted(pts)), kept)
+    return with_halfspaces(poly.frame, tuple(sorted(pts)), kept)
 
 
 # --- the comparison --------------------------------------------------------------
@@ -137,7 +140,8 @@ def test_clip_chains_match_recomputed_tight_sets(n, steps, data):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_seed0_cell_clips_match_recomputed_tight_sets(name, monkeypatch):
-    monkeypatch.setattr(voronoi, "clip", checked_clip)
+    # the cell code clips by stored facets through the int body _clip
+    monkeypatch.setattr(voronoi, "_clip", lambda poly, f: checked_clip(poly, _halfspace(f)))
     g = preset(name)
     cell, _ = voronoi.cell_with_certificate(g, generic_point(g, 0))
     assert _tight_sets(cell) == recomputed_tight(cell)

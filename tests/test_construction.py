@@ -12,19 +12,20 @@ from crystile import polytope
 from crystile import tiling as tiling_mod
 from crystile import voronoi as voronoi_mod
 from crystile.groups import PRESET_NAMES, preset, generic_point, validate_group
-from crystile.polytope import ConvexPolytope, volume
+from crystile.polytope import ConvexPolytope, HalfSpace, faces, volume
 from crystile.serialize import dump_json, tiling_from_json, tiling_to_json
 from crystile.voronoi import cell_with_certificate, voronoi_tiling
 from crystile.tiling import automorphism_group, prototiles, tilings_equal, transform_tiling
 from crystile.construction import (
     ConstructionError,
+    _cone,
     certificate_for,
     cone_subdivide,
     construct_tiling,
     generic_apex,
 )
 
-from conftest import bare, facet_key_set, recovered_facets, seed0_construction
+from conftest import bare, facet_key_set, old_cone, recovered_facets, seed0_construction
 
 
 @pytest.fixture
@@ -141,6 +142,41 @@ def test_construct_on_the_line():
     assert aut.frame == mirror.frame and aut.reps == mirror.reps
     with pytest.raises(ConstructionError):
         construct_tiling(validate_group(frame, [(((1,),), (0,))]), 0)
+
+
+LINE_MIRROR = validate_group(Frame(1, [[1]]), [(((1,),), (0,)), (((-1,),), (0,))])
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, "line"])
+def test_int_cones_match_nullspace_cones(name):
+    # _cone forms each side plane from an int cross product (a perpendicular
+    # in the plane) scaled by its last nonzero entry; the old cone took the
+    # Fraction nullspace vector of _coordinate_normal.  Both must give the
+    # same vertices, the same facets() in order and the same tight sets,
+    # over the base cells of seeds 0 to 2
+    group = LINE_MIRROR if name == "line" else preset(name)
+    n = group.dim
+    for seed in range(3):
+        cell, _ = cell_with_certificate(group, generic_point(group, seed))
+        apex = generic_apex(cell, seed).apex
+        for pair, h, fpoly in zip(cell._facets, cell.facets(), faces(cell, n - 1)):
+            new, old = _cone(fpoly, pair, apex), old_cone(fpoly, h, apex)
+            assert new.vertices == old.vertices
+            assert new._facets == old._facets
+            assert new.facets() == old.facets()
+            assert polytope._tight_sets(new) == polytope._tight_sets(old)
+
+
+def test_kernel_builds_no_halfspace(monkeypatch):
+    # facets made inside the kernel are stored as int pairs: a construction
+    # and a Delone certificate build no HalfSpace, so none is checked again
+    made = []
+    real = HalfSpace.__post_init__
+    monkeypatch.setattr(HalfSpace, "__post_init__", lambda self: made.append(1) or real(self))
+    construct_tiling(preset("p6m"), 0)
+    assert made == []
+    voronoi_mod.delone_params(preset("P222"), (Q(18, 47), Q(29, 43), Q(12, 19)))
+    assert made == []
 
 
 def test_construct_p4m_and_p6():
@@ -277,7 +313,7 @@ def test_carried_tight_sets_match_recomputation(name):
     tiles = voronoi_tiling(g, generic_point(g, 0)).cell_tiles + seed0_construction(name).cell_tiles
     for t in tiles:
         assert t._tight is not None
-        fresh = ConvexPolytope._from_sorted(t.frame, t.vertices, t.facets())
+        fresh = ConvexPolytope._from_sorted(t.frame, t.vertices, t._facets)
         assert t._tight == polytope._tight_sets(fresh)
 
 

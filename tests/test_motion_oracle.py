@@ -57,7 +57,6 @@ from crystile.polytope import (
     HalfSpace,
     PolytopeError,
     _facet_edges,
-    _facet_ints,
     _int_rows,
     faces,
     volume,
@@ -65,7 +64,7 @@ from crystile.polytope import (
 from crystile.rational import Q, ZERO
 from crystile.voronoi import cell_with_certificate
 
-from conftest import seed0_construction
+from conftest import halfspaces, seed0_construction, with_halfspaces
 
 
 # --- the Fraction motion, verbatim ------------------------------------------------
@@ -74,8 +73,8 @@ def old_translate(self, v) -> "ConvexPolytope":
     # a translation keeps the vertices exact, distinct and in lexicographic
     # order, and (an isometry) each vertex's tight set
     v = vec(v)
-    return ConvexPolytope._from_sorted(self.frame, tuple(vadd(p, v) for p in self.vertices),
-                                       _carried(self._facets, v), old_tight_sets(self))
+    return with_halfspaces(self.frame, tuple(vadd(p, v) for p in self.vertices),
+                           _carried(halfspaces(self), v), old_tight_sets(self))
 
 
 def old_transform(self, iso: Isometry) -> "ConvexPolytope":
@@ -85,9 +84,9 @@ def old_transform(self, iso: Isometry) -> "ConvexPolytope":
     pts = tuple(map(iso, self.vertices))
     order = sorted(range(len(pts)), key=pts.__getitem__)
     tight = old_tight_sets(self)
-    return ConvexPolytope._from_sorted(iso.target, tuple(pts[i] for i in order),
-                                       _carried(self._facets, iso.translation, iso.linear),
-                                       tight and tuple(tight[i] for i in order))
+    return with_halfspaces(iso.target, tuple(pts[i] for i in order),
+                           _carried(halfspaces(self), iso.translation, iso.linear),
+                           tight and tuple(tight[i] for i in order))
 
 
 def _carried(facets, t, linear=None):
@@ -157,9 +156,12 @@ def copy(poly: ConvexPolytope) -> ConvexPolytope:
 
 
 def assert_int_forms(image: ConvexPolytope):
+    # each stored facet pair is the scaling of the HalfSpace built from it,
+    # so the stored form is canonical: no denominator is left unreduced
     assert _int_rows(image) == integral_rows(image.vertices)
-    assert _facet_ints(image) == tuple(integral(h.covector + (h.offset,))
-                                       for h in image._facets or ())
+    if image._facets is not None:
+        assert image._facets == tuple(integral(h.covector + (h.offset,))
+                                      for h in image.facets())
 
 
 def assert_same_motion(poly: ConvexPolytope, move: str, arg):
@@ -239,7 +241,7 @@ def test_seed0_cells_and_cones_move_as_in_fractions(name):
     cell, _ = cell_with_certificate(group, generic_point(group, 0))
     apex = generic_apex(cell, 0).apex
     n = group.dim
-    cones = [_cone(f, h, apex) for h, f in zip(cell.facets(), faces(cell, n - 1))]
+    cones = [_cone(f, h, apex) for h, f in zip(cell._facets, faces(cell, n - 1))]
     shifts = [tuple(Q(k + 1, 2 * k + 3) for k in range(n)), tuple(range(-1, n - 1))]
     for poly in [cell, *cones]:
         for m, v in group.reps:

@@ -115,10 +115,10 @@ def test_vertex_input_hulls_in_one_pass(frame3, count_calls):
     # the polar is a simplex on the first four affinely independent points,
     # clipped once by each other distinct point (the corner (1, 1, 1) is
     # given twice), and its vertices are kept as the facets, so facets()
-    # makes no second pass
+    # makes no second pass; the hull clips on the int body _clip
     h = Q(1, 2)
     corners = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    calls = count_calls(polytope_mod, "clip")
+    calls = count_calls(polytope_mod, "_clip")
     cube = ConvexPolytope(frame3, corners + [(h, h, h), (h, 0, 0), (h, h, 0), (1, 1, 1)])
     assert cube.vertices == tuple(sorted(corners))
     facets = cube.facets()

@@ -215,8 +215,9 @@ SEED0_CUTS = {"P222": 15, "Pm-3m": 4, "p6m": 3}
 def test_certified_cell_stops_clipping_beyond_twice_the_circumradius(name, clips, monkeypatch):
     # no site beyond twice the running circumradius can cut the cell, so the
     # clipping stops there; clipping by every site made 123, 1608 and 174
-    # calls.  The site order and the stop rule fix both counts.
-    real = voronoi.clip
+    # calls.  The site order and the stop rule fix both counts.  The cell
+    # code clips through the int body _clip.
+    real = voronoi._clip
     cut = []
 
     def counted(poly, h):
@@ -224,7 +225,7 @@ def test_certified_cell_stops_clipping_beyond_twice_the_circumradius(name, clips
         cut.append(out is not poly)
         return out
 
-    monkeypatch.setattr(voronoi, "clip", counted)
+    monkeypatch.setattr(voronoi, "_clip", counted)
     g = preset(name)
     cell_with_certificate(g, generic_point(g, 0))
     assert (len(cut), sum(cut)) == (clips, SEED0_CUTS[name])
@@ -237,7 +238,7 @@ def test_delone_params_calls_the_traced_orbit_query_and_clip(monkeypatch):
     # zero them.  The counts are those of the Fraction cell code, for the
     # first Delone point of the space-3d benchmark at seed 0.
     orbits, clips = [], []
-    real_orbit, real_clip = voronoi.orbit_in_ball, voronoi.clip
+    real_orbit, real_clip = voronoi.orbit_in_ball, voronoi._clip
 
     def orbit(*args):
         out = real_orbit(*args)
@@ -245,7 +246,7 @@ def test_delone_params_calls_the_traced_orbit_query_and_clip(monkeypatch):
         return out
 
     monkeypatch.setattr(voronoi, "orbit_in_ball", orbit)
-    monkeypatch.setattr(voronoi, "clip", lambda *args: clips.append(1) or real_clip(*args))
+    monkeypatch.setattr(voronoi, "_clip", lambda *args: clips.append(1) or real_clip(*args))
     x = (Q(18, 47), Q(29, 43), Q(12, 19))
     cert = delone_params(preset("P222"), x)
     assert orbits == [124]

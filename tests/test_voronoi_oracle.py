@@ -62,7 +62,7 @@ from crystile.voronoi import (
     delone_params,
 )
 
-from conftest import bare, facet_key_set, recovered_facets
+from conftest import bare, facet_key_set, recovered_facets, with_halfspaces
 
 
 # --- the cell code that re-intersected all bisectors -------------------------------
@@ -178,7 +178,7 @@ def fraction_cell_from_sites(frame, x0, sites, d2):
         e = tuple(ONE if j == i else ZERO for j in range(n))
         box_facets += [HalfSpace(e, c - w), HalfSpace(tuple(-x for x in e), -c - w)]
     corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
-    cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets))
+    cell = with_halfspaces(frame, tuple(corners), tuple(box_facets))
     e, eg = int_gram(frame)
     d = lcm(*(c.denominator for p in (x0, *sites) for c in p))
     dx0 = [c.numerator * (d // c.denominator) for c in x0]
