@@ -9,9 +9,9 @@ piece of group arithmetic exact: hexagonal point groups have irrational
 Cartesian matrices but integer matrices in a lattice-adapted basis.
 
 Gram-orthogonality is tested once, on ints (is_gram_orthogonal).  The
-metric d_O is sqrt(p) + sqrt(q) of exact rationals p, q; that sum, the
-operator norm of a general matrix and orthogonal square roots are floats,
-and the witness-size test in tiling still compares the float sum.
+metric d_O is sqrt(p) + sqrt(q) of the exact rationals p, q that iso_terms
+returns, which decide witness sizes exactly; that sum, the operator norm
+of a general matrix and orthogonal square roots are floats.
 """
 
 from __future__ import annotations
@@ -284,27 +284,34 @@ def operator_norm(frame: Frame, m) -> float:
     return math.sqrt(_sym_eigen_max(a.T @ a))
 
 
-def iso_distance(origin, a: Isometry, b: Isometry) -> float:
-    """d_O(a, b) = |a(O) - b(O)|_G + ||A - B||_op = sqrt(p) + sqrt(q), n <= 3:
-    C = A^-1 B is orthogonal and ||A - B|| = ||1 - C||, so q = n - tr C when
-    det C = 1 (2 - 2 cos t for a turn by t), and 4 when det C = -1 (eigenvalue -1)."""
-    if a.frame != b.frame or a.target != b.target or a.frame != a.target:
+def iso_terms(origin, a: Isometry, b: Isometry = None):
+    """Exact (p, q) with d_O(a, b) = sqrt(p) + sqrt(q), n <= 3, b by default the
+    identity: p = |a(O) - b(O)|^2_G, and C = A^-1 B is orthogonal with ||A - B|| =
+    ||1 - C||, so q = n - tr C if det C = 1 (2 - 2 cos t for a turn by t), else 4."""
+    if a.frame != a.target or b is not None and (a.frame != b.frame or a.target != b.target):
         raise IsometryError("metric requires endomorphisms of one frame")
     n, o = a.frame.dim, vec(origin)
     if n > 3 or len(o) != n:
         raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
-    trans = a.frame.norm(vsub(a(o), b(o)))
-    if a.linear == b.linear:
-        return trans
-    if mat_det(a.linear) != mat_det(b.linear):
-        return trans + 2.0
-    tr = sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b.linear)))
-    return trans + sqrt_float(n - tr)
+    b_o, b_lin = (o, identity_mat(n)) if b is None else (b(o), b.linear)
+    p = a.frame.norm2(vsub(a(o), b_o))
+    if a.linear == b_lin:
+        return p, ZERO
+    if mat_det(a.linear) != mat_det(b_lin):
+        return p, Q(4)
+    return p, n - sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b_lin)))
+
+
+def iso_distance(origin, a: Isometry, b: Isometry) -> float:
+    """d_O(a, b) = |a(O) - b(O)|_G + ||A - B||_op."""
+    p, q = iso_terms(origin, a, b)
+    return sqrt_float(p) + sqrt_float(q)
 
 
 def iso_size(origin, a: Isometry) -> float:
     """d_O(a, identity)."""
-    return iso_distance(origin, a, identity_iso(a.frame))
+    p, q = iso_terms(origin, a)
+    return sqrt_float(p) + sqrt_float(q)
 
 
 # --- orthogonal square roots ----------------------------------------------

@@ -64,7 +64,7 @@ from .isometry import (
     compose,
     identity_iso,
     inverse,
-    iso_size,
+    iso_terms,
     translation_iso,
 )
 from .groups import (
@@ -86,7 +86,6 @@ from .polytope import (
 )
 
 LN_3_2 = math.log(1.5)
-WITNESS_SLACK = 1e-9
 PATCH_ENUM_RADIUS = Q(8)   # enumerated patch-equality radii are capped here
 RADIUS_CAP = Q(1 << 20)    # stand-in for "arbitrarily large" witness radii
 
@@ -563,7 +562,7 @@ class DistanceBound:
 
     witness = (phi, psi, radius, global_match): patches of phi(T) and
     psi(T') agree on the ball of that rational radius about the origin,
-    with d_O(phi,1), d_O(psi,1) < 1/(2 radius) up to slack; global_match
+    with d_O(phi,1), d_O(psi,1) <= 1/(2 radius) exactly; global_match
     marks exact equality of the whole transformed tilings (an
     infinite-radius witness truncated to RADIUS_CAP)."""
 
@@ -574,31 +573,25 @@ class DistanceBound:
     tiling_b: PeriodicTiling = field(default=None, compare=False)
 
 
-def _patch_equal(t1, iso1, t2, iso2, origin, radius) -> bool:
-    r2 = radius * radius
-    return _pulled_back(t1, iso1, origin, r2).keys() == _pulled_back(t2, iso2, origin, r2).keys()
-
-
-def _rational_below(x: float):
-    """Exact rational strictly below the real intended by the float x."""
-    return Q(math.nextafter(x, 0.0))
-
-
 def _normalizes_lattice(iso: Isometry) -> bool:
     return is_integral_mat(iso.linear) and is_integral_mat(mat_inv(iso.linear))
 
 
+def _pair_size_cap(phi, psi, origin):
+    """min(RADIUS_CAP, 2^79 / (ceil(2^80 sqrt p) + ceil(2^80 sqrt q))) over d_O's
+    exact terms (p, q) of phi and psi: 1/(2 cap) is at least sqrt p + sqrt q, by
+    less than 2^-79, so the cap passes _size_cap by construction."""
+    ceils = (isqrt_ceil(p * (1 << 160)) + isqrt_ceil(q * (1 << 160))
+             for p, q in (iso_terms(origin, phi), iso_terms(origin, psi)))
+    return min([RADIUS_CAP] + [Q(1 << 79, c) for c in ceils if c])
+
+
 def _pair_match_radius(t1, phi, t2, psi, origin):
     """(largest certified radius on the grid cap j / 2^16, global flag) for
-    one witness pair.  The radius obeys the 1/(2r) size constraint; a global
+    one witness pair.  The radius is at most the pair's size cap; a global
     flag marks exact equality of the transformed tilings, which certifies
     patch equality at every radius."""
-    delta = max(iso_size(origin, phi), iso_size(origin, psi))
-    size_cap = RADIUS_CAP
-    if delta > 0:
-        size_cap = min(size_cap, _rational_below(1.0 / (2.0 * delta)))
-    if size_cap <= 0:
-        return ZERO, False
+    size_cap = _pair_size_cap(phi, psi, origin)
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
         # safe to compare the transformed tilings globally: no basis
         # re-expression is involved, so equality is equality in the plane
@@ -618,8 +611,19 @@ def _pair_match_radius(t1, phi, t2, psi, origin):
 
 
 def _size_cap(phi, psi, origin, radius) -> bool:
-    bound = 1.0 / (2.0 * float(radius)) + WITNESS_SLACK
-    return iso_size(origin, phi) <= bound and iso_size(origin, psi) <= bound
+    """Whether radius > 0 and d_O(phi, 1), d_O(psi, 1) <= s = 1/(2 radius),
+    exactly: sqrt p + sqrt q <= s iff e = s^2 - p - q >= 0 and 4pq <= e^2."""
+    radius = Q(radius)
+    if radius <= 0:
+        return False
+    s2 = 1 / (4 * radius * radius)
+    terms = (iso_terms(origin, phi), iso_terms(origin, psi))
+    return all((e := s2 - p - q) >= 0 and 4 * p * q <= e * e for p, q in terms)
+
+
+def _upper(radius) -> float:
+    """The reported bound min{ln(3/2), ln(1 + 1/r)} of a witness radius r."""
+    return min(LN_3_2, math.log1p(1.0 / float(radius)))
 
 
 def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
@@ -657,17 +661,12 @@ def distance_upper_bound(origin, t1: PeriodicTiling, t2: PeriodicTiling) -> Dist
     if tilings_equal(t1, t2):
         w = (identity_iso(t1.frame), identity_iso(t1.frame), RADIUS_CAP, True)
         return DistanceBound(origin, 0.0, witness=w, tiling_a=t1, tiling_b=t2)
-    best_upper = LN_3_2
-    best_witness = None
-    for phi, psi in default_candidates(t1, t2, origin):
-        radius, glob = _pair_match_radius(t1, phi, t2, psi, origin)
-        if radius <= 0 or not _size_cap(phi, psi, origin, radius):
-            continue
-        upper = min(LN_3_2, math.log1p(1.0 / float(radius)))
-        if upper < best_upper or best_witness is None:
-            best_upper = upper
-            best_witness = (phi, psi, radius, glob)
-    return DistanceBound(origin, best_upper, witness=best_witness, tiling_a=t1, tiling_b=t2)
+    found = [(phi, psi, r, glob) for phi, psi in default_candidates(t1, t2, origin)
+             for r, glob in [_pair_match_radius(t1, phi, t2, psi, origin)]
+             if _size_cap(phi, psi, origin, r)]
+    best = min(found, key=lambda w: _upper(w[2]), default=None)  # the first of the least
+    upper = LN_3_2 if best is None else _upper(best[2])
+    return DistanceBound(origin, upper, witness=best, tiling_a=t1, tiling_b=t2)
 
 
 class WitnessError(ValueError):
@@ -686,7 +685,9 @@ def verify_witness(bound: DistanceBound) -> bool:
             return False
         same = _image_keys(bound.tiling_a, phi) == _image_keys(bound.tiling_b, psi)
         return same and bound.tiling_a.frame == bound.tiling_b.frame
-    return _patch_equal(bound.tiling_a, phi, bound.tiling_b, psi, bound.origin, radius)
+    r2 = radius * radius
+    a = _pulled_back(bound.tiling_a, phi, bound.origin, r2)
+    return a.keys() == _pulled_back(bound.tiling_b, psi, bound.origin, r2).keys()
 
 
 def combine_witnesses(w1: DistanceBound, w2: DistanceBound) -> DistanceBound:
@@ -705,17 +706,9 @@ def combine_witnesses(w1: DistanceBound, w2: DistanceBound) -> DistanceBound:
     if r1 <= 2 or r2 <= 2:
         raise WitnessError("composition requires both radii > 2")
     r0 = r1 * r2 / (r1 + r2)
-    phi_new = compose(chi, phi)
-    psi_bar = compose(chi, compose(psi, inverse(chi)))
-    psi_new = compose(psi_bar, omega)
-    glob = g1 and g2
-    combined = DistanceBound(
-        origin=w1.origin,
-        upper=min(LN_3_2, math.log1p(1.0 / float(r0))),
-        witness=(phi_new, psi_new, r0, glob),
-        tiling_a=w1.tiling_a,
-        tiling_b=w2.tiling_b,
-    )
+    psi_new = compose(compose(chi, compose(psi, inverse(chi))), omega)
+    combined = DistanceBound(w1.origin, _upper(r0), (compose(chi, phi), psi_new, r0, g1 and g2),
+                             tiling_a=w1.tiling_a, tiling_b=w2.tiling_b)
     if not verify_witness(combined):
         raise WitnessError("combined witness failed exact re-verification")
     return combined

@@ -1,0 +1,99 @@
+"""Differential oracle for the exact witness-size rule.
+
+old_rational_below and old_size_cap are the float size cap the witness
+search took before the exact rule (`_rational_below` and the `delta` lines
+of `_pair_match_radius`), and old_iso_distance and old_iso_size the d_O
+bodies before iso_terms, all verbatim apart from their names.  On
+hypothesis isometries in 1D-3D (lattice isometries, rotations and
+rotoreflections over the frames of test_isometry_oracle: standard,
+hexagonal, bcc and two non-diagonal ones):
+
+- the exact cap _pair_size_cap always passes the exact test _size_cap;
+- it is at least the old cap whenever the old cap passes that test (the
+  old cap sometimes over-claims, which the exact test refuses);
+- iso_distance and iso_size equal the old bodies bitwise.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from crystile.isometry import (
+    Isometry,
+    IsometryError,
+    identity_iso,
+    iso_distance,
+    iso_size,
+)
+from crystile.linalg import identity_mat, mat_det, mat_inv, vdot, vec, vsub
+from crystile.rational import Q, sqrt_float
+from crystile.tiling import RADIUS_CAP, _pair_size_cap, _size_cap
+
+from test_isometry_oracle import FRAMES, gram_orthogonal, rationals
+
+
+# --- the old code, verbatim ----------------------------------------------------
+
+def old_rational_below(x: float):
+    """Exact rational strictly below the real intended by the float x."""
+    return Q(math.nextafter(x, 0.0))
+
+
+def old_size_cap(phi, psi, origin):
+    delta = max(iso_size(origin, phi), iso_size(origin, psi))
+    size_cap = RADIUS_CAP
+    if delta > 0:
+        size_cap = min(size_cap, old_rational_below(1.0 / (2.0 * delta)))
+    return size_cap
+
+
+def old_iso_distance(origin, a: Isometry, b: Isometry) -> float:
+    """d_O(a, b) = |a(O) - b(O)|_G + ||A - B||_op = sqrt(p) + sqrt(q), n <= 3:
+    C = A^-1 B is orthogonal and ||A - B|| = ||1 - C||, so q = n - tr C when
+    det C = 1 (2 - 2 cos t for a turn by t), and 4 when det C = -1 (eigenvalue -1)."""
+    if a.frame != b.frame or a.target != b.target or a.frame != a.target:
+        raise IsometryError("metric requires endomorphisms of one frame")
+    n, o = a.frame.dim, vec(origin)
+    if n > 3 or len(o) != n:
+        raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
+    trans = a.frame.norm(vsub(a(o), b(o)))
+    if a.linear == b.linear:
+        return trans
+    if mat_det(a.linear) != mat_det(b.linear):
+        return trans + 2.0
+    tr = sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b.linear)))
+    return trans + sqrt_float(n - tr)
+
+
+def old_iso_size(origin, a: Isometry) -> float:
+    """d_O(a, identity)."""
+    return old_iso_distance(origin, a, identity_iso(a.frame))
+
+
+# --- the oracle ------------------------------------------------------------------
+
+@st.composite
+def isometries(draw, name):
+    """An isometry of the named frame: a Gram-orthogonal linear part (the
+    identity and -1 among them) and a rational translation."""
+    frame = FRAMES[name][0]
+    n = frame.dim
+    neg = tuple(tuple(-x for x in row) for row in identity_mat(n))
+    linear = draw(st.one_of(gram_orthogonal(name), st.just(neg), st.just(identity_mat(n))))
+    return Isometry(frame, linear, draw(st.tuples(*[rationals] * n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FRAMES)), st.data())
+def test_exact_cap_passes_the_exact_test_and_is_no_lower(name, data):
+    n = FRAMES[name][0].dim
+    phi, psi = data.draw(isometries(name)), data.draw(isometries(name))
+    o = data.draw(st.tuples(*[rationals] * n))
+    cap, old = _pair_size_cap(phi, psi, o), old_size_cap(phi, psi, o)
+    assert 0 < cap <= RADIUS_CAP
+    assert _size_cap(phi, psi, o, cap)
+    if _size_cap(phi, psi, o, old):
+        assert cap >= old
+    assert iso_distance(o, phi, psi).hex() == old_iso_distance(o, phi, psi).hex()
+    for iso in (phi, psi):
+        assert iso_size(o, iso).hex() == old_iso_size(o, iso).hex()

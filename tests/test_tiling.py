@@ -7,7 +7,7 @@ import pytest
 
 from crystile.rational import Q
 from crystile import linalg as linalg_mod
-from crystile.linalg import vdot
+from crystile.linalg import vdot, vsub
 from crystile.isometry import (
     Isometry,
     compose,
@@ -23,6 +23,7 @@ from crystile.groups import WALLPAPER_NAMES, generic_point, preset
 from crystile.polytope import ConvexPolytope, faces
 from crystile.tiling import (
     LN_3_2,
+    DistanceBound,
     TilingValidationError,
     WitnessError,
     _pulled_back,
@@ -446,6 +447,38 @@ def test_distance_rejects_unsound_global_claims(square_tiling, frame2):
         tiling_b=square_tiling,
     )
     assert not verify_witness(fake)
+
+
+@pytest.mark.parametrize("radius", [0, Q(-1, 2)])
+def test_verify_witness_refuses_a_radius_that_is_not_positive(square_tiling, frame2, radius):
+    one = identity_iso(frame2)
+    for glob in (True, False):
+        bound = DistanceBound((Q(0), Q(0)), 0.0, witness=(one, one, radius, glob),
+                              tiling_a=square_tiling, tiling_b=square_tiling)
+        assert verify_witness(bound) is False
+
+
+def _skew_shift_bound(square_tiling, frame2):
+    # the float size test once let this shift's half-shift pair through at
+    # r = 8821189978308693 / 2^50 > 1/|tau|, the exact supremum of the radius
+    shifted = transform_tiling(square_tiling, translation_iso(frame2, (Q(-5, 43), Q(1, 19))))
+    return distance_upper_bound((Q(0), Q(0)), square_tiling, shifted)
+
+
+def test_shift_witness_size_is_exact(square_tiling, frame2):
+    b = _skew_shift_bound(square_tiling, frame2)
+    phi, psi, r, _ = b.witness
+    for iso in (phi, psi):
+        assert 4 * r * r * frame2.norm2(vsub(iso(b.origin), b.origin)) <= 1
+    assert verify_witness(b)
+
+
+def test_over_claimed_shift_witness_is_refused(square_tiling, frame2):
+    b = _skew_shift_bound(square_tiling, frame2)
+    phi, psi, _, glob = b.witness
+    over = DistanceBound(b.origin, b.upper, witness=(phi, psi, Q(8821189978308693, 2**50), glob),
+                         tiling_a=b.tiling_a, tiling_b=b.tiling_b)
+    assert not verify_witness(over)
 
 
 def test_distance_cap_for_different_prototiles(square_tiling, rhomb_tiling):

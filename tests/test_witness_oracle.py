@@ -2,9 +2,11 @@
 
 `old_transformed_patch`, `old_patch_equal` and `old_pair_match_radius` are
 the witness code that rebuilt both transformed patches for every radius of
-a 16-round bisection.  They are kept verbatim (apart from their names) and
-compared with the one-patch-pair search: every witness must agree in its
-radius (the same rational), its global flag and its upper bound.
+a 16-round bisection.  They are kept verbatim (apart from their names, and
+old_pair_match_radius taking its size cap from the exact _pair_size_cap in
+place of the float one) and compared with the one-patch-pair search: every
+witness must agree in its radius (the same rational), its global flag and
+its upper bound.
 """
 
 import random
@@ -15,17 +17,16 @@ import pytest
 
 from crystile import tiling as tiling_mod
 from crystile.groups import generic_point, preset
-from crystile.isometry import inverse, iso_size, standard_frame, translation_iso
+from crystile.isometry import inverse, standard_frame, translation_iso
 from crystile.linalg import vec
 from crystile.polytope import ConvexPolytope, sq_distance_point
 from crystile.rational import Q, ZERO, rat
 from crystile.tiling import (
     PATCH_ENUM_RADIUS,
-    RADIUS_CAP,
     Patch,
     _normalizes_lattice,
     _pair_match_radius,
-    _rational_below,
+    _pair_size_cap,
     default_candidates,
     distance_upper_bound,
     patch,
@@ -64,10 +65,7 @@ def old_pair_match_radius(t1, phi, t2, psi, origin):
     The radius is limited by the 1/(2r) size constraint on the pair; a
     global flag marks exact equality of the transformed tilings, which
     certifies patch equality at every radius."""
-    delta = max(iso_size(origin, phi), iso_size(origin, psi))
-    size_cap = RADIUS_CAP
-    if delta > 0:
-        size_cap = min(size_cap, _rational_below(1.0 / (2.0 * delta)))
+    size_cap = _pair_size_cap(phi, psi, origin)
     if size_cap <= 0:
         return ZERO, False
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
