@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 from operator import mul, sub
 
 from .rational import Q
-from .linalg import gram_norm2, int_dot, integral_rows, vec, vsub
+from .linalg import gram_norm2, int_dot, integral, vec, vsub
 from .isometry import Isometry
 from .groups import CrystalGroup, generic_point
-from .polytope import ConvexPolytope, _cross, _edges, _reduced_facet, faces
+from .polytope import ConvexPolytope, _cross, _edges, _face_indices, _reduced_facet, faces
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
 from .voronoi import cell_with_certificate
 
@@ -57,7 +58,7 @@ def certificate_for(cell: ConvexPolytope, apex) -> GenericityCertificate:
     apex = vec(apex)
     g = cell.frame.gram
     vd = tuple(gram_norm2(g, vsub(apex, v)) for v in cell.vertices)
-    el = tuple(gram_norm2(g, vsub(e.vertices[1], e.vertices[0])) for e in _edges(cell))
+    el = tuple(gram_norm2(g, vsub(cell.vertices[j], cell.vertices[i])) for i, j in _edges(cell))
     return GenericityCertificate(
         apex=apex, cell=cell, vertex_sq_distances=vd, edge_sq_lengths=tuple(sorted(el))
     )
@@ -90,27 +91,28 @@ def _cone(fpoly: ConvexPolytope, h, apex) -> ConvexPolytope:
     facet h, then the plane a.x >= a.apex through the apex and each ridge of
     fpoly (a ring edge in space, an endpoint in the plane), facing a vertex
     q of fpoly off that ridge, and on the line the plane -a.x >= -a.apex.
-    Over one denominator D, a = +-N / k for the int cross product N of the
-    apex-to-ridge differences (in the plane their perpendicular) and its
-    last nonzero entry k, the sign making a.q >= a.apex."""
-    d, (x, *rows) = integral_rows((apex, *fpoly.vertices))
+    Over D = lcm(V, e), the least common denominator of fpoly's rows and the
+    apex (so the merged rows are reduced), a = +-N / k for the int cross
+    product N of the apex-to-ridge differences (in the plane their
+    perpendicular) and its last nonzero entry k, the sign making a.q >= a.apex."""
+    d = lcm(fpoly._den, *(c.denominator for c in apex))
+    x = integral(apex, d)[1]
+    rows = [tuple(d // fpoly._den * c for c in p) for p in fpoly._rows]
     facets = [h]
     if fpoly.dim == 0:
         # -a.y >= -a.apex for a = A / s is (-A D, -A X) over s D
         s, (a, _) = h
         facets.append(_reduced_facet(s * d, (-a * d, -a * x[0])))
     else:
-        row_of = dict(zip(fpoly.vertices, rows))
-        for ridge in faces(fpoly, fpoly.dim - 1):
-            u, *w = (tuple(map(sub, row_of[v], x)) for v in ridge.vertices)
+        for on, _ in _face_indices(fpoly, fpoly.dim - 1):
+            u, *w = (tuple(map(sub, rows[i], x)) for i in on)
             nrm = _cross(u, w[0]) if w else (u[1], -u[0])
             k = next(c for c in reversed(nrm) if c)
-            q = next(r for v, r in row_of.items() if v not in ridge.vertices)
+            q = next(r for i, r in enumerate(rows) if i not in on)
             sign = 1 if int_dot(nrm, tuple(map(sub, q, x))) > 0 else -1
             facets.append(_reduced_facet(d * abs(k), (*(sign * d * c for c in nrm),
                                                       sign * int_dot(nrm, x))))
-    return ConvexPolytope._from_sorted(fpoly.frame, tuple(sorted((*fpoly.vertices, apex))),
-                                       tuple(facets))
+    return ConvexPolytope._from_rows(fpoly.frame, d, tuple(sorted((*rows, x))), tuple(facets))
 
 
 def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate) -> PeriodicTiling:

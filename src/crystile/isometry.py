@@ -88,10 +88,12 @@ class Frame:
         return sqrt_float(self.norm2(v))
 
 
+@lru_cache(maxsize=None)
 def standard_frame(dim: int) -> Frame:
     return Frame(dim, identity_mat(dim))
 
 
+@lru_cache(maxsize=None)
 def hexagonal_frame() -> Frame:
     return Frame(2, mat([[1, Q(-1, 2)], [Q(-1, 2), 1]]))
 

@@ -7,27 +7,30 @@ volume divided by sqrt(det G)), which keeps them rational.  Halfspaces are
 stored by their coordinate covector a = G n, so containment is the plain
 dot product a . x and never touches the Gram matrix.
 
-A full-dimensional polytope stores each facet a.x >= c once, as the int
-pair (s, (A..., C)) = linalg.integral(a + (c,)), (A, C) = s (a, c) for the
-least s > 0; a lower-dimensional one has _facets None.  Facets are never
-recovered from vertices.  HalfSpace is the public form, checked where input
-arrives: facets() builds one per pair, and clip and halfspace_intersection
-take them.  Facets made inside (images under invertible maps, bisectors of
-distinct sites, hull facets) are not checked again.
-ConvexPolytope(frame, vertices) checks and hulls outside input once; the
-hull emits the facets and their incidences, past the line off the polar
-that clip builds (see _hull).  Internal code builds from exact, distinct,
-sorted vertices with ConvexPolytope._from_sorted(frame, vertices, facets):
-clip and halfspace_intersection keep the input facets that bound the
-result, translate and transform map them, and the cones, the Voronoi box
-and the bisectors come with their own.  The tight sets (the facets through
-each vertex, _tight_sets) are the one source of faces, volumes and rings
-(see _facet_edges); the hull, clip, translate and transform carry them.
+A polytope stores its vertices once, as the reduced int rows (V, rows): V
+the least common denominator of the coordinates and rows the int tuples
+V v, sorted (for V > 0 int order is Q order) and canonical (_reduced), so
+equality and hashing run on (frame, V, rows).  Its public vertices are Q
+tuples built from the rows when first read.  A full-dimensional polytope
+stores each facet a.x >= c once, as the int pair (s, (A..., C)) =
+linalg.integral(a + (c,)), (A, C) = s (a, c) for the least s > 0; a
+lower-dimensional one has _facets None.  HalfSpace is the public form,
+checked where input arrives: facets() builds one per pair, and clip and
+halfspace_intersection take them.  Facets made inside (images under
+invertible maps, bisectors of distinct sites, hull facets) are not
+checked again.  ConvexPolytope(frame, vertices) checks and hulls outside
+input once, past the line off the polar that clip builds (see _hull), and
+scales the vertices to rows; so does halfspace_intersection for the
+vertices it solves for.  Internal code builds from rows with
+ConvexPolytope._from_rows: clip and halfspace_intersection keep the input
+facets that bound the result, translate and transform map them, and the
+cones, the Voronoi box and the bisectors come with their own.  The tight
+sets (the facets through each vertex, _tight_sets) are the one source of
+faces, volumes and rings (see _facet_edges), which name vertices by their
+index among the rows; the hull, clip, translate and transform carry them.
 The arithmetic is on ints (linalg's integer layer): side values, tight
 sets, containment and volumes are int dots and determinants of the facet
-pairs and of the vertex rows over their least common denominator
-(_int_rows, cached; translate and transform map and keep them), and a
-clip's crossing point is formed from two rows, one Q per coordinate.
+pairs and the vertex rows, and translate, transform and clip emit rows.
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -49,9 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import factorial, gcd
-from operator import add, sub
+from itertools import chain, combinations
+from math import factorial, gcd, lcm
+from operator import add, itemgetter, sub
 
 from .rational import Q, ZERO, ONE, rat
 from .linalg import (
@@ -116,17 +119,14 @@ def _affine_rank(points) -> int:
 
 
 class ConvexPolytope:
-    """Dual V-rep/H-rep convex polytope with exact rational data.
-
-    Vertices are kept sorted lexicographically (the canonical form used
-    for exact tile comparison).  A full-dimensional polytope carries its
-    facet halfspaces from construction; a lower-dimensional one (a face)
-    carries its vertex list only.  Tight sets, the ring (cyclic vertex
+    """Dual V-rep/H-rep convex polytope with exact rational data: its sorted
+    vertex rows (the canonical form tiles are compared by) and, when it is
+    full-dimensional, its facets.  Tight sets, the ring (cyclic vertex
     order) of a polygon and the faces of each dimension are cached.
     """
 
-    __slots__ = ("frame", "vertices", "_facets", "_dim", "_bbox", "_cycle", "_faces", "_quad",
-                 "_ints", "_tight", "_hash")
+    __slots__ = ("frame", "_den", "_rows", "_vertices", "_facets", "_dim", "_bbox", "_cycle",
+                 "_faces", "_quad", "_tight", "_hash")
 
     def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
@@ -137,42 +137,49 @@ class ConvexPolytope:
         if frame.dim > 3:
             # clip's edge test, and so the hull, is exact for n <= 3 only
             raise PolytopeError("vertex input is for dimension 1, 2 or 3")
-        self._set(frame, *_hull(frame, pts))
+        vertices, *rest = _hull(frame, pts)
+        self._set(frame, *integral_rows(vertices), *rest)
 
-    def _set(self, frame, vertices, facets, tight=None, cycle=None):
+    def _set(self, frame, den, rows, facets, tight=None, cycle=None):
         self.frame = frame
-        self.vertices = tuple(vertices)
+        self._den = den
+        self._rows = rows
+        self._vertices = None
         self._facets = facets
         self._dim = None if facets is None else frame.dim
         self._bbox = None
         self._cycle = cycle
         self._faces = None
         self._quad = None
-        self._ints = None
         self._tight = tight
         self._hash = None
 
     @classmethod
-    def _from_sorted(cls, frame: Frame, vertices: tuple, facets, tight=None, cycle=None):
-        """The polytope on a tuple of exact, distinct, sorted vertices, as is,
-        with its facets as int pairs (see the module docstring) when it is
-        full-dimensional and None otherwise, and its tight sets (_tight_sets)
-        and ring when they are known."""
+    def _from_rows(cls, frame: Frame, den, rows: tuple, facets, tight=None, cycle=None):
+        """The polytope on distinct, sorted, reduced int rows over den, as is,
+        with its facet pairs (None below full dimension), and its tight sets
+        (_tight_sets) and ring (_ring) when they are known."""
         poly = cls.__new__(cls)
-        poly._set(frame, vertices, facets, tight, cycle)
+        poly._set(frame, den, rows, facets, tight, cycle)
         return poly
+
+    @property
+    def vertices(self):
+        """The vertices as sorted tuples of Q, built from the rows when first read."""
+        if self._vertices is None:
+            den = self._den
+            self._vertices = tuple(tuple(Q(c, den) for c in p) for p in self._rows)
+        return self._vertices
 
     # -- identity -----------------------------------------------------------
 
-    def key(self):
-        return (self.frame, self.vertices)
-
     def __eq__(self, other):
-        return isinstance(other, ConvexPolytope) and self.key() == other.key()
+        return (isinstance(other, ConvexPolytope) and self.frame == other.frame
+                and self._den == other._den and self._rows == other._rows)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.frame, self._den, self._rows))
         return self._hash
 
     def __repr__(self):
@@ -184,31 +191,18 @@ class ConvexPolytope:
     @property
     def dim(self) -> int:
         if self._dim is None:
-            self._dim = _affine_rank(self.vertices)
+            self._dim = _affine_rank(self._rows)
         return self._dim
 
     def bounding_box(self):
         if self._bbox is None:
-            n = self.frame.dim
-            self._bbox = tuple(
-                (min(p[i] for p in self.vertices), max(p[i] for p in self.vertices))
-                for i in range(n)
-            )
+            self._bbox = tuple((min(c), max(c)) for c in zip(*self.vertices))
         return self._bbox
 
     def cyclic_vertices(self):
-        """Vertices of a 2-dimensional polytope in cyclic order (either way),
-        walked along its edges (_walk): in the plane its facets.  In space the
-        facets from faces() and the hull of planar vertex input come with
-        their rings, and any other polygon is hulled once."""
-        if self._cycle is None:
-            if self.dim != 2:
-                raise PolytopeError("cyclic order is for 2-dimensional polytopes")
-            if self._facets is None:
-                self._cycle = ConvexPolytope(self.frame, self.vertices)._cycle
-            else:
-                self._cycle = _walk(f.vertices for f in faces(self, 1))
-        return self._cycle
+        """Vertices of a 2-dimensional polytope in cyclic order (either way)."""
+        vs = self.vertices
+        return tuple(vs[i] for i in _ring(self))
 
     def facets(self):
         """Facet halfspaces; the polytope is their intersection."""
@@ -231,14 +225,27 @@ class ConvexPolytope:
         return _moved(self, iso.target, m, a, b)
 
 
+def _ring(poly: ConvexPolytope):
+    """The ring of a polygon (cyclic_vertices) as vertex indices, walked along
+    its facets in the plane; in space faces() and planar vertex input come
+    with theirs, and any other polygon is hulled once."""
+    if poly._cycle is None:
+        if poly.dim != 2:
+            raise PolytopeError("cyclic order is for 2-dimensional polytopes")
+        if poly._facets is None:
+            poly._cycle = ConvexPolytope(poly.frame, poly.vertices)._cycle
+        else:
+            poly._cycle = _walk(e for _, edges in _facet_edges(poly) for e in edges)
+    return poly._cycle
+
+
 def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
     """poly under x -> (A x + B) / m (A = None for m I, a translate) into frame:
-    with the vertices P / V of _int_rows, the image rows are A P + V B over
-    m V, sorted (over V as they are for an int translate) and kept as the
-    image's int form, and a facet (s, (A_h, C_h)) maps with L^-T = N / d
-    (_inverse_transpose) to (m N A_h, d m C_h + N A_h . B) / (d s m), reduced
-    (_reduced).  Each vertex keeps its tight set."""
-    vden, rows = _int_rows(poly)
+    the rows P over V map to A P + V B over m V, sorted and reduced (over V
+    as they are for an int translate), and a facet (s, (A_h, C_h)) maps with
+    L^-T = N / d (_inverse_transpose) to (m N A_h, d m C_h + N A_h . B) /
+    (d s m), reduced (_reduced).  Each vertex keeps its tight set."""
+    vden, rows = poly._den, poly._rows
     vb = [vden * c for c in b]
     pts = [tuple(map(add, [m * c for c in p] if a is None else int_mat_vec(a, p), vb))
            for p in rows]
@@ -257,16 +264,13 @@ def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
             facets.append(_reduced_facet(d * s * m, (*(m * x for x in na),
                                                      d * m * ch + int_dot(na, b))))
         facets = tuple(facets)
-    out = ConvexPolytope._from_sorted(frame, tuple(tuple(Q(c, den) for c in p) for p in pts),
-                                      facets, tight)
-    out._ints = den, pts
-    return out
+    return ConvexPolytope._from_rows(frame, den, pts, facets, tight)
 
 
 def _reduced(den, rows):
     """(den / g, rows / g) for int rows over den > 0 and g = gcd(den, entries):
     what integral_rows gives for the values rows / den."""
-    g = gcd(den, *(c for p in rows for c in p))
+    g = gcd(den, *chain.from_iterable(rows))
     return den // g, tuple(rows) if g == 1 else tuple(tuple(c // g for c in p) for p in rows)
 
 
@@ -291,8 +295,8 @@ def _centroid(points):
 
 def _hull(frame: Frame, pts):
     """ConvexPolytope._set's arguments for conv(pts), pts sorted, distinct and
-    exact: vertices, facets (None below rank frame.dim), then the tight sets
-    or, for a polygon in space, the ring.
+    exact, with Q vertices: vertices, facets (None below rank frame.dim),
+    then the tight sets or, for a polygon in space, the ring.
 
     Sorted collinear points run along their line, so the ends are the first
     and last (on the line, the facets x >= lo and -x >= -hi).  Otherwise the
@@ -326,8 +330,8 @@ def _hull(frame: Frame, pts):
     # corner j of the simplex is on the planes of all base points but the j-th
     corners = [solve_linear(tuple(ys[i] for k, i in enumerate(base) if k != j),
                             (-ONE,) * rank) for j in range(rank + 1)]
-    polar = ConvexPolytope._from_sorted(frame if rank == frame.dim else standard_frame(rank),
-                                        tuple(sorted(corners)), tuple(dual[i] for i in base))
+    polar = ConvexPolytope._from_rows(frame if rank == frame.dim else standard_frame(rank),
+                                      *integral_rows(sorted(corners)), tuple(dual[i] for i in base))
     for i, h in enumerate(dual):
         if h is not None and i not in base:
             polar = _clip(polar, h)
@@ -335,10 +339,10 @@ def _hull(frame: Frame, pts):
     # polar facet j is the dual halfspace of the hull vertex vertex_of[j]
     vertex_of = [point_of[h] for h in polar._facets]
     polar_tight = _tight_sets(polar)
-    if rank < frame.dim:
-        return sorted(vertex_of), None, None, _walk(
-            [vertex_of[j] for j in t] for t in polar_tight)
     order = sorted(range(len(vertex_of)), key=vertex_of.__getitem__)
+    if rank < frame.dim:
+        return ([vertex_of[j] for j in order], None, None,
+                _walk([order.index(j) for j in t] for t in polar_tight))
     return ([vertex_of[j] for j in order],
             tuple(integral(tuple(-a for a in y) + (-ONE - vdot(y, c),)) for y in polar.vertices),
             tuple(frozenset(k for k, t in enumerate(polar_tight) if j in t) for j in order))
@@ -361,14 +365,8 @@ def _independent_points(pts, rank):
 
 
 def faces(poly: ConvexPolytope, m: int):
-    """All m-faces as (lower-dimensional) polytopes, 0 <= m < dim.
-
-    Computed once per polytope, from the tight sets of a full-dimensional
-    one (see _facet_edges): its facets follow facets(), each with its ring
-    in space, walked from its edges, and the edges of a 3-polytope are the
-    union of its facets' edges, sorted.  A polygon in space has the edges
-    of its ring.
-    """
+    """All m-faces as (lower-dimensional) polytopes, 0 <= m < dim, computed
+    once per polytope: each on its parent's rows at _face_indices, reduced."""
     n = poly.dim
     if not 0 <= m < n:
         raise PolytopeError(f"face dimension {m} out of range for a {n}-polytope")
@@ -376,23 +374,30 @@ def faces(poly: ConvexPolytope, m: int):
         poly._faces = {}
     out = poly._faces.get(m)
     if out is None:
-        vs = poly.vertices
-        if m == n - 1 and n == poly.frame.dim:
-            out = tuple(ConvexPolytope._from_sorted(
-                poly.frame, tuple(vs[i] for i in on), None,
-                cycle=tuple(vs[i] for i in _walk(edges)) if m == 2 else None)
-                for on, edges in _facet_edges(poly))
-        else:
-            if m == 0:
-                vertex_lists = [(p,) for p in vs]
-            elif n == 2:
-                vertex_lists = [tuple(sorted(e)) for e in _ring_edges(poly.cyclic_vertices())]
-            else:
-                vertex_lists = [(vs[i], vs[j]) for i, j in
-                                sorted({e for _, edges in _facet_edges(poly) for e in edges})]
-            out = tuple(ConvexPolytope._from_sorted(poly.frame, vl, None) for vl in vertex_lists)
-        poly._faces[m] = out
+        out = []
+        for on, ring in _face_indices(poly, m):
+            out.append(ConvexPolytope._from_rows(
+                poly.frame, *_reduced(poly._den, [poly._rows[i] for i in on]), None,
+                cycle=ring and tuple(on.index(i) for i in ring)))
+        out = poly._faces[m] = tuple(out)
     return out
+
+
+def _face_indices(poly: ConvexPolytope, m: int):
+    """Per m-face of poly (0 <= m < dim), its sorted vertex indices and, for
+    a facet in space, its ring as such indices (else None).  From the tight
+    sets of a full-dimensional polytope (see _facet_edges): its facets follow
+    facets(), each with its ring in space, walked from its edges, and the
+    edges of a 3-polytope are the union of its facets' edges, sorted.  A
+    polygon in space has the edges of its ring."""
+    n = poly.dim
+    if m == n - 1 and n == poly.frame.dim:
+        return [(on, _walk(edges) if m == 2 else None) for on, edges in _facet_edges(poly)]
+    if m == 0:
+        return [((i,), None) for i in range(len(poly._rows))]
+    if n == 2:
+        return [(tuple(sorted(e)), None) for e in _ring_edges(_ring(poly))]
+    return [(e, None) for e in sorted({e for _, edges in _facet_edges(poly) for e in edges})]
 
 
 def _facet_edges(poly: ConvexPolytope):
@@ -425,10 +430,10 @@ def _walk(edges):
 
 
 def _edges(poly: ConvexPolytope):
-    """The 1-faces of poly, poly itself for a segment, none for a point."""
+    """The vertex index pairs of the 1-faces of poly, of a segment, or none."""
     if poly.dim >= 2:
-        return faces(poly, 1)
-    return (poly,) if poly.dim == 1 else ()
+        return [on for on, _ in _face_indices(poly, 1)]
+    return [(0, 1)] if poly.dim == 1 else []
 
 
 def _ring_edges(ring):
@@ -462,11 +467,11 @@ def _fan(poly: ConvexPolytope):
 
 def volume(poly: ConvexPolytope):
     """Exact lattice-normalized volume (Euclidean volume / sqrt(det G)): sum
-    |det| of the differences of the rows P / V of _int_rows over _fan / n! V^n."""
+    |det| of the differences of the vertex rows P over V over _fan / n! V^n."""
     n = poly.frame.dim
     if poly.dim != n:
         raise PolytopeError("volume requires a full-dimensional polytope")
-    vden, rows = _int_rows(poly)
+    vden, rows = poly._den, poly._rows
     total = 0
     for s in _fan(poly):
         base = rows[s[0]]
@@ -501,7 +506,7 @@ def halfspace_intersection(frame: Frame, halfspaces):
     facets = None
     if _affine_rank(pts) == n:
         facets = tuple(integral(h.covector + (h.offset,)) for h in _tight_halfspaces(n, pts, hs))
-    return ConvexPolytope._from_sorted(frame, tuple(pts), facets)
+    return ConvexPolytope._from_rows(frame, *integral_rows(pts), facets)
 
 
 def _tight_halfspaces(n: int, pts, hs):
@@ -535,11 +540,12 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
     on exactly the facets through both u and w (a supporting hyperplane
     through an interior point of an edge holds the edge), and on h.
 
-    The arithmetic is on ints (_clip): with the vertices P / V of _int_rows
-    and the stored facet (m, (A, C)) of h, the side value of v = P / V is
+    The arithmetic is on ints (_clip): with the vertex rows P over V and
+    the stored facet (m, (A, C)) of h, the side value of v = P / V is
     s = A.P - C V = m V (a.v - c), of the same sign.  The crossing on u -> w
     is u + t (w - u) with t = s_u / (s_u - s_w), that is
-    (s_u W - s_w U) / (V (s_u - s_w)): one Q per coordinate.
+    (s_u W - s_w U) / (V (s_u - s_w)).  The kept rows and the crossings are
+    brought over V L, L the lcm of the s_u - s_w, sorted and reduced.
     """
     return _clip(poly, integral(h.covector + (h.offset,)))
 
@@ -548,7 +554,7 @@ def _clip(poly: ConvexPolytope, facet) -> ConvexPolytope:
     """clip by a stored facet."""
     n = poly.frame.dim
     facets = _facet_pairs(poly)
-    vden, rows = _int_rows(poly)
+    vden, rows = poly._den, poly._rows
     *a, c = facet[1]
     vals = [int_dot(a, p) - c * vden for p in rows]
     if all(s >= 0 for s in vals):
@@ -560,25 +566,25 @@ def _clip(poly: ConvexPolytope, facet) -> ConvexPolytope:
     held = sorted(frozenset().union(*(tight[i] for i in inside)))
     renumber = {k: i for i, k in enumerate(held)}
     on_h = len(held)
-    out = []
-    for v, s, t in zip(poly.vertices, vals, tight):
-        if s > 0:
-            out.append((v, frozenset(renumber[k] for k in t)))
-        elif s == 0:
-            out.append((v, frozenset([on_h, *(renumber[k] for k in t if k in renumber)])))
     outside = [(j, s) for j, s in enumerate(vals) if s < 0]
+    crossings = []
     for i in inside:
         si, u = vals[i], rows[i]
         for j, s in outside:
             common = tight[i] & tight[j]
             if len(common) >= n - 1:
-                den = vden * (si - s)
-                out.append((tuple(Q(si * wk - s * uk, den) for uk, wk in zip(u, rows[j])),
-                            frozenset([on_h, *(renumber[k] for k in common)])))
-    out.sort(key=lambda vt: vt[0])
+                crossings.append((si - s, [si * wk - s * uk for uk, wk in zip(u, rows[j])],
+                                  frozenset([on_h, *(renumber[k] for k in common)])))
+    el = lcm(*(d for d, _, _ in crossings))
+    # a vertex inside keeps its facets, all held, and one on h gains h
+    out = [([el * x for x in p], frozenset([*(renumber[k] for k in t if k in renumber),
+                                            *([on_h] if s == 0 else [])]))
+           for p, s, t in zip(rows, vals, tight) if s >= 0]
+    out += [([el // d * x for x in p], t) for d, p, t in crossings]
+    out.sort(key=itemgetter(0))
     kept = tuple(facets[k] for k in held) + (facet,)
-    return ConvexPolytope._from_sorted(poly.frame, tuple(v for v, _ in out), kept,
-                                       tuple(t for _, t in out))
+    return ConvexPolytope._from_rows(poly.frame, *_reduced(vden * el, [tuple(p) for p, _ in out]),
+                                     kept, tuple(t for _, t in out))
 
 
 def _tight_sets(poly: ConvexPolytope):
@@ -586,10 +592,10 @@ def _tight_sets(poly: ConvexPolytope):
     into facets() of the facets through it, and None for a lower-dimensional
     one; computed once, or carried by the hull, clip, translate and transform."""
     if poly._tight is None and poly._facets is not None:
-        # a.v == c iff A.P == C V for v = P / V (_int_rows) and (A, C) = s (a, c)
-        vden, rows = _int_rows(poly)
+        # a.v == c iff A.P == C V for v = P / V and (A, C) = s (a, c)
+        vden = poly._den
         poly._tight = tuple(frozenset(k for k, s in enumerate(_slacks(poly._facets, vden, p))
-                                      if s == 0) for p in rows)
+                                      if s == 0) for p in poly._rows)
     return poly._tight
 
 
@@ -742,15 +748,6 @@ def _sq_distance(poly: ConvexPolytope, e, xs):
     return Q(num, den * d * e2)
 
 
-def _int_rows(poly: ConvexPolytope):
-    """(V, rows): V > 0 the least common denominator of the vertex
-    coordinates and per vertex the int tuple P = V v, in vertex order;
-    computed once per polytope, or carried by translate and transform."""
-    if poly._ints is None:
-        poly._ints = integral_rows(poly.vertices)
-    return poly._ints
-
-
 def _facet_pairs(poly: ConvexPolytope):
     """The stored facets (s, (A, C)) of a full-dimensional polytope."""
     if poly._facets is None:
@@ -769,7 +766,7 @@ def _quadratic_data(poly: ConvexPolytope):
     """The integer data sq_distance_point reads, computed once per polytope.
 
     With G = H / g (isometry.int_gram, cached per frame) and the vertices
-    v = P / V (_int_rows), every entry below is an integer: the distance
+    v = P / V (the stored rows), every entry below is an integer: the distance
     data over D = g V^2, where D G = V^2 H, D Gv = V HP and D v.Gv = P.HP.
     The tuple holds
     - D and D G;
@@ -781,22 +778,20 @@ def _quadratic_data(poly: ConvexPolytope):
     if poly._quad is None:
         n = poly.frame.dim
         gden, h = int_gram(poly.frame)
-        vden, pts = _int_rows(poly)
-        index = {p: i for i, p in enumerate(poly.vertices)}
+        vden, pts = poly._den, poly._rows
         verts = []
         for p in pts:
             hp = int_mat_vec(h, p)
             verts.append((_scale(vden, hp), int_dot(hp, p)))
         edges = []
-        for f in _edges(poly):
-            iu, iw = index[f.vertices[0]], index[f.vertices[1]]
+        for iu, iw in _edges(poly):
             d = vsub(pts[iw], pts[iu])
             hd = int_mat_vec(h, d)
             edges.append((iu, _scale(vden, hd), int_dot(hd, d), int_dot(hd, pts[iu])))
         polygons = ()
         if n == 3 and poly.dim >= 2:
-            polygons = tuple(_polygon_data(f, h, vden, pts, index)
-                             for f in ([poly] if poly.dim == 2 else faces(poly, 2)))
+            rings = [_ring(poly)] if poly.dim == 2 else [r for _, r in _face_indices(poly, 2)]
+            polygons = tuple(_polygon_data(ring, h, vden, pts) for ring in rings)
         dg = tuple(_scale(vden * vden, row) for row in h)
         poly._quad = (gden * vden * vden, dg, tuple(verts), tuple(edges), polygons)
     return poly._quad
@@ -806,8 +801,9 @@ def _scale(k, u):
     return tuple(k * c for c in u)
 
 
-def _polygon_data(f: ConvexPolytope, h, vden, pts, index):
-    """Plane data of the polygon f in space, over D (see _quadratic_data):
+def _polygon_data(ring, h, vden, pts):
+    """Plane data of the polygon in space with the ring of vertex indices
+    ring, over D (see _quadratic_data):
     the index of o = ring[0], the covectors D a_i = D G e_i of its basis
     e1, e2 = ring[1] - o, ring[2] - o with D a_i.o, the 2x2 Gram
     M = D (e_i.G e_j) of that basis as m11, m12, m22 and its determinant, and
@@ -815,7 +811,6 @@ def _polygon_data(f: ConvexPolytope, h, vden, pts, index):
     _polygon_proj_sq_distance).  In the integer vertex coordinates P = V p
     (V = vden), E_i = V e_i: D a_i = V H E_i, D a_i.o = HE_i.P_o and
     M = E_i.H E_j."""
-    ring = [index[p] for p in f.cyclic_vertices()]
     o = pts[ring[0]]
     e1, e2 = vsub(pts[ring[1]], o), vsub(pts[ring[2]], o)
     h1, h2 = int_mat_vec(h, e1), int_mat_vec(h, e2)

@@ -8,19 +8,19 @@ tolerances.  Only the metric values of distance bounds are floats.
 Validation is one pass of exact facet matching modulo the lattice plus
 unit covolume, and a rejection is explained by what that pass found.
 
-Tile images are compared as integer keys.  Cell tiles are scaled once to
-int vertices X = d x over their least common denominator d, and the image
-of a tiling under x -> L x + t over one common denominator D of X, L and
-t, so each image vertex is A X + b and a lattice translate adds S k, all
-as Python ints.  A key is the least common denominator of a vertex tuple
-followed by its numerators (one gcd per key), so keys formed over
-different denominators are equal exactly when the vertex tuples are; mod
-the lattice, the floor shift (X // d) d of the least vertex is subtracted
-first.  Facet matching keys each facet over its own tile's int rows
-(polytope._int_rows); automorphism checks, the maximal translation
-lattice, image keys and pulled-back patches hash these int tuples, and a
-translation found among them becomes rational again only for its Seitz
-pair.
+Tile images are compared as integer keys.  Each tile stores its vertices
+as reduced int rows (polytope); the cell tiles' rows are brought over
+their common denominator d as X = d x, and the image of a tiling under
+x -> L x + t over one common denominator D of X, L and t, so each image
+vertex is A X + b and a lattice translate adds S k, all as Python ints.
+A key is the reduced form (polytope._reduced, one gcd) of a vertex tuple:
+its least common denominator followed by its numerators, so keys formed
+over different denominators are equal exactly when the vertex tuples are;
+mod the lattice, the floor shift (X // d) d of the least vertex is
+subtracted first.  Facet matching keys each facet over its own tile's
+rows; automorphism checks, the maximal translation lattice, image keys
+and pulled-back patches hash these int tuples, and a translation found
+among them becomes rational again only for its Seitz pair.
 
 The hull of a tiling with crystallographic automorphism group Aut(T) is,
 as a topological space with its isometry action, the group quotient
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from operator import add, sub
 
 from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil
@@ -79,7 +78,7 @@ from .polytope import (
     ConvexPolytope,
     _centroid,
     _facet_edges,
-    _int_rows,
+    _reduced,
     _sq_distance,
     congruent,
     volume,
@@ -117,8 +116,8 @@ class PeriodicTiling:
 
 
 def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
-    """Translate by a lattice vector so the least vertex lies in [0,1)^n."""
-    shift = tuple(-math.floor(c) for c in tile.vertices[0])
+    """Translate by a lattice vector so the least vertex P / V lies in [0,1)^n."""
+    shift = tuple(-(c // tile._den) for c in tile._rows[0])
     return tile.translate(shift) if any(shift) else tile
 
 
@@ -192,7 +191,7 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
         problems.append(f"cell volumes sum to {rat_str(total)}, expected 1")
     held = {}
     for i, t in enumerate(tiles):
-        vden, rows = _int_rows(t)  # a facet's vertices are rows of its tile
+        vden, rows = t._den, t._rows  # a facet's vertices are rows of its tile
         for (on, _), (_, ac) in zip(_facet_edges(t), t._facets):
             held.setdefault(_lattice_key(vden, [rows[j] for j in on]), []).append((i, ac[:-1], on))
     # facets with one vertex set lie in one hyperplane, so their (int) covectors
@@ -224,20 +223,17 @@ def _int_vertices(tiles):
     """(d, cells): d > 0 the least common denominator of every vertex
     coordinate of the tiles, and per tile its vertices X = d x as int
     tuples, in the tile's (sorted) order."""
-    d, pts = integral_rows([p for t in tiles for p in t.vertices])
-    pts = iter(pts)
-    return d, tuple(tuple(islice(pts, len(t.vertices))) for t in tiles)
+    d = math.lcm(*(t._den for t in tiles))
+    return d, tuple(tuple(tuple(d // t._den * c for c in p) for p in t._rows) for t in tiles)
 
 
 def _key(d, flat):
     """The key of the vertex tuple whose coordinates, in order, are
     flat / d (ints, d > 0): the least common denominator and the
-    numerators over it, (d / g, flat / g) with g = gcd(d, *flat).  Two keys
-    are equal exactly when their vertex tuples are, whatever d each was
-    formed over."""
-    flat = tuple(flat)
-    g = math.gcd(d, *flat)
-    return (d,) + flat if g == 1 else (d // g,) + tuple(c // g for c in flat)
+    numerators over it (polytope._reduced).  Two keys are equal exactly
+    when their vertex tuples are, whatever d each was formed over."""
+    d, (flat,) = _reduced(d, (tuple(flat),))
+    return (d,) + flat
 
 
 def _lattice_key(d, pts):
@@ -674,10 +670,12 @@ class WitnessError(ValueError):
 
 
 def verify_witness(bound: DistanceBound) -> bool:
-    """Re-verify a distance witness exactly (patch equality + size caps)."""
+    """Re-verify a distance witness exactly (rational radius, size caps, patch equality)."""
     if bound.witness is None:
         return True
     phi, psi, radius, glob = bound.witness
+    if isinstance(radius, bool) or not isinstance(radius, (int, Q)):
+        return False
     if not _size_cap(phi, psi, bound.origin, radius):
         return False
     if glob:

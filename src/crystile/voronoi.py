@@ -32,10 +32,10 @@ denominator D of x0 and the sites, D^2 E |s - x0|^2 = y.(EG)y for
 y = D s - D x0, with EG the frame's integer Gram matrix over its
 denominator E (isometry.int_gram), the form groups.lattice_points_in_ball
 tests.  Each bisector is formed from y and (EG)y as an int facet pair
-(polytope).  clip reads each cell's int vertex rows (polytope._int_rows),
-and rho^2 is read off the same rows after each cut that changes the cell.
-Q values are formed only for the results: one per crossing coordinate and
-site coordinate, and rho^2 once.
+(polytope).  The box corners are int rows over the denominator of x0,
+clip reads and emits the stored rows of each cell, and rho^2 is read off
+them after each cut that changes the cell.  Q values are formed only for
+the results: one per site coordinate, and rho^2 once.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
-from .rational import ONE, Q, ZERO, isqrt_ceil, rat
+from .rational import Q, isqrt_ceil, rat
 from .linalg import (Vec, int_dot, int_mat_vec, integral, integral_rows, is_integral_vec,
                      mat_vec, vadd, vec, vsub)
 from .isometry import Frame, Isometry, _inv_gram_diag, int_gram
 from .groups import CrystalGroup, orbit_in_ball, stabilizer
-from .polytope import (ConvexPolytope, HalfSpace, _clip, _halfspace, _int_rows, _reduced_facet,
-                       _slacks, halfspace_intersection)
+from .polytope import (ConvexPolytope, HalfSpace, _clip, _halfspace, _reduced_facet, _slacks,
+                       halfspace_intersection)
 
 
 class DegenerateSiteError(ValueError):
@@ -125,22 +125,23 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
     ordered by the integers y.(EG)y for y = D (s - x0), D the common
     denominator of x0 and the sites and EG the integer Gram matrix over E
     of isometry.int_gram, and each bisector is formed from y and (EG)y
-    (_bisector).  rho2 is read off the cell's int vertex rows P / V
-    (polytope._int_rows): over L = lcm(V, D), Y = (L / V) P - (L / D) D x0
+    (_bisector).  rho2 is read off the cell's stored vertex rows P over V
+    (polytope): over L = lcm(V, D), Y = (L / V) P - (L / D) D x0
     gives E L^2 |v - x0|^2 = Y.(EG)Y, and the stop compares the keys with
     the least integer at or above 4 D^2 E rho2.  One Q, rho2, is formed at
     the end."""
     n = frame.dim
     widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
+    f, xs = integral(x0)
+    ends = [(c - f * w, c + f * w) for c, w in zip(xs, widths)]
     box_facets = []
-    for i, (c, w) in enumerate(zip(x0, widths)):
-        e = tuple(ONE if j == i else ZERO for j in range(n))
-        box_facets += [integral(e + (c - w,)), integral(tuple(-x for x in e) + (-c - w,))]
-    corners = product(*((c - w, c + w) for c, w in zip(x0, widths)))
+    for i, (lo, hi) in enumerate(ends):
+        e = [f if j == i else 0 for j in range(n)]
+        box_facets += [_reduced_facet(f, (*e, lo)), _reduced_facet(f, (*(-a for a in e), -hi))]
     # the corner taking the low (b = 0) or high (b = 1) end on axis i lies on box facet 2i + b
     tight = tuple(frozenset(2 * i + b for i, b in enumerate(bits))
                   for bits in product((0, 1), repeat=n))
-    cell = ConvexPolytope._from_sorted(frame, tuple(corners), tuple(box_facets), tight)
+    cell = ConvexPolytope._from_rows(frame, f, tuple(product(*ends)), tuple(box_facets), tight)
     e, eg = int_gram(frame)
     d, (dx0, *ds) = integral_rows((x0, *sites))
     ordered = []
@@ -151,7 +152,7 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
 
     def sq_circumradius(poly):
         """(num, L): E L^2 rho2 = num, over L = lcm(V, D)."""
-        vden, rows = _int_rows(poly)
+        vden, rows = poly._den, poly._rows
         el = lcm(vden, d)
         a, b = el // vden, el // d
         bx0 = [b * c for c in dx0]

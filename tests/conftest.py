@@ -19,6 +19,7 @@ from crystile.linalg import (
     Vec,
     identity_mat,
     integral,
+    integral_rows,
     is_integral,
     is_integral_mat,
     mat,
@@ -156,13 +157,21 @@ def facet_key_set(halfspaces):
     return frozenset(map(_halfspace_key, halfspaces))
 
 
+def from_vertices(frame, vertices, facets, tight=None):
+    """The polytope on exact, distinct, sorted Q vertices, as is, with its
+    stored facet pairs (or None) and tight sets: its vertices scaled to the
+    reduced int rows the kernel stores.  The one place the reference code
+    below and in the oracles hands Q vertices to the kernel."""
+    return ConvexPolytope._from_rows(frame, *integral_rows(vertices), facets, tight)
+
+
 def with_halfspaces(frame, vertices, halfspaces, tight=None):
-    """ConvexPolytope._from_sorted with the facets given as HalfSpaces (or
-    None), stored as the kernel stores them: the one place the reference
-    code below and in the oracles hands HalfSpaces to the kernel."""
+    """from_vertices with the facets given as HalfSpaces (or None), stored
+    as the kernel stores them: the one place the reference code below and
+    in the oracles hands HalfSpaces to the kernel."""
     facets = None if halfspaces is None else tuple(
         integral(h.covector + (h.offset,)) for h in halfspaces)
-    return ConvexPolytope._from_sorted(frame, vertices, facets, tight)
+    return from_vertices(frame, vertices, facets, tight)
 
 
 def halfspaces(poly):
@@ -323,7 +332,7 @@ def bare(frame, points, facets=None):
     when none are given."""
     pts = tuple(sorted(set(map(vec, points))))
     if facets is None and _affine_rank(pts) == frame.dim:
-        facets = recovered_facets(frame, ConvexPolytope._from_sorted(frame, pts, None))
+        facets = recovered_facets(frame, from_vertices(frame, pts, None))
     return with_halfspaces(frame, pts, facets)
 
 

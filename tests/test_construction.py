@@ -25,7 +25,8 @@ from crystile.construction import (
     generic_apex,
 )
 
-from conftest import bare, facet_key_set, old_cone, recovered_facets, seed0_construction
+from conftest import (bare, facet_key_set, from_vertices, old_cone, recovered_facets,
+                      seed0_construction)
 
 
 @pytest.fixture
@@ -313,7 +314,7 @@ def test_carried_tight_sets_match_recomputation(name):
     tiles = voronoi_tiling(g, generic_point(g, 0)).cell_tiles + seed0_construction(name).cell_tiles
     for t in tiles:
         assert t._tight is not None
-        fresh = ConvexPolytope._from_sorted(t.frame, t.vertices, t._facets)
+        fresh = from_vertices(t.frame, t.vertices, t._facets)
         assert t._tight == polytope._tight_sets(fresh)
 
 

@@ -113,6 +113,14 @@ def test_preset_hex_gram():
     assert preset("p6m").frame.gram == ((1, Q(-1, 2)), (Q(-1, 2), 1))
 
 
+def test_presets_share_one_frame_per_gram():
+    # standard_frame and hexagonal_frame are cached, so the lru caches keyed
+    # by frames match them by identity instead of comparing Gram entries
+    assert preset("p4").frame is preset("pmm").frame
+    assert preset("p3").frame is preset("p6m").frame
+    assert preset("P1").frame is preset("Pm-3m").frame
+
+
 def test_preset_unknown():
     with pytest.raises(KeyError):
         preset("p5")

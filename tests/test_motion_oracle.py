@@ -57,14 +57,13 @@ from crystile.polytope import (
     HalfSpace,
     PolytopeError,
     _facet_edges,
-    _int_rows,
     faces,
     volume,
 )
 from crystile.rational import Q, ZERO
 from crystile.voronoi import cell_with_certificate
 
-from conftest import halfspaces, seed0_construction, with_halfspaces
+from conftest import from_vertices, halfspaces, seed0_construction, with_halfspaces
 
 
 # --- the Fraction motion, verbatim ------------------------------------------------
@@ -152,13 +151,13 @@ def old_volume(poly: ConvexPolytope):
 def copy(poly: ConvexPolytope) -> ConvexPolytope:
     """The polytope afresh, with no cache filled, so that the old and the new
     motion each compute what they read."""
-    return ConvexPolytope._from_sorted(poly.frame, poly.vertices, poly._facets)
+    return from_vertices(poly.frame, poly.vertices, poly._facets)
 
 
 def assert_int_forms(image: ConvexPolytope):
     # each stored facet pair is the scaling of the HalfSpace built from it,
     # so the stored form is canonical: no denominator is left unreduced
-    assert _int_rows(image) == integral_rows(image.vertices)
+    assert (image._den, image._rows) == integral_rows(image.vertices)
     if image._facets is not None:
         assert image._facets == tuple(integral(h.covector + (h.offset,))
                                       for h in image.facets())

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,13 +8,15 @@ from hypothesis import assume, given, settings, strategies as st
 from crystile import polytope as polytope_mod
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vdot, vsub
-from crystile.isometry import Isometry, standard_frame
+from crystile.construction import _cone
+from crystile.isometry import Isometry, inverse, standard_frame
 from crystile.groups import orbit_in_ball, preset, stabilizer
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     InteriorOverlapError,
     PolytopeError,
+    _centroid,
     _cross,
     clip,
     congruent,
@@ -388,3 +392,70 @@ def test_entry_points_refuse_points_of_the_wrong_length(unit_square, entry, x):
     group = preset("p2")
     with pytest.raises(ValueError, match=f"expected a 2-vector, got {len(x)} entries"):
         ENTRY_POINTS[entry](unit_square, seed0_construction("p2"), group, x)
+
+
+@st.composite
+def cut_boxes(draw):
+    """(frame, box, cut): a box with rational corners in 2 or 3 dimensions and
+    a halfspace through its centre, which keeps part of its interior."""
+    n = draw(st.sampled_from([2, 3]))
+    frac = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
+    lo = [draw(frac) for _ in range(n)]
+    hi = [a + draw(st.builds(Q, st.integers(1, 9), st.integers(1, 7))) for a in lo]
+    frame = standard_frame(n)
+    box = ConvexPolytope(frame, [tuple(c) for c in product(*zip(lo, hi))])
+    a = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    assume(any(a))
+    c = vdot(a, _centroid(box.vertices)) + draw(frac) / 16
+    assume(any(vdot(a, v) > c for v in box.vertices))
+    return frame, box, HalfSpace(a, c)
+
+
+def _sorted_by_rows(polys):
+    den = math.lcm(*(p._den for p in polys))
+    return sorted(polys, key=lambda p: tuple(tuple(den // p._den * c for c in r) for r in p._rows))
+
+
+@given(cut_boxes(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_build_paths_give_one_canonical_form(case, data):
+    # vertex input, a rational translate and back, a lattice isometry and
+    # back, a clip that cuts nothing and a face of a cone build one vertex
+    # set as one (V, rows): equal, hashed equally, with the same Q vertices
+    frame, box, h = case
+    poly = clip(box, h)
+    n = frame.dim
+    frac = st.builds(Q, st.integers(-9, 9), st.integers(1, 7))
+    v = tuple(data.draw(frac) for _ in range(n))
+    perm = data.draw(st.permutations(range(n)))
+    signs = [data.draw(st.sampled_from([1, -1])) for _ in range(n)]
+    iso = Isometry(frame, tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n))
+                                for i in range(n)), v)
+    far = HalfSpace((1,) + (0,) * (n - 1), poly.bounding_box()[0][0] - 1)
+    paths = [poly,
+             ConvexPolytope(frame, poly.vertices),
+             poly.translate(v).translate(tuple(-x for x in v)),
+             poly.transform(iso).transform(inverse(iso)),
+             clip(poly, far)]
+    for p in paths:
+        assert p == poly and hash(p) == hash(poly)
+        assert p.vertices == poly.vertices and (p._den, p._rows) == (poly._den, poly._rows)
+    apex = _centroid(poly.vertices)
+    facet_faces = faces(poly, n - 1)
+    for p in paths:
+        assert set(faces(p, n - 1)) == set(facet_faces)
+    for face, h in zip(facet_faces, poly._facets):
+        for f in (faces(_cone(face, h, apex), n - 1)[0], ConvexPolytope(frame, face.vertices)):
+            assert f == face and hash(f) == hash(face) and f.vertices == face.vertices
+    # the stored rows order polytopes as their Q vertices do, over one denominator
+    polys = [poly, *faces(poly, n - 1), *faces(poly, 1), poly.translate(v), poly.transform(iso)]
+    assert sorted(polys, key=lambda p: p.vertices) == _sorted_by_rows(polys)
+
+
+def test_p222_delone_params_forms_no_q_in_the_kernel(count_calls):
+    # clip forms each crossing as int rows over one new denominator, and the
+    # box corners are int rows, so the localization makes no polytope.Q call
+    calls = count_calls(polytope_mod, "Q")
+    cert = delone_params(preset("P222"), (Q(18, 47), Q(29, 43), Q(12, 19)))
+    assert cert.min_sq_distance > 0
+    assert calls == []

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -456,6 +457,20 @@ def test_verify_witness_refuses_a_radius_that_is_not_positive(square_tiling, fra
         bound = DistanceBound((Q(0), Q(0)), 0.0, witness=(one, one, radius, glob),
                               tiling_a=square_tiling, tiling_b=square_tiling)
         assert verify_witness(bound) is False
+
+
+@pytest.mark.parametrize("glob", [True, False], ids=["global", "patch"])
+@pytest.mark.parametrize("radius", ["float", 0.5, "1/2"], ids=["float(r)", "0.5", "str"])
+def test_verify_witness_refuses_a_radius_that_is_not_an_exact_rational(square_tiling, frame2,
+                                                                         radius, glob):
+    # the patch path raised TypeError on these radii and the global path
+    # accepted them; both refuse a radius that is not an int or a Q
+    shifted = transform_tiling(square_tiling, translation_iso(frame2, (Q(1, 10), Q(1, 7))))
+    bound = distance_upper_bound((0, 0), square_tiling, shifted)
+    phi, psi, r, _ = bound.witness
+    assert verify_witness(bound) and type(r) is Q
+    bad = float(r) if radius == "float" else radius
+    assert verify_witness(replace(bound, witness=(phi, psi, bad, glob))) is False
 
 
 def _skew_shift_bound(square_tiling, frame2):
