@@ -43,9 +43,13 @@ held as Python ints over one common denominator D per polytope:
 sq_distance_point scales x once to an integer vector over its denominator
 and runs every test in integers (_sq_distance, which the patch query calls
 with its own int points), comparing rational candidates by
-cross-multiplying; it forms one Q, the distance, per call.  A distance
-costs one x.Gx, one dot per vertex and edge, and in space one 2x2 solve by
-Cramer's rule per facet whose plane x lies beyond.
+cross-multiplying.  _sq_distance returns the distance as an int pair, which
+the patch query compares with its radius by cross-multiplying too;
+sq_distance_point forms one Q from it per call.  A distance costs one
+x.Gx, one dot per vertex and edge, and in space one 2x2 solve by Cramer's
+rule per facet whose plane x lies beyond.  The patch query also reads each
+tile's vertex centroid and the squared radius about it that holds the
+tile (_centroid_ball), once per polytope from its rows.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ class ConvexPolytope:
     """
 
     __slots__ = ("frame", "_den", "_rows", "_vertices", "_facets", "_dim", "_bbox", "_cycle",
-                 "_faces", "_quad", "_tight", "_hash")
+                 "_faces", "_quad", "_reach", "_tight", "_hash")
 
     def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
@@ -151,6 +155,7 @@ class ConvexPolytope:
         self._cycle = cycle
         self._faces = None
         self._quad = None
+        self._reach = None
         self._tight = tight
         self._hash = None
 
@@ -709,21 +714,22 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
 def sq_distance_point(poly: ConvexPolytope, x):
     """Exact squared Gram distance from a point to the polytope (see
     _sq_distance)."""
-    return _sq_distance(poly, *integral(vec(x, poly.frame.dim)))
+    return Q(*_sq_distance(poly, *integral(vec(x, poly.frame.dim))))
 
 
 def _sq_distance(poly: ConvexPolytope, e, xs):
-    """sq_distance_point at x = xs / e, for an int vector xs and an int e > 0.
+    """The squared distance from x = xs / e to the polytope, for an int
+    vector xs and an int e > 0, as an int pair (num, den), den > 0, of
+    value num / den: (0, 1) when the polytope holds x.
 
     Runs on the integer quadratic data of _quadratic_data (denominator D):
     every test below is an integer sign test, and a candidate num / den
     (den > 0) stands for the distance num / (den D e^2), so candidates
-    compare by cross-multiplying.  One Q is formed at the end, or ZERO is
-    returned when the polytope holds x."""
+    compare by cross-multiplying.  No Q is formed."""
     d, dg, verts, edges, polygons = _quadratic_data(poly)
     slack = poly._facets and _slacks(poly._facets, e, xs)
     if slack and all(s >= 0 for s in slack):
-        return ZERO
+        return 0, 1
     e2 = e * e
     xgx = int_dot(int_mat_vec(dg, xs), xs)
     # D e^2 |x - v|^2 = X.(D G)X - 2e (D Gv).X + e^2 D v.Gv
@@ -745,7 +751,7 @@ def _sq_distance(poly: ConvexPolytope, e, xs):
             cand = _polygon_proj_sq_distance(data, xs, e, dist)
             if cand is not None and cand[0] * den < num * cand[1]:
                 num, den = cand
-    return Q(num, den * d * e2)
+    return num, den * d * e2
 
 
 def _facet_pairs(poly: ConvexPolytope):
@@ -795,6 +801,23 @@ def _quadratic_data(poly: ConvexPolytope):
         dg = tuple(_scale(vden * vden, row) for row in h)
         poly._quad = (gden * vden * vden, dg, tuple(verts), tuple(edges), polygons)
     return poly._quad
+
+
+def _centroid_ball(poly: ConvexPolytope):
+    """(w, S, rho2), computed once per polytope from its rows: the vertex
+    centroid q = S / w (S an int vector, w > 0 an int) and the exact rho2,
+    the largest squared distance from q to a vertex.  With the m rows
+    P_i = V v_i and G = H / g (isometry.int_gram), q = S / (V m) for
+    S = sum P_i, and rho2 = max (m P_i - S).H(m P_i - S) / (g V^2 m^2)."""
+    if poly._reach is None:
+        gden, h = int_gram(poly.frame)
+        pts, m = poly._rows, len(poly._rows)
+        s = tuple(map(sum, zip(*pts)))
+        far = max(int_dot(int_mat_vec(h, u), u)
+                  for u in ([m * c - sc for c, sc in zip(p, s)] for p in pts))
+        w = poly._den * m
+        poly._reach = (w, s, Q(far, gden * w * w))
+    return poly._reach
 
 
 def _scale(k, u):

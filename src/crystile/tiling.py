@@ -40,7 +40,6 @@ from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
-    gram_norm2,
     hermite_column_basis,
     identity_mat,
     int_dot,
@@ -68,15 +67,15 @@ from .isometry import (
 )
 from .groups import (
     CrystalGroup,
+    _ball,
     _canon_seitz,
     conjugacy_search,
     is_conjugate_subgroup,
     lattice_isometries,
-    lattice_points_in_ball,
 )
 from .polytope import (
     ConvexPolytope,
-    _centroid,
+    _centroid_ball,
     _facet_edges,
     _reduced,
     _sq_distance,
@@ -277,23 +276,26 @@ class Patch:
 
 
 def _tiles_near(tiling: PeriodicTiling, center, r2):
-    """Yield (squared distance, cell tile t, lattice vector k) for each tile
-    t + k within r2 of center.  t lies within rho of its vertex centroid q,
+    """Yield ((num, den), cell tile t, lattice vector k) for each tile t + k
+    whose squared distance num / den (ints, den > 0) to center is <= r2, for
+    a rational r2 >= 0 (at r2 = 0, the tiles that hold center).  t lies
+    within rho of its vertex centroid q = S / w (polytope._centroid_ball),
     so only k within r + rho of center - q qualify; the ball query takes an
-    exact bound >= (r + rho)^2, as r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2).
-    The ball query yields k as int tuples, and each test point c - k goes to
-    the int body of sq_distance_point as e c - e k over the centre's least
-    common denominator e."""
+    exact bound >= (r + rho)^2, as r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2),
+    which is rho2 at r2 = 0.  Over the centre's least common denominator e,
+    the ball query gets c - q as (w ec - e S) / (e w) and yields k as int
+    tuples, and each test point c - k goes to polytope._sq_distance as
+    e c - e k; its pair is compared with r2 by cross-multiplying."""
     e, ec = integral(center)
+    rn, rd = r2.numerator, r2.denominator
     for t in tiling.cell_tiles:
-        q = _centroid(t.vertices)
-        rho2 = max(gram_norm2(tiling.frame.gram, vsub(v, q)) for v in t.vertices)
+        w, s, rho2 = _centroid_ball(t)
         bound = r2 + rho2 + 2 * min((r2 + rho2) / 2, isqrt_ceil(r2 * rho2))
-        for k in lattice_points_in_ball(tiling.frame, vsub(center, q), bound):
+        for k in _ball(tiling.frame, e * w, [w * c - e * si for c, si in zip(ec, s)], bound):
             # dist(t + k, c) = dist(t, c - k): test the cell tile, whose caches persist
-            d2 = _sq_distance(t, e, tuple(c - e * ki for c, ki in zip(ec, k)))
-            if d2 <= r2:
-                yield d2, t, k
+            num, den = _sq_distance(t, e, tuple(c - e * ki for c, ki in zip(ec, k)))
+            if num * rd <= rn * den:
+                yield (num, den), t, k
 
 
 def patch(tiling: PeriodicTiling, center, r2) -> Patch:
@@ -308,11 +310,11 @@ def patch(tiling: PeriodicTiling, center, r2) -> Patch:
 
 
 def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
-    """{_key of the vertex tuple: squared distance} of the tiles of iso(T)
-    within r2 of center: they are iso(t + k) = iso(t) + L k for the tiles
-    t + k of T within r2 of iso^-1(center), L the linear part of iso.  Each
-    cell tile's image is sorted once, as ints over one denominator; a
-    translate keeps that order and adds S k to every vertex."""
+    """{_key of the vertex tuple: exact squared distance} of the tiles of
+    iso(T) within r2 (>= 0) of center: they are iso(t + k) = iso(t) + L k for
+    the tiles t + k of T within r2 of iso^-1(center), L the linear part of
+    iso.  Each cell tile's image is sorted once, as ints over one
+    denominator; a translate keeps that order and adds S k to every vertex."""
     d, s, images = _int_image(tiling, iso)
     flat = {t: (tuple(c for p in pts for c in p), len(pts))
             for t, pts in zip(tiling.cell_tiles, images)}
@@ -320,7 +322,7 @@ def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
     for d2, t, k in _tiles_near(tiling, inverse(iso)(center), r2):
         base, m = flat[t]
         shift = int_mat_vec(s, k)
-        out[_key(d, map(add, base, shift * m))] = d2
+        out[_key(d, map(add, base, shift * m))] = Q(*d2)
     return out
 
 
@@ -586,13 +588,21 @@ def _pair_match_radius(t1, phi, t2, psi, origin):
     """(largest certified radius on the grid cap j / 2^16, global flag) for
     one witness pair.  The radius is at most the pair's size cap; a global
     flag marks exact equality of the transformed tilings, which certifies
-    patch equality at every radius."""
+    patch equality at every radius.
+
+    The patches are compared from the centre out: first the tiles that hold
+    the origin (r2 = 0), then, if those agree, one patch pair at the cap.
+    A tile's distance to the origin does not depend on the query radius, so
+    the keys that differ at r2 = 0 are the keys that differ at the cap at
+    distance 0; when there are any, the cap comparison's radius is 0."""
     size_cap = _pair_size_cap(phi, psi, origin)
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
         # safe to compare the transformed tilings globally: no basis
         # re-expression is involved, so equality is equality in the plane
         if _image_keys(t1, phi) == _image_keys(t2, psi):
             return size_cap, True
+    if _pulled_back(t1, phi, origin, 0).keys() != _pulled_back(t2, psi, origin, 0).keys():
+        return ZERO, False
     cap = min(size_cap, PATCH_ENUM_RADIUS)
     a = _pulled_back(t1, phi, origin, cap * cap)
     b = _pulled_back(t2, psi, origin, cap * cap)

@@ -10,6 +10,14 @@ tile) from random and boundary points to every cell tile of four seed-0
 constructions, to a square shifted as the metric benchmark shifts it and
 to a parallelepiped in a bcc frame, and ball lists, in order, in frames
 with rational Gram entries.
+
+old_tiles_near is the patch query that took each cell tile's centroid and
+radius in Fractions on every call and compared each distance with r2 as a
+Fraction; it is kept verbatim (apart from its name, and its distance call
+forming the Q from the int pair) and compared with the query that reads
+them once per tile and compares int pairs: the yielded (d2, tile, k)
+streams must be equal, in order, on every preset's seed-0 construction and
+Voronoi tiling.
 """
 
 import math
@@ -17,11 +25,31 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crystile.groups import lattice_points_in_ball
+from crystile.groups import PRESET_NAMES, generic_point, lattice_points_in_ball, preset
 from crystile.isometry import Frame, _inv_gram_diag, hexagonal_frame, standard_frame
-from crystile.linalg import enumerate_box, gram_norm2, mat_vec, solve_linear, vadd, vdot, vec, vsub
-from crystile.polytope import ConvexPolytope, _centroid, _ring_edges, faces, sq_distance_point
+from crystile.linalg import (
+    enumerate_box,
+    gram_norm2,
+    integral,
+    mat_vec,
+    solve_linear,
+    vadd,
+    vdot,
+    vec,
+    vsub,
+)
+from crystile.polytope import (
+    ConvexPolytope,
+    _centroid,
+    _centroid_ball,
+    _ring_edges,
+    _sq_distance,
+    faces,
+    sq_distance_point,
+)
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
+from crystile.tiling import _tiles_near
+from crystile.voronoi import voronoi_tiling
 
 from conftest import bare, old_ring, seed0_construction
 
@@ -255,3 +283,54 @@ def test_integer_ball_test_keeps_the_sphere(name):
         ball = lattice_points_in_ball(frame, center, r2)
         assert vec(k) in ball
         assert ball == old_lattice_points_in_ball(frame, center, r2)
+
+
+# --- patch queries ------------------------------------------------------------------------
+
+def q_sq_distance(t, e, xs):
+    return Q(*_sq_distance(t, e, xs))
+
+
+def old_tiles_near(tiling, center, r2):
+    """Yield (squared distance, cell tile t, lattice vector k) for each tile
+    t + k within r2 of center.  t lies within rho of its vertex centroid q,
+    so only k within r + rho of center - q qualify; the ball query takes an
+    exact bound >= (r + rho)^2, as r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2).
+    The ball query yields k as int tuples, and each test point c - k goes to
+    the int body of sq_distance_point as e c - e k over the centre's least
+    common denominator e."""
+    e, ec = integral(center)
+    for t in tiling.cell_tiles:
+        q = _centroid(t.vertices)
+        rho2 = max(gram_norm2(tiling.frame.gram, vsub(v, q)) for v in t.vertices)
+        bound = r2 + rho2 + 2 * min((r2 + rho2) / 2, isqrt_ceil(r2 * rho2))
+        for k in lattice_points_in_ball(tiling.frame, vsub(center, q), bound):
+            # dist(t + k, c) = dist(t, c - k): test the cell tile, whose caches persist
+            d2 = q_sq_distance(t, e, tuple(c - e * ki for c, ki in zip(ec, k)))
+            if d2 <= r2:
+                yield d2, t, k
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_patch_query_matches_fraction_centroids(name):
+    # r2 = 0 keeps the tiles that hold the centre, as the witness search
+    # asks first; the int pairs are the Fraction distances
+    g = preset(name)
+    tilings = (seed0_construction(name), voronoi_tiling(g, generic_point(g, 0)))
+    for tiling in tilings:
+        for t in tiling.cell_tiles:
+            w, s, rho2 = _centroid_ball(t)
+            q = _centroid(t.vertices)
+            assert tuple(Q(c, w) for c in s) == q
+            assert rho2 == max(gram_norm2(t.frame.gram, vsub(v, q)) for v in t.vertices)
+    radii = [ZERO, Q(1, 7), Q(1), Q(2)] if g.dim == 2 else [ZERO, Q(1, 9), Q(1, 2)]
+
+    @given(points(g.dim, -2, 2))
+    @settings(max_examples=6 if g.dim == 2 else 2, deadline=None)
+    def check(center):
+        for tiling in tilings:
+            for r2 in radii:
+                new = [(Q(*d2), t, k) for d2, t, k in _tiles_near(tiling, center, r2)]
+                assert new == list(old_tiles_near(tiling, center, r2))
+
+    check()

@@ -8,6 +8,7 @@ import pytest
 
 from crystile.rational import Q
 from crystile import linalg as linalg_mod
+from crystile import tiling as tiling_mod
 from crystile.linalg import vdot, vsub
 from crystile.isometry import (
     Isometry,
@@ -471,6 +472,20 @@ def test_verify_witness_refuses_a_radius_that_is_not_an_exact_rational(square_ti
     assert verify_witness(bound) and type(r) is Q
     bad = float(r) if radius == "float" else radius
     assert verify_witness(replace(bound, witness=(phi, psi, bad, glob))) is False
+
+
+def test_shift_bound_stops_at_the_centre_when_it_differs(square_tiling, frame2, count_calls):
+    # the identity pair differs among the tiles that hold the origin (four
+    # squares about a vertex against one square), so it reads only the ball
+    # queries at r2 = 0; the half-shift pairs match globally.  Reading the
+    # identity pair at the cap took 491 distance tests
+    shifted = transform_tiling(square_tiling, translation_iso(frame2, (Q(1, 10), Q(1, 7))))
+    queries = count_calls(tiling_mod, "_tiles_near")
+    tests = count_calls(tiling_mod, "_sq_distance")
+    b = distance_upper_bound((0, 0), square_tiling, shifted)
+    assert b.witness[2:] == (Q(604462909807314587353088, 105405858945874438079495), True)
+    assert b.upper == 0.16073980884897737
+    assert (len(queries), len(tests)) == (2, 6)
 
 
 def _skew_shift_bound(square_tiling, frame2):

@@ -7,6 +7,11 @@ old_pair_match_radius taking its size cap from the exact _pair_size_cap in
 place of the float one) and compared with the one-patch-pair search: every
 witness must agree in its radius (the same rational), its global flag and
 its upper bound.
+
+`cap_pair_match_radius` is the search that read one patch pair at the cap
+for every pair, kept verbatim (apart from its name); the search that first
+compares the tiles holding the origin must return the same (radius, flag)
+with two ball queries when they differ and four when they agree.
 """
 
 import random
@@ -14,19 +19,29 @@ import sys
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crystile import tiling as tiling_mod
 from crystile.groups import generic_point, preset
-from crystile.isometry import inverse, standard_frame, translation_iso
+from crystile.isometry import (
+    Isometry,
+    identity_iso,
+    inverse,
+    rational_givens,
+    standard_frame,
+    translation_iso,
+)
 from crystile.linalg import vec
 from crystile.polytope import ConvexPolytope, sq_distance_point
-from crystile.rational import Q, ZERO, rat
+from crystile.rational import Q, ZERO, isqrt_ceil, rat
 from crystile.tiling import (
     PATCH_ENUM_RADIUS,
     Patch,
+    _image_keys,
     _normalizes_lattice,
     _pair_match_radius,
     _pair_size_cap,
+    _pulled_back,
     default_candidates,
     distance_upper_bound,
     patch,
@@ -211,10 +226,103 @@ def test_pulled_back_keys_match_transformed_patches():
 
 def test_non_global_pair_runs_two_ball_queries(count_calls):
     # the bisection built 2 patches at the cap and 2 more for each of its
-    # 16 rounds (34 in all); the search now reads one pair at the cap
+    # 16 rounds (34 in all); the tiles of A and B that hold (1/4, 1/4) are
+    # the same, so the search reads that pair at r2 = 0 and then one pair
+    # at the cap: 4 ball queries
     calls = count_calls(tiling_mod, "_tiles_near")
     a, b = FIXTURES["A"], FIXTURES["B"]
     phi, psi = default_candidates(a, b, (0, 0))[0]
     radius, glob = _pair_match_radius(a, phi, b, psi, (Q(1, 4), Q(1, 4)))
     assert (radius, glob) == (Q(181, 512), False)
-    assert len(calls) == 2
+    assert len(calls) == 4
+
+
+# --- the cap-only search ---------------------------------------------------------
+
+def cap_pair_match_radius(t1, phi, t2, psi, origin):
+    """(largest certified radius on the grid cap j / 2^16, global flag) for
+    one witness pair.  The radius is at most the pair's size cap; a global
+    flag marks exact equality of the transformed tilings, which certifies
+    patch equality at every radius."""
+    size_cap = _pair_size_cap(phi, psi, origin)
+    if _normalizes_lattice(phi) and _normalizes_lattice(psi):
+        # safe to compare the transformed tilings globally: no basis
+        # re-expression is involved, so equality is equality in the plane
+        if _image_keys(t1, phi) == _image_keys(t2, psi):
+            return size_cap, True
+    cap = min(size_cap, PATCH_ENUM_RADIUS)
+    a = _pulled_back(t1, phi, origin, cap * cap)
+    b = _pulled_back(t2, psi, origin, cap * cap)
+    diff = a.keys() ^ b.keys()
+    if not diff:
+        return cap, False
+    # the patches agree at radius r exactly when r^2 < m (m <= cap^2), so the
+    # largest such r on the grid is cap j / 2^16 with j^2 < m 2^32 / cap^2
+    m = min(d for key, d in (a | b).items() if key in diff)
+    j = max(isqrt_ceil(m * (1 << 32) / (cap * cap)) - 1, 0)
+    return cap * j / (1 << 16), False
+
+
+def same_as_cap_search(t1, phi, t2, psi, origin):
+    """The pair's (radius, flag), checked equal to the cap-only search's in
+    value and type, and the number of ball queries the search took."""
+    calls = []
+    real = tiling_mod._tiles_near
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(tiling_mod, "_tiles_near", lambda *a: calls.append(a) or real(*a))
+        new = _pair_match_radius(t1, phi, t2, psi, origin)
+    old = cap_pair_match_radius(t1, phi, t2, psi, origin)
+    assert new == old and type(new[0]) is type(old[0])
+    return new, len(calls)
+
+
+# near-identity rotation about the origin: cos = 1599/1601 (tan of the half
+# angle 1/40); it does not normalize Z^2, and it maps T to the same tiling
+# on both sides, so the patches agree out to the cap
+NEAR_ONE = Isometry(F2, rational_givens(2, 0, 1, Q(1, 40)), (0, 0))
+
+
+def pair_case(name):
+    """(t1, phi, t2, psi, origin) of a named witness pair."""
+    one = identity_iso(F2)
+    if name == "shifted-squares":
+        a, b = (transform_tiling(SQUARE, translation_iso(F2, tau))
+                for tau in [(Q(1, 10), Q(1, 7)), (Q(-1, 5), Q(1, 3))])
+        return a, one, b, one, (0, 0)
+    if name == "quarters-AB":
+        return FIXTURES["A"], one, FIXTURES["B"], one, (Q(1, 4), Q(1, 4))
+    if name == "near-identity":
+        return SQUARE, NEAR_ONE, SQUARE, NEAR_ONE, (0, 0)
+    g = preset("p2")
+    v = voronoi_tiling(g, generic_point(g, 0))
+    w = transform_tiling(v, translation_iso(v.frame, (Q(1, 29), Q(-1, 31))))
+    return v, one, w, one, (Q(1, 3), Q(1, 5))
+
+
+@pytest.mark.parametrize("name, expected, queries", [
+    ("shifted-squares", (ZERO, False), 2),    # the centre already differs
+    ("quarters-AB", (Q(181, 512), False), 4),  # falls through to the cap
+    ("near-identity", (Q(8), False), 4),      # agrees out to the cap
+    ("p2-voronoi", (ZERO, False), 2),
+])
+def test_centre_first_search_matches_cap_search(name, expected, queries):
+    assert same_as_cap_search(*pair_case(name)) == (expected, queries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FIXTURES) + ["square"]), st.integers(0, 10**6),
+       st.sampled_from(["same", "to B", "unrelated"]))
+def test_centre_first_search_matches_cap_search_at_random_isometries(name, seed, kind):
+    # phi on T against phi on T agrees everywhere (the search reads the cap);
+    # against phi on B it differs at the centre or only farther out; against
+    # an unrelated psi on B it mostly differs at the centre
+    rng = random.Random(seed)
+    t1 = SQUARE if name == "square" else FIXTURES[name]
+    phi = random_rational_isometry(rng, F2, span=3)
+    origin = random_rational_point(rng, 2, span=3)
+    t2, psi = (t1, phi) if kind == "same" else (FIXTURES["B"], phi)
+    if kind == "unrelated":
+        psi = random_rational_isometry(rng, F2, span=3)
+    (radius, glob), queries = same_as_cap_search(t1, phi, t2, psi, origin)
+    # the global test needs no ball query; 2 queries means the centre differs
+    assert queries == 0 if glob else queries == 4 or (queries == 2 and radius == 0)
