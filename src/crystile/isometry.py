@@ -8,10 +8,14 @@ condition that the Cartesian image of L is orthogonal.  This keeps every
 piece of group arithmetic exact: hexagonal point groups have irrational
 Cartesian matrices but integer matrices in a lattice-adapted basis.
 
-Gram-orthogonality is tested once, on ints (is_gram_orthogonal).  The
-metric d_O is sqrt(p) + sqrt(q) of the exact rationals p, q that iso_terms
-returns, which decide witness sizes exactly; that sum, the operator norm
-of a general matrix and orthogonal square roots are floats.
+Gram-orthogonality is tested once, on ints (is_gram_orthogonal).  Every
+isometry also keeps its int form (m, A, B) = m (L, t), and compose and
+inverse work on it: the inverse of an L from frame s to frame t is
+L^-1 = G_s^-1 L^T G_t, a product of the frames' int Grams, so no isometry
+is inverted by elimination.  The metric d_O is sqrt(p) + sqrt(q) of the
+exact rationals p, q that iso_terms returns, which decide witness sizes
+exactly; with tr L^-1 = tr L it reads q off the trace of A.  That sum, the
+operator norm of a general matrix and orthogonal square roots are floats.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
+from operator import add
 
 import numpy as np
 
@@ -28,16 +34,17 @@ from .linalg import (
     Vec,
     gram_norm2,
     identity_mat,
+    int_dot,
     int_mat_mul,
+    int_mat_vec,
+    integral,
     integral_rows,
     mat,
     mat_det,
     mat_inv,
-    mat_mul,
     mat_vec,
     transpose,
     vadd,
-    vdot,
     vec,
     vsub,
     zero_vec,
@@ -173,12 +180,33 @@ class Isometry:
             raise IsometryError("frame dimension mismatch")
         if {len(self.linear), len(self.translation), *map(len, self.linear)} != {n}:
             raise IsometryError("shape mismatch")
+        m, (*a, b) = integral_rows((*self.linear, self.translation))
+        self._seal(m, tuple(a), b)
+
+    def _seal(self, m, a, b):
+        """Check that L = A / m is Gram-orthogonal and keep (m, A, B) as _ints."""
         source = int_gram(self.frame)
         target = source if self.target is self.frame else int_gram(self.target)
-        m, (*a, b) = integral_rows((*self.linear, self.translation))
         if not is_gram_orthogonal(m, a, source, target):
             raise IsometryError("linear part is not Gram-orthogonal")
-        object.__setattr__(self, "_ints", (m, tuple(a), b))
+        object.__setattr__(self, "_ints", (m, a, b))
+
+    @classmethod
+    def _of_ints(cls, frame: Frame, m, a, b, target: Frame) -> "Isometry":
+        """x |-> (A x + B) / m from frame to target, for an int m > 0 and int
+        A, B: the isometry the public constructor makes of those values, with
+        the same fields and _ints (reduced by g = gcd(m, entries)) and the
+        same Gram-orthogonality check."""
+        g = math.gcd(m, *chain.from_iterable(a), *b)
+        if g > 1:
+            m, a, b = m // g, tuple(tuple(x // g for x in row) for row in a), tuple(x // g for x in b)
+        iso = object.__new__(cls)
+        object.__setattr__(iso, "frame", frame)
+        object.__setattr__(iso, "linear", tuple(tuple(Q(x, m) for x in row) for row in a))
+        object.__setattr__(iso, "translation", tuple(Q(x, m) for x in b))
+        object.__setattr__(iso, "target", target)
+        iso._seal(m, a, b)
+        return iso
 
     def __call__(self, x: Vec) -> Vec:
         return vadd(mat_vec(self.linear, vec(x)), self.translation)
@@ -212,20 +240,25 @@ def linear_about(frame: Frame, m: Mat, center=None) -> Isometry:
 
 
 def compose(a: Isometry, b: Isometry) -> Isometry:
-    """a after b.  Frames must chain: b maps into a's source frame."""
+    """a after b.  Frames must chain: b maps into a's source frame.  On the
+    int forms: (A_a A_b, A_a B_b + m_b B_a) over m_a m_b."""
     if b.target != a.frame:
         raise IsometryError("frame mismatch in composition")
-    return Isometry(
-        b.frame,
-        mat_mul(a.linear, b.linear),
-        vadd(mat_vec(a.linear, b.translation), a.translation),
-        target=a.target,
-    )
+    (ma, aa, ba), (mb, ab, bb) = a._ints, b._ints
+    return Isometry._of_ints(b.frame, ma * mb, int_mat_mul(aa, ab),
+                             tuple(map(add, int_mat_vec(aa, bb), (mb * x for x in ba))), a.target)
 
 
 def inverse(a: Isometry) -> Isometry:
-    linv = mat_inv(a.linear)
-    return Isometry(a.target, linv, tuple(-x for x in mat_vec(linv, a.translation)), target=a.frame)
+    """x |-> L^-1 (x - t) from a's target back to its frame.  L^T G_t L = G_s
+    gives L^-1 = G_s^-1 L^T G_t = N / (F m E) for the int Grams F G_s^-1 and
+    E G_t (int_inv_gram, int_gram) and N = (F G_s^-1) A^T (E G_t), so the
+    inverse is (m N, -N B) over F E m^2: no elimination."""
+    m, am, b = a._ints
+    (f, fgi), (e, eg) = int_inv_gram(a.frame), int_gram(a.target)
+    n = int_mat_mul(fgi, int_mat_mul(transpose(am), eg))
+    return Isometry._of_ints(a.target, f * e * m * m, tuple(tuple(m * x for x in row) for row in n),
+                             tuple(-x for x in int_mat_vec(n, b)), a.frame)
 
 
 @dataclass(frozen=True)
@@ -286,22 +319,38 @@ def operator_norm(frame: Frame, m) -> float:
     return math.sqrt(_sym_eigen_max(a.T @ a))
 
 
+def _int_det(a) -> int:
+    """Determinant of a small square int matrix, by cofactors along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum((-1) ** j * x * _int_det([row[:j] + row[j + 1:] for row in a[1:]])
+               for j, x in enumerate(a[0]) if x)
+
+
 def iso_terms(origin, a: Isometry, b: Isometry = None):
     """Exact (p, q) with d_O(a, b) = sqrt(p) + sqrt(q), n <= 3, b by default the
-    identity: p = |a(O) - b(O)|^2_G, and C = A^-1 B is orthogonal with ||A - B|| =
-    ||1 - C||, so q = n - tr C if det C = 1 (2 - 2 cos t for a turn by t), else 4."""
+    identity.  Isometries preserve both terms, so d_O(a, b) = d_O(b^-1 a, 1),
+    and for c = b^-1 a, x |-> (A x + B) / m, over the least common
+    denominator e of O: p = |c(O) - O|^2_G = y.(EG)y / (E m^2 e^2) for
+    y = A eO + e B - m eO (int_gram's E, EG), and the orthogonal L = A / m
+    has ||L - 1|| = 2 if det A < 0, and else sqrt(n - tr L^-1) (2 - 2 cos t
+    for a turn by t, 0 for L = 1), where L^-1 = G^-1 L^T G gives
+    tr L^-1 = tr L: q = 4 or n - tr A / m."""
     if a.frame != a.target or b is not None and (a.frame != b.frame or a.target != b.target):
         raise IsometryError("metric requires endomorphisms of one frame")
     n, o = a.frame.dim, vec(origin)
     if n > 3 or len(o) != n:
         raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
-    b_o, b_lin = (o, identity_mat(n)) if b is None else (b(o), b.linear)
-    p = a.frame.norm2(vsub(a(o), b_o))
-    if a.linear == b_lin:
-        return p, ZERO
-    if mat_det(a.linear) != mat_det(b_lin):
+    if b is not None:
+        a = compose(inverse(b), a)
+    m, am, bm = a._ints
+    e, eo = integral(o)
+    y = [x + e * t - m * c for x, t, c in zip(int_mat_vec(am, eo), bm, eo)]
+    g, eg = int_gram(a.frame)
+    p = Q(int_dot(y, int_mat_vec(eg, y)), g * (m * e) ** 2)
+    if _int_det(am) < 0:
         return p, Q(4)
-    return p, n - sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b_lin)))
+    return p, Q(n * m - sum(am[i][i] for i in range(n)), m)
 
 
 def iso_distance(origin, a: Isometry, b: Isometry) -> float:

@@ -46,10 +46,7 @@ from .linalg import (
     int_mat_vec,
     integral,
     integral_rows,
-    is_integral_mat,
-    mat_inv,
     mat_mul,
-    mat_vec,
     transpose,
     vec,
     vsub,
@@ -337,15 +334,23 @@ def transform_tiling(tiling: PeriodicTiling, iso: Isometry) -> PeriodicTiling:
     """
     if iso.frame != tiling.frame or iso.target != tiling.frame:
         raise IsometryError("isometry incompatible with the tiling frame")
-    lin = iso.linear
-    linv = mat_inv(lin)
-    if is_integral_mat(lin) and is_integral_mat(linv):
+    if _normalizes_lattice(iso):
         tiles = [t.transform(iso) for t in tiling.cell_tiles]
-        return periodic_tiling(tiling.frame, tiles, validate=False)
-    # re-express over the image lattice: same Gram, tiles shifted by L^-1 t
-    shift = mat_vec(linv, iso.translation)
-    tiles = [t.translate(shift) for t in tiling.cell_tiles]
+    else:
+        # re-express over the image lattice: same Gram, tiles shifted by
+        # L^-1 t, which is minus the translation of the inverse
+        shift = tuple(-x for x in inverse(iso).translation)
+        tiles = [t.translate(shift) for t in tiling.cell_tiles]
     return periodic_tiling(tiling.frame, tiles, validate=False)
+
+
+def _normalizes_lattice(iso: Isometry) -> bool:
+    """Whether iso is an endomorphism of one frame whose linear part maps the
+    lattice onto itself: L = A / m is integral when m divides every entry
+    of A, and Gram-orthogonality on one frame gives det L = +-1, so L^-1 is
+    integral too."""
+    m, a, _ = iso._ints
+    return iso.frame == iso.target and all(x % m == 0 for row in a for x in row)
 
 
 def _image_keys(tiling: PeriodicTiling, iso: Isometry) -> frozenset:
@@ -571,31 +576,26 @@ class DistanceBound:
     tiling_b: PeriodicTiling = field(default=None, compare=False)
 
 
-def _normalizes_lattice(iso: Isometry) -> bool:
-    return is_integral_mat(iso.linear) and is_integral_mat(mat_inv(iso.linear))
-
-
-def _pair_size_cap(phi, psi, origin):
+def _pair_size_cap(terms):
     """min(RADIUS_CAP, 2^79 / (ceil(2^80 sqrt p) + ceil(2^80 sqrt q))) over d_O's
-    exact terms (p, q) of phi and psi: 1/(2 cap) is at least sqrt p + sqrt q, by
-    less than 2^-79, so the cap passes _size_cap by construction."""
-    ceils = (isqrt_ceil(p * (1 << 160)) + isqrt_ceil(q * (1 << 160))
-             for p, q in (iso_terms(origin, phi), iso_terms(origin, psi)))
+    exact terms (p, q) of a witness pair phi, psi (terms = iso_terms of each):
+    1/(2 cap) is at least sqrt p + sqrt q, by less than 2^-79, so the cap
+    passes _size_cap by construction."""
+    ceils = (isqrt_ceil(p * (1 << 160)) + isqrt_ceil(q * (1 << 160)) for p, q in terms)
     return min([RADIUS_CAP] + [Q(1 << 79, c) for c in ceils if c])
 
 
-def _pair_match_radius(t1, phi, t2, psi, origin):
+def _pair_match_radius(t1, phi, t2, psi, origin, size_cap):
     """(largest certified radius on the grid cap j / 2^16, global flag) for
-    one witness pair.  The radius is at most the pair's size cap; a global
-    flag marks exact equality of the transformed tilings, which certifies
-    patch equality at every radius.
+    one witness pair.  The radius is at most the pair's size cap
+    (_pair_size_cap); a global flag marks exact equality of the transformed
+    tilings, which certifies patch equality at every radius.
 
     The patches are compared from the centre out: first the tiles that hold
     the origin (r2 = 0), then, if those agree, one patch pair at the cap.
     A tile's distance to the origin does not depend on the query radius, so
     the keys that differ at r2 = 0 are the keys that differ at the cap at
     distance 0; when there are any, the cap comparison's radius is 0."""
-    size_cap = _pair_size_cap(phi, psi, origin)
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
         # safe to compare the transformed tilings globally: no basis
         # re-expression is involved, so equality is equality in the plane
@@ -616,14 +616,14 @@ def _pair_match_radius(t1, phi, t2, psi, origin):
     return cap * j / (1 << 16), False
 
 
-def _size_cap(phi, psi, origin, radius) -> bool:
+def _size_cap(terms, radius) -> bool:
     """Whether radius > 0 and d_O(phi, 1), d_O(psi, 1) <= s = 1/(2 radius),
-    exactly: sqrt p + sqrt q <= s iff e = s^2 - p - q >= 0 and 4pq <= e^2."""
+    exactly, for the pair's terms (as _pair_size_cap): sqrt p + sqrt q <= s iff
+    e = s^2 - p - q >= 0 and 4pq <= e^2."""
     radius = Q(radius)
     if radius <= 0:
         return False
     s2 = 1 / (4 * radius * radius)
-    terms = (iso_terms(origin, phi), iso_terms(origin, psi))
     return all((e := s2 - p - q) >= 0 and 4 * p * q <= e * e for p, q in terms)
 
 
@@ -667,9 +667,12 @@ def distance_upper_bound(origin, t1: PeriodicTiling, t2: PeriodicTiling) -> Dist
     if tilings_equal(t1, t2):
         w = (identity_iso(t1.frame), identity_iso(t1.frame), RADIUS_CAP, True)
         return DistanceBound(origin, 0.0, witness=w, tiling_a=t1, tiling_b=t2)
-    found = [(phi, psi, r, glob) for phi, psi in default_candidates(t1, t2, origin)
-             for r, glob in [_pair_match_radius(t1, phi, t2, psi, origin)]
-             if _size_cap(phi, psi, origin, r)]
+    found = []
+    for phi, psi in default_candidates(t1, t2, origin):
+        terms = iso_terms(origin, phi), iso_terms(origin, psi)
+        r, glob = _pair_match_radius(t1, phi, t2, psi, origin, _pair_size_cap(terms))
+        if _size_cap(terms, r):
+            found.append((phi, psi, r, glob))
     best = min(found, key=lambda w: _upper(w[2]), default=None)  # the first of the least
     upper = LN_3_2 if best is None else _upper(best[2])
     return DistanceBound(origin, upper, witness=best, tiling_a=t1, tiling_b=t2)
@@ -680,22 +683,25 @@ class WitnessError(ValueError):
 
 
 def verify_witness(bound: DistanceBound) -> bool:
-    """Re-verify a distance witness exactly (rational radius, size caps, patch equality)."""
+    """Re-verify a distance witness exactly (rational radius, frames, size
+    caps, patch equality): False unless phi and psi are endomorphisms of the
+    tilings' one frame and the origin has its dimension."""
     if bound.witness is None:
         return True
     phi, psi, radius, glob = bound.witness
+    t1, t2, origin = bound.tiling_a, bound.tiling_b, bound.origin
     if isinstance(radius, bool) or not isinstance(radius, (int, Q)):
         return False
-    if not _size_cap(phi, psi, bound.origin, radius):
+    if not (len(origin) == t1.dim and
+            t1.frame == t2.frame == phi.frame == phi.target == psi.frame == psi.target):
+        return False
+    if not _size_cap((iso_terms(origin, phi), iso_terms(origin, psi)), radius):
         return False
     if glob:
-        if not (_normalizes_lattice(phi) and _normalizes_lattice(psi)):
-            return False
-        same = _image_keys(bound.tiling_a, phi) == _image_keys(bound.tiling_b, psi)
-        return same and bound.tiling_a.frame == bound.tiling_b.frame
+        return (_normalizes_lattice(phi) and _normalizes_lattice(psi)
+                and _image_keys(t1, phi) == _image_keys(t2, psi))
     r2 = radius * radius
-    a = _pulled_back(bound.tiling_a, phi, bound.origin, r2)
-    return a.keys() == _pulled_back(bound.tiling_b, psi, bound.origin, r2).keys()
+    return _pulled_back(t1, phi, origin, r2).keys() == _pulled_back(t2, psi, origin, r2).keys()
 
 
 def combine_witnesses(w1: DistanceBound, w2: DistanceBound) -> DistanceBound:

@@ -17,9 +17,22 @@ and 3, not rational squares, so they have no rational B, and there, as in
 every frame, rotations also come from Cayley transforms (1 - S)^-1 (1 + S)
 of S = G^-1 K, K antisymmetric.  A G-reflection in a lattice vector makes
 rotoreflections.
+
+old_compose, old_inverse, old_iso_terms and old_normalizes_lattice are the
+Fraction isometry arithmetic before it ran on the int forms (the inverse by
+elimination, d_O's q through A^-1 B, the lattice test through mat_inv),
+verbatim apart from their names.  On isometries of every frame, the Seitz
+reps of every preset with rational shifts and the cross-frame maps that
+conjugacy search and the automorphism embeddings give mld_check, the int
+compose and inverse must give the same linear, translation and _ints (and
+so the same isometry and hash), iso_terms the same (p, q), and each refusal
+must be the same.  The lattice test answers the same on every endomorphism;
+a map between two frames normalizes no lattice, and the new test says so.
 """
 
 import math
+import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -37,11 +50,13 @@ from crystile.isometry import (
     Frame,
     Isometry,
     IsometryError,
+    compose,
     decompose,
     hexagonal_frame,
     identity_iso,
     inverse,
     iso_distance,
+    iso_terms,
     operator_norm,
     rational_givens,
     rational_rotation_2d,
@@ -51,6 +66,7 @@ from crystile.linalg import (
     gram_dot,
     gram_norm2,
     identity_mat,
+    is_integral_mat,
     mat,
     mat_det,
     mat_inv,
@@ -58,11 +74,23 @@ from crystile.linalg import (
     mat_sub,
     mat_vec,
     transpose,
+    vadd,
+    vdot,
+    vec,
     vsub,
     zero_vec,
 )
 from crystile.rational import ONE, Q, ZERO
-from crystile.tiling import _lattice_covering_sq
+from crystile.tiling import (
+    _lattice_covering_sq,
+    _normalizes_lattice,
+    automorphism_group_with_embedding,
+    mld_check,
+    periodic_tiling,
+)
+from crystile.polytope import ConvexPolytope
+
+from conftest import random_rational_isometry
 
 NONDIAG_BASIS = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 BCC_BASIS = tuple(tuple(Q(x, 2) for x in row) for row in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
@@ -384,3 +412,172 @@ def test_iso_distance_refuses_4d():
 def test_lattice_covering_sq_matches_old(name, expected):
     frame = FRAMES[name][0]
     assert _lattice_covering_sq(frame) == old_lattice_covering_sq(frame) == expected
+
+
+# --- the int isometry arithmetic against the Fraction one ----------------------------
+
+def old_compose(a: Isometry, b: Isometry) -> Isometry:
+    """a after b.  Frames must chain: b maps into a's source frame."""
+    if b.target != a.frame:
+        raise IsometryError("frame mismatch in composition")
+    return Isometry(
+        b.frame,
+        mat_mul(a.linear, b.linear),
+        vadd(mat_vec(a.linear, b.translation), a.translation),
+        target=a.target,
+    )
+
+
+def old_inverse(a: Isometry) -> Isometry:
+    linv = mat_inv(a.linear)
+    return Isometry(a.target, linv, tuple(-x for x in mat_vec(linv, a.translation)), target=a.frame)
+
+
+def old_iso_terms(origin, a: Isometry, b: Isometry = None):
+    """Exact (p, q) with d_O(a, b) = sqrt(p) + sqrt(q), n <= 3, b by default the
+    identity: p = |a(O) - b(O)|^2_G, and C = A^-1 B is orthogonal with ||A - B|| =
+    ||1 - C||, so q = n - tr C if det C = 1 (2 - 2 cos t for a turn by t), else 4."""
+    if a.frame != a.target or b is not None and (a.frame != b.frame or a.target != b.target):
+        raise IsometryError("metric requires endomorphisms of one frame")
+    n, o = a.frame.dim, vec(origin)
+    if n > 3 or len(o) != n:
+        raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
+    b_o, b_lin = (o, identity_mat(n)) if b is None else (b(o), b.linear)
+    p = a.frame.norm2(vsub(a(o), b_o))
+    if a.linear == b_lin:
+        return p, ZERO
+    if mat_det(a.linear) != mat_det(b_lin):
+        return p, Q(4)
+    return p, n - sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b_lin)))
+
+
+def old_normalizes_lattice(iso: Isometry) -> bool:
+    return is_integral_mat(iso.linear) and is_integral_mat(mat_inv(iso.linear))
+
+
+def outcome(f, *args):
+    """f(*args), or the IsometryError it raised, as a comparable value."""
+    try:
+        return f(*args)
+    except IsometryError as exc:
+        return IsometryError, str(exc)
+
+
+def assert_same_isometry(new, old):
+    if isinstance(old, tuple):  # both refused, with the same message
+        assert new == old
+        return
+    assert (new.frame, new.target) == (old.frame, old.target)
+    assert new.linear == old.linear and new.translation == old.translation
+    assert all(type(x) is Fraction for row in (*new.linear, new.translation) for x in row)
+    assert new._ints == old._ints and new == old and hash(new) == hash(old)
+
+
+def assert_same_arithmetic(a, b, origin):
+    """compose, inverse, iso_terms (both forms) and the lattice test agree
+    with the Fraction code on a, b and the origin."""
+    assert_same_isometry(outcome(compose, a, b), outcome(old_compose, a, b))
+    assert_same_isometry(outcome(compose, b, a), outcome(old_compose, b, a))
+    for iso in (a, b):
+        inv = inverse(iso)
+        assert_same_isometry(inv, old_inverse(iso))
+        assert_same_isometry(compose(inv, iso), old_compose(old_inverse(iso), iso))
+        if iso.frame == iso.target:
+            assert _normalizes_lattice(iso) == old_normalizes_lattice(iso)
+        else:
+            assert not _normalizes_lattice(iso)
+    for args in ((origin, a), (origin, b), (origin, a, b), (origin, b, a)):
+        assert outcome(iso_terms, *args) == outcome(old_iso_terms, *args)
+
+
+def _shifted(frame, linear, rng, span=6):
+    return Isometry(frame, linear, tuple(Q(rng.randint(-span, span), rng.randint(1, span))
+                                         for _ in range(frame.dim)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FRAMES)), st.data())
+def test_int_arithmetic_matches_old_on_gram_orthogonal_maps(name, data):
+    frame = FRAMES[name][0]
+    n = frame.dim
+    neg = tuple(tuple(-x for x in row) for row in identity_mat(n))
+    linears = st.one_of(gram_orthogonal(name), st.just(neg), st.just(identity_mat(n)))
+    vecs = st.tuples(*[rationals] * n)
+    a = Isometry(frame, data.draw(linears), data.draw(vecs))
+    b = Isometry(frame, data.draw(st.one_of(linears, st.just(a.linear))), data.draw(vecs))
+    assert_same_arithmetic(a, b, data.draw(vecs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["Z2", "hex", "Z3"]), st.integers(0, 10**9))
+def test_int_arithmetic_matches_old_on_random_rational_isometries(name, seed):
+    # random_rational_isometry's Givens products are orthogonal for Z^n; the
+    # hexagonal frame takes its lattice isometries with random shifts
+    rng = random.Random(seed)
+    frame = FRAMES[name][0]
+    if name == "hex":
+        a, b = (_shifted(frame, rng.choice(_lattice_isometries(name)), rng) for _ in "ab")
+    else:
+        a, b = (random_rational_isometry(rng, frame) for _ in "ab")
+    origin = tuple(Q(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(frame.dim))
+    assert_same_arithmetic(a, b, origin)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_int_arithmetic_matches_old_on_preset_reps(name):
+    g = preset(name)
+    rng = random.Random(name)
+    isos = [_shifted(g.frame, m, rng) for m, _ in g.reps]
+    isos += [Isometry(g.frame, m, v) for m, v in g.reps]
+    origin = tuple(Q(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(g.dim))
+    for a in isos:
+        assert_same_arithmetic(a, rng.choice(isos), origin)
+
+
+def _half_scale():
+    """Z^2 cut into four half-size squares: its translations form the denser
+    lattice (Z/2)^2, so its automorphism group lives in another frame."""
+    f2 = standard_frame(2)
+    h = Q(1, 2)
+    return periodic_tiling(f2, [ConvexPolytope(f2, [(a, b), (a + h, b), (a, b + h), (a + h, b + h)])
+                                for a in (0, h) for b in (0, h)])
+
+
+def _cross_frame_maps():
+    """The maps between two frames that mld_check composes: conjugacy_search's
+    gamma between a preset and its conjugate in another basis (both ways),
+    and the embedding of the half-scale tiling's denser lattice."""
+    maps = []
+    for name, u in CROSS_FRAME:
+        g1 = preset(name)
+        g2 = _conjugated(g1, u)
+        maps += [conjugacy_search(g1, g2), conjugacy_search(g2, g1)]
+    maps.append(automorphism_group_with_embedding(_half_scale())[1])
+    return maps
+
+
+def test_int_arithmetic_matches_old_on_cross_frame_maps():
+    rng = random.Random(5)
+    maps = _cross_frame_maps()
+    assert all(m.frame != m.target for m in maps)
+    for gamma in maps:
+        origin = tuple(Q(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(gamma.frame.dim))
+        back = inverse(gamma)
+        # the chains mld_check builds, and each map against its inverse
+        one = identity_iso(gamma.target)
+        assert_same_arithmetic(gamma, back, origin)
+        assert_same_isometry(compose(one, gamma), old_compose(one, gamma))
+        assert_same_isometry(compose(gamma, compose(back, one)),
+                             old_compose(gamma, old_compose(old_inverse(gamma), one)))
+
+
+def test_mld_check_gamma_matches_old_arithmetic(monkeypatch):
+    # mld_check of the half-scale tiling against itself composes the dense
+    # embedding, the conjugacy search's map and the embedding's inverse
+    from crystile import tiling as tiling_mod
+
+    half = _half_scale()
+    new = mld_check(half, half)
+    monkeypatch.setattr(tiling_mod, "compose", old_compose)
+    monkeypatch.setattr(tiling_mod, "inverse", old_inverse)
+    assert_same_isometry(new, mld_check(half, half))

@@ -24,6 +24,7 @@ from crystile.isometry import (
     identity_iso,
     iso_distance,
     iso_size,
+    iso_terms,
 )
 from crystile.linalg import identity_mat, mat_det, mat_inv, vdot, vec, vsub
 from crystile.rational import Q, sqrt_float
@@ -89,10 +90,11 @@ def test_exact_cap_passes_the_exact_test_and_is_no_lower(name, data):
     n = FRAMES[name][0].dim
     phi, psi = data.draw(isometries(name)), data.draw(isometries(name))
     o = data.draw(st.tuples(*[rationals] * n))
-    cap, old = _pair_size_cap(phi, psi, o), old_size_cap(phi, psi, o)
+    terms = iso_terms(o, phi), iso_terms(o, psi)
+    cap, old = _pair_size_cap(terms), old_size_cap(phi, psi, o)
     assert 0 < cap <= RADIUS_CAP
-    assert _size_cap(phi, psi, o, cap)
-    if _size_cap(phi, psi, o, old):
+    assert _size_cap(terms, cap)
+    if _size_cap(terms, old):
         assert cap >= old
     assert iso_distance(o, phi, psi).hex() == old_iso_distance(o, phi, psi).hex()
     for iso in (phi, psi):

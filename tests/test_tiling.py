@@ -1,16 +1,22 @@
+import hashlib
+import importlib
+import importlib.util
 import math
 import random
 import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from crystile.rational import Q
+from crystile.rational import Q, rat_str
 from crystile import linalg as linalg_mod
 from crystile import tiling as tiling_mod
 from crystile.linalg import vdot, vsub
 from crystile.isometry import (
+    Frame,
     Isometry,
     compose,
     identity_iso,
@@ -472,6 +478,84 @@ def test_verify_witness_refuses_a_radius_that_is_not_an_exact_rational(square_ti
     assert verify_witness(bound) and type(r) is Q
     bad = float(r) if radius == "float" else radius
     assert verify_witness(replace(bound, witness=(phi, psi, bad, glob))) is False
+
+
+@pytest.mark.parametrize("glob", [True, False], ids=["global", "patch"])
+@pytest.mark.parametrize("case", ["hexagonal identities", "basis change", "3D origin"])
+def test_verify_witness_refuses_isometries_and_origins_of_another_frame(square_tiling, frame2,
+                                                                        hexframe, case, glob):
+    # the global path reached _image_keys with the hexagonal identities and
+    # raised IsometryError, and the patch path compared their keys as if they
+    # acted on Z^2; iso_terms raised on the basis change and the 3D origin
+    one = identity_iso(frame2)
+    phi, psi, origin = one, one, (Q(0), Q(0))
+    if case == "hexagonal identities":
+        phi = psi = identity_iso(hexframe)
+    elif case == "basis change":
+        # x |-> U x from the coordinates of the basis U = ((1, 1), (0, 1)) of Z^2
+        phi = Isometry(Frame(2, ((1, 1), (1, 2))), ((1, 1), (0, 1)), (0, 0), target=frame2)
+    else:
+        origin = (Q(0),) * 3
+    bound = DistanceBound(origin, 0.0, witness=(phi, psi, Q(1, 2), glob),
+                          tiling_a=square_tiling, tiling_b=square_tiling)
+    assert verify_witness(bound) is False
+    assert verify_witness(replace(bound, origin=(Q(0), Q(0)), witness=(one, one, Q(1, 2), glob)))
+
+
+def test_distance_bound_takes_each_pairs_terms_once_and_inverts_nothing(square_tiling, frame2,
+                                                                        count_calls):
+    # d_O's terms are formed once per candidate pair (iso_terms for phi and
+    # for psi) and shared by the size cap and the exact size test; the
+    # isometry arithmetic runs on the int forms, so nothing calls mat_inv
+    # (the per-frame caches are warm after the first bound)
+    shifted = transform_tiling(square_tiling, translation_iso(frame2, (Q(1, 10), Q(1, 7))))
+    voronoi = voronoi_tiling(preset("p2"), generic_point(preset("p2"), 0))
+    moved = transform_tiling(voronoi, translation_iso(frame2, (Q(1, 29), Q(-1, 31))))
+    inversions = []
+    for module in [m for n, m in sorted(sys.modules.items()) if n.startswith("crystile")]:
+        if getattr(module, "mat_inv", None) is linalg_mod.mat_inv:
+            count_calls(module, "mat_inv", inversions)
+    terms = count_calls(tiling_mod, "iso_terms")
+    for a, b in ((square_tiling, shifted), (voronoi, moved)):
+        distance_upper_bound((0, 0), a, b)
+        inversions.clear()
+        terms.clear()
+        bound = distance_upper_bound((0, 0), a, b)
+        pairs = len(tiling_mod.default_candidates(a, b, (0, 0)))
+        assert pairs > 1 and len(terms) == 2 * pairs
+        terms.clear()
+        assert verify_witness(bound) and len(terms) == 2
+        assert inversions == []
+
+
+# sha256 of the witnesses of the benchmark's metric-2d jobs at seeds 0-2 (each
+# chain bound, each combined witness, the p2 Voronoi bound), as recorded when
+# compose, inverse and iso_terms still ran in Fraction
+METRIC_WITNESS_DIGEST = "e05c3c81431cc3c612adf94524921afe0e8e9cdca91e5b0857e86d80222230b2"
+
+
+def test_metric_workload_witnesses_are_pinned():
+    # each witness as (phi's int form, psi's int form, exact radius, global flag)
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+        names = ("isometry", "polytope", "groups", "voronoi", "tiling")
+        cr = SimpleNamespace(**{m: importlib.import_module(f"crystile.{m}") for m in names})
+        rows = []
+        for seed in (0, 1, 2):
+            for job in workloads.metric_2d(cr, seed, None):
+                out = job.run()
+                job.check(out)
+                bounds = [out[0]] if job.name == "bound voronoi" else [out[0][0], out[1]]
+                rows += [(phi._ints, psi._ints, rat_str(r), glob)
+                         for phi, psi, r, glob in (b.witness for b in bounds if b is not None)]
+    finally:
+        del sys.modules[spec.name]
+    assert len(rows) == 66
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == METRIC_WITNESS_DIGEST
 
 
 def test_shift_bound_stops_at_the_centre_when_it_differs(square_tiling, frame2, count_calls):

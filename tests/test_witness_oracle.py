@@ -3,15 +3,16 @@
 `old_transformed_patch`, `old_patch_equal` and `old_pair_match_radius` are
 the witness code that rebuilt both transformed patches for every radius of
 a 16-round bisection.  They are kept verbatim (apart from their names, and
-old_pair_match_radius taking its size cap from the exact _pair_size_cap in
-place of the float one) and compared with the one-patch-pair search: every
-witness must agree in its radius (the same rational), its global flag and
-its upper bound.
+old_pair_match_radius taking the exact size cap of _pair_size_cap as an
+argument in place of the float one it computed) and compared with the
+one-patch-pair search: every witness must agree in its radius (the same
+rational), its global flag and its upper bound.
 
 `cap_pair_match_radius` is the search that read one patch pair at the cap
 for every pair, kept verbatim (apart from its name); the search that first
 compares the tiles holding the origin must return the same (radius, flag)
-with two ball queries when they differ and four when they agree.
+with two ball queries when they differ and four when they agree.  Both
+take the pair's size cap as an argument, as _pair_match_radius does.
 """
 
 import random
@@ -27,6 +28,7 @@ from crystile.isometry import (
     Isometry,
     identity_iso,
     inverse,
+    iso_terms,
     rational_givens,
     standard_frame,
     translation_iso,
@@ -74,13 +76,12 @@ def old_patch_equal(t1, iso1, t2, iso2, origin, radius) -> bool:
     return pa.keys() == pb.keys()
 
 
-def old_pair_match_radius(t1, phi, t2, psi, origin):
+def old_pair_match_radius(t1, phi, t2, psi, origin, size_cap):
     """(largest certified rational radius, global flag) for one witness pair.
 
     The radius is limited by the 1/(2r) size constraint on the pair; a
     global flag marks exact equality of the transformed tilings, which
     certifies patch equality at every radius."""
-    size_cap = _pair_size_cap(phi, psi, origin)
     if size_cap <= 0:
         return ZERO, False
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
@@ -101,6 +102,11 @@ def old_pair_match_radius(t1, phi, t2, psi, origin):
         else:
             hi = mid
     return lo, False
+
+
+def size_cap(phi, psi, origin):
+    """The pair's exact size cap, as distance_upper_bound computes it."""
+    return _pair_size_cap((iso_terms(origin, phi), iso_terms(origin, psi)))
 
 
 # --- fixtures ------------------------------------------------------------------
@@ -232,19 +238,19 @@ def test_non_global_pair_runs_two_ball_queries(count_calls):
     calls = count_calls(tiling_mod, "_tiles_near")
     a, b = FIXTURES["A"], FIXTURES["B"]
     phi, psi = default_candidates(a, b, (0, 0))[0]
-    radius, glob = _pair_match_radius(a, phi, b, psi, (Q(1, 4), Q(1, 4)))
+    origin = (Q(1, 4), Q(1, 4))
+    radius, glob = _pair_match_radius(a, phi, b, psi, origin, size_cap(phi, psi, origin))
     assert (radius, glob) == (Q(181, 512), False)
     assert len(calls) == 4
 
 
 # --- the cap-only search ---------------------------------------------------------
 
-def cap_pair_match_radius(t1, phi, t2, psi, origin):
+def cap_pair_match_radius(t1, phi, t2, psi, origin, size_cap):
     """(largest certified radius on the grid cap j / 2^16, global flag) for
     one witness pair.  The radius is at most the pair's size cap; a global
     flag marks exact equality of the transformed tilings, which certifies
     patch equality at every radius."""
-    size_cap = _pair_size_cap(phi, psi, origin)
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
         # safe to compare the transformed tilings globally: no basis
         # re-expression is involved, so equality is equality in the plane
@@ -268,10 +274,11 @@ def same_as_cap_search(t1, phi, t2, psi, origin):
     value and type, and the number of ball queries the search took."""
     calls = []
     real = tiling_mod._tiles_near
+    cap = size_cap(phi, psi, origin)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(tiling_mod, "_tiles_near", lambda *a: calls.append(a) or real(*a))
-        new = _pair_match_radius(t1, phi, t2, psi, origin)
-    old = cap_pair_match_radius(t1, phi, t2, psi, origin)
+        new = _pair_match_radius(t1, phi, t2, psi, origin, cap)
+    old = cap_pair_match_radius(t1, phi, t2, psi, origin, cap)
     assert new == old and type(new[0]) is type(old[0])
     return new, len(calls)
 
