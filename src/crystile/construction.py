@@ -7,6 +7,11 @@ disjoint from the edge lengths) breaks every symmetry the undecorated
 Voronoi tiling had beyond the group itself.  The subdivision is validated
 once, and Aut(result) == group is verified exactly before returning, so
 the operation is self-certifying.
+
+Every step runs on int forms: the generic point's stabilizer test, the
+Voronoi localization (voronoi), the apex, formed from the cell's vertex
+rows, and its certificate, whose squared distances are y.(EG)y over the
+frame's integer Gram (isometry.int_gram), one Q each.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
-from operator import mul, sub
+from operator import sub
 
 from .rational import Q
-from .linalg import gram_norm2, int_dot, integral, vec, vsub
-from .isometry import Isometry
+from .linalg import int_dot, int_mat_vec, integral, vec
+from .isometry import Isometry, int_gram
 from .groups import CrystalGroup, generic_point
 from .polytope import ConvexPolytope, _cross, _edges, _face_indices, _reduced_facet, faces
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
@@ -55,10 +60,22 @@ class GenericityCertificate:
 
 
 def certificate_for(cell: ConvexPolytope, apex) -> GenericityCertificate:
+    """The certificate of apex in cell, its distances read off the cell's
+    vertex rows P over V: over D = lcm(V, e), e the apex's least common
+    denominator, y = (D / V) P - D apex gives E D^2 |v - apex|^2 = y.(EG)y
+    (isometry.int_gram), and an edge's y = P_j - P_i gives E V^2 times its
+    squared length; each distance is one Q."""
     apex = vec(apex)
-    g = cell.frame.gram
-    vd = tuple(gram_norm2(g, vsub(apex, v)) for v in cell.vertices)
-    el = tuple(gram_norm2(g, vsub(cell.vertices[j], cell.vertices[i])) for i, j in _edges(cell))
+    e, eg = int_gram(cell.frame)
+    vden, rows = cell._den, cell._rows
+    big = lcm(vden, *(c.denominator for c in apex))
+    a, xs = big // vden, integral(apex, big)[1]
+
+    def sq(y):
+        return int_dot(y, int_mat_vec(eg, y))
+
+    vd = tuple(Q(sq([a * p - x for p, x in zip(row, xs)]), e * big * big) for row in rows)
+    el = tuple(Q(sq(tuple(map(sub, rows[j], rows[i]))), e * vden * vden) for i, j in _edges(cell))
     return GenericityCertificate(
         apex=apex, cell=cell, vertex_sq_distances=vd, edge_sq_lengths=tuple(sorted(el))
     )
@@ -69,16 +86,18 @@ def generic_apex(cell: ConvexPolytope, seed: int) -> GenericityCertificate:
 
     Sampled as strictly positive rational convex combinations of the
     vertices; the excluded locus is a finite union of spheres and
-    hyperplanes, so resampling terminates.
+    hyperplanes, so resampling terminates.  For int weights w_i and the
+    vertex rows P_i over V the apex is sum w_i P_i / (V sum w_i), one Q per
+    coordinate.
     """
     if cell.dim != cell.frame.dim:
         raise ValueError("cell must be full-dimensional")
     rng = random.Random(seed)
-    k = len(cell.vertices)
+    rows = cell._rows
     for attempt in range(256):
-        weights = [Q(rng.randrange(1, 64 + attempt)) for _ in range(k)]
-        total = sum(weights)
-        apex = tuple(sum(map(mul, weights, col)) / total for col in zip(*cell.vertices))
+        weights = [rng.randrange(1, 64 + attempt) for _ in rows]
+        total = cell._den * sum(weights)
+        apex = tuple(Q(int_dot(weights, col), total) for col in zip(*rows))
         try:
             return certificate_for(cell, apex)
         except ValueError:

@@ -218,12 +218,8 @@ MAX_GROUP_ORDER = 1024
 
 
 def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
-    """Close a generator list under multiplication mod the lattice.
-
-    Each round multiplies the newest elements on the right by the
-    generators.  Elements of a finite point group have finite order mod the
-    lattice, so these words already form the group; any other input grows
-    past MAX_GROUP_ORDER.  The words are int Seitz pairs over the common
+    """Close a generator list under multiplication mod the lattice
+    (_int_closure).  The words are int Seitz pairs over the common
     denominator d of the generators' translations, which every product
     keeps.
     """
@@ -232,8 +228,18 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
         raise GroupValidationError(["generator with a non-integer point part"])
     gens = [_canon_seitz(m, v) for m, v in gens]
     d = integral([x for _, v in gens for x in v])[0]
-    gens = [(m, integral(v, d)[1]) for m, v in gens]
-    n = frame.dim
+    elems = _int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
+    return validate_group(frame, sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems), name=name)
+
+
+def _int_closure(n, d, gens) -> set:
+    """The int Seitz pairs (M, t), t = d v mod d, that the int pairs gens
+    over the denominator d generate mod the lattice, the identity included.
+
+    Each round multiplies the newest elements on the right by the
+    generators (_int_seitz_translation).  Elements of a finite point group
+    have finite order mod the lattice, so these words already form the
+    group; any other input grows past MAX_GROUP_ORDER."""
     frontier = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)]
     elems = set(frontier)
     while frontier:
@@ -247,7 +253,7 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
         if len(elems) > MAX_GROUP_ORDER:
             raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
         frontier = new
-    return validate_group(frame, sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems), name=name)
+    return elems
 
 
 # --- presets ----------------------------------------------------------------
@@ -335,6 +341,8 @@ class OrbitPointSet:
     base_point: Vec = field(compare=False)
     center: Vec = field(compare=False)
     sq_radius: object = field(compare=False)
+    # (d, int sites): the sites as sorted int tuples over a common denominator d
+    _ints: tuple = field(default=None, repr=False, compare=False)
 
 
 def lattice_points_in_ball(frame: Frame, center: Vec, r2) -> list:
@@ -385,7 +393,9 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
     translations, the sites are the int vectors M X + d v + d k, X = d x,
     for each rep (M, v) and each k of the ball query about the centre
     minus M x + v.  They are deduplicated and sorted as int tuples, which
-    is their order as rationals, and each becomes a Q tuple once."""
+    is their order as rationals, and each becomes a Q tuple once; the int
+    tuples stay on the result as its private _ints = (d, sites), which the
+    Voronoi localization reads."""
     x, center = vec(x, group.dim), vec(center, group.dim)
     r2 = rat(r2)
     if r2 <= 0:
@@ -396,25 +406,39 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
         base = [a + b for a, b in zip(int_mat_vec(m, dx), t)]
         for k in _ball(group.frame, d, [c - b for c, b in zip(dc, base)], r2):
             sites.add(tuple(b + d * ki for b, ki in zip(base, k)))
+    sites = tuple(sorted(sites))
     return OrbitPointSet(
         frame=group.frame,
-        sites=tuple(tuple(Q(c, d) for c in s) for s in sorted(sites)),
+        sites=tuple(tuple(Q(c, d) for c in s) for s in sites),
         group=group,
         base_point=x,
         center=center,
         sq_radius=r2,
+        _ints=(d, sites),
     )
 
 
 def stabilizer(group: CrystalGroup, x) -> list:
-    """All group elements fixing x exactly, as full Seitz pairs (M, v + k)."""
+    """All group elements fixing x exactly, as full Seitz pairs (M, v + k).
+
+    Over the common denominator d of x and the reps' translations, with
+    X = d x and T = d v, the rep (M, v) moves x onto a lattice translate of
+    itself iff M X + T - X == 0 (mod d) (_int_moves_onto); then v + k is
+    (X - M X) / d."""
     x = vec(x, group.dim)
+    d, (dx, *ts) = integral_rows((x, *(v for _, v in group.reps)))
     out = []
-    for m, v in group.reps:
-        k = vsub(x, vadd(mat_vec(m, x), v))
-        if is_integral_vec(k):
-            out.append((m, vadd(v, k)))
+    for (m, _), t in zip(group.reps, ts):
+        mx = int_mat_vec(m, dx)
+        if _int_moves_onto(mx, t, dx, d):
+            out.append((m, tuple(Q(a - b, d) for a, b in zip(dx, mx))))
     return out
+
+
+def _int_moves_onto(mx, t, y, d) -> bool:
+    """Whether (M X + T - Y) / d is an integer vector, given mx = M X and
+    the int vectors T and Y over the denominator d."""
+    return all((a + b - c) % d == 0 for a, b, c in zip(mx, t, y))
 
 
 _DENOMS = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)

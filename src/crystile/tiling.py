@@ -20,7 +20,11 @@ mod the lattice, the floor shift (X // d) d of the least vertex is
 subtracted first.  Facet matching keys each facet over its own tile's
 rows; automorphism checks, the maximal translation lattice, image keys
 and pulled-back patches hash these int tuples, and a translation found
-among them becomes rational again only for its Seitz pair.
+among them becomes rational again only for its Seitz pair.  Aut(T) is
+closed from verified generators, as int Seitz pairs over the cell tiles'
+denominator d: a point part in the closure of the pairs verified so far
+needs no check (automorphism_group_with_embedding).  Cell tiles are sorted
+by their int rows over one denominator, the order of their vertex tuples.
 
 The hull of a tiling with crystallographic automorphism group Aut(T) is,
 as a topological space with its isometry action, the group quotient
@@ -60,12 +64,11 @@ from .isometry import (
     identity_iso,
     inverse,
     iso_terms,
-    translation_iso,
 )
 from .groups import (
     CrystalGroup,
     _ball,
-    _canon_seitz,
+    _int_closure,
     conjugacy_search,
     is_conjugate_subgroup,
     lattice_isometries,
@@ -126,7 +129,9 @@ def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> Peri
         problems = validate_tiling(PeriodicTiling(frame=frame, cell_tiles=canon))
         if problems:
             raise TilingValidationError(problems)
-    canon = tuple(sorted(canon, key=lambda t: t.vertices))
+    # sorted by their vertex tuples, compared as int rows over one denominator
+    cells = _int_vertices(canon)[1]
+    canon = tuple(canon[i] for i in sorted(range(len(canon)), key=cells.__getitem__))
     return PeriodicTiling(frame=frame, cell_tiles=canon, provenance=provenance)
 
 
@@ -448,17 +453,27 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
 
 @lru_cache(maxsize=None)
 def _lattice_automorphisms(frame: Frame):
-    """(U, U as ints) for each U of lattice_isometries(frame, frame), once
+    """Each U of lattice_isometries(frame, frame) as an int matrix, once
     per frame."""
-    return tuple((m, integral_rows(m)[1]) for m in lattice_isometries(frame, frame))
+    return tuple(integral_rows(m)[1] for m in lattice_isometries(frame, frame))
 
 
 def automorphism_group_with_embedding(tiling: PeriodicTiling):
     """Aut(T) over its maximal translation lattice, plus the coordinate map
-    from the group's frame back into the tiling's frame.  The verified Seitz
-    pairs (one translation class per point part, the lattice being maximal)
-    form the group as they are: Aut(T) is closed, so validate_group's
-    closure pass would only re-prove it."""
+    from the group's frame back into the tiling's frame.
+
+    Aut(T) is found from verified generators (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 4).  The Seitz pairs
+    verified so far are closed mod the lattice as int pairs over the cell
+    tiles' common denominator d (groups._int_closure), starting from the
+    identity.  A lattice automorphism U whose point part lies in that
+    closure is skipped: products of automorphisms are automorphisms.  Any
+    other U gets the full check, for the translations that map cell tile 0
+    onto a cell tile, and a U that passes joins the generators.  So Aut(T)
+    is the closure at the end, with one translation class per point part,
+    the lattice being maximal, and it is closed, so validate_group's closure
+    pass would only re-prove it.  Each success at least doubles the
+    closure, so at most log2 |P| full checks pass."""
     basis = maximal_translation_lattice(tiling)
     if basis != identity_mat(tiling.frame.dim):
         dense, embed = reexpress_over_lattice(tiling, basis)
@@ -466,15 +481,19 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
         return group, compose(embed, inner)
     frame = tiling.frame
     d, cells, keys = _int_cells(tiling)
-    seitz = []
-    for m, mi in _lattice_automorphisms(frame):
-        image = sorted(int_mat_vec(mi, p) for p in cells[0])
+    gens, aut = [], _int_closure(frame.dim, d, [])
+    for u in _lattice_automorphisms(frame):
+        if any(m == u for m, _ in aut):
+            continue
+        image = sorted(int_mat_vec(u, p) for p in cells[0])
         for pts in cells:
             c = _translate_match(image, pts)
-            if c is not None and _fixes_tiling(d, cells, keys, mi, c):
-                seitz.append(_canon_seitz(m, tuple(Q(x, d) for x in c)))
+            if c is not None and _fixes_tiling(d, cells, keys, u, c):
+                gens.append((u, c))
+                aut = _int_closure(frame.dim, d, gens)
                 break
-    return CrystalGroup(frame=frame, reps=tuple(sorted(seitz))), identity_iso(frame)
+    reps = tuple(sorted((m, tuple(Q(x, d) for x in t)) for m, t in aut))
+    return CrystalGroup(frame=frame, reps=reps), identity_iso(frame)
 
 
 def automorphism_group(tiling: PeriodicTiling) -> CrystalGroup:
@@ -639,7 +658,10 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
     and to every tile of T' that is a translate of tile 0 of T (a shift may
     reorder the canonical tiles); each also reduced to [-1/2, 1/2)^n."""
     frame = t1.frame
-    pairs = [(identity_iso(frame), identity_iso(frame))]
+    n = frame.dim
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    ident = Isometry._of_ints(frame, 1, one, (0,) * n, frame)
+    pairs = [(ident, ident)]
     anchors = [vsub(t2.cell_tiles[0].vertices[0], t1.cell_tiles[0].vertices[0])]
     d, cells = _int_vertices((t1.cell_tiles[0],) + t2.cell_tiles)
     anchors += [tuple(Q(x, d) for x in v) for pts in cells[1:]
@@ -650,8 +672,11 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
     for tau in taus:
         if all(x == 0 for x in tau):
             continue
-        half = tuple(x / 2 for x in tau)
-        pairs.append((translation_iso(frame, half), translation_iso(frame, tuple(-x for x in half))))
+        # x -> x +- tau / 2 is (m x +- T) / m over m = 2 e, for tau = T / e
+        e, t = integral(tau)
+        a = tuple(tuple(2 * e * x for x in row) for row in one)
+        pairs.append((Isometry._of_ints(frame, 2 * e, a, t, frame),
+                      Isometry._of_ints(frame, 2 * e, a, tuple(-x for x in t), frame)))
     return pairs
 
 

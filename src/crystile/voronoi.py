@@ -27,15 +27,18 @@ reads, and delone_params reports it as the covering radius.
 
 The loop runs on Python ints (the integer layer of linalg).
 groups.orbit_in_ball enumerates the sites as numerators over one common
-denominator.  They are ordered by exact integer keys: over the common
-denominator D of x0 and the sites, D^2 E |s - x0|^2 = y.(EG)y for
-y = D s - D x0, with EG the frame's integer Gram matrix over its
+denominator D, a multiple of that of x0, and each round reads those int
+sites off the orbit (its private _ints), so no site goes through Q and
+back.  They are ordered by exact integer keys: D^2 E |s - x0|^2 =
+y.(EG)y for y = D s - D x0, with EG the frame's integer Gram matrix over its
 denominator E (isometry.int_gram), the form groups.lattice_points_in_ball
 tests.  Each bisector is formed from y and (EG)y as an int facet pair
 (polytope).  The box corners are int rows over the denominator of x0,
 clip reads and emits the stored rows of each cell, and rho^2 is read off
 them after each cut that changes the cell.  Q values are formed only for
-the results: one per site coordinate, and rho^2 once.
+the results: one per site coordinate, and rho^2 once.  The stabilizer and
+orbit-membership checks before the loop test M X + T - Y == 0 (mod d) on
+int rows (groups.stabilizer, _orbit_contains).
 """
 
 from __future__ import annotations
@@ -45,10 +48,9 @@ from itertools import product
 from math import lcm
 
 from .rational import Q, isqrt_ceil, rat
-from .linalg import (Vec, int_dot, int_mat_vec, integral, integral_rows, is_integral_vec,
-                     mat_vec, vadd, vec, vsub)
+from .linalg import Vec, int_dot, int_mat_vec, integral, integral_rows, vec
 from .isometry import Frame, Isometry, _inv_gram_diag, int_gram
-from .groups import CrystalGroup, orbit_in_ball, stabilizer
+from .groups import CrystalGroup, _int_moves_onto, orbit_in_ball, stabilizer
 from .polytope import (ConvexPolytope, HalfSpace, _clip, _halfspace, _reduced_facet, _slacks,
                        halfspace_intersection)
 
@@ -93,10 +95,11 @@ def _bisector(frame: Frame, d, dx0, y, gy):
 
 
 def _orbit_contains(group: CrystalGroup, x: Vec, y: Vec) -> bool:
-    for m, v in group.reps:
-        if is_integral_vec(vsub(y, vadd(mat_vec(m, x), v))):
-            return True
-    return False
+    """Whether y is a site of the orbit of x: M X + T - Y == 0 (mod d) for
+    some rep (M, v), over the common denominator d of x, y and the reps'
+    translations, X = d x, Y = d y and T = d v (groups._int_moves_onto)."""
+    d, (dx, dy, *ts) = integral_rows((x, y, *(v for _, v in group.reps)))
+    return any(_int_moves_onto(int_mat_vec(m, dx), t, dy, d) for (m, _), t in zip(group.reps, ts))
 
 
 def voronoi_cell(group: CrystalGroup, x, x0=None, sq_radius=None):
@@ -114,21 +117,23 @@ def cell_with_certificate(group: CrystalGroup, x, x0=None):
     return _cell_with_localization(group, x, x0, None)[:2]
 
 
-def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
-    """(cell, rho2) of x0 among sites, rho2 its squared circumradius about
-    x0, or None when the cell reaches beyond the Gram ball of squared radius
-    d2/4 about x0 (see the module docstring).
+def _cell_from_sites(frame: Frame, x0: Vec, d, sites, d2):
+    """(cell, rho2) of x0 among the sites s = S / d, given as int tuples S
+    over a multiple d of x0's denominator, rho2 the cell's squared
+    circumradius about x0, or None when the cell reaches beyond the Gram
+    ball of squared radius d2/4 about x0 (see the module docstring).
 
     Clips the box around that ball by the bisectors nearest first (ties in
     the order of sites) and stops at the first site s with |s - x0|^2 >=
     4 rho2, where no bisector can cut the running cell.  The sites are
-    ordered by the integers y.(EG)y for y = D (s - x0), D the common
-    denominator of x0 and the sites and EG the integer Gram matrix over E
-    of isometry.int_gram, and each bisector is formed from y and (EG)y
-    (_bisector).  rho2 is read off the cell's stored vertex rows P over V
-    (polytope): over L = lcm(V, D), Y = (L / V) P - (L / D) D x0
-    gives E L^2 |v - x0|^2 = Y.(EG)Y, and the stop compares the keys with
-    the least integer at or above 4 D^2 E rho2.  One Q, rho2, is formed at
+    ordered by the integers y.(EG)y for y = D (s - x0), D = d and EG the
+    integer Gram matrix over E of isometry.int_gram, and each bisector is
+    formed from y and (EG)y (_bisector).  rho2 is read off the cell's stored
+    vertex rows P over V (polytope): over L = lcm(V, D),
+    Y = (L / V) P - (L / D) D x0 gives E L^2 |v - x0|^2 = Y.(EG)Y, and the
+    stop compares the keys with the least integer at or above 4 D^2 E rho2.
+    Any multiple of the least denominator gives the same keys' order, the
+    same stops and the same reduced bisectors.  One Q, rho2, is formed at
     the end."""
     n = frame.dim
     widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
@@ -143,9 +148,9 @@ def _cell_from_sites(frame: Frame, x0: Vec, sites, d2):
                   for bits in product((0, 1), repeat=n))
     cell = ConvexPolytope._from_rows(frame, f, tuple(product(*ends)), tuple(box_facets), tight)
     e, eg = int_gram(frame)
-    d, (dx0, *ds) = integral_rows((x0, *sites))
+    dx0 = integral(x0, d)[1]
     ordered = []
-    for s in ds:
+    for s in sites:
         y = [c - c0 for c, c0 in zip(s, dx0)]
         gy = int_mat_vec(eg, y)
         ordered.append((int_dot(gy, y), y, gy))
@@ -189,8 +194,10 @@ def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
     n = frame.dim
     d2 = rat(sq_radius) if sq_radius is not None else 4 * max(frame.gram[i][i] for i in range(n))
     for _ in range(24):
-        sites = [s for s in orbit_in_ball(group, x, x0, d2).sites if s != x0]
-        found = _cell_from_sites(frame, x0, sites, d2)
+        # the orbit's denominator is a multiple of that of its centre x0
+        d, sites = orbit_in_ball(group, x, x0, d2)._ints
+        dx0 = integral(x0, d)[1]
+        found = _cell_from_sites(frame, x0, d, [s for s in sites if s != dx0], d2)
         if found is not None and 4 * found[1] <= d2:
             return found[0], d2, found[1]
         if sq_radius is not None:

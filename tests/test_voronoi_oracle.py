@@ -45,7 +45,7 @@ from crystile.groups import (
     stabilizer,
 )
 from crystile.isometry import _inv_gram_diag, int_gram
-from crystile.linalg import gram_norm2, mat_vec, vadd, vdot, vec, vsub
+from crystile.linalg import gram_norm2, integral_rows, mat_vec, vadd, vdot, vec, vsub
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
@@ -341,7 +341,8 @@ def check_against_fractions(g, x):
     # the box survives (None) or the cell is not yet certified
     for r2 in (d2, d2 / 4, d2 / 16):
         sites = [s for s in assert_same_sites(g, x, x, r2) if s != x]
-        found = _cell_from_sites(g.frame, x, sites, r2)
+        d, (_, *rows) = integral_rows((x, *sites))
+        found = _cell_from_sites(g.frame, x, d, rows, r2)
         want = fraction_cell_from_sites(g.frame, x, sites, r2)
         assert (found is None) == (want is None)
         if found is not None:
