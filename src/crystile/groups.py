@@ -29,20 +29,15 @@ from .linalg import (
     is_integral_vec,
     mat,
     mat_det,
-    mat_inv,
-    mat_mul,
     mat_sub,
-    mat_vec,
     solve_mod_lattice,
     transpose,
-    vadd,
-    vdot,
     vec,
     vsub,
     zero_vec,
 )
-from .isometry import (Frame, Isometry, _inv_gram_diag, hexagonal_frame, int_gram,
-                       is_gram_orthogonal, standard_frame)
+from .isometry import (Frame, Isometry, _inv_gram_diag, compose, hexagonal_frame, int_gram,
+                       inverse, is_gram_orthogonal, standard_frame)
 
 
 class GroupValidationError(ValueError):
@@ -531,21 +526,14 @@ def lattice_isometries(source: Frame, target: Frame) -> list:
     return results
 
 
-def _conjugated_rep(u: Mat, uinv: Mat, m: Mat, g2: CrystalGroup):
-    """(M', w) for M' = U M U^-1 and g2's rep (M', w), or None if it has none."""
-    mprime = mat_mul(u, mat_mul(m, uinv))
-    if not is_integral_mat(mprime):
-        return None
-    w = g2.rep_for(mprime)
-    return None if w is None else (mprime, w)
-
-
 def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
     """An isometry gamma with gamma g1 gamma^-1 == g2 as sets, or None.
 
     gamma maps g1-frame coordinates to g2-frame coordinates; its linear
-    part is an isometric lattice identification, and its translation part
-    solves U v_M + (1 - U M U^-1) c = w (mod Z^n) for every rep.
+    part U is an isometric lattice identification.  compose and inverse
+    conjugate each rep (M, v) of g1 by (U, 0) to (M', U v), M' = U M U^-1,
+    and the translation part c solves U v + (1 - M') c = w (mod Z^n) for
+    g2's rep (M', w), which a non-integral M' lacks.
     """
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
@@ -555,17 +543,19 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
     if sig(g1) != sig(g2):
         return None
     n = g1.dim
+    reps = [g1.element(m, v) for m, v in g1.reps]
     for u in lattice_isometries(g1.frame, g2.frame):
-        uinv = mat_inv(u)
+        gamma0 = Isometry(g1.frame, u, zero_vec(n), target=g2.frame)
+        back = inverse(gamma0)
         rows = []
         rhs = []
-        for m, v in g1.reps:
-            found = _conjugated_rep(u, uinv, m, g2)
-            if found is None:
+        for r in reps:
+            s = compose(gamma0, compose(r, back))
+            w = g2.rep_for(s.linear)
+            if w is None:
                 break
-            mprime, w = found
-            rows += mat_sub(identity_mat(n), mprime)
-            rhs += (wi - vdot(ui, v) for wi, ui in zip(w, u))
+            rows += mat_sub(identity_mat(n), s.linear)
+            rhs += vsub(w, s.translation)
         else:
             c = solve_mod_lattice(tuple(rows), tuple(rhs))
             if c is not None:
@@ -577,27 +567,18 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
 def is_conjugate_subgroup(g1: CrystalGroup, g2: CrystalGroup, gamma: Isometry) -> bool:
     """Whether gamma g1 gamma^-1 is contained in g2.
 
-    Checked on lattice generators plus all reps, which suffices by closure.
+    Checked on lattice generators (an integral linear part) plus all reps,
+    conjugated with compose and inverse and tested by g2.contains, which
+    suffices by closure.
     """
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
     if gamma.frame != g1.frame or gamma.target != g2.frame:
         raise ValueError("gamma does not map between the group frames")
-    u = gamma.linear
-    if not is_integral_mat(u):
+    if not is_integral_mat(gamma.linear):
         return False  # some conjugated lattice translation is not in g2
-    uinv = mat_inv(u)
-    c = gamma.translation
-    n = g1.dim
-    for m, v in g1.reps:
-        found = _conjugated_rep(u, uinv, m, g2)
-        if found is None:
-            return False
-        mprime, w = found
-        t = vadd(mat_vec(u, v), mat_vec(mat_sub(identity_mat(n), mprime), c))
-        if not is_integral_vec(vsub(t, w)):
-            return False
-    return True
+    back = inverse(gamma)
+    return all(g2.contains(compose(gamma, compose(g1.element(m, v), back))) for m, v in g1.reps)
 
 
 def subgroup_index(sub: CrystalGroup, sup: CrystalGroup, gamma: Isometry = None) -> int:

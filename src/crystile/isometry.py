@@ -319,14 +319,6 @@ def operator_norm(frame: Frame, m) -> float:
     return math.sqrt(_sym_eigen_max(a.T @ a))
 
 
-def _int_det(a) -> int:
-    """Determinant of a small square int matrix, by cofactors along the first row."""
-    if len(a) == 1:
-        return a[0][0]
-    return sum((-1) ** j * x * _int_det([row[:j] + row[j + 1:] for row in a[1:]])
-               for j, x in enumerate(a[0]) if x)
-
-
 def iso_terms(origin, a: Isometry, b: Isometry = None):
     """Exact (p, q) with d_O(a, b) = sqrt(p) + sqrt(q), n <= 3, b by default the
     identity.  Isometries preserve both terms, so d_O(a, b) = d_O(b^-1 a, 1),
@@ -348,7 +340,7 @@ def iso_terms(origin, a: Isometry, b: Isometry = None):
     y = [x + e * t - m * c for x, t, c in zip(int_mat_vec(am, eo), bm, eo)]
     g, eg = int_gram(a.frame)
     p = Q(int_dot(y, int_mat_vec(eg, y)), g * (m * e) ** 2)
-    if _int_det(am) < 0:
+    if mat_det(am) < 0:
         return p, Q(4)
     return p, Q(n * m - sum(am[i][i] for i in range(n)), m)
 
@@ -396,15 +388,11 @@ def ortho_sqrt(alpha: np.ndarray) -> np.ndarray:
     return beta
 
 
-# --- rational orthogonal generators (used by tests and group search) -------
+# --- rational orthogonal generators (used by tests) ---------------------------
 
 def rational_rotation_2d(t) -> Mat:
     """Rational point on SO(2) from the tangent-half-angle parameter t."""
-    t = rat(t)
-    d = 1 + t * t
-    c = (1 - t * t) / d
-    s = 2 * t / d
-    return mat([[c, -s], [s, c]])
+    return rational_givens(2, 0, 1, t)
 
 
 def rational_givens(n: int, i: int, j: int, t) -> Mat:

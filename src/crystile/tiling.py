@@ -416,8 +416,11 @@ def _int_cells(tiling: PeriodicTiling):
 
 def maximal_translation_lattice(tiling: PeriodicTiling):
     """Basis (columns) of {v : T + v = T} as a superlattice of Z^n."""
-    n = tiling.frame.dim
-    d, cells, keys = _int_cells(tiling)
+    return _translation_lattice(tiling.frame.dim, *_int_cells(tiling))
+
+
+def _translation_lattice(n, d, cells, keys):
+    """maximal_translation_lattice of the tiling with _int_cells (d, cells, keys)."""
     one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     extra = []
     for pts in cells:
@@ -474,13 +477,13 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
     the lattice being maximal, and it is closed, so validate_group's closure
     pass would only re-prove it.  Each success at least doubles the
     closure, so at most log2 |P| full checks pass."""
-    basis = maximal_translation_lattice(tiling)
-    if basis != identity_mat(tiling.frame.dim):
+    frame = tiling.frame
+    d, cells, keys = _int_cells(tiling)
+    basis = _translation_lattice(frame.dim, d, cells, keys)
+    if basis != identity_mat(frame.dim):
         dense, embed = reexpress_over_lattice(tiling, basis)
         group, inner = automorphism_group_with_embedding(dense)
         return group, compose(embed, inner)
-    frame = tiling.frame
-    d, cells, keys = _int_cells(tiling)
     gens, aut = [], _int_closure(frame.dim, d, [])
     for u in _lattice_automorphisms(frame):
         if any(m == u for m, _ in aut):
@@ -524,11 +527,6 @@ class LDResult:
     covering_sq: object = None    # exact square of the radius
 
 
-def _bridge_gamma(gamma: Isometry, emb1: Isometry, emb2: Isometry) -> Isometry:
-    """Rewrite gamma : T-frame -> T'-frame as a map between Aut frames."""
-    return compose(inverse(emb2), compose(gamma, emb1))
-
-
 def ld_check(t1: PeriodicTiling, t2: PeriodicTiling, gamma: Isometry) -> LDResult:
     """T' is gamma-LD from T iff gamma Aut(T) gamma^-1 is contained in Aut(T').
 
@@ -540,8 +538,8 @@ def ld_check(t1: PeriodicTiling, t2: PeriodicTiling, gamma: Isometry) -> LDResul
         raise ValueError("dimension mismatch")
     g1, e1 = automorphism_group_with_embedding(t1)
     g2, e2 = automorphism_group_with_embedding(t2)
-    eff = _bridge_gamma(gamma, e1, e2)
-    if not is_conjugate_subgroup(g1, g2, eff):
+    # gamma : T-frame -> T'-frame, rewritten as a map between the Aut frames
+    if not is_conjugate_subgroup(g1, g2, compose(inverse(e2), compose(gamma, e1))):
         return LDResult(holds=False)
     cover_sq = _lattice_covering_sq(g1.frame)
     from .rational import sqrt_float

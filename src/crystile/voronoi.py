@@ -111,10 +111,10 @@ def voronoi_cell(group: CrystalGroup, x, x0=None, sq_radius=None):
     return _cell_with_localization(group, x, x0, sq_radius)[0]
 
 
-def cell_with_certificate(group: CrystalGroup, x, x0=None):
-    """(cell, localization squared radius) of the orbit site x0, as in
+def cell_with_certificate(group: CrystalGroup, x):
+    """(cell, localization squared radius) of the site x in its orbit, as in
     voronoi_cell; every facet of the cell is a bisector_halfspace."""
-    return _cell_with_localization(group, x, x0, None)[:2]
+    return _cell_with_localization(group, x, None, None)[:2]
 
 
 def _cell_from_sites(frame: Frame, x0: Vec, d, sites, d2):

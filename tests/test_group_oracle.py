@@ -11,6 +11,16 @@ are not closed, "missing point part" is reported alone, without the
 translation check the old pair loop also ran.  solve_mod_lattice must
 return the old solution, or None with it, on random integer systems with
 rational right-hand sides.
+
+old_conjugated_rep, old_conjugacy_search and old_is_conjugate_subgroup are
+the Fraction conjugation that LD and MLD ran before they went through
+compose, inverse and CrystalGroup.contains, verbatim apart from their
+names.  On every ordered pair of same-dimension presets, and on a preset
+and its image under a small unimodular basis change U (Gram U^T G U) and a
+rational origin shift, conjugacy_search must return the old gamma, field
+for field, or None with it, and is_conjugate_subgroup the old verdict under
+the identity, gamma and gamma^-1.  A preset and its image are conjugate
+both ways, with subgroup_index 1 under gamma, and is_symmorphic agrees.
 """
 
 from functools import lru_cache
@@ -18,18 +28,41 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sys
+
+from crystile import linalg as linalg_mod
 from crystile.groups import (
     PRESET_NAMES,
     GroupValidationError,
     _demo3d_generators,
     _wallpaper_generators,
+    conjugacy_search,
+    is_conjugate_subgroup,
+    is_symmorphic,
     lattice_isometries,
     preset,
     span_seitz,
+    subgroup_index,
     validate_group,
 )
-from crystile.linalg import identity_mat, mat_sub, mat_vec, solve_mod_lattice, vadd, vsub
-from crystile.rational import Q
+from crystile.isometry import Frame, Isometry, identity_iso, int_inv_gram, inverse
+from crystile.linalg import (
+    Mat,
+    identity_mat,
+    is_integral_mat,
+    is_integral_vec,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    solve_mod_lattice,
+    transpose,
+    vadd,
+    vdot,
+    vsub,
+)
+from crystile.rational import Q, frac_part
 
 from conftest import old_solve_mod_lattice, old_span_seitz, old_validate_group
 
@@ -140,3 +173,160 @@ def congruence_systems(draw):
 def test_solve_mod_lattice_matches_old(system):
     a, b = system
     assert solve_mod_lattice(a, b) == old_solve_mod_lattice(a, b)
+
+
+# --- conjugacy: the Fraction code before compose/inverse/contains -------------
+
+def old_conjugated_rep(u: Mat, uinv: Mat, m: Mat, g2):
+    """(M', w) for M' = U M U^-1 and g2's rep (M', w), or None if it has none."""
+    mprime = mat_mul(u, mat_mul(m, uinv))
+    if not is_integral_mat(mprime):
+        return None
+    w = g2.rep_for(mprime)
+    return None if w is None else (mprime, w)
+
+
+def old_conjugacy_search(g1, g2):
+    """An isometry gamma with gamma g1 gamma^-1 == g2 as sets, or None.
+
+    gamma maps g1-frame coordinates to g2-frame coordinates; its linear
+    part is an isometric lattice identification, and its translation part
+    solves U v_M + (1 - U M U^-1) c = w (mod Z^n) for every rep.
+    """
+    if g1.dim != g2.dim:
+        raise ValueError("dimension mismatch")
+    if g1.order() != g2.order():
+        return None
+    sig = lambda g: sorted((mat_det(m), sum(m[i][i] for i in range(g.dim))) for m in g.point_parts())
+    if sig(g1) != sig(g2):
+        return None
+    n = g1.dim
+    for u in lattice_isometries(g1.frame, g2.frame):
+        uinv = mat_inv(u)
+        rows = []
+        rhs = []
+        for m, v in g1.reps:
+            found = old_conjugated_rep(u, uinv, m, g2)
+            if found is None:
+                break
+            mprime, w = found
+            rows += mat_sub(identity_mat(n), mprime)
+            rhs += (wi - vdot(ui, v) for wi, ui in zip(w, u))
+        else:
+            c = solve_mod_lattice(tuple(rows), tuple(rhs))
+            if c is not None:
+                c = tuple(frac_part(x) for x in c)
+                return Isometry(g1.frame, u, c, target=g2.frame)
+    return None
+
+
+def old_is_conjugate_subgroup(g1, g2, gamma: Isometry) -> bool:
+    """Whether gamma g1 gamma^-1 is contained in g2.
+
+    Checked on lattice generators plus all reps, which suffices by closure.
+    """
+    if g1.dim != g2.dim:
+        raise ValueError("dimension mismatch")
+    if gamma.frame != g1.frame or gamma.target != g2.frame:
+        raise ValueError("gamma does not map between the group frames")
+    u = gamma.linear
+    if not is_integral_mat(u):
+        return False  # some conjugated lattice translation is not in g2
+    uinv = mat_inv(u)
+    c = gamma.translation
+    n = g1.dim
+    for m, v in g1.reps:
+        found = old_conjugated_rep(u, uinv, m, g2)
+        if found is None:
+            return False
+        mprime, w = found
+        t = vadd(mat_vec(u, v), mat_vec(mat_sub(identity_mat(n), mprime), c))
+        if not is_integral_vec(vsub(t, w)):
+            return False
+    return True
+
+
+def _fields(gamma):
+    return None if gamma is None else (
+        gamma.linear, gamma.translation, gamma.frame, gamma.target, gamma._ints)
+
+
+def _assert_conjugation_matches_old(g1, g2):
+    """conjugacy_search(g1, g2) and the is_conjugate_subgroup verdicts
+    under the identity (on one frame), gamma and gamma^-1 match the old code;
+    returns gamma."""
+    gamma = conjugacy_search(g1, g2)
+    assert _fields(gamma) == _fields(old_conjugacy_search(g1, g2))
+    checks = [(g1, g2, identity_iso(g1.frame))] if g1.frame == g2.frame else []
+    if gamma is not None:
+        checks += [(g1, g2, gamma), (g2, g1, inverse(gamma))]
+    for a, b, iso in checks:
+        assert is_conjugate_subgroup(a, b, iso) == old_is_conjugate_subgroup(a, b, iso)
+    return gamma
+
+
+def _same_dimension_pairs():
+    groups = [preset(name) for name in PRESET_NAMES]
+    return [(a, b) for a in groups for b in groups if a.dim == b.dim]
+
+
+def test_conjugacy_matches_old_on_preset_pairs():
+    pairs = _same_dimension_pairs()
+    found = [_assert_conjugation_matches_old(a, b) for a, b in pairs]
+    assert len(pairs) == 298 and sum(g is not None for g in found) == 20
+
+
+def test_conjugacy_makes_no_mat_inv_call(count_calls):
+    # compose and inverse invert on the frames' int Grams (int_inv_gram),
+    # so once those are formed the conjugation runs no elimination: no
+    # mat_inv call wherever a crystile module binds that name
+    pairs = _same_dimension_pairs()
+    for a, _ in pairs:
+        int_inv_gram(a.frame)
+    calls = []
+    for module in [m for n, m in sorted(sys.modules.items()) if n.startswith("crystile")]:
+        if getattr(module, "mat_inv", None) is linalg_mod.mat_inv:
+            count_calls(module, "mat_inv", calls)
+    for a, b in pairs:
+        gamma = conjugacy_search(a, b)
+        if a.frame == b.frame:
+            is_conjugate_subgroup(a, b, identity_iso(a.frame))
+        if gamma is not None:
+            assert is_conjugate_subgroup(a, b, gamma) and is_conjugate_subgroup(b, a, inverse(gamma))
+    assert calls == []
+
+
+@st.composite
+def conjugated_presets(draw):
+    """(g, h): a preset g and h = gamma^-1 g gamma for gamma = (U, s), U a
+    product of elementary shears and a sign flip (det +-1), over the frame
+    with Gram U^T G U."""
+    g = preset(draw(st.sampled_from(PRESET_NAMES)))
+    n = g.dim
+    u = identity_mat(n)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        e = tuple(tuple(int(a == b) + (draw(st.sampled_from((-1, 1))) if (a, b) == (i, j) else 0)
+                        for b in range(n)) for a in range(n))
+        u = mat_mul(u, e)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        u = tuple(tuple(-x if b == k else x for b, x in enumerate(row)) for row in u)
+    s = draw(st.tuples(*[rationals] * n))
+    ui = mat_inv(u)
+    frame = Frame(n, mat_mul(transpose(u), mat_mul(g.frame.gram, u)))
+    # gamma^-1 (M, v) gamma for gamma(x) = U x + s: (U^-1 M U, U^-1 (M s + v - s))
+    pairs = [(mat_mul(ui, mat_mul(m, u)), mat_vec(ui, vsub(vadd(mat_vec(m, s), v), s)))
+             for m, v in g.reps]
+    return g, validate_group(frame, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(conjugated_presets())
+def test_conjugacy_matches_old_on_conjugated_presets(case):
+    g, h = case
+    assert (is_symmorphic(g) is None) == (is_symmorphic(h) is None)
+    for a, b in ((g, h), (h, g)):
+        gamma = _assert_conjugation_matches_old(a, b)
+        assert gamma is not None
+        assert subgroup_index(a, b, gamma) == 1

@@ -54,7 +54,7 @@ from crystile.tiling import (
 )
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
-from conftest import bare, pairwise_problems, random_rational_point
+from conftest import bare, pairwise_problems, random_rational_point, seed0_construction
 
 ROT90 = ((0, -1), (1, 0))
 D4 = {
@@ -316,6 +316,15 @@ def test_automorphism_half_scale(half_scale_tiling):
     assert aut.order() == 8
     assert aut.frame.gram == ((Q(1, 4), 0), (0, Q(1, 4)))
     assert emb.linear == ((Q(1, 2), 0), (0, Q(1, 2)))
+
+
+def test_automorphism_group_forms_int_cells_once(count_calls):
+    # the translation-lattice search reads the cells that the Aut search
+    # formed, so one automorphism_group call forms them once
+    tiling = seed0_construction("p6m")
+    calls = count_calls(tiling_mod, "_int_cells")
+    assert automorphism_group(tiling).order() == 12
+    assert len(calls) == 1
 
 
 def test_automorphisms_fix_tiling(square_tiling, rhomb_tiling):
