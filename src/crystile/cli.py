@@ -28,12 +28,11 @@ from .groups import (
 from .voronoi import DegenerateSiteError, UnboundedCellError, voronoi_tiling, delone_params
 from .tiling import (
     TilingValidationError,
+    _mld_verdicts,
     automorphism_group,
     distance_upper_bound,
     ld_check,
-    mld_check,
     prototiles,
-    translation_mld_check,
 )
 from .construction import ConstructionError, construct_tiling
 from . import serialize as io
@@ -226,11 +225,11 @@ def cmd_mld(args) -> int:
     t2 = _load_tiling(args.b)
     if t1.dim != t2.dim:
         raise InputError(f"MLD compares tilings of one dimension, not {t1.dim} and {t2.dim}")
-    gamma = mld_check(t1, t2)
+    gamma, translation_mld = _mld_verdicts(t1, t2)
     _emit(
         {
             "gamma": io.isometry_to_json(gamma) if gamma is not None else None,
-            "translation_mld": translation_mld_check(t1, t2),
+            "translation_mld": translation_mld,
         }
     )
     return 0

@@ -328,16 +328,43 @@ def preset(name: str) -> CrystalGroup:
 
 # --- orbits and stabilizers -------------------------------------------------
 
-@dataclass(frozen=True)
 class OrbitPointSet:
-    frame: Frame
-    sites: tuple
-    group: CrystalGroup = field(compare=False)
-    base_point: Vec = field(compare=False)
-    center: Vec = field(compare=False)
-    sq_radius: object = field(compare=False)
-    # (d, int sites): the sites as sorted int tuples over a common denominator d
-    _ints: tuple = field(default=None, repr=False, compare=False)
+    """Orbit points of base_point within squared radius sq_radius of center:
+    sites, the sorted Q tuples.  orbit_in_ball keeps them as int tuples over
+    one common denominator d, _ints = (d, sites), and sites forms the Q
+    tuples from those when first read.  As for a frozen dataclass with the
+    other fields out of the comparison, equality and hashing run on frame
+    and sites, and the fields are read-only."""
+
+    def __init__(self, frame: Frame, sites, group: CrystalGroup, base_point: Vec, center: Vec,
+                 sq_radius, _ints=None):
+        for name, value in (("frame", frame), ("_sites", sites), ("group", group),
+                            ("base_point", base_point), ("center", center),
+                            ("sq_radius", sq_radius), ("_ints", _ints)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    @property
+    def sites(self) -> tuple:
+        if self._sites is None:
+            d, rows = self._ints
+            object.__setattr__(self, "_sites", tuple(tuple(Q(c, d) for c in s) for s in rows))
+        return self._sites
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.frame, self.sites) == (other.frame, other.sites)
+
+    def __hash__(self):
+        return hash((self.frame, self.sites))
+
+    def __repr__(self):
+        return (f"OrbitPointSet(frame={self.frame!r}, sites={self.sites!r}, "
+                f"group={self.group!r}, base_point={self.base_point!r}, "
+                f"center={self.center!r}, sq_radius={self.sq_radius!r})")
 
 
 def lattice_points_in_ball(frame: Frame, center: Vec, r2) -> list:
@@ -388,9 +415,9 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
     translations, the sites are the int vectors M X + d v + d k, X = d x,
     for each rep (M, v) and each k of the ball query about the centre
     minus M x + v.  They are deduplicated and sorted as int tuples, which
-    is their order as rationals, and each becomes a Q tuple once; the int
-    tuples stay on the result as its private _ints = (d, sites), which the
-    Voronoi localization reads."""
+    is their order as rationals, and stay on the result as its private
+    _ints = (d, sites), which the Voronoi localization reads.  Q values are
+    formed only when a caller reads sites (OrbitPointSet)."""
     x, center = vec(x, group.dim), vec(center, group.dim)
     r2 = rat(r2)
     if r2 <= 0:
@@ -401,15 +428,14 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
         base = [a + b for a, b in zip(int_mat_vec(m, dx), t)]
         for k in _ball(group.frame, d, [c - b for c, b in zip(dc, base)], r2):
             sites.add(tuple(b + d * ki for b, ki in zip(base, k)))
-    sites = tuple(sorted(sites))
     return OrbitPointSet(
         frame=group.frame,
-        sites=tuple(tuple(Q(c, d) for c in s) for s in sites),
+        sites=None,
         group=group,
         base_point=x,
         center=center,
         sq_radius=r2,
-        _ints=(d, sites),
+        _ints=(d, tuple(sorted(sites))),
     )
 
 

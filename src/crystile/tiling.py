@@ -77,6 +77,7 @@ from .polytope import (
     ConvexPolytope,
     _centroid_ball,
     _facet_edges,
+    _moved,
     _reduced,
     _sq_distance,
     congruent,
@@ -115,9 +116,10 @@ class PeriodicTiling:
 
 
 def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
-    """Translate by a lattice vector so the least vertex P / V lies in [0,1)^n."""
+    """Translate by a lattice vector so the least vertex P / V lies in [0,1)^n:
+    by the int floor shift, on the rows (polytope._moved)."""
     shift = tuple(-(c // tile._den) for c in tile._rows[0])
-    return tile.translate(shift) if any(shift) else tile
+    return _moved(tile, tile.frame, 1, None, shift) if any(shift) else tile
 
 
 def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> PeriodicTiling:
@@ -129,10 +131,7 @@ def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> Peri
         problems = validate_tiling(PeriodicTiling(frame=frame, cell_tiles=canon))
         if problems:
             raise TilingValidationError(problems)
-    # sorted by their vertex tuples, compared as int rows over one denominator
-    cells = _int_vertices(canon)[1]
-    canon = tuple(canon[i] for i in sorted(range(len(canon)), key=cells.__getitem__))
-    return PeriodicTiling(frame=frame, cell_tiles=canon, provenance=provenance)
+    return PeriodicTiling(frame=frame, cell_tiles=_sorted_tiles(canon), provenance=provenance)
 
 
 def validate_tiling(tiling: PeriodicTiling) -> list:
@@ -228,6 +227,13 @@ def _int_vertices(tiles):
     return d, tuple(tuple(tuple(d // t._den * c for c in p) for p in t._rows) for t in tiles)
 
 
+def _sorted_tiles(tiles) -> tuple:
+    """The tiles sorted by their vertex tuples, compared as int rows over
+    one common denominator (_int_vertices)."""
+    rows = _int_vertices(tiles)[1]
+    return tuple(tiles[i] for i in sorted(range(len(tiles)), key=rows.__getitem__))
+
+
 def _key(d, flat):
     """The key of the vertex tuple whose coordinates, in order, are
     flat / d (ints, d > 0): the least common denominator and the
@@ -301,14 +307,19 @@ def _tiles_near(tiling: PeriodicTiling, center, r2):
 
 
 def patch(tiling: PeriodicTiling, center, r2) -> Patch:
-    """Exactly the tiles whose squared distance to the center is <= r2."""
+    """Exactly the tiles whose squared distance to the center is <= r2.
+
+    Each cell tile t found near the centre is moved by its int lattice
+    vector k on its rows (polytope._moved), and the tiles are sorted as
+    periodic_tiling sorts cell tiles (_sorted_tiles); no Q vertex is
+    formed."""
     center = vec(center, tiling.dim)
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
-    tiles = sorted((t.translate(k) for _, t, k in _tiles_near(tiling, center, r2)),
-                   key=lambda t: t.vertices)
-    return Patch(tiles=tuple(tiles), center=center, sq_radius=r2)
+    frame = tiling.frame
+    tiles = [_moved(t, frame, 1, None, k) for _, t, k in _tiles_near(tiling, center, r2)]
+    return Patch(tiles=_sorted_tiles(tiles), center=center, sq_radius=r2)
 
 
 def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
@@ -547,19 +558,34 @@ def ld_check(t1: PeriodicTiling, t2: PeriodicTiling, gamma: Isometry) -> LDResul
     return LDResult(holds=True, radius=sqrt_float(cover_sq), covering_sq=cover_sq)
 
 
+def _aut_pair(t1: PeriodicTiling, t2: PeriodicTiling):
+    """(Aut(T), embedding) of each tiling (automorphism_group_with_embedding),
+    for two tilings of one dimension."""
+    if t1.dim != t2.dim:
+        raise ValueError("dimension mismatch")
+    return automorphism_group_with_embedding(t1), automorphism_group_with_embedding(t2)
+
+
+def _mld_gamma(aut1, aut2):
+    """mld_check from the (group, embedding) pairs of _aut_pair."""
+    (g1, e1), (g2, e2) = aut1, aut2
+    found = conjugacy_search(g1, g2)
+    if found is None:
+        return None
+    return compose(e2, compose(found, inverse(e1)))
+
+
 def mld_check(t1: PeriodicTiling, t2: PeriodicTiling):
     """A conjugating isometry gamma making T and T' gamma-MLD, or None.
 
     Decided exactly through the automorphism groups: the tilings are
     gamma-MLD iff gamma conjugates Aut(T) onto Aut(T')."""
-    if t1.dim != t2.dim:
-        raise ValueError("dimension mismatch")
-    g1, e1 = automorphism_group_with_embedding(t1)
-    g2, e2 = automorphism_group_with_embedding(t2)
-    found = conjugacy_search(g1, g2)
-    if found is None:
-        return None
-    return compose(e2, compose(found, inverse(e1)))
+    return _mld_gamma(*_aut_pair(t1, t2))
+
+
+def _translation_mld(aut1, aut2) -> bool:
+    """translation_mld_check from the (group, embedding) pairs of _aut_pair."""
+    return bool(lattice_isometries(aut1[0].frame, aut2[0].frame))
 
 
 def translation_mld_check(t1: PeriodicTiling, t2: PeriodicTiling) -> bool:
@@ -567,11 +593,13 @@ def translation_mld_check(t1: PeriodicTiling, t2: PeriodicTiling) -> bool:
 
     Exact basis-change test: some integer unimodular matrix must identify
     the two lattices isometrically."""
-    if t1.dim != t2.dim:
-        raise ValueError("dimension mismatch")
-    g1, _ = automorphism_group_with_embedding(t1)
-    g2, _ = automorphism_group_with_embedding(t2)
-    return bool(lattice_isometries(g1.frame, g2.frame))
+    return _translation_mld(*_aut_pair(t1, t2))
+
+
+def _mld_verdicts(t1: PeriodicTiling, t2: PeriodicTiling):
+    """(mld_check, translation_mld_check) of the pair from one Aut per tiling."""
+    aut1, aut2 = _aut_pair(t1, t2)
+    return _mld_gamma(aut1, aut2), _translation_mld(aut1, aut2)
 
 
 # --- tiling metric: certified upper bounds ---------------------------------------

@@ -18,8 +18,10 @@ round fails certification anyway; otherwise the box was redundant and the
 clipped box is exactly the cell of the sites.
 
 The clipping stops at the first site s with |s - x0|^2 >= 4 rho^2, rho^2
-the running cell's squared circumradius about x0 (updated only when a clip
-changes the cell).  Then every vertex v has |v - x0| <= rho <= |s - x0|/2
+the running cell's squared circumradius about x0.  It is re-read only when
+a clip cuts off the vertex it was last read at: every vertex of a clipped
+cell lies in the cell before, so while that vertex survives rho^2 is
+exactly unchanged.  Then every vertex v has |v - x0| <= rho <= |s - x0|/2
 <= |s - x0| - |v - x0| <= |v - s|, so v lies in the bisector halfspace of
 s and the clip returns the cell unchanged; every later site is at least as
 far, so the same holds for it.  The final rho^2 is the one certification
@@ -28,15 +30,16 @@ reads, and delone_params reports it as the covering radius.
 The loop runs on Python ints (the integer layer of linalg).
 groups.orbit_in_ball enumerates the sites as numerators over one common
 denominator D, a multiple of that of x0, and each round reads those int
-sites off the orbit (its private _ints), so no site goes through Q and
-back.  They are ordered by exact integer keys: D^2 E |s - x0|^2 =
-y.(EG)y for y = D s - D x0, with EG the frame's integer Gram matrix over its
+sites off the orbit (its private _ints), so no site goes through Q.
+They are ordered by exact integer keys: D^2 E |s - x0|^2 = y.(EG)y for
+y = D s - D x0, with EG the frame's integer Gram matrix over its
 denominator E (isometry.int_gram), the form groups.lattice_points_in_ball
 tests.  Each bisector is formed from y and (EG)y as an int facet pair
 (polytope).  The box corners are int rows over the denominator of x0,
 clip reads and emits the stored rows of each cell, and rho^2 is read off
-them after each cut that changes the cell.  Q values are formed only for
-the results: one per site coordinate, and rho^2 once.  The stabilizer and
+them, with the row of a farthest vertex, after each cut that removes
+that row.  Q values are formed only for rho^2, and for site coordinates
+when a caller reads sites (groups.OrbitPointSet).  The stabilizer and
 orbit-membership checks before the loop test M X + T - Y == 0 (mod d) on
 int rows (groups.stabilizer, _orbit_contains).
 """
@@ -132,8 +135,12 @@ def _cell_from_sites(frame: Frame, x0: Vec, d, sites, d2):
     vertex rows P over V (polytope): over L = lcm(V, D),
     Y = (L / V) P - (L / D) D x0 gives E L^2 |v - x0|^2 = Y.(EG)Y, and the
     stop compares the keys with the least integer at or above 4 D^2 E rho2.
-    Any multiple of the least denominator gives the same keys' order, the
-    same stops and the same reduced bisectors.  One Q, rho2, is formed at
+    rho2 is re-read (_farthest_vertex) only after a clip that cuts off the
+    row P of the vertex it was read at, A.P < C V for the bisector
+    (s, (A, C)): a clipped cell lies in the cell before, so while P
+    survives it is still a farthest vertex.  Any multiple of the least
+    denominator gives the same keys' order, the same stops and the same
+    reduced bisectors.  One Q, rho2, is formed at
     the end."""
     n = frame.dim
     widths = [isqrt_ceil(d2 * gii / 4) + 1 for gii in _inv_gram_diag(frame)]
@@ -155,29 +162,36 @@ def _cell_from_sites(frame: Frame, x0: Vec, d, sites, d2):
         gy = int_mat_vec(eg, y)
         ordered.append((int_dot(gy, y), y, gy))
 
-    def sq_circumradius(poly):
-        """(num, L): E L^2 rho2 = num, over L = lcm(V, D)."""
-        vden, rows = poly._den, poly._rows
-        el = lcm(vden, d)
-        a, b = el // vden, el // d
-        bx0 = [b * c for c in dx0]
-        return max(int_dot(int_mat_vec(eg, y), y) for y in
-                   ([a * p - c for p, c in zip(row, bx0)] for row in rows)), el
-
-    num, el = sq_circumradius(cell)
+    num, el, far = _farthest_vertex(cell, d, dx0, eg)
     # ceil(4 D^2 E rho2) with E L^2 rho2 = num
     stop = -(-4 * d * d * num // (el * el))
     for key, y, gy in sorted(ordered, key=lambda kyg: kyg[0]):
         if key >= stop:
             break
-        clipped = _clip(cell, _bisector(frame, d, dx0, y, gy))
+        facet = _bisector(frame, d, dx0, y, gy)
+        clipped = _clip(cell, facet)
         if clipped is not cell:
             cell = clipped
-            num, el = sq_circumradius(cell)
-            stop = -(-4 * d * d * num // (el * el))
+            if int_dot(facet[1], far) < 0:
+                num, el, far = _farthest_vertex(cell, d, dx0, eg)
+                stop = -(-4 * d * d * num // (el * el))
     if not set(box_facets).isdisjoint(cell._facets):
         return None
     return cell, Q(num, e * el * el)
+
+
+def _farthest_vertex(poly, d, dx0, eg):
+    """(num, L, far): E L^2 rho2 = num for the squared circumradius rho2 of
+    poly about x0 = dx0 / d, over L = lcm(V, d), and far = (P, -V) for the
+    stored row P over poly's V of a vertex at that distance, so that a
+    facet (s, (A, C)) has A.P - C V = far . (A, C) (see _cell_from_sites)."""
+    vden, rows = poly._den, poly._rows
+    el = lcm(vden, d)
+    a, b = el // vden, el // d
+    bx0 = [b * c for c in dx0]
+    num, far = max((int_dot(int_mat_vec(eg, y), y), p) for p, y in
+                   ((p, [a * c - c0 for c, c0 in zip(p, bx0)]) for p in rows))
+    return num, el, (*far, -vden)
 
 
 def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):

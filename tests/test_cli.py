@@ -168,6 +168,25 @@ def test_mld_across_dimensions_is_input_error(tmp_path, order, capsys, count_cal
     assert auts == []
 
 
+def test_mld_computes_each_automorphism_group_once(tmp_path, capsys, count_calls, monkeypatch):
+    # both verdicts come from one Aut per tiling: 2 calls, where deciding
+    # them by mld_check and then translation_mld_check made 4, and the same
+    # stdout, byte for byte
+    files = []
+    for name in ("a", "b"):
+        files.append(str(tmp_path / f"{name}.json"))
+        write_json_file(files[-1], tiling_to_json(seed0_construction("p4m")))
+    auts = count_calls(tiling_mod, "automorphism_group_with_embedding")
+    code, out, err = run_cli(capsys, "mld", *files)
+    assert code == 0 and err == "" and len(auts) == 2
+    monkeypatch.setattr(cli_mod, "_mld_verdicts", lambda a, b: (
+        tiling_mod.mld_check(a, b), tiling_mod.translation_mld_check(a, b)))
+    auts.clear()
+    assert run_cli(capsys, "mld", *files) == (0, out, "")
+    assert len(auts) == 4
+    assert json.loads(out)["gamma"] is not None and json.loads(out)["translation_mld"] is True
+
+
 def test_ld_cli(square_file, rhomb_file, capsys):
     code, out, _ = run_cli(capsys, "ld", rhomb_file, square_file)
     assert code == 0

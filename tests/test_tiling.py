@@ -27,8 +27,8 @@ from crystile.isometry import (
     translation_iso,
 )
 from crystile.construction import construct_tiling
-from crystile.groups import WALLPAPER_NAMES, generic_point, preset
-from crystile.polytope import ConvexPolytope, faces
+from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset
+from crystile.polytope import ConvexPolytope, _tight_sets, faces
 from crystile.tiling import (
     LN_3_2,
     DistanceBound,
@@ -37,6 +37,7 @@ from crystile.tiling import (
     _pulled_back,
     automorphism_group,
     automorphism_group_with_embedding,
+    canonical_tile,
     combine_witnesses,
     distance_upper_bound,
     is_crystallographic,
@@ -263,6 +264,44 @@ def test_patch_equivariance(square_tiling, frame2):
         }
         assert mapped == image_patch
         assert len(direct) == len(image_patch)
+
+
+def test_patch_forms_no_fraction_vertices(monkeypatch):
+    # patch moves its tiles on their int rows and sorts them as int rows over
+    # one denominator, so it reads no tile's Q vertices; sorting by them read
+    # one per tile (76 here)
+    tiling = seed0_construction("P1")
+    reads = []
+    real = ConvexPolytope.vertices
+    monkeypatch.setattr(ConvexPolytope, "vertices",
+                        property(lambda poly: reads.append(poly) or real.fget(poly)))
+    found = patch(tiling, (Q(1, 3), Q(2, 7), Q(5, 11)), 1)
+    assert len(found.tiles) == 76 and reads == []
+
+
+def moved_tiles(tiling, group):
+    """Lattice translates and group images of the cell tiles, mostly not in
+    canonical position."""
+    n = tiling.dim
+    shifts = [(0,) * n, (1, -2, 3)[:n], (-3, 1, -1)[:n]]
+    out = [t.translate(k) for t in tiling.cell_tiles for k in shifts]
+    return out + [t.transform(Isometry(tiling.frame, m, v))
+                  for t in tiling.cell_tiles[:4] for m, v in group.reps]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_canonical_tile_is_the_floor_shift_translate(name):
+    # canonical_tile moves a tile by its int floor shift on the rows, which
+    # is what translate by that shift gives, facets and tight sets included
+    g = preset(name)
+    for tiling in (seed0_construction(name), voronoi_tiling(g, generic_point(g, 0))):
+        tiles = moved_tiles(tiling, g)
+        assert any(canonical_tile(t) is not t for t in tiles)
+        for t in tiles:
+            shift = tuple(-(c // t._den) for c in t._rows[0])
+            got, want = canonical_tile(t), t.translate(shift)
+            assert got == want and got._facets == want._facets
+            assert _tight_sets(got) == _tight_sets(want)
 
 
 def test_transform_identity_and_lattice_shift(square_tiling, frame2):

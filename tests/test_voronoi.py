@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from crystile import polytope, voronoi
+from crystile import groups, polytope, voronoi
 from crystile.rational import Q, frac_part
 from crystile.linalg import gram_norm2, mat_vec, vadd, vsub
 from crystile.isometry import Frame, Isometry
@@ -252,3 +252,17 @@ def test_delone_params_calls_the_traced_orbit_query_and_clip(monkeypatch):
     assert orbits == [124]
     assert len(clips) == 28
     assert cert.localization_sq_radius == 4
+
+
+def test_delone_params_forms_no_site_fractions_and_rereads_few_radii(count_calls):
+    # the localization reads the orbit's int sites, so no site's Q tuple is
+    # formed: groups.Q makes only the stabilizer's identity translation (3),
+    # where forming the 124 sites made 372 more.  The circumradius is re-read
+    # only when a clip cuts off the farthest vertex: 10 reads, where reading
+    # it after every cut made 16 (the box, then 15 of the 28 clips)
+    g = preset("P222")
+    q_calls = count_calls(groups, "Q")
+    radii = count_calls(voronoi, "_farthest_vertex")
+    delone_params(g, (Q(18, 47), Q(29, 43), Q(12, 19)))
+    assert len(q_calls) == 3
+    assert len(radii) == 10
