@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from operator import add
 
 import numpy as np
@@ -32,16 +31,17 @@ from .rational import Q, ZERO, ONE, rat, sqrt_float
 from .linalg import (
     Mat,
     Vec,
+    _reduced,
     gram_norm2,
     identity_mat,
     int_dot,
     int_mat_mul,
     int_mat_vec,
+    int_rref,
     integral,
     integral_rows,
     mat,
     mat_det,
-    mat_inv,
     mat_vec,
     transpose,
     vadd,
@@ -138,8 +138,12 @@ def is_gram_orthogonal(k, m, source, target) -> bool:
 
 @lru_cache(maxsize=None)
 def int_inv_gram(frame: Frame):
-    """(F, F G^-1), F the least common denominator of the entries of G^-1."""
-    return integral_rows(mat_inv(frame.gram))
+    """(F, F G^-1), F the least common denominator of the entries of G^-1:
+    int_rref takes [EG | E I] (int_gram) to [d I | R], G^-1 = R / d, d > 0."""
+    (e, eg), n = int_gram(frame), frame.dim
+    aug = [(*row, *(e * (i == j) for j in range(n))) for i, row in enumerate(eg)]
+    d = int_rref(aug, n)[1]
+    return _reduced(d, [tuple(row[n:]) for row in aug])
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +201,13 @@ class Isometry:
         A, B: the isometry the public constructor makes of those values, with
         the same fields and _ints (reduced by g = gcd(m, entries)) and the
         same Gram-orthogonality check."""
-        g = math.gcd(m, *chain.from_iterable(a), *b)
-        if g > 1:
-            m, a, b = m // g, tuple(tuple(x // g for x in row) for row in a), tuple(x // g for x in b)
+        m, (*a, b) = _reduced(m, (*a, b))
         iso = object.__new__(cls)
         object.__setattr__(iso, "frame", frame)
         object.__setattr__(iso, "linear", tuple(tuple(Q(x, m) for x in row) for row in a))
         object.__setattr__(iso, "translation", tuple(Q(x, m) for x in b))
         object.__setattr__(iso, "target", target)
-        iso._seal(m, a, b)
+        iso._seal(m, tuple(a), b)
         return iso
 
     def __call__(self, x: Vec) -> Vec:

@@ -1,17 +1,17 @@
 """Small exact linear algebra kernel, in two layers.
 
-Rational: vectors are tuples of Q, matrices tuples of row tuples.  Sizes
-are tiny (n <= 3 geometry, Seitz stacks up to ~36 rows), so every rational
-elimination is one exact Gauss-Jordan routine, _rref.  Integer: hot paths
-scale rationals once to ints over a common denominator (integral,
-integral_rows) and multiply ints (int_dot, int_mat_vec, int_mat_mul); the
-Hermite and Smith normal forms (solve_mod_lattice) run on ints too.
+Rational: vectors are tuples of Q, matrices tuples of row tuples.  Integer:
+hot paths scale rationals once to ints over a common denominator (integral,
+integral_rows) and multiply ints (int_dot, int_mat_vec, int_mat_mul).  Every
+elimination is one fraction-free routine on int rows, int_rref, which the
+rational mat_rank, solve_linear, nullspace, mat_inv and mat_det (n > 3)
+wrap; the Hermite and Smith forms (solve_mod_lattice) run on ints too.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import chain, product
 from operator import mul
 
 from .rational import Q, ZERO, ONE, rat
@@ -80,40 +80,6 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m))
 
 
-def _rref(rows: list, ncols: int):
-    """Gauss-Jordan elimination of `rows` (lists, changed in place) to reduced
-    row echelon form, searching the first ncols columns for pivots; further
-    columns (right-hand sides, an identity block) are carried along.
-
-    Returns (pivot columns, det), where det is the product of the pivots
-    times the sign of the row swaps: the determinant when the matrix is
-    square and of full rank.
-    """
-    nrows = len(rows)
-    pivots = []
-    det = ONE
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        det *= rows[r][col]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return pivots, det
-
-
 def mat_det(m: Mat):
     n = len(m)
     if n == 1:
@@ -126,16 +92,18 @@ def mat_det(m: Mat):
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
-    pivots, det = _rref([list(r) for r in m], n)
-    return det if len(pivots) == n else ZERO
+    s, rows = integral_rows(m)
+    pivots, d, sign = int_rref(list(rows), n)
+    return Q(sign * d, s ** n) if len(pivots) == n else ZERO
 
 
 def mat_inv(m: Mat) -> Mat:
     n = len(m)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
-    if len(_rref(aug, n)[0]) != n:
+    aug = list(integral_rows([(*row, *e) for row, e in zip(m, identity_mat(n))])[1])
+    pivots, d, _ = int_rref(aug, n)
+    if len(pivots) != n:
         raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(tuple(Q(x, d) for x in row[n:]) for row in aug)
 
 
 def solve_linear(m: Mat, b: Vec):
@@ -144,33 +112,33 @@ def solve_linear(m: Mat, b: Vec):
     For underdetermined consistent systems, free variables are set to 0.
     """
     ncols = len(m[0]) if m else 0
-    aug = [list(row) + [bi] for row, bi in zip(m, b)]
-    pivots, _ = _rref(aug, ncols)
+    aug = list(integral_rows([(*row, bi) for row, bi in zip(m, b)])[1])
+    pivots, d, _ = int_rref(aug, ncols)
     if any(row[ncols] != 0 for row in aug[len(pivots):]):
         return None
     x = [ZERO] * ncols
     for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
+        x[col] = Q(aug[i][ncols], d)
     return tuple(x)
 
 
 def mat_rank(m: Mat) -> int:
     if not m:
         return 0
-    return len(_rref([list(r) for r in m], len(m[0]))[0])
+    return len(int_rref(list(integral_rows(m)[1]), len(m[0]))[0])
 
 
 def nullspace(m: Mat) -> list:
     """Basis of {x : m x = 0}."""
     ncols = len(m[0]) if m else 0
-    rows = [list(r) for r in m]
-    pivots, _ = _rref(rows, ncols)
+    rows = list(integral_rows(m)[1])
+    pivots, d, _ = int_rref(rows, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[fc] = ONE
         for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
+            v[pc] = Q(-rows[i][fc], d)
         basis.append(tuple(v))
     return basis
 
@@ -212,6 +180,39 @@ def int_mat_vec(m, v):
 def int_mat_mul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple([sum(map(mul, row, col)) for col in cols]) for row in a)
+
+
+def int_rref(rows: list, ncols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968; Cohen 1993, 2.2)
+    of the list of int rows `rows`, in place, pivoting in the first ncols
+    columns and carrying the rest.  A pivot p in row r sets row_i <- (p row_i
+    - row_i[col] row_r) / prev, exactly, for every other row, prev the pivot
+    before (1 at first): each pivot row ends with the last pivot d in its
+    column, and rows / d is the reduced form.  Returns (pivot columns, d,
+    sign of the row swaps); for rows s M of a square M of full rank,
+    det M = sign d / s^n."""
+    pivots, d, sign = [], 1, 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top, p = rows[r], rows[r][col]
+        rows[:] = [top if i == r else [(p * x - row[col] * y) // d for x, y in zip(row, top)]
+                   for i, row in enumerate(rows)]
+        d = p
+        pivots.append(col)
+    return pivots, d, sign
+
+
+def _reduced(den, rows):
+    """(den / g, rows / g) for int rows over den > 0 and g = gcd(den, entries):
+    what integral_rows gives for the values rows / den."""
+    g = math.gcd(den, *chain.from_iterable(rows))
+    return den // g, tuple(rows) if g == 1 else tuple(tuple(c // g for c in p) for p in rows)
 
 
 def hermite_column_basis(int_cols: list) -> list:

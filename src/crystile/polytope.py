@@ -18,19 +18,19 @@ lower-dimensional one has _facets None.  HalfSpace is the public form,
 checked where input arrives: facets() builds one per pair, and clip and
 halfspace_intersection take them.  Facets made inside (images under
 invertible maps, bisectors of distinct sites, hull facets) are not
-checked again.  ConvexPolytope(frame, vertices) checks and hulls outside
-input once, past the line off the polar that clip builds (see _hull), and
-scales the vertices to rows; so does halfspace_intersection for the
-vertices it solves for.  Internal code builds from rows with
-ConvexPolytope._from_rows: clip and halfspace_intersection keep the input
-facets that bound the result, translate and transform map them, and the
-cones, the Voronoi box and the bisectors come with their own.  The tight
-sets (the facets through each vertex, _tight_sets) are the one source of
-faces, volumes and rings (see _facet_edges), which name vertices by their
-index among the rows; the hull, clip, translate and transform carry them.
-The arithmetic is on ints (linalg's integer layer): side values, tight
-sets, containment and volumes are int dots and determinants of the facet
-pairs and the vertex rows, and translate, transform and clip emit rows.
+checked again.  ConvexPolytope(frame, vertices) checks outside input and
+hulls its rows once (_hull, off the polar that clip builds), and
+halfspace_intersection scales the vertices it solves for to rows.  Internal
+code builds from rows with ConvexPolytope._from_rows: clip and
+halfspace_intersection keep the input facets that bound the result,
+translate and transform map them, and the cones, the Voronoi box and the
+bisectors come with their own.  The tight sets (the facets through each
+vertex, _tight_sets) are the one source of faces, volumes and rings (see
+_facet_edges), which name vertices by their index among the rows; the
+hull, clip, translate and transform carry them.  The arithmetic is on ints
+(linalg's integer layer): side values, tight sets, containment and volumes
+are int dots and determinants of the facet pairs and the vertex rows, and
+the hull, the rank tests and congruent eliminate on rows (int_rref).
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope:
@@ -56,23 +56,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
-from math import factorial, gcd, lcm
+from itertools import combinations
+from math import factorial, lcm
 from operator import add, itemgetter, sub
 
 from .rational import Q, ZERO, ONE, rat
 from .linalg import (
-    gram_norm2,
+    _reduced,
     int_dot,
     int_mat_mul,
     int_mat_vec,
+    int_rref,
     integral,
     integral_rows,
     mat_det,
-    mat_inv,
-    mat_mul,
     mat_rank,
-    mat_vec,
     nullspace,
     solve_linear,
     transpose,
@@ -115,11 +113,9 @@ def _halfspace(facet) -> HalfSpace:
     return HalfSpace(tuple(Q(x, s) for x in ac[:-1]), Q(ac[-1], s))
 
 
-def _affine_rank(points) -> int:
-    if len(points) <= 1:
-        return 0
-    p0 = points[0]
-    return mat_rank(tuple(vsub(p, p0) for p in points[1:]))
+def _affine_rank(rows) -> int:
+    """The affine rank of points given as int rows over one denominator."""
+    return len(_independent_points(rows, len(rows[0]))) - 1 if rows else 0
 
 
 class ConvexPolytope:
@@ -141,8 +137,7 @@ class ConvexPolytope:
         if frame.dim > 3:
             # clip's edge test, and so the hull, is exact for n <= 3 only
             raise PolytopeError("vertex input is for dimension 1, 2 or 3")
-        vertices, *rest = _hull(frame, pts)
-        self._set(frame, *integral_rows(vertices), *rest)
+        self._set(frame, *_hull(frame, *integral_rows(pts)))
 
     def _set(self, frame, den, rows, facets, tight=None, cycle=None):
         self.frame = frame
@@ -238,7 +233,7 @@ def _ring(poly: ConvexPolytope):
         if poly.dim != 2:
             raise PolytopeError("cyclic order is for 2-dimensional polytopes")
         if poly._facets is None:
-            poly._cycle = ConvexPolytope(poly.frame, poly.vertices)._cycle
+            *_, poly._cycle = _hull(poly.frame, poly._den, poly._rows)
         else:
             poly._cycle = _walk(e for _, edges in _facet_edges(poly) for e in edges)
     return poly._cycle
@@ -272,13 +267,6 @@ def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
     return ConvexPolytope._from_rows(frame, den, pts, facets, tight)
 
 
-def _reduced(den, rows):
-    """(den / g, rows / g) for int rows over den > 0 and g = gcd(den, entries):
-    what integral_rows gives for the values rows / den."""
-    g = gcd(den, *chain.from_iterable(rows))
-    return den // g, tuple(rows) if g == 1 else tuple(tuple(c // g for c in p) for p in rows)
-
-
 def _reduced_facet(den, row):
     """The stored facet (see the module docstring) of the values row / den."""
     den, (row,) = _reduced(den, [row])
@@ -294,14 +282,11 @@ def _inverse_transpose(source: Frame, target: Frame, m, a):
     return _reduced(et * m * fs, int_mat_mul(ht, int_mat_mul(a, js)))
 
 
-def _centroid(points):
-    return tuple(sum(c, ZERO) / len(points) for c in zip(*points))
-
-
-def _hull(frame: Frame, pts):
-    """ConvexPolytope._set's arguments for conv(pts), pts sorted, distinct and
-    exact, with Q vertices: vertices, facets (None below rank frame.dim),
-    then the tight sets or, for a polygon in space, the ring.
+def _hull(frame: Frame, den, rows):
+    """ConvexPolytope._set's arguments after the frame for conv(rows / den),
+    the int rows sorted and distinct, den > 0: the reduced vertex rows (den,
+    rows), facets (None below rank frame.dim), then the tight sets or, for a
+    polygon in space, the ring.
 
     Sorted collinear points run along their line, so the ends are the first
     and last (on the line, the facets x >= lo and -x >= -hi).  Otherwise the
@@ -316,54 +301,62 @@ def _hull(frame: Frame, pts):
     are the vertices, and in full dimension each of its vertices y is the
     facet (x - c).y <= 1, that is -y.x >= -1 - y.c.  Incidences reverse (p
     is on facet y iff y is on p's polar facet), and a polygon's edges are
-    the pairs of polar facets through each polar vertex."""
-    base = _independent_points(pts, frame.dim)
+    the pairs of polar facets through each polar vertex.  All on ints, over
+    W = (r + 1) den, where c = S / W for the sum S of the base rows."""
+    n = frame.dim
+    base = _independent_points(rows, n)
     rank = len(base) - 1
-    if rank <= 1 and rank < frame.dim:
-        return ([pts[0], pts[-1]] if rank else pts), None
+    if rank <= 1 and rank < n:
+        return (*_reduced(den, [rows[0], rows[-1]] if rank else rows), None)
     if rank == 1:
-        return [pts[0], pts[-1]], (integral((ONE, pts[0][0])), integral((-ONE, -pts[-1][0])))
-    coords = pts
-    if rank < frame.dim:
-        normal = _cross(*(vsub(pts[i], pts[0]) for i in base[1:]))
+        return (*_reduced(den, [rows[0], rows[-1]]),
+                (_reduced_facet(den, (den, rows[0][0])), _reduced_facet(den, (-den, -rows[-1][0]))))
+    coords = rows
+    if rank < n:
+        normal = _cross(*(tuple(map(sub, rows[i], rows[0])) for i in base[1:]))
         k = next(i for i, a in enumerate(normal) if a != 0)
-        coords = [p[:k] + p[k + 1:] for p in pts]
-    c = _centroid([coords[i] for i in base])
-    # a point at c lies inside and gives no halfspace
-    ys = [vsub(c, x) if x != c else None for x in coords]
-    dual = [None if y is None else integral(y + (-ONE,)) for y in ys]
-    # corner j of the simplex is on the planes of all base points but the j-th
-    corners = [solve_linear(tuple(ys[i] for k, i in enumerate(base) if k != j),
-                            (-ONE,) * rank) for j in range(rank + 1)]
-    polar = ConvexPolytope._from_rows(frame if rank == frame.dim else standard_frame(rank),
-                                      *integral_rows(sorted(corners)), tuple(dual[i] for i in base))
+        coords = [p[:k] + p[k + 1:] for p in rows]
+    w = (rank + 1) * den
+    c = tuple(map(sum, zip(*(coords[i] for i in base))))
+    # the row X gives Y.y >= -W for Y = S - (r + 1) X; a point at c gives none
+    ys = [tuple(ci - (rank + 1) * xi for ci, xi in zip(c, x)) for x in coords]
+    dual = [_reduced_facet(w, (*y, -w)) if any(y) else None for y in ys]
+    # [M | I] -> [d I | N] for the rows M = (Y, W) of the base points: column
+    # j of N, over its last entry, is corner j, on the planes of all but the j-th
+    aug = [(*ys[i], w, *(int(k == j) for j in range(rank + 1))) for k, i in enumerate(base)]
+    int_rref(aug, rank + 1)
+    cols = list(zip(*(row[rank + 1:] for row in aug)))
+    u = lcm(*(col[-1] for col in cols))
+    corners = sorted(tuple(u // col[-1] * z for z in col[:-1]) for col in cols)
+    polar = ConvexPolytope._from_rows(frame if rank == n else standard_frame(rank),
+                                      *_reduced(u, corners), tuple(dual[i] for i in base))
     for i, h in enumerate(dual):
         if h is not None and i not in base:
             polar = _clip(polar, h)
-    point_of = {h: p for h, p in zip(dual, pts) if h is not None}
-    # polar facet j is the dual halfspace of the hull vertex vertex_of[j]
-    vertex_of = [point_of[h] for h in polar._facets]
+    # polar facet j is the dual halfspace of the hull vertex rows[vertex_of[j]]
+    vertex_of = [dual.index(h) for h in polar._facets]
     polar_tight = _tight_sets(polar)
     order = sorted(range(len(vertex_of)), key=vertex_of.__getitem__)
-    if rank < frame.dim:
-        return ([vertex_of[j] for j in order], None, None,
-                _walk([order.index(j) for j in t] for t in polar_tight))
-    return ([vertex_of[j] for j in order],
-            tuple(integral(tuple(-a for a in y) + (-ONE - vdot(y, c),)) for y in polar.vertices),
+    vertices = _reduced(den, [rows[vertex_of[j]] for j in order])
+    if rank < n:
+        return (*vertices, None, None, _walk([order.index(j) for j in t] for t in polar_tight))
+    # the polar vertex y = Z / U gives the facet (-W Z, -U W - Z.S) / (U W)
+    uw = polar._den * w
+    return (*vertices,
+            tuple(_reduced_facet(uw, (*(-w * x for x in z), -uw - int_dot(z, c))) for z in polar._rows),
             tuple(frozenset(k for k, t in enumerate(polar_tight) if j in t) for j in order))
 
 
-def _independent_points(pts, rank):
-    """Indices of pts[0] and of each later point whose direction from it is
-    independent of the directions before, until rank directions are found
-    (fewer when the points span less)."""
-    p0 = pts[0]
+def _independent_points(rows, rank):
+    """Indices of rows[0] and of each later int row whose direction from it
+    is independent of the directions before (a rank test by int_rref), until
+    rank directions are found (fewer when the rows span less)."""
     dirs, out = [], [0]
-    for i in range(1, len(pts)):
+    for i in range(1, len(rows)):
         if len(dirs) == rank:
             break
-        d = vsub(pts[i], p0)
-        if mat_rank(tuple(dirs + [d])) > len(dirs):
+        d = tuple(map(sub, rows[i], rows[0]))
+        if len(int_rref(dirs + [d], len(d))[0]) > len(dirs):
             dirs.append(d)
             out.append(i)
     return out
@@ -486,7 +479,9 @@ def volume(poly: ConvexPolytope):
 
 def simplex_decomposition(poly: ConvexPolytope):
     """The pulling triangulation (_fan) as polytopes; its parts tile poly."""
-    return [ConvexPolytope(poly.frame, [poly.vertices[i] for i in s]) for s in _fan(poly)]
+    f, rows = poly.frame, poly._rows
+    return [ConvexPolytope._from_rows(f, *_hull(f, poly._den, sorted(rows[i] for i in s)))
+            for s in _fan(poly)]
 
 
 # --- halfspace intersection --------------------------------------------------
@@ -508,10 +503,11 @@ def halfspace_intersection(frame: Frame, halfspaces):
         return "empty"
     if _has_recession_ray(n, hs):
         return "unbounded"
+    den, rows = integral_rows(pts)
     facets = None
-    if _affine_rank(pts) == n:
+    if _affine_rank(rows) == n:
         facets = tuple(integral(h.covector + (h.offset,)) for h in _tight_halfspaces(n, pts, hs))
-    return ConvexPolytope._from_rows(frame, *integral_rows(pts), facets)
+    return ConvexPolytope._from_rows(frame, den, rows, facets)
 
 
 def _tight_halfspaces(n: int, pts, hs):
@@ -521,7 +517,7 @@ def _tight_halfspaces(n: int, pts, hs):
     found = {}
     for h in hs:
         on = tuple(p for p in pts if vdot(h.covector, p) == h.offset)
-        if len(on) >= n and _affine_rank(on) == n - 1:
+        if len(on) >= n and _affine_rank(integral_rows(on)[1]) == n - 1:
             found.setdefault(on, h)
     return tuple(found.values())
 
@@ -630,8 +626,6 @@ def _has_recession_ray(n: int, hs) -> bool:
     if n == 1:
         return admissible((ONE,)) or admissible((-ONE,))
     for sub in combinations(rows, n - 1):
-        if mat_rank(sub) != n - 1:
-            continue
         ker = nullspace(sub)
         if len(ker) != 1:
             continue
@@ -646,15 +640,14 @@ def _feasible(n: int, hs) -> bool:
     if not hs:
         return True
     covectors = [h.covector for h in hs]
-    r = mat_rank(tuple(covectors))
-    if r == n:
-        return bool(_candidate_vertices(n, hs))
-    # x -> (a_i . b)_b over a basis b of the covectors' span keeps every
-    # constraint value and reaches all of R^r; recurse there
     pts = [(ZERO,) * n] + covectors
-    basis = [pts[i] for i in _independent_points(pts, r)[1:]]
-    return _feasible(r, [HalfSpace(tuple(vdot(a, b) for b in basis), h.offset)
-                         for a, h in zip(covectors, hs)])
+    basis = [pts[i] for i in _independent_points(integral_rows(pts)[1], n)[1:]]
+    if len(basis) == n:
+        return bool(_candidate_vertices(n, hs))
+    # x -> (a_i . b)_b over the basis b of the covectors' span keeps every
+    # constraint value and reaches all of R^r; recurse there
+    return _feasible(len(basis), [HalfSpace(tuple(vdot(a, b) for b in basis), h.offset)
+                                  for a, h in zip(covectors, hs)])
 
 
 # --- congruence ---------------------------------------------------------------
@@ -663,49 +656,52 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
     """An exact isometry with phi(p) == q (as vertex sets), or None.
 
     Matches squared-distance signatures first, then solves for the affine
-    map from an affinely independent anchor tuple and verifies exactly.
-    """
+    map from an affinely independent anchor tuple and verifies exactly, on
+    the rows over one denominator L: with A^-1 = N / d (int_rref) for the
+    anchor differences A, differences B give x -> (L B N x + d b0 - B N a0)
+    / (d L), kept if _moved(p, ...) == q."""
     if p.frame != q.frame:
         raise PolytopeError("congruence requires a common frame")
-    if len(p.vertices) != len(q.vertices) or p.dim != q.dim:
+    if len(p._rows) != len(q._rows) or p.dim != q.dim:
         return None
     n = p.frame.dim
     if p.dim != n:
         raise PolytopeError("congruence implemented for full-dimensional polytopes")
-    g = p.frame.gram
+    h, el = int_gram(p.frame)[1], lcm(p._den, q._den)
+    ps, qs = ([_scale(el // t._den, row) for row in t._rows] for t in (p, q))
 
-    def profile(pts):
-        return sorted(
-            sorted(gram_norm2(g, vsub(a, b)) for b in pts) for a in pts
-        )
+    def dist(a, b):
+        y = tuple(map(sub, a, b))
+        return int_dot(int_mat_vec(h, y), y)
 
-    if profile(p.vertices) != profile(q.vertices):
+    profile = lambda pts: sorted(sorted(dist(a, b) for b in pts) for a in pts)
+    if profile(ps) != profile(qs):
         return None
 
-    anchors = [p.vertices[i] for i in _independent_points(p.vertices, n)]
+    anchors = [ps[i] for i in _independent_points(ps, n)]
     a0 = anchors[0]
-    acols = transpose(tuple(vsub(a, a0) for a in anchors[1:]))
-    ainv = mat_inv(acols)
-    dists = [[gram_norm2(g, vsub(a, b)) for b in anchors] for a in anchors]
+    aug = [(*(a[k] - a0[k] for a in anchors[1:]), *(int(i == k) for i in range(n))) for k in range(n)]
+    d = int_rref(aug, n)[1]
+    ainv = tuple(tuple(x if d > 0 else -x for x in row[n:]) for row in aug)
+    m = abs(d) * el
+    dists = [[dist(a, b) for b in anchors] for a in anchors]
 
     def tuple_candidates(i, chosen):
         if i == len(anchors):
             yield chosen
             return
-        for b in q.vertices:
-            if all(gram_norm2(g, vsub(b, chosen[j])) == dists[i][j] for j in range(i)):
+        for b in qs:
+            if all(dist(b, chosen[j]) == dists[i][j] for j in range(i)):
                 yield from tuple_candidates(i + 1, chosen + [b])
 
-    qset = set(q.vertices)
     for image in tuple_candidates(0, []):
         b0 = image[0]
-        bcols = transpose(tuple(vsub(b, b0) for b in image[1:]))
-        lin = mat_mul(bcols, ainv)
-        trans = vsub(b0, mat_vec(lin, a0))
+        lin = int_mat_mul(transpose([tuple(map(sub, b, b0)) for b in image[1:]]), ainv)
+        a = tuple(_scale(el, row) for row in lin)
+        b = tuple(map(sub, _scale(abs(d), b0), int_mat_vec(lin, a0)))
         # matching every squared distance of n + 1 independent anchors makes lin Gram-orthogonal
-        iso = Isometry(p.frame, lin, trans)
-        if {iso(v) for v in p.vertices} == qset:
-            return iso
+        if _moved(p, p.frame, m, a, b) == q:
+            return Isometry._of_ints(p.frame, m, a, b, p.frame)
     return None
 
 
@@ -903,7 +899,7 @@ def meet_face_to_face(p: ConvexPolytope, q: ConvexPolytope) -> MeetResult:
     inter = _candidate_vertices(n, list(p.facets()) + list(q.facets()))
     if not inter:
         return MeetResult("disjoint")
-    rank = _affine_rank(inter)
+    rank = _affine_rank(integral_rows(inter)[1])
     if rank == n:
         raise InteriorOverlapError(f"interiors overlap; intersection spans dimension {n}")
     vset = frozenset(inter)

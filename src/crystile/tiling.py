@@ -13,7 +13,7 @@ as reduced int rows (polytope); the cell tiles' rows are brought over
 their common denominator d as X = d x, and the image of a tiling under
 x -> L x + t over one common denominator D of X, L and t, so each image
 vertex is A X + b and a lattice translate adds S k, all as Python ints.
-A key is the reduced form (polytope._reduced, one gcd) of a vertex tuple:
+A key is the reduced form (linalg._reduced, one gcd) of a vertex tuple:
 its least common denominator followed by its numerators, so keys formed
 over different denominators are equal exactly when the vertex tuples are;
 mod the lattice, the floor shift (X // d) d of the least vertex is
@@ -44,6 +44,7 @@ from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
+    _reduced,
     hermite_column_basis,
     identity_mat,
     int_dot,
@@ -78,7 +79,6 @@ from .polytope import (
     _centroid_ball,
     _facet_edges,
     _moved,
-    _reduced,
     _sq_distance,
     congruent,
     volume,
@@ -237,7 +237,7 @@ def _sorted_tiles(tiles) -> tuple:
 def _key(d, flat):
     """The key of the vertex tuple whose coordinates, in order, are
     flat / d (ints, d > 0): the least common denominator and the
-    numerators over it (polytope._reduced).  Two keys are equal exactly
+    numerators over it (linalg._reduced).  Two keys are equal exactly
     when their vertex tuples are, whatever d each was formed over."""
     d, (flat,) = _reduced(d, (tuple(flat),))
     return (d,) + flat

@@ -26,8 +26,6 @@ from crystile.linalg import (
     mat_det,
     mat_mul,
     mat_vec,
-    nullspace,
-    solve_linear,
     transpose,
     vdot,
     vec,
@@ -45,9 +43,6 @@ from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     InteriorOverlapError,
-    _affine_rank,
-    _centroid,
-    _independent_points,
     faces,
     meet_face_to_face,
     volume,
@@ -143,6 +138,117 @@ def random_rational_point(rng: random.Random, n: int, span: int = 6):
     return tuple(Q(rng.randint(-span, span), rng.randint(1, span)) for _ in range(n))
 
 
+# linalg's Gauss-Jordan routine on Fractions and the wrappers and polytope
+# helpers that ran on it before the int elimination kernel (linalg.int_rref),
+# verbatim but for the old_ prefix: the reference of int_rref, of the int hull
+# and congruent (test_polytope_oracle.py) and of the helpers below, so that no
+# reference calls the code it checks
+def old_rref(rows: list, ncols: int):
+    """Gauss-Jordan elimination of `rows` (lists, changed in place) to reduced
+    row echelon form, searching the first ncols columns for pivots; further
+    columns (right-hand sides, an identity block) are carried along.
+
+    Returns (pivot columns, det), where det is the product of the pivots
+    times the sign of the row swaps: the determinant when the matrix is
+    square and of full rank.
+    """
+    nrows = len(rows)
+    pivots = []
+    det = ONE
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det *= rows[r][col]
+        inv = ONE / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots, det
+
+
+def old_mat_inv(m: Mat) -> Mat:
+    n = len(m)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(m)]
+    if len(old_rref(aug, n)[0]) != n:
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def old_solve_linear(m: Mat, b: Vec):
+    """Solve m x = b exactly; None if inconsistent, a solution otherwise.
+
+    For underdetermined consistent systems, free variables are set to 0.
+    """
+    ncols = len(m[0]) if m else 0
+    aug = [list(row) + [bi] for row, bi in zip(m, b)]
+    pivots, _ = old_rref(aug, ncols)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return None
+    x = [ZERO] * ncols
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][ncols]
+    return tuple(x)
+
+
+def old_mat_rank(m: Mat) -> int:
+    if not m:
+        return 0
+    return len(old_rref([list(r) for r in m], len(m[0]))[0])
+
+
+def old_nullspace(m: Mat) -> list:
+    """Basis of {x : m x = 0}."""
+    ncols = len(m[0]) if m else 0
+    rows = [list(r) for r in m]
+    pivots, _ = old_rref(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[fc] = ONE
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def old_affine_rank(points) -> int:
+    if len(points) <= 1:
+        return 0
+    p0 = points[0]
+    return old_mat_rank(tuple(vsub(p, p0) for p in points[1:]))
+
+
+def old_centroid(points):
+    return tuple(sum(c, ZERO) / len(points) for c in zip(*points))
+
+
+def old_independent_points(pts, rank):
+    """Indices of pts[0] and of each later point whose direction from it is
+    independent of the directions before, until rank directions are found
+    (fewer when the points span less)."""
+    p0 = pts[0]
+    dirs, out = [], [0]
+    for i in range(1, len(pts)):
+        if len(dirs) == rank:
+            break
+        d = vsub(pts[i], p0)
+        if old_mat_rank(tuple(dirs + [d])) > len(dirs):
+            dirs.append(d)
+            out.append(i)
+    return out
+
+
 # the halfspace key the kernel once deduplicated facets by, verbatim: the key
 # every facet set below is compared with
 def _halfspace_key(h: HalfSpace):
@@ -186,7 +292,7 @@ def _coordinate_normal(points):
     """Coordinate functional vanishing on the affine hull of n points (rank n-1)."""
     p0 = points[0]
     rows = tuple(vsub(p, p0) for p in points[1:])
-    ker = nullspace(rows)
+    ker = old_nullspace(rows)
     if len(ker) != 1:
         return None
     return ker[0]
@@ -223,7 +329,7 @@ def _supporting_halfspaces(n: int, pts):
     """
     found = {}
     for sub in combinations(pts, n):
-        if _affine_rank(sub) != n - 1:
+        if old_affine_rank(sub) != n - 1:
             continue
         f = _coordinate_normal(sub)
         if f is None:
@@ -266,12 +372,12 @@ def _sort_ccw(points, center):
 
 
 def _independent_directions(pts, rank):
-    return [vsub(pts[i], pts[0]) for i in _independent_points(pts, rank)[1:]]
+    return [vsub(pts[i], pts[0]) for i in old_independent_points(pts, rank)[1:]]
 
 
 def _affine_coords(p, p0, basis):
     cols = transpose(tuple(basis))
-    return solve_linear(cols, vsub(p, p0))
+    return old_solve_linear(cols, vsub(p, p0))
 
 
 def _plane_coords(pts):
@@ -287,7 +393,7 @@ def old_ring(poly):
     pts = poly.vertices
     coords = pts if poly.frame.dim == 2 else _plane_coords(pts)
     back = dict(zip(coords, pts))
-    return tuple(back[c] for c in _sort_ccw(coords, _centroid(coords)))
+    return tuple(back[c] for c in _sort_ccw(coords, old_centroid(coords)))
 
 
 def same_cycle(a, b):
@@ -312,7 +418,7 @@ def recovered_facets(frame, poly):
     if n == 2:
         cyc = old_ring(poly)
         out = []
-        c = _centroid(pts)
+        c = old_centroid(pts)
         for i, u in enumerate(cyc):
             w = cyc[(i + 1) % len(cyc)]
             d = vsub(w, u)
@@ -331,7 +437,7 @@ def bare(frame, points, facets=None):
     A full-dimensional one carries the given facets, or recovered_facets
     when none are given."""
     pts = tuple(sorted(set(map(vec, points))))
-    if facets is None and _affine_rank(pts) == frame.dim:
+    if facets is None and old_affine_rank(pts) == frame.dim:
         facets = recovered_facets(frame, from_vertices(frame, pts, None))
     return with_halfspaces(frame, pts, facets)
 

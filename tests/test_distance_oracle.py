@@ -40,7 +40,6 @@ from crystile.linalg import (
 )
 from crystile.polytope import (
     ConvexPolytope,
-    _centroid,
     _centroid_ball,
     _ring_edges,
     _sq_distance,
@@ -51,7 +50,7 @@ from crystile.rational import Q, ZERO, isqrt_ceil, rat
 from crystile.tiling import _tiles_near
 from crystile.voronoi import voronoi_tiling
 
-from conftest import bare, old_ring, seed0_construction
+from conftest import bare, old_centroid, old_ring, seed0_construction
 
 
 # --- the code that formed every Gram product per call -----------------------------
@@ -211,7 +210,7 @@ def test_cached_distance_matches_on_the_boundary(case):
             for x in (u, mid, tuple(2 * c for c in mid), vsub(tuple(3 * c for c in u), w)):
                 for s in tiles:
                     assert_same_distance(s, x)
-        inside = _centroid(t.vertices)
+        inside = old_centroid(t.vertices)
         for s in tiles:
             assert_same_distance(s, inside)
         assert sq_distance_point(t, inside) == ZERO
@@ -301,7 +300,7 @@ def old_tiles_near(tiling, center, r2):
     common denominator e."""
     e, ec = integral(center)
     for t in tiling.cell_tiles:
-        q = _centroid(t.vertices)
+        q = old_centroid(t.vertices)
         rho2 = max(gram_norm2(tiling.frame.gram, vsub(v, q)) for v in t.vertices)
         bound = r2 + rho2 + 2 * min((r2 + rho2) / 2, isqrt_ceil(r2 * rho2))
         for k in lattice_points_in_ball(tiling.frame, vsub(center, q), bound):
@@ -320,7 +319,7 @@ def test_patch_query_matches_fraction_centroids(name):
     for tiling in tilings:
         for t in tiling.cell_tiles:
             w, s, rho2 = _centroid_ball(t)
-            q = _centroid(t.vertices)
+            q = old_centroid(t.vertices)
             assert tuple(Q(c, w) for c in s) == q
             assert rho2 == max(gram_norm2(t.frame.gram, vsub(v, q)) for v in t.vertices)
     radii = [ZERO, Q(1, 7), Q(1), Q(2)] if g.dim == 2 else [ZERO, Q(1, 9), Q(1, 2)]

@@ -1,11 +1,12 @@
 import math
 import random
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from crystile import polytope as polytope_mod
+from crystile import linalg as linalg_mod, polytope as polytope_mod
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vdot, vsub
 from crystile.construction import _cone
@@ -16,7 +17,6 @@ from crystile.polytope import (
     HalfSpace,
     InteriorOverlapError,
     PolytopeError,
-    _centroid,
     _cross,
     clip,
     congruent,
@@ -27,11 +27,12 @@ from crystile.polytope import (
     sq_distance_point,
     volume,
 )
-from crystile.tiling import patch
+from crystile.serialize import tiling_from_json, tiling_to_json
+from crystile.tiling import patch, prototiles
 from crystile.voronoi import delone_params, voronoi_cell, voronoi_tiling
 
-from conftest import (facet_key_set, random_rational_isometry, random_rational_point,
-                      recovered_facets, seed0_construction)
+from conftest import (facet_key_set, old_centroid, random_rational_isometry,
+                      random_rational_point, recovered_facets, seed0_construction)
 
 
 @pytest.fixture
@@ -346,13 +347,14 @@ def test_3d_meet(frame3):
 def test_repeated_distance_makes_one_gram_product(frame2, count_calls):
     # the integer quadratic data are cached on the tile, so a second call
     # from a point outside it scales x once and forms only (D G) X, with no
-    # Fraction Gram product and no face lookup
+    # Fraction Gram product (polytope binds no mat_vec) and no face lookup
     tile = ConvexPolytope(frame2, [(0, 0), (2, 0), (0, 1), (1, 2)])
     x = (Q(7, 2), Q(-1, 3))
     first = sq_distance_point(tile, x)
     quad = tile._quad
     calls = []
-    for name in ("mat_vec", "faces", "_edges", "integral", "integral_rows", "int_mat_vec"):
+    assert not hasattr(polytope_mod, "mat_vec")
+    for name in ("faces", "_edges", "integral", "integral_rows", "int_mat_vec"):
         count_calls(polytope_mod, name, calls)
     second = sq_distance_point(tile, x)
     assert tile._quad is quad
@@ -406,7 +408,7 @@ def cut_boxes(draw):
     box = ConvexPolytope(frame, [tuple(c) for c in product(*zip(lo, hi))])
     a = tuple(draw(st.integers(-3, 3)) for _ in range(n))
     assume(any(a))
-    c = vdot(a, _centroid(box.vertices)) + draw(frac) / 16
+    c = vdot(a, old_centroid(box.vertices)) + draw(frac) / 16
     assume(any(vdot(a, v) > c for v in box.vertices))
     return frame, box, HalfSpace(a, c)
 
@@ -440,7 +442,7 @@ def test_build_paths_give_one_canonical_form(case, data):
     for p in paths:
         assert p == poly and hash(p) == hash(poly)
         assert p.vertices == poly.vertices and (p._den, p._rows) == (poly._den, poly._rows)
-    apex = _centroid(poly.vertices)
+    apex = old_centroid(poly.vertices)
     facet_faces = faces(poly, n - 1)
     for p in paths:
         assert set(faces(p, n - 1)) == set(facet_faces)
@@ -458,4 +460,24 @@ def test_p222_delone_params_forms_no_q_in_the_kernel(count_calls):
     calls = count_calls(polytope_mod, "Q")
     cert = delone_params(preset("P222"), (Q(18, 47), Q(29, 43), Q(12, 19)))
     assert cert.min_sq_distance > 0
+    assert calls == []
+
+
+def test_loading_and_prototiles_call_no_rational_elimination(count_calls):
+    # the hull, the rank tests and congruent eliminate on the int rows they
+    # hold (linalg.int_rref).  Through the Fraction wrappers, the Pm-3m load
+    # made 579 mat_rank and 772 solve_linear calls and P222's prototiles
+    # 129 mat_rank and 42 mat_inv calls.
+    data = tiling_to_json(seed0_construction("Pm-3m"))
+    p222 = seed0_construction("P222")
+    real = {name: getattr(linalg_mod, name)
+            for name in ("mat_rank", "solve_linear", "mat_inv", "nullspace")}
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "crystile" and module is not None:
+            for fname, body in real.items():
+                if getattr(module, fname, None) is body:
+                    count_calls(module, fname, calls)
+    assert tiling_from_json(data).cell_tiles == seed0_construction("Pm-3m").cell_tiles
+    assert len(prototiles(p222)) == 14
     assert calls == []

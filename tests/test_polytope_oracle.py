@@ -17,7 +17,7 @@ import math
 import random
 import re
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +27,12 @@ from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset
 from crystile.linalg import (
     gram_dot,
     gram_norm2,
+    integral,
+    integral_rows,
     mat_det,
-    mat_inv,
-    mat_rank,
-    solve_linear,
+    mat_mul,
+    mat_vec,
+    transpose,
     vadd,
     vdot,
     vec,
@@ -41,16 +43,20 @@ from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     PolytopeError,
-    _affine_rank,
-    _centroid,
+    _clip,
+    _cross,
+    _hull,
+    _tight_sets,
+    _walk,
     clip,
+    congruent,
     faces,
     halfspace_intersection,
     simplex_decomposition,
     sq_distance_point,
     volume,
 )
-from crystile.rational import Q, ZERO, isqrt_ceil, rat
+from crystile.rational import Q, ONE, ZERO, isqrt_ceil, rat
 from crystile.svg import _cell_range, _fmt, tiling_svg
 from crystile import tiling as tiling_mod
 from crystile.tiling import Patch, patch
@@ -63,7 +69,13 @@ from conftest import (
     _supporting_halfspaces,
     bare,
     facet_key_set,
+    old_affine_rank,
+    old_centroid,
+    old_independent_points,
+    old_mat_inv,
+    old_mat_rank,
     old_ring,
+    old_solve_linear,
     random_rational_orthogonal,
     random_rational_point,
     recovered_facets,
@@ -98,7 +110,7 @@ def _edges_3d(poly: ConvexPolytope):
         common = active[i] & active[j]
         if len(common) < 2:
             continue
-        if mat_rank(tuple(hs[k].covector for k in common)) == 2:
+        if old_mat_rank(tuple(hs[k].covector for k in common)) == 2:
             out.append(bare(poly.frame, [u, w]))
     return out
 
@@ -132,7 +144,7 @@ def _facet_cycle_3d(fpoly: ConvexPolytope):
     p0 = pts[0]
     basis = _independent_directions(pts, 2)
     coords = [_affine_coords(p, p0, basis) for p in pts]
-    c = _centroid(coords)
+    c = old_centroid(coords)
     order = _sort_ccw(coords, c)
     back = {tuple(cc): p for cc, p in zip(coords, pts)}
     return [back[tuple(cc)] for cc in order]
@@ -200,13 +212,13 @@ def _facet_proj_sq_distance(fpoly: ConvexPolytope, x, g):
     basis = _independent_directions(pts, 2)
     rows = tuple(tuple(gram_dot(g, bi, bj) for bj in basis) for bi in basis)
     rhs = tuple(gram_dot(g, bi, vsub(x, p0)) for bi in basis)
-    st = solve_linear(rows, rhs)
+    st = old_solve_linear(rows, rhs)
     if st is None:
         return None
     proj = vadd(p0, vadd(tuple(st[0] * c for c in basis[0]), tuple(st[1] * c for c in basis[1])))
     coords = [_affine_coords(p, p0, basis) for p in pts]
     pc = (st[0], st[1])
-    c2 = _centroid(coords)
+    c2 = old_centroid(coords)
     ring = _sort_ccw(coords, c2)
     m = len(ring)
     for i in range(m):
@@ -220,7 +232,7 @@ def _facet_proj_sq_distance(fpoly: ConvexPolytope, x, g):
 def old_patch(tiling, center, r2) -> Patch:
     center = vec(center)
     r2 = rat(r2)
-    ginv = mat_inv(tiling.frame.gram)
+    ginv = old_mat_inv(tiling.frame.gram)
     out = []
     for t in tiling.cell_tiles:
         box = t.bounding_box()
@@ -242,7 +254,7 @@ def old_extreme_points(frame, pts):
     """Minimal generating subset of a point list (exact)."""
     if len(pts) <= 2:
         return pts if len(pts) < 2 or pts[0] != pts[1] else pts[:1]
-    rank = _affine_rank(pts)
+    rank = old_affine_rank(pts)
     if frame.dim == 2 and rank == 2:
         return sorted(old_hull_2d(pts))
     if rank == 1:
@@ -285,8 +297,8 @@ def old_hull_2d(pts):
 
 
 def old_in_hull(n: int, p, pts) -> bool:
-    rank = _affine_rank(pts)
-    if rank < _affine_rank(list(pts) + [p]):
+    rank = old_affine_rank(pts)
+    if rank < old_affine_rank(list(pts) + [p]):
         return False
     if rank == 0:
         return p == pts[0]
@@ -300,6 +312,119 @@ def old_in_hull(n: int, p, pts) -> bool:
     if pc is None or any(c is None for c in coords):
         return False
     return old_in_hull(rank, pc, coords)
+
+
+# --- the hull and congruence on Fractions ----------------------------------------
+
+def old_hull(frame, pts):
+    """ConvexPolytope._set's arguments for conv(pts), pts sorted, distinct and
+    exact, with Q vertices: vertices, facets (None below rank frame.dim),
+    then the tight sets or, for a polygon in space, the ring."""
+    base = old_independent_points(pts, frame.dim)
+    rank = len(base) - 1
+    if rank <= 1 and rank < frame.dim:
+        return ([pts[0], pts[-1]] if rank else pts), None
+    if rank == 1:
+        return [pts[0], pts[-1]], (integral((ONE, pts[0][0])), integral((-ONE, -pts[-1][0])))
+    coords = pts
+    if rank < frame.dim:
+        normal = _cross(*(vsub(pts[i], pts[0]) for i in base[1:]))
+        k = next(i for i, a in enumerate(normal) if a != 0)
+        coords = [p[:k] + p[k + 1:] for p in pts]
+    c = old_centroid([coords[i] for i in base])
+    # a point at c lies inside and gives no halfspace
+    ys = [vsub(c, x) if x != c else None for x in coords]
+    dual = [None if y is None else integral(y + (-ONE,)) for y in ys]
+    # corner j of the simplex is on the planes of all base points but the j-th
+    corners = [old_solve_linear(tuple(ys[i] for k, i in enumerate(base) if k != j),
+                                (-ONE,) * rank) for j in range(rank + 1)]
+    polar = ConvexPolytope._from_rows(frame if rank == frame.dim else standard_frame(rank),
+                                      *integral_rows(sorted(corners)), tuple(dual[i] for i in base))
+    for i, h in enumerate(dual):
+        if h is not None and i not in base:
+            polar = _clip(polar, h)
+    point_of = {h: p for h, p in zip(dual, pts) if h is not None}
+    # polar facet j is the dual halfspace of the hull vertex vertex_of[j]
+    vertex_of = [point_of[h] for h in polar._facets]
+    polar_tight = _tight_sets(polar)
+    order = sorted(range(len(vertex_of)), key=vertex_of.__getitem__)
+    if rank < frame.dim:
+        return ([vertex_of[j] for j in order], None, None,
+                _walk([order.index(j) for j in t] for t in polar_tight))
+    return ([vertex_of[j] for j in order],
+            tuple(integral(tuple(-a for a in y) + (-ONE - vdot(y, c),)) for y in polar.vertices),
+            tuple(frozenset(k for k, t in enumerate(polar_tight) if j in t) for j in order))
+
+
+def old_congruent(p: ConvexPolytope, q: ConvexPolytope):
+    """An exact isometry with phi(p) == q (as vertex sets), or None.
+
+    Matches squared-distance signatures first, then solves for the affine
+    map from an affinely independent anchor tuple and verifies exactly.
+    """
+    if p.frame != q.frame:
+        raise PolytopeError("congruence requires a common frame")
+    if len(p.vertices) != len(q.vertices) or p.dim != q.dim:
+        return None
+    n = p.frame.dim
+    if p.dim != n:
+        raise PolytopeError("congruence implemented for full-dimensional polytopes")
+    g = p.frame.gram
+
+    def profile(pts):
+        return sorted(
+            sorted(gram_norm2(g, vsub(a, b)) for b in pts) for a in pts
+        )
+
+    if profile(p.vertices) != profile(q.vertices):
+        return None
+
+    anchors = [p.vertices[i] for i in old_independent_points(p.vertices, n)]
+    a0 = anchors[0]
+    acols = transpose(tuple(vsub(a, a0) for a in anchors[1:]))
+    ainv = old_mat_inv(acols)
+    dists = [[gram_norm2(g, vsub(a, b)) for b in anchors] for a in anchors]
+
+    def tuple_candidates(i, chosen):
+        if i == len(anchors):
+            yield chosen
+            return
+        for b in q.vertices:
+            if all(gram_norm2(g, vsub(b, chosen[j])) == dists[i][j] for j in range(i)):
+                yield from tuple_candidates(i + 1, chosen + [b])
+
+    qset = set(q.vertices)
+    for image in tuple_candidates(0, []):
+        b0 = image[0]
+        bcols = transpose(tuple(vsub(b, b0) for b in image[1:]))
+        lin = mat_mul(bcols, ainv)
+        trans = vsub(b0, mat_vec(lin, a0))
+        # matching every squared distance of n + 1 independent anchors makes lin Gram-orthogonal
+        iso = Isometry(p.frame, lin, trans)
+        if {iso(v) for v in p.vertices} == qset:
+            return iso
+    return None
+
+
+def check_hull(frame, points):
+    """The int hull of the points is old_hull's: the vertex rows, the facets
+    in order, and the tight sets or the ring."""
+    pts = sorted(set(map(vec, points)))
+    vertices, *rest = old_hull(frame, pts)
+    assert _hull(frame, *integral_rows(pts)) == (*integral_rows(vertices), *rest)
+
+
+@pytest.mark.parametrize("name", ["P222", "p4g", "p6m"])
+def test_congruent_matches_the_fraction_congruent(name):
+    # every pair of cell tiles, a tile with itself included
+    tiles = seed0_construction(name).cell_tiles
+    found = 0
+    for i, p in enumerate(tiles):
+        for q in tiles[i:]:
+            iso = congruent(p, q)
+            assert iso == old_congruent(p, q)
+            found += iso is not None
+    assert len(tiles) < found < len(tiles) * (len(tiles) + 1) // 2
 
 
 @st.composite
@@ -361,6 +486,7 @@ def test_hull_of_large_degenerate_input(case, vertices):
     poly = ConvexPolytope(frame, pts)
     assert len(poly.vertices) == vertices
     assert poly.vertices == tuple(old_extreme_points(frame, pts))
+    check_hull(frame, pts)
     check_facet_invariant(poly)
 
 
@@ -369,7 +495,7 @@ def test_hull_of_large_degenerate_input(case, vertices):
 def check_facet_invariant(poly):
     """_facets is None exactly when poly is lower-dimensional; otherwise the
     carried facets are the recovered ones, each plane once."""
-    if _affine_rank(poly.vertices) < poly.frame.dim:
+    if old_affine_rank(poly.vertices) < poly.frame.dim:
         assert poly._facets is None
         with pytest.raises(PolytopeError):
             poly.facets()
@@ -387,7 +513,9 @@ def test_facets_carried_exactly_when_full_dimensional(n, data):
     # vertex input (collinear and coplanar clouds included) and every
     # polytope derived from it carry facets iff they are full-dimensional
     frame = standard_frame(n)
-    poly = ConvexPolytope(frame, data.draw(clouds(n)))
+    pts = data.draw(clouds(n))
+    check_hull(frame, pts)
+    poly = ConvexPolytope(frame, pts)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
     lin = ((Q(-1),),) if n == 1 else random_rational_orthogonal(rng, n)
     derived = [poly, poly.translate(random_rational_point(rng, n)),
@@ -396,7 +524,7 @@ def test_facets_carried_exactly_when_full_dimensional(n, data):
     if poly.dim == n:
         facets = list(poly.facets())
         a = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
-        derived += [clip(poly, HalfSpace(a, vdot(a, _centroid(poly.vertices)))),
+        derived += [clip(poly, HalfSpace(a, vdot(a, old_centroid(poly.vertices)))),
                     halfspace_intersection(frame, facets),
                     # a facet taken from both sides: the facet itself
                     halfspace_intersection(frame, facets + [HalfSpace(
@@ -444,7 +572,7 @@ def test_boundary_matches_uncached_code(case):
         assert volume(new) == old_volume(old)
         assert keys(simplex_decomposition(new)) == keys(pulling_fan(old))
         points = [random_rational_point(rng, n, span=3) for _ in range(4 if n == 3 else 8)]
-        points += list(poly.vertices[:2]) + [_centroid(poly.vertices)]
+        points += list(poly.vertices[:2]) + [old_centroid(poly.vertices)]
         for x in points:
             assert sq_distance_point(new, x) == old_sq_distance_point(old, x)
         if n == 3:
@@ -495,14 +623,13 @@ def check_rings(poly):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_rings_match_the_angular_sort(name):
-    # the construction's tiles, and in the plane the Voronoi cells too (its
-    # cone tiles there are triangles)
-    tilings = [seed0_construction(name)]
-    if name in WALLPAPER_NAMES:
-        tilings.append(case_tilings(name)[0][0])
-    for tiling in tilings:
+    # the construction's tiles and the Voronoi cells (in the plane the cone
+    # tiles are triangles); each tile's vertices hull as on Fractions too
+    g = preset(name)
+    for tiling in (seed0_construction(name), voronoi_tiling(g, generic_point(g, 0))):
         for t in tiling.cell_tiles:
             check_rings(t)
+            check_hull(t.frame, t.vertices)
 
 
 @pytest.mark.parametrize("case", ["plane", "space", "plane-in-space"])
@@ -513,6 +640,7 @@ def test_rings_and_hull_incidences_on_clouds(case, data):
     if case == "plane-in-space":
         pts = [vec(_in_space(*p)) for p in pts]
     frame = standard_frame(len(pts[0]))
+    check_hull(frame, pts)
     poly = ConvexPolytope(frame, pts)
     if poly.dim == frame.dim:
         # the hull carries its tight sets, read off the polar
@@ -521,6 +649,29 @@ def test_rings_and_hull_incidences_on_clouds(case, data):
             for v in poly.vertices)
     if poly.dim >= 2:
         check_rings(poly)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_congruent_matches_the_fraction_congruent_on_hulls(n):
+    # small integer hulls against themselves, their images under a symmetry
+    # of the cube or a rational rotation (Givens factors, maybe a reflection)
+    # and the hull before: unlike the tiles above, such hulls often have a
+    # first candidate map that fails
+    frame = standard_frame(n)
+    rng = random.Random(n)
+    cube = [tuple(tuple(s * int(perm[i] == j) for j in range(n)) for i, s in enumerate(signs))
+            for perm in permutations(range(n)) for signs in product((1, -1), repeat=n)]
+    before = []
+    while len(before) < 100:
+        p = ConvexPolytope(frame, {tuple(rng.randint(-2, 2) for _ in range(n))
+                                   for _ in range(rng.randint(n + 1, n + 4))})
+        if p.dim < n:
+            continue
+        lin = rng.choice(cube) if rng.random() < 0.5 else random_rational_orthogonal(rng, n)
+        image = p.transform(Isometry(frame, lin, random_rational_point(rng, n, span=2)))
+        for q in (p, image, *before[-1:]):
+            assert congruent(p, q) == old_congruent(p, q)
+        before.append(p)
 
 
 @pytest.mark.parametrize("name", WALLPAPER_NAMES)

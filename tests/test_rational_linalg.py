@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crystile.groups import PRESET_NAMES, preset
 from crystile.isometry import Frame, int_gram
@@ -21,6 +21,7 @@ from crystile.linalg import (
     int_dot,
     int_mat_mul,
     int_mat_vec,
+    int_rref,
     integral,
     integral_rows,
     is_integral_vec,
@@ -37,6 +38,8 @@ from crystile.linalg import (
     transpose,
     vec,
 )
+
+from conftest import old_rref
 
 rationals = st.builds(Q, st.integers(-500, 500), st.integers(1, 60))
 
@@ -131,7 +134,8 @@ def test_hermite_preserves_lattice_membership(cols):
 
 
 # --- differential oracle: the separate elimination loops that linalg's one
-# Gauss-Jordan routine replaced, kept verbatim as references --------------
+# Gauss-Jordan routine replaced, kept verbatim as references, and that
+# routine on Fractions (conftest.old_rref), the reference of int_rref -------
 
 ZERO, ONE = Q(0), Q(1)
 
@@ -353,3 +357,20 @@ def test_int_gram_of_random_positive_definite_grams(n, data):
             for j in range(n)] for i in range(n)]
     gram = mat_mul(mat(low), transpose(mat(low)))
     _check_int_gram(Frame(n, gram))
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=250)
+def test_int_rref_matches_the_fraction_rref(m, data):
+    # the columns past ncols are carried along, as right-hand sides are
+    ncols = data.draw(st.integers(0, len(m[0])))
+    rows = [list(r) for r in m]
+    pivots, det = old_rref(rows, ncols)
+    s, aug = integral_rows(m)
+    aug = list(aug)
+    found, d, sign = int_rref(aug, ncols)
+    assert found == pivots
+    # aug / d is the reduced form of s m: the pivot rows of m's, s times the rest
+    r = len(pivots)
+    assert [[Q(x, d) for x in row] for row in aug] == rows[:r] + [[s * x for x in row] for row in rows[r:]]
+    assert Q(sign * d, s ** len(pivots)) == det
