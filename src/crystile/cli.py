@@ -342,7 +342,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, io.SchemaError, GroupValidationError, TilingValidationError,
-            IsometryError, FileNotFoundError) as exc:
+            IsometryError, OSError) as exc:
         if isinstance(exc, GroupValidationError):
             for v in exc.violations:
                 print(f"violation: {v}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .linalg import int_dot, int_mat_vec, integral, vec
 from .isometry import Isometry, int_gram
 from .groups import CrystalGroup, generic_point
 from .polytope import ConvexPolytope, _cross, _edges, _face_indices, _reduced_facet, faces
-from .tiling import PeriodicTiling, Provenance, periodic_tiling
+from .tiling import PeriodicTiling, Provenance, automorphism_group, periodic_tiling
 from .voronoi import cell_with_certificate
 
 MAX_ATTEMPTS = 8  # seeds construct_tiling tries before it gives up
@@ -172,8 +172,6 @@ def construct_tiling(group: CrystalGroup, seed: int) -> PeriodicTiling:
     attempts resample with the next seed, up to MAX_ATTEMPTS seeds.  On the
     line the trivial group raises ConstructionError: two cones admit a mirror.
     """
-    from .tiling import automorphism_group
-
     last_problem = None
     for attempt in range(MAX_ATTEMPTS):
         s = seed + attempt

@@ -36,8 +36,8 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .isometry import (Frame, Isometry, _inv_gram_diag, compose, hexagonal_frame, int_gram,
-                       inverse, is_gram_orthogonal, standard_frame)
+from .isometry import (Frame, Isometry, _inv_gram_diag, compose, hexagonal_frame, identity_iso,
+                       int_gram, inverse, is_gram_orthogonal, standard_frame)
 
 
 class GroupValidationError(ValueError):
@@ -94,57 +94,67 @@ class CrystalGroup:
         return is_integral_vec(vsub(iso.translation, v))
 
 
+def _canon_pairs(frame: Frame, pairs, label: str) -> list:
+    """The Seitz pairs (M, v) as _canon_seitz pairs, each checked for its
+    shape, an integer M and Gram-orthogonality M^T (E G) M == E G on the
+    frame's int_gram (isometry.is_gram_orthogonal, the rule Isometry uses;
+    det M = +-1 follows).  Any violation, "<label> <index>: ...", raises."""
+    n = frame.dim
+    g = int_gram(frame)
+    violations, canon = [], []
+    for idx, (m, v) in enumerate(pairs):
+        m, v = mat(m), vec(v)
+        if len(m) != n or any(len(r) != n for r in m) or len(v) != n:
+            violations.append(f"{label} {idx}: shape mismatch")
+            continue
+        if not is_integral_mat(m):
+            violations.append(f"{label} {idx}: non-integer point part")
+            continue
+        m, v = _canon_seitz(m, v)
+        if not is_gram_orthogonal(1, m, g, g):
+            violations.append(f"{label} {idx}: point part is not Gram-orthogonal (M^T G M != G)")
+            continue
+        canon.append((m, v))
+    if violations:
+        raise GroupValidationError(violations)
+    return canon
+
+
+def _int_group(frame: Frame, d, elems, name: str = None) -> CrystalGroup:
+    """The group of the closed int Seitz pairs (M, t) elems: reps (M, t / d), sorted."""
+    reps = tuple(sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems))
+    return CrystalGroup(frame=frame, reps=reps, name=name)
+
+
 def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     """Canonicalize and check a group description; raises GroupValidationError.
 
     The checks run in this order, each on ints, and a failing stage raises
     with its violations before the next one runs:
 
-    1. per rep: the shape, an integer point part M, and Gram-orthogonality
-       M^T (E G) M == E G on the frame's int_gram, by the rule Isometry uses
-       (isometry.is_gram_orthogonal); det M = +-1 follows, as det G != 0;
+    1. per rep, those of _canon_pairs;
     2. the identity is present and no point part occurs twice;
-    3. the point parts are closed under products, over all pairs of int
-       matrices.  A failure is reported alone ("missing point part"): the
-       translations of a set that is not a group have nothing to check;
-    4. closure modulo the lattice.  Generators are taken greedily, each rep
-       whose point part the ones before it do not generate, so there are
-       at most log2 |P| of them; d is the lcm of their translation
-       denominators.  Every element of the group is a word in them, so in a
-       valid group every translation is in (1/d) Z^n, and a rep whose
-       denominator does not divide d fails closure at once.  Otherwise the
-       products (M_A t_B + t_A) mod d, for every rep A and every generator
-       B, are compared with t_AB on int translations t = d v, stopping at
-       the first mismatch: |P| |gens| products.  They suffice, by induction
-       on the length of a word B' g in the generators: t_{AB'g} ==
-       M_A M_B' t_g + t_{AB'} == M_A (M_B' t_g + t_B') + t_A == M_A t_{B'g}
-       + t_A (mod d), and the identity's translation is 0 by stage 2.
+    3. the point parts are closed.  Generators are taken greedily, as Aut
+       takes them (tiling.automorphism_group_with_embedding): each rep whose
+       point part is missing from the _int_closure of the earlier
+       generators' point parts, so there are at most log2 |P|.  A closure
+       with a point part the reps lack fails alone ("missing point part");
+    4. closure modulo the lattice, on int translations t = d v for the lcm
+       d of the generators' translation denominators.  Every element is a
+       word in the generators, so a rep whose denominator does not divide d
+       fails at once.  Otherwise (M_A t_B + t_A) mod d is compared with
+       t_AB for every rep A and generator B: |P| |gens| products.  They
+       suffice, by induction on the length of a word B' g in the
+       generators: t_{AB'g} == M_A M_B' t_g + t_{AB'} == M_A (M_B' t_g +
+       t_B') + t_A == M_A t_{B'g} + t_A (mod d), and t_1 = 0 by stage 2.
 
     The full-rank lattice condition holds by the basis convention and the
     frame's positive-definiteness check.  The reps keep their translations
     as rationals in [0,1)^n.
     """
     n = frame.dim
-    g = int_gram(frame)
+    canon = _canon_pairs(frame, seitz_pairs, "rep")
     violations = []
-    canon = []
-    for idx, (m, v) in enumerate(seitz_pairs):
-        m = mat(m)
-        v = vec(v)
-        if len(m) != n or any(len(r) != n for r in m) or len(v) != n:
-            violations.append(f"rep {idx}: shape mismatch")
-            continue
-        if not is_integral_mat(m):
-            violations.append(f"rep {idx}: non-integer point part")
-            continue
-        m, v = _canon_seitz(m, v)
-        if not is_gram_orthogonal(1, m, g, g):
-            violations.append(f"rep {idx}: point part is not Gram-orthogonal (M^T G M != G)")
-            continue
-        canon.append((m, v))
-    if violations:
-        raise GroupValidationError(violations)
-
     ident = _canon_seitz(identity_mat(n), zero_vec(n))
     if ident not in canon:
         if any(m == ident[0] for m, _ in canon):
@@ -160,71 +170,42 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
         raise GroupValidationError(violations)
 
     reps = tuple(sorted(set(canon)))
-    # table[i][j] indexes the point part M_i M_j, whose columns are M_i
-    # applied to those of M_j: each M_i maps the few distinct columns once
-    cols = [tuple(zip(*m)) for m, _ in reps]
-    index = {c: i for i, c in enumerate(cols)}
-    distinct = set().union(*cols)
-    table = []
+    gens, closed = [], {ident[0]}
     for m, _ in reps:
-        image = {c: int_mat_vec(m, c) for c in distinct}
-        table.append([index.get(tuple(map(image.__getitem__, c))) for c in cols])
-    if any(None in row for row in table):
-        raise GroupValidationError(["closure failure: missing point part for a product"])
-
-    one = reps.index(ident)
-    gens, generated = [], {one}
-    for i in range(len(reps)):
-        if i not in generated:
-            gens.append(i)
-            generated = _generated(table, one, gens)
+        if m not in closed:
+            gens.append(m)
+            closed = {p for p, _ in _int_closure(n, 1, [(p, (0,) * n) for p in gens])}
+            if not closed.issubset(seen):
+                raise GroupValidationError(["closure failure: missing point part for a product"])
     differs = ["closure failure: product translation differs mod lattice"]
-    d = integral([x for i in gens for x in reps[i][1]])[0]
+    d = integral([x for m in gens for x in seen[m]])[0]
     if any(d % x.denominator for _, v in reps for x in v):
         raise GroupValidationError(differs)
-    ts = [integral(v, d)[1] for _, v in reps]
-    for (m1, _), t1, row in zip(reps, ts, table):
-        for j in gens:
-            if _int_seitz_translation(m1, t1, ts[j], d) != ts[row[j]]:
+    ts = {m: integral(v, d)[1] for m, v in reps}
+    for m1, t1 in ts.items():
+        for m2 in gens:
+            if _int_seitz_translation(m1, t1, ts[m2], d) != ts[int_mat_mul(m1, m2)]:
                 raise GroupValidationError(differs)
     return CrystalGroup(frame=frame, reps=reps, name=name)
 
 
-def _generated(table, ident, gens) -> set:
-    """The indices of the subgroup that the indices gens generate, in a
-    group whose product table of indices is table."""
-    out = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in gens:
-                c = table[a][g]
-                if c not in out:
-                    out.add(c)
-                    new.append(c)
-        frontier = new
-    return out
-
-
-# Largest closure span_seitz builds: crystallographic point groups have order
-# at most 48, so a closure past this cap is non-crystallographic input.
+# Largest closure _int_closure builds: crystallographic point groups have
+# order at most 48, so a closure past this cap is non-crystallographic input.
 MAX_GROUP_ORDER = 1024
 
 
 def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
-    """Close a generator list under multiplication mod the lattice
-    (_int_closure).  The words are int Seitz pairs over the common
-    denominator d of the generators' translations, which every product
-    keeps.
+    """The group the Seitz pairs generators generate mod the lattice: the
+    generators pass _canon_pairs, and their closure (_int_closure, on int
+    pairs over the lcm d of their translation denominators) is a group by
+    construction, refused only if it gives a point part two translations.
     """
-    gens = [(mat(m), vec(v)) for m, v in generators]
-    if not all(is_integral_mat(m) for m, _ in gens):
-        raise GroupValidationError(["generator with a non-integer point part"])
-    gens = [_canon_seitz(m, v) for m, v in gens]
+    gens = _canon_pairs(frame, generators, "generator")
     d = integral([x for _, v in gens for x in v])[0]
     elems = _int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
-    return validate_group(frame, sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems), name=name)
+    if len({m for m, _ in elems}) != len(elems):
+        raise GroupValidationError(["duplicate point parts with different translations"])
+    return _int_group(frame, d, elems, name=name)
 
 
 def _int_closure(n, d, gens) -> set:
@@ -615,7 +596,6 @@ def subgroup_index(sub: CrystalGroup, sup: CrystalGroup, gamma: Isometry = None)
     if gamma is None:
         if sub.frame != sup.frame:
             raise ValueError("same-frame index needs an explicit gamma")
-        from .isometry import identity_iso
         gamma = identity_iso(sub.frame)
     if not is_conjugate_subgroup(sub, sup, gamma):
         raise ValueError("not a subgroup under the given conjugation")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, sub
 
-from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil
+from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil, sqrt_float
 from .linalg import (
     Mat,
     Vec,
@@ -70,9 +70,11 @@ from .groups import (
     CrystalGroup,
     _ball,
     _int_closure,
+    _int_group,
     conjugacy_search,
     is_conjugate_subgroup,
     lattice_isometries,
+    span_seitz,
 )
 from .polytope import (
     ConvexPolytope,
@@ -83,6 +85,7 @@ from .polytope import (
     congruent,
     volume,
 )
+from .voronoi import delone_params
 
 LN_3_2 = math.log(1.5)
 PATCH_ENUM_RADIUS = Q(8)   # enumerated patch-equality radii are capped here
@@ -506,8 +509,7 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
                 gens.append((u, c))
                 aut = _int_closure(frame.dim, d, gens)
                 break
-    reps = tuple(sorted((m, tuple(Q(x, d) for x in t)) for m, t in aut))
-    return CrystalGroup(frame=frame, reps=reps), identity_iso(frame)
+    return _int_group(frame, d, aut), identity_iso(frame)
 
 
 def automorphism_group(tiling: PeriodicTiling) -> CrystalGroup:
@@ -525,9 +527,6 @@ def is_crystallographic(tiling: PeriodicTiling):
 def _lattice_covering_sq(frame: Frame):
     """Covering radius^2 of the frame's integer lattice: the circumradius^2
     of the origin's Voronoi cell, which its localization computes."""
-    from .groups import span_seitz
-    from .voronoi import delone_params
-
     return delone_params(span_seitz(frame, []), zero_vec(frame.dim)).covering_sq_radius
 
 
@@ -545,16 +544,11 @@ def ld_check(t1: PeriodicTiling, t2: PeriodicTiling, gamma: Isometry) -> LDResul
     translation lattice of Aut(T) (the radius making lattice translates
     of a ball cover all of space).
     """
-    if t1.dim != t2.dim:
-        raise ValueError("dimension mismatch")
-    g1, e1 = automorphism_group_with_embedding(t1)
-    g2, e2 = automorphism_group_with_embedding(t2)
+    (g1, e1), (g2, e2) = _aut_pair(t1, t2)
     # gamma : T-frame -> T'-frame, rewritten as a map between the Aut frames
     if not is_conjugate_subgroup(g1, g2, compose(inverse(e2), compose(gamma, e1))):
         return LDResult(holds=False)
     cover_sq = _lattice_covering_sq(g1.frame)
-    from .rational import sqrt_float
-
     return LDResult(holds=True, radius=sqrt_float(cover_sq), covering_sq=cover_sq)
 
 

@@ -11,6 +11,8 @@ from crystile.groups import (
     CrystalGroup,
     GroupValidationError,
     _canon_seitz,
+    _int_closure,
+    _int_seitz_translation,
     preset,
 )
 from crystile.rational import ONE, Q, ZERO, frac_part
@@ -18,6 +20,7 @@ from crystile.linalg import (
     Mat,
     Vec,
     identity_mat,
+    int_mat_vec,
     integral,
     integral_rows,
     is_integral,
@@ -36,6 +39,8 @@ from crystile.isometry import (
     Frame,
     Isometry,
     hexagonal_frame,
+    int_gram,
+    is_gram_orthogonal,
     rational_givens,
     standard_frame,
 )
@@ -617,6 +622,139 @@ def old_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
             raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
         frontier = new
     return old_validate_group(frame, sorted(elems), name=name)
+
+
+# validate_group and span_seitz before span_seitz returned its closure and
+# validate_group closed its greedy generators with _int_closure: the
+# point-part product table, its _generated walk, and span_seitz re-checking
+# its closure through validate_group, verbatim but for the table_ prefix;
+# the reference of tests/test_group_oracle.py
+def table_validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
+    """Canonicalize and check a group description; raises GroupValidationError.
+
+    The checks run in this order, each on ints, and a failing stage raises
+    with its violations before the next one runs:
+
+    1. per rep: the shape, an integer point part M, and Gram-orthogonality
+       M^T (E G) M == E G on the frame's int_gram, by the rule Isometry uses
+       (isometry.is_gram_orthogonal); det M = +-1 follows, as det G != 0;
+    2. the identity is present and no point part occurs twice;
+    3. the point parts are closed under products, over all pairs of int
+       matrices.  A failure is reported alone ("missing point part"): the
+       translations of a set that is not a group have nothing to check;
+    4. closure modulo the lattice.  Generators are taken greedily, each rep
+       whose point part the ones before it do not generate, so there are
+       at most log2 |P| of them; d is the lcm of their translation
+       denominators.  Every element of the group is a word in them, so in a
+       valid group every translation is in (1/d) Z^n, and a rep whose
+       denominator does not divide d fails closure at once.  Otherwise the
+       products (M_A t_B + t_A) mod d, for every rep A and every generator
+       B, are compared with t_AB on int translations t = d v, stopping at
+       the first mismatch: |P| |gens| products.  They suffice, by induction
+       on the length of a word B' g in the generators: t_{AB'g} ==
+       M_A M_B' t_g + t_{AB'} == M_A (M_B' t_g + t_B') + t_A == M_A t_{B'g}
+       + t_A (mod d), and the identity's translation is 0 by stage 2.
+
+    The full-rank lattice condition holds by the basis convention and the
+    frame's positive-definiteness check.  The reps keep their translations
+    as rationals in [0,1)^n.
+    """
+    n = frame.dim
+    g = int_gram(frame)
+    violations = []
+    canon = []
+    for idx, (m, v) in enumerate(seitz_pairs):
+        m = mat(m)
+        v = vec(v)
+        if len(m) != n or any(len(r) != n for r in m) or len(v) != n:
+            violations.append(f"rep {idx}: shape mismatch")
+            continue
+        if not is_integral_mat(m):
+            violations.append(f"rep {idx}: non-integer point part")
+            continue
+        m, v = _canon_seitz(m, v)
+        if not is_gram_orthogonal(1, m, g, g):
+            violations.append(f"rep {idx}: point part is not Gram-orthogonal (M^T G M != G)")
+            continue
+        canon.append((m, v))
+    if violations:
+        raise GroupValidationError(violations)
+
+    ident = _canon_seitz(identity_mat(n), zero_vec(n))
+    if ident not in canon:
+        if any(m == ident[0] for m, _ in canon):
+            violations.append("pure translation outside the lattice (identity rep has nonzero part)")
+        else:
+            canon.append(ident)
+    seen = {}
+    for m, v in canon:
+        if m in seen and seen[m] != v:
+            violations.append("duplicate point parts with different translations")
+        seen[m] = v
+    if violations:
+        raise GroupValidationError(violations)
+
+    reps = tuple(sorted(set(canon)))
+    # table[i][j] indexes the point part M_i M_j, whose columns are M_i
+    # applied to those of M_j: each M_i maps the few distinct columns once
+    cols = [tuple(zip(*m)) for m, _ in reps]
+    index = {c: i for i, c in enumerate(cols)}
+    distinct = set().union(*cols)
+    table = []
+    for m, _ in reps:
+        image = {c: int_mat_vec(m, c) for c in distinct}
+        table.append([index.get(tuple(map(image.__getitem__, c))) for c in cols])
+    if any(None in row for row in table):
+        raise GroupValidationError(["closure failure: missing point part for a product"])
+
+    one = reps.index(ident)
+    gens, generated = [], {one}
+    for i in range(len(reps)):
+        if i not in generated:
+            gens.append(i)
+            generated = _table_generated(table, one, gens)
+    differs = ["closure failure: product translation differs mod lattice"]
+    d = integral([x for i in gens for x in reps[i][1]])[0]
+    if any(d % x.denominator for _, v in reps for x in v):
+        raise GroupValidationError(differs)
+    ts = [integral(v, d)[1] for _, v in reps]
+    for (m1, _), t1, row in zip(reps, ts, table):
+        for j in gens:
+            if _int_seitz_translation(m1, t1, ts[j], d) != ts[row[j]]:
+                raise GroupValidationError(differs)
+    return CrystalGroup(frame=frame, reps=reps, name=name)
+
+
+def _table_generated(table, ident, gens) -> set:
+    """The indices of the subgroup that the indices gens generate, in a
+    group whose product table of indices is table."""
+    out = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                c = table[a][g]
+                if c not in out:
+                    out.add(c)
+                    new.append(c)
+        frontier = new
+    return out
+
+
+def table_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
+    """Close a generator list under multiplication mod the lattice
+    (_int_closure).  The words are int Seitz pairs over the common
+    denominator d of the generators' translations, which every product
+    keeps.
+    """
+    gens = [(mat(m), vec(v)) for m, v in generators]
+    if not all(is_integral_mat(m) for m, _ in gens):
+        raise GroupValidationError(["generator with a non-integer point part"])
+    gens = [_canon_seitz(m, v) for m, v in gens]
+    d = integral([x for _, v in gens for x in v])[0]
+    elems = _int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
+    return table_validate_group(frame, sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems), name=name)
 
 
 def old_smith_normal_form(a: Mat):

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from crystile import cli as cli_mod
+from crystile import construction as construction_mod
 from crystile import tiling as tiling_mod
 from crystile.cli import main
 from crystile.linalg import identity_mat, mat_vec, vadd, vsub
@@ -115,6 +116,7 @@ def test_construct_reports_verified_order(capsys, count_calls):
     # postcondition, so Aut is computed once; the stdout bytes are pinned
     auts = count_calls(tiling_mod, "automorphism_group")
     count_calls(cli_mod, "automorphism_group", auts)
+    count_calls(construction_mod, "automorphism_group", auts)
     code, out, _ = run_cli(capsys, "construct", "--group", "p4g")
     assert code == 0
     assert out == (
@@ -537,6 +539,23 @@ def test_svg_of_a_non_planar_tiling_is_input_error(tmp_path, verb, capsys, count
     assert code == 2 and out == ""
     assert "input error" in err and "--svg" in err
     assert built == [] and not svg.exists()
+
+
+# each verb's output flag, given a directory: construct wrote --out, and
+# voronoi and render wrote --svg, into an IsADirectoryError traceback
+OUTPUT_FLAGS = {
+    "construct-out": ["construct", "--group", "p1", "--out"],
+    "voronoi-svg": ["voronoi", "--group", "p2", "--svg"],
+    "render-svg": ["render", "<square>", "--svg"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUT_FLAGS))
+def test_unwritable_output_path_is_input_error(tmp_path, square_file, case, capsys):
+    argv = [square_file if a == "<square>" else a for a in OUTPUT_FLAGS[case]]
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 2 and out == ""
+    assert "input error:" in err and "Traceback" not in err
 
 
 def _pm3m_file(path, translation):

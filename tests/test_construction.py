@@ -6,6 +6,7 @@ import pytest
 from crystile.rational import Q
 from crystile.linalg import gram_norm2, vadd, vsub
 from crystile.isometry import Frame, Isometry
+from crystile import construction as construction_mod
 from crystile import groups as groups_mod
 from crystile import linalg as linalg_mod
 from crystile import polytope
@@ -272,6 +273,7 @@ def test_seed0_construction_digests(name, count_calls):
     group = preset(name)
     validations = count_calls(tiling_mod, "validate_tiling")
     auts = count_calls(tiling_mod, "automorphism_group")
+    count_calls(construction_mod, "automorphism_group", auts)
     voronoi_tilings = count_calls(voronoi_mod, "voronoi_tiling")
     group_checks = count_calls(groups_mod, "validate_group")
     text = dump_json(tiling_to_json(construct_tiling(group, 0)))

@@ -12,6 +12,13 @@ translation check the old pair loop also ran.  solve_mod_lattice must
 return the old solution, or None with it, on random integer systems with
 rational right-hand sides.
 
+conftest.table_validate_group and table_span_seitz are the code that ran
+before span_seitz returned its closure and validate_group closed its greedy
+generators: the point-part product table.  validate_group must return its
+verdict and violations on the same inputs, shape and non-integer mutants
+among them, and span_seitz its reps on every preset's generators, shifted
+or not; every generator list it refuses stays refused.
+
 old_conjugated_rep, old_conjugacy_search and old_is_conjugate_subgroup are
 the Fraction conjugation that LD and MLD ran before they went through
 compose, inverse and CrystalGroup.contains, verbatim apart from their
@@ -64,7 +71,8 @@ from crystile.linalg import (
 )
 from crystile.rational import Q, frac_part
 
-from conftest import old_solve_mod_lattice, old_span_seitz, old_validate_group
+from conftest import (old_solve_mod_lattice, old_span_seitz, old_validate_group, table_span_seitz,
+                      table_validate_group)
 
 MISSING = "closure failure: missing point part for a product"
 DIFFERS = "closure failure: product translation differs mod lattice"
@@ -94,7 +102,7 @@ def group_inputs(draw):
     g = preset(draw(st.sampled_from(PRESET_NAMES)))
     n = g.dim
     pairs = list(draw(st.permutations(_shifted(g.reps, draw(st.tuples(*[rationals] * n))))))
-    kind = draw(st.sampled_from(["none", "perturb", "drop", "stray"]))
+    kind = draw(st.sampled_from(["none", "perturb", "drop", "stray", "shape", "non-integer"]))
     i = draw(st.integers(0, len(pairs) - 1))
     if kind == "perturb":
         m, v = pairs[i]
@@ -106,6 +114,12 @@ def group_inputs(draw):
     elif kind == "stray":
         m = draw(st.sampled_from(_stray_point_parts(g.frame)))
         pairs.insert(i, (m, draw(st.tuples(*[rationals] * n))))
+    elif kind == "shape":
+        m, v = pairs[i]
+        pairs[i] = (m[:-1], v) if draw(st.booleans()) else (m, v[:-1])
+    elif kind == "non-integer":
+        m, v = pairs[i]
+        pairs[i] = (((m[0][0] + Q(1, 2),) + m[0][1:],) + m[1:], v)
     return g.frame, pairs
 
 
@@ -124,6 +138,15 @@ def test_validate_group_matches_old(case):
     if expected[0] == "rejected" and MISSING in expected[1]:
         expected = ("rejected", [MISSING])
     assert _verdict(validate_group, frame, pairs) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(group_inputs())
+def test_validate_group_matches_the_table_code(case):
+    # the greedy closures report what the product table reported, alone or
+    # not, violation for violation
+    frame, pairs = case
+    assert _verdict(validate_group, frame, pairs) == _verdict(table_validate_group, frame, pairs)
 
 
 def test_missing_point_part_is_reported_alone(frame2):
@@ -149,7 +172,61 @@ def test_span_seitz_matches_old(name, data):
     frame = preset(name).frame
     s = data.draw(st.tuples(*[rationals] * frame.dim))
     gens = _shifted([(m, tuple(map(Q, v))) for m, v in _generators(name)], s)
-    assert span_seitz(frame, gens).reps == old_span_seitz(frame, gens).reps
+    reps = span_seitz(frame, gens).reps
+    assert reps == old_span_seitz(frame, gens).reps == table_span_seitz(frame, gens).reps
+
+
+def test_span_seitz_matches_the_table_code_on_presets():
+    for name in PRESET_NAMES:
+        g = preset(name)
+        assert span_seitz(g.frame, _generators(name)).reps == g.reps
+        assert table_span_seitz(g.frame, _generators(name)).reps == g.reps
+
+
+# generator lists that table_span_seitz refuses, each with the violations
+# span_seitz reports now: generators are checked one by one before the
+# closure, so a violation names a generator, not a rep of the closure, and a
+# clash of translations is reported once
+TABLE_REFUSALS = {
+    "shear": ([(((1, 1), (0, 1)), (0, 0))],
+              ["generator 0: point part is not Gram-orthogonal (M^T G M != G)"]),
+    "p4-and-shear": ([(((0, -1), (1, 0)), (0, 0)), (((1, 1), (0, 1)), (0, 0))],
+                     ["generator 1: point part is not Gram-orthogonal (M^T G M != G)"]),
+    "non-integral": ([(((Q(1, 2), 0), (0, 1)), (0, 0))], ["generator 0: non-integer point part"]),
+    "order-2-oblique": ([(((1, 1), (0, -1)), (0, 0))],
+                        ["generator 0: point part is not Gram-orthogonal (M^T G M != G)"]),
+    "hexagonal-in-square": ([(((1, -1), (1, 0)), (0, 0))],
+                            ["generator 0: point part is not Gram-orthogonal (M^T G M != G)"]),
+    "short-point-part": ([(((-1, 0),), (0, 0))], ["generator 0: shape mismatch"]),
+    "3x3-point-part": ([(((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0))], ["generator 0: shape mismatch"]),
+    "half-translation": ([(((1, 0), (0, 1)), (Q(1, 2), 0))],
+                         ["duplicate point parts with different translations"]),
+    "p4-third-glide": ([(((0, -1), (1, 0)), (0, 0)), (((1, 0), (0, -1)), (Q(1, 3), 0))],
+                       ["duplicate point parts with different translations"]),
+    "large-translation-closure": (
+        [(((1, 0), (0, 1)), (Q(1, 97), 0)), (((1, 0), (0, 1)), (0, Q(1, 89)))],
+        ["generator closure exceeded bound (non-crystallographic input?)"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_REFUSALS))
+def test_span_seitz_refuses_what_the_table_code_refuses(frame2, case):
+    gens, violations = TABLE_REFUSALS[case]
+    with pytest.raises(GroupValidationError):
+        table_span_seitz(frame2, gens)
+    with pytest.raises(GroupValidationError) as exc:
+        span_seitz(frame2, gens)
+    assert exc.value.violations == violations
+
+
+def test_span_seitz_refuses_a_short_translation(frame2):
+    # the table code zipped a 1-entry translation against the 2 rows of M
+    # and accepted p2; span_seitz checks each generator's shape first
+    gens = [(((-1, 0), (0, -1)), (0,))]
+    assert table_span_seitz(frame2, gens).reps == preset("p2").reps
+    with pytest.raises(GroupValidationError) as exc:
+        span_seitz(frame2, gens)
+    assert exc.value.violations == ["generator 0: shape mismatch"]
 
 
 @st.composite

@@ -7,6 +7,7 @@ from crystile.linalg import identity_mat, is_integral_vec, mat_vec, vadd, vsub
 from crystile.isometry import Frame, identity_iso
 from crystile.groups import (
     GroupValidationError,
+    PRESET_NAMES,
     WALLPAPER_NAMES,
     conjugacy_search,
     generic_point,
@@ -64,18 +65,36 @@ def test_validate_rejects_closure_failure(frame2):
     assert any("closure" in v for v in exc.value.violations)
 
 
-def test_pm3m_validation_makes_one_int_seitz_product_per_rep_and_generator(count_calls):
-    # the translation pass multiplies each rep by each generator once, in
-    # ints: 48 reps times the 4 generators the greedy choice takes for
-    # Pm-3m, 192 products where all ordered pairs took 2,304; the Fraction
-    # product is gone
+def test_pm3m_validation_makes_one_int_seitz_product_per_rep_and_generator(count_calls, monkeypatch):
+    # the greedy choice closes the point parts of its first 1, 2, 3 and 4
+    # generators (_int_closure: |closure| |gens| products each, 2 + 8 + 48
+    # + 192 = 250), and the translation pass multiplies each of the 48 reps
+    # by each of the 4 generators once, in ints: 192 products, where all
+    # ordered pairs took 2,304; the Fraction product is gone
     import crystile.groups as groups_mod
 
     g = preset("Pm-3m")
+    closures = []
+    real = groups_mod._int_closure
+    monkeypatch.setattr(groups_mod, "_int_closure",
+                        lambda n, d, gens: closures.append((len(gens), out := real(n, d, gens))) or out)
     products = count_calls(groups_mod, "_int_seitz_translation")
     assert validate_group(g.frame, g.reps).reps == g.reps
-    assert len(products) == 48 * 4 == 192
+    assert [(k, len(out)) for k, out in closures] == [(1, 2), (2, 4), (3, 16), (4, 48)]
+    assert len(products) == 250 + 48 * 4 == 442
     assert not hasattr(groups_mod, "_seitz_mul")
+
+
+def test_presets_are_built_without_validate_group(count_calls):
+    # span_seitz returns its closure, which is a group by construction
+    import crystile.groups as groups_mod
+
+    checks = count_calls(groups_mod, "validate_group")
+    preset.cache_clear()
+    groups = [preset(name) for name in PRESET_NAMES]
+    assert checks == []
+    for g in groups:
+        assert validate_group(g.frame, g.reps).reps == g.reps
 
 
 def test_validate_rejects_a_denominator_the_generators_lack(frame2):
@@ -326,7 +345,6 @@ PRESET_DIGESTS = {
 
 
 def test_preset_group_json_digests():
-    from crystile.groups import PRESET_NAMES
     from crystile.serialize import dump_json, group_to_json
 
     assert set(PRESET_DIGESTS) == set(PRESET_NAMES)
@@ -336,8 +354,32 @@ def test_preset_group_json_digests():
 
 
 def test_span_seitz_rejects_shear(frame2):
-    with pytest.raises(GroupValidationError, match="exceeded bound"):
+    # the generators are checked before they are closed: the shear fails
+    # Gram-orthogonality, where its closure once grew past MAX_GROUP_ORDER
+    with pytest.raises(GroupValidationError) as exc:
         span_seitz(frame2, [(((1, 1), (0, 1)), (0, 0))])
+    assert exc.value.violations == [GENERATOR_NOT_ORTHOGONAL]
+
+
+GENERATOR_NOT_ORTHOGONAL = "generator 0: point part is not Gram-orthogonal (M^T G M != G)"
+
+SPAN_REFUSALS = {
+    "non-integral": ([(((Q(1, 2), 0), (0, 1)), (0, 0))], "generator 0: non-integer point part"),
+    # order 2, since its square is the identity, but not Gram-orthogonal
+    # in the square frame
+    "order-2-oblique": ([(((1, 1), (0, -1)), (0, 0))], GENERATOR_NOT_ORTHOGONAL),
+    # the identity's point part with the translations 0 and (1/2, 0)
+    "half-translation": ([(((1, 0), (0, 1)), (Q(1, 2), 0))],
+                         "duplicate point parts with different translations"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPAN_REFUSALS))
+def test_span_seitz_refuses(frame2, case):
+    gens, message = SPAN_REFUSALS[case]
+    with pytest.raises(GroupValidationError) as exc:
+        span_seitz(frame2, gens)
+    assert exc.value.violations == [message]
 
 
 def test_demo_3d_presets(frame3):
