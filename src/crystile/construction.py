@@ -19,13 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
-from operator import sub
+from operator import add, sub
 
 from .rational import Q
-from .linalg import int_dot, int_mat_vec, integral, vec
-from .isometry import Isometry, int_gram
+from .linalg import int_dot, int_mat_vec, integral, integral_rows, vec
+from .isometry import int_gram
 from .groups import CrystalGroup, generic_point
-from .polytope import ConvexPolytope, _cross, _edges, _face_indices, _reduced_facet, faces
+from .polytope import (ConvexPolytope, _cross, _edges, _face_indices, _moved, _reduced_facet,
+                       faces, volume)
 from .tiling import PeriodicTiling, Provenance, automorphism_group, periodic_tiling
 from .voronoi import cell_with_certificate
 
@@ -140,7 +141,10 @@ def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate)
 
     The cell must hold base_point strictly inside.  Tiles per unit cell
     become |reps| * (#facets of the cell); the output passes full tiling
-    validation, the one check that the cell's images tile space.
+    validation, the one check that the cell's images tile space.  Each
+    image is moved once (polytope._moved) by the rep's int form (m, A, B + m k),
+    k = -(X // m V) for its least row X = min A P + V B over the cone's rows P
+    over V, so it is canonical, and carries the cone's volume, read once.
     """
     base_point = vec(base_point)
     base = cert.cell
@@ -148,8 +152,14 @@ def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate)
         raise ValueError("the certificate's cell does not hold the base point strictly inside")
     n = base.frame.dim
     cones = [_cone(fpoly, h, cert.apex) for h, fpoly in zip(base._facets, faces(base, n - 1))]
-    isos = [Isometry(group.frame, m, v) for m, v in group.reps]
-    tiles = [cone.transform(iso) for iso in isos for cone in cones]
+    tiles = []
+    for m, rows in (integral_rows((*mat, t)) for mat, t in group.reps):  # Isometry's int form
+        a, b = rows[:-1], rows[-1]
+        for cone in cones:
+            volume(cone)  # computed once; the images carry it
+            mv = m * cone._den
+            least = map(add, min(int_mat_vec(a, p) for p in cone._rows), (cone._den * c for c in b))
+            tiles.append(_moved(cone, group.frame, m, a, [c - m * (x // mv) for c, x in zip(b, least)]))
     return periodic_tiling(
         group.frame,
         tiles,

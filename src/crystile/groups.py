@@ -198,13 +198,11 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
     """The group the Seitz pairs generators generate mod the lattice: the
     generators pass _canon_pairs, and their closure (_int_closure, on int
     pairs over the lcm d of their translation denominators) is a group by
-    construction, refused only if it gives a point part two translations.
+    construction, refused as soon as it gives a point part two translations.
     """
     gens = _canon_pairs(frame, generators, "generator")
     d = integral([x for _, v in gens for x in v])[0]
     elems = _int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
-    if len({m for m, _ in elems}) != len(elems):
-        raise GroupValidationError(["duplicate point parts with different translations"])
     return _int_group(frame, d, elems, name=name)
 
 
@@ -215,21 +213,24 @@ def _int_closure(n, d, gens) -> set:
     Each round multiplies the newest elements on the right by the
     generators (_int_seitz_translation).  Elements of a finite point group
     have finite order mod the lattice, so these words already form the
-    group; any other input grows past MAX_GROUP_ORDER."""
+    group; any other input grows past MAX_GROUP_ORDER.  A point part met
+    with a second translation is refused at once (Aut never meets one)."""
     frontier = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)]
-    elems = set(frontier)
+    elems = dict(frontier)
     while frontier:
         new = []
         for m1, t1 in frontier:
             for m2, t2 in gens:
-                prod = (int_mat_mul(m1, m2), _int_seitz_translation(m1, t1, t2, d))
-                if prod not in elems:
-                    elems.add(prod)
-                    new.append(prod)
+                m, t = int_mat_mul(m1, m2), _int_seitz_translation(m1, t1, t2, d)
+                if m not in elems:
+                    elems[m] = t
+                    new.append((m, t))
+                elif elems[m] != t:
+                    raise GroupValidationError(["duplicate point parts with different translations"])
         if len(elems) > MAX_GROUP_ORDER:
             raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
         frontier = new
-    return elems
+    return set(elems.items())
 
 
 # --- presets ----------------------------------------------------------------

@@ -49,7 +49,8 @@ sq_distance_point forms one Q from it per call.  A distance costs one
 x.Gx, one dot per vertex and edge, and in space one 2x2 solve by Cramer's
 rule per facet whose plane x lies beyond.  The patch query also reads each
 tile's vertex centroid and the squared radius about it that holds the
-tile (_centroid_ball), once per polytope from its rows.
+tile (_centroid_ball), once per polytope from its rows, as are the volume,
+which _moved carries within one frame, and congruent's _profile.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class ConvexPolytope:
     """
 
     __slots__ = ("frame", "_den", "_rows", "_vertices", "_facets", "_dim", "_bbox", "_cycle",
-                 "_faces", "_quad", "_reach", "_tight", "_hash")
+                 "_faces", "_quad", "_reach", "_tight", "_hash", "_volume", "_profile")
 
     def __init__(self, frame: Frame, vertices):
         pts = sorted(set(vec(p) for p in vertices))
@@ -139,7 +140,7 @@ class ConvexPolytope:
             raise PolytopeError("vertex input is for dimension 1, 2 or 3")
         self._set(frame, *_hull(frame, *integral_rows(pts)))
 
-    def _set(self, frame, den, rows, facets, tight=None, cycle=None):
+    def _set(self, frame, den, rows, facets, tight=None, cycle=None, volume=None):
         self.frame = frame
         self._den = den
         self._rows = rows
@@ -153,14 +154,16 @@ class ConvexPolytope:
         self._reach = None
         self._tight = tight
         self._hash = None
+        self._volume = volume
+        self._profile = None
 
     @classmethod
-    def _from_rows(cls, frame: Frame, den, rows: tuple, facets, tight=None, cycle=None):
+    def _from_rows(cls, frame: Frame, den, rows: tuple, facets, tight=None, cycle=None, volume=None):
         """The polytope on distinct, sorted, reduced int rows over den, as is,
         with its facet pairs (None below full dimension), and its tight sets
-        (_tight_sets) and ring (_ring) when they are known."""
+        (_tight_sets), ring (_ring) and volume when they are known."""
         poly = cls.__new__(cls)
-        poly._set(frame, den, rows, facets, tight, cycle)
+        poly._set(frame, den, rows, facets, tight, cycle, volume)
         return poly
 
     @property
@@ -244,7 +247,8 @@ def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
     the rows P over V map to A P + V B over m V, sorted and reduced (over V
     as they are for an int translate), and a facet (s, (A_h, C_h)) maps with
     L^-T = N / d (_inverse_transpose) to (m N A_h, d m C_h + N A_h . B) /
-    (d s m), reduced (_reduced).  Each vertex keeps its tight set."""
+    (d s m), reduced (_reduced).  Each vertex keeps its tight set, and an image
+    in poly's frame (det L = +-1 there) keeps a volume read before."""
     vden, rows = poly._den, poly._rows
     vb = [vden * c for c in b]
     pts = [tuple(map(add, [m * c for c in p] if a is None else int_mat_vec(a, p), vb))
@@ -264,7 +268,8 @@ def _moved(poly: ConvexPolytope, frame: Frame, m, a, b) -> ConvexPolytope:
             facets.append(_reduced_facet(d * s * m, (*(m * x for x in na),
                                                      d * m * ch + int_dot(na, b))))
         facets = tuple(facets)
-    return ConvexPolytope._from_rows(frame, den, pts, facets, tight)
+    return ConvexPolytope._from_rows(frame, den, pts, facets, tight,
+                                     volume=poly._volume if frame == poly.frame else None)
 
 
 def _reduced_facet(den, row):
@@ -464,17 +469,19 @@ def _fan(poly: ConvexPolytope):
 
 
 def volume(poly: ConvexPolytope):
-    """Exact lattice-normalized volume (Euclidean volume / sqrt(det G)): sum
-    |det| of the differences of the vertex rows P over V over _fan / n! V^n."""
-    n = poly.frame.dim
-    if poly.dim != n:
-        raise PolytopeError("volume requires a full-dimensional polytope")
-    vden, rows = poly._den, poly._rows
-    total = 0
-    for s in _fan(poly):
-        base = rows[s[0]]
-        total += abs(mat_det(tuple(tuple(map(sub, rows[i], base)) for i in s[1:])))
-    return Q(total, factorial(n) * vden ** n)
+    """Exact lattice-normalized volume (Euclidean volume / sqrt(det G)), once:
+    sum |det| of the differences of the vertex rows P over V over _fan / n! V^n."""
+    if poly._volume is None:
+        n = poly.frame.dim
+        if poly.dim != n:
+            raise PolytopeError("volume requires a full-dimensional polytope")
+        vden, rows = poly._den, poly._rows
+        total = 0
+        for s in _fan(poly):
+            base = rows[s[0]]
+            total += abs(mat_det(tuple(tuple(map(sub, rows[i], base)) for i in s[1:])))
+        poly._volume = Q(total, factorial(n) * vden ** n)
+    return poly._volume
 
 
 def simplex_decomposition(poly: ConvexPolytope):
@@ -667,16 +674,15 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
     n = p.frame.dim
     if p.dim != n:
         raise PolytopeError("congruence implemented for full-dimensional polytopes")
+    vp, vq = p._den ** 2, q._den ** 2  # the profiles are over V^2: cross-scale them
+    if [_scale(vq, row) for row in _profile(p)] != [_scale(vp, row) for row in _profile(q)]:
+        return None
     h, el = int_gram(p.frame)[1], lcm(p._den, q._den)
     ps, qs = ([_scale(el // t._den, row) for row in t._rows] for t in (p, q))
 
     def dist(a, b):
         y = tuple(map(sub, a, b))
         return int_dot(int_mat_vec(h, y), y)
-
-    profile = lambda pts: sorted(sorted(dist(a, b) for b in pts) for a in pts)
-    if profile(ps) != profile(qs):
-        return None
 
     anchors = [ps[i] for i in _independent_points(ps, n)]
     a0 = anchors[0]
@@ -703,6 +709,16 @@ def congruent(p: ConvexPolytope, q: ConvexPolytope):
         if _moved(p, p.frame, m, a, b) == q:
             return Isometry._of_ints(p.frame, m, a, b, p.frame)
     return None
+
+
+def _profile(poly: ConvexPolytope):
+    """Per vertex row, the sorted y.Hy over the differences y to every row
+    (G = H / g, isometry.int_gram), the lists sorted: over V^2, once."""
+    if poly._profile is None:
+        h, rows = int_gram(poly.frame)[1], poly._rows
+        diffs = ([tuple(map(sub, a, b)) for b in rows] for a in rows)
+        poly._profile = sorted(sorted(int_dot(int_mat_vec(h, y), y) for y in ys) for ys in diffs)
+    return poly._profile
 
 
 # --- metric helpers -----------------------------------------------------------

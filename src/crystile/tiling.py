@@ -13,18 +13,18 @@ as reduced int rows (polytope); the cell tiles' rows are brought over
 their common denominator d as X = d x, and the image of a tiling under
 x -> L x + t over one common denominator D of X, L and t, so each image
 vertex is A X + b and a lattice translate adds S k, all as Python ints.
-A key is the reduced form (linalg._reduced, one gcd) of a vertex tuple:
-its least common denominator followed by its numerators, so keys formed
-over different denominators are equal exactly when the vertex tuples are;
-mod the lattice, the floor shift (X // d) d of the least vertex is
-subtracted first.  Facet matching keys each facet over its own tile's
-rows; automorphism checks, the maximal translation lattice, image keys
-and pulled-back patches hash these int tuples, and a translation found
-among them becomes rational again only for its Seitz pair.  Aut(T) is
-closed from verified generators, as int Seitz pairs over the cell tiles'
-denominator d: a point part in the closure of the pairs verified so far
-needs no check (automorphism_group_with_embedding).  Cell tiles are sorted
-by their int rows over one denominator, the order of their vertex tuples.
+Inside one tiling a key is the sorted int vertex tuple over d, less the
+floor shift (X // d) d of its least vertex, flattened, with no gcd
+(_flat_key): facet matching, automorphism checks and the translation
+lattice hash these, and find translates through the shape index of
+_int_cells.  Where denominators differ (image keys, pulled-back patches)
+a key is reduced (_key, one gcd), equal exactly when the vertex tuples
+are.  A translation found among the keys becomes rational again only for
+its Seitz pair.  Aut(T) is closed from verified generators, as int Seitz
+pairs over the cell tiles' denominator d: a point part in the closure of
+the pairs verified so far needs no check (automorphism_group_with_embedding).
+Cell tiles are sorted by their int rows over one denominator, the order
+of their vertex tuples.
 
 The hull of a tiling with crystallographic automorphism group Aut(T) is,
 as a topological space with its isometry action, the group quotient
@@ -193,10 +193,10 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
     if total != 1:
         problems.append(f"cell volumes sum to {rat_str(total)}, expected 1")
     held = {}
-    for i, t in enumerate(tiles):
-        vden, rows = t._den, t._rows  # a facet's vertices are rows of its tile
+    d, cells = _int_vertices(tiles)
+    for i, (t, rows) in enumerate(zip(tiles, cells)):  # a facet's vertices are rows of its tile
         for (on, _), (_, ac) in zip(_facet_edges(t), t._facets):
-            held.setdefault(_lattice_key(vden, [rows[j] for j in on]), []).append((i, ac[:-1], on))
+            held.setdefault(_flat_key(d, [rows[j] for j in on]), []).append((i, ac[:-1], on))
     # facets with one vertex set lie in one hyperplane, so their (int) covectors
     # are parallel and point opposite ways iff their dot product is negative
     problems += [_facet_problem(tiles, fs) for fs in held.values()
@@ -225,9 +225,10 @@ def tilings_equal(a: PeriodicTiling, b: PeriodicTiling) -> bool:
 def _int_vertices(tiles):
     """(d, cells): d > 0 the least common denominator of every vertex
     coordinate of the tiles, and per tile its vertices X = d x as int
-    tuples, in the tile's (sorted) order."""
+    tuples, in the tile's (sorted) order: its rows as they are over d."""
     d = math.lcm(*(t._den for t in tiles))
-    return d, tuple(tuple(tuple(d // t._den * c for c in p) for p in t._rows) for t in tiles)
+    return d, tuple(t._rows if t._den == d else tuple(tuple(d // t._den * c for c in p) for p in t._rows)
+                    for t in tiles)
 
 
 def _sorted_tiles(tiles) -> tuple:
@@ -246,14 +247,19 @@ def _key(d, flat):
     return (d,) + flat
 
 
-def _lattice_key(d, pts):
-    """_key of the sorted int vertex tuples pts / d translated by the
-    integer vector that puts the least of them in [0,1)^n (the floor shift
-    (X // d) d): equal for vertex tuples equal mod the lattice."""
-    shift = tuple(c // d * d for c in pts[0])
+def _flat_key(d, pts):
+    """The sorted int vertex tuples pts / d less the floor shift (X // d) d of
+    the least, flattened: over one d, equal exactly mod the lattice."""
+    shift = [c // d * d for c in pts[0]]
     if any(shift):
-        pts = [tuple(map(sub, p, shift)) for p in pts]
-    return _key(d, (c for p in pts for c in p))
+        return tuple(c - s for p in pts for c, s in zip(p, shift))
+    return tuple(c for p in pts for c in p)
+
+
+def _shape(pts):
+    """The sorted int vertex tuples pts less the first, flattened: equal, over
+    one denominator, exactly for translates."""
+    return tuple(c - o for p in pts for c, o in zip(p, pts[0]))
 
 
 def _affine(m, c, x):
@@ -378,7 +384,7 @@ def _image_keys(tiling: PeriodicTiling, iso: Isometry) -> frozenset:
     if iso.frame != tiling.frame or iso.target != tiling.frame:
         raise IsometryError("isometry incompatible with the tiling frame")
     d, _, images = _int_image(tiling, iso)
-    return frozenset(_lattice_key(d, pts) for pts in images)
+    return frozenset(_key(d, _flat_key(d, pts)) for pts in images)
 
 
 # --- prototiles ---------------------------------------------------------------
@@ -408,24 +414,21 @@ def prototile_index(tiling: PeriodicTiling) -> dict:
 
 # --- automorphisms -------------------------------------------------------------
 
-def _translate_match(a, b):
-    """The int translation v with a + v == b for sorted int vertex tuples,
-    or None."""
-    v = tuple(map(sub, b[0], a[0]))
-    return v if tuple(tuple(map(add, p, v)) for p in a) == b else None
-
-
 def _fixes_tiling(d, cells, keys, m, c) -> bool:
     """Whether X -> m X + c, on the cell tiles' int vertices X = d x
-    (_int_vertices), maps every cell tile onto a tile: its lattice key is
-    one of the cell keys."""
-    return all(_lattice_key(d, sorted(_affine(m, c, p) for p in pts)) in keys for pts in cells)
+    (_int_vertices), maps every cell tile onto a tile: its _flat_key is one
+    of the cell keys."""
+    return all(_flat_key(d, sorted(_affine(m, c, p) for p in pts)) in keys for pts in cells)
 
 
 def _int_cells(tiling: PeriodicTiling):
-    """(d, cells, keys): _int_vertices of the cell tiles and their keys."""
+    """(d, cells, keys, shapes): _int_vertices of the cell tiles, their
+    _flat_keys and each _shape's cells, in cell order."""
     d, cells = _int_vertices(tiling.cell_tiles)
-    return d, cells, frozenset(_key(d, (c for p in pts for c in p)) for pts in cells)
+    shapes = {}
+    for pts in cells:
+        shapes.setdefault(_shape(pts), []).append(pts)
+    return d, cells, frozenset(_flat_key(d, pts) for pts in cells), shapes
 
 
 def maximal_translation_lattice(tiling: PeriodicTiling):
@@ -433,13 +436,13 @@ def maximal_translation_lattice(tiling: PeriodicTiling):
     return _translation_lattice(tiling.frame.dim, *_int_cells(tiling))
 
 
-def _translation_lattice(n, d, cells, keys):
-    """maximal_translation_lattice of the tiling with _int_cells (d, cells, keys)."""
+def _translation_lattice(n, d, cells, keys, shapes):
+    """maximal_translation_lattice of the tiling with _int_cells (d, cells, keys, shapes)."""
     one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     extra = []
-    for pts in cells:
-        v = _translate_match(cells[0], pts)
-        if v is None or all(x % d == 0 for x in v):
+    for pts in shapes[_shape(cells[0])]:
+        v = tuple(map(sub, pts[0], cells[0][0]))
+        if all(x % d == 0 for x in v):
             continue
         if _fixes_tiling(d, cells, keys, one, v):
             extra.append(v)
@@ -490,10 +493,10 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
     is the closure at the end, with one translation class per point part,
     the lattice being maximal, and it is closed, so validate_group's closure
     pass would only re-prove it.  Each success at least doubles the
-    closure, so at most log2 |P| full checks pass."""
+    closure, so at most log2 |P| full checks pass, of translates from the shape index."""
     frame = tiling.frame
-    d, cells, keys = _int_cells(tiling)
-    basis = _translation_lattice(frame.dim, d, cells, keys)
+    d, cells, keys, shapes = _int_cells(tiling)
+    basis = _translation_lattice(frame.dim, d, cells, keys, shapes)
     if basis != identity_mat(frame.dim):
         dense, embed = reexpress_over_lattice(tiling, basis)
         group, inner = automorphism_group_with_embedding(dense)
@@ -503,9 +506,9 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
         if any(m == u for m, _ in aut):
             continue
         image = sorted(int_mat_vec(u, p) for p in cells[0])
-        for pts in cells:
-            c = _translate_match(image, pts)
-            if c is not None and _fixes_tiling(d, cells, keys, u, c):
+        for pts in shapes.get(_shape(image), ()):
+            c = tuple(map(sub, pts[0], image[0]))
+            if _fixes_tiling(d, cells, keys, u, c):
                 gens.append((u, c))
                 aut = _int_closure(frame.dim, d, gens)
                 break
@@ -684,8 +687,8 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
     pairs = [(ident, ident)]
     anchors = [vsub(t2.cell_tiles[0].vertices[0], t1.cell_tiles[0].vertices[0])]
     d, cells = _int_vertices((t1.cell_tiles[0],) + t2.cell_tiles)
-    anchors += [tuple(Q(x, d) for x in v) for pts in cells[1:]
-                if (v := _translate_match(cells[0], pts)) is not None]
+    anchors += [tuple(Q(x - y, d) for x, y in zip(pts[0], cells[0][0])) for pts in cells[1:]
+                if _shape(pts) == _shape(cells[0])]
     taus = set()
     for v in anchors:
         taus.update((v, tuple(frac_part(x + Q(1, 2)) - Q(1, 2) for x in v)))

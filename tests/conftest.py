@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from functools import cmp_to_key, lru_cache
 from itertools import combinations, product
 
@@ -11,12 +12,12 @@ from crystile.groups import (
     CrystalGroup,
     GroupValidationError,
     _canon_seitz,
-    _int_closure,
     _int_seitz_translation,
     preset,
 )
 from crystile.rational import ONE, Q, ZERO, frac_part
 from crystile.linalg import (
+    int_mat_mul,
     Mat,
     Vec,
     identity_mat,
@@ -57,14 +58,24 @@ from crystile.tiling import PeriodicTiling, periodic_tiling
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(module, name) wraps module.name for the test and returns a
-    list that gets the name appended on every call; pass calls= to share one
-    list between several wrapped functions."""
+    """count_calls(module, name) wraps the function module.name for the test,
+    wherever a loaded crystile module binds it (under any name), and returns
+    a list that gets the name appended on every call; pass calls= to share
+    one list between several wrapped functions.  A class, such as the
+    rational type Q that isinstance tests also read, is wrapped in module
+    only."""
 
     def wrap(module, name, calls=None):
         calls = [] if calls is None else calls
         real = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+        counted = lambda *a, **k: calls.append(name) or real(*a, **k)
+        if isinstance(real, type):
+            monkeypatch.setattr(module, name, counted)
+            return calls
+        for mod in [m for n, m in sorted(sys.modules.items()) if n.split(".")[0] == "crystile"]:
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
         return calls
 
     return wrap
@@ -626,8 +637,9 @@ def old_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
 
 # validate_group and span_seitz before span_seitz returned its closure and
 # validate_group closed its greedy generators with _int_closure: the
-# point-part product table, its _generated walk, and span_seitz re-checking
-# its closure through validate_group, verbatim but for the table_ prefix;
+# point-part product table, its _generated walk, span_seitz re-checking its
+# closure through validate_group, and the closure that refused a clash of
+# translations only through that check, verbatim but for the table_ prefix;
 # the reference of tests/test_group_oracle.py
 def table_validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     """Canonicalize and check a group description; raises GroupValidationError.
@@ -742,6 +754,30 @@ def _table_generated(table, ident, gens) -> set:
     return out
 
 
+def table_int_closure(n, d, gens) -> set:
+    """The int Seitz pairs (M, t), t = d v mod d, that the int pairs gens
+    over the denominator d generate mod the lattice, the identity included.
+
+    Each round multiplies the newest elements on the right by the
+    generators (_int_seitz_translation).  Elements of a finite point group
+    have finite order mod the lattice, so these words already form the
+    group; any other input grows past MAX_GROUP_ORDER."""
+    frontier = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)]
+    elems = set(frontier)
+    while frontier:
+        new = []
+        for m1, t1 in frontier:
+            for m2, t2 in gens:
+                prod = (int_mat_mul(m1, m2), _int_seitz_translation(m1, t1, t2, d))
+                if prod not in elems:
+                    elems.add(prod)
+                    new.append(prod)
+        if len(elems) > MAX_GROUP_ORDER:
+            raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
+        frontier = new
+    return elems
+
+
 def table_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
     """Close a generator list under multiplication mod the lattice
     (_int_closure).  The words are int Seitz pairs over the common
@@ -753,7 +789,7 @@ def table_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup
         raise GroupValidationError(["generator with a non-integer point part"])
     gens = [_canon_seitz(m, v) for m, v in gens]
     d = integral([x for _, v in gens for x in v])[0]
-    elems = _int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
+    elems = table_int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
     return table_validate_group(frame, sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems), name=name)
 
 

@@ -1,10 +1,11 @@
 """Differential oracle for the construction pipeline on ints.
 
-old_automorphism_group_with_embedding (with its old_lattice_automorphisms),
-old_stabilizer, old_orbit_contains, old_certificate_for, old_generic_apex
-and old_default_candidates are the code before Aut was found from verified
-generators and before the orbit tests, the genericity certificate and the
-witness candidates ran on int forms, verbatim apart from their names.  The
+old_automorphism_group_with_embedding (with its old_lattice_automorphisms
+and the translate scan _translate_match), old_stabilizer, old_orbit_contains,
+old_certificate_for, old_generic_apex and old_default_candidates are the
+code before Aut was found from verified generators and before the orbit
+tests, the genericity certificate and the witness candidates ran on int
+forms, verbatim apart from their names (_translate_match keeps its own).  The
 old Aut loop runs the full check for every lattice automorphism; the old
 orbit tests and certificate run on Fraction mat_vec and gram_norm2.
 
@@ -18,10 +19,9 @@ candidate isometries, field for field.
 """
 
 import random
-import sys
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +39,6 @@ from crystile.tiling import (
     _fixes_tiling,
     _int_cells,
     _int_vertices,
-    _translate_match,
     automorphism_group_with_embedding,
     default_candidates,
     maximal_translation_lattice,
@@ -51,6 +50,13 @@ from crystile.construction import (ConstructionError, GenericityCertificate, cer
                                    construct_tiling, generic_apex)
 
 from conftest import seed0_construction
+
+
+def _translate_match(a, b):
+    """The int translation v with a + v == b for sorted int vertex tuples,
+    or None."""
+    v = tuple(map(sub, b[0], a[0]))
+    return v if tuple(tuple(map(add, p, v)) for p in a) == b else None
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +78,7 @@ def old_automorphism_group_with_embedding(tiling):
         group, inner = old_automorphism_group_with_embedding(dense)
         return group, compose(embed, inner)
     frame = tiling.frame
-    d, cells, keys = _int_cells(tiling)
+    d, cells, keys, _ = _int_cells(tiling)
     seitz = []
     for m, mi in old_lattice_automorphisms(frame):
         image = sorted(int_mat_vec(mi, p) for p in cells[0])
@@ -304,12 +310,7 @@ def test_construction_calls_no_fraction_orbit_or_norm(count_calls):
     # the stabilizer and orbit tests, the apex and its certificate run on
     # int rows; the Fraction code made 35 mat_vec and 6 gram_norm2 calls here
     g = preset("p6m")
-    calls = []
-    real = {fname: getattr(linalg_mod, fname) for fname in ("mat_vec", "gram_norm2")}
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "crystile" and module is not None:
-            for fname, body in real.items():
-                if getattr(module, fname, None) is body:
-                    count_calls(module, fname, calls)
+    calls = count_calls(linalg_mod, "mat_vec")
+    count_calls(linalg_mod, "gram_norm2", calls)
     construct_tiling(g, 0)
     assert calls == []

@@ -1,0 +1,377 @@
+"""Differential oracle for construction tiles built once and keyed once.
+
+`validate_tiling`, `_lattice_key`, `_fixes_tiling`, `_int_cells`,
+`_translation_lattice`, `automorphism_group_with_embedding`,
+`cone_subdivide` and `volume` below are the code before tile keys became
+flat int tuples over one denominator, Aut found its translate candidates
+through a shape index, cone images came out canonical from one move and
+volumes were cached and carried, kept verbatim, names included: they
+resolve each other here and the rest of the package through the imports,
+so the old validation reads a fresh volume of every tile.  The new code
+must give the same groups, embeddings, lattices, tiles (rows, facets and
+tight sets) and problem lists on every preset's seed 0-2 construction and
+Voronoi tiling, the half-scale tiling, the rejected tile lists of
+test_tiling and a rejected list with tiles of different vertex counts, and
+on transform_tiling images of all of those; its keys must decode to the
+old keys, its shape index must group exactly the translates, and every
+carried volume must equal a fresh one.  validate_tiling must also reject
+four mutants of each seed-0 wallpaper construction and Voronoi tiling,
+with the old problem lists and the verdict of conftest.pairwise_problems.
+"""
+
+from math import factorial
+from operator import sub
+
+import pytest
+
+from crystile import construction as construction_mod
+from crystile import polytope as polytope_mod
+from crystile import tiling as tiling_mod
+from crystile.rational import Q, ZERO, rat_str
+from crystile.linalg import (hermite_column_basis, identity_mat, int_dot, int_mat_vec,
+                             mat_det, transpose, vec)
+from crystile.isometry import Isometry, compose, identity_iso, translation_iso
+from crystile.groups import (WALLPAPER_NAMES, CrystalGroup, _int_closure,
+                             _int_group, generic_point, lattice_isometries, preset)
+from crystile.polytope import (ConvexPolytope, PolytopeError, _facet_edges, _fan, faces)
+from crystile.tiling import (PeriodicTiling, Provenance, _affine, _facet_problem, _int_vertices,
+                             _key, _lattice_automorphisms, _shape,
+                             periodic_tiling, reexpress_over_lattice, transform_tiling)
+from crystile.construction import GenericityCertificate, _cone, generic_apex
+from crystile.voronoi import cell_with_certificate
+
+from conftest import pairwise_problems
+from test_construction_oracle import CASES, _translate_match, tilings
+from test_tiling import F2, REJECTED
+
+
+# --- the code before, verbatim ------------------------------------------------------
+
+def validate_tiling(tiling: PeriodicTiling) -> list:
+    """Exact tiling check in one pass; returns [] or the problems it found.
+
+    Accepts when every cell tile is full-dimensional, the cell volumes sum
+    to 1 (unit covolume) and every facet is matched modulo the lattice:
+    its vertex set, translated by the integer vector that puts its least
+    vertex in [0,1)^n (the canonical_tile convention), is the vertex set
+    of exactly two cell-tile facets, and their normals point in opposite
+    directions.  The problems are each tile that is not full-dimensional,
+    or else the volume sum when it is not 1 and each facet key not held
+    once from each side, with its tiles and vertices, in tile then facet
+    order: the same linear pass accepts and explains.
+
+    The criterion holds iff the tiles cover space with disjoint interiors
+    and every two tiles A, B meet in a face of both (or not at all).  Keys
+    are canonical mod the lattice, so a key occurring exactly twice says
+    that exactly two tiles of the whole tiling have that facet, on
+    opposite sides.
+
+    * Covering multiplicity.  Let m(y) count the tiles containing y, for y
+      off every tile boundary.  Take x on a hyperplane H, in the relative
+      interior of facets and on no other hyperplane or lower face.  Each
+      tile with x on its boundary has a facet in H through x, and exactly
+      one other tile, across H, has that same facet; no third tile has it.
+      So as many tiles end at x from each side of H, and m agrees on both
+      sides.  Any two points off the boundaries are joined by a path
+      that crosses them only at such points (the rest has codimension
+      2), so m is constant, and integrating over a unit cell gives
+      m = sum of volumes = 1: the tiles cover space and their interiors
+      are disjoint.
+    * Shared minimal faces.  Take p in tiles A and B and a ball about p
+      that meets only tiles and tile facets through p.  A path in the ball
+      from the interior of A to that of B, avoiding the codimension-2
+      skeleton, passes from tile C to tile D only through a facet that the
+      two share (multiplicity 1 makes D the matched tile), and that facet
+      P contains p.  C and D then have the same minimal face containing
+      p, namely that of P, so A and B do too; call it F(p).
+    * Face-to-face.  Let p be a relative-interior point of the convex set
+      A n B.  F(p) lies in A n B, and any point q of A n B lies on a
+      segment in A with p inside it, so q lies in the face F(p) of A.
+      Hence A n B = F(p), a face of both (any n >= 2; for n = 1 disjoint
+      interiors already make every meeting a shared endpoint).
+
+    Conversely, in a face-to-face tiling each facet P of A is A n B for
+    the unique tile B across its relative interior; P is a facet of B, and
+    no other tile has it as a facet, so each key occurs exactly twice.
+    """
+    n = tiling.frame.dim
+    tiles = tiling.cell_tiles
+    problems = [f"tile {i} is not full-dimensional" for i, t in enumerate(tiles) if t.dim != n]
+    if problems:
+        return problems
+    total = sum((volume(t) for t in tiles), ZERO)
+    if total != 1:
+        problems.append(f"cell volumes sum to {rat_str(total)}, expected 1")
+    held = {}
+    for i, t in enumerate(tiles):
+        vden, rows = t._den, t._rows  # a facet's vertices are rows of its tile
+        for (on, _), (_, ac) in zip(_facet_edges(t), t._facets):
+            held.setdefault(_lattice_key(vden, [rows[j] for j in on]), []).append((i, ac[:-1], on))
+    # facets with one vertex set lie in one hyperplane, so their (int) covectors
+    # are parallel and point opposite ways iff their dot product is negative
+    problems += [_facet_problem(tiles, fs) for fs in held.values()
+                 if len(fs) != 2 or int_dot(fs[0][1], fs[1][1]) >= 0]
+    return problems
+
+
+def _lattice_key(d, pts):
+    """_key of the sorted int vertex tuples pts / d translated by the
+    integer vector that puts the least of them in [0,1)^n (the floor shift
+    (X // d) d): equal for vertex tuples equal mod the lattice."""
+    shift = tuple(c // d * d for c in pts[0])
+    if any(shift):
+        pts = [tuple(map(sub, p, shift)) for p in pts]
+    return _key(d, (c for p in pts for c in p))
+
+
+def _fixes_tiling(d, cells, keys, m, c) -> bool:
+    """Whether X -> m X + c, on the cell tiles' int vertices X = d x
+    (_int_vertices), maps every cell tile onto a tile: its lattice key is
+    one of the cell keys."""
+    return all(_lattice_key(d, sorted(_affine(m, c, p) for p in pts)) in keys for pts in cells)
+
+
+def _int_cells(tiling: PeriodicTiling):
+    """(d, cells, keys): _int_vertices of the cell tiles and their keys."""
+    d, cells = _int_vertices(tiling.cell_tiles)
+    return d, cells, frozenset(_key(d, (c for p in pts for c in p)) for pts in cells)
+
+
+def _translation_lattice(n, d, cells, keys):
+    """maximal_translation_lattice of the tiling with _int_cells (d, cells, keys)."""
+    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    extra = []
+    for pts in cells:
+        v = _translate_match(cells[0], pts)
+        if v is None or all(x % d == 0 for x in v):
+            continue
+        if _fixes_tiling(d, cells, keys, one, v):
+            extra.append(v)
+    if not extra:
+        return identity_mat(n)
+    cols = [tuple(d * x for x in col) for col in one] + extra
+    basis = hermite_column_basis(cols)
+    return transpose(tuple(tuple(Q(x, d) for x in col) for col in basis))
+
+
+def automorphism_group_with_embedding(tiling: PeriodicTiling):
+    """Aut(T) over its maximal translation lattice, plus the coordinate map
+    from the group's frame back into the tiling's frame.
+
+    Aut(T) is found from verified generators (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 4).  The Seitz pairs
+    verified so far are closed mod the lattice as int pairs over the cell
+    tiles' common denominator d (groups._int_closure), starting from the
+    identity.  A lattice automorphism U whose point part lies in that
+    closure is skipped: products of automorphisms are automorphisms.  Any
+    other U gets the full check, for the translations that map cell tile 0
+    onto a cell tile, and a U that passes joins the generators.  So Aut(T)
+    is the closure at the end, with one translation class per point part,
+    the lattice being maximal, and it is closed, so validate_group's closure
+    pass would only re-prove it.  Each success at least doubles the
+    closure, so at most log2 |P| full checks pass."""
+    frame = tiling.frame
+    d, cells, keys = _int_cells(tiling)
+    basis = _translation_lattice(frame.dim, d, cells, keys)
+    if basis != identity_mat(frame.dim):
+        dense, embed = reexpress_over_lattice(tiling, basis)
+        group, inner = automorphism_group_with_embedding(dense)
+        return group, compose(embed, inner)
+    gens, aut = [], _int_closure(frame.dim, d, [])
+    for u in _lattice_automorphisms(frame):
+        if any(m == u for m, _ in aut):
+            continue
+        image = sorted(int_mat_vec(u, p) for p in cells[0])
+        for pts in cells:
+            c = _translate_match(image, pts)
+            if c is not None and _fixes_tiling(d, cells, keys, u, c):
+                gens.append((u, c))
+                aut = _int_closure(frame.dim, d, gens)
+                break
+    return _int_group(frame, d, aut), identity_iso(frame)
+
+
+def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate) -> PeriodicTiling:
+    """Cut the Voronoi cell of base_point, cert.cell, into the cones over its
+    facets from cert.apex, and map the cones by every coset representative.
+
+    The cell must hold base_point strictly inside.  Tiles per unit cell
+    become |reps| * (#facets of the cell); the output passes full tiling
+    validation, the one check that the cell's images tile space.
+    """
+    base_point = vec(base_point)
+    base = cert.cell
+    if not base.strictly_contains(base_point):
+        raise ValueError("the certificate's cell does not hold the base point strictly inside")
+    n = base.frame.dim
+    cones = [_cone(fpoly, h, cert.apex) for h, fpoly in zip(base._facets, faces(base, n - 1))]
+    isos = [Isometry(group.frame, m, v) for m, v in group.reps]
+    tiles = [cone.transform(iso) for iso in isos for cone in cones]
+    return periodic_tiling(
+        group.frame,
+        tiles,
+        provenance=Provenance(
+            kind="cone_subdivision",
+            group=group,
+            base_point=base_point,
+            base_cell=base,
+            apex=cert.apex,
+        ),
+        validate=True,
+    )
+
+
+def volume(poly: ConvexPolytope):
+    """Exact lattice-normalized volume (Euclidean volume / sqrt(det G)): sum
+    |det| of the differences of the vertex rows P over V over _fan / n! V^n."""
+    n = poly.frame.dim
+    if poly.dim != n:
+        raise PolytopeError("volume requires a full-dimensional polytope")
+    vden, rows = poly._den, poly._rows
+    total = 0
+    for s in _fan(poly):
+        base = rows[s[0]]
+        total += abs(mat_det(tuple(tuple(map(sub, rows[i], base)) for i in s[1:])))
+    return Q(total, factorial(n) * vden ** n)
+
+
+# --- inputs ---------------------------------------------------------------------------
+
+H = Q(1, 2)
+# a triangle and a square whose first three sorted rows have one shape: a
+# shape index keyed on fewer rows than a tile has would group them
+REJECTS = {**REJECTED, "mixed-counts": [ConvexPolytope(F2, pts) for pts in (
+    [(0, 0), (0, H), (H, 0)], [(0, H), (H, 0), (H, H)],
+    [(H, 0), (H, H), (1, 0), (1, H)], [(0, H), (0, 1), (1, H), (1, 1)])]}
+
+
+def images(tiling):
+    """transform_tiling images of the tiling: by a translation, and by a
+    lattice automorphism of its frame followed by a translation."""
+    frame, n = tiling.frame, tiling.dim
+    u = lattice_isometries(frame, frame)[-1]
+    return [transform_tiling(tiling, translation_iso(frame, (Q(1, 3), Q(-2, 7), Q(1, 5))[:n])),
+            transform_tiling(tiling, Isometry(frame, u, (Q(1, 7), Q(2, 9), Q(-1, 4))[:n]))]
+
+
+def assert_same(tiling):
+    """The new keys, shape index, lattice, fixes tests, group, embedding and
+    problem list against the old ones, and each carried volume against a
+    fresh one."""
+    frame, n = tiling.frame, tiling.dim
+    carried = [t._volume for t in tiling.cell_tiles]
+    d, cells, keys, shapes = tiling_mod._int_cells(tiling)
+    old_d, old_cells, old_keys = _int_cells(tiling)
+    assert (d, cells) == (old_d, old_cells)
+    assert len(keys) == len(old_keys) and frozenset(_key(d, k) for k in keys) == old_keys
+    # the index holds every cell once, and two cells share a shape exactly
+    # when they are translates
+    assert sorted(pts for group in shapes.values() for pts in group) == sorted(cells)
+    shape_of = {pts: shape for shape, group in shapes.items() for pts in group}
+    assert all(shape_of[pts] == _shape(pts) for pts in cells)
+    for a in cells:
+        for b in cells:
+            assert (shape_of[a] == shape_of[b]) == (_translate_match(a, b) is not None)
+    assert (tiling_mod._translation_lattice(n, d, cells, keys, shapes)
+            == _translation_lattice(n, d, cells, old_keys))
+    for u in _lattice_automorphisms(frame):
+        image = sorted(int_mat_vec(u, p) for p in cells[0])
+        for pts in cells[:3]:
+            c = tuple(map(sub, pts[0], image[0]))
+            assert tiling_mod._fixes_tiling(d, cells, keys, u, c) == _fixes_tiling(d, cells, old_keys, u, c)
+    group, embed = tiling_mod.automorphism_group_with_embedding(tiling)
+    old_group, old_embed = automorphism_group_with_embedding(tiling)
+    assert group == old_group and group.reps == old_group.reps
+    assert embed == old_embed and embed._ints == old_embed._ints
+    assert tiling_mod.validate_tiling(tiling) == validate_tiling(tiling)
+    for t, v in zip(tiling.cell_tiles, carried):
+        assert v in (None, volume(t)) and polytope_mod.volume(t) == volume(t)
+
+
+# --- the oracle ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, seed", CASES)
+def test_keys_groups_and_problems_match_the_old_code(name, seed):
+    construction, cells = tilings(name, seed)
+    # every construction tile was validated, so each holds its volume
+    assert all(t._volume is not None for t in construction.cell_tiles)
+    for tiling in (construction, cells):
+        for t in (tiling, *images(tiling)):
+            assert_same(t)
+
+
+def test_keys_groups_and_problems_match_on_the_half_scale_tiling(half_scale_tiling):
+    for t in (half_scale_tiling, *images(half_scale_tiling)):
+        assert_same(t)
+
+
+@pytest.mark.parametrize("case", sorted(REJECTS))
+def test_keys_groups_and_problems_match_on_rejects(case):
+    tiles = REJECTS[case]
+    tiling = periodic_tiling(tiles[0].frame, tiles, validate=False)
+    assert validate_tiling(tiling)
+    for t in (tiling, *images(tiling)):
+        assert_same(t)
+
+
+def test_reexpressed_tiles_carry_no_volume(half_scale_tiling):
+    # the dense lattice has a quarter of the covolume, so a quarter cell
+    # has lattice-normalized volume 1 there: re-expression must not carry
+    # the old frame's 1/4
+    assert all(polytope_mod.volume(t) == H * H for t in half_scale_tiling.cell_tiles)
+    dense, _ = reexpress_over_lattice(half_scale_tiling, ((H, 0), (0, H)))
+    assert [polytope_mod.volume(t) for t in dense.cell_tiles] == [volume(t) for t in dense.cell_tiles] == [1]
+
+
+@pytest.mark.parametrize("name, seed", CASES)
+def test_cone_images_match_the_two_move_code(name, seed):
+    # one move per image gives the tiles, facets and tight sets that the
+    # transform and the canonical shift gave, and each carries its cone's volume
+    g = preset(name)
+    x = generic_point(g, seed)
+    cert = generic_apex(cell_with_certificate(g, x)[0], seed)
+    new, old = construction_mod.cone_subdivide(g, x, cert), cone_subdivide(g, x, cert)
+    assert new.cell_tiles == old.cell_tiles
+    for a, b in zip(new.cell_tiles, old.cell_tiles):
+        assert (a._den, a._rows, a._facets, a._tight) == (b._den, b._rows, b._facets, b._tight)
+        assert a._volume == volume(b)
+    p, q = new.provenance, old.provenance
+    assert (p.kind, p.group, p.base_point, p.base_cell, p.apex) == (q.kind, q.group, q.base_point,
+                                                                    q.base_cell, q.apex)
+
+
+# --- mutants ----------------------------------------------------------------------------
+
+def mutants(tiling):
+    """Tile lists of the tiling with a tile duplicated, a lattice translate of
+    a tile added, a tile dropped, and one vertex moved by a small rational."""
+    tiles = list(tiling.cell_tiles)
+    t, n = tiles[0], tiling.dim
+    moved = [tuple(c + Q(1, 101 + i) for i, c in enumerate(p)) for p in t.vertices[:1]]
+    return {"duplicate": tiles + [t],
+            "translate": tiles + [t.translate((1,) + (0,) * (n - 1))],
+            "drop": tiles[1:],
+            "moved-vertex": [ConvexPolytope(t.frame, moved + list(t.vertices[1:]))] + tiles[1:]}
+
+
+@pytest.mark.parametrize("name", WALLPAPER_NAMES)
+def test_validation_rejects_mutants_as_the_old_code_did(name):
+    for tiling in tilings(name, 0):
+        for kind, tiles in mutants(tiling).items():
+            mutant = PeriodicTiling(frame=tiling.frame, cell_tiles=tuple(tiles))
+            problems = tiling_mod.validate_tiling(mutant)
+            assert problems and problems == validate_tiling(mutant), kind
+            assert pairwise_problems(mutant), kind
+
+
+def test_aut_finds_translates_through_the_shape_index(count_calls):
+    # the translate candidates are read off the shape index, one _shape per
+    # cell tile and per checked lattice automorphism; the translate scan,
+    # which made one _translate_match call per cell tile and checked lattice
+    # automorphism (1,955 in a construct-2d pass), is gone
+    assert not hasattr(tiling_mod, "_translate_match")
+    tiling = tilings("p6m", 0)[0]
+    shapes = count_calls(tiling_mod, "_shape")
+    group, _ = tiling_mod.automorphism_group_with_embedding(tiling)
+    checked = len(shapes) - len(tiling.cell_tiles) - 1  # the cells and tile 0 for the lattice
+    assert 1 <= checked < len(group.reps)

@@ -220,12 +220,8 @@ def test_pulled_back_linalg_work_is_set_by_the_cell_tiles(square_tiling, count_c
     iso = Isometry(F2, rational_givens(2, 0, 1, Q(1, 2)), (Q(2, 7), Q(1, 3)))
     center = (Q(1, 4), Q(-2, 9))
     _pulled_back(tiling, iso, center, 64)  # fills the cell tile's distance caches
-    originals = {name: getattr(linalg_mod, name) for name in ("mat_vec", "vadd")}
-    calls = []
-    for module in [m for n, m in sorted(sys.modules.items()) if n.startswith("crystile")]:
-        for name, fn in originals.items():
-            if getattr(module, name, None) is fn:
-                count_calls(module, name, calls)
+    calls = count_calls(linalg_mod, "mat_vec")
+    count_calls(linalg_mod, "vadd", calls)
     counts = []
     for r2 in (4, 64):
         calls.clear()
@@ -559,10 +555,7 @@ def test_distance_bound_takes_each_pairs_terms_once_and_inverts_nothing(square_t
     shifted = transform_tiling(square_tiling, translation_iso(frame2, (Q(1, 10), Q(1, 7))))
     voronoi = voronoi_tiling(preset("p2"), generic_point(preset("p2"), 0))
     moved = transform_tiling(voronoi, translation_iso(frame2, (Q(1, 29), Q(-1, 31))))
-    inversions = []
-    for module in [m for n, m in sorted(sys.modules.items()) if n.startswith("crystile")]:
-        if getattr(module, "mat_inv", None) is linalg_mod.mat_inv:
-            count_calls(module, "mat_inv", inversions)
+    inversions = count_calls(linalg_mod, "mat_inv")
     terms = count_calls(tiling_mod, "iso_terms")
     for a, b in ((square_tiling, shifted), (voronoi, moved)):
         distance_upper_bound((0, 0), a, b)

@@ -197,9 +197,7 @@ def test_single_site_unbounded(frame2):
 def test_p222_cells_carry_their_facets(count_calls):
     # the cell is clipped from a box with its facets known throughout, so
     # no halfspace intersection runs
-    calls = []
-    for module in (polytope, voronoi):
-        count_calls(module, "halfspace_intersection", calls)
+    calls = count_calls(polytope, "halfspace_intersection")
     g = preset("P222")
     x = generic_point(g, 0)
     delone_params(g, x)
