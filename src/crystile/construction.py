@@ -19,15 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import lcm
-from operator import add, sub
+from operator import sub
 
 from .rational import Q
-from .linalg import int_dot, int_mat_vec, integral, integral_rows, vec
+from .linalg import int_dot, int_mat_vec, integral, vec
 from .isometry import int_gram
 from .groups import CrystalGroup, generic_point
-from .polytope import (ConvexPolytope, _cross, _edges, _face_indices, _moved, _reduced_facet,
-                       faces, volume)
-from .tiling import PeriodicTiling, Provenance, automorphism_group, periodic_tiling
+from .polytope import ConvexPolytope, _cross, _edges, _face_indices, _reduced_facet, faces
+from .tiling import PeriodicTiling, Provenance, _rep_images, automorphism_group, periodic_tiling
 from .voronoi import cell_with_certificate
 
 MAX_ATTEMPTS = 8  # seeds construct_tiling tries before it gives up
@@ -141,37 +140,17 @@ def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate)
 
     The cell must hold base_point strictly inside.  Tiles per unit cell
     become |reps| * (#facets of the cell); the output passes full tiling
-    validation, the one check that the cell's images tile space.  Each
-    image is moved once (polytope._moved) by the rep's int form (m, A, B + m k),
-    k = -(X // m V) for its least row X = min A P + V B over the cone's rows P
-    over V, so it is canonical, and carries the cone's volume, read once.
+    validation, the one check that the cell's images tile space.  The cones
+    are moved by the reps as the Voronoi cell is (tiling._rep_images).
     """
     base_point = vec(base_point)
     base = cert.cell
     if not base.strictly_contains(base_point):
         raise ValueError("the certificate's cell does not hold the base point strictly inside")
-    n = base.frame.dim
-    cones = [_cone(fpoly, h, cert.apex) for h, fpoly in zip(base._facets, faces(base, n - 1))]
-    tiles = []
-    for m, rows in (integral_rows((*mat, t)) for mat, t in group.reps):  # Isometry's int form
-        a, b = rows[:-1], rows[-1]
-        for cone in cones:
-            volume(cone)  # computed once; the images carry it
-            mv = m * cone._den
-            least = map(add, min(int_mat_vec(a, p) for p in cone._rows), (cone._den * c for c in b))
-            tiles.append(_moved(cone, group.frame, m, a, [c - m * (x // mv) for c, x in zip(b, least)]))
-    return periodic_tiling(
-        group.frame,
-        tiles,
-        provenance=Provenance(
-            kind="cone_subdivision",
-            group=group,
-            base_point=base_point,
-            base_cell=base,
-            apex=cert.apex,
-        ),
-        validate=True,
-    )
+    cones = [_cone(f, h, cert.apex) for h, f in zip(base._facets, faces(base, base.dim - 1))]
+    prov = Provenance(kind="cone_subdivision", group=group, base_point=base_point, base_cell=base,
+                      apex=cert.apex)
+    return periodic_tiling(group.frame, _rep_images(group, cones), provenance=prov, validate=True)
 
 
 def construct_tiling(group: CrystalGroup, seed: int) -> PeriodicTiling:

@@ -403,18 +403,19 @@ def _face_indices(poly: ConvexPolytope, m: int):
     return [(e, None) for e in sorted({e for _, edges in _facet_edges(poly) for e in edges})]
 
 
+def _facet_vertices(poly: ConvexPolytope):
+    """Per facet of a full-dimensional polytope, the sorted indices of its vertices."""
+    tight = _tight_sets(poly)
+    return [[i for i, t in enumerate(tight) if k in t] for k in range(len(poly._facets))]
+
+
 def _facet_edges(poly: ConvexPolytope):
     """Per facet of a full-dimensional polytope, its vertex indices and its
     edges: the index pairs i < j whose tight sets share at least n - 1
     facets (the rule of clip; in the plane a facet is itself one edge)."""
-    n = poly.frame.dim
-    tight = _tight_sets(poly)
-    out = []
-    for k in range(len(poly._facets)):
-        on = [i for i, t in enumerate(tight) if k in t]
-        out.append((on, [(i, j) for i, j in combinations(on, 2)
-                         if len(tight[i] & tight[j]) >= n - 1]))
-    return out
+    n, tight = poly.frame.dim, _tight_sets(poly)
+    return [(on, [(i, j) for i, j in combinations(on, 2) if len(tight[i] & tight[j]) >= n - 1])
+            for on in _facet_vertices(poly)]
 
 
 def _walk(edges):

@@ -79,7 +79,7 @@ from .groups import (
 from .polytope import (
     ConvexPolytope,
     _centroid_ball,
-    _facet_edges,
+    _facet_vertices,
     _moved,
     _sq_distance,
     congruent,
@@ -123,6 +123,22 @@ def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
     by the int floor shift, on the rows (polytope._moved)."""
     shift = tuple(-(c // tile._den) for c in tile._rows[0])
     return _moved(tile, tile.frame, 1, None, shift) if any(shift) else tile
+
+
+def _rep_images(group: CrystalGroup, polys) -> list:
+    """Each polytope moved by every coset rep, rep by rep: moved once
+    (polytope._moved) by the rep's int form (m, A, B + m k), k = -(X // m V)
+    for its least row X = min A P + V B over the rows P over V, so that it is
+    canonical, and carrying its polytope's volume."""
+    images = []
+    for m, rows in (integral_rows((*mat, t)) for mat, t in group.reps):  # Isometry's int form
+        a, b = rows[:-1], rows[-1]
+        for poly in polys:
+            volume(poly)  # computed once; the images carry it
+            mv = m * poly._den
+            least = map(add, min(int_mat_vec(a, p) for p in poly._rows), (poly._den * c for c in b))
+            images.append(_moved(poly, group.frame, m, a, [c - m * (x // mv) for c, x in zip(b, least)]))
+    return images
 
 
 def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> PeriodicTiling:
@@ -195,7 +211,7 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
     held = {}
     d, cells = _int_vertices(tiles)
     for i, (t, rows) in enumerate(zip(tiles, cells)):  # a facet's vertices are rows of its tile
-        for (on, _), (_, ac) in zip(_facet_edges(t), t._facets):
+        for on, (_, ac) in zip(_facet_vertices(t), t._facets):
             held.setdefault(_flat_key(d, [rows[j] for j in on]), []).append((i, ac[:-1], on))
     # facets with one vertex set lie in one hyperplane, so their (int) covectors
     # are parallel and point opposite ways iff their dot product is negative

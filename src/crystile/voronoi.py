@@ -52,7 +52,7 @@ from math import lcm
 
 from .rational import Q, isqrt_ceil, rat
 from .linalg import Vec, int_dot, int_mat_vec, integral, integral_rows, vec
-from .isometry import Frame, Isometry, _inv_gram_diag, int_gram
+from .isometry import Frame, _inv_gram_diag, int_gram
 from .groups import CrystalGroup, _int_moves_onto, orbit_in_ball, stabilizer
 from .polytope import (ConvexPolytope, HalfSpace, _clip, _halfspace, _reduced_facet, _slacks,
                        halfspace_intersection)
@@ -265,12 +265,11 @@ def voronoi_tiling(group: CrystalGroup, x):
     """Periodic Voronoi-cell tiling of the orbit of x (trivial stabilizer).
 
     Tiles per unit cell are the coset-representative images of the base
-    cell; equivariance gives V_{gamma(x)} = gamma(V_x).
+    cell (tiling._rep_images); equivariance gives V_{gamma(x)} = gamma(V_x).
     """
-    from .tiling import Provenance, periodic_tiling
+    from .tiling import Provenance, _rep_images, periodic_tiling
 
     x = vec(x, group.dim)
     cell, _ = cell_with_certificate(group, x)
-    tiles = [cell.transform(Isometry(group.frame, m, v)) for m, v in group.reps]
     prov = Provenance(kind="voronoi", group=group, base_point=x, base_cell=cell)
-    return periodic_tiling(group.frame, tiles, provenance=prov, validate=True)
+    return periodic_tiling(group.frame, _rep_images(group, [cell]), provenance=prov, validate=True)

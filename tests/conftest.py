@@ -15,7 +15,7 @@ from crystile.groups import (
     _int_seitz_translation,
     preset,
 )
-from crystile.rational import ONE, Q, ZERO, frac_part
+from crystile.rational import ONE, Q, ZERO
 from crystile.linalg import (
     int_mat_mul,
     Mat,
@@ -27,7 +27,6 @@ from crystile.linalg import (
     is_integral,
     is_integral_mat,
     mat,
-    mat_det,
     mat_mul,
     mat_vec,
     transpose,
@@ -337,7 +336,7 @@ def old_cone(fpoly: ConvexPolytope, h: HalfSpace, apex) -> ConvexPolytope:
 
 
 # the supporting-plane pass the kernel's hull once ran, verbatim: the reference
-# of recovered_facets and of the per-point hull in test_polytope_oracle.py
+# of recovered_facets
 def _supporting_halfspaces(n: int, pts):
     """All supporting hyperplanes of conv(pts) in R^n spanned by point subsets.
 
@@ -534,107 +533,6 @@ def _quick_separated(a: ConvexPolytope, b: ConvexPolytope) -> bool:
     return False
 
 
-# the Fraction group kernel that validate_group, span_seitz and
-# solve_mod_lattice ran before their int rewrite, verbatim but for the old_
-# prefix on public names: the reference of tests/test_group_oracle.py
-def _seitz_mul(a, b):
-    (m1, v1), (m2, v2) = a, b
-    cols = tuple(zip(*m2))
-    m = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in m1)
-    v = tuple(sum((x * y for x, y in zip(row, v2)), t) for row, t in zip(m1, v1))
-    return m, tuple(frac_part(x) for x in v)
-
-
-def old_validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
-    """Canonicalize and check a group description; raises GroupValidationError.
-
-    Checks: integer Gram-orthogonal point parts, pairwise distinct point
-    parts, closure modulo the lattice, and presence of the identity.  The
-    full-rank lattice condition holds by the basis convention and the
-    frame's positive-definiteness check.
-    """
-    n = frame.dim
-    violations = []
-    canon = []
-    for idx, (m, v) in enumerate(seitz_pairs):
-        m = mat(m)
-        v = vec(v)
-        if len(m) != n or any(len(r) != n for r in m) or len(v) != n:
-            violations.append(f"rep {idx}: shape mismatch")
-            continue
-        if not is_integral_mat(m):
-            violations.append(f"rep {idx}: non-integer point part")
-            continue
-        if mat_mul(transpose(m), mat_mul(frame.gram, m)) != frame.gram:
-            violations.append(f"rep {idx}: point part is not Gram-orthogonal (M^T G M != G)")
-            continue
-        d = mat_det(m)
-        if d != 1 and d != -1:
-            violations.append(f"rep {idx}: determinant {d} not in {{+1,-1}}")
-            continue
-        canon.append(_canon_seitz(m, v))
-    if violations:
-        raise GroupValidationError(violations)
-
-    ident = _canon_seitz(identity_mat(n), zero_vec(n))
-    if ident not in canon:
-        if any(m == ident[0] for m, _ in canon):
-            violations.append("pure translation outside the lattice (identity rep has nonzero part)")
-        else:
-            canon.append(ident)
-    seen = {}
-    for m, v in canon:
-        if m in seen and seen[m] != v:
-            violations.append("duplicate point parts with different translations")
-        seen[m] = v
-    if len(seen) != len(canon):
-        canon = [(m, v) for m, v in dict.fromkeys(canon)]
-    if violations:
-        raise GroupValidationError(violations)
-
-    by_m = dict(canon)
-    for m1, v1 in canon:
-        for m2, v2 in canon:
-            m12, w = _seitz_mul((m1, v1), (m2, v2))
-            if m12 not in by_m:
-                violations.append("closure failure: missing point part for a product")
-            elif by_m[m12] != w:
-                violations.append("closure failure: product translation differs mod lattice")
-    if violations:
-        raise GroupValidationError(sorted(set(violations)))
-
-    reps = tuple(sorted(canon))
-    return CrystalGroup(frame=frame, reps=reps, name=name)
-
-
-def old_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
-    """Close a generator list under multiplication mod the lattice.
-
-    Each round multiplies the newest elements on the right by the
-    generators.  Elements of a finite point group have finite order mod the
-    lattice, so these words already form the group; any other input grows
-    past MAX_GROUP_ORDER.
-    """
-    gens = [(mat(m), vec(v)) for m, v in generators]
-    if not all(is_integral_mat(m) for m, _ in gens):
-        raise GroupValidationError(["generator with a non-integer point part"])
-    gens = [_canon_seitz(m, v) for m, v in gens]
-    frontier = [_canon_seitz(identity_mat(frame.dim), zero_vec(frame.dim))]
-    elems = set(frontier)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in gens:
-                prod = _seitz_mul(a, b)
-                if prod not in elems:
-                    elems.add(prod)
-                    new.append(prod)
-        if len(elems) > MAX_GROUP_ORDER:
-            raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
-        frontier = new
-    return old_validate_group(frame, sorted(elems), name=name)
-
-
 # validate_group and span_seitz before span_seitz returned its closure and
 # validate_group closed its greedy generators with _int_closure: the
 # point-part product table, its _generated walk, span_seitz re-checking its
@@ -793,6 +691,9 @@ def table_span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup
     return table_validate_group(frame, sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems), name=name)
 
 
+# solve_mod_lattice on Fractions before its int rewrite, with its Smith normal
+# form, verbatim but for the old_ prefix: the reference of
+# tests/test_group_oracle.py
 def old_smith_normal_form(a: Mat):
     """U A V = D over the integers, U and V unimodular, D diagonal.
 

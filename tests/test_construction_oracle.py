@@ -1,21 +1,18 @@
 """Differential oracle for the construction pipeline on ints.
 
-old_automorphism_group_with_embedding (with its old_lattice_automorphisms
-and the translate scan _translate_match), old_stabilizer, old_orbit_contains,
-old_certificate_for, old_generic_apex and old_default_candidates are the
-code before Aut was found from verified generators and before the orbit
-tests, the genericity certificate and the witness candidates ran on int
-forms, verbatim apart from their names (_translate_match keeps its own).  The
-old Aut loop runs the full check for every lattice automorphism; the old
-orbit tests and certificate run on Fraction mat_vec and gram_norm2.
+old_stabilizer, old_orbit_contains, old_certificate_for, old_generic_apex
+and old_default_candidates (with the translate scan _translate_match) are
+the code before the orbit tests, the genericity certificate and the witness
+candidates ran on int forms, verbatim apart from their names
+(_translate_match keeps its own).  The old orbit tests and certificate run
+on Fraction mat_vec and gram_norm2.
 
-The new code must give the same group (frame and sorted reps) and the same
-embedding on every preset's seed 0-2 construction and Voronoi tiling and on
-the half-scale tiling, which takes the re-expression path; the same
-stabilizers (Seitz pairs, with Fraction entries) and orbit verdicts on
-hypothesis points, special positions among them; the same certificate, or
-the same refusal, on hypothesis apexes in the seed-0 cells; and the same
-candidate isometries, field for field.
+The new code must give the same stabilizers (Seitz pairs, with Fraction
+entries) and orbit verdicts on hypothesis points, special positions among
+them; the same certificate, or the same refusal, on hypothesis apexes in the
+seed-0 cells; and the same candidate isometries, field for field.  Aut of
+every preset's seed 0-2 construction must be the preset; its references
+are in test_tile_once_oracle.py.
 """
 
 import random
@@ -29,22 +26,12 @@ from hypothesis import given, settings, strategies as st
 from crystile import linalg as linalg_mod
 from crystile import tiling as tiling_mod
 from crystile.rational import Q, frac_part
-from crystile.linalg import (gram_norm2, identity_mat, int_mat_vec, integral_rows,
-                             is_integral_vec, mat_vec, vadd, vec, vsub)
-from crystile.isometry import Frame, compose, identity_iso, translation_iso
-from crystile.groups import (PRESET_NAMES, CrystalGroup, _canon_seitz, generic_point,
-                             lattice_isometries, preset, stabilizer)
+from crystile.linalg import gram_norm2, is_integral_vec, mat_vec, vadd, vec, vsub
+from crystile.isometry import identity_iso, translation_iso
+from crystile.groups import PRESET_NAMES, generic_point, preset, stabilizer
 from crystile.polytope import _edges
-from crystile.tiling import (
-    _fixes_tiling,
-    _int_cells,
-    _int_vertices,
-    automorphism_group_with_embedding,
-    default_candidates,
-    maximal_translation_lattice,
-    reexpress_over_lattice,
-    transform_tiling,
-)
+from crystile.tiling import (_int_vertices, automorphism_group_with_embedding, default_candidates,
+                             transform_tiling)
 from crystile.voronoi import _orbit_contains, cell_with_certificate, voronoi_tiling
 from crystile.construction import (ConstructionError, GenericityCertificate, certificate_for,
                                    construct_tiling, generic_apex)
@@ -57,37 +44,6 @@ def _translate_match(a, b):
     or None."""
     v = tuple(map(sub, b[0], a[0]))
     return v if tuple(tuple(map(add, p, v)) for p in a) == b else None
-
-
-@lru_cache(maxsize=None)
-def old_lattice_automorphisms(frame: Frame):
-    """(U, U as ints) for each U of lattice_isometries(frame, frame), once
-    per frame."""
-    return tuple((m, integral_rows(m)[1]) for m in lattice_isometries(frame, frame))
-
-
-def old_automorphism_group_with_embedding(tiling):
-    """Aut(T) over its maximal translation lattice, plus the coordinate map
-    from the group's frame back into the tiling's frame.  The verified Seitz
-    pairs (one translation class per point part, the lattice being maximal)
-    form the group as they are: Aut(T) is closed, so validate_group's
-    closure pass would only re-prove it."""
-    basis = maximal_translation_lattice(tiling)
-    if basis != identity_mat(tiling.frame.dim):
-        dense, embed = reexpress_over_lattice(tiling, basis)
-        group, inner = old_automorphism_group_with_embedding(dense)
-        return group, compose(embed, inner)
-    frame = tiling.frame
-    d, cells, keys, _ = _int_cells(tiling)
-    seitz = []
-    for m, mi in old_lattice_automorphisms(frame):
-        image = sorted(int_mat_vec(mi, p) for p in cells[0])
-        for pts in cells:
-            c = _translate_match(image, pts)
-            if c is not None and _fixes_tiling(d, cells, keys, mi, c):
-                seitz.append(_canon_seitz(m, tuple(Q(x, d) for x in c)))
-                break
-    return CrystalGroup(frame=frame, reps=tuple(sorted(seitz))), identity_iso(frame)
 
 
 def old_stabilizer(group, x) -> list:
@@ -173,28 +129,18 @@ def tilings(name, seed):
     return construct_tiling(g, seed), voronoi_tiling(g, generic_point(g, seed))
 
 
-def assert_same_aut(tiling):
-    group, embed = automorphism_group_with_embedding(tiling)
-    old_group, old_embed = old_automorphism_group_with_embedding(tiling)
-    assert group == old_group and group.reps == old_group.reps
-    assert all(type(c) is Fraction for _, v in group.reps for c in v)
-    assert embed == old_embed and embed._ints == old_embed._ints
-    return group
-
-
 @pytest.mark.parametrize("name, seed", CASES)
 def test_aut_matches_the_full_loop(name, seed):
+    # Aut of the construction is the preset, with Fraction translations;
+    # its groups against the old loops, and the Voronoi tiling's:
+    # test_keys_groups_and_problems_match_the_old_code
     construction, cells = tilings(name, seed)
-    assert assert_same_aut(construction).reps == preset(name).reps
-    assert_same_aut(cells)
+    group, _ = automorphism_group_with_embedding(construction)
+    assert group.reps == preset(name).reps
+    assert all(type(c) is Fraction for _, v in group.reps for c in v)
     # periodic_tiling sorts the tiles by their int rows: the order of their vertex tuples
     for t in (construction, cells):
         assert list(t.cell_tiles) == sorted(t.cell_tiles, key=lambda tile: tile.vertices)
-
-
-def test_aut_matches_the_full_loop_on_the_reexpression_path(half_scale_tiling):
-    assert maximal_translation_lattice(half_scale_tiling) != identity_mat(2)
-    assert assert_same_aut(half_scale_tiling).order() == 8
 
 
 @pytest.mark.parametrize("name, seed", CASES)

@@ -9,12 +9,17 @@ names: the old orbit forms every site's Q tuple, the old cell re-reads
 rho^2 after every clip that changes the cell, and the old patch translates
 through the public translate and sorts by the Q vertex tuples.
 
-The new code must give the same cells (rows, facets and tight sets), the
-same rho^2, localization radius and DeloneCertificate on every preset at
-seeds 0-2 and on 100 hypothesis points; the same orbit results (equality,
-hash and Q sites) between the lazy and the eager build; and the same
-Patch, tile by tile with facets and tight sets, on every preset's seed-0
-construction and Voronoi tiling at three radii and two centres.
+These are the one reference of the Voronoi cell code: the earlier ones
+gave way to them, and test_voronoi_oracle.py runs them on the further
+inputs those ran on.  The new code must give the same certified cells
+(rows, facets and tight sets), the same rho^2 and localization radius
+(check_cell) and the same DeloneCertificate (check_certificate) on every
+preset at seeds 0-2 and on 100 hypothesis points; the same orbit results (equality, hash and Q sites)
+between the lazy and the eager build; and the same Patch, tile by tile
+with facets and tight sets, with the ball query yielding what
+test_distance_oracle's old_tiles_near yields (assert_same_patch), on
+every preset's seed-0 construction and Voronoi tiling at three radii and
+two centres.
 """
 
 from functools import lru_cache
@@ -36,6 +41,7 @@ from crystile.voronoi import (DegenerateSiteError, DeloneCertificate, UnboundedC
                               _orbit_contains, delone_params, voronoi_tiling)
 
 from conftest import seed0_construction
+from test_distance_oracle import old_tiles_near
 
 
 # --- the code that formed Q sites, re-read rho^2 on every cut and sorted by Q ------
@@ -220,12 +226,28 @@ def assert_same_orbit(group, x, center, r2):
     return got
 
 
-def check_against_old(g, x):
+def check_cell(g, x):
+    """The certified cell of x, its localization radius and rho^2 equal the
+    old ones."""
     old, old_d2, old_rho2 = old_cell_with_localization(g, x, x, None)
-    # first the certifying round and the rounds at smaller radii, where the
-    # box survives (None) or the cell is not yet certified, one call each:
-    # a wrong rho2 would send the localization on to ever larger radii
-    for r2 in (old_d2, old_d2 / 4, old_d2 / 16):
+    # first at the old radius, where a wrong rho2 fails at once instead of
+    # sending the localization on to ever larger radii
+    cell, _, rho2 = _cell_with_localization(g, x, x, old_d2)
+    assert_same_polytope(cell, old)
+    assert rho2 == old_rho2 and type(rho2) is Q
+    assert _cell_with_localization(g, x, x, None)[1:] == (old_d2, old_rho2)
+
+
+def check_certificate(g, x):
+    assert delone_params(g, x) == old_delone_params(g, x)
+
+
+def check_rounds(g, x):
+    """The certifying round of the old localization and the rounds at
+    smaller radii, where the box survives (None) or the cell is not yet
+    certified, one call each: the same orbit and the same cell from its sites."""
+    d2 = old_cell_with_localization(g, x, x, None)[1]
+    for r2 in (d2, d2 / 4, d2 / 16):
         d, sites = assert_same_orbit(g, x, x, r2)._ints
         dx0 = integral(x, d)[1]
         others = [s for s in sites if s != dx0]
@@ -235,17 +257,14 @@ def check_against_old(g, x):
         if found is not None:
             assert_same_polytope(found[0], want[0])
             assert found[1] == want[1]
-    cell, d2, rho2 = _cell_with_localization(g, x, x, None)
-    assert_same_polytope(cell, old)
-    assert (d2, rho2) == (old_d2, old_rho2)
-    assert type(rho2) is Q
-    assert delone_params(g, x) == old_delone_params(g, x)
 
 
 @pytest.mark.parametrize("case, seed", [(c, s) for c in PRESET_NAMES for s in range(3)])
 def test_cell_matches_old_cell(case, seed):
+    # the rounds and the certificate on these inputs: test_int_cell_matches_fraction_cell
+    # and test_pruned_cell_matches_clipping_by_every_site
     g = preset(case)
-    check_against_old(g, generic_point(g, seed))
+    check_cell(g, generic_point(g, seed))
 
 
 def drawn_rationals(digits):
@@ -257,23 +276,26 @@ def drawn_rationals(digits):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_cell_matches_old_cell_at_drawn_points(dim, data):
-    # 50 points per dimension, 100 in all
+    # 50 points per dimension, 100 in all; the rounds at drawn points:
+    # test_int_cell_matches_fraction_cell_at_drawn_points
     names = [n for n in PRESET_NAMES if preset(n).dim == dim]
     g = preset(data.draw(st.sampled_from(names)))
     digits = data.draw(st.sampled_from([1, 3, 10]))
     x = data.draw(st.tuples(*[drawn_rationals(digits)] * dim))
     assume(len(stabilizer(g, x)) == 1)
-    check_against_old(g, x)
+    check_cell(g, x)
+    check_certificate(g, x)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_lazy_orbit_matches_eager_orbit(dim, data):
-    # any base point, special positions among them, about any centre
+    # base points with small denominators, special positions among them,
+    # about any centre; ten-digit base points: test_orbit_sites_match_fraction_sites
     names = [n for n in PRESET_NAMES if preset(n).dim == dim]
     g = preset(data.draw(st.sampled_from(names)))
-    x = data.draw(st.tuples(*[drawn_rationals(data.draw(st.sampled_from([0, 1, 10])))] * dim))
+    x = data.draw(st.tuples(*[drawn_rationals(data.draw(st.sampled_from([0, 1])))] * dim))
     center = data.draw(st.tuples(*[drawn_rationals(data.draw(st.sampled_from([1, 10])))] * dim))
     r2 = data.draw(st.builds(Q, st.integers(1, 12), st.integers(1, 4)))
     assert_same_orbit(g, x, center, r2)
@@ -288,13 +310,21 @@ def seed0_voronoi(name):
 CENTRES = {2: [(0, 0), (Q(2, 7), Q(-5, 11))], 3: [(0, 0, 0), (Q(2, 7), Q(-5, 11), Q(1, 3))]}
 
 
+def assert_same_patch(tiling, center, r2):
+    """The patch equals old_patch, tile by tile with facets and tight sets,
+    and the ball query under both yields what old_tiles_near yields."""
+    got, want = patch(tiling, center, r2), old_patch(tiling, center, r2)
+    assert got == want
+    for a, b in zip(got.tiles, want.tiles):
+        assert_same_polytope(a, b)
+    assert [(Q(*d2), t, k) for d2, t, k in _tiles_near(tiling, vec(center), r2)] == \
+        list(old_tiles_near(tiling, vec(center), r2))
+
+
 @pytest.mark.parametrize("kind", ["construction", "voronoi"])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_patch_matches_old_patch(name, kind):
     tiling = seed0_construction(name) if kind == "construction" else seed0_voronoi(name)
     for center in CENTRES[tiling.dim]:
         for r2 in (Q(1, 16), Q(1), Q(3, 2)):
-            got, want = patch(tiling, center, r2), old_patch(tiling, center, r2)
-            assert got == want
-            for a, b in zip(got.tiles, want.tiles):
-                assert_same_polytope(a, b)
+            assert_same_patch(tiling, center, r2)

@@ -1,23 +1,21 @@
 """Differential oracle for the int group kernel.
 
-conftest.old_validate_group, old_span_seitz and old_solve_mod_lattice are
-the Fraction code that validate_group, span_seitz and solve_mod_lattice ran
-before their int rewrite, verbatim.  On preset groups conjugated by random
-rational origin shifts, and on mutants of those (one translation perturbed,
-one rep dropped, a stray rep added), the new code must accept exactly the
-groups the old code accepts, with equal reps, and reject the others with
-the same violations.  The one documented difference: when the point parts
-are not closed, "missing point part" is reported alone, without the
-translation check the old pair loop also ran.  solve_mod_lattice must
-return the old solution, or None with it, on random integer systems with
-rational right-hand sides.
+conftest.old_solve_mod_lattice is the Fraction code that solve_mod_lattice
+ran before its int rewrite, verbatim: it must return the old solution, or
+None with it, on random integer systems with rational right-hand sides.
 
 conftest.table_validate_group and table_span_seitz are the code that ran
 before span_seitz returned its closure and validate_group closed its greedy
-generators: the point-part product table.  validate_group must return its
-verdict and violations on the same inputs, shape and non-integer mutants
-among them, and span_seitz its reps on every preset's generators, shifted
-or not; every generator list it refuses stays refused.
+generators: the point-part product table.  On preset groups conjugated by
+random rational origin shifts, and on mutants of those (one translation
+perturbed, one rep dropped, a stray rep added, shape and non-integer
+mutants), validate_group must accept exactly the groups the table code
+accepts, with equal reps, and reject the others with the same violations;
+span_seitz must return its reps on every preset's generators, shifted or
+not, and every generator list it refuses stays refused.  The Fraction
+validate_group and span_seitz before the int rewrite agreed with the table
+code on these inputs, but for "missing point part", which the table code
+reports alone, and gave way to it.
 
 old_conjugated_rep, old_conjugacy_search and old_is_conjugate_subgroup are
 the Fraction conjugation that LD and MLD ran before they went through
@@ -69,11 +67,9 @@ from crystile.linalg import (
 )
 from crystile.rational import Q, frac_part
 
-from conftest import (old_solve_mod_lattice, old_span_seitz, old_validate_group, table_span_seitz,
-                      table_validate_group)
+from conftest import old_solve_mod_lattice, table_span_seitz, table_validate_group
 
 MISSING = "closure failure: missing point part for a product"
-DIFFERS = "closure failure: product translation differs mod lattice"
 
 rationals = st.builds(Q, st.integers(-40, 40),
                       st.one_of(st.integers(1, 12), st.integers(1, 10 ** 6)))
@@ -130,16 +126,6 @@ def _verdict(validate, frame, pairs):
 
 @settings(max_examples=150, deadline=None)
 @given(group_inputs())
-def test_validate_group_matches_old(case):
-    frame, pairs = case
-    expected = _verdict(old_validate_group, frame, pairs)
-    if expected[0] == "rejected" and MISSING in expected[1]:
-        expected = ("rejected", [MISSING])
-    assert _verdict(validate_group, frame, pairs) == expected
-
-
-@settings(max_examples=150, deadline=None)
-@given(group_inputs())
 def test_validate_group_matches_the_table_code(case):
     # the greedy closures report what the product table reported, alone or
     # not, violation for violation
@@ -149,14 +135,12 @@ def test_validate_group_matches_the_table_code(case):
 
 def test_missing_point_part_is_reported_alone(frame2):
     # rot90 squared is the half turn, whose translation differs, and rot90
-    # cubed is missing: the old pair loop reported both
+    # cubed is missing: the Fraction pair loop reported both
     pairs = [(((0, -1), (1, 0)), (0, 0)), (((-1, 0), (0, -1)), (Q(1, 2), 0))]
-    with pytest.raises(GroupValidationError) as old:
-        old_validate_group(frame2, pairs)
-    assert old.value.violations == [MISSING, DIFFERS]
-    with pytest.raises(GroupValidationError) as new:
-        validate_group(frame2, pairs)
-    assert new.value.violations == [MISSING]
+    for validate in (table_validate_group, validate_group):
+        with pytest.raises(GroupValidationError) as exc:
+            validate(frame2, pairs)
+        assert exc.value.violations == [MISSING]
 
 
 def _generators(name):
@@ -170,8 +154,7 @@ def test_span_seitz_matches_old(name, data):
     frame = preset(name).frame
     s = data.draw(st.tuples(*[rationals] * frame.dim))
     gens = _shifted([(m, tuple(map(Q, v))) for m, v in _generators(name)], s)
-    reps = span_seitz(frame, gens).reps
-    assert reps == old_span_seitz(frame, gens).reps == table_span_seitz(frame, gens).reps
+    assert span_seitz(frame, gens).reps == table_span_seitz(frame, gens).reps
 
 
 def test_span_seitz_matches_the_table_code_on_presets():

@@ -2,12 +2,14 @@
 
 old_check_isometry is the Fraction test Isometry ran before the int rule
 (L^T G_t L == G_s, then det L = +-1 on one frame), old_lattice_isometries
-the Fraction column search, old_iso_distance the metric through decompose
-and the float operator_norm, and old_lattice_covering_sq the covering radius
-read off the P1 cell's vertices, all verbatim.  The new code must accept
-exactly the linear parts the old test accepts, return the same lattice
-isometries in the same order, agree on d_O within 1e-12 (bitwise when the
-linear parts are equal) and give the same covering radii.
+the Fraction column search, old_iso_distance and old_iso_size the closed
+d_O before iso_terms (the reference test_size_cap_oracle.py imports too),
+and old_lattice_covering_sq the covering radius read off the P1 cell's
+vertices, all verbatim.  The new code must accept exactly the linear parts
+the old test accepts, return the same lattice isometries in the same order,
+agree on d_O bitwise, and within 1e-12 with its definition through
+decompose and the float operator_norm (exactly when the linear parts are
+equal), and give the same covering radii.
 
 Frames: Z^1, Z^2, hexagonal, Z^3, [[2,1],[1,2]], [[1,1,0],[1,2,1],[0,1,2]]
 and primitive bcc.  Rotations are rational_rotation_2d and rational_givens
@@ -80,7 +82,7 @@ from crystile.linalg import (
     vsub,
     zero_vec,
 )
-from crystile.rational import ONE, Q, ZERO
+from crystile.rational import ONE, Q, ZERO, sqrt_float
 from crystile.tiling import (
     _lattice_covering_sq,
     _normalizes_lattice,
@@ -160,15 +162,27 @@ def old_lattice_isometries(source, target) -> list:
     return results
 
 
-def old_iso_distance(origin, a, b) -> float:
+def old_iso_distance(origin, a: Isometry, b: Isometry) -> float:
+    """d_O(a, b) = |a(O) - b(O)|_G + ||A - B||_op = sqrt(p) + sqrt(q), n <= 3:
+    C = A^-1 B is orthogonal and ||A - B|| = ||1 - C||, so q = n - tr C when
+    det C = 1 (2 - 2 cos t for a turn by t), and 4 when det C = -1 (eigenvalue -1)."""
     if a.frame != b.frame or a.target != b.target or a.frame != a.target:
         raise IsometryError("metric requires endomorphisms of one frame")
-    da = decompose(a, origin)
-    db = decompose(b, origin)
-    trans = a.frame.norm(vsub(da.trans_part, db.trans_part))
-    if da.ortho_part == db.ortho_part:
+    n, o = a.frame.dim, vec(origin)
+    if n > 3 or len(o) != n:
+        raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
+    trans = a.frame.norm(vsub(a(o), b(o)))
+    if a.linear == b.linear:
         return trans
-    return trans + operator_norm(a.frame, mat_sub(da.ortho_part, db.ortho_part))
+    if mat_det(a.linear) != mat_det(b.linear):
+        return trans + 2.0
+    tr = sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b.linear)))
+    return trans + sqrt_float(n - tr)
+
+
+def old_iso_size(origin, a: Isometry) -> float:
+    """d_O(a, identity)."""
+    return old_iso_distance(origin, a, identity_iso(a.frame))
 
 
 def old_lattice_covering_sq(frame):
@@ -384,11 +398,14 @@ def test_iso_distance_matches_old(name, data):
     a = Isometry(frame, data.draw(linears), data.draw(vecs))
     b = Isometry(frame, data.draw(st.one_of(linears, st.just(a.linear))), data.draw(vecs))
     o = data.draw(vecs)
-    new, old = iso_distance(o, a, b), old_iso_distance(o, a, b)
-    if a.linear == b.linear:
-        assert new == old
-    else:
-        assert abs(new - old) <= 1e-12 * max(1.0, old)
+    got = iso_distance(o, a, b)
+    assert got.hex() == old_iso_distance(o, a, b).hex()
+    # the definition, through decompose and the float operator norm
+    da, db = decompose(a, o), decompose(b, o)
+    want = frame.norm(vsub(da.trans_part, db.trans_part))
+    if da.ortho_part != db.ortho_part:
+        want += operator_norm(frame, mat_sub(da.ortho_part, db.ortho_part))
+    assert got == want if a.linear == b.linear else abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 def test_iso_distance_closed_form_examples(frame2, frame3):

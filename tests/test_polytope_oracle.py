@@ -1,19 +1,20 @@
 """Differential oracle for the cached polytope boundary and the vertex hull.
 
-The functions below are the boundary code that derived a polytope's faces,
-edges, facet rings (by angle, old_ring in conftest.py) and point distances
-afresh on every call, the pulling triangulation from those faces, the patch
-loop that translated every candidate tile before testing it, and the hull
-that tested each point against the hull of all the others.  They are kept
-verbatim (apart from their names) and compared for exact equality with the
-cached versions on the cell tiles and patches of real tilings, and with the
-hull through the polar on small rational point clouds and large degenerate
-inputs.  On the same inputs, the facets every polytope carries are compared
-with recovered_facets (conftest.py), the recovery from vertices that the
-kernel no longer has.
+old_faces is the boundary code that derived a polytope's faces and edges
+afresh on every call, and old_hull and old_congruent are the hull through
+the polar and congruent on Fractions.  They are kept verbatim (apart from
+their names) and compared for exact equality with the cached and int
+versions: faces, volumes (old_volume), pulling triangulations (old_fan,
+both in test_motion_oracle.py), point distances (old_sq_distance_point,
+test_distance_oracle.py) and walked rings (old_ring, conftest.py) on the
+cell tiles of real tilings; patches, at the centres and radii the
+translate-first patch loop ran on, against assert_same_patch
+(test_delone_patch_oracle.py); and hulls on small rational point clouds
+and large degenerate inputs.  On the same inputs, the facets every
+polytope carries are compared with recovered_facets (conftest.py), the
+recovery from vertices that the kernel no longer has.
 """
 
-import math
 import random
 import re
 from functools import lru_cache
@@ -25,11 +26,9 @@ from hypothesis import given, settings, strategies as st
 from crystile.construction import construct_tiling
 from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset
 from crystile.linalg import (
-    gram_dot,
     gram_norm2,
     integral,
     integral_rows,
-    mat_det,
     mat_mul,
     mat_vec,
     transpose,
@@ -56,17 +55,13 @@ from crystile.polytope import (
     sq_distance_point,
     volume,
 )
-from crystile.rational import Q, ONE, ZERO, isqrt_ceil, rat
+from crystile.rational import Q, ONE
 from crystile.svg import _cell_range, _fmt, tiling_svg
 from crystile import tiling as tiling_mod
-from crystile.tiling import Patch, patch
+from crystile.tiling import patch
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
 from conftest import (
-    _affine_coords,
-    _independent_directions,
-    _sort_ccw,
-    _supporting_halfspaces,
     bare,
     facet_key_set,
     old_affine_rank,
@@ -82,6 +77,9 @@ from conftest import (
     same_cycle,
     seed0_construction,
 )
+from test_delone_patch_oracle import assert_same_patch
+from test_distance_oracle import old_sq_distance_point
+from test_motion_oracle import old_fan, old_volume
 
 
 # --- the uncached boundary code ------------------------------------------------
@@ -113,205 +111,6 @@ def _edges_3d(poly: ConvexPolytope):
         if old_mat_rank(tuple(hs[k].covector for k in common)) == 2:
             out.append(bare(poly.frame, [u, w]))
     return out
-
-
-def old_volume(poly: ConvexPolytope):
-    n = poly.frame.dim
-    if n == 2:
-        cyc = old_ring(poly)
-        acc = ZERO
-        for i, u in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            acc += u[0] * w[1] - u[1] * w[0]
-        return abs(acc) / 2
-    # n == 3: cone facet triangulations over a base vertex
-    base = poly.vertices[0]
-    acc = ZERO
-    for fpoly in old_faces(poly, 2):
-        ring = _facet_cycle_3d(fpoly)
-        for i in range(1, len(ring) - 1):
-            e1 = vsub(ring[0], base)
-            e2 = vsub(ring[i], base)
-            e3 = vsub(ring[i + 1], base)
-            acc += abs(mat_det((e1, e2, e3)))
-    return acc / 6
-
-
-def _facet_cycle_3d(fpoly: ConvexPolytope):
-    pts = fpoly.vertices
-    if len(pts) == 3:
-        return list(pts)
-    p0 = pts[0]
-    basis = _independent_directions(pts, 2)
-    coords = [_affine_coords(p, p0, basis) for p in pts]
-    c = old_centroid(coords)
-    order = _sort_ccw(coords, c)
-    back = {tuple(cc): p for cc, p in zip(coords, pts)}
-    return [back[tuple(cc)] for cc in order]
-
-
-def pulling_fan(poly: ConvexPolytope):
-    """The pulling triangulation from the brute-force incidences: a cone from
-    the first vertex over each facet not through it, the facet pulled in turn
-    at its own first vertex (in space, over its edges not through that)."""
-    n = poly.frame.dim
-    base = poly.vertices[0]
-    edges = _edges_3d(poly) if n == 3 else []
-    parts = []
-    for fpoly in old_faces(poly, n - 1):
-        if base in fpoly.vertices:
-            continue
-        if n == 2:
-            parts.append(bare(poly.frame, [base, *fpoly.vertices]))
-            continue
-        f = fpoly.vertices[0]
-        for e in edges:
-            if set(e.vertices) <= set(fpoly.vertices) and f not in e.vertices:
-                parts.append(bare(poly.frame, [base, f, *e.vertices]))
-    return parts
-
-
-def old_sq_distance_point(poly: ConvexPolytope, x):
-    x = vec(x)
-    g = poly.frame.gram
-    if poly.dim == poly.frame.dim and poly.contains(x):
-        return ZERO
-    best = min(gram_norm2(g, vsub(x, v)) for v in poly.vertices)
-    # edges
-    edge_list = []
-    if poly.dim >= 1:
-        if poly.frame.dim == 2 and poly.dim == 2:
-            cyc = old_ring(poly)
-            edge_list = [(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))]
-        elif poly.dim == 1:
-            edge_list = [(poly.vertices[0], poly.vertices[-1])]
-        elif poly.dim == 2:
-            ring = _facet_cycle_3d(poly)
-            edge_list = [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
-        else:
-            edge_list = [(e.vertices[0], e.vertices[1]) for e in old_faces(poly, 1)]
-    for u, w in edge_list:
-        d = vsub(w, u)
-        den = gram_norm2(g, d)
-        t = gram_dot(g, vsub(x, u), d) / den
-        if 0 < t < 1:
-            proj = vadd(u, tuple(t * c for c in d))
-            best = min(best, gram_norm2(g, vsub(x, proj)))
-    if poly.frame.dim == 3 and poly.dim >= 2:
-        fps = old_faces(poly, 2) if poly.dim == 3 else [poly]
-        for fp in fps:
-            val = _facet_proj_sq_distance(fp, x, g)
-            if val is not None:
-                best = min(best, val)
-    return best
-
-
-def _facet_proj_sq_distance(fpoly: ConvexPolytope, x, g):
-    pts = fpoly.vertices
-    p0 = pts[0]
-    basis = _independent_directions(pts, 2)
-    rows = tuple(tuple(gram_dot(g, bi, bj) for bj in basis) for bi in basis)
-    rhs = tuple(gram_dot(g, bi, vsub(x, p0)) for bi in basis)
-    st = old_solve_linear(rows, rhs)
-    if st is None:
-        return None
-    proj = vadd(p0, vadd(tuple(st[0] * c for c in basis[0]), tuple(st[1] * c for c in basis[1])))
-    coords = [_affine_coords(p, p0, basis) for p in pts]
-    pc = (st[0], st[1])
-    c2 = old_centroid(coords)
-    ring = _sort_ccw(coords, c2)
-    m = len(ring)
-    for i in range(m):
-        a, b = ring[i], ring[(i + 1) % m]
-        cross = (b[0] - a[0]) * (pc[1] - a[1]) - (b[1] - a[1]) * (pc[0] - a[0])
-        if cross < 0:
-            return None
-    return gram_norm2(g, vsub(x, proj))
-
-
-def old_patch(tiling, center, r2) -> Patch:
-    center = vec(center)
-    r2 = rat(r2)
-    ginv = old_mat_inv(tiling.frame.gram)
-    out = []
-    for t in tiling.cell_tiles:
-        box = t.bounding_box()
-        ranges = []
-        for i, (lo, hi) in enumerate(box):
-            w = isqrt_ceil(r2 * ginv[i][i])
-            ranges.append(range(math.floor(center[i] - hi) - w, math.ceil(center[i] - lo) + w + 1))
-        for k in product(*ranges):
-            cand = t.translate(tuple(Q(c) for c in k))
-            if old_sq_distance_point(cand, center) <= r2:
-                out.append(cand)
-    out.sort(key=lambda t: t.vertices)
-    return Patch(tiles=tuple(out), center=center, sq_radius=r2)
-
-
-# --- the hull by per-point exclusion -------------------------------------------
-
-def old_extreme_points(frame, pts):
-    """Minimal generating subset of a point list (exact)."""
-    if len(pts) <= 2:
-        return pts if len(pts) < 2 or pts[0] != pts[1] else pts[:1]
-    rank = old_affine_rank(pts)
-    if frame.dim == 2 and rank == 2:
-        return sorted(old_hull_2d(pts))
-    if rank == 1:
-        # keep the two ends of the segment
-        p0 = pts[0]
-        d = next(vsub(p, p0) for p in pts if p != p0)
-        i = next(i for i, x in enumerate(d) if x != 0)
-        span = sorted(pts, key=lambda p: (p[i] - p0[i]) / d[i])
-        ends = {span[0], span[-1]}
-        return sorted(ends)
-    # general exact redundancy elimination: p is a vertex iff it is not in
-    # the hull of the remaining points
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not old_in_hull(frame.dim, p, others):
-            keep.append(p)
-    return keep
-
-
-def old_hull_2d(pts):
-    pts = sorted(pts)
-
-    def half(points):
-        out = []
-        for p in points:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-                if cross <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(list(reversed(pts)))
-    return lower[:-1] + upper[:-1]
-
-
-def old_in_hull(n: int, p, pts) -> bool:
-    rank = old_affine_rank(pts)
-    if rank < old_affine_rank(list(pts) + [p]):
-        return False
-    if rank == 0:
-        return p == pts[0]
-    if rank == n:
-        return all(vdot(h.covector, p) >= h.offset for h in _supporting_halfspaces(n, pts))
-    # lower-dimensional hull: restrict to affine coordinates and recurse
-    p0 = pts[0]
-    basis = _independent_directions(pts, rank)
-    coords = [_affine_coords(q, p0, basis) for q in pts]
-    pc = _affine_coords(p, p0, basis)
-    if pc is None or any(c is None for c in coords):
-        return False
-    return old_in_hull(rank, pc, coords)
 
 
 # --- the hull and congruence on Fractions ----------------------------------------
@@ -445,20 +244,6 @@ def clouds(draw, n):
     return sorted(set(vec(p) for p in pts))
 
 
-@given(clouds(2))
-@settings(max_examples=150, deadline=None)
-def test_hull_matches_per_point_exclusion_2d(pts):
-    frame = standard_frame(2)
-    assert ConvexPolytope(frame, pts).vertices == tuple(old_extreme_points(frame, pts))
-
-
-@given(clouds(3))
-@settings(max_examples=80, deadline=None)
-def test_hull_matches_per_point_exclusion_3d(pts):
-    frame = standard_frame(3)
-    assert ConvexPolytope(frame, pts).vertices == tuple(old_extreme_points(frame, pts))
-
-
 def _in_space(a, b):
     # the plane point (a, b) on a tilted rational plane in space
     return (1 + a, a + b, 2 * b - 1)
@@ -485,7 +270,6 @@ def test_hull_of_large_degenerate_input(case, vertices):
     pts = sorted(set(map(vec, LARGE_CLOUDS[case])))
     poly = ConvexPolytope(frame, pts)
     assert len(poly.vertices) == vertices
-    assert poly.vertices == tuple(old_extreme_points(frame, pts))
     check_hull(frame, pts)
     check_facet_invariant(poly)
 
@@ -570,7 +354,7 @@ def test_boundary_matches_uncached_code(case):
         for m in range(n):
             assert keys(faces(new, m)) == keys(old_faces(old, m))
         assert volume(new) == old_volume(old)
-        assert keys(simplex_decomposition(new)) == keys(pulling_fan(old))
+        assert keys(simplex_decomposition(new)) == [tuple(sorted(s)) for s in old_fan(old)]
         points = [random_rational_point(rng, n, span=3) for _ in range(4 if n == 3 else 8)]
         points += list(poly.vertices[:2]) + [old_centroid(poly.vertices)]
         for x in points:
@@ -584,13 +368,16 @@ def test_boundary_matches_uncached_code(case):
 
 @pytest.mark.parametrize("case", [c for c in CASES if c != "P222"])
 def test_patch_matches_translate_first_loop(case):
+    # the centres and radii, r2 = 16 among them, that the translate-first
+    # patch loop was compared on: the patch and the ball query against
+    # their references in test_delone_patch_oracle.py and test_distance_oracle.py
     tilings, _ = case_tilings(case)
     rng = random.Random(100 + CASES.index(case))
     for tiling in tilings:
         center = random_rational_point(rng, tiling.dim, span=3)
         radii = (Q(1, 8), Q(1)) if tiling.dim == 3 else (Q(1, 1 << 20), Q(1), Q(16))
         for r2 in radii:
-            assert patch(tiling, center, r2) == old_patch(tiling, center, r2)
+            assert_same_patch(tiling, center, r2)
 
 
 def test_patch_work_grows_with_the_radius(count_calls):

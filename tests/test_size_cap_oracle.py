@@ -2,8 +2,9 @@
 
 old_rational_below and old_size_cap are the float size cap the witness
 search took before the exact rule (`_rational_below` and the `delta` lines
-of `_pair_match_radius`), and old_iso_distance and old_iso_size the d_O
-bodies before iso_terms, all verbatim apart from their names.  On
+of `_pair_match_radius`), verbatim apart from their names; old_iso_distance
+and old_iso_size, the d_O bodies before iso_terms, are
+test_isometry_oracle's.  On
 hypothesis isometries in 1D-3D (lattice isometries, rotations and
 rotoreflections over the frames of test_isometry_oracle: standard,
 hexagonal, bcc and two non-diagonal ones):
@@ -18,19 +19,12 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from crystile.isometry import (
-    Isometry,
-    IsometryError,
-    identity_iso,
-    iso_distance,
-    iso_size,
-    iso_terms,
-)
-from crystile.linalg import identity_mat, mat_det, mat_inv, vdot, vec, vsub
-from crystile.rational import Q, sqrt_float
+from crystile.isometry import Isometry, iso_distance, iso_size, iso_terms
+from crystile.linalg import identity_mat
+from crystile.rational import Q
 from crystile.tiling import RADIUS_CAP, _pair_size_cap, _size_cap
 
-from test_isometry_oracle import FRAMES, gram_orthogonal, rationals
+from test_isometry_oracle import FRAMES, gram_orthogonal, old_iso_distance, old_iso_size, rationals
 
 
 # --- the old code, verbatim ----------------------------------------------------
@@ -46,29 +40,6 @@ def old_size_cap(phi, psi, origin):
     if delta > 0:
         size_cap = min(size_cap, old_rational_below(1.0 / (2.0 * delta)))
     return size_cap
-
-
-def old_iso_distance(origin, a: Isometry, b: Isometry) -> float:
-    """d_O(a, b) = |a(O) - b(O)|_G + ||A - B||_op = sqrt(p) + sqrt(q), n <= 3:
-    C = A^-1 B is orthogonal and ||A - B|| = ||1 - C||, so q = n - tr C when
-    det C = 1 (2 - 2 cos t for a turn by t), and 4 when det C = -1 (eigenvalue -1)."""
-    if a.frame != b.frame or a.target != b.target or a.frame != a.target:
-        raise IsometryError("metric requires endomorphisms of one frame")
-    n, o = a.frame.dim, vec(origin)
-    if n > 3 or len(o) != n:
-        raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
-    trans = a.frame.norm(vsub(a(o), b(o)))
-    if a.linear == b.linear:
-        return trans
-    if mat_det(a.linear) != mat_det(b.linear):
-        return trans + 2.0
-    tr = sum(vdot(row, col) for row, col in zip(mat_inv(a.linear), zip(*b.linear)))
-    return trans + sqrt_float(n - tr)
-
-
-def old_iso_size(origin, a: Isometry) -> float:
-    """d_O(a, identity)."""
-    return old_iso_distance(origin, a, identity_iso(a.frame))
 
 
 # --- the oracle ------------------------------------------------------------------

@@ -7,14 +7,18 @@ flat int tuples over one denominator, Aut found its translate candidates
 through a shape index, cone images came out canonical from one move and
 volumes were cached and carried, kept verbatim, names included: they
 resolve each other here and the rest of the package through the imports,
-so the old validation reads a fresh volume of every tile.  The new code
-must give the same groups, embeddings, lattices, tiles (rows, facets and
-tight sets) and problem lists on every preset's seed 0-2 construction and
-Voronoi tiling, the half-scale tiling, the rejected tile lists of
-test_tiling and a rejected list with tiles of different vertex counts, and
-on transform_tiling images of all of those; its keys must decode to the
-old keys, its shape index must group exactly the translates, and every
-carried volume must equal a fresh one.  validate_tiling must also reject
+so the old validation reads a fresh volume of every tile.  `voronoi_tiling`
+is the Voronoi pipeline before its cell images were moved once, as the
+cones are, verbatim but for its local import.  The new code must give the
+same groups, embeddings, lattices, tiles (rows, facets and tight sets) and
+problem lists on every preset's seed 0-2 construction and Voronoi tiling,
+the half-scale tiling, the quarter-square tilings of
+test_witness_oracle, the rejected tile lists of test_tiling and a rejected
+list with tiles of different vertex counts, and on transform_tiling images
+of all of those; its keys must decode to the old keys, its shape index must
+group exactly the translates, and every carried volume must equal a fresh
+one.  These references are also the ones that the Fraction-keyed Aut and
+the Aut loop that fully checked every lattice automorphism gave way to.  validate_tiling must also reject
 four mutants of each seed-0 wallpaper construction and Voronoi tiling,
 with the old problem lists and the verdict of conftest.pairwise_problems.
 """
@@ -27,6 +31,7 @@ import pytest
 from crystile import construction as construction_mod
 from crystile import polytope as polytope_mod
 from crystile import tiling as tiling_mod
+from crystile import voronoi as voronoi_mod
 from crystile.rational import Q, ZERO, rat_str
 from crystile.linalg import (hermite_column_basis, identity_mat, int_dot, int_mat_vec,
                              mat_det, transpose, vec)
@@ -43,6 +48,7 @@ from crystile.voronoi import cell_with_certificate
 from conftest import pairwise_problems
 from test_construction_oracle import CASES, _translate_match, tilings
 from test_tiling import F2, REJECTED
+from test_witness_oracle import FIXTURES
 
 
 # --- the code before, verbatim ------------------------------------------------------
@@ -221,6 +227,19 @@ def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate)
     )
 
 
+def voronoi_tiling(group: CrystalGroup, x):
+    """Periodic Voronoi-cell tiling of the orbit of x (trivial stabilizer).
+
+    Tiles per unit cell are the coset-representative images of the base
+    cell; equivariance gives V_{gamma(x)} = gamma(V_x).
+    """
+    x = vec(x, group.dim)
+    cell, _ = cell_with_certificate(group, x)
+    tiles = [cell.transform(Isometry(group.frame, m, v)) for m, v in group.reps]
+    prov = Provenance(kind="voronoi", group=group, base_point=x, base_cell=cell)
+    return periodic_tiling(group.frame, tiles, provenance=prov, validate=True)
+
+
 def volume(poly: ConvexPolytope):
     """Exact lattice-normalized volume (Euclidean volume / sqrt(det G)): sum
     |det| of the differences of the vertex rows P over V over _fan / n! V^n."""
@@ -301,8 +320,20 @@ def test_keys_groups_and_problems_match_the_old_code(name, seed):
 
 
 def test_keys_groups_and_problems_match_on_the_half_scale_tiling(half_scale_tiling):
+    # its lattice is (1/2) Z^2, so Aut takes the re-expression path
+    assert tiling_mod.maximal_translation_lattice(half_scale_tiling) != identity_mat(2)
+    assert tiling_mod.automorphism_group(half_scale_tiling).order() == 8
     for t in (half_scale_tiling, *images(half_scale_tiling)):
         assert_same(t)
+
+
+def test_keys_groups_and_problems_match_on_the_quarter_squares():
+    # four half-size squares per cell (A), with the top-right one cut into
+    # two triangles one way (B) or the other (C)
+    assert tiling_mod.maximal_translation_lattice(FIXTURES["A"]) != identity_mat(2)
+    for tiling in FIXTURES.values():
+        for t in (tiling, *images(tiling)):
+            assert_same(t)
 
 
 @pytest.mark.parametrize("case", sorted(REJECTS))
@@ -324,13 +355,17 @@ def test_reexpressed_tiles_carry_no_volume(half_scale_tiling):
 
 
 @pytest.mark.parametrize("name, seed", CASES)
-def test_cone_images_match_the_two_move_code(name, seed):
+def test_cone_images_match_the_two_move_code(name, seed, count_calls):
     # one move per image gives the tiles, facets and tight sets that the
-    # transform and the canonical shift gave, and each carries its cone's volume
+    # transform and the canonical shift gave, and each carries its cone's
+    # volume, computed once per cone
     g = preset(name)
     x = generic_point(g, seed)
     cert = generic_apex(cell_with_certificate(g, x)[0], seed)
-    new, old = construction_mod.cone_subdivide(g, x, cert), cone_subdivide(g, x, cert)
+    moves, fans = count_calls(polytope_mod, "_moved"), count_calls(polytope_mod, "_fan")
+    new = construction_mod.cone_subdivide(g, x, cert)
+    assert len(moves) == len(new.cell_tiles) == len(fans) * len(g.reps)
+    old = cone_subdivide(g, x, cert)
     assert new.cell_tiles == old.cell_tiles
     for a, b in zip(new.cell_tiles, old.cell_tiles):
         assert (a._den, a._rows, a._facets, a._tight) == (b._den, b._rows, b._facets, b._tight)
@@ -338,6 +373,25 @@ def test_cone_images_match_the_two_move_code(name, seed):
     p, q = new.provenance, old.provenance
     assert (p.kind, p.group, p.base_point, p.base_cell, p.apex) == (q.kind, q.group, q.base_point,
                                                                     q.base_cell, q.apex)
+
+
+@pytest.mark.parametrize("name, seed", CASES)
+def test_voronoi_images_match_the_two_move_code(name, seed, count_calls):
+    # one move per cell image gives the tiles, facets and tight sets that the
+    # transform and the canonical shift gave, and each carries the cell's
+    # volume, computed once
+    g = preset(name)
+    x = generic_point(g, seed)
+    moves, fans = count_calls(polytope_mod, "_moved"), count_calls(polytope_mod, "_fan")
+    new = voronoi_mod.voronoi_tiling(g, x)
+    assert len(moves) == len(new.cell_tiles) == len(g.reps) and len(fans) == 1
+    old = voronoi_tiling(g, x)
+    assert new.cell_tiles == old.cell_tiles
+    for a, b in zip(new.cell_tiles, old.cell_tiles):
+        assert (a._den, a._rows, a._facets, a._tight) == (b._den, b._rows, b._facets, b._tight)
+        assert a._volume == volume(b)
+    p, q = new.provenance, old.provenance
+    assert (p.kind, p.group, p.base_point, p.base_cell) == (q.kind, q.group, q.base_point, q.base_cell)
 
 
 # --- mutants ----------------------------------------------------------------------------

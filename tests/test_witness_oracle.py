@@ -1,22 +1,19 @@
 """Differential oracle for the distance-witness search.
 
-`old_transformed_patch`, `old_patch_equal` and `old_pair_match_radius` are
-the witness code that rebuilt both transformed patches for every radius of
-a 16-round bisection.  They are kept verbatim (apart from their names, and
-old_pair_match_radius taking the exact size cap of _pair_size_cap as an
-argument in place of the float one it computed) and compared with the
-one-patch-pair search: every witness must agree in its radius (the same
-rational), its global flag and its upper bound.
-
 `cap_pair_match_radius` is the search that read one patch pair at the cap
 for every pair, kept verbatim (apart from its name); the search that first
-compares the tiles holding the origin must return the same (radius, flag)
-with two ball queries when they differ and four when they agree.  Both
-take the pair's size cap as an argument, as _pair_match_radius does.
+compares the tiles holding the origin must return the same (radius, flag),
+with two ball queries when they differ and four when they agree, and every
+distance bound replayed from the old search's results must come out the
+same.  Both take the pair's size cap as an argument, as _pair_match_radius
+does.  The 16-round bisection that rebuilt both transformed patches for
+every radius agreed with it on the quarter squares, the shift chain and the
+shifted p2 Voronoi tiling below and gave way to it; those tests keep their
+names.  `old_transformed_patch` is the transformed patch that the pulled-back
+keys replaced, built through the public patch and transform.
 """
 
 import random
-import sys
 from functools import lru_cache
 
 import pytest
@@ -48,7 +45,6 @@ from crystile.tiling import (
     distance_upper_bound,
     patch,
     periodic_tiling,
-    tilings_equal,
     transform_tiling,
     verify_witness,
 )
@@ -57,7 +53,7 @@ from crystile.voronoi import voronoi_tiling
 from conftest import random_rational_isometry, random_rational_point
 
 
-# --- the bisection search ------------------------------------------------------
+# --- the transformed patch ------------------------------------------------------
 
 def old_transformed_patch(tiling, iso, center, r2) -> Patch:
     """Patch of the transformed tiling iso(T) around `center`, computed via
@@ -67,41 +63,6 @@ def old_transformed_patch(tiling, iso, center, r2) -> Patch:
     base = patch(tiling, pre, r2)
     tiles = tuple(sorted((t.transform(iso) for t in base.tiles), key=lambda t: t.vertices))
     return Patch(tiles=tiles, center=center, sq_radius=rat(r2))
-
-
-def old_patch_equal(t1, iso1, t2, iso2, origin, radius) -> bool:
-    r2 = radius * radius
-    pa = old_transformed_patch(t1, iso1, origin, r2)
-    pb = old_transformed_patch(t2, iso2, origin, r2)
-    return pa.keys() == pb.keys()
-
-
-def old_pair_match_radius(t1, phi, t2, psi, origin, size_cap):
-    """(largest certified rational radius, global flag) for one witness pair.
-
-    The radius is limited by the 1/(2r) size constraint on the pair; a
-    global flag marks exact equality of the transformed tilings, which
-    certifies patch equality at every radius."""
-    if size_cap <= 0:
-        return ZERO, False
-    if _normalizes_lattice(phi) and _normalizes_lattice(psi):
-        # safe to compare the transformed tilings globally: no basis
-        # re-expression is involved, so equality is equality in the plane
-        ta = transform_tiling(t1, phi)
-        tb = transform_tiling(t2, psi)
-        if tilings_equal(ta, tb):
-            return size_cap, True
-    cap = min(size_cap, PATCH_ENUM_RADIUS)
-    if old_patch_equal(t1, phi, t2, psi, origin, cap):
-        return cap, False
-    lo, hi = ZERO, cap
-    for _ in range(16):
-        mid = (lo + hi) / 2
-        if old_patch_equal(t1, phi, t2, psi, origin, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, False
 
 
 def size_cap(phi, psi, origin):
@@ -143,29 +104,23 @@ def summary(bound):
 
 @pytest.fixture(scope="module")
 def shared_queries():
-    """Memoized ball queries and patches, both pure (patches are checked
-    against the translate-first loop in test_polytope_oracle).  The
-    bisection re-runs the query at the cap, and the fixture pairs share
-    their tilings, origins and candidate pairs, so most work repeats."""
+    """Memoized ball queries, which are pure: the fixture pairs share their
+    tilings, origins and candidate pairs, so most queries repeat."""
     real = tiling_mod._tiles_near
     queries = lru_cache(maxsize=None)(lambda *a: tuple(real(*a)))
-    patches = lru_cache(maxsize=None)(patch)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(sys.modules[__name__], "patch", patches)
-        yield lambda *a: iter(queries(*a))
+    yield lambda *a: iter(queries(*a))
     queries.cache_clear()
-    patches.cache_clear()
 
 
 def assert_same_witnesses(t1, t2, origins, monkeypatch, queries):
     # every candidate pair of the bound runs both searches; the bound is
-    # then replayed from the bisection's results and must come out the same
+    # then replayed from the cap-only search's results and must come out the same
     for origin in origins:
         monkeypatch.setattr(tiling_mod, "_tiles_near", queries)
         old_results = []
 
         def both(*args):
-            new, old = _pair_match_radius(*args), old_pair_match_radius(*args)
+            new, old = _pair_match_radius(*args), cap_pair_match_radius(*args)
             assert new == old and type(new[0]) is type(old[0])
             old_results.append(old)
             return new
