@@ -11,8 +11,9 @@ The new code must give the same stabilizers (Seitz pairs, with Fraction
 entries) and orbit verdicts on hypothesis points, special positions among
 them; the same certificate, or the same refusal, on hypothesis apexes in the
 seed-0 cells; and the same candidate isometries, field for field.  Aut of
-every preset's seed 0-2 construction must be the preset; its references
-are in test_tile_once_oracle.py.
+every preset's seed 0-2 construction must be the preset, and Aut of the
+half-scale tiling, which takes the re-expression path, must match
+test_tile_once_oracle.py's reference, where the other Aut references are.
 """
 
 import random
@@ -26,12 +27,13 @@ from hypothesis import given, settings, strategies as st
 from crystile import linalg as linalg_mod
 from crystile import tiling as tiling_mod
 from crystile.rational import Q, frac_part
-from crystile.linalg import gram_norm2, is_integral_vec, mat_vec, vadd, vec, vsub
+from crystile.linalg import (gram_norm2, identity_mat, is_integral_vec, mat_vec, vadd, vec,
+                             vsub)
 from crystile.isometry import identity_iso, translation_iso
 from crystile.groups import PRESET_NAMES, generic_point, preset, stabilizer
 from crystile.polytope import _edges
 from crystile.tiling import (_int_vertices, automorphism_group_with_embedding, default_candidates,
-                             transform_tiling)
+                             maximal_translation_lattice, transform_tiling)
 from crystile.voronoi import _orbit_contains, cell_with_certificate, voronoi_tiling
 from crystile.construction import (ConstructionError, GenericityCertificate, certificate_for,
                                    construct_tiling, generic_apex)
@@ -141,6 +143,19 @@ def test_aut_matches_the_full_loop(name, seed):
     # periodic_tiling sorts the tiles by their int rows: the order of their vertex tuples
     for t in (construction, cells):
         assert list(t.cell_tiles) == sorted(t.cell_tiles, key=lambda tile: tile.vertices)
+
+
+def test_aut_matches_the_full_loop_on_the_reexpression_path(half_scale_tiling):
+    # its lattice is (1/2) Z^2, so Aut re-expresses it over the dense
+    # lattice; the reference is the tile-once oracle's Aut, which the full
+    # loop gave way to (imported here, as that module imports this one)
+    from test_tile_once_oracle import automorphism_group_with_embedding as old_aut
+    assert maximal_translation_lattice(half_scale_tiling) != identity_mat(2)
+    group, embed = automorphism_group_with_embedding(half_scale_tiling)
+    old_group, old_embed = old_aut(half_scale_tiling)
+    assert group == old_group and group.reps == old_group.reps and group.order() == 8
+    assert all(type(c) is Fraction for _, v in group.reps for c in v)
+    assert embed == old_embed and embed._ints == old_embed._ints
 
 
 @pytest.mark.parametrize("name, seed", CASES)
