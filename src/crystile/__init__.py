@@ -52,7 +52,6 @@ from .voronoi import (
     UnboundedCellError,
     delone_params,
     voronoi_cell,
-    voronoi_cell_of_sites,
     voronoi_tiling,
 )
 from .tiling import (

@@ -43,12 +43,12 @@ from .svg import window_cells, write_svg
 # 256, over 20 s at 10000).
 ORBIT_MAX_RADIUS2 = 256
 
-# Cap on the lattice cells a `--window` spans in the plane (svg.window_cells;
+# Cap on the lattice cells that the `--window` of an SVG spans (svg.window_cells;
 # the default window spans 121-195).  Rendering the p6m construction, 36
 # tiles per cell, on a 2-vCPU host: about 1 s at 1073 cells (window +-10),
 # 7 s at 7575 (+-30).
 RENDER_MAX_CELLS = 4096
-WINDOW_HELP = (f"Cartesian render window: finite, X0 < X1, Y0 < Y1, spanning at most "
+WINDOW_HELP = (f"Cartesian render window: finite, X0 < X1, Y0 < Y1; with --svg, spanning at most "
                f"{RENDER_MAX_CELLS} lattice cells")
 
 
@@ -80,22 +80,19 @@ def _point_flag(args, group, flag_value, seed):
     return generic_point(group, seed)
 
 
-def _check_window(window, frame) -> None:
-    """A render window is finite with x0 < x1 and y0 < y1, and in the plane
-    spans at most RENDER_MAX_CELLS lattice cells."""
+def _check_render(svg, window, frame) -> None:
+    """A render window is finite with x0 < x1 and y0 < y1; --svg renders
+    planar tilings only, and its window spans at most RENDER_MAX_CELLS
+    lattice cells."""
     x0, y0, x1, y1 = window
     if not all(math.isfinite(w) for w in window) or not (x0 < x1 and y0 < y1):
         raise InputError(f"--window needs finite X0 < X1 and Y0 < Y1, got {window}")
-    if frame.dim == 2 and (cells := window_cells(frame, window)) > RENDER_MAX_CELLS:
+    if svg and frame.dim != 2:
+        raise InputError(f"--svg renders planar tilings only, not dimension {frame.dim}")
+    if svg and (cells := window_cells(frame, window)) > RENDER_MAX_CELLS:
         raise InputError(
             f"--window spans {cells} lattice cells, more than RENDER_MAX_CELLS = {RENDER_MAX_CELLS}"
         )
-
-
-def _check_svg(svg, frame) -> None:
-    """--svg renders planar tilings only."""
-    if svg and frame.dim != 2:
-        raise InputError(f"--svg renders planar tilings only, not dimension {frame.dim}")
 
 
 def cmd_validate_group(args) -> int:
@@ -149,8 +146,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_voronoi(args) -> int:
     group = _load_group(args.group)
-    _check_window(args.window, group.frame)
-    _check_svg(args.svg, group.frame)
+    _check_render(args.svg, args.window, group.frame)
     x = _point_flag(args, group, args.point, args.seed)
     tiling = voronoi_tiling(group, x)
     _finish_tiling(args, tiling, automorphism_group(tiling).order())
@@ -159,8 +155,7 @@ def cmd_voronoi(args) -> int:
 
 def cmd_construct(args) -> int:
     group = _load_group(args.group)
-    _check_window(args.window, group.frame)
-    _check_svg(args.svg, group.frame)
+    _check_render(args.svg, args.window, group.frame)
     tiling = construct_tiling(group, args.seed)
     # construct_tiling has verified Aut(tiling) == group
     _finish_tiling(args, tiling, group.order())
@@ -257,8 +252,7 @@ def cmd_distance(args) -> int:
 
 def cmd_render(args) -> int:
     tiling = _load_tiling(args.tiling)
-    _check_window(args.window, tiling.frame)
-    _check_svg(args.svg, tiling.frame)
+    _check_render(args.svg, args.window, tiling.frame)
     write_svg(args.svg, tiling, window=tuple(args.window))
     _emit({"svg": args.svg, "tiles_per_cell": len(tiling.cell_tiles)})
     return 0

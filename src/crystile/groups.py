@@ -491,16 +491,6 @@ def is_symmorphic(group: CrystalGroup):
 
 # --- conjugacy ---------------------------------------------------------------
 
-def lattice_vectors_with_norm(frame: Frame, value) -> list:
-    """Integer vectors with exact Gram norm^2 == value, sorted: the int ball
-    points k with k.(EG)k == E value (isometry.int_gram), as Q tuples."""
-    value = rat(value)
-    e, eg = int_gram(frame)
-    ev = e * value
-    ball = lattice_points_in_ball(frame, zero_vec(frame.dim), value)
-    return sorted(vec(k) for k in ball if int_dot(k, int_mat_vec(eg, k)) == ev)
-
-
 def lattice_isometries(source: Frame, target: Frame) -> list:
     """Integer matrices U with U^T G_target U = G_source: the isometric
     lattice identifications, identity-like candidates first.  Column i is a

@@ -27,7 +27,7 @@ from operator import add
 
 import numpy as np
 
-from .rational import Q, ZERO, ONE, rat, sqrt_float
+from .rational import Q, sqrt_float
 from .linalg import (
     Mat,
     Vec,
@@ -151,10 +151,6 @@ def _inv_gram_diag(frame: Frame):
     """Diagonal of G^-1, once per frame: (G^-1)_ii bounds |x_i|^2 by ||x||_G^2."""
     f, inv = int_inv_gram(frame)
     return tuple(Q(inv[i][i], f) for i in range(frame.dim))
-
-
-def to_cartesian(frame: Frame, v: Vec) -> np.ndarray:
-    return embedding(frame) @ np.array([float(x) for x in v])
 
 
 @dataclass(frozen=True)
@@ -353,12 +349,6 @@ def iso_distance(origin, a: Isometry, b: Isometry) -> float:
     return sqrt_float(p) + sqrt_float(q)
 
 
-def iso_size(origin, a: Isometry) -> float:
-    """d_O(a, identity)."""
-    p, q = iso_terms(origin, a)
-    return sqrt_float(p) + sqrt_float(q)
-
-
 # --- orthogonal square roots ----------------------------------------------
 
 def ortho_sqrt(alpha: np.ndarray) -> np.ndarray:
@@ -389,22 +379,3 @@ def ortho_sqrt(alpha: np.ndarray) -> np.ndarray:
         raise ArithmeticError("square-root reconstruction failed")
     return beta
 
-
-# --- rational orthogonal generators (used by tests) ---------------------------
-
-def rational_rotation_2d(t) -> Mat:
-    """Rational point on SO(2) from the tangent-half-angle parameter t."""
-    return rational_givens(2, 0, 1, t)
-
-
-def rational_givens(n: int, i: int, j: int, t) -> Mat:
-    r = [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]
-    t = rat(t)
-    d = 1 + t * t
-    c = (1 - t * t) / d
-    s = 2 * t / d
-    r[i][i] = c
-    r[j][j] = c
-    r[i][j] = -s
-    r[j][i] = s
-    return tuple(tuple(row) for row in r)

@@ -335,18 +335,6 @@ def _smith(a, carry):
     return A, U, V
 
 
-def smith_normal_form(a: Mat):
-    """U A V = D over the integers, U and V unimodular, D diagonal.
-
-    Input entries must be integral rationals.  Returns (U, D, V) as
-    rational matrices with integer entries.
-    """
-    n = len(a)
-    D, U, V = _smith(a, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    toQ = lambda M: tuple(tuple(Q(x) for x in row) for row in M)
-    return toQ(U), toQ(D), toQ(V)
-
-
 def solve_mod_lattice(a_stack: Mat, b_stack: Vec):
     """One rational solution x of  a_stack @ x = b_stack (mod Z^rows), or None.
 

@@ -485,13 +485,6 @@ def volume(poly: ConvexPolytope):
     return poly._volume
 
 
-def simplex_decomposition(poly: ConvexPolytope):
-    """The pulling triangulation (_fan) as polytopes; its parts tile poly."""
-    f, rows = poly.frame, poly._rows
-    return [ConvexPolytope._from_rows(f, *_hull(f, poly._den, sorted(rows[i] for i in s)))
-            for s in _fan(poly)]
-
-
 # --- halfspace intersection --------------------------------------------------
 
 def halfspace_intersection(frame: Frame, halfspaces):

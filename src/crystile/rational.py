@@ -2,21 +2,14 @@
 
 Everything that touches group logic or set geometry runs on exact
 rationals; floats appear only where a square root is unavoidable
-(norms, the isometry metric, rendering).  gmpy2's mpq is used when
-present (the optional `fast` extra) since it is roughly an order of
-magnitude faster than fractions.Fraction; the two are drop-in compatible
-for our usage, and without gmpy2 the package runs on Fraction.
+(norms, the isometry metric, rendering).  Q is fractions.Fraction; the
+hot paths run on Python ints and form a Q only at their edges.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # gmpy2 is optional: the `fast` extra
-    Q = Fraction
+from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)
@@ -58,14 +51,6 @@ def frac_part(q) -> "Q":
     """q reduced to [0, 1)."""
     q = Q(q)
     return q - floor_rat(q)
-
-
-def isqrt_floor(q) -> int:
-    """Largest integer m >= 0 with m*m <= q (q >= 0)."""
-    q = Q(q)
-    if q < 0:
-        raise ValueError("negative argument")
-    return math.isqrt(floor_rat(q))
 
 
 def isqrt_ceil(q) -> int:

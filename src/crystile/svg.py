@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .isometry import to_cartesian
+from .isometry import embedding, embedding_inv
 from .tiling import PeriodicTiling, prototile_index
 
 PALETTE = (
@@ -18,16 +18,19 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}".rstrip("0").rstrip(".")
 
 
+def _linear(m):
+    """(x, y) |-> m (x, y) in floats, for a 2x2 matrix m read once."""
+    (a, b), (c, d) = m.tolist()
+    return lambda x, y: (a * x + b * y, c * x + d * y)
+
+
 def _cell_range(frame, window):
     """(lo, hi): per frame axis, the least and greatest lattice-cell offset
     whose cell can reach the Cartesian window (finite) of a planar frame."""
     x0, y0, x1, y1 = (float(w) for w in window)
     corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
-    import numpy as np
-    from .isometry import embedding_inv
-
-    cinv = embedding_inv(frame)
-    pre = [cinv @ np.array(c) for c in corners]
+    to_frame = _linear(embedding_inv(frame))
+    pre = [to_frame(*c) for c in corners]
     lo = [math.floor(min(p[i] for p in pre)) - 2 for i in range(2)]
     hi = [math.ceil(max(p[i] for p in pre)) + 2 for i in range(2)]
     return lo, hi
@@ -47,6 +50,7 @@ def tiling_svg(tiling: PeriodicTiling, window=(-3.0, -3.0, 3.0, 3.0)) -> str:
     classes = prototile_index(tiling)
     frame = tiling.frame
     lo, hi = _cell_range(frame, window)
+    cartesian = _linear(embedding(frame))
 
     paths = []
     for idx, tile in enumerate(tiling.cell_tiles):
@@ -54,7 +58,7 @@ def tiling_svg(tiling: PeriodicTiling, window=(-3.0, -3.0, 3.0, 3.0)) -> str:
         cls = classes[idx]
         for ka in range(lo[0], hi[0] + 1):
             for kb in range(lo[1], hi[1] + 1):
-                pts = [to_cartesian(frame, (p[0] + ka, p[1] + kb)) for p in ring]
+                pts = [cartesian(float(p[0] + ka), float(p[1] + kb)) for p in ring]
                 if max(p[0] for p in pts) < x0 or min(p[0] for p in pts) > x1:
                     continue
                 if max(p[1] for p in pts) < y0 or min(p[1] for p in pts) > y1:

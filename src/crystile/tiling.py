@@ -126,18 +126,30 @@ def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
 
 
 def _rep_images(group: CrystalGroup, polys) -> list:
-    """Each polytope moved by every coset rep, rep by rep: moved once
-    (polytope._moved) by the rep's int form (m, A, B + m k), k = -(X // m V)
-    for its least row X = min A P + V B over the rows P over V, so that it is
-    canonical, and carrying its polytope's volume."""
+    """Each polytope moved by every coset rep, rep by rep (_placed, by the
+    rep's int form, as Isometry forms it), carrying its polytope's volume."""
+    for poly in polys:
+        volume(poly)  # computed once; the images carry it
+    forms = (integral_rows((*mat, t)) for mat, t in group.reps)
+    return _placed(group.frame, [(m, rows[:-1], rows[-1]) for m, rows in forms], polys)
+
+
+def _placed(frame: Frame, forms, polys) -> list:
+    """Each polytope moved into frame by every int form (m, A, B), form by
+    form (A = None for m I, a translate): moved once (polytope._moved) by
+    (m, A, B + m k), k = -(X // m V) for its least row X = min A P + V B
+    over the rows P over V (m P[0] + V B for a translate), so that it is
+    canonical (canonical_tile)."""
     images = []
-    for m, rows in (integral_rows((*mat, t)) for mat, t in group.reps):  # Isometry's int form
-        a, b = rows[:-1], rows[-1]
+    for m, a, b in forms:
         for poly in polys:
-            volume(poly)  # computed once; the images carry it
             mv = m * poly._den
-            least = map(add, min(int_mat_vec(a, p) for p in poly._rows), (poly._den * c for c in b))
-            images.append(_moved(poly, group.frame, m, a, [c - m * (x // mv) for c, x in zip(b, least)]))
+            if a is None:  # a translate keeps the rows sorted
+                low = [m * x for x in poly._rows[0]]
+            else:
+                low = min(int_mat_vec(a, p) for p in poly._rows)
+            least = map(add, low, (poly._den * c for c in b))
+            images.append(_moved(poly, frame, m, a, [c - m * (x // mv) for c, x in zip(b, least)]))
     return images
 
 
@@ -376,13 +388,13 @@ def transform_tiling(tiling: PeriodicTiling, iso: Isometry) -> PeriodicTiling:
     if iso.frame != tiling.frame or iso.target != tiling.frame:
         raise IsometryError("isometry incompatible with the tiling frame")
     if _normalizes_lattice(iso):
-        tiles = [t.transform(iso) for t in tiling.cell_tiles]
+        form = iso._ints
     else:
         # re-express over the image lattice: same Gram, tiles shifted by
         # L^-1 t, which is minus the translation of the inverse
-        shift = tuple(-x for x in inverse(iso).translation)
-        tiles = [t.translate(shift) for t in tiling.cell_tiles]
-    return periodic_tiling(tiling.frame, tiles, validate=False)
+        e, k = integral(tuple(-x for x in inverse(iso).translation))
+        form = e, None, k
+    return periodic_tiling(tiling.frame, _placed(tiling.frame, [form], tiling.cell_tiles), validate=False)
 
 
 def _normalizes_lattice(iso: Isometry) -> bool:
@@ -447,13 +459,9 @@ def _int_cells(tiling: PeriodicTiling):
     return d, cells, frozenset(_flat_key(d, pts) for pts in cells), shapes
 
 
-def maximal_translation_lattice(tiling: PeriodicTiling):
-    """Basis (columns) of {v : T + v = T} as a superlattice of Z^n."""
-    return _translation_lattice(tiling.frame.dim, *_int_cells(tiling))
-
-
 def _translation_lattice(n, d, cells, keys, shapes):
-    """maximal_translation_lattice of the tiling with _int_cells (d, cells, keys, shapes)."""
+    """Basis (columns) of {v : T + v = T} as a superlattice of Z^n, for the
+    tiling T with _int_cells (d, cells, keys, shapes)."""
     one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     extra = []
     for pts in shapes[_shape(cells[0])]:
@@ -479,10 +487,9 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
     new_gram = mat_mul(transpose(basis), mat_mul(frame.gram, basis))
     new_frame = Frame(frame.dim, new_gram)
     embed = Isometry(new_frame, basis, zero_vec(frame.dim), target=frame)
-    pull = inverse(embed)
     # the old cell holds several cells of the denser lattice: keep one copy
     # of the tiles that agree modulo it
-    tiles = {canonical_tile(t.transform(pull)) for t in tiling.cell_tiles}
+    tiles = set(_placed(new_frame, [inverse(embed)._ints], tiling.cell_tiles))
     out = periodic_tiling(new_frame, tiles, validate=False)
     return out, embed
 

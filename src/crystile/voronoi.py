@@ -54,8 +54,7 @@ from .rational import Q, isqrt_ceil, rat
 from .linalg import Vec, int_dot, int_mat_vec, integral, integral_rows, vec
 from .isometry import Frame, _inv_gram_diag, int_gram
 from .groups import CrystalGroup, _int_moves_onto, orbit_in_ball, stabilizer
-from .polytope import (ConvexPolytope, HalfSpace, _clip, _halfspace, _reduced_facet, _slacks,
-                       halfspace_intersection)
+from .polytope import ConvexPolytope, _clip, _reduced_facet, _slacks
 
 
 class DegenerateSiteError(ValueError):
@@ -77,21 +76,14 @@ class DeloneCertificate:
             raise ValueError("uniform discreteness requires positive separation")
 
 
-def bisector_halfspace(frame: Frame, x0: Vec, x: Vec) -> HalfSpace:
-    """Half-plane of points at least as close to x0 as to x (contains x0).
-
-    Its covector is a = G(x0 - x) and its offset c = a.(x0 + x)/2, so
-    2(a.y - c) = |y - x|_G^2 - |y - x0|_G^2; at y = x0 that is |x0 - x|_G^2."""
-    d, (dx0, dx) = integral_rows((x0, x))
-    y = [b - a for a, b in zip(dx0, dx)]
-    return _halfspace(_bisector(frame, d, dx0, y, int_mat_vec(int_gram(frame)[1], y)))
-
-
 def _bisector(frame: Frame, d, dx0, y, gy):
-    """bisector_halfspace of x0 = dx0 / d and x = x0 + y / d as a stored
-    facet pair (polytope), for int vectors dx0, y and gy = (EG) y, EG the
-    integer Gram matrix over E (isometry.int_gram): a = -gy / (E d) and
-    c = a.(x0 + x)/2 = -gy.(2 dx0 + y) / (2 E d^2), all over 2 E d^2."""
+    """Half-space of points at least as close to x0 = dx0 / d as to
+    x = x0 + y / d (it contains x0), as a stored facet pair (polytope), for
+    int vectors dx0, y and gy = (EG) y, EG the integer Gram matrix over E
+    (isometry.int_gram).  Its covector is a = G(x0 - x) = -gy / (E d) and
+    its offset c = a.(x0 + x)/2 = -gy.(2 dx0 + y) / (2 E d^2), all over
+    2 E d^2, so 2(a.y - c) = |y - x|_G^2 - |y - x0|_G^2; at y = x0 that
+    is |x0 - x|_G^2."""
     ed = int_gram(frame)[0] * d
     c = int_dot(gy, [2 * a + b for a, b in zip(dx0, y)])
     return _reduced_facet(2 * ed * d, (*(-2 * d * g for g in gy), -c))
@@ -116,7 +108,7 @@ def voronoi_cell(group: CrystalGroup, x, x0=None, sq_radius=None):
 
 def cell_with_certificate(group: CrystalGroup, x):
     """(cell, localization squared radius) of the site x in its orbit, as in
-    voronoi_cell; every facet of the cell is a bisector_halfspace."""
+    voronoi_cell; every facet of the cell is a bisector (_bisector)."""
     return _cell_with_localization(group, x, None, None)[:2]
 
 
@@ -222,29 +214,13 @@ def _cell_with_localization(group: CrystalGroup, x, x0, sq_radius):
     raise UnboundedCellError("Voronoi cell did not stabilize (non-Delone input?)")
 
 
-def voronoi_cell_of_sites(frame: Frame, sites, x0) -> ConvexPolytope:
-    """Voronoi cell of x0 within a finite explicit site list."""
-    x0 = vec(x0)
-    pts = [vec(s) for s in sites]
-    if x0 not in pts:
-        raise ValueError("x0 is not a site")
-    others = [s for s in pts if s != x0]
-    if not others:
-        raise UnboundedCellError("single site has an unbounded cell")
-    hs = [bisector_halfspace(frame, x0, s) for s in others]
-    cell = halfspace_intersection(frame, hs)
-    if not isinstance(cell, ConvexPolytope) or cell.dim != frame.dim:
-        raise UnboundedCellError("finite site set gives an unbounded cell")
-    return cell
-
-
 def delone_params(group: CrystalGroup, x) -> DeloneCertificate:
     """Exact Delone certificate of the periodic orbit of x.
 
     Both numbers are read off the certified Voronoi cell of x.
     min_sq_distance is the least 2(a.x - c) over its facets a.y >= c: each
     facet is the bisector of x and a site s, where that is |x - s|_G^2
-    (bisector_halfspace), and the nearest site's bisector is always a
+    (_bisector), and the nearest site's bisector is always a
     facet, as its midpoint is strictly closer to x and s than to any other
     site.  covering_sq_radius is the circumradius^2 of the cell, which by
     orbit transitivity covers every cell; the localization computed it.

@@ -15,7 +15,7 @@ from crystile.groups import (
     _int_seitz_translation,
     preset,
 )
-from crystile.rational import ONE, Q, ZERO
+from crystile.rational import ONE, Q, ZERO, rat
 from crystile.linalg import (
     int_mat_mul,
     Mat,
@@ -41,13 +41,13 @@ from crystile.isometry import (
     hexagonal_frame,
     int_gram,
     is_gram_orthogonal,
-    rational_givens,
     standard_frame,
 )
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     InteriorOverlapError,
+    _fan,
     faces,
     meet_face_to_face,
     volume,
@@ -122,6 +122,29 @@ def half_scale_tiling(frame2):
         for b in (0, h)
     ]
     return periodic_tiling(frame2, tiles)
+
+
+def fan_simplices(poly: ConvexPolytope):
+    """The simplices of the pulling triangulation polytope._fan, as polytopes."""
+    return [ConvexPolytope(poly.frame, [poly.vertices[i] for i in s]) for s in _fan(poly)]
+
+
+def rational_rotation_2d(t) -> Mat:
+    """Rational point on SO(2) from the tangent-half-angle parameter t."""
+    return rational_givens(2, 0, 1, t)
+
+
+def rational_givens(n: int, i: int, j: int, t) -> Mat:
+    r = [[ONE if a == b else ZERO for b in range(n)] for a in range(n)]
+    t = rat(t)
+    d = 1 + t * t
+    c = (1 - t * t) / d
+    s = 2 * t / d
+    r[i][i] = c
+    r[j][j] = c
+    r[i][j] = -s
+    r[j][i] = s
+    return tuple(tuple(row) for row in r)
 
 
 def random_rational_orthogonal(rng: random.Random, n: int):

@@ -480,7 +480,8 @@ def test_4d_group_file_is_input_error(tmp_path, argv, capsys):
 
 
 # windows that are not finite, not ordered, or span more than RENDER_MAX_CELLS
-# lattice cells (+-10^6 ran for minutes; inf raised OverflowError)
+# lattice cells (+-10^6 ran for minutes; inf raised OverflowError); the cell
+# cap is on renderings, so construct and voronoi are given --svg for it
 BAD_WINDOWS = {
     "huge": ["0", "0", "1000000", "1000000"],
     "inf": ["0", "0", "inf", "1"],
@@ -496,7 +497,7 @@ def test_bad_window_is_input_error(tmp_path, square_file, verb, case, capsys):
     if verb == "render":
         argv = ["render", square_file, "--svg", str(tmp_path / "out.svg")]
     else:
-        argv = [verb, "--group", "p6m"]
+        argv = [verb, "--group", "p6m", *(["--svg", str(tmp_path / "out.svg")] if case == "huge" else [])]
     code, out, err = run_cli(capsys, *argv, "--window", *BAD_WINDOWS[case])
     assert code == 2 and out == ""
     assert "input error" in err and "--window" in err
@@ -516,6 +517,20 @@ def test_window_within_the_cell_cap_renders(square_file, tmp_path, capsys):
     code, _, err = run_cli(capsys, "render", square_file, "--svg", svg,
                            "--window", "-30", "-30", "30", "30")
     assert code == 2 and "RENDER_MAX_CELLS" in err
+
+
+def test_cell_cap_applies_to_renderings_only(tmp_path, capsys):
+    # a p2 lattice this oblique spans 18079495 cells in the default window:
+    # it constructs without --svg, and only a rendering is refused
+    near = "999999/1000000"
+    path = tmp_path / "oblique.json"
+    path.write_text(json.dumps({**group_to_json(preset("p2")), "gram": [[1, near], [near, 1]]}))
+    code, out, _ = run_cli(capsys, "construct", "--group", str(path), "--seed", "0")
+    assert code == 0 and json.loads(out)["point_group_order"] == 2
+    svg = tmp_path / "out.svg"
+    code, out, err = run_cli(capsys, "construct", "--group", str(path), "--svg", str(svg))
+    assert code == 2 and out == "" and "RENDER_MAX_CELLS" in err
+    assert not svg.exists()
 
 
 @pytest.mark.parametrize("verb", ["construct", "voronoi", "render"])

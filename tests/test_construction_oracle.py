@@ -32,8 +32,8 @@ from crystile.linalg import (gram_norm2, identity_mat, is_integral_vec, mat_vec,
 from crystile.isometry import identity_iso, translation_iso
 from crystile.groups import PRESET_NAMES, generic_point, preset, stabilizer
 from crystile.polytope import _edges
-from crystile.tiling import (_int_vertices, automorphism_group_with_embedding, default_candidates,
-                             maximal_translation_lattice, transform_tiling)
+from crystile.tiling import (_int_cells, _int_vertices, _translation_lattice,
+                             automorphism_group_with_embedding, default_candidates, transform_tiling)
 from crystile.voronoi import _orbit_contains, cell_with_certificate, voronoi_tiling
 from crystile.construction import (ConstructionError, GenericityCertificate, certificate_for,
                                    construct_tiling, generic_apex)
@@ -150,7 +150,7 @@ def test_aut_matches_the_full_loop_on_the_reexpression_path(half_scale_tiling):
     # lattice; the reference is the tile-once oracle's Aut, which the full
     # loop gave way to (imported here, as that module imports this one)
     from test_tile_once_oracle import automorphism_group_with_embedding as old_aut
-    assert maximal_translation_lattice(half_scale_tiling) != identity_mat(2)
+    assert _translation_lattice(2, *_int_cells(half_scale_tiling)) != identity_mat(2)
     group, embed = automorphism_group_with_embedding(half_scale_tiling)
     old_group, old_embed = old_aut(half_scale_tiling)
     assert group == old_group and group.reps == old_group.reps and group.order() == 8

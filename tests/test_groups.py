@@ -14,7 +14,6 @@ from crystile.groups import (
     is_conjugate_subgroup,
     is_symmorphic,
     lattice_isometries,
-    lattice_vectors_with_norm,
     orbit_in_ball,
     preset,
     span_seitz,
@@ -309,8 +308,9 @@ def test_subgroup_index():
 
 
 def test_lattice_vectors_with_norm_hex(hexframe):
-    # six unit vectors in the hexagonal lattice
-    assert len(lattice_vectors_with_norm(hexframe, 1)) == 6
+    # six unit vectors in the hexagonal lattice: the first columns of its
+    # lattice isometries, which lattice_isometries filters by norm
+    assert len({(u[0][0], u[1][0]) for u in lattice_isometries(hexframe, hexframe)}) == 6
 
 
 def test_lattice_isometries_orders(frame2, hexframe):
@@ -392,12 +392,11 @@ def test_demo_3d_presets(frame3):
 
 def test_public_results_keep_q_entries():
     # the ball query yields int tuples; what the package hands out stays Q:
-    # lattice vectors, lattice isometries, rep translations (point parts
-    # are int matrices), orbit sites and cell vertices
+    # lattice isometries, rep translations (point parts are int matrices),
+    # orbit sites and cell vertices
     from crystile.voronoi import voronoi_cell
 
     frame = preset("p6m").frame
-    assert all(type(c) is Q for k in lattice_vectors_with_norm(frame, 1) for c in k)
     assert all(type(c) is Q for u in lattice_isometries(frame, frame) for row in u for c in row)
     for name in ("p4g", "p6m", "Pm-3m"):
         g = preset(name)

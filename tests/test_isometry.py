@@ -24,12 +24,11 @@ from crystile.isometry import (
     linear_about,
     operator_norm,
     ortho_sqrt,
-    rational_rotation_2d,
     standard_frame,
     translation_iso,
 )
 
-from conftest import random_rational_isometry, random_rational_point
+from conftest import random_rational_isometry, random_rational_point, rational_rotation_2d
 
 ROT90 = ((0, -1), (1, 0))
 

@@ -2,7 +2,8 @@
 
 old_check_isometry is the Fraction test Isometry ran before the int rule
 (L^T G_t L == G_s, then det L = +-1 on one frame), old_lattice_isometries
-the Fraction column search, old_iso_distance and old_iso_size the closed
+the Fraction column search (with old_lattice_vectors_with_norm, the
+candidate list it read from the package), old_iso_distance and old_iso_size the closed
 d_O before iso_terms (the reference test_size_cap_oracle.py imports too),
 and old_lattice_covering_sq the covering radius read off the P1 cell's
 vertices, all verbatim.  The new code must accept exactly the linear parts
@@ -44,7 +45,7 @@ from crystile.groups import (
     PRESET_NAMES,
     conjugacy_search,
     lattice_isometries,
-    lattice_vectors_with_norm,
+    lattice_points_in_ball,
     preset,
     validate_group,
 )
@@ -56,18 +57,19 @@ from crystile.isometry import (
     decompose,
     hexagonal_frame,
     identity_iso,
+    int_gram,
     inverse,
     iso_distance,
     iso_terms,
     operator_norm,
-    rational_givens,
-    rational_rotation_2d,
     standard_frame,
 )
 from crystile.linalg import (
     gram_dot,
     gram_norm2,
     identity_mat,
+    int_dot,
+    int_mat_vec,
     is_integral_mat,
     mat,
     mat_det,
@@ -82,7 +84,7 @@ from crystile.linalg import (
     vsub,
     zero_vec,
 )
-from crystile.rational import ONE, Q, ZERO, sqrt_float
+from crystile.rational import ONE, Q, ZERO, rat, sqrt_float
 from crystile.tiling import (
     _lattice_covering_sq,
     _normalizes_lattice,
@@ -92,7 +94,7 @@ from crystile.tiling import (
 )
 from crystile.polytope import ConvexPolytope
 
-from conftest import random_rational_isometry
+from conftest import random_rational_isometry, rational_givens, rational_rotation_2d
 
 NONDIAG_BASIS = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 BCC_BASIS = tuple(tuple(Q(x, 2) for x in row) for row in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
@@ -127,6 +129,16 @@ def old_check_isometry(frame, linear, target):
             raise IsometryError("determinant must be +-1")
 
 
+def old_lattice_vectors_with_norm(frame: Frame, value) -> list:
+    """Integer vectors with exact Gram norm^2 == value, sorted: the int ball
+    points k with k.(EG)k == E value (isometry.int_gram), as Q tuples."""
+    value = rat(value)
+    e, eg = int_gram(frame)
+    ev = e * value
+    ball = lattice_points_in_ball(frame, zero_vec(frame.dim), value)
+    return sorted(vec(k) for k in ball if int_dot(k, int_mat_vec(eg, k)) == ev)
+
+
 def old_lattice_isometries(source, target) -> list:
     n = source.dim
     if target.dim != n:
@@ -135,7 +147,7 @@ def old_lattice_isometries(source, target) -> list:
         return []
     col_candidates = []
     for i in range(n):
-        cands = lattice_vectors_with_norm(target, source.gram[i][i])
+        cands = old_lattice_vectors_with_norm(target, source.gram[i][i])
         ei = tuple(ONE if j == i else ZERO for j in range(n))
         cands.sort(key=lambda u: (u != ei, u))
         col_candidates.append(cands)

@@ -34,8 +34,6 @@ from crystile.isometry import (
     Isometry,
     hexagonal_frame,
     inverse,
-    rational_givens,
-    rational_rotation_2d,
     standard_frame,
 )
 from crystile.linalg import (
@@ -63,7 +61,8 @@ from crystile.polytope import (
 from crystile.rational import Q, ZERO
 from crystile.voronoi import cell_with_certificate
 
-from conftest import from_vertices, halfspaces, seed0_construction, with_halfspaces
+from conftest import (from_vertices, halfspaces, rational_givens, rational_rotation_2d, seed0_construction,
+                      with_halfspaces)
 
 
 # --- the Fraction motion, verbatim ------------------------------------------------

@@ -22,7 +22,6 @@ from crystile.polytope import (
     faces,
     halfspace_intersection,
     meet_face_to_face,
-    simplex_decomposition,
     sq_distance_point,
     volume,
 )
@@ -30,7 +29,7 @@ from crystile.serialize import tiling_from_json, tiling_to_json
 from crystile.tiling import patch, prototiles
 from crystile.voronoi import delone_params, voronoi_cell, voronoi_tiling
 
-from conftest import (facet_key_set, old_centroid, random_rational_isometry,
+from conftest import (facet_key_set, fan_simplices, old_centroid, random_rational_isometry,
                       random_rational_point, recovered_facets, seed0_construction)
 
 
@@ -102,7 +101,7 @@ def test_volume_additivity(unit_square, rhomb, frame2):
         frame2, [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)]
     )
     for poly in (unit_square, rhomb, hexa):
-        parts = simplex_decomposition(poly)
+        parts = fan_simplices(poly)
         assert sum(volume(p) for p in parts) == volume(poly)
 
 
@@ -325,7 +324,7 @@ def test_3d_cube(frame3):
     assert back.vertices == cube.vertices
     assert sq_distance_point(cube, (2, 2, 2)) == 3
     assert sq_distance_point(cube, (Q(1, 2), Q(1, 2), 4)) == 9
-    parts = simplex_decomposition(cube)
+    parts = fan_simplices(cube)
     assert sum(volume(p) for p in parts) == 1
 
 

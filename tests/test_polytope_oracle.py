@@ -37,13 +37,14 @@ from crystile.linalg import (
     vec,
     vsub,
 )
-from crystile.isometry import Isometry, standard_frame, to_cartesian
+from crystile.isometry import Isometry, embedding, standard_frame
 from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     PolytopeError,
     _clip,
     _cross,
+    _fan,
     _hull,
     _tight_sets,
     _walk,
@@ -51,12 +52,11 @@ from crystile.polytope import (
     congruent,
     faces,
     halfspace_intersection,
-    simplex_decomposition,
     sq_distance_point,
     volume,
 )
 from crystile.rational import Q, ONE
-from crystile.svg import _cell_range, _fmt, tiling_svg
+from crystile.svg import _cell_range, _fmt, _linear, tiling_svg
 from crystile import tiling as tiling_mod
 from crystile.tiling import patch
 from crystile.voronoi import voronoi_cell, voronoi_tiling
@@ -64,6 +64,7 @@ from crystile.voronoi import voronoi_cell, voronoi_tiling
 from conftest import (
     bare,
     facet_key_set,
+    fan_simplices,
     old_affine_rank,
     old_centroid,
     old_independent_points,
@@ -313,7 +314,7 @@ def test_facets_carried_exactly_when_full_dimensional(n, data):
                     # a facet taken from both sides: the facet itself
                     halfspace_intersection(frame, facets + [HalfSpace(
                         tuple(-x for x in facets[0].covector), -facets[0].offset)])]
-        derived += simplex_decomposition(poly)
+        derived += fan_simplices(poly)
     for p in derived:
         check_facet_invariant(p)
 
@@ -354,7 +355,7 @@ def test_boundary_matches_uncached_code(case):
         for m in range(n):
             assert keys(faces(new, m)) == keys(old_faces(old, m))
         assert volume(new) == old_volume(old)
-        assert keys(simplex_decomposition(new)) == [tuple(sorted(s)) for s in old_fan(old)]
+        assert [tuple(new.vertices[i] for i in s) for s in _fan(new)] == old_fan(old)
         points = [random_rational_point(rng, n, span=3) for _ in range(4 if n == 3 else 8)]
         points += list(poly.vertices[:2]) + [old_centroid(poly.vertices)]
         for x in points:
@@ -468,12 +469,13 @@ def test_svg_paths_walk_tile_edges(name):
     (tiling, _), _ = case_tilings(name)
     window = (0, 0, 1, 1)
     (lo0, lo1), (hi0, hi1) = _cell_range(tiling.frame, window)
+    cartesian = _linear(embedding(tiling.frame))
     outlines = {}
     for t in tiling.cell_tiles:
         index = {p: i for i, p in enumerate(t.vertices)}
         edges = [[index[p] for p in e.vertices] for e in faces(t, 1)]
         for k in product(range(lo0, hi0 + 1), range(lo1, hi1 + 1)):
-            pts = ["%s,%s" % tuple(map(_fmt, to_cartesian(tiling.frame, vadd(p, k))))
+            pts = ["%s,%s" % tuple(map(_fmt, cartesian(*map(float, vadd(p, k)))))
                    for p in t.vertices]
             outlines[frozenset(pts)] = {frozenset((pts[i], pts[j])) for i, j in edges}
     paths = re.findall(r' d="M (.*?) Z"', tiling_svg(tiling, window))

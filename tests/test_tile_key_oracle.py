@@ -27,7 +27,6 @@ from crystile.isometry import (
     hexagonal_frame,
     identity_iso,
     inverse,
-    rational_givens,
     translation_iso,
 )
 from crystile.linalg import identity_mat, mat_mul, vadd
@@ -35,7 +34,7 @@ from crystile.rational import Q, ZERO
 from crystile.tiling import PeriodicTiling, transform_tiling
 from crystile.voronoi import voronoi_tiling
 
-from conftest import seed0_construction
+from conftest import rational_givens, seed0_construction
 from test_construction_oracle import assert_same_candidates
 from test_tiling import REJECTED
 from test_witness_oracle import FIXTURES, SQUARE

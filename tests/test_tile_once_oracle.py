@@ -9,7 +9,13 @@ volumes were cached and carried, kept verbatim, names included: they
 resolve each other here and the rest of the package through the imports,
 so the old validation reads a fresh volume of every tile.  `voronoi_tiling`
 is the Voronoi pipeline before its cell images were moved once, as the
-cones are, verbatim but for its local import.  The new code must give the
+cones are, verbatim but for its local import.  `old_transform_tiling` and
+`old_reexpress_over_lattice` are transform_tiling and the re-expression
+before they moved each tile once, verbatim but for their names; they must
+give the same tiles and embeddings under every coset rep of every preset's
+seed-0 construction and Voronoi tiling with and without a shift, under a
+rotation that re-expresses, and on the half-scale and quarter-square
+tilings.  The new code must give the
 same groups, embeddings, lattices, tiles (rows, facets and tight sets) and
 problem lists on every preset's seed 0-2 construction and Voronoi tiling,
 the half-scale tiling, the quarter-square tilings of
@@ -33,15 +39,17 @@ from crystile import polytope as polytope_mod
 from crystile import tiling as tiling_mod
 from crystile import voronoi as voronoi_mod
 from crystile.rational import Q, ZERO, rat_str
-from crystile.linalg import (hermite_column_basis, identity_mat, int_dot, int_mat_vec,
-                             mat_det, transpose, vec)
-from crystile.isometry import Isometry, compose, identity_iso, translation_iso
-from crystile.groups import (WALLPAPER_NAMES, CrystalGroup, _int_closure,
+from crystile.linalg import (Mat, hermite_column_basis, identity_mat, int_dot, int_mat_vec,
+                             mat_det, mat_mul, transpose, vec, zero_vec)
+from crystile.isometry import (Frame, Isometry, IsometryError, compose, identity_iso, inverse,
+                               translation_iso)
+from crystile.groups import (PRESET_NAMES, WALLPAPER_NAMES, CrystalGroup, _int_closure,
                              _int_group, generic_point, lattice_isometries, preset)
 from crystile.polytope import (ConvexPolytope, PolytopeError, _facet_edges, _fan, faces)
 from crystile.tiling import (PeriodicTiling, Provenance, _affine, _facet_problem, _int_vertices,
-                             _key, _lattice_automorphisms, _shape,
-                             periodic_tiling, reexpress_over_lattice, transform_tiling)
+                             _key, _lattice_automorphisms, _normalizes_lattice, _shape,
+                             canonical_tile, periodic_tiling, reexpress_over_lattice,
+                             transform_tiling)
 from crystile.construction import GenericityCertificate, _cone, generic_apex
 from crystile.voronoi import cell_with_certificate
 
@@ -254,6 +262,43 @@ def volume(poly: ConvexPolytope):
     return Q(total, factorial(n) * vden ** n)
 
 
+def old_transform_tiling(tiling: PeriodicTiling, iso: Isometry) -> PeriodicTiling:
+    """The tiling iso(T).
+
+    When the linear part normalizes the lattice the result lives in the
+    same frame; otherwise it is re-expressed in the image-lattice basis
+    (the Gram matrix is unchanged since the linear part is an isometry).
+    """
+    if iso.frame != tiling.frame or iso.target != tiling.frame:
+        raise IsometryError("isometry incompatible with the tiling frame")
+    if _normalizes_lattice(iso):
+        tiles = [t.transform(iso) for t in tiling.cell_tiles]
+    else:
+        # re-express over the image lattice: same Gram, tiles shifted by
+        # L^-1 t, which is minus the translation of the inverse
+        shift = tuple(-x for x in inverse(iso).translation)
+        tiles = [t.translate(shift) for t in tiling.cell_tiles]
+    return periodic_tiling(tiling.frame, tiles, validate=False)
+
+
+def old_reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
+    """Rewrite the tiling in the coordinates of a denser translation lattice.
+
+    `basis` columns give the new lattice in current coordinates.  Returns
+    (tiling', embedding) where embedding maps new coordinates to old.
+    """
+    frame = tiling.frame
+    new_gram = mat_mul(transpose(basis), mat_mul(frame.gram, basis))
+    new_frame = Frame(frame.dim, new_gram)
+    embed = Isometry(new_frame, basis, zero_vec(frame.dim), target=frame)
+    pull = inverse(embed)
+    # the old cell holds several cells of the denser lattice: keep one copy
+    # of the tiles that agree modulo it
+    tiles = {canonical_tile(t.transform(pull)) for t in tiling.cell_tiles}
+    out = periodic_tiling(new_frame, tiles, validate=False)
+    return out, embed
+
+
 # --- inputs ---------------------------------------------------------------------------
 
 H = Q(1, 2)
@@ -321,7 +366,7 @@ def test_keys_groups_and_problems_match_the_old_code(name, seed):
 
 def test_keys_groups_and_problems_match_on_the_half_scale_tiling(half_scale_tiling):
     # its lattice is (1/2) Z^2, so Aut takes the re-expression path
-    assert tiling_mod.maximal_translation_lattice(half_scale_tiling) != identity_mat(2)
+    assert tiling_mod._translation_lattice(2, *tiling_mod._int_cells(half_scale_tiling)) != identity_mat(2)
     assert tiling_mod.automorphism_group(half_scale_tiling).order() == 8
     for t in (half_scale_tiling, *images(half_scale_tiling)):
         assert_same(t)
@@ -330,7 +375,7 @@ def test_keys_groups_and_problems_match_on_the_half_scale_tiling(half_scale_tili
 def test_keys_groups_and_problems_match_on_the_quarter_squares():
     # four half-size squares per cell (A), with the top-right one cut into
     # two triangles one way (B) or the other (C)
-    assert tiling_mod.maximal_translation_lattice(FIXTURES["A"]) != identity_mat(2)
+    assert tiling_mod._translation_lattice(2, *tiling_mod._int_cells(FIXTURES["A"])) != identity_mat(2)
     for tiling in FIXTURES.values():
         for t in (tiling, *images(tiling)):
             assert_same(t)
@@ -392,6 +437,54 @@ def test_voronoi_images_match_the_two_move_code(name, seed, count_calls):
         assert a._volume == volume(b)
     p, q = new.provenance, old.provenance
     assert (p.kind, p.group, p.base_point, p.base_cell) == (q.kind, q.group, q.base_point, q.base_cell)
+
+
+SHIFT = (Q(1, 29), Q(-1, 31), Q(1, 37))
+# a rotation of Z^2 that maps no lattice onto itself: the re-expression branch
+ROTATION = ((Q(3, 5), Q(-4, 5)), (Q(4, 5), Q(3, 5)))
+
+
+def assert_same_tiles(new, old):
+    assert new.cell_tiles == old.cell_tiles
+    for a, b in zip(new.cell_tiles, old.cell_tiles):
+        assert (a._den, a._rows, a._facets, a._tight) == (b._den, b._rows, b._facets, b._tight)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_transformed_tiles_match_the_two_move_code(name):
+    # one move per tile, already canonical, gives the tiles, facets and tight
+    # sets that the transform and the canonical shift gave: under every coset
+    # rep with and without a shift, and on the re-expression branch
+    g = preset(name)
+    shift = translation_iso(g.frame, SHIFT[:g.dim])
+    isos = [iso for m, v in g.reps for iso in (g.element(m, v), compose(shift, g.element(m, v)))]
+    if g.frame.gram == identity_mat(2):
+        isos += [Isometry(g.frame, ROTATION, (0, 0)), Isometry(g.frame, ROTATION, SHIFT[:2])]
+    for tiling in tilings(name, 0):
+        for iso in isos:
+            assert_same_tiles(transform_tiling(tiling, iso), old_transform_tiling(tiling, iso))
+
+
+def test_transform_tiling_moves_each_tile_once(count_calls):
+    cases = [tilings(name, 0)[0] for name in ("p1", "p2", "p4m", "p6m", "pgg")]
+    moves = count_calls(polytope_mod, "_moved")
+    for tiling in cases:
+        transform_tiling(tiling, translation_iso(tiling.frame, SHIFT[:2]))
+    assert len(moves) == sum(len(t.cell_tiles) for t in cases) == 100
+
+
+def test_reexpression_moves_each_tile_once(half_scale_tiling, count_calls):
+    # the same tiles and embedding as the transform and the canonical shift
+    # gave, with one move per old cell tile
+    for tiling in (half_scale_tiling, FIXTURES["A"]):
+        basis = tiling_mod._translation_lattice(2, *tiling_mod._int_cells(tiling))
+        moves = count_calls(polytope_mod, "_moved")
+        dense, embed = reexpress_over_lattice(tiling, basis)
+        assert len(moves) == len(tiling.cell_tiles)
+        old_dense, old_embed = old_reexpress_over_lattice(tiling, basis)
+        assert embed == old_embed and embed._ints == old_embed._ints
+        assert_same_tiles(dense, old_dense)
+    assert len(half_scale_tiling.cell_tiles) == 4
 
 
 # --- mutants ----------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from crystile.isometry import (
     identity_iso,
     inverse,
     linear_about,
-    rational_givens,
     standard_frame,
     translation_iso,
 )
@@ -55,7 +54,7 @@ from crystile.tiling import (
 )
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
-from conftest import bare, pairwise_problems, random_rational_point, seed0_construction
+from conftest import bare, pairwise_problems, random_rational_point, rational_givens, seed0_construction
 
 ROT90 = ((0, -1), (1, 0))
 D4 = {

@@ -17,10 +17,10 @@ from crystile.groups import (
 from crystile.polytope import faces, volume
 from crystile.voronoi import (
     DegenerateSiteError,
+    _cell_from_sites,
     cell_with_certificate,
     delone_params,
     voronoi_cell,
-    voronoi_cell_of_sites,
     voronoi_tiling,
 )
 from crystile.tiling import prototiles
@@ -76,8 +76,11 @@ def test_voronoi_cell_z2():
 
 
 def test_voronoi_cell_simplex_sites(frame2):
-    sites = [(0, 0), (1, 0), (0, 1), (-1, -1)]
-    cell = voronoi_cell_of_sites(frame2, sites, (0, 0))
+    # the cell of the origin among explicit int sites, certified inside the
+    # ball of squared radius 16 / 4, with squared circumradius 5/2
+    sites = [(1, 0), (0, 1), (-1, -1)]
+    cell, rho2 = _cell_from_sites(frame2, (0, 0), 1, sites, 16)
+    assert rho2 == Q(5, 2)
     assert set(cell.vertices) == {
         (Q(1, 2), Q(1, 2)),
         (Q(1, 2), Q(-3, 2)),
@@ -87,8 +90,9 @@ def test_voronoi_cell_simplex_sites(frame2):
 
 def test_voronoi_cell_rectangular_sites(frame2):
     # 2Z x Z around the origin: rectangle [-1,1] x [-1/2,1/2]
-    sites = [(0, 0), (2, 0), (-2, 0), (0, 1), (0, -1), (2, 1), (-2, 1), (2, -1), (-2, -1)]
-    cell = voronoi_cell_of_sites(frame2, sites, (0, 0))
+    sites = [(2, 0), (-2, 0), (0, 1), (0, -1), (2, 1), (-2, 1), (2, -1), (-2, -1)]
+    cell, rho2 = _cell_from_sites(frame2, (0, 0), 1, sites, 16)
+    assert rho2 == Q(5, 4)
     assert set(cell.vertices) == {
         (Q(-1), Q(-1, 2)),
         (Q(-1), Q(1, 2)),
@@ -188,10 +192,10 @@ def test_voronoi_cell_rejects_foreign_point():
 
 
 def test_single_site_unbounded(frame2):
-    from crystile.voronoi import UnboundedCellError
-
-    with pytest.raises(UnboundedCellError):
-        voronoi_cell_of_sites(frame2, [(0, 0)], (0, 0))
+    # alone or with one other site, the cell is unbounded: it reaches past
+    # the ball of every round, so no round certifies it
+    assert _cell_from_sites(frame2, (0, 0), 1, [], 16) is None
+    assert _cell_from_sites(frame2, (0, 0), 1, [(1, 0)], 4 ** 6) is None
 
 
 def test_p222_cells_carry_their_facets(count_calls):

@@ -26,7 +26,6 @@ from crystile.isometry import (
     identity_iso,
     inverse,
     iso_terms,
-    rational_givens,
     standard_frame,
     translation_iso,
 )
@@ -50,7 +49,7 @@ from crystile.tiling import (
 )
 from crystile.voronoi import voronoi_tiling
 
-from conftest import random_rational_isometry, random_rational_point
+from conftest import random_rational_isometry, random_rational_point, rational_givens
 
 
 # --- the transformed patch ------------------------------------------------------
