@@ -136,17 +136,12 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     2. the identity is present and no point part occurs twice;
     3. the point parts are closed.  Generators are taken greedily, as Aut
        takes them (tiling.automorphism_group_with_embedding): each rep whose
-       point part is missing from the _int_closure of the earlier
-       generators' point parts, so there are at most log2 |P|.  A closure
-       with a point part the reps lack fails alone ("missing point part");
-    4. closure modulo the lattice, on int translations t = d v for the lcm
-       d of the generators' translation denominators.  Every element is a
-       word in the generators, so a rep whose denominator does not divide d
-       fails at once.  Otherwise (M_A t_B + t_A) mod d is compared with
-       t_AB for every rep A and generator B: |P| |gens| products.  They
-       suffice, by induction on the length of a word B' g in the
-       generators: t_{AB'g} == M_A M_B' t_g + t_{AB'} == M_A (M_B' t_g +
-       t_B') + t_A == M_A t_{B'g} + t_A (mod d), and t_1 = 0 by stage 2.
+       point part the closure of the earlier generators' point parts lacks
+       (_int_extend), so there are at most log2 |P|.  A closure with a
+       point part the reps lack fails alone ("missing point part");
+    4. closure modulo the lattice: the reps are the closure (_int_closure)
+       of the generators' Seitz pairs, as ints t = d v over the lcm d of
+       their translation denominators.
 
     The full-rank lattice condition holds by the basis convention and the
     frame's positive-definiteness check.  The reps keep their translations
@@ -170,26 +165,25 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
         raise GroupValidationError(violations)
 
     reps = tuple(sorted(set(canon)))
-    gens, closed = [], {ident[0]}
+    gens, closed = [], _int_closure(n, 1, [])
     for m, _ in reps:
         if m not in closed:
-            gens.append(m)
-            closed = {p for p, _ in _int_closure(n, 1, [(p, (0,) * n) for p in gens])}
-            if not closed.issubset(seen):
+            gens.append((m, (0,) * n))
+            _int_extend(closed, gens, 1)
+            if not closed.keys() <= seen.keys():
                 raise GroupValidationError(["closure failure: missing point part for a product"])
-    differs = ["closure failure: product translation differs mod lattice"]
-    d = integral([x for m in gens for x in seen[m]])[0]
-    if any(d % x.denominator for _, v in reps for x in v):
-        raise GroupValidationError(differs)
-    ts = {m: integral(v, d)[1] for m, v in reps}
-    for m1, t1 in ts.items():
-        for m2 in gens:
-            if _int_seitz_translation(m1, t1, ts[m2], d) != ts[int_mat_mul(m1, m2)]:
-                raise GroupValidationError(differs)
-    return CrystalGroup(frame=frame, reps=reps, name=name)
+    d = integral([x for m, _ in gens for x in seen[m]])[0]
+    try:
+        elems = _int_closure(n, d, [(m, integral(seen[m], d)[1]) for m, _ in gens])
+    except GroupValidationError:  # a point part with two translations
+        elems = {}
+    group = _int_group(frame, d, elems.items(), name=name)
+    if group.reps != reps:
+        raise GroupValidationError(["closure failure: product translation differs mod lattice"])
+    return group
 
 
-# Largest closure _int_closure builds: crystallographic point groups have
+# Largest closure _int_extend builds: crystallographic point groups have
 # order at most 48, so a closure past this cap is non-crystallographic input.
 MAX_GROUP_ORDER = 1024
 
@@ -203,34 +197,39 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
     gens = _canon_pairs(frame, generators, "generator")
     d = integral([x for _, v in gens for x in v])[0]
     elems = _int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
-    return _int_group(frame, d, elems, name=name)
+    return _int_group(frame, d, elems.items(), name=name)
 
 
-def _int_closure(n, d, gens) -> set:
-    """The int Seitz pairs (M, t), t = d v mod d, that the int pairs gens
-    over the denominator d generate mod the lattice, the identity included.
+def _int_closure(n, d, gens) -> dict:
+    """The int Seitz pairs {M: t}, t = d v mod d, that the int pairs gens
+    over the denominator d generate mod the lattice: the identity, grown by
+    one generator at a time (_int_extend)."""
+    elems = {tuple(tuple(int(i == j) for j in range(n)) for i in range(n)): (0,) * n}
+    for i in range(len(gens)):
+        _int_extend(elems, gens[:i + 1], d)
+    return elems
 
-    Each round multiplies the newest elements on the right by the
-    generators (_int_seitz_translation).  Elements of a finite point group
-    have finite order mod the lattice, so these words already form the
-    group; any other input grows past MAX_GROUP_ORDER.  A point part met
-    with a second translation is refused at once (Aut never meets one)."""
-    frontier = [(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)]
-    elems = dict(frontier)
-    while frontier:
-        new = []
-        for m1, t1 in frontier:
-            for m2, t2 in gens:
-                m, t = int_mat_mul(m1, m2), _int_seitz_translation(m1, t1, t2, d)
-                if m not in elems:
-                    elems[m] = t
-                    new.append((m, t))
-                elif elems[m] != t:
-                    raise GroupValidationError(["duplicate point parts with different translations"])
+
+def _int_extend(elems: dict, gens, d) -> None:
+    """Grow elems, the int Seitz pairs {M: t} of the group H that gens[:-1]
+    generate mod the lattice, in place to the group of gens (Dimino's
+    algorithm; G. Butler, Fundamental Algorithms for Permutation Groups,
+    LNCS 559, 1991): the right cosets H r, each formed once from H, of
+    gens[-1] and of each new rep times a generator, which are closed under
+    the generators.  A point part met with a second translation is refused
+    at once (Aut never meets one), a closure past MAX_GROUP_ORDER as
+    non-crystallographic."""
+    old = list(elems.items())
+    queue = [gens[-1]]
+    for m, t in queue:
+        if m in elems:
+            if elems[m] != t:
+                raise GroupValidationError(["duplicate point parts with different translations"])
+            continue
+        elems.update((int_mat_mul(m1, m), _int_seitz_translation(m1, t1, t, d)) for m1, t1 in old)
         if len(elems) > MAX_GROUP_ORDER:
             raise GroupValidationError(["generator closure exceeded bound (non-crystallographic input?)"])
-        frontier = new
-    return set(elems.items())
+        queue += [(int_mat_mul(m, m2), _int_seitz_translation(m, t, t2, d)) for m2, t2 in gens]
 
 
 # --- presets ----------------------------------------------------------------

@@ -70,6 +70,7 @@ from .groups import (
     CrystalGroup,
     _ball,
     _int_closure,
+    _int_extend,
     _int_group,
     conjugacy_search,
     is_conjugate_subgroup,
@@ -461,15 +462,21 @@ def _int_cells(tiling: PeriodicTiling):
 
 def _translation_lattice(n, d, cells, keys, shapes):
     """Basis (columns) of {v : T + v = T} as a superlattice of Z^n, for the
-    tiling T with _int_cells (d, cells, keys, shapes)."""
+    tiling T with _int_cells (d, cells, keys, shapes).  A translate of cell
+    tile 0 gets the full check only when its residue mod d lies outside
+    the group that the translations accepted so far generate mod d, which
+    grows by the cosets of each one accepted: a k x k grid of 1/k squares
+    takes 2 full checks, not k^2 - 1."""
     one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    extra = []
+    extra, found = [], {(0,) * n}
     for pts in shapes[_shape(cells[0])]:
         v = tuple(map(sub, pts[0], cells[0][0]))
-        if all(x % d == 0 for x in v):
+        if tuple(x % d for x in v) in found or not _fixes_tiling(d, cells, keys, one, v):
             continue
-        if _fixes_tiling(d, cells, keys, one, v):
-            extra.append(v)
+        extra.append(v)
+        coset = found
+        while (coset := {tuple((a + b) % d for a, b in zip(r, v)) for r in coset}).isdisjoint(found):
+            found |= coset
     if not extra:
         return identity_mat(n)
     cols = [tuple(d * x for x in col) for col in one] + extra
@@ -508,15 +515,15 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
     Aut(T) is found from verified generators (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005, ch. 4).  The Seitz pairs
     verified so far are closed mod the lattice as int pairs over the cell
-    tiles' common denominator d (groups._int_closure), starting from the
-    identity.  A lattice automorphism U whose point part lies in that
-    closure is skipped: products of automorphisms are automorphisms.  Any
-    other U gets the full check, for the translations that map cell tile 0
-    onto a cell tile, and a U that passes joins the generators.  So Aut(T)
-    is the closure at the end, with one translation class per point part,
-    the lattice being maximal, and it is closed, so validate_group's closure
-    pass would only re-prove it.  Each success at least doubles the
-    closure, so at most log2 |P| full checks pass, of translates from the shape index."""
+    tiles' common denominator d, by point part, starting from the identity.
+    A lattice automorphism U whose point part lies in that closure is
+    skipped: products of automorphisms are automorphisms.  Any other U gets
+    the full check, for the translations that map cell tile 0 onto a cell
+    tile, and a U that passes joins the generators and grows the closure by
+    its cosets (groups._int_extend).  So Aut(T) is the closure at the end,
+    with one translation class per point part, the lattice being maximal,
+    and closed: validate_group would only re-prove it.  Each success at
+    least doubles the closure, so at most log2 |P| full checks pass."""
     frame = tiling.frame
     d, cells, keys, shapes = _int_cells(tiling)
     basis = _translation_lattice(frame.dim, d, cells, keys, shapes)
@@ -526,16 +533,16 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
         return group, compose(embed, inner)
     gens, aut = [], _int_closure(frame.dim, d, [])
     for u in _lattice_automorphisms(frame):
-        if any(m == u for m, _ in aut):
+        if u in aut:
             continue
         image = sorted(int_mat_vec(u, p) for p in cells[0])
         for pts in shapes.get(_shape(image), ()):
             c = tuple(map(sub, pts[0], image[0]))
             if _fixes_tiling(d, cells, keys, u, c):
                 gens.append((u, c))
-                aut = _int_closure(frame.dim, d, gens)
+                _int_extend(aut, gens, d)
                 break
-    return _int_group(frame, d, aut), identity_iso(frame)
+    return _int_group(frame, d, aut.items()), identity_iso(frame)
 
 
 def automorphism_group(tiling: PeriodicTiling) -> CrystalGroup:

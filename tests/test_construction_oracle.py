@@ -30,7 +30,7 @@ from crystile.rational import Q, frac_part
 from crystile.linalg import (gram_norm2, identity_mat, is_integral_vec, mat_vec, vadd, vec,
                              vsub)
 from crystile.isometry import identity_iso, translation_iso
-from crystile.groups import PRESET_NAMES, generic_point, preset, stabilizer
+from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset, stabilizer
 from crystile.polytope import _edges
 from crystile.tiling import (_int_cells, _int_vertices, _translation_lattice,
                              automorphism_group_with_embedding, default_candidates, transform_tiling)
@@ -265,6 +265,23 @@ def test_aut_checks_only_the_point_parts_outside_the_closure(name, most, count_c
     group, _ = automorphism_group_with_embedding(t)
     assert group.reps == preset(name).reps
     assert 1 <= len(calls) <= most
+
+
+def test_aut_grows_its_closure_by_cosets(count_calls):
+    # each accepted generator grows the closure by its cosets: one Seitz
+    # product per new element and per new coset rep and generator.  The
+    # closures rebuilt from the identity after each generator made 223 on
+    # the 17 wallpaper constructions and 338 on Pm-3m
+    import crystile.groups as groups_mod
+
+    tilings = [seed0_construction(name) for name in WALLPAPER_NAMES + ("Pm-3m",)]
+    products = count_calls(groups_mod, "_int_seitz_translation")
+    for t in tilings[:-1]:
+        automorphism_group_with_embedding(t)
+    assert len(products) == 115
+    group, _ = automorphism_group_with_embedding(tilings[-1])
+    assert group.reps == preset("Pm-3m").reps
+    assert len(products) == 115 + 67
 
 
 def test_construction_calls_no_fraction_orbit_or_norm(count_calls):

@@ -65,35 +65,42 @@ def test_validate_rejects_closure_failure(frame2):
 
 
 def test_pm3m_validation_makes_one_int_seitz_product_per_rep_and_generator(count_calls, monkeypatch):
-    # the greedy choice closes the point parts of its first 1, 2, 3 and 4
-    # generators (_int_closure: |closure| |gens| products each, 2 + 8 + 48
-    # + 192 = 250), and the translation pass multiplies each of the 48 reps
-    # by each of the 4 generators once, in ints: 192 products, where all
-    # ordered pairs took 2,304; the Fraction product is gone
+    # the greedy choice grows the point parts' closure by its 1st, 2nd, 3rd
+    # and 4th generator (_int_extend), to 2, 4, 16 and 48 elements, and the
+    # Seitz pairs' closure grows the same way: each time one product per
+    # new element (47) and one per new coset rep and generator (1 + 2 + 9
+    # + 8 = 20).  The closures rebuilt from the identity after each
+    # generator and the translation pass over every rep and generator made
+    # 442
     import crystile.groups as groups_mod
 
     g = preset("Pm-3m")
-    closures = []
-    real = groups_mod._int_closure
-    monkeypatch.setattr(groups_mod, "_int_closure",
-                        lambda n, d, gens: closures.append((len(gens), out := real(n, d, gens))) or out)
+    grown = []
+    real = groups_mod._int_extend
+    monkeypatch.setattr(groups_mod, "_int_extend",
+                        lambda elems, gens, d: real(elems, gens, d) or grown.append((len(gens), len(elems))))
     products = count_calls(groups_mod, "_int_seitz_translation")
     assert validate_group(g.frame, g.reps).reps == g.reps
-    assert [(k, len(out)) for k, out in closures] == [(1, 2), (2, 4), (3, 16), (4, 48)]
-    assert len(products) == 250 + 48 * 4 == 442
+    assert grown == [(1, 2), (2, 4), (3, 16), (4, 48)] * 2
+    assert len(products) == 2 * (47 + 20) == 134
     assert not hasattr(groups_mod, "_seitz_mul")
 
 
 def test_presets_are_built_without_validate_group(count_calls):
-    # span_seitz returns its closure, which is a group by construction
+    # span_seitz returns its closure, which is a group by construction.
+    # Seitz products: 190 to build the 20 presets and 380 to validate their
+    # reps, where the breadth-first closures and the translation pass made
+    # 285 and 849
     import crystile.groups as groups_mod
 
     checks = count_calls(groups_mod, "validate_group")
+    products = count_calls(groups_mod, "_int_seitz_translation")
     preset.cache_clear()
     groups = [preset(name) for name in PRESET_NAMES]
-    assert checks == []
+    assert checks == [] and len(products) == 190
     for g in groups:
         assert validate_group(g.frame, g.reps).reps == g.reps
+    assert len(products) == 190 + 380
 
 
 def test_validate_rejects_a_denominator_the_generators_lack(frame2):

@@ -1,0 +1,104 @@
+"""Hostile files for the validate-group and aut verbs: the preset group
+files and the seed-0 wallpaper construction files with one or two
+mutations, each a field dropped, retyped or duplicated, a rational
+perturbed, or a rational given a huge denominator.  Every run ends with
+exit code 0, 1 or 2 and no traceback."""
+
+import copy
+import json
+import re
+from functools import lru_cache
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from crystile.cli import main
+from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, preset
+from crystile.rational import Q, rat_json
+from crystile.serialize import dump_json, group_to_json, tiling_to_json
+
+from conftest import seed0_construction
+
+RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+OTHER_VALUES = [None, True, 1.5, "x", "1/0", [], {}, 0, -7, [[1, 0], [0, 1]]]
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@lru_cache(maxsize=None)
+def group_text(name):
+    return dump_json(group_to_json(preset(name)))
+
+
+@lru_cache(maxsize=None)
+def tiling_text(name):
+    return dump_json(tiling_to_json(seed0_construction(name)))
+
+
+def _paths(node, path=()):
+    """The path (keys and indices) of every value below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _is_rational(value):
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, str) and RATIONAL.fullmatch(value) is not None)
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+@st.composite
+def mutated(draw, text):
+    """The JSON of text with one or two mutations."""
+    data = json.loads(text)
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["drop", "retype", "duplicate", "perturb", "huge"]))
+        paths = list(_paths(data))
+        if kind == "duplicate":
+            paths = [p for p in paths if isinstance(_at(data, p[:-1]), list)]
+        elif kind in ("perturb", "huge"):
+            paths = [p for p in paths if _is_rational(_at(data, p))]
+        if not paths:
+            continue
+        *head, key = draw(st.sampled_from(paths))
+        parent = _at(data, head)
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(parent[key])]))
+        elif kind == "duplicate":
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            step = (draw(st.sampled_from([Q(1, 7), Q(-1, 3), Q(1, 2), Q(-1)])) if kind == "perturb"
+                    else Q(1, 10 ** draw(st.integers(20, 2000)) + 1))
+            parent[key] = rat_json(Q(parent[key]) + step)
+    return data
+
+
+def run_on(tmp_path, capsys, verb, data):
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code = main([verb, str(path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+@FUZZ
+@given(st.data())
+def test_validate_group_survives_mutated_preset_files(tmp_path, capsys, data):
+    name = data.draw(st.sampled_from(PRESET_NAMES))
+    run_on(tmp_path, capsys, "validate-group", data.draw(mutated(group_text(name))))
+
+
+@FUZZ
+@given(st.data())
+def test_aut_survives_mutated_construction_files(tmp_path, capsys, data):
+    name = data.draw(st.sampled_from(WALLPAPER_NAMES))
+    run_on(tmp_path, capsys, "aut", data.draw(mutated(tiling_text(name))))

@@ -1,6 +1,6 @@
-"""Each old_* reference of the test modules is defined at module level in
-one module only, and some test module reads it outside its own definition:
-one reference per replaced function, and none that no test runs."""
+"""Each old_* or table_* reference of the test modules is defined at module
+level in one module only, and some test module reads it outside its own
+definition: one reference per replaced function, and none that no test runs."""
 
 import ast
 from pathlib import Path
@@ -15,7 +15,7 @@ def test_old_references_are_defined_once_and_read():
     defined = {}
     for file, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("old_"):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(("old_", "table_")):
                 defined.setdefault(node.name, []).append((file, node))
     twice = sorted(f"{name}: {', '.join(f for f, _ in where)}"
                    for name, where in defined.items() if len(where) > 1)

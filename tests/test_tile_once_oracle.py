@@ -7,7 +7,9 @@ flat int tuples over one denominator, Aut found its translate candidates
 through a shape index, cone images came out canonical from one move and
 volumes were cached and carried, kept verbatim, names included: they
 resolve each other here and the rest of the package through the imports,
-so the old validation reads a fresh volume of every tile.  `voronoi_tiling`
+so the old validation reads a fresh volume of every tile; their
+`_int_closure` is conftest's breadth-first `table_int_closure`, not the
+code under test.  `voronoi_tiling`
 is the Voronoi pipeline before its cell images were moved once, as the
 cones are, verbatim but for its local import.  `old_transform_tiling` and
 `old_reexpress_over_lattice` are transform_tiling and the re-expression
@@ -23,7 +25,9 @@ test_witness_oracle, the rejected tile lists of test_tiling and a rejected
 list with tiles of different vertex counts, and on transform_tiling images
 of all of those; its keys must decode to the old keys, its shape index must
 group exactly the translates, and every carried volume must equal a fresh
-one.  These references are also the ones that the Fraction-keyed Aut and
+one.  The translation lattice, which fully checks only the translates
+outside the group of those accepted, must also match on the a x b grids
+of 1/a by 1/b rectangles up to 8 x 8.  These references are also the ones that the Fraction-keyed Aut and
 the Aut loop that fully checked every lattice automorphism gave way to.  validate_tiling must also reject
 four mutants of each seed-0 wallpaper construction and Voronoi tiling,
 with the old problem lists and the verdict of conftest.pairwise_problems.
@@ -42,9 +46,9 @@ from crystile.rational import Q, ZERO, rat_str
 from crystile.linalg import (Mat, hermite_column_basis, identity_mat, int_dot, int_mat_vec,
                              mat_det, mat_mul, transpose, vec, zero_vec)
 from crystile.isometry import (Frame, Isometry, IsometryError, compose, identity_iso, inverse,
-                               translation_iso)
-from crystile.groups import (PRESET_NAMES, WALLPAPER_NAMES, CrystalGroup, _int_closure,
-                             _int_group, generic_point, lattice_isometries, preset)
+                               standard_frame, translation_iso)
+from crystile.groups import (PRESET_NAMES, WALLPAPER_NAMES, CrystalGroup, _int_group,
+                             generic_point, lattice_isometries, preset)
 from crystile.polytope import (ConvexPolytope, PolytopeError, _facet_edges, _fan, faces)
 from crystile.tiling import (PeriodicTiling, Provenance, _affine, _facet_problem, _int_vertices,
                              _key, _lattice_automorphisms, _normalizes_lattice, _shape,
@@ -53,7 +57,7 @@ from crystile.tiling import (PeriodicTiling, Provenance, _affine, _facet_problem
 from crystile.construction import GenericityCertificate, _cone, generic_apex
 from crystile.voronoi import cell_with_certificate
 
-from conftest import pairwise_problems
+from conftest import pairwise_problems, table_int_closure as _int_closure
 from test_construction_oracle import CASES, _translate_match, tilings
 from test_tiling import F2, REJECTED
 from test_witness_oracle import FIXTURES
@@ -379,6 +383,31 @@ def test_keys_groups_and_problems_match_on_the_quarter_squares():
     for tiling in FIXTURES.values():
         for t in (tiling, *images(tiling)):
             assert_same(t)
+
+
+def grid(a, b):
+    """The a x b grid of 1/a by 1/b rectangles in the square frame."""
+    frame = standard_frame(2)
+    return periodic_tiling(frame, [ConvexPolytope(frame, [(Q(i + di, a), Q(j + dj, b))
+                                                          for di in (0, 1) for dj in (0, 1)])
+                                   for i in range(a) for j in range(b)])
+
+
+@pytest.mark.parametrize("a", range(1, 9))
+def test_translation_lattice_matches_the_old_code_on_grids(a):
+    for b in range(1, 9):
+        tiling = grid(a, b)
+        basis = tiling_mod._translation_lattice(2, *tiling_mod._int_cells(tiling))
+        assert basis == _translation_lattice(2, *_int_cells(tiling)) == ((Q(1, a), 0), (0, Q(1, b)))
+
+
+def test_translation_lattice_fully_checks_two_translates_of_a_grid(count_calls):
+    # the first two accepted translates of cell tile 0 generate the other
+    # 397 of the 20 x 20 grid mod the lattice; each one took a full check
+    cells = tiling_mod._int_cells(grid(20, 20))
+    calls = count_calls(tiling_mod, "_fixes_tiling")
+    assert tiling_mod._translation_lattice(2, *cells) == ((Q(1, 20), 0), (0, Q(1, 20)))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("case", sorted(REJECTS))
