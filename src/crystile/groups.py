@@ -26,7 +26,6 @@ from .linalg import (
     integral,
     integral_rows,
     is_integral_mat,
-    is_integral_vec,
     mat,
     mat_det,
     mat_sub,
@@ -76,7 +75,9 @@ class CrystalGroup:
         return len(self.reps)
 
     def element(self, m: Mat, v: Vec) -> Isometry:
-        return Isometry(self.frame, m, v)
+        """The isometry x |-> M x + v of a Seitz pair that _canon_pairs checked."""
+        d, (*a, t) = integral_rows((*m, v))
+        return Isometry._of_ints(self.frame, d, a, t, self.frame)
 
     def rep_for(self, m: Mat):
         for mm, vv in self.reps:
@@ -86,12 +87,11 @@ class CrystalGroup:
 
     def contains(self, iso: Isometry) -> bool:
         """Exact membership of an isometry of the group's frame."""
-        if iso.frame != self.frame or iso.target != self.frame:
+        m, a, b = iso._ints
+        if iso.frame != self.frame or iso.target != self.frame or any(x % m for r in a for x in r):
             return False
-        v = self.rep_for(iso.linear)
-        if v is None:
-            return False
-        return is_integral_vec(vsub(iso.translation, v))
+        v = self.rep_for(tuple(tuple(x // m for x in r) for r in a))
+        return v is not None and all((Q(y, m) - x).denominator == 1 for y, x in zip(b, v))
 
 
 def _canon_pairs(frame: Frame, pairs, label: str) -> list:
@@ -542,7 +542,7 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
     n = g1.dim
     reps = [g1.element(m, v) for m, v in g1.reps]
     for u in lattice_isometries(g1.frame, g2.frame):
-        gamma0 = Isometry(g1.frame, u, zero_vec(n), target=g2.frame)
+        gamma0 = Isometry._of_ints(g1.frame, 1, integral_rows(u)[1], (0,) * n, g2.frame)
         back = inverse(gamma0)
         rows = []
         rhs = []
@@ -556,8 +556,8 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
         else:
             c = solve_mod_lattice(tuple(rows), tuple(rhs))
             if c is not None:
-                c = tuple(frac_part(x) for x in c)
-                return Isometry(g1.frame, u, c, target=g2.frame)
+                d, (*a, t) = integral_rows((*u, tuple(frac_part(x) for x in c)))
+                return Isometry._of_ints(g1.frame, d, a, t, g2.frame)
     return None
 
 
@@ -572,7 +572,8 @@ def is_conjugate_subgroup(g1: CrystalGroup, g2: CrystalGroup, gamma: Isometry) -
         raise ValueError("dimension mismatch")
     if gamma.frame != g1.frame or gamma.target != g2.frame:
         raise ValueError("gamma does not map between the group frames")
-    if not is_integral_mat(gamma.linear):
+    d, a, _ = gamma._ints
+    if any(x % d for r in a for x in r):
         return False  # some conjugated lattice translation is not in g2
     back = inverse(gamma)
     return all(g2.contains(compose(gamma, compose(g1.element(m, v), back))) for m, v in g1.reps)

@@ -8,21 +8,26 @@ condition that the Cartesian image of L is orthogonal.  This keeps every
 piece of group arithmetic exact: hexagonal point groups have irrational
 Cartesian matrices but integer matrices in a lattice-adapted basis.
 
-Gram-orthogonality is tested once, on ints (is_gram_orthogonal).  Every
-isometry also keeps its int form (m, A, B) = m (L, t), and compose and
-inverse work on it: the inverse of an L from frame s to frame t is
-L^-1 = G_s^-1 L^T G_t, a product of the frames' int Grams, so no isometry
-is inverted by elimination.  The metric d_O is sqrt(p) + sqrt(q) of the
-exact rationals p, q that iso_terms returns, which decide witness sizes
-exactly; with tr L^-1 = tr L it reads q off the trace of A.  That sum, the
-operator norm of a general matrix and orthogonal square roots are floats.
+An isometry stores only its int form (m, A, B) = m (L, t), m > 0 least, and
+forms the rationals L and t when they are read.  Gram-orthogonality is
+tested on ints (is_gram_orthogonal) only where values arrive from outside:
+in the public constructor, which user code, the JSON loader,
+translation_iso, linear_about and the re-expression embedding call.
+compose, inverse and the package's other producers are Gram-orthogonal by
+construction and build their results unchecked (Isometry._of_ints).  The
+inverse of an L from frame s to frame t is L^-1 = G_s^-1 L^T G_t, a product
+of the frames' int Grams, so no isometry is inverted by elimination.  The
+metric d_O is sqrt(p) + sqrt(q) of the exact rationals p, q that iso_terms
+returns, which decide witness sizes exactly; with tr L^-1 = tr L it reads q
+off the trace of A.  That sum, the operator norm of a general matrix and
+orthogonal square roots are floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 import numpy as np
@@ -153,75 +158,74 @@ def _inv_gram_diag(frame: Frame):
     return tuple(Q(inv[i][i], f) for i in range(frame.dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Isometry:
     """x |-> linear x + translation, mapping `frame` coordinates to `target`.
 
     Most isometries are endomorphisms of one frame (target == frame); maps
     with distinct frames arise from conjugacy searches between groups whose
-    lattices carry different Gram matrices.  The Gram-orthogonality
-    invariant is linear^T G_target linear == G_source (is_gram_orthogonal).
+    lattices carry different Gram matrices.  Only frame, target and the int
+    form _ints = (m, A, B) = m (linear, translation), m > 0 least, are stored
+    and compared; linear and translation are formed when first read.  This
+    constructor checks linear^T G_target linear == G_source
+    (is_gram_orthogonal) on outside values; _of_ints does not.
     """
 
     frame: Frame
-    linear: Mat
-    translation: Vec
-    target: Frame = None
-    # (m, A, B): (A, B) = m (linear, translation) as ints, m > 0 least
-    _ints: tuple = field(init=False, repr=False, compare=False)
+    target: Frame
+    _ints: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "linear", mat(self.linear))
-        object.__setattr__(self, "translation", vec(self.translation))
-        if self.target is None:
-            object.__setattr__(self, "target", self.frame)
-        n = self.frame.dim
-        if self.target.dim != n:
+    def __init__(self, frame: Frame, linear: Mat, translation: Vec, target: Frame = None):
+        linear, translation = mat(linear), vec(translation)
+        target = frame if target is None else target
+        n = frame.dim
+        if target.dim != n:
             raise IsometryError("frame dimension mismatch")
-        if {len(self.linear), len(self.translation), *map(len, self.linear)} != {n}:
+        if {len(linear), len(translation), *map(len, linear)} != {n}:
             raise IsometryError("shape mismatch")
-        m, (*a, b) = integral_rows((*self.linear, self.translation))
-        self._seal(m, tuple(a), b)
-
-    def _seal(self, m, a, b):
-        """Check that L = A / m is Gram-orthogonal and keep (m, A, B) as _ints."""
-        source = int_gram(self.frame)
-        target = source if self.target is self.frame else int_gram(self.target)
-        if not is_gram_orthogonal(m, a, source, target):
+        m, (*a, b) = integral_rows((*linear, translation))
+        source = int_gram(frame)
+        if not is_gram_orthogonal(m, a, source, source if target is frame else int_gram(target)):
             raise IsometryError("linear part is not Gram-orthogonal")
-        object.__setattr__(self, "_ints", (m, a, b))
+        self.__dict__.update(frame=frame, target=target, _ints=(m, tuple(a), b))
 
     @classmethod
     def _of_ints(cls, frame: Frame, m, a, b, target: Frame) -> "Isometry":
         """x |-> (A x + B) / m from frame to target, for an int m > 0 and int
-        A, B: the isometry the public constructor makes of those values, with
-        the same fields and _ints (reduced by g = gcd(m, entries)) and the
-        same Gram-orthogonality check."""
+        A, B that make a Gram-orthogonal L = A / m: the isometry the public
+        constructor makes of those values, with _ints reduced by
+        g = gcd(m, entries), and no second Gram check."""
         m, (*a, b) = _reduced(m, (*a, b))
         iso = object.__new__(cls)
-        object.__setattr__(iso, "frame", frame)
-        object.__setattr__(iso, "linear", tuple(tuple(Q(x, m) for x in row) for row in a))
-        object.__setattr__(iso, "translation", tuple(Q(x, m) for x in b))
-        object.__setattr__(iso, "target", target)
-        iso._seal(m, tuple(a), b)
+        iso.__dict__.update(frame=frame, target=target, _ints=(m, tuple(a), b))
         return iso
 
+    @cached_property
+    def linear(self) -> Mat:
+        m, a, _ = self._ints
+        return tuple(tuple(Q(x, m) for x in row) for row in a)
+
+    @cached_property
+    def translation(self) -> Vec:
+        m, _, b = self._ints
+        return tuple(Q(x, m) for x in b)
+
     def __call__(self, x: Vec) -> Vec:
-        return vadd(mat_vec(self.linear, vec(x)), self.translation)
+        return vadd(mat_vec(self.linear, vec(x, self.frame.dim)), self.translation)
 
     def is_identity(self) -> bool:
-        return (
-            self.frame == self.target
-            and self.linear == identity_mat(self.frame.dim)
-            and all(t == 0 for t in self.translation)
-        )
+        return self.is_translation() and not any(self._ints[2])
 
     def is_translation(self) -> bool:
-        return self.frame == self.target and self.linear == identity_mat(self.frame.dim)
+        m, a, _ = self._ints
+        return self.frame == self.target and all(x == m * (i == j) for i, row in enumerate(a)
+                                                  for j, x in enumerate(row))
 
 
 def identity_iso(frame: Frame) -> Isometry:
-    return Isometry(frame, identity_mat(frame.dim), zero_vec(frame.dim))
+    n = frame.dim
+    return Isometry._of_ints(frame, 1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
+                             (0,) * n, frame)
 
 
 def translation_iso(frame: Frame, v) -> Isometry:
@@ -233,7 +237,7 @@ def linear_about(frame: Frame, m: Mat, center=None) -> Isometry:
     m = mat(m)
     if center is None:
         return Isometry(frame, m, zero_vec(frame.dim))
-    c = vec(center)
+    c = vec(center, frame.dim)
     return Isometry(frame, m, vsub(c, mat_vec(m, c)))
 
 

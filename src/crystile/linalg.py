@@ -55,10 +55,6 @@ def is_integral(q) -> bool:
     return Q(q).denominator == 1
 
 
-def is_integral_vec(u: Vec) -> bool:
-    return all(is_integral(a) for a in u)
-
-
 def is_integral_mat(m: Mat) -> bool:
     return all(is_integral(a) for row in m for a in row)
 

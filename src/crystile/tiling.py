@@ -393,8 +393,8 @@ def transform_tiling(tiling: PeriodicTiling, iso: Isometry) -> PeriodicTiling:
     else:
         # re-express over the image lattice: same Gram, tiles shifted by
         # L^-1 t, which is minus the translation of the inverse
-        e, k = integral(tuple(-x for x in inverse(iso).translation))
-        form = e, None, k
+        m, _, b = inverse(iso)._ints
+        form = m, None, tuple(-x for x in b)
     return periodic_tiling(tiling.frame, _placed(tiling.frame, [form], tiling.cell_tiles), validate=False)
 
 
@@ -711,9 +711,7 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
     and to every tile of T' that is a translate of tile 0 of T (a shift may
     reorder the canonical tiles); each also reduced to [-1/2, 1/2)^n."""
     frame = t1.frame
-    n = frame.dim
-    one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    ident = Isometry._of_ints(frame, 1, one, (0,) * n, frame)
+    ident = identity_iso(frame)
     pairs = [(ident, ident)]
     anchors = [vsub(t2.cell_tiles[0].vertices[0], t1.cell_tiles[0].vertices[0])]
     d, cells = _int_vertices((t1.cell_tiles[0],) + t2.cell_tiles)
@@ -727,7 +725,7 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
             continue
         # x -> x +- tau / 2 is (m x +- T) / m over m = 2 e, for tau = T / e
         e, t = integral(tau)
-        a = tuple(tuple(2 * e * x for x in row) for row in one)
+        a = tuple(tuple(2 * e * x for x in row) for row in ident._ints[1])
         pairs.append((Isometry._of_ints(frame, 2 * e, a, t, frame),
                       Isometry._of_ints(frame, 2 * e, a, tuple(-x for x in t), frame)))
     return pairs
@@ -741,7 +739,7 @@ def distance_upper_bound(origin, t1: PeriodicTiling, t2: PeriodicTiling) -> Dist
     (on the grid cap j / 2^16) subject to the 1/(2r) size constraint."""
     if t1.frame != t2.frame:
         raise ValueError("tilings must share a frame; conjugate one first")
-    origin = vec(origin)
+    origin = vec(origin, t1.dim)
     if tilings_equal(t1, t2):
         w = (identity_iso(t1.frame), identity_iso(t1.frame), RADIUS_CAP, True)
         return DistanceBound(origin, 0.0, witness=w, tiling_a=t1, tiling_b=t2)

@@ -124,6 +124,10 @@ def half_scale_tiling(frame2):
     return periodic_tiling(frame2, tiles)
 
 
+def is_integral_vec(u: Vec) -> bool:
+    return all(is_integral(a) for a in u)
+
+
 def fan_simplices(poly: ConvexPolytope):
     """The simplices of the pulling triangulation polytope._fan, as polytopes."""
     return [ConvexPolytope(poly.frame, [poly.vertices[i] for i in s]) for s in _fan(poly)]

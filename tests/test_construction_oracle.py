@@ -27,8 +27,7 @@ from hypothesis import given, settings, strategies as st
 from crystile import linalg as linalg_mod
 from crystile import tiling as tiling_mod
 from crystile.rational import Q, frac_part
-from crystile.linalg import (gram_norm2, identity_mat, is_integral_vec, mat_vec, vadd, vec,
-                             vsub)
+from crystile.linalg import gram_norm2, identity_mat, mat_vec, vadd, vec, vsub
 from crystile.isometry import identity_iso, translation_iso
 from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset, stabilizer
 from crystile.polytope import _edges
@@ -38,7 +37,7 @@ from crystile.voronoi import _orbit_contains, cell_with_certificate, voronoi_til
 from crystile.construction import (ConstructionError, GenericityCertificate, certificate_for,
                                    construct_tiling, generic_apex)
 
-from conftest import seed0_construction
+from conftest import is_integral_vec, seed0_construction
 
 
 def _translate_match(a, b):

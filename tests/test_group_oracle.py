@@ -53,7 +53,6 @@ from crystile.linalg import (
     Mat,
     identity_mat,
     is_integral_mat,
-    is_integral_vec,
     mat_det,
     mat_inv,
     mat_mul,
@@ -67,7 +66,7 @@ from crystile.linalg import (
 )
 from crystile.rational import Q, frac_part
 
-from conftest import old_solve_mod_lattice, table_span_seitz, table_validate_group
+from conftest import is_integral_vec, old_solve_mod_lattice, table_span_seitz, table_validate_group
 
 MISSING = "closure failure: missing point part for a product"
 

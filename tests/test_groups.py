@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from crystile.rational import Q
-from crystile.linalg import identity_mat, is_integral_vec, mat_vec, vadd, vsub
+from crystile.linalg import identity_mat, mat_vec, vadd, vsub
 from crystile.isometry import Frame, identity_iso
 from crystile.groups import (
     GroupValidationError,
@@ -21,6 +21,8 @@ from crystile.groups import (
     subgroup_index,
     validate_group,
 )
+
+from conftest import is_integral_vec
 
 D4_MATRICES = {
     ((1, 0), (0, 1)),

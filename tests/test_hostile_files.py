@@ -1,8 +1,13 @@
-"""Hostile files for the validate-group and aut verbs: the preset group
-files and the seed-0 wallpaper construction files with one or two
+"""Hostile files for every verb that reads a file: the preset group files,
+the seed-0 construction files and isometry files with one or two
 mutations, each a field dropped, retyped or duplicated, a rational
-perturbed, or a rational given a huge denominator.  Every run ends with
-exit code 0, 1 or 2 and no traceback."""
+perturbed, or a rational given a huge denominator.  validate-group reads
+mutated preset group files, and construct and voronoi mutated wallpaper
+group files as --group; aut, render, ld, mld and distance read a mutated
+seed-0 construction file (aut in 3D too), the two-tiling verbs beside the
+unmutated file; and ld reads a mutated --gamma isometry file, where the
+Gram rule refuses outside values.  Every run ends with exit code 0, 1 or 2
+and no traceback."""
 
 import copy
 import json
@@ -12,9 +17,9 @@ from functools import lru_cache
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crystile.cli import main
-from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, preset
+from crystile.groups import DEMO3D_NAMES, PRESET_NAMES, WALLPAPER_NAMES, preset
 from crystile.rational import Q, rat_json
-from crystile.serialize import dump_json, group_to_json, tiling_to_json
+from crystile.serialize import dump_json, group_to_json, isometry_to_json, tiling_to_json
 
 from conftest import seed0_construction
 
@@ -80,14 +85,23 @@ def mutated(draw, text):
     return data
 
 
-def run_on(tmp_path, capsys, verb, data):
-    path = tmp_path / "hostile.json"
-    path.write_text(json.dumps(data))
+def write(tmp_path, name, data):
+    """data (JSON text, or a value to dump) in the file tmp_path/name, as a str path."""
+    path = tmp_path / name
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    return str(path)
+
+
+def run_main(capsys, argv):
     capsys.readouterr()
-    code = main([verb, str(path)])
+    code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def run_on(tmp_path, capsys, verb, data):
+    run_main(capsys, [verb, write(tmp_path, "hostile.json", data)])
 
 
 @FUZZ
@@ -100,5 +114,47 @@ def test_validate_group_survives_mutated_preset_files(tmp_path, capsys, data):
 @FUZZ
 @given(st.data())
 def test_aut_survives_mutated_construction_files(tmp_path, capsys, data):
-    name = data.draw(st.sampled_from(WALLPAPER_NAMES))
+    # the dimension is drawn first, so half the files are P1, P222 or Pm-3m
+    name = data.draw(st.sampled_from(data.draw(st.sampled_from([WALLPAPER_NAMES, DEMO3D_NAMES]))))
     run_on(tmp_path, capsys, "aut", data.draw(mutated(tiling_text(name))))
+
+
+@FUZZ
+@given(st.data())
+def test_render_survives_mutated_construction_files(tmp_path, capsys, data):
+    name = data.draw(st.sampled_from(WALLPAPER_NAMES))
+    tiling = write(tmp_path, "hostile.json", data.draw(mutated(tiling_text(name))))
+    run_main(capsys, ["render", tiling, "--svg", str(tmp_path / "out.svg")])
+
+
+@FUZZ
+@given(st.data())
+def test_construct_and_voronoi_survive_mutated_group_files(tmp_path, capsys, data):
+    verb = data.draw(st.sampled_from(["construct", "voronoi"]))
+    name = data.draw(st.sampled_from(WALLPAPER_NAMES))
+    group = write(tmp_path, "hostile.json", data.draw(mutated(group_text(name))))
+    run_main(capsys, [verb, "--group", group])
+
+
+@FUZZ
+@given(st.data())
+def test_two_tiling_verbs_survive_one_mutated_construction_file(tmp_path, capsys, data):
+    verb = data.draw(st.sampled_from(["ld", "mld", "distance"]))
+    name = data.draw(st.sampled_from(WALLPAPER_NAMES))
+    files = [write(tmp_path, "a.json", tiling_text(name)),
+             write(tmp_path, "b.json", data.draw(mutated(tiling_text(name))))]
+    if data.draw(st.booleans()):
+        files.reverse()
+    run_main(capsys, [verb, *files])
+
+
+@FUZZ
+@given(st.data())
+def test_ld_survives_mutated_gamma_files(tmp_path, capsys, data):
+    # an element of the tiling's group, so that the unmutated file is gamma-LD
+    name = data.draw(st.sampled_from(WALLPAPER_NAMES))
+    g = preset(name)
+    gamma = dump_json(isometry_to_json(g.element(*data.draw(st.sampled_from(g.reps)))))
+    tiling = write(tmp_path, "a.json", tiling_text(name))
+    run_main(capsys, ["ld", tiling, tiling, "--gamma",
+                      write(tmp_path, "gamma.json", data.draw(mutated(gamma)))])

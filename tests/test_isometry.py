@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crystile import isometry as isometry_mod
+from crystile.groups import PRESET_NAMES, preset
 from crystile.rational import Q
 from crystile.linalg import identity_mat, vsub
 from crystile.isometry import (
@@ -80,6 +82,49 @@ def test_compose_identity_and_translations(frame2):
     t1 = translation_iso(frame2, (1, 2))
     t2 = translation_iso(frame2, (3, 4))
     assert compose(t1, t2).translation == (Q(4), Q(6))
+
+
+def test_a_point_of_another_dimension_is_refused(frame2):
+    # zip truncated these: (1, 2, 3) went to (-2, 1) and (1,) to (0, 1)
+    quarter = linear_about(frame2, ROT90)
+    for x in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError, match="expected a 2-vector"):
+            quarter(x)
+
+
+def test_linear_about_refuses_a_center_of_another_dimension(frame2):
+    # the translation (3, 1) of the center (1, 2) came back for (1, 2, 3)
+    with pytest.raises(ValueError, match="expected a 2-vector"):
+        linear_about(frame2, ROT90, center=(1, 2, 3))
+
+
+def test_identity_and_translation_tests(frame2):
+    # the int form of a shift by (1/2, 0) is m = 2, A = 2 I, B = (1, 0)
+    shift = translation_iso(frame2, (Q(1, 2), 0))
+    quarter = linear_about(frame2, ROT90, center=(Q(1, 2), 0))
+    assert shift.is_translation() and not shift.is_identity()
+    assert not quarter.is_translation() and not quarter.is_identity()
+    assert identity_iso(frame2).is_identity() and compose(shift, inverse(shift)).is_identity()
+
+
+def test_isometry_arithmetic_forms_no_rationals(count_calls, hexframe):
+    # an isometry holds its int form only: products, inverses, identities and
+    # group elements form no Q, and linear forms its n^2 entries once
+    a = Isometry(hexframe, ((0, -1), (1, -1)), (Q(1, 3), Q(1, 2)))
+    b = translation_iso(hexframe, (Q(1, 5), Q(-2, 7)))
+    groups = [preset(name) for name in PRESET_NAMES]
+    formed = count_calls(isometry_mod, "Q")
+    c = compose(a, inverse(b))
+    inverse(c)
+    identity_iso(hexframe)
+    for g in groups:
+        for m, v in g.reps:
+            g.element(m, v)
+    assert formed == []
+    assert c.linear == ((0, -1), (1, -1))
+    assert len(formed) == 4
+    c.linear
+    assert len(formed) == 4
 
 
 def test_inverse_examples(frame2):

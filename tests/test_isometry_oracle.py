@@ -31,6 +31,13 @@ compose and inverse must give the same linear, translation and _ints (and
 so the same isometry and hash), iso_terms the same (p, q), and each refusal
 must be the same.  The lattice test answers the same on every endomorphism;
 a map between two frames normalizes no lattice, and the new test says so.
+
+compose, inverse, congruent, default_candidates, CrystalGroup.element and
+conjugacy_search build isometries from ints without the public
+constructor's Gram check (Isometry._of_ints).  Their outputs must still pass
+it: on the drawn isometries above, the prototile pairs and distance
+candidates of the seed-0 constructions, every preset rep and the
+conjugacy maps between presets.
 """
 
 import math
@@ -60,9 +67,11 @@ from crystile.isometry import (
     int_gram,
     inverse,
     iso_distance,
+    is_gram_orthogonal,
     iso_terms,
     operator_norm,
     standard_frame,
+    translation_iso,
 )
 from crystile.linalg import (
     gram_dot,
@@ -89,12 +98,16 @@ from crystile.tiling import (
     _lattice_covering_sq,
     _normalizes_lattice,
     automorphism_group_with_embedding,
+    default_candidates,
     mld_check,
     periodic_tiling,
+    prototiles,
+    transform_tiling,
 )
-from crystile.polytope import ConvexPolytope
+from crystile.polytope import ConvexPolytope, congruent
 
-from conftest import random_rational_isometry, rational_givens, rational_rotation_2d
+from conftest import (random_rational_isometry, rational_givens, rational_rotation_2d,
+                      seed0_construction)
 
 NONDIAG_BASIS = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
 BCC_BASIS = tuple(tuple(Q(x, 2) for x in row) for row in ((-1, 1, 1), (1, -1, 1), (1, 1, -1)))
@@ -610,3 +623,46 @@ def test_mld_check_gamma_matches_old_arithmetic(monkeypatch):
     monkeypatch.setattr(tiling_mod, "compose", old_compose)
     monkeypatch.setattr(tiling_mod, "inverse", old_inverse)
     assert_same_isometry(new, mld_check(half, half))
+
+
+# --- the Gram rule on the producers that do not check it --------------------------
+
+def assert_gram_orthogonal(iso):
+    """iso's int form passes the rule the public constructor checks."""
+    m, a, _ = iso._ints
+    assert is_gram_orthogonal(m, a, int_gram(iso.frame), int_gram(iso.target))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FRAMES)), st.data())
+def test_compose_and_inverse_keep_the_gram_rule(name, data):
+    frame = FRAMES[name][0]
+    vecs = st.tuples(*[rationals] * frame.dim)
+    a, b = (Isometry(frame, data.draw(gram_orthogonal(name)), data.draw(vecs)) for _ in "ab")
+    for iso in (compose(a, b), compose(b, a), inverse(a), inverse(compose(a, b))):
+        assert_gram_orthogonal(iso)
+
+
+def test_group_elements_and_conjugacy_maps_keep_the_gram_rule():
+    groups = [preset(name) for name in PRESET_NAMES]
+    for g in groups:
+        for m, v in g.reps:
+            assert_gram_orthogonal(g.element(m, v))
+    maps = _cross_frame_maps() + [conjugacy_search(g, g) for g in groups]
+    for gamma in maps:
+        assert_gram_orthogonal(gamma)
+        assert_gram_orthogonal(inverse(gamma))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_congruences_and_distance_candidates_keep_the_gram_rule(name):
+    t = seed0_construction(name)
+    for members in prototiles(t):
+        for i in members:
+            assert_gram_orthogonal(congruent(t.cell_tiles[members[0]], t.cell_tiles[i]))
+    shift = translation_iso(t.frame, (Q(1, 3), Q(1, 7), Q(1, 5))[:t.dim])
+    pairs = default_candidates(t, transform_tiling(t, shift), (0,) * t.dim)
+    assert len(pairs) > 1
+    for phi, psi in pairs:
+        assert_gram_orthogonal(phi)
+        assert_gram_orthogonal(psi)

@@ -24,7 +24,6 @@ from crystile.linalg import (
     int_rref,
     integral,
     integral_rows,
-    is_integral_vec,
     mat,
     mat_det,
     mat_inv,
@@ -38,7 +37,7 @@ from crystile.linalg import (
     vec,
 )
 
-from conftest import old_rref
+from conftest import is_integral_vec, old_rref
 
 rationals = st.builds(Q, st.integers(-500, 500), st.integers(1, 60))
 

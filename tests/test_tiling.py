@@ -453,6 +453,18 @@ def test_distance_equal_tilings(square_tiling):
     assert verify_witness(b)
 
 
+def test_distance_refuses_an_origin_of_another_dimension(square_tiling, frame2):
+    # equal tilings too: their shortcut returned upper 0.0 with a witness
+    # that verify_witness rejects
+    shifted = transform_tiling(square_tiling, translation_iso(frame2, (Q(1, 10), 0)))
+    refusals = []
+    for other in (square_tiling, shifted):
+        with pytest.raises(ValueError) as exc:
+            distance_upper_bound((0, 0, 0), square_tiling, other)
+        refusals.append((exc.type, str(exc.value)))
+    assert refusals[0] == refusals[1]
+
+
 def test_distance_small_shifts(square_tiling, frame2):
     for denom in (10, 100, 1000):
         tau = (Q(1, denom), 0)
