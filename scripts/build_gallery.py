@@ -29,7 +29,7 @@ def main() -> None:
         t0 = time.time()
         tiling = construct_tiling(group, seed=0)
         aut = automorphism_group(tiling)
-        assert aut.reps == group.reps and aut.frame == group.frame
+        assert aut == group
         write_json_file(str(out / f"{name}.json"), tiling_to_json(tiling))
         write_svg(str(out / f"{name}.svg"), tiling, window=window)
         voro = voronoi_tiling(group, generic_point(group, 0))

@@ -168,7 +168,7 @@ def construct_tiling(group: CrystalGroup, seed: int) -> PeriodicTiling:
         cell, _ = cell_with_certificate(group, x)
         candidate = cone_subdivide(group, x, generic_apex(cell, s))
         aut = automorphism_group(candidate)
-        if aut.frame == group.frame and aut.reps == group.reps:
+        if aut == group:
             return candidate
         last_problem = (
             f"seed {s}: Aut has point order {aut.order()} over gram {aut.frame.gram}, "

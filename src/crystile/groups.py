@@ -2,9 +2,9 @@
 
 Convention: the group's translation lattice IS the integer span of the
 frame basis, so the lattice never appears explicitly.  A group is stored
-as its frame plus one Seitz pair (M, v) per point-group element, with M
-an integer Gram-orthogonal matrix and v reduced to [0,1)^n.  The full
-group is then {x |-> M x + v + k : (M, v) in reps, k in Z^n}.
+as its frame plus one int Seitz pair (M, t) per point-group element: M an
+integer Gram-orthogonal matrix and t = d v for v in [0,1)^n over the least
+common denominator d.  The full group is {x |-> M x + t / d + k, k in Z^n}.
 """
 
 from __future__ import annotations
@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rational import Q, rat, frac_part, isqrt_ceil
 from .linalg import (
     Mat,
     Vec,
+    _reduced,
     enumerate_box,
     identity_mat,
     int_dot,
@@ -32,11 +33,10 @@ from .linalg import (
     solve_mod_lattice,
     transpose,
     vec,
-    vsub,
     zero_vec,
 )
 from .isometry import (Frame, Isometry, _inv_gram_diag, compose, hexagonal_frame, identity_iso,
-                       int_gram, inverse, is_gram_orthogonal, standard_frame)
+                       int_gram, int_inv_gram, inverse, is_gram_orthogonal, standard_frame)
 
 
 class GroupValidationError(ValueError):
@@ -45,57 +45,77 @@ class GroupValidationError(ValueError):
         super().__init__("group validation failed: " + "; ".join(self.violations))
 
 
-def _canon_seitz(m: Mat, v: Vec):
-    """Seitz pair with an int point part (m must be integral) and the
-    translation reduced to [0,1)^n."""
-    return (tuple(tuple(int(x) for x in row) for row in m), tuple(frac_part(x) for x in v))
-
-
 def _int_seitz_translation(m1, t1, t2, d):
     """(M1 t2 + t1) mod d: the translation over the denominator d of the
     Seitz product (M1, t1 / d)(M2, t2 / d), whose point part is M1 M2."""
     return tuple((int_dot(row, t2) + x) % d for row, x in zip(m1, t1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CrystalGroup:
+    """The group of the module docstring, stored as frame and _ints = (d,
+    pairs), its int Seitz pairs (M, t) in sorted order: _of_ints takes them,
+    this constructor makes them of reps.  Equality and hashing read those
+    two (name is a label); reps, the pairs (M, t / d), is formed when read."""
+
     frame: Frame
-    reps: tuple  # sorted tuple of (M, v) Seitz pairs, containing (1, 0)
+    _ints: tuple
     name: str = field(default=None, compare=False)
+
+    def __init__(self, frame: Frame, reps, name: str = None):
+        d, ts = integral_rows([vec(v) for _, v in reps])
+        pairs = sorted(zip((tuple(tuple(map(int, r)) for r in m) for m, _ in reps), ts))
+        self.__dict__.update(frame=frame, name=name, _ints=(d, tuple(pairs)))
+
+    @classmethod
+    def _of_ints(cls, frame: Frame, d, pairs, name: str = None) -> "CrystalGroup":
+        """The group of the int Seitz pairs (M, t), 0 <= t < d, d reduced."""
+        ms, ts = zip(*sorted(pairs))
+        group = object.__new__(cls)
+        d, ts = _reduced(d, ts)
+        group.__dict__.update(frame=frame, name=name, _ints=(d, tuple(zip(ms, ts))))
+        return group
+
+    @cached_property
+    def reps(self) -> tuple:
+        d, pairs = self._ints
+        return tuple((m, tuple(Q(x, d) for x in t)) for m, t in pairs)
+
+    @cached_property
+    def _translations(self) -> dict:
+        return dict(self._ints[1])
 
     @property
     def dim(self) -> int:
         return self.frame.dim
 
     def point_parts(self):
-        return tuple(m for m, _ in self.reps)
+        return tuple(m for m, _ in self._ints[1])
 
     def order(self) -> int:
         """Point-group order."""
-        return len(self.reps)
-
-    def element(self, m: Mat, v: Vec) -> Isometry:
-        """The isometry x |-> M x + v of a Seitz pair that _canon_pairs checked."""
-        d, (*a, t) = integral_rows((*m, v))
-        return Isometry._of_ints(self.frame, d, a, t, self.frame)
+        return len(self._ints[1])
 
     def rep_for(self, m: Mat):
-        for mm, vv in self.reps:
-            if mm == m:
-                return vv
-        return None
+        """The int translation t = d v of the rep with point part m, or None."""
+        return self._translations.get(m)
+
+    def element(self, m: Mat) -> Isometry:
+        """The rep with point part m as an isometry, x |-> (d M x + t) / d."""
+        d, t = self._ints[0], self.rep_for(m)
+        return Isometry._of_ints(self.frame, d, tuple(tuple(d * x for x in r) for r in m), t, self.frame)
 
     def contains(self, iso: Isometry) -> bool:
         """Exact membership of an isometry of the group's frame."""
         m, a, b = iso._ints
         if iso.frame != self.frame or iso.target != self.frame or any(x % m for r in a for x in r):
             return False
-        v = self.rep_for(tuple(tuple(x // m for x in r) for r in a))
-        return v is not None and all((Q(y, m) - x).denominator == 1 for y, x in zip(b, v))
+        t, d = self.rep_for(tuple(tuple(x // m for x in r) for r in a)), self._ints[0]
+        return t is not None and all((y * d - x * m) % (m * d) == 0 for y, x in zip(b, t))
 
 
 def _canon_pairs(frame: Frame, pairs, label: str) -> list:
-    """The Seitz pairs (M, v) as _canon_seitz pairs, each checked for its
+    """The Seitz pairs (M, v), M int and v in [0,1)^n, each checked for its
     shape, an integer M and Gram-orthogonality M^T (E G) M == E G on the
     frame's int_gram (isometry.is_gram_orthogonal, the rule Isometry uses;
     det M = +-1 follows).  Any violation, "<label> <index>: ...", raises."""
@@ -110,20 +130,14 @@ def _canon_pairs(frame: Frame, pairs, label: str) -> list:
         if not is_integral_mat(m):
             violations.append(f"{label} {idx}: non-integer point part")
             continue
-        m, v = _canon_seitz(m, v)
+        m = tuple(tuple(map(int, r)) for r in m)
         if not is_gram_orthogonal(1, m, g, g):
             violations.append(f"{label} {idx}: point part is not Gram-orthogonal (M^T G M != G)")
             continue
-        canon.append((m, v))
+        canon.append((m, tuple(frac_part(x) for x in v)))
     if violations:
         raise GroupValidationError(violations)
     return canon
-
-
-def _int_group(frame: Frame, d, elems, name: str = None) -> CrystalGroup:
-    """The group of the closed int Seitz pairs (M, t) elems: reps (M, t / d), sorted."""
-    reps = tuple(sorted((m, tuple(Q(x, d) for x in t)) for m, t in elems))
-    return CrystalGroup(frame=frame, reps=reps, name=name)
 
 
 def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
@@ -139,18 +153,18 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
        point part the closure of the earlier generators' point parts lacks
        (_int_extend), so there are at most log2 |P|.  A closure with a
        point part the reps lack fails alone ("missing point part");
-    4. closure modulo the lattice: the reps are the closure (_int_closure)
-       of the generators' Seitz pairs, as ints t = d v over the lcm d of
-       their translation denominators.
+    4. closure modulo the lattice: every translation of the generators'
+       closure lies in (1/d) Z^n for the lcm d of their translation
+       denominators, so a rep whose denominator does not divide d fails at
+       once; else the int reps over d must be that closure (_int_closure).
 
     The full-rank lattice condition holds by the basis convention and the
-    frame's positive-definiteness check.  The reps keep their translations
-    as rationals in [0,1)^n.
+    frame's positive-definiteness check.
     """
     n = frame.dim
     canon = _canon_pairs(frame, seitz_pairs, "rep")
     violations = []
-    ident = _canon_seitz(identity_mat(n), zero_vec(n))
+    ident = (tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), (0,) * n)
     if ident not in canon:
         if any(m == ident[0] for m, _ in canon):
             violations.append("pure translation outside the lattice (identity rep has nonzero part)")
@@ -164,23 +178,25 @@ def validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     if violations:
         raise GroupValidationError(violations)
 
-    reps = tuple(sorted(set(canon)))
     gens, closed = [], _int_closure(n, 1, [])
-    for m, _ in reps:
+    for m in sorted(seen):
         if m not in closed:
             gens.append((m, (0,) * n))
             _int_extend(closed, gens, 1)
             if not closed.keys() <= seen.keys():
                 raise GroupValidationError(["closure failure: missing point part for a product"])
-    d = integral([x for m, _ in gens for x in seen[m]])[0]
+    differs = ["closure failure: product translation differs mod lattice"]
+    d = math.lcm(*(x.denominator for m, _ in gens for x in seen[m]))
+    if any(d % x.denominator for v in seen.values() for x in v):
+        raise GroupValidationError(differs)
+    ints = {m: integral(v, d)[1] for m, v in seen.items()}
     try:
-        elems = _int_closure(n, d, [(m, integral(seen[m], d)[1]) for m, _ in gens])
+        elems = _int_closure(n, d, [(m, ints[m]) for m, _ in gens])
     except GroupValidationError:  # a point part with two translations
         elems = {}
-    group = _int_group(frame, d, elems.items(), name=name)
-    if group.reps != reps:
-        raise GroupValidationError(["closure failure: product translation differs mod lattice"])
-    return group
+    if elems != ints:
+        raise GroupValidationError(differs)
+    return CrystalGroup._of_ints(frame, d, ints.items(), name)
 
 
 # Largest closure _int_extend builds: crystallographic point groups have
@@ -195,9 +211,9 @@ def span_seitz(frame: Frame, generators, name: str = None) -> CrystalGroup:
     construction, refused as soon as it gives a point part two translations.
     """
     gens = _canon_pairs(frame, generators, "generator")
-    d = integral([x for _, v in gens for x in v])[0]
-    elems = _int_closure(frame.dim, d, [(m, integral(v, d)[1]) for m, v in gens])
-    return _int_group(frame, d, elems.items(), name=name)
+    d, ts = integral_rows([v for _, v in gens])
+    elems = _int_closure(frame.dim, d, list(zip((m for m, _ in gens), ts)))
+    return CrystalGroup._of_ints(frame, d, elems.items(), name)
 
 
 def _int_closure(n, d, gens) -> dict:
@@ -392,20 +408,20 @@ def _ball(frame: Frame, d, dc, r2) -> list:
 def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
     """Exactly the orbit points gamma(x) with squared distance <= r2 to center.
 
-    Over the common denominator d of x, the centre and the reps'
-    translations, the sites are the int vectors M X + d v + d k, X = d x,
-    for each rep (M, v) and each k of the ball query about the centre
-    minus M x + v.  They are deduplicated and sorted as int tuples, which
-    is their order as rationals, and stay on the result as its private
-    _ints = (d, sites), which the Voronoi localization reads.  Q values are
-    formed only when a caller reads sites (OrbitPointSet)."""
+    Over the common denominator d of x, the centre and the group
+    (_over_group), the sites are the int vectors M X + T + d k, X = d x,
+    for each int Seitz pair (M, T) and each k of the ball query about the
+    centre minus (M X + T) / d.  They are deduplicated and sorted as int
+    tuples, which is their order as rationals, and stay on the result as
+    its private _ints = (d, sites), which the Voronoi localization reads.
+    Q values are formed only when a caller reads sites (OrbitPointSet)."""
     x, center = vec(x, group.dim), vec(center, group.dim)
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
-    d, (dx, dc, *ts) = integral_rows((x, center, *(v for _, v in group.reps)))
+    d, (dx, dc), pairs = _over_group(group, (x, center))
     sites = set()
-    for (m, _), t in zip(group.reps, ts):
+    for m, t in pairs:
         base = [a + b for a, b in zip(int_mat_vec(m, dx), t)]
         for k in _ball(group.frame, d, [c - b for c, b in zip(dc, base)], r2):
             sites.add(tuple(b + d * ki for b, ki in zip(base, k)))
@@ -423,18 +439,25 @@ def orbit_in_ball(group: CrystalGroup, x, center, r2) -> OrbitPointSet:
 def stabilizer(group: CrystalGroup, x) -> list:
     """All group elements fixing x exactly, as full Seitz pairs (M, v + k).
 
-    Over the common denominator d of x and the reps' translations, with
-    X = d x and T = d v, the rep (M, v) moves x onto a lattice translate of
+    Over the common denominator d of x and the group (_over_group), with
+    X = d x, the int Seitz pair (M, T) moves x onto a lattice translate of
     itself iff M X + T - X == 0 (mod d) (_int_moves_onto); then v + k is
     (X - M X) / d."""
-    x = vec(x, group.dim)
-    d, (dx, *ts) = integral_rows((x, *(v for _, v in group.reps)))
+    d, (dx,), pairs = _over_group(group, (vec(x, group.dim),))
     out = []
-    for (m, _), t in zip(group.reps, ts):
+    for m, t in pairs:
         mx = int_mat_vec(m, dx)
         if _int_moves_onto(mx, t, dx, d):
             out.append((m, tuple(Q(a - b, d) for a, b in zip(dx, mx))))
     return out
+
+
+def _over_group(group: CrystalGroup, points):
+    """(d, rows, pairs): the points as int rows over the lcm d of their
+    denominators and the group's d, and the group's int pairs over d."""
+    e, pairs = group._ints
+    d = math.lcm(e, *(x.denominator for p in points for x in p))
+    return d, integral_rows(points, d)[1], [(m, tuple(d // e * x for x in t)) for m, t in pairs]
 
 
 def _int_moves_onto(mx, t, y, d) -> bool:
@@ -471,66 +494,54 @@ def generic_point(group: CrystalGroup, seed: int) -> Vec:
 def is_symmorphic(group: CrystalGroup):
     """A point P about which all reps lose their translation parts, or None.
 
-    Solves the simultaneous congruences (M - 1) P = -v (mod Z^n) over all
-    Seitz pairs.
+    Solves the simultaneous congruences (M - 1) P = -t / d (mod Z^n) over
+    all int Seitz pairs (M, t).
     """
-    n = group.dim
-    rows = []
-    rhs = []
-    for m, v in group.reps:
-        a = mat_sub(m, identity_mat(n))
-        for i in range(n):
-            rows.append(a[i])
-            rhs.append(-v[i])
-    sol = solve_mod_lattice(tuple(rows), tuple(rhs))
-    if sol is None:
-        return None
-    return tuple(frac_part(x) for x in sol)
+    d, pairs = group._ints
+    rows = tuple(r for m, _ in pairs for r in mat_sub(m, identity_mat(group.dim)))
+    sol = solve_mod_lattice(rows, tuple(Q(-x, d) for _, t in pairs for x in t))
+    return None if sol is None else tuple(frac_part(x) for x in sol)
 
 
 # --- conjugacy ---------------------------------------------------------------
 
 def lattice_isometries(source: Frame, target: Frame) -> list:
-    """Integer matrices U with U^T G_target U = G_source: the isometric
-    lattice identifications, identity-like candidates first.  Column i is a
-    target ball point u with u.(E_t G_t)u == E_t (G_s)_ii (int_gram), pruned
-    on its int products with the columns before it; the Grams' equal
-    determinants give det U = +-1."""
+    """Rational matrices U with U^T G_target U = G_source: the isometric
+    lattice identifications of _lattice_isometries, identity-like first."""
+    return [mat(u) for u in _lattice_isometries(source, target)]
+
+
+@lru_cache(maxsize=None)
+def _lattice_isometries(source: Frame, target: Frame) -> tuple:
+    """The int matrices of lattice_isometries, once per pair of frames.
+    Column i is a target ball point u with u.(E_t G_t)u == E_t (G_s)_ii
+    (int_gram), pruned on its int products with the columns before it; the
+    Grams' equal determinants give det U = +-1."""
     n = source.dim
     if target.dim != n or mat_det(source.gram) != mat_det(target.gram):
-        return []
+        return ()
     e, eg = int_gram(target)
     want = [[e * x for x in row] for row in source.gram]
-    col_candidates = []
+    found = [()]
     for i in range(n):
         ball = lattice_points_in_ball(target, zero_vec(n), source.gram[i][i])
         cands = [(k, gk) for k in ball if int_dot(k, gk := int_mat_vec(eg, k)) == want[i][i]]
         ei = tuple(int(j == i) for j in range(n))
         cands.sort(key=lambda kg: (kg[0] != ei, kg[0]))
-        col_candidates.append(cands)
-    results = []
-
-    def extend(cols):
-        i = len(cols)
-        if i == n:
-            results.append(transpose(tuple(vec(k) for k, _ in cols)))
-            return
-        for cand, gk in col_candidates[i]:
-            if all(int_dot(cand, gprev) == want[i][j] for j, (_, gprev) in enumerate(cols)):
-                extend(cols + [(cand, gk)])
-
-    extend([])
-    return results
+        found = [cols + ((k, gk),) for cols in found for k, gk in cands
+                 if all(int_dot(k, gp) == want[i][j] for j, (_, gp) in enumerate(cols))]
+    return tuple(transpose(tuple(k for k, _ in cols)) for cols in found)
 
 
 def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
     """An isometry gamma with gamma g1 gamma^-1 == g2 as sets, or None.
 
     gamma maps g1-frame coordinates to g2-frame coordinates; its linear
-    part U is an isometric lattice identification.  compose and inverse
-    conjugate each rep (M, v) of g1 by (U, 0) to (M', U v), M' = U M U^-1,
-    and the translation part c solves U v + (1 - M') c = w (mod Z^n) for
-    g2's rep (M', w), which a non-integral M' lacks.
+    part U is an isometric lattice identification, an int matrix with the
+    int inverse U^-1 = G_1^-1 U^T G_2 (the frames' int Grams, as inverse
+    forms it).  (U, 0) conjugates each int Seitz pair (M, t) of g1 over d1
+    to (M', U t), M' = U M U^-1, and the translation part c solves
+    U t / d1 + (1 - M') c = w (mod Z^n) for g2's rep (M', w).
     """
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
@@ -540,19 +551,18 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
     if sig(g1) != sig(g2):
         return None
     n = g1.dim
-    reps = [g1.element(m, v) for m, v in g1.reps]
-    for u in lattice_isometries(g1.frame, g2.frame):
-        gamma0 = Isometry._of_ints(g1.frame, 1, integral_rows(u)[1], (0,) * n, g2.frame)
-        back = inverse(gamma0)
-        rows = []
-        rhs = []
-        for r in reps:
-            s = compose(gamma0, compose(r, back))
-            w = g2.rep_for(s.linear)
+    (f, fgi), (e, eg) = int_inv_gram(g1.frame), int_gram(g2.frame)
+    (d1, pairs), d2 = g1._ints, g2._ints[0]
+    for u in _lattice_isometries(g1.frame, g2.frame):
+        back = [[x // (f * e) for x in row] for row in int_mat_mul(fgi, int_mat_mul(transpose(u), eg))]
+        rows, rhs = [], []
+        for m, t in pairs:
+            mp = int_mat_mul(u, int_mat_mul(m, back))
+            w = g2.rep_for(mp)
             if w is None:
                 break
-            rows += mat_sub(identity_mat(n), s.linear)
-            rhs += vsub(w, s.translation)
+            rows += mat_sub(identity_mat(n), mp)
+            rhs += (Q(d1 * a - d2 * b, d1 * d2) for a, b in zip(w, int_mat_vec(u, t)))
         else:
             c = solve_mod_lattice(tuple(rows), tuple(rhs))
             if c is not None:
@@ -576,13 +586,14 @@ def is_conjugate_subgroup(g1: CrystalGroup, g2: CrystalGroup, gamma: Isometry) -
     if any(x % d for r in a for x in r):
         return False  # some conjugated lattice translation is not in g2
     back = inverse(gamma)
-    return all(g2.contains(compose(gamma, compose(g1.element(m, v), back))) for m, v in g1.reps)
+    return all(g2.contains(compose(gamma, compose(g1.element(m), back))) for m in g1.point_parts())
 
 
 def subgroup_index(sub: CrystalGroup, sup: CrystalGroup, gamma: Isometry = None) -> int:
     """Index of gamma sub gamma^-1 in sup (gamma defaults to the identity map).
 
-    Equals (lattice index) * |point group of sup| / |point group of sub|.
+    Equals (lattice index) * |point group of sup| / |point group of sub|,
+    the lattice index of gamma's linear part A / m being |det A| / m^n.
     """
     if gamma is None:
         if sub.frame != sup.frame:
@@ -590,8 +601,8 @@ def subgroup_index(sub: CrystalGroup, sup: CrystalGroup, gamma: Isometry = None)
         gamma = identity_iso(sub.frame)
     if not is_conjugate_subgroup(sub, sup, gamma):
         raise ValueError("not a subgroup under the given conjugation")
-    lat_index = abs(int(mat_det(gamma.linear)))
-    po = Q(lat_index) * Q(sup.order(), sub.order())
-    if po.denominator != 1:
+    m, a, _ = gamma._ints
+    index, rest = divmod(abs(int(mat_det(a))) * sup.order(), m ** sub.dim * sub.order())
+    if rest:
         raise ArithmeticError("non-integer index; groups are not nested")
-    return int(po)
+    return index

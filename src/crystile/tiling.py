@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import add, sub
 
 from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil, sqrt_float
@@ -50,7 +49,6 @@ from .linalg import (
     int_dot,
     int_mat_vec,
     integral,
-    integral_rows,
     mat_mul,
     transpose,
     vec,
@@ -71,10 +69,9 @@ from .groups import (
     _ball,
     _int_closure,
     _int_extend,
-    _int_group,
+    _lattice_isometries,
     conjugacy_search,
     is_conjugate_subgroup,
-    lattice_isometries,
     span_seitz,
 )
 from .polytope import (
@@ -128,11 +125,10 @@ def canonical_tile(tile: ConvexPolytope) -> ConvexPolytope:
 
 def _rep_images(group: CrystalGroup, polys) -> list:
     """Each polytope moved by every coset rep, rep by rep (_placed, by the
-    rep's int form, as Isometry forms it), carrying its polytope's volume."""
+    rep's int form, CrystalGroup.element), carrying its polytope's volume."""
     for poly in polys:
         volume(poly)  # computed once; the images carry it
-    forms = (integral_rows((*mat, t)) for mat, t in group.reps)
-    return _placed(group.frame, [(m, rows[:-1], rows[-1]) for m, rows in forms], polys)
+    return _placed(group.frame, [group.element(m)._ints for m in group.point_parts()], polys)
 
 
 def _placed(frame: Frame, forms, polys) -> list:
@@ -501,13 +497,6 @@ def reexpress_over_lattice(tiling: PeriodicTiling, basis: Mat):
     return out, embed
 
 
-@lru_cache(maxsize=None)
-def _lattice_automorphisms(frame: Frame):
-    """Each U of lattice_isometries(frame, frame) as an int matrix, once
-    per frame."""
-    return tuple(integral_rows(m)[1] for m in lattice_isometries(frame, frame))
-
-
 def automorphism_group_with_embedding(tiling: PeriodicTiling):
     """Aut(T) over its maximal translation lattice, plus the coordinate map
     from the group's frame back into the tiling's frame.
@@ -532,7 +521,7 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
         group, inner = automorphism_group_with_embedding(dense)
         return group, compose(embed, inner)
     gens, aut = [], _int_closure(frame.dim, d, [])
-    for u in _lattice_automorphisms(frame):
+    for u in _lattice_isometries(frame, frame):
         if u in aut:
             continue
         image = sorted(int_mat_vec(u, p) for p in cells[0])
@@ -542,7 +531,7 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
                 gens.append((u, c))
                 _int_extend(aut, gens, d)
                 break
-    return _int_group(frame, d, aut.items()), identity_iso(frame)
+    return CrystalGroup._of_ints(frame, d, aut.items()), identity_iso(frame)
 
 
 def automorphism_group(tiling: PeriodicTiling) -> CrystalGroup:
@@ -612,7 +601,7 @@ def mld_check(t1: PeriodicTiling, t2: PeriodicTiling):
 
 def _translation_mld(aut1, aut2) -> bool:
     """translation_mld_check from the (group, embedding) pairs of _aut_pair."""
-    return bool(lattice_isometries(aut1[0].frame, aut2[0].frame))
+    return bool(_lattice_isometries(aut1[0].frame, aut2[0].frame))
 
 
 def translation_mld_check(t1: PeriodicTiling, t2: PeriodicTiling) -> bool:

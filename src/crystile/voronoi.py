@@ -51,9 +51,9 @@ from itertools import product
 from math import lcm
 
 from .rational import Q, isqrt_ceil, rat
-from .linalg import Vec, int_dot, int_mat_vec, integral, integral_rows, vec
+from .linalg import Vec, int_dot, int_mat_vec, integral, vec
 from .isometry import Frame, _inv_gram_diag, int_gram
-from .groups import CrystalGroup, _int_moves_onto, orbit_in_ball, stabilizer
+from .groups import CrystalGroup, _int_moves_onto, _over_group, orbit_in_ball, stabilizer
 from .polytope import ConvexPolytope, _clip, _reduced_facet, _slacks
 
 
@@ -91,10 +91,10 @@ def _bisector(frame: Frame, d, dx0, y, gy):
 
 def _orbit_contains(group: CrystalGroup, x: Vec, y: Vec) -> bool:
     """Whether y is a site of the orbit of x: M X + T - Y == 0 (mod d) for
-    some rep (M, v), over the common denominator d of x, y and the reps'
-    translations, X = d x, Y = d y and T = d v (groups._int_moves_onto)."""
-    d, (dx, dy, *ts) = integral_rows((x, y, *(v for _, v in group.reps)))
-    return any(_int_moves_onto(int_mat_vec(m, dx), t, dy, d) for (m, _), t in zip(group.reps, ts))
+    some int Seitz pair (M, T), over the common denominator d of x, y and
+    the group, X = d x and Y = d y (groups._over_group, _int_moves_onto)."""
+    d, (dx, dy), pairs = _over_group(group, (x, y))
+    return any(_int_moves_onto(int_mat_vec(m, dx), t, dy, d) for m, t in pairs)
 
 
 def voronoi_cell(group: CrystalGroup, x, x0=None, sq_radius=None):

@@ -11,11 +11,10 @@ from crystile.groups import (
     MAX_GROUP_ORDER,
     CrystalGroup,
     GroupValidationError,
-    _canon_seitz,
     _int_seitz_translation,
     preset,
 )
-from crystile.rational import ONE, Q, ZERO, rat
+from crystile.rational import ONE, Q, ZERO, frac_part, rat
 from crystile.linalg import (
     int_mat_mul,
     Mat,
@@ -564,8 +563,15 @@ def _quick_separated(a: ConvexPolytope, b: ConvexPolytope) -> bool:
 # validate_group closed its greedy generators with _int_closure: the
 # point-part product table, its _generated walk, span_seitz re-checking its
 # closure through validate_group, and the closure that refused a clash of
-# translations only through that check, verbatim but for the table_ prefix;
-# the reference of tests/test_group_oracle.py
+# translations only through that check, verbatim but for the table_ prefix,
+# with groups._canon_seitz, which they read and groups no longer keeps
+# since its Seitz pairs are ints; the reference of tests/test_group_oracle.py
+def _canon_seitz(m: Mat, v: Vec):
+    """Seitz pair with an int point part (m must be integral) and the
+    translation reduced to [0,1)^n."""
+    return (tuple(tuple(int(x) for x in row) for row in m), tuple(frac_part(x) for x in v))
+
+
 def table_validate_group(frame: Frame, seitz_pairs, name: str = None) -> CrystalGroup:
     """Canonicalize and check a group description; raises GroupValidationError.
 

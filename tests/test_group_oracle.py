@@ -252,7 +252,7 @@ def old_conjugated_rep(u: Mat, uinv: Mat, m: Mat, g2):
     mprime = mat_mul(u, mat_mul(m, uinv))
     if not is_integral_mat(mprime):
         return None
-    w = g2.rep_for(mprime)
+    w = dict(g2.reps).get(mprime)
     return None if w is None else (mprime, w)
 
 

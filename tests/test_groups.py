@@ -2,10 +2,13 @@ import hashlib
 
 import pytest
 
+from crystile import groups as groups_mod
+from crystile import isometry as isometry_mod
 from crystile.rational import Q
 from crystile.linalg import identity_mat, mat_vec, vadd, vsub
 from crystile.isometry import Frame, identity_iso
 from crystile.groups import (
+    CrystalGroup,
     GroupValidationError,
     PRESET_NAMES,
     WALLPAPER_NAMES,
@@ -22,7 +25,10 @@ from crystile.groups import (
     validate_group,
 )
 
-from conftest import is_integral_vec
+from crystile.serialize import group_to_json
+from crystile.tiling import automorphism_group
+
+from conftest import is_integral_vec, seed0_construction
 
 D4_MATRICES = {
     ((1, 0), (0, 1)),
@@ -307,7 +313,7 @@ def test_is_conjugate_subgroup_examples():
     ident = identity_iso(p2.frame)
     assert is_conjugate_subgroup(p2, p4m, ident)
     assert not is_conjugate_subgroup(p4m, p2, ident)
-    g = p4m.element(*p4m.reps[3])
+    g = p4m.element(p4m.point_parts()[3])
     assert is_conjugate_subgroup(p4m, p4m, g)
 
 
@@ -414,3 +420,39 @@ def test_public_results_keep_q_entries():
         x = generic_point(g, 0)
         assert all(type(c) is Q for s in orbit_in_ball(g, x, x, 2).sites for c in s)
         assert all(type(c) is Q for v in voronoi_cell(g, x).vertices for c in v)
+
+
+def test_groups_are_their_int_pairs():
+    # a group is stored as (d, its sorted int Seitz pairs), d least: rebuilt
+    # from its rational reps, or from its pairs over a multiple of d, it is
+    # the same value, with the same hash, reps and JSON
+    groups = [preset(name) for name in PRESET_NAMES]
+    groups += [automorphism_group(seed0_construction(name)) for name in PRESET_NAMES]
+    for g in groups:
+        again = CrystalGroup(g.frame, g.reps, g.name)
+        d, pairs = g._ints
+        scaled = CrystalGroup._of_ints(g.frame, 6 * d, [(m, tuple(6 * x for x in t)) for m, t in pairs])
+        assert again == g == scaled and hash(again) == hash(g) == hash(scaled)
+        assert again._ints == g._ints == scaled._ints
+        assert repr(again.reps) == repr(g.reps) == repr(scaled.reps)
+        assert group_to_json(again) == group_to_json(g)
+    assert [preset(name)._ints[0] for name in ("p1", "pg", "p4g", "Pm-3m")] == [1, 2, 2, 1]
+
+
+def test_conjugacy_and_aut_form_no_rationals(count_calls):
+    # conjugacy_search conjugates the int pairs (579 Q were formed in
+    # isometry.py for Pm-3m against itself when it conjugated isometries),
+    # and Aut returns its int closure (156 Q were formed in groups.py on the
+    # 17 seed-0 wallpaper constructions when groups stored rational reps);
+    # Q translations are formed only when reps is read
+    g = preset("Pm-3m")
+    conjugacy_search(g, g)  # fills the per-frame caches
+    formed = count_calls(isometry_mod, "Q")
+    assert conjugacy_search(g, g).is_identity()
+    assert formed == []
+    tilings = [seed0_construction(name) for name in WALLPAPER_NAMES]
+    formed = count_calls(groups_mod, "Q")
+    auts = [automorphism_group(t) for t in tilings]
+    assert formed == []
+    assert [a.reps for a in auts] == [preset(name).reps for name in WALLPAPER_NAMES]
+    assert len(formed) == sum(a.order() * a.dim for a in auts)

@@ -75,7 +75,10 @@ def mutated(draw, text):
         if kind == "drop":
             del parent[key]
         elif kind == "retype":
-            parent[key] = draw(st.sampled_from([v for v in OTHER_VALUES if type(v) is not type(parent[key])]))
+            # a copy: a shared list from OTHER_VALUES that a later mutation edits
+            # could come to hold itself
+            parent[key] = copy.deepcopy(draw(st.sampled_from([v for v in OTHER_VALUES
+                                                               if type(v) is not type(parent[key])])))
         elif kind == "duplicate":
             parent.insert(key, copy.deepcopy(parent[key]))
         else:
@@ -154,7 +157,7 @@ def test_ld_survives_mutated_gamma_files(tmp_path, capsys, data):
     # an element of the tiling's group, so that the unmutated file is gamma-LD
     name = data.draw(st.sampled_from(WALLPAPER_NAMES))
     g = preset(name)
-    gamma = dump_json(isometry_to_json(g.element(*data.draw(st.sampled_from(g.reps)))))
+    gamma = dump_json(isometry_to_json(g.element(data.draw(st.sampled_from(g.point_parts())))))
     tiling = write(tmp_path, "a.json", tiling_text(name))
     run_main(capsys, ["ld", tiling, tiling, "--gamma",
                       write(tmp_path, "gamma.json", data.draw(mutated(gamma)))])

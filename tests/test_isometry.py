@@ -118,8 +118,8 @@ def test_isometry_arithmetic_forms_no_rationals(count_calls, hexframe):
     inverse(c)
     identity_iso(hexframe)
     for g in groups:
-        for m, v in g.reps:
-            g.element(m, v)
+        for m in g.point_parts():
+            g.element(m)
     assert formed == []
     assert c.linear == ((0, -1), (1, -1))
     assert len(formed) == 4

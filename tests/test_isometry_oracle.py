@@ -646,8 +646,8 @@ def test_compose_and_inverse_keep_the_gram_rule(name, data):
 def test_group_elements_and_conjugacy_maps_keep_the_gram_rule():
     groups = [preset(name) for name in PRESET_NAMES]
     for g in groups:
-        for m, v in g.reps:
-            assert_gram_orthogonal(g.element(m, v))
+        for m in g.point_parts():
+            assert_gram_orthogonal(g.element(m))
     maps = _cross_frame_maps() + [conjugacy_search(g, g) for g in groups]
     for gamma in maps:
         assert_gram_orthogonal(gamma)

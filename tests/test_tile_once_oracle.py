@@ -47,11 +47,11 @@ from crystile.linalg import (Mat, hermite_column_basis, identity_mat, int_dot, i
                              mat_det, mat_mul, transpose, vec, zero_vec)
 from crystile.isometry import (Frame, Isometry, IsometryError, compose, identity_iso, inverse,
                                standard_frame, translation_iso)
-from crystile.groups import (PRESET_NAMES, WALLPAPER_NAMES, CrystalGroup, _int_group,
+from crystile.groups import (PRESET_NAMES, WALLPAPER_NAMES, CrystalGroup, _lattice_isometries,
                              generic_point, lattice_isometries, preset)
 from crystile.polytope import (ConvexPolytope, PolytopeError, _facet_edges, _fan, faces)
 from crystile.tiling import (PeriodicTiling, Provenance, _affine, _facet_problem, _int_vertices,
-                             _key, _lattice_automorphisms, _normalizes_lattice, _shape,
+                             _key, _normalizes_lattice, _shape,
                              canonical_tile, periodic_tiling, reexpress_over_lattice,
                              transform_tiling)
 from crystile.construction import GenericityCertificate, _cone, generic_apex
@@ -61,6 +61,12 @@ from conftest import pairwise_problems, table_int_closure as _int_closure
 from test_construction_oracle import CASES, _translate_match, tilings
 from test_tiling import F2, REJECTED
 from test_witness_oracle import FIXTURES
+
+
+def _lattice_automorphisms(frame: Frame):
+    """The int lattice automorphisms of frame, as the tiling module's
+    per-frame cache of them gave them before groups kept them as ints."""
+    return _lattice_isometries(frame, frame)
 
 
 # --- the code before, verbatim ------------------------------------------------------
@@ -206,7 +212,7 @@ def automorphism_group_with_embedding(tiling: PeriodicTiling):
                 gens.append((u, c))
                 aut = _int_closure(frame.dim, d, gens)
                 break
-    return _int_group(frame, d, aut), identity_iso(frame)
+    return CrystalGroup._of_ints(frame, d, aut), identity_iso(frame)
 
 
 def cone_subdivide(group: CrystalGroup, base_point, cert: GenericityCertificate) -> PeriodicTiling:
@@ -486,7 +492,7 @@ def test_transformed_tiles_match_the_two_move_code(name):
     # rep with and without a shift, and on the re-expression branch
     g = preset(name)
     shift = translation_iso(g.frame, SHIFT[:g.dim])
-    isos = [iso for m, v in g.reps for iso in (g.element(m, v), compose(shift, g.element(m, v)))]
+    isos = [iso for m in g.point_parts() for iso in (g.element(m), compose(shift, g.element(m)))]
     if g.frame.gram == identity_mat(2):
         isos += [Isometry(g.frame, ROTATION, (0, 0)), Isometry(g.frame, ROTATION, SHIFT[:2])]
     for tiling in tilings(name, 0):
