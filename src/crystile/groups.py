@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .rational import Q, rat, frac_part, isqrt_ceil
+from .rational import Q, rat, frac_part, isqrt_ceil_ratio
 from .linalg import (
     Mat,
     Vec,
@@ -364,6 +364,13 @@ class OrbitPointSet:
                 f"center={self.center!r}, sq_radius={self.sq_radius!r})")
 
 
+# Most lattice points one ball query may walk (its box on all axes but the
+# last) or keep: more come from a Gram matrix or radius far outside
+# crystallographic scale, such as a Gram entry of 10^-20, and would not end.
+MAX_BALL_POINTS = 1 << 20
+_TOO_MANY = f"a ball query walks or keeps more than MAX_BALL_POINTS = {MAX_BALL_POINTS} lattice points"
+
+
 def lattice_points_in_ball(frame: Frame, center: Vec, r2) -> list:
     """All k in Z^n with ||k - center||_G^2 <= r2, by exact box enumeration.
 
@@ -384,15 +391,21 @@ def _ball(frame: Frame, d, dc, r2) -> list:
     y = Dk - Dc and A = DG, D^3 ||k - c||_G^2 = y.Ay is an int, <= D^3 r2 iff
     <= L = floor(D^3 r2).  For y = (y', y_n), b = A_n'.y', g = y'.A'y' and
     a = A_nn > 0, y.Ay <= L iff (a y_n + b)^2 <= b^2 - a (g - L): the box is
-    walked on its first n - 1 axes, and the kept y_n are one interval."""
+    walked on its first n - 1 axes, and the kept y_n are one interval.  r2
+    (an int or Q) is read as its numerator and denominator: no Q is formed.
+    A walk or a result of more than MAX_BALL_POINTS points raises ValueError
+    before it is made."""
     e, eg = int_gram(frame)
+    rn, rd = r2.numerator, r2.denominator
     big = math.lcm(e, d)
     *dc, cn = [c * (big // d) for c in dc]
     *dg, last = [[x * (big // e) for x in row] for row in eg]
     a = last[-1]
-    ws = [isqrt_ceil(r2 * gii) for gii in _inv_gram_diag(frame)]
+    ws = [isqrt_ceil_ratio(rn * gii.numerator, rd * gii.denominator) for gii in _inv_gram_diag(frame)]
     bounds = [(ci // big - w, -(-ci // big) + w) for ci, w in zip(dc, ws)]
-    limit = math.floor(big ** 3 * r2)
+    if math.prod(hi - lo + 1 for lo, hi in bounds) > MAX_BALL_POINTS:
+        raise ValueError(_TOO_MANY)
+    limit = big ** 3 * rn // rd
     out = []
     for k in enumerate_box(bounds):
         y = [big * ki - ci for ki, ci in zip(k, dc)]
@@ -401,7 +414,10 @@ def _ball(frame: Frame, d, dc, r2) -> list:
         if bound >= 0:
             # a y_n + b = a big t + b - a cn for y_n = big t - cn
             s, b = math.isqrt(bound), b - a * cn
-            out += [k + (t,) for t in range(-((s + b) // (a * big)), (s - b) // (a * big) + 1)]
+            lo, hi = -((s + b) // (a * big)), (s - b) // (a * big)
+            if len(out) + hi - lo + 1 > MAX_BALL_POINTS:
+                raise ValueError(_TOO_MANY)
+            out += [k + (t,) for t in range(lo, hi + 1)]
     return out
 
 
@@ -495,12 +511,15 @@ def is_symmorphic(group: CrystalGroup):
     """A point P about which all reps lose their translation parts, or None.
 
     Solves the simultaneous congruences (M - 1) P = -t / d (mod Z^n) over
-    all int Seitz pairs (M, t).
+    all int Seitz pairs (M, t), the right-hand side as ints over d.
     """
     d, pairs = group._ints
     rows = tuple(r for m, _ in pairs for r in mat_sub(m, identity_mat(group.dim)))
-    sol = solve_mod_lattice(rows, tuple(Q(-x, d) for _, t in pairs for x in t))
-    return None if sol is None else tuple(frac_part(x) for x in sol)
+    sol = solve_mod_lattice(rows, d, tuple(-x for _, t in pairs for x in t))
+    if sol is None:
+        return None
+    den, xs = sol
+    return tuple(Q(x % den, den) for x in xs)
 
 
 # --- conjugacy ---------------------------------------------------------------
@@ -541,7 +560,9 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
     int inverse U^-1 = G_1^-1 U^T G_2 (the frames' int Grams, as inverse
     forms it).  (U, 0) conjugates each int Seitz pair (M, t) of g1 over d1
     to (M', U t), M' = U M U^-1, and the translation part c solves
-    U t / d1 + (1 - M') c = w (mod Z^n) for g2's rep (M', w).
+    U t / d1 + (1 - M') c = w (mod Z^n) for g2's rep (M', w): over
+    d1 d2, with g2's pair (M', T) for T = d2 w, the right-hand side is
+    d1 T - d2 U t, and gamma is formed from c's int pair.  No Q is formed.
     """
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch")
@@ -562,12 +583,13 @@ def conjugacy_search(g1: CrystalGroup, g2: CrystalGroup):
             if w is None:
                 break
             rows += mat_sub(identity_mat(n), mp)
-            rhs += (Q(d1 * a - d2 * b, d1 * d2) for a, b in zip(w, int_mat_vec(u, t)))
+            rhs += (d1 * a - d2 * b for a, b in zip(w, int_mat_vec(u, t)))
         else:
-            c = solve_mod_lattice(tuple(rows), tuple(rhs))
+            c = solve_mod_lattice(tuple(rows), d1 * d2, tuple(rhs))
             if c is not None:
-                d, (*a, t) = integral_rows((*u, tuple(frac_part(x) for x in c)))
-                return Isometry._of_ints(g1.frame, d, a, t, g2.frame)
+                d, xs = c
+                return Isometry._of_ints(g1.frame, d, tuple(tuple(d * x for x in row) for row in u),
+                                         tuple(x % d for x in xs), g2.frame)
     return None
 
 

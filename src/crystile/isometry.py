@@ -17,10 +17,12 @@ compose, inverse and the package's other producers are Gram-orthogonal by
 construction and build their results unchecked (Isometry._of_ints).  The
 inverse of an L from frame s to frame t is L^-1 = G_s^-1 L^T G_t, a product
 of the frames' int Grams, so no isometry is inverted by elimination.  The
-metric d_O is sqrt(p) + sqrt(q) of the exact rationals p, q that iso_terms
-returns, which decide witness sizes exactly; with tr L^-1 = tr L it reads q
-off the trace of A.  That sum, the operator norm of a general matrix and
-orthogonal square roots are floats.
+metric d_O is sqrt(p) + sqrt(q) of exact rationals p, q, which decide
+witness sizes exactly.  One int core, _int_terms, gives them as int pairs
+(num, den) from (m, A, B) and the origin scaled once to ints; with
+tr L^-1 = tr L it reads q off the trace of A.  The witness search works on
+those pairs, and iso_terms reads them as Q.  That sum, the operator norm of
+a general matrix and orthogonal square roots are floats.
 """
 
 from __future__ import annotations
@@ -323,28 +325,38 @@ def operator_norm(frame: Frame, m) -> float:
 
 def iso_terms(origin, a: Isometry, b: Isometry = None):
     """Exact (p, q) with d_O(a, b) = sqrt(p) + sqrt(q), n <= 3, b by default the
-    identity.  Isometries preserve both terms, so d_O(a, b) = d_O(b^-1 a, 1),
-    and for c = b^-1 a, x |-> (A x + B) / m, over the least common
-    denominator e of O: p = |c(O) - O|^2_G = y.(EG)y / (E m^2 e^2) for
-    y = A eO + e B - m eO (int_gram's E, EG), and the orthogonal L = A / m
-    has ||L - 1|| = 2 if det A < 0, and else sqrt(n - tr L^-1) (2 - 2 cos t
-    for a turn by t, 0 for L = 1), where L^-1 = G^-1 L^T G gives
-    tr L^-1 = tr L: q = 4 or n - tr A / m."""
+    identity: _int_terms of b^-1 a, as Q.  Isometries preserve both terms, so
+    d_O(a, b) = d_O(b^-1 a, 1)."""
     if a.frame != a.target or b is not None and (a.frame != b.frame or a.target != b.target):
         raise IsometryError("metric requires endomorphisms of one frame")
-    n, o = a.frame.dim, vec(origin)
-    if n > 3 or len(o) != n:
+    o = vec(origin)
+    if len(o) != a.frame.dim:
         raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
     if b is not None:
         a = compose(inverse(b), a)
+    (pn, pd), (qn, qd) = _int_terms(a, *integral(o))
+    return Q(pn, pd), Q(qn, qd)
+
+
+def _int_terms(a: Isometry, e, eo):
+    """d_O(a, 1) = sqrt(p) + sqrt(q) for an endomorphism a of an n-frame,
+    n <= 3, and the origin O = eO / e (int e > 0, int vector eO), as int
+    pairs ((pn, pd), (qn, qd)) with p = pn / pd and q = qn / qd, pd, qd > 0.
+    For a: x |-> (A x + B) / m, p = |a(O) - O|^2_G = y.(EG)y / (E m^2 e^2)
+    for y = A eO + e B - m eO (int_gram's E, EG), and the orthogonal L = A / m
+    has ||L - 1|| = 2 if det A < 0, and else sqrt(n - tr L^-1) (2 - 2 cos t
+    for a turn by t, 0 for L = 1), where L^-1 = G^-1 L^T G gives
+    tr L^-1 = tr L: q = 4 or n - tr A / m."""
+    n = len(eo)
+    if n > 3:
+        raise IsometryError("the metric needs n <= 3 and an origin of the frame's dimension")
     m, am, bm = a._ints
-    e, eo = integral(o)
     y = [x + e * t - m * c for x, t, c in zip(int_mat_vec(am, eo), bm, eo)]
     g, eg = int_gram(a.frame)
-    p = Q(int_dot(y, int_mat_vec(eg, y)), g * (m * e) ** 2)
+    p = int_dot(y, int_mat_vec(eg, y)), g * (m * e) ** 2
     if mat_det(am) < 0:
-        return p, Q(4)
-    return p, Q(n * m - sum(am[i][i] for i in range(n)), m)
+        return p, (4, 1)
+    return p, (n * m - sum(am[i][i] for i in range(n)), m)
 
 
 def iso_distance(origin, a: Isometry, b: Isometry) -> float:

@@ -331,28 +331,28 @@ def _smith(a, carry):
     return A, U, V
 
 
-def solve_mod_lattice(a_stack: Mat, b_stack: Vec):
-    """One rational solution x of  a_stack @ x = b_stack (mod Z^rows), or None.
+def solve_mod_lattice(a_stack: Mat, e, eb):
+    """One solution x of  a_stack @ x = b (mod Z^rows), or None, for the
+    right-hand side b = eb / e (int e > 0, int vector eb), as the int pair
+    (L, X) of x = X / L, L > 0.
 
-    a_stack must have integer entries; b_stack may be rational.  The Smith
-    form runs on ints with b scaled once to e b over its common denominator
-    e, so U e b comes out of the row operations without U being formed:
-    row i says D_ii y_i = (U e b)_i / e (mod Z), solvable iff e divides
-    (U e b)_i where D_ii = 0.  With y_i = (U e b)_i / (D_ii e) over the
-    common denominator L, x = V y is one Q per coordinate, (V L y)_j / L.
+    a_stack must have integer entries.  The Smith form runs on ints and
+    carries eb through its row operations, so U eb comes out without U
+    being formed: row i says D_ii y_i = (U eb)_i / e (mod Z), solvable iff e
+    divides (U eb)_i where D_ii = 0.  With y_i = (U eb)_i / (D_ii e) over
+    the common denominator L, X = V L y.  No Q is formed.
     """
     nrows = len(a_stack)
     ncols = len(a_stack[0]) if nrows else 0
     if nrows == 0:
-        return zero_vec(ncols)
-    e, eb = integral([Q(x) for x in b_stack])
+        return 1, (0,) * ncols
     D, c, V = _smith(a_stack, [[x] for x in eb])
     diag = [D[i][i] * e for i in range(min(nrows, ncols)) if D[i][i] != 0]
     if any(ci % e for (ci,) in c[len(diag):]):
         return None
     lcd = math.lcm(*diag)
     y = [ci * (lcd // di) for (ci,), di in zip(c, diag)]
-    return tuple(Q(int_dot(row, y), lcd) for row in V)
+    return lcd, tuple(int_dot(row, y) for row in V)
 
 
 def enumerate_box(bounds) -> product:

@@ -16,7 +16,10 @@ ONE = Q(1)
 
 
 def rat(value) -> "Q":
-    """Coerce ints, strings like '3' or '-5/7', and rationals to Q."""
+    """Coerce ints, strings like '3' or '-5/7', and rationals to Q; a Q is
+    returned as it is."""
+    if type(value) is Q:
+        return value
     if isinstance(value, float):
         raise TypeError("refusing float -> rational conversion; pass a string or int")
     if isinstance(value, str):
@@ -39,26 +42,22 @@ def rat_json(q):
     return rat_str(q)
 
 
-def floor_rat(q) -> int:
-    return math.floor(Q(q))
-
-
-def ceil_rat(q) -> int:
-    return math.ceil(Q(q))
-
-
 def frac_part(q) -> "Q":
     """q reduced to [0, 1)."""
     q = Q(q)
-    return q - floor_rat(q)
+    return q - q.numerator // q.denominator
 
 
 def isqrt_ceil(q) -> int:
-    """Smallest integer m >= 0 with m*m >= q (q >= 0)."""
-    q = Q(q)
-    if q < 0:
+    """Smallest integer m >= 0 with m*m >= q, for an int or Q q >= 0."""
+    return isqrt_ceil_ratio(q.numerator, q.denominator)
+
+
+def isqrt_ceil_ratio(n, d) -> int:
+    """isqrt_ceil(n / d) for ints n >= 0 and d > 0, forming no Q."""
+    if n < 0:
         raise ValueError("negative argument")
-    c = ceil_rat(q)
+    c = -(-n // d)
     m = math.isqrt(c)
     return m if m * m >= c else m + 1
 

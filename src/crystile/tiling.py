@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from operator import add, sub
 
-from .rational import Q, ZERO, rat, rat_str, frac_part, isqrt_ceil, sqrt_float
+from .rational import Q, ZERO, rat, rat_str, isqrt_ceil_ratio, sqrt_float
 from .linalg import (
     Mat,
     Vec,
@@ -62,7 +62,7 @@ from .isometry import (
     compose,
     identity_iso,
     inverse,
-    iso_terms,
+    _int_terms,
 )
 from .groups import (
     CrystalGroup,
@@ -297,7 +297,10 @@ def _int_image(tiling: PeriodicTiling, iso: Isometry):
     iso maps the cell tile t_i onto the sorted int vertex tuples
     images[i] / D, and a lattice vector k to the translation S k / D
     (S = D L, an int matrix).  With the vertices X / d and iso's int form
-    (A, B) = m (L, t), iso(X / d) = (A X + d B) / D for D = m d."""
+    (A, B) = m (L, t), iso(X / d) = (A X + d B) / D for D = m d.  iso must be
+    an endomorphism of the tiling's frame."""
+    if iso.frame != tiling.frame or iso.target != tiling.frame:
+        raise IsometryError("isometry incompatible with the tiling frame")
     d, cells = _int_vertices(tiling.cell_tiles)
     m, a, b = iso._ints
     b = tuple(d * c for c in b)
@@ -319,20 +322,24 @@ class Patch:
 
 def _tiles_near(tiling: PeriodicTiling, center, r2):
     """Yield ((num, den), cell tile t, lattice vector k) for each tile t + k
-    whose squared distance num / den (ints, den > 0) to center is <= r2, for
-    a rational r2 >= 0 (at r2 = 0, the tiles that hold center).  t lies
-    within rho of its vertex centroid q = S / w (polytope._centroid_ball),
-    so only k within r + rho of center - q qualify; the ball query takes an
-    exact bound >= (r + rho)^2, as r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2),
-    which is rho2 at r2 = 0.  Over the centre's least common denominator e,
-    the ball query gets c - q as (w ec - e S) / (e w) and yields k as int
+    whose squared distance num / den (ints, den > 0) to the centre c is
+    <= r2, for c = ec / e and r2 = rn / rd >= 0 given as the int pairs
+    center = (e, ec), ec a tuple, and r2 = (rn, rd) (at r2 = 0, the tiles
+    that hold c).  t lies within rho of its vertex centroid q = S / w
+    (polytope._centroid_ball), so only k within r + rho of c - q qualify;
+    the ball query takes an exact bound >= (r + rho)^2, as
+    r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2), which is rho2 at r2 = 0.
+    The bound is summed on ints and is the one Q formed per cell tile.  The
+    ball query gets c - q as (w ec - e S) / (e w) and yields k as int
     tuples, and each test point c - k goes to polytope._sq_distance as
-    e c - e k; its pair is compared with r2 by cross-multiplying."""
-    e, ec = integral(center)
-    rn, rd = r2.numerator, r2.denominator
+    ec - e k; its pair is compared with r2 by cross-multiplying."""
+    (e, ec), (rn, rd) = center, r2
     for t in tiling.cell_tiles:
         w, s, rho2 = _centroid_ball(t)
-        bound = r2 + rho2 + 2 * min((r2 + rho2) / 2, isqrt_ceil(r2 * rho2))
+        pn, pd = rho2.numerator, rho2.denominator
+        # r2 + rho2 = sn / sd, so the bound is 2 (r2 + rho2) or r2 + rho2 + 2 root
+        sn, sd, root = rn * pd + pn * rd, rd * pd, isqrt_ceil_ratio(rn * pn, rd * pd)
+        bound = Q(2 * sn if sn <= 2 * root * sd else sn + 2 * root * sd, sd)
         for k in _ball(tiling.frame, e * w, [w * c - e * si for c, si in zip(ec, s)], bound):
             # dist(t + k, c) = dist(t, c - k): test the cell tile, whose caches persist
             num, den = _sq_distance(t, e, tuple(c - e * ki for c, ki in zip(ec, k)))
@@ -352,24 +359,37 @@ def patch(tiling: PeriodicTiling, center, r2) -> Patch:
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
     frame = tiling.frame
-    tiles = [_moved(t, frame, 1, None, k) for _, t, k in _tiles_near(tiling, center, r2)]
+    near = _tiles_near(tiling, integral(center), (r2.numerator, r2.denominator))
+    tiles = [_moved(t, frame, 1, None, k) for _, t, k in near]
     return Patch(tiles=_sorted_tiles(tiles), center=center, sq_radius=r2)
 
 
-def _pulled_back(tiling: PeriodicTiling, iso: Isometry, center, r2) -> dict:
-    """{_key of the vertex tuple: exact squared distance} of the tiles of
-    iso(T) within r2 (>= 0) of center: they are iso(t + k) = iso(t) + L k for
-    the tiles t + k of T within r2 of iso^-1(center), L the linear part of
-    iso.  Each cell tile's image is sorted once, as ints over one
-    denominator; a translate keeps that order and adds S k to every vertex."""
-    d, s, images = _int_image(tiling, iso)
+def _preimage(iso: Isometry, e, eo):
+    """iso^-1(O) for the origin O = eo / e (int e > 0, int tuple eo) as the
+    int pair (E, X) of the point X / E over its least common denominator:
+    with inverse(iso) = (A', B') / m', X / E = (A' eo + e B') / (e m')."""
+    m, a, b = inverse(iso)._ints
+    e, (x,) = _reduced(e * m, (_affine(a, [e * c for c in b], eo),))
+    return e, x
+
+
+def _pulled_back(tiling: PeriodicTiling, image, center, r2) -> dict:
+    """{_key of the vertex tuple: squared distance (num, den)} of the tiles of
+    iso(T) within r2 = (rn, rd) of iso(c), for image = _int_image(tiling, iso)
+    and the pulled-back centre c = iso^-1(O) as the int pair center (_preimage):
+    they are iso(t + k) = iso(t) + L k for the tiles t + k of T within r2 of
+    c, L the linear part of iso, at the distance num / den that _tiles_near
+    yields.  Each cell tile's image is sorted once, as ints over one
+    denominator; a translate keeps that order and adds S k to every vertex.
+    No Q is formed."""
+    d, s, images = image
     flat = {t: (tuple(c for p in pts for c in p), len(pts))
             for t, pts in zip(tiling.cell_tiles, images)}
     out = {}
-    for d2, t, k in _tiles_near(tiling, inverse(iso)(center), r2):
+    for d2, t, k in _tiles_near(tiling, center, r2):
         base, m = flat[t]
         shift = int_mat_vec(s, k)
-        out[_key(d, map(add, base, shift * m))] = Q(*d2)
+        out[_key(d, map(add, base, shift * m))] = d2
     return out
 
 
@@ -403,12 +423,11 @@ def _normalizes_lattice(iso: Isometry) -> bool:
     return iso.frame == iso.target and all(x % m == 0 for row in a for x in row)
 
 
-def _image_keys(tiling: PeriodicTiling, iso: Isometry) -> frozenset:
-    """The tile keys of transform_tiling(tiling, iso) for an iso that
-    normalizes the lattice, without building the tiles."""
-    if iso.frame != tiling.frame or iso.target != tiling.frame:
-        raise IsometryError("isometry incompatible with the tiling frame")
-    d, _, images = _int_image(tiling, iso)
+def _image_keys(image) -> frozenset:
+    """The tile keys of transform_tiling(tiling, iso), for iso's image =
+    _int_image(tiling, iso) of an iso that normalizes the lattice, without
+    building the tiles."""
+    d, _, images = image
     return frozenset(_key(d, _flat_key(d, pts)) for pts in images)
 
 
@@ -639,11 +658,14 @@ class DistanceBound:
 
 def _pair_size_cap(terms):
     """min(RADIUS_CAP, 2^79 / (ceil(2^80 sqrt p) + ceil(2^80 sqrt q))) over d_O's
-    exact terms (p, q) of a witness pair phi, psi (terms = iso_terms of each):
-    1/(2 cap) is at least sqrt p + sqrt q, by less than 2^-79, so the cap
-    passes _size_cap by construction."""
-    ceils = (isqrt_ceil(p * (1 << 160)) + isqrt_ceil(q * (1 << 160)) for p, q in terms)
-    return min([RADIUS_CAP] + [Q(1 << 79, c) for c in ceils if c])
+    exact terms (p, q) of a witness pair phi, psi, given as the int pairs of
+    _int_terms for each: 1/(2 cap) is at least sqrt p + sqrt q, by less than
+    2^-79, so the cap passes _size_cap by construction.  The ceilings are
+    integer square roots (rational.isqrt_ceil_ratio), and the least quotient
+    has the largest sum; the cap is the one Q formed."""
+    c = max(isqrt_ceil_ratio(pn << 160, pd) + isqrt_ceil_ratio(qn << 160, qd)
+            for (pn, pd), (qn, qd) in terms)
+    return Q(1 << 79, c) if c > 1 << 59 else RADIUS_CAP
 
 
 def _pair_match_radius(t1, phi, t2, psi, origin, size_cap):
@@ -656,36 +678,55 @@ def _pair_match_radius(t1, phi, t2, psi, origin, size_cap):
     the origin (r2 = 0), then, if those agree, one patch pair at the cap.
     A tile's distance to the origin does not depend on the query radius, so
     the keys that differ at r2 = 0 are the keys that differ at the cap at
-    distance 0; when there are any, the cap comparison's radius is 0."""
+    distance 0; when there are any, the cap comparison's radius is 0.  Each
+    side's image (_int_image) and pulled-back centre are formed once, and
+    distances compare as int pairs: the radius is the one Q formed."""
+    a, b = _int_image(t1, phi), _int_image(t2, psi)
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
         # safe to compare the transformed tilings globally: no basis
         # re-expression is involved, so equality is equality in the plane
-        if _image_keys(t1, phi) == _image_keys(t2, psi):
+        if _image_keys(a) == _image_keys(b):
             return size_cap, True
-    if _pulled_back(t1, phi, origin, 0).keys() != _pulled_back(t2, psi, origin, 0).keys():
+    o = integral(origin)
+    ca, cb = _preimage(phi, *o), _preimage(psi, *o)
+    if _pulled_back(t1, a, ca, (0, 1)).keys() != _pulled_back(t2, b, cb, (0, 1)).keys():
         return ZERO, False
     cap = min(size_cap, PATCH_ENUM_RADIUS)
-    a = _pulled_back(t1, phi, origin, cap * cap)
-    b = _pulled_back(t2, psi, origin, cap * cap)
+    cn, cd = cap.numerator, cap.denominator
+    a = _pulled_back(t1, a, ca, (cn * cn, cd * cd))
+    b = _pulled_back(t2, b, cb, (cn * cn, cd * cd))
     diff = a.keys() ^ b.keys()
     if not diff:
         return cap, False
-    # the patches agree at radius r exactly when r^2 < m (m <= cap^2), so the
-    # largest such r on the grid is cap j / 2^16 with j^2 < m 2^32 / cap^2
-    m = min(d for key, d in (a | b).items() if key in diff)
-    j = max(isqrt_ceil(m * (1 << 32) / (cap * cap)) - 1, 0)
-    return cap * j / (1 << 16), False
+    # the patches agree at radius r exactly when r^2 < m = mn / md
+    # (m <= cap^2), so the largest such r on the grid is cap j / 2^16 with
+    # j^2 < m 2^32 / cap^2
+    mn = md = None
+    for key in diff:
+        num, den = a[key] if key in a else b[key]
+        if mn is None or num * md < mn * den:
+            mn, md = num, den
+    j = max(isqrt_ceil_ratio((mn << 32) * cd * cd, md * cn * cn) - 1, 0)
+    return Q(cn * j, cd << 16), False
 
 
 def _size_cap(terms, radius) -> bool:
     """Whether radius > 0 and d_O(phi, 1), d_O(psi, 1) <= s = 1/(2 radius),
-    exactly, for the pair's terms (as _pair_size_cap): sqrt p + sqrt q <= s iff
-    e = s^2 - p - q >= 0 and 4pq <= e^2."""
-    radius = Q(radius)
-    if radius <= 0:
+    exactly, for the pair's terms as _pair_size_cap takes them:
+    sqrt p + sqrt q <= s iff e = s^2 - p - q >= 0 and 4pq <= e^2.  For
+    radius = rn / rd, p = P / K and q = R / K over K = pd qd, the int
+    E = 4 rn^2 K e = rd^2 K - 4 rn^2 (P + R) has the sign of e, and
+    4pq <= e^2 iff 64 rn^4 P R <= E^2."""
+    rn, rd = radius.numerator, radius.denominator
+    if rn <= 0:
         return False
-    s2 = 1 / (4 * radius * radius)
-    return all((e := s2 - p - q) >= 0 and 4 * p * q <= e * e for p, q in terms)
+    r4 = 4 * rn * rn
+    for (pn, pd), (qn, qd) in terms:
+        p, q = pn * qd, qn * pd
+        e = rd * rd * pd * qd - r4 * (p + q)
+        if e < 0 or 4 * r4 * r4 * p * q > e * e:
+            return False
+    return True
 
 
 def _upper(radius) -> float:
@@ -708,7 +749,9 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
                 if _shape(pts) == _shape(cells[0])]
     taus = set()
     for v in anchors:
-        taus.update((v, tuple(frac_part(x + Q(1, 2)) - Q(1, 2) for x in v)))
+        # x - floor(x + 1/2) lies in [-1/2, 1/2)
+        taus.update((v, tuple(x - (2 * x.numerator + x.denominator) // (2 * x.denominator)
+                              for x in v)))
     for tau in taus:
         if all(x == 0 for x in tau):
             continue
@@ -732,9 +775,9 @@ def distance_upper_bound(origin, t1: PeriodicTiling, t2: PeriodicTiling) -> Dist
     if tilings_equal(t1, t2):
         w = (identity_iso(t1.frame), identity_iso(t1.frame), RADIUS_CAP, True)
         return DistanceBound(origin, 0.0, witness=w, tiling_a=t1, tiling_b=t2)
-    found = []
+    found, o = [], integral(origin)
     for phi, psi in default_candidates(t1, t2, origin):
-        terms = iso_terms(origin, phi), iso_terms(origin, psi)
+        terms = _int_terms(phi, *o), _int_terms(psi, *o)
         r, glob = _pair_match_radius(t1, phi, t2, psi, origin, _pair_size_cap(terms))
         if _size_cap(terms, r):
             found.append((phi, psi, r, glob))
@@ -760,13 +803,15 @@ def verify_witness(bound: DistanceBound) -> bool:
     if not (len(origin) == t1.dim and
             t1.frame == t2.frame == phi.frame == phi.target == psi.frame == psi.target):
         return False
-    if not _size_cap((iso_terms(origin, phi), iso_terms(origin, psi)), radius):
+    o = integral(vec(origin))
+    if not _size_cap((_int_terms(phi, *o), _int_terms(psi, *o)), radius):
         return False
+    a, b = _int_image(t1, phi), _int_image(t2, psi)
     if glob:
-        return (_normalizes_lattice(phi) and _normalizes_lattice(psi)
-                and _image_keys(t1, phi) == _image_keys(t2, psi))
-    r2 = radius * radius
-    return _pulled_back(t1, phi, origin, r2).keys() == _pulled_back(t2, psi, origin, r2).keys()
+        return _normalizes_lattice(phi) and _normalizes_lattice(psi) and _image_keys(a) == _image_keys(b)
+    r2 = radius.numerator ** 2, radius.denominator ** 2
+    return (_pulled_back(t1, a, _preimage(phi, *o), r2).keys()
+            == _pulled_back(t2, b, _preimage(psi, *o), r2).keys())
 
 
 def combine_witnesses(w1: DistanceBound, w2: DistanceBound) -> DistanceBound:

@@ -35,13 +35,13 @@ from crystile.isometry import _inv_gram_diag, int_gram
 from crystile.linalg import int_dot, int_mat_vec, integral, integral_rows, vec
 from crystile.polytope import ConvexPolytope, _clip, _reduced_facet, _slacks, _tight_sets
 from crystile.rational import Q, isqrt_ceil, rat
-from crystile.tiling import Patch, _tiles_near, patch
+from crystile.tiling import Patch, patch
 from crystile.voronoi import (DegenerateSiteError, DeloneCertificate, UnboundedCellError,
                               _bisector, _cell_from_sites, _cell_with_localization,
                               _orbit_contains, delone_params, voronoi_tiling)
 
 from conftest import seed0_construction
-from test_distance_oracle import old_tiles_near
+from test_distance_oracle import old_tiles_near, q_tiles_near
 
 
 # --- the code that formed Q sites, re-read rho^2 on every cut and sorted by Q ------
@@ -198,7 +198,7 @@ def old_patch(tiling, center, r2) -> Patch:
     r2 = rat(r2)
     if r2 <= 0:
         raise ValueError("squared radius must be positive")
-    tiles = sorted((t.translate(k) for _, t, k in _tiles_near(tiling, center, r2)),
+    tiles = sorted((t.translate(k) for _, t, k in old_tiles_near(tiling, center, r2)),
                    key=lambda t: t.vertices)
     return Patch(tiles=tuple(tiles), center=center, sq_radius=r2)
 
@@ -317,8 +317,7 @@ def assert_same_patch(tiling, center, r2):
     assert got == want
     for a, b in zip(got.tiles, want.tiles):
         assert_same_polytope(a, b)
-    assert [(Q(*d2), t, k) for d2, t, k in _tiles_near(tiling, vec(center), r2)] == \
-        list(old_tiles_near(tiling, vec(center), r2))
+    assert q_tiles_near(tiling, center, r2) == list(old_tiles_near(tiling, vec(center), r2))
 
 
 @pytest.mark.parametrize("kind", ["construction", "voronoi"])

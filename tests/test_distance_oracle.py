@@ -290,6 +290,14 @@ def q_sq_distance(t, e, xs):
     return Q(*_sq_distance(t, e, xs))
 
 
+def q_tiles_near(tiling, center, r2):
+    """_tiles_near about a rational centre within a rational r2, its
+    distances as Q."""
+    r2 = Q(r2)
+    near = _tiles_near(tiling, integral(vec(center)), (r2.numerator, r2.denominator))
+    return [(Q(*d2), t, k) for d2, t, k in near]
+
+
 def old_tiles_near(tiling, center, r2):
     """Yield (squared distance, cell tile t, lattice vector k) for each tile
     t + k within r2 of center.  t lies within rho of its vertex centroid q,
@@ -329,7 +337,6 @@ def test_patch_query_matches_fraction_centroids(name):
     def check(center):
         for tiling in tilings:
             for r2 in radii:
-                new = [(Q(*d2), t, k) for d2, t, k in _tiles_near(tiling, center, r2)]
-                assert new == list(old_tiles_near(tiling, center, r2))
+                assert q_tiles_near(tiling, center, r2) == list(old_tiles_near(tiling, center, r2))
 
     check()

@@ -2,7 +2,9 @@
 
 conftest.old_solve_mod_lattice is the Fraction code that solve_mod_lattice
 ran before its int rewrite, verbatim: it must return the old solution, or
-None with it, on random integer systems with rational right-hand sides.
+None with it, on random integer systems with rational right-hand sides
+(passed to solve_mod_lattice as ints over their common denominator, its
+solution read back as Q).
 
 conftest.table_validate_group and table_span_seitz are the code that ran
 before span_seitz returned its closure and validate_group closed its greedy
@@ -20,7 +22,8 @@ reports alone, and gave way to it.
 old_conjugated_rep, old_conjugacy_search and old_is_conjugate_subgroup are
 the Fraction conjugation that LD and MLD ran before they went through
 compose, inverse and CrystalGroup.contains, verbatim apart from their
-names.  On every ordered pair of same-dimension presets, and on a preset
+names and the solver old_conjugacy_search calls, now old_solve_mod_lattice
+(solve_mod_lattice takes ints).  On every ordered pair of same-dimension presets, and on a preset
 and its image under a small unimodular basis change U (Gram U^T G U) and a
 rational origin shift, conjugacy_search must return the old gamma, field
 for field, or None with it, and is_conjugate_subgroup the old verdict under
@@ -52,6 +55,7 @@ from crystile.isometry import Frame, Isometry, identity_iso, int_inv_gram, inver
 from crystile.linalg import (
     Mat,
     identity_mat,
+    integral,
     is_integral_mat,
     mat_det,
     mat_inv,
@@ -242,7 +246,8 @@ def congruence_systems(draw):
 @given(congruence_systems())
 def test_solve_mod_lattice_matches_old(system):
     a, b = system
-    assert solve_mod_lattice(a, b) == old_solve_mod_lattice(a, b)
+    sol, old = solve_mod_lattice(a, *integral(b)), old_solve_mod_lattice(a, b)
+    assert old is None if sol is None else tuple(Q(x, sol[0]) for x in sol[1]) == old
 
 
 # --- conjugacy: the Fraction code before compose/inverse/contains -------------
@@ -283,7 +288,7 @@ def old_conjugacy_search(g1, g2):
             rows += mat_sub(identity_mat(n), mprime)
             rhs += (wi - vdot(ui, v) for wi, ui in zip(w, u))
         else:
-            c = solve_mod_lattice(tuple(rows), tuple(rhs))
+            c = old_solve_mod_lattice(tuple(rows), tuple(rhs))
             if c is not None:
                 c = tuple(frac_part(x) for x in c)
                 return Isometry(g1.frame, u, c, target=g2.frame)

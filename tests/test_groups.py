@@ -4,6 +4,7 @@ import pytest
 
 from crystile import groups as groups_mod
 from crystile import isometry as isometry_mod
+from crystile import linalg as linalg_mod
 from crystile.rational import Q
 from crystile.linalg import identity_mat, mat_vec, vadd, vsub
 from crystile.isometry import Frame, identity_iso
@@ -17,6 +18,7 @@ from crystile.groups import (
     is_conjugate_subgroup,
     is_symmorphic,
     lattice_isometries,
+    lattice_points_in_ball,
     orbit_in_ball,
     preset,
     span_seitz,
@@ -163,6 +165,16 @@ def test_orbit_in_ball_p1(frame2):
     orb = orbit_in_ball(preset("p1"), (0, 0), (0, 0), 2)
     assert len(orb.sites) == 9
     assert set(orb.sites) == {(Q(a), Q(b)) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+
+
+def test_ball_query_refuses_more_points_than_its_cap(frame2):
+    # at r2 = 10^12 the plane's query would walk 2 10^6 + 1 lines and the
+    # line's would keep 2 10^6 + 1 points, both past 2^20: each is refused
+    # before it is made
+    for frame, center in ((frame2, (0, 0)), (Frame(1, ((1,),)), (0,))):
+        with pytest.raises(ValueError, match="MAX_BALL_POINTS"):
+            lattice_points_in_ball(frame, center, 10 ** 12)
+    assert len(lattice_points_in_ball(frame2, (0, 0), 100)) == 317
 
 
 def test_orbit_in_ball_tiny_radius(frame2):
@@ -441,18 +453,23 @@ def test_groups_are_their_int_pairs():
 
 def test_conjugacy_and_aut_form_no_rationals(count_calls):
     # conjugacy_search conjugates the int pairs (579 Q were formed in
-    # isometry.py for Pm-3m against itself when it conjugated isometries),
-    # and Aut returns its int closure (156 Q were formed in groups.py on the
-    # 17 seed-0 wallpaper constructions when groups stored rational reps);
-    # Q translations are formed only when reps is read
+    # isometry.py for Pm-3m against itself when it conjugated isometries)
+    # and solves its congruences on ints (144 Q were formed in groups.py and
+    # 147 in linalg.py when solve_mod_lattice took and returned Q), and Aut
+    # returns its int closure (156 Q were formed in groups.py on the 17
+    # seed-0 wallpaper constructions when groups stored rational reps); Q
+    # translations are formed only when reps is read
     g = preset("Pm-3m")
     conjugacy_search(g, g)  # fills the per-frame caches
     formed = count_calls(isometry_mod, "Q")
+    count_calls(groups_mod, "Q", formed)
+    count_calls(linalg_mod, "Q", formed)
     assert conjugacy_search(g, g).is_identity()
     assert formed == []
     tilings = [seed0_construction(name) for name in WALLPAPER_NAMES]
+    want = [preset(name).reps for name in WALLPAPER_NAMES]  # formed before counting
     formed = count_calls(groups_mod, "Q")
     auts = [automorphism_group(t) for t in tilings]
     assert formed == []
-    assert [a.reps for a in auts] == [preset(name).reps for name in WALLPAPER_NAMES]
+    assert [a.reps for a in auts] == want
     assert len(formed) == sum(a.order() * a.dim for a in auts)

@@ -161,3 +161,16 @@ def test_ld_survives_mutated_gamma_files(tmp_path, capsys, data):
     tiling = write(tmp_path, "a.json", tiling_text(name))
     run_main(capsys, ["ld", tiling, tiling, "--gamma",
                       write(tmp_path, "gamma.json", data.draw(mutated(gamma)))])
+
+
+def test_construct_and_voronoi_refuse_a_gram_far_outside_crystallographic_scale(tmp_path, capsys):
+    # a Gram entry of 10^-20 (the "huge" mutation) made the localization's
+    # ball query span about 10^10 lattice points, and the run ended in a
+    # MemoryError traceback; the ball query now refuses the box
+    data = json.loads(group_text("p1"))
+    data["gram"][0][0] = rat_json(Q(1, 10 ** 20 + 1))
+    group = write(tmp_path, "tiny.json", data)
+    for verb in ("construct", "voronoi"):
+        capsys.readouterr()
+        assert main([verb, "--group", group]) == 1
+        assert "MAX_BALL_POINTS" in capsys.readouterr().err

@@ -105,15 +105,16 @@ def test_smith_normal_form_diagonalizes():
 def test_solve_mod_lattice_simple():
     # 2x = 1/2 (mod 1) has solution x = 1/4
     a = mat([[2]])
-    sol = solve_mod_lattice(a, vec([Q(1, 2)]))
+    sol = solve_mod_lattice(a, 2, (1,))
     assert sol is not None
-    assert is_integral_vec((2 * sol[0] - Q(1, 2),))
+    (d, (x,)) = sol
+    assert is_integral_vec((2 * Q(x, d) - Q(1, 2),))
 
 
 def test_solve_mod_lattice_infeasible():
     # 0 * x = 1/2 (mod 1) is infeasible
     a = mat([[0]])
-    assert solve_mod_lattice(a, vec([Q(1, 2)])) is None
+    assert solve_mod_lattice(a, 2, (1,)) is None
 
 
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), min_size=1, max_size=5))

@@ -1,3 +1,4 @@
+import fractions
 import hashlib
 import importlib
 import importlib.util
@@ -33,7 +34,6 @@ from crystile.tiling import (
     DistanceBound,
     TilingValidationError,
     WitnessError,
-    _pulled_back,
     automorphism_group,
     automorphism_group_with_embedding,
     canonical_tile,
@@ -55,6 +55,7 @@ from crystile.tiling import (
 from crystile.voronoi import voronoi_cell, voronoi_tiling
 
 from conftest import bare, pairwise_problems, random_rational_point, rational_givens, seed0_construction
+from test_witness_oracle import pulled_back
 
 ROT90 = ((0, -1), (1, 0))
 D4 = {
@@ -212,22 +213,26 @@ def test_patch_derives_each_boundary_once(frame):
 
 
 def test_pulled_back_linalg_work_is_set_by_the_cell_tiles(square_tiling, count_calls):
-    # each cell tile's image is formed once as ints; a visited translate
-    # only adds an int shift, so a ball of 16 times the area makes the same
-    # linalg.mat_vec and linalg.vadd calls, wherever a module binds them
+    # each cell tile's image is formed once as ints, one affine map per
+    # vertex and one for the pulled-back centre; a visited translate only
+    # adds an int shift, so a ball of 16 times the area makes the same
+    # tiling._affine calls and no linalg.mat_vec or linalg.vadd call,
+    # wherever a module binds them
     tiling = transform_tiling(square_tiling, translation_iso(F2, (Q(1, 3), Q(-1, 5))))
     iso = Isometry(F2, rational_givens(2, 0, 1, Q(1, 2)), (Q(2, 7), Q(1, 3)))
     center = (Q(1, 4), Q(-2, 9))
-    _pulled_back(tiling, iso, center, 64)  # fills the cell tile's distance caches
-    calls = count_calls(linalg_mod, "mat_vec")
+    pulled_back(tiling, iso, center, 64)  # fills the cell tile's distance caches
+    calls = count_calls(tiling_mod, "_affine")
+    count_calls(linalg_mod, "mat_vec", calls)
     count_calls(linalg_mod, "vadd", calls)
     counts = []
     for r2 in (4, 64):
         calls.clear()
-        visited = len(_pulled_back(tiling, iso, center, r2))
+        visited = len(pulled_back(tiling, iso, center, r2))
         counts.append((visited, sorted(calls)))
     (small, small_calls), (large, large_calls) = counts
-    assert large > 10 * small and large_calls == small_calls
+    vertices = sum(len(t._rows) for t in tiling.cell_tiles)
+    assert large > 10 * small and large_calls == small_calls == ["_affine"] * (vertices + 1)
 
 
 @pytest.mark.parametrize("name", ["p1", "p3", "cmm"])
@@ -559,7 +564,7 @@ def test_verify_witness_refuses_isometries_and_origins_of_another_frame(square_t
 
 def test_distance_bound_takes_each_pairs_terms_once_and_inverts_nothing(square_tiling, frame2,
                                                                         count_calls):
-    # d_O's terms are formed once per candidate pair (iso_terms for phi and
+    # d_O's terms are formed once per candidate pair (_int_terms for phi and
     # for psi) and shared by the size cap and the exact size test; the
     # isometry arithmetic runs on the int forms, so nothing calls mat_inv
     # (the per-frame caches are warm after the first bound)
@@ -567,7 +572,7 @@ def test_distance_bound_takes_each_pairs_terms_once_and_inverts_nothing(square_t
     voronoi = voronoi_tiling(preset("p2"), generic_point(preset("p2"), 0))
     moved = transform_tiling(voronoi, translation_iso(frame2, (Q(1, 29), Q(-1, 31))))
     inversions = count_calls(linalg_mod, "mat_inv")
-    terms = count_calls(tiling_mod, "iso_terms")
+    terms = count_calls(tiling_mod, "_int_terms")
     for a, b in ((square_tiling, shifted), (voronoi, moved)):
         distance_upper_bound((0, 0), a, b)
         inversions.clear()
@@ -586,8 +591,8 @@ def test_distance_bound_takes_each_pairs_terms_once_and_inverts_nothing(square_t
 METRIC_WITNESS_DIGEST = "e05c3c81431cc3c612adf94524921afe0e8e9cdca91e5b0857e86d80222230b2"
 
 
-def test_metric_workload_witnesses_are_pinned():
-    # each witness as (phi's int form, psi's int form, exact radius, global flag)
+def metric_jobs(seeds):
+    """The benchmark's metric-2d job lists at the seeds (bench/workloads.py)."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -596,18 +601,46 @@ def test_metric_workload_witnesses_are_pinned():
         spec.loader.exec_module(workloads)
         names = ("isometry", "polytope", "groups", "voronoi", "tiling")
         cr = SimpleNamespace(**{m: importlib.import_module(f"crystile.{m}") for m in names})
-        rows = []
-        for seed in (0, 1, 2):
-            for job in workloads.metric_2d(cr, seed, None):
-                out = job.run()
-                job.check(out)
-                bounds = [out[0]] if job.name == "bound voronoi" else [out[0][0], out[1]]
-                rows += [(phi._ints, psi._ints, rat_str(r), glob)
-                         for phi, psi, r, glob in (b.witness for b in bounds if b is not None)]
+        return [workloads.metric_2d(cr, seed, None) for seed in seeds]
     finally:
         del sys.modules[spec.name]
+
+
+def test_metric_workload_witnesses_are_pinned():
+    # each witness as (phi's int form, psi's int form, exact radius, global flag)
+    rows = []
+    for jobs in metric_jobs((0, 1, 2)):
+        for job in jobs:
+            out = job.run()
+            job.check(out)
+            bounds = [out[0]] if job.name == "bound voronoi" else [out[0][0], out[1]]
+            rows += [(phi._ints, psi._ints, rat_str(r), glob)
+                     for phi, psi, r, glob in (b.witness for b in bounds if b is not None)]
     assert len(rows) == 66
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == METRIC_WITNESS_DIGEST
+
+
+def test_metric_workload_forms_few_fractions(monkeypatch):
+    # one warm pass of the seed-0 metric-2d jobs (11 shift-chain bounds, 10
+    # compositions, the p2 Voronoi bound), their output checks not counted:
+    # the job list runs twice, as the benchmark repeats its passes, and the
+    # second run is counted.  It formed 2,467 Fractions when the d_O terms,
+    # size caps, pulled-back centres, patch distances and ball bounds were
+    # Q; left are the size caps, the witness radii, one ball bound per cell
+    # tile, default_candidates' half-shift anchors and the int origins that
+    # distance_upper_bound reads as Q
+    (jobs,) = metric_jobs((0,))
+    for job in jobs:
+        job.check(job.run())
+    formed = []
+    real = fractions.Fraction.__new__
+    monkeypatch.setattr(fractions.Fraction, "__new__",
+                        lambda cls, *a, **k: formed.append(cls) or real(cls, *a, **k))
+    outs = [job.run() for job in jobs]
+    monkeypatch.undo()
+    for job, out in zip(jobs, outs):
+        job.check(out)
+    assert len(formed) == 188
 
 
 def test_shift_bound_stops_at_the_centre_when_it_differs(square_tiling, frame2, count_calls):

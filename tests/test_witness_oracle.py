@@ -11,10 +11,18 @@ every radius agreed with it on the quarter squares, the shift chain and the
 shifted p2 Voronoi tiling below and gave way to it; those tests keep their
 names.  `old_transformed_patch` is the transformed patch that the pulled-back
 keys replaced, built through the public patch and transform.
+
+`old_pulled_back` is the pulled-back patch that formed the centre
+iso^-1(O) and every distance as Q, verbatim apart from its name and the
+call of the ball query, which it makes with the Q centre and radius it was
+given (q_centre_tiles_near).  The cap-only search reads it, and the int
+_pulled_back must give the same keys and distances on hypothesis-drawn
+isometries, origins and radii (r2 = 0 among them).
 """
 
 import random
 from functools import lru_cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,21 +33,25 @@ from crystile.isometry import (
     Isometry,
     identity_iso,
     inverse,
-    iso_terms,
     standard_frame,
     translation_iso,
 )
-from crystile.linalg import vec
+from crystile.linalg import int_mat_vec, integral, vec
 from crystile.polytope import ConvexPolytope, sq_distance_point
 from crystile.rational import Q, ZERO, isqrt_ceil, rat
 from crystile.tiling import (
     PATCH_ENUM_RADIUS,
     Patch,
     _image_keys,
+    _int_image,
+    _int_terms,
+    _key,
     _normalizes_lattice,
     _pair_match_radius,
     _pair_size_cap,
+    _preimage,
     _pulled_back,
+    _tiles_near,
     default_candidates,
     distance_upper_bound,
     patch,
@@ -66,7 +78,41 @@ def old_transformed_patch(tiling, iso, center, r2) -> Patch:
 
 def size_cap(phi, psi, origin):
     """The pair's exact size cap, as distance_upper_bound computes it."""
-    return _pair_size_cap((iso_terms(origin, phi), iso_terms(origin, psi)))
+    o = integral(vec(origin))
+    return _pair_size_cap((_int_terms(phi, *o), _int_terms(psi, *o)))
+
+
+def pulled_back(tiling, iso, center, r2):
+    """_pulled_back about iso(c) for a rational centre c within a rational
+    r2, its distances as Q."""
+    r2 = Q(r2)
+    image, centre = _int_image(tiling, iso), _preimage(iso, *integral(vec(center)))
+    near = _pulled_back(tiling, image, centre, (r2.numerator, r2.denominator))
+    return {key: Q(*d2) for key, d2 in near.items()}
+
+
+# --- the Q pulled-back patch --------------------------------------------------------
+
+def q_centre_tiles_near(tiling, center, r2):
+    """The ball query about a Q centre within a Q r2, as it was called."""
+    return _tiles_near(tiling, integral(center), (r2.numerator, r2.denominator))
+
+
+def old_pulled_back(tiling, iso, center, r2) -> dict:
+    """{_key of the vertex tuple: exact squared distance} of the tiles of
+    iso(T) within r2 (>= 0) of center: they are iso(t + k) = iso(t) + L k for
+    the tiles t + k of T within r2 of iso^-1(center), L the linear part of
+    iso.  Each cell tile's image is sorted once, as ints over one
+    denominator; a translate keeps that order and adds S k to every vertex."""
+    d, s, images = _int_image(tiling, iso)
+    flat = {t: (tuple(c for p in pts for c in p), len(pts))
+            for t, pts in zip(tiling.cell_tiles, images)}
+    out = {}
+    for d2, t, k in q_centre_tiles_near(tiling, inverse(iso)(center), r2):
+        base, m = flat[t]
+        shift = int_mat_vec(s, k)
+        out[_key(d, map(add, base, shift * m))] = Q(*d2)
+    return out
 
 
 # --- fixtures ------------------------------------------------------------------
@@ -177,8 +223,8 @@ def test_pulled_back_keys_match_transformed_patches():
         for r2 in (Q(1, 9), Q(2)):
             old = old_transformed_patch(tiling, iso, center, r2)
             expected = {int_key(t): sq_distance_point(t, center) for t in old.tiles}
-            got = tiling_mod._pulled_back(tiling, iso, center, r2)
-            assert got == expected
+            got = pulled_back(tiling, iso, center, r2)
+            assert got == expected == old_pulled_back(tiling, iso, vec(center), r2)
             decoded = {tuple(tuple(Q(c, k[0]) for c in k[i:i + 2]) for i in range(1, len(k), 2))
                        for k in got}
             assert decoded == old.keys()
@@ -208,11 +254,11 @@ def cap_pair_match_radius(t1, phi, t2, psi, origin, size_cap):
     if _normalizes_lattice(phi) and _normalizes_lattice(psi):
         # safe to compare the transformed tilings globally: no basis
         # re-expression is involved, so equality is equality in the plane
-        if _image_keys(t1, phi) == _image_keys(t2, psi):
+        if _image_keys(_int_image(t1, phi)) == _image_keys(_int_image(t2, psi)):
             return size_cap, True
     cap = min(size_cap, PATCH_ENUM_RADIUS)
-    a = _pulled_back(t1, phi, origin, cap * cap)
-    b = _pulled_back(t2, psi, origin, cap * cap)
+    a = old_pulled_back(t1, phi, origin, cap * cap)
+    b = old_pulled_back(t2, psi, origin, cap * cap)
     diff = a.keys() ^ b.keys()
     if not diff:
         return cap, False
@@ -287,3 +333,16 @@ def test_centre_first_search_matches_cap_search_at_random_isometries(name, seed,
     (radius, glob), queries = same_as_cap_search(t1, phi, t2, psi, origin)
     # the global test needs no ball query; 2 queries means the centre differs
     assert queries == 0 if glob else queries == 4 or (queries == 2 and radius == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FIXTURES) + ["square"]), st.integers(0, 10**6),
+       st.sampled_from([ZERO, Q(1, 50), Q(1, 3), Q(2), Q(9, 2)]))
+def test_int_pulled_back_matches_the_q_pulled_back(name, seed, r2):
+    # rotations, reflections and shifts that mostly do not normalize Z^2,
+    # about origins whose pulled-back centres have large denominators
+    rng = random.Random(seed)
+    tiling = SQUARE if name == "square" else FIXTURES[name]
+    iso = random_rational_isometry(rng, F2, span=3)
+    origin = random_rational_point(rng, 2, span=3)
+    assert pulled_back(tiling, iso, origin, r2) == old_pulled_back(tiling, iso, origin, r2)
