@@ -48,13 +48,9 @@ def frac_part(q) -> "Q":
     return q - q.numerator // q.denominator
 
 
-def isqrt_ceil(q) -> int:
-    """Smallest integer m >= 0 with m*m >= q, for an int or Q q >= 0."""
-    return isqrt_ceil_ratio(q.numerator, q.denominator)
-
-
 def isqrt_ceil_ratio(n, d) -> int:
-    """isqrt_ceil(n / d) for ints n >= 0 and d > 0, forming no Q."""
+    """Smallest integer m >= 0 with m*m >= n / d, for ints n >= 0 and d > 0,
+    forming no Q."""
     if n < 0:
         raise ValueError("negative argument")
     c = -(-n // d)

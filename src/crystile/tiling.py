@@ -328,7 +328,8 @@ def _tiles_near(tiling: PeriodicTiling, center, r2):
     that hold c).  t lies within rho of its vertex centroid q = S / w
     (polytope._centroid_ball), so only k within r + rho of c - q qualify;
     the ball query takes an exact bound >= (r + rho)^2, as
-    r rho <= (r2 + rho2)/2, isqrt_ceil(r2 rho2), which is rho2 at r2 = 0.
+    r rho <= (r2 + rho2)/2 and r rho <= ceil(sqrt(r2 rho2)) (rational.isqrt_ceil_ratio),
+    which is rho2 at r2 = 0.
     The bound is summed on ints and is the one Q formed per cell tile.  The
     ball query gets c - q as (w ec - e S) / (e w) and yields k as int
     tuples, and each test point c - k goes to polytope._sq_distance as

@@ -14,7 +14,7 @@ from crystile.groups import (
     _int_seitz_translation,
     preset,
 )
-from crystile.rational import ONE, Q, ZERO, frac_part, rat
+from crystile.rational import ONE, Q, ZERO, frac_part, isqrt_ceil_ratio, rat
 from crystile.linalg import (
     int_mat_mul,
     Mat,
@@ -52,6 +52,12 @@ from crystile.polytope import (
     volume,
 )
 from crystile.tiling import PeriodicTiling, periodic_tiling
+
+
+def isqrt_ceil(q) -> int:
+    """Smallest integer m >= 0 with m*m >= q, for an int or Q q >= 0: the
+    rational form of isqrt_ceil_ratio that the reference code reads."""
+    return isqrt_ceil_ratio(q.numerator, q.denominator)
 
 
 @pytest.fixture

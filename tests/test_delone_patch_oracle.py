@@ -3,23 +3,29 @@
 old_orbit_in_ball, old_cell_from_sites (with old_cell_with_localization and
 old_delone_params around them) and old_patch are the code before orbit
 sites became Q only when read, before the circumradius was re-read only
-when a clip cuts off the farthest vertex, and before patch tiles were
-moved and sorted on int rows.  They are kept verbatim apart from their
-names: the old orbit forms every site's Q tuple, the old cell re-reads
-rho^2 after every clip that changes the cell, and the old patch translates
-through the public translate and sorts by the Q vertex tuples.
+when a clip cuts off the farthest vertex, before the localization started
+from the lattice-translate cell in one pass of at most two orbit queries,
+and before patch tiles were moved and sorted on int rows.  They are kept
+verbatim apart from their names: the old orbit forms every site's Q
+tuple, the old cell clips a coordinate box in rounds of growing radius and
+re-reads rho^2 after every clip that changes the cell, and the old patch
+translates through the public translate and sorts by the Q vertex tuples.
 
 These are the one reference of the Voronoi cell code: the earlier ones
 gave way to them, and test_voronoi_oracle.py runs them on the further
 inputs those ran on.  The new code must give the same certified cells
-(rows, facets and tight sets), the same rho^2 and localization radius
-(check_cell) and the same DeloneCertificate (check_certificate) on every
-preset at seeds 0-2 and on 100 hypothesis points; the same orbit results (equality, hash and Q sites)
-between the lazy and the eager build; and the same Patch, tile by tile
-with facets and tight sets, with the ball query yielding what
-test_distance_oracle's old_tiles_near yields (assert_same_patch), on
-every preset's seed-0 construction and Voronoi tiling at three radii and
-two centres.
+(rows, facets in order and tight sets), the same rho^2 and localization
+radius (check_cell) and the same DeloneCertificate (check_certificate) on
+every preset at seeds 0-2, on 100 hypothesis points, and for P1 and the
+point-reflection group over preset Grams in unimodular bases and over
+skewed Grams; forced to the old rounds' radii, it must raise
+UnboundedCellError exactly where the old round did not certify and give
+the same cell elsewhere (check_rounds); the same orbit results (equality,
+hash and Q sites) between the lazy and the eager build; and the same
+Patch, tile by tile with facets and tight sets, with the ball query
+yielding what test_distance_oracle's old_tiles_near yields
+(assert_same_patch), on every preset's seed-0 construction and Voronoi
+tiling at three radii and two centres.
 """
 
 from functools import lru_cache
@@ -29,18 +35,19 @@ from math import lcm
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from crystile import voronoi
 from crystile.groups import (PRESET_NAMES, OrbitPointSet, _ball, generic_point, orbit_in_ball,
-                             preset, stabilizer)
-from crystile.isometry import _inv_gram_diag, int_gram
-from crystile.linalg import int_dot, int_mat_vec, integral, integral_rows, vec
+                             preset, span_seitz, stabilizer)
+from crystile.isometry import Frame, _inv_gram_diag, hexagonal_frame, int_gram, standard_frame
+from crystile.linalg import int_dot, int_mat_vec, integral, integral_rows, mat_mul, transpose, vec
 from crystile.polytope import ConvexPolytope, _clip, _reduced_facet, _slacks, _tight_sets
-from crystile.rational import Q, isqrt_ceil, rat
+from crystile.rational import Q, rat
 from crystile.tiling import Patch, patch
 from crystile.voronoi import (DegenerateSiteError, DeloneCertificate, UnboundedCellError,
-                              _bisector, _cell_from_sites, _cell_with_localization,
+                              _bisector, _cell_with_localization,
                               _orbit_contains, delone_params, voronoi_tiling)
 
-from conftest import seed0_construction
+from conftest import isqrt_ceil, seed0_construction
 from test_distance_oracle import old_tiles_near, q_tiles_near
 
 
@@ -245,18 +252,21 @@ def check_certificate(g, x):
 def check_rounds(g, x):
     """The certifying round of the old localization and the rounds at
     smaller radii, where the box survives (None) or the cell is not yet
-    certified, one call each: the same orbit and the same cell from its sites."""
+    certified, against the localization forced to each radius: the same
+    orbit, UnboundedCellError exactly where the old round does not
+    certify, and otherwise the same cell and rho^2."""
     d2 = old_cell_with_localization(g, x, x, None)[1]
     for r2 in (d2, d2 / 4, d2 / 16):
         d, sites = assert_same_orbit(g, x, x, r2)._ints
         dx0 = integral(x, d)[1]
-        others = [s for s in sites if s != dx0]
-        found = _cell_from_sites(g.frame, x, d, others, r2)
-        want = old_cell_from_sites(g.frame, x, d, others, r2)
-        assert (found is None) == (want is None)
-        if found is not None:
-            assert_same_polytope(found[0], want[0])
-            assert found[1] == want[1]
+        want = old_cell_from_sites(g.frame, x, d, [s for s in sites if s != dx0], r2)
+        if want is None or 4 * want[1] > r2:
+            with pytest.raises(UnboundedCellError):
+                _cell_with_localization(g, x, x, r2)
+        else:
+            cell, used, rho2 = _cell_with_localization(g, x, x, r2)
+            assert_same_polytope(cell, want[0])
+            assert (used, rho2) == (r2, want[1])
 
 
 @pytest.mark.parametrize("case, seed", [(c, s) for c in PRESET_NAMES for s in range(3)])
@@ -285,6 +295,89 @@ def test_cell_matches_old_cell_at_drawn_points(dim, data):
     assume(len(stabilizer(g, x)) == 1)
     check_cell(g, x)
     check_certificate(g, x)
+
+
+def lattice_group(gram, reflect):
+    """P1 over the Gram matrix, or with reflect the point-reflection group."""
+    n = len(gram)
+    minus = tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
+    return span_seitz(Frame(n, gram), [(minus, (0,) * n)] if reflect else [])
+
+
+def unimodular(n, shears):
+    """The product of the elementary matrices I + c E_ij (i != j) of shears."""
+    u = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    for i, j, c in shears:
+        if i != j:
+            u = mat_mul(u, tuple(tuple(int(r == k) + c * (r == i and k == j) for k in range(n))
+                                 for r in range(n)))
+    return u
+
+
+def skew_gram(n, a):
+    return ((1, a), (a, 1)) if n == 2 else ((1, a, 0), (a, 1, 0), (0, 0, 1))
+
+
+def drawn_site(data, g):
+    x = data.draw(st.tuples(*[drawn_rationals(data.draw(st.sampled_from([1, 3])))] * g.dim))
+    assume(len(stabilizer(g, x)) == 1)
+    return x
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cell_matches_old_cell_over_unimodular_frames(dim, data):
+    # the start cell is a parallelepiped of the frame's basis: the preset
+    # Grams in bases U^T G U, U a product of up to three unit shears, so the
+    # basis vectors are neither orthogonal nor shortest; cells, rho^2, the
+    # localization radius, the certificate and the forced-radius rounds
+    grams = [standard_frame(dim).gram] + ([hexagonal_frame().gram] if dim == 2 else [])
+    gram = data.draw(st.sampled_from(grams))
+    shears = data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                                          st.sampled_from([-1, 1])), max_size=3))
+    u = unimodular(dim, shears)
+    g = lattice_group(mat_mul(transpose(u), mat_mul(gram, u)), data.draw(st.booleans()))
+    x = drawn_site(data, g)
+    check_cell(g, x)
+    check_certificate(g, x)
+    check_rounds(g, x)
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("a", [Q(1, 2), Q(99, 100), Q(9999, 10000)])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_cell_matches_old_cell_over_skewed_frames(a, dim, reflect, data):
+    # [[1, a], [a, 1]] and [[1, a, 0], [a, 1, 0], [0, 0, 1]]: toward a = 1
+    # the start cell is a long thin parallelepiped, and e_1 - e_2 is short
+    g = lattice_group(skew_gram(dim, a), reflect)
+    x = drawn_site(data, g)
+    check_cell(g, x)
+    check_certificate(g, x)
+
+
+def test_skewed_cell_fetches_fewer_sites(monkeypatch):
+    # P1 over [[1, a, 0], [a, 1, 0], [0, 0, 1]], a = 9999/10000, at the
+    # seed-0 generic point: 775 sites within 2 max g_ii, run out with
+    # 4 rho^2 > 2, then 775 within 4 rho^2, where the box round at 4
+    # fetched 2,069
+    sites = []
+    real = voronoi.orbit_in_ball
+
+    def orbit(*args):
+        out = real(*args)
+        sites.append(len(out._ints[1]))
+        return out
+
+    g = lattice_group(skew_gram(3, Q(9999, 10000)), False)
+    x = generic_point(g, 0)
+    monkeypatch.setattr(voronoi, "orbit_in_ball", orbit)
+    _cell_with_localization(g, x, x, None)
+    assert sites == [775, 775]
+    monkeypatch.undo()
+    assert len(old_orbit_in_ball(g, x, x, old_cell_with_localization(g, x, x, None)[1])._ints[1]) == 2069
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -46,11 +46,11 @@ from crystile.polytope import (
     faces,
     sq_distance_point,
 )
-from crystile.rational import Q, ZERO, isqrt_ceil, rat
+from crystile.rational import Q, ZERO, rat
 from crystile.tiling import _tiles_near
 from crystile.voronoi import voronoi_tiling
 
-from conftest import bare, old_centroid, old_ring, seed0_construction
+from conftest import bare, isqrt_ceil, old_centroid, old_ring, seed0_construction
 
 
 # --- the code that formed every Gram product per call -----------------------------

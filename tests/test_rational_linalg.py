@@ -8,7 +8,7 @@ from crystile.isometry import Frame, int_gram
 from crystile.rational import (
     Q,
     frac_part,
-    isqrt_ceil,
+    isqrt_ceil_ratio,
     rat,
     rat_json,
     rat_str,
@@ -60,7 +60,7 @@ def test_rat_str_roundtrip():
 @given(rationals)
 def test_isqrt_bounds(q):
     q = abs(q)
-    hi = isqrt_ceil(q)
+    hi = isqrt_ceil_ratio(q.numerator, q.denominator)
     assert hi * hi >= q and (hi == 0 or (hi - 1) ** 2 < q)
 
 

@@ -27,9 +27,10 @@ from hypothesis import given, settings, strategies as st
 
 from crystile.isometry import Isometry, _int_terms, identity_iso, iso_distance, iso_terms, standard_frame
 from crystile.linalg import identity_mat, integral
-from crystile.rational import Q, isqrt_ceil
+from crystile.rational import Q
 from crystile.tiling import RADIUS_CAP, _pair_size_cap, _size_cap
 
+from conftest import isqrt_ceil
 from test_isometry_oracle import FRAMES, gram_orthogonal, old_iso_distance, old_iso_size, rationals
 
 

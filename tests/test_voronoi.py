@@ -17,13 +17,15 @@ from crystile.groups import (
 from crystile.polytope import faces, volume
 from crystile.voronoi import (
     DegenerateSiteError,
-    _cell_from_sites,
+    _cell_with_localization,
     cell_with_certificate,
     delone_params,
     voronoi_cell,
     voronoi_tiling,
 )
 from crystile.tiling import prototiles
+
+from test_delone_patch_oracle import check_rounds
 
 
 def test_delone_z2():
@@ -75,30 +77,30 @@ def test_voronoi_cell_z2():
     assert set(cell.vertices) == {(-h, -h), (-h, h), (h, -h), (h, h)}
 
 
-def test_voronoi_cell_simplex_sites(frame2):
-    # the cell of the origin among explicit int sites, certified inside the
-    # ball of squared radius 16 / 4, with squared circumradius 5/2
-    sites = [(1, 0), (0, 1), (-1, -1)]
-    cell, rho2 = _cell_from_sites(frame2, (0, 0), 1, sites, 16)
-    assert rho2 == Q(5, 2)
-    assert set(cell.vertices) == {
-        (Q(1, 2), Q(1, 2)),
-        (Q(1, 2), Q(-3, 2)),
-        (Q(-3, 2), Q(1, 2)),
-    }
+def test_voronoi_cell_hexagonal_lattice():
+    # the lattice over the Gram [[2, -1], [-1, 2]], whose six nearest sites
+    # +-(1, 0), +-(0, 1), +-(1, 1) hold the simplex (1, 0), (0, 1), (-1, -1):
+    # the cell of the origin is the hexagon they cut, certified at the first
+    # radius; forced to that radius, a quarter and a sixteenth of it, the
+    # localization certifies exactly where the old box rounds did
+    g = span_seitz(Frame(2, ((2, -1), (-1, 2))), [])
+    cell, used, rho2 = _cell_with_localization(g, (0, 0), None, None)
+    assert (used, rho2) == (8, Q(2, 3))
+    t, u = Q(1, 3), Q(2, 3)
+    assert set(cell.vertices) == {(t, u), (u, t), (t, -t), (-t, t), (-t, -u), (-u, -t)}
+    check_rounds(g, (0, 0))
 
 
-def test_voronoi_cell_rectangular_sites(frame2):
-    # 2Z x Z around the origin: rectangle [-1,1] x [-1/2,1/2]
-    sites = [(2, 0), (-2, 0), (0, 1), (0, -1), (2, 1), (-2, 1), (2, -1), (-2, -1)]
-    cell, rho2 = _cell_from_sites(frame2, (0, 0), 1, sites, 16)
-    assert rho2 == Q(5, 4)
-    assert set(cell.vertices) == {
-        (Q(-1), Q(-1, 2)),
-        (Q(-1), Q(1, 2)),
-        (Q(1), Q(-1, 2)),
-        (Q(1), Q(1, 2)),
-    }
+def test_voronoi_cell_rectangular_sites():
+    # 2Z x Z as the lattice over the Gram diag(4, 1): the cell of the origin
+    # is the rectangle |x_i| <= 1/2 in lattice coordinates, [-1, 1] x
+    # [-1/2, 1/2] in Cartesian ones; the forced radii as above
+    g = span_seitz(Frame(2, ((4, 0), (0, 1))), [])
+    cell, used, rho2 = _cell_with_localization(g, (0, 0), None, None)
+    assert (used, rho2) == (16, Q(5, 4))
+    h = Q(1, 2)
+    assert set(cell.vertices) == {(-h, -h), (-h, h), (h, -h), (h, h)}
+    check_rounds(g, (0, 0))
 
 
 def test_localization_doubling_stable():
@@ -191,16 +193,9 @@ def test_voronoi_cell_rejects_foreign_point():
         voronoi_cell(preset("p1"), (0, 0), x0=(Q(1, 3), 0))
 
 
-def test_single_site_unbounded(frame2):
-    # alone or with one other site, the cell is unbounded: it reaches past
-    # the ball of every round, so no round certifies it
-    assert _cell_from_sites(frame2, (0, 0), 1, [], 16) is None
-    assert _cell_from_sites(frame2, (0, 0), 1, [(1, 0)], 4 ** 6) is None
-
-
 def test_p222_cells_carry_their_facets(count_calls):
-    # the cell is clipped from a box with its facets known throughout, so
-    # no halfspace intersection runs
+    # the cell is clipped from the lattice-translate cell with its facets
+    # known throughout, so no halfspace intersection runs
     calls = count_calls(polytope, "halfspace_intersection")
     g = preset("P222")
     x = generic_point(g, 0)
@@ -209,8 +204,9 @@ def test_p222_cells_carry_their_facets(count_calls):
     assert calls == []
 
 
-# the clips of the seed-0 cells that change the cell (clip returns a new polytope)
-SEED0_CUTS = {"P222": 15, "Pm-3m": 4, "p6m": 3}
+# the clips of the seed-0 cells that change the cell (clip returns a new polytope);
+# from the box the P222 cell took 15, three of them by the bisectors of x0 +- e_i
+SEED0_CUTS = {"P222": 12, "Pm-3m": 4, "p6m": 3}
 
 
 @pytest.mark.parametrize("name, clips", [("P222", 44), ("Pm-3m", 283), ("p6m", 24)])
@@ -237,8 +233,9 @@ def test_delone_params_calls_the_traced_orbit_query_and_clip(monkeypatch):
     # the bench tracer counts voronoi.localization_rounds and
     # voronoi.orbit_sites from the orbit_in_ball calls that delone_params
     # makes through voronoi's binding; a refactor that bypassed it would
-    # zero them.  The counts are those of the Fraction cell code, for the
-    # first Delone point of the space-3d benchmark at seed 0.
+    # zero them.  For the first Delone point of the space-3d benchmark at
+    # seed 0 the one query at 2 max g_ii = 2 fetches 58 sites, where the
+    # box round at 4 fetched 124, and the clips stop after the same 28.
     orbits, clips = [], []
     real_orbit, real_clip = voronoi.orbit_in_ball, voronoi._clip
 
@@ -251,7 +248,7 @@ def test_delone_params_calls_the_traced_orbit_query_and_clip(monkeypatch):
     monkeypatch.setattr(voronoi, "_clip", lambda *args: clips.append(1) or real_clip(*args))
     x = (Q(18, 47), Q(29, 43), Q(12, 19))
     cert = delone_params(preset("P222"), x)
-    assert orbits == [124]
+    assert orbits == [58]
     assert len(clips) == 28
     assert cert.localization_sq_radius == 4
 
@@ -259,12 +256,48 @@ def test_delone_params_calls_the_traced_orbit_query_and_clip(monkeypatch):
 def test_delone_params_forms_no_site_fractions_and_rereads_few_radii(count_calls):
     # the localization reads the orbit's int sites, so no site's Q tuple is
     # formed: groups.Q makes only the stabilizer's identity translation (3),
-    # where forming the 124 sites made 372 more.  The circumradius is re-read
-    # only when a clip cuts off the farthest vertex: 10 reads, where reading
-    # it after every cut made 16 (the box, then 15 of the 28 clips)
+    # where forming the 58 sites would make 174 more.  The circumradius is
+    # re-read only when a clip cuts off the farthest vertex: 5 reads, where
+    # reading it after every cut would make 13 (the start cell, then 12 of
+    # the 28 clips); from the box the same rule read it 10 times
     g = preset("P222")
     q_calls = count_calls(groups, "Q")
     radii = count_calls(voronoi, "_farthest_vertex")
     delone_params(g, (Q(18, 47), Q(29, 43), Q(12, 19)))
     assert len(q_calls) == 3
-    assert len(radii) == 10
+    assert len(radii) == 5
+
+
+def test_space3d_pass_fetches_few_sites(monkeypatch):
+    # one seed-0 pass of the space-3d benchmark: construct P1, a patch of it
+    # and the ten P222 Delone certificates.  From the lattice-translate cell,
+    # with a second orbit query only where the sites within 2 max g_ii run
+    # out uncertified (once here), the cells fetch 602 orbit sites in 12
+    # queries, clip 324 times, cut 120 times and re-read the circumradius 59
+    # times; the box rounds fetched 1,338 sites in 11 queries, clipped 324
+    # times, cut 150 times and re-read 113.  The second query clips only
+    # the sites past the first radius: clipping all of them made 342 clips
+    from crystile.construction import construct_tiling
+    from crystile.tiling import patch
+    from test_voronoi_oracle import DELONE_POINTS
+
+    sites, cuts, reads = [], [], []
+    real_orbit, real_clip, real_far = voronoi.orbit_in_ball, voronoi._clip, voronoi._farthest_vertex
+
+    def orbit(*args):
+        out = real_orbit(*args)
+        sites.append(len(out._ints[1]))
+        return out
+
+    def clip(poly, h):
+        out = real_clip(poly, h)
+        cuts.append(out is not poly)
+        return out
+
+    monkeypatch.setattr(voronoi, "orbit_in_ball", orbit)
+    monkeypatch.setattr(voronoi, "_clip", clip)
+    monkeypatch.setattr(voronoi, "_farthest_vertex", lambda *args: reads.append(1) or real_far(*args))
+    patch(construct_tiling(preset("P1"), 0), (Q(15, 17), Q(16, 37), Q(3, 11)), 1)
+    for x in DELONE_POINTS:
+        delone_params(preset("P222"), tuple(Q(c) for c in x))
+    assert (sum(sites), len(sites), len(cuts), sum(cuts), len(reads)) == (602, 12, 324, 120, 59)

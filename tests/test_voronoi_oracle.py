@@ -7,8 +7,9 @@ Fraction arithmetic.  Each agreed exactly with the newest reference,
 old_cell_with_localization and old_cell_from_sites, on the inputs below,
 and gave way to it; the tests keep their names.  Here that reference runs
 on the inputs the earlier ones ran on and the tests of
-test_delone_patch_oracle.py do not: the localization rounds (orbit and
-cell from its sites at three radii) at every preset's seeds 0-2 and at
+test_delone_patch_oracle.py do not: the old localization rounds against
+the localization forced to their three radii (check_rounds) at every
+preset's seeds 0-2 and at
 drawn points with up to ten-digit denominators, the orbit at ten-digit base
 points, the Delone certificate at every preset's seeds 0-2, and all of
 these at the Delone points of the space-3d benchmark.  The carried facets of every certified cell are
@@ -24,10 +25,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset, stabilizer
 from crystile.linalg import gram_norm2, mat_vec, vadd, vsub
-from crystile.rational import Q, isqrt_ceil
+from crystile.rational import Q
 from crystile.voronoi import _cell_with_localization, delone_params
 
-from conftest import facet_key_set, recovered_facets
+from conftest import facet_key_set, isqrt_ceil, recovered_facets
 from test_delone_patch_oracle import (assert_same_orbit, check_cell, check_certificate,
                                       check_rounds, drawn_rationals)
 

@@ -38,7 +38,7 @@ from crystile.isometry import (
 )
 from crystile.linalg import int_mat_vec, integral, vec
 from crystile.polytope import ConvexPolytope, sq_distance_point
-from crystile.rational import Q, ZERO, isqrt_ceil, rat
+from crystile.rational import Q, ZERO, rat
 from crystile.tiling import (
     PATCH_ENUM_RADIUS,
     Patch,
@@ -61,7 +61,7 @@ from crystile.tiling import (
 )
 from crystile.voronoi import voronoi_tiling
 
-from conftest import random_rational_isometry, random_rational_point, rational_givens
+from conftest import isqrt_ceil, random_rational_isometry, random_rational_point, rational_givens
 
 
 # --- the transformed patch ------------------------------------------------------
