@@ -28,18 +28,18 @@ def rat(value) -> "Q":
 
 
 def rat_str(q) -> str:
-    q = Q(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(rat_json(Q(q)))
 
 
 def rat_json(q):
-    """JSON form: plain int when integral, else a 'p/q' string."""
-    q = Q(q)
-    if q.denominator == 1:
-        return int(q.numerator)
-    return rat_str(q)
+    """JSON form of an int or a Q: plain int when integral, else a 'p/q' string."""
+    return _ratio_json(q.numerator, q.denominator)
+
+
+def _ratio_json(n, d):
+    """rat_json of n / d for ints n and d > 0, forming no Q."""
+    g = math.gcd(n, d)
+    return n // g if g == d else f"{n // g}/{d // g}"
 
 
 def frac_part(q) -> "Q":

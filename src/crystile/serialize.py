@@ -2,7 +2,8 @@
 
 Rationals are written as plain ints when integral, else as "p/q" strings;
 both forms (plus integer strings) parse back, and no other string does.
-Their digits are capped by Python's int_max_str_digits.
+Their digits are capped by Python's int_max_str_digits.  A vector is an
+array or an "a,b" string, a matrix an array of them; objects are refused.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 
-from .rational import rat, rat_json
+from .rational import rat, rat_json, _ratio_json
 from .isometry import Frame, Isometry
 from .groups import CrystalGroup, validate_group
 from .polytope import ConvexPolytope, PolytopeError
@@ -38,19 +39,24 @@ def parse_rational(value):
         raise SchemaError(f"bad rational {_short(repr(value))}: {_short(str(exc))}") from exc
 
 
+def _array(value):
+    """value if it is a JSON array (an object would iterate as its keys)."""
+    if not isinstance(value, list):
+        raise SchemaError(f"expected a JSON array, got {_short(repr(value))}")
+    return value
+
+
 def parse_vector(value, dim=None):
-    if isinstance(value, str):
-        parts = [p for p in value.replace(" ", "").split(",") if p]
-        out = tuple(parse_rational(p) for p in parts)
-    else:
-        out = tuple(parse_rational(p) for p in value)
+    if isinstance(value, str):  # as CLI flags give it: "a,b"
+        value = [p for p in value.replace(" ", "").split(",") if p]
+    out = tuple(parse_rational(p) for p in _array(value))
     if dim is not None and len(out) != dim:
         raise SchemaError(f"expected a {dim}-vector, got {len(out)} entries")
     return out
 
 
 def parse_matrix(value, dim):
-    rows = tuple(parse_vector(row, dim) for row in value)
+    rows = tuple(parse_vector(row, dim) for row in _array(value))
     if len(rows) != dim:
         raise SchemaError(f"expected a {dim}x{dim} matrix")
     return rows
@@ -122,13 +128,20 @@ def group_from_json(data: dict) -> CrystalGroup:
 
 # --- tilings -------------------------------------------------------------------
 
+def _tile_json(tile: ConvexPolytope) -> dict:
+    """A tile's vertices, printed from its int rows over its denominator."""
+    return {"vertices": [[_ratio_json(c, tile._den) for c in p] for p in tile._rows]}
+
+
+def _tile_from_json(frame: Frame, data: dict) -> ConvexPolytope:
+    return ConvexPolytope(frame, [parse_vector(p, frame.dim) for p in _array(data["vertices"])])
+
+
 def tiling_to_json(tiling: PeriodicTiling) -> dict:
     out = {
         "dim": tiling.dim,
         "gram": matrix_json(tiling.frame.gram),
-        "cell_tiles": [
-            {"vertices": [vector_json(p) for p in t.vertices]} for t in tiling.cell_tiles
-        ],
+        "cell_tiles": [_tile_json(t) for t in tiling.cell_tiles],
     }
     prov = tiling.provenance
     if prov is not None:
@@ -138,7 +151,7 @@ def tiling_to_json(tiling: PeriodicTiling) -> dict:
         if prov.base_point is not None:
             pj["base_point"] = vector_json(prov.base_point)
         if prov.base_cell is not None:
-            pj["base_cell"] = {"vertices": [vector_json(p) for p in prov.base_cell.vertices]}
+            pj["base_cell"] = _tile_json(prov.base_cell)
         if prov.apex is not None:
             pj["apex"] = vector_json(prov.apex)
         out["provenance"] = pj
@@ -148,11 +161,7 @@ def tiling_to_json(tiling: PeriodicTiling) -> dict:
 def tiling_from_json(data: dict) -> PeriodicTiling:
     try:
         frame = _frame_from_json(data)
-        dim = frame.dim
-        tiles = [
-            ConvexPolytope(frame, [parse_vector(p, dim) for p in t["vertices"]])
-            for t in data["cell_tiles"]
-        ]
+        tiles = [_tile_from_json(frame, t) for t in data["cell_tiles"]]
         prov = None
         pj = data.get("provenance")
         if pj is not None and not isinstance(pj, dict):
@@ -161,16 +170,12 @@ def tiling_from_json(data: dict) -> PeriodicTiling:
             group = group_from_json(pj["group"]) if "group" in pj else None
             if group is not None and group.frame != frame:
                 raise SchemaError("provenance group is over another frame than the tiling")
-            base_cell = None
-            if "base_cell" in pj:
-                vertices = pj["base_cell"]["vertices"]
-                base_cell = ConvexPolytope(frame, [parse_vector(p, dim) for p in vertices])
             prov = Provenance(
                 kind=_label(pj, "kind", "unknown"),
                 group=group,
-                base_point=parse_vector(pj["base_point"], dim) if "base_point" in pj else None,
-                base_cell=base_cell,
-                apex=parse_vector(pj["apex"], dim) if "apex" in pj else None,
+                base_point=parse_vector(pj["base_point"], frame.dim) if "base_point" in pj else None,
+                base_cell=_tile_from_json(frame, pj["base_cell"]) if "base_cell" in pj else None,
+                apex=parse_vector(pj["apex"], frame.dim) if "apex" in pj else None,
             )
     except (KeyError, TypeError, PolytopeError) as exc:  # PolytopeError: e.g. an empty tile
         raise SchemaError(f"malformed tiling file: {exc}") from exc

@@ -8,23 +8,20 @@ tolerances.  Only the metric values of distance bounds are floats.
 Validation is one pass of exact facet matching modulo the lattice plus
 unit covolume, and a rejection is explained by what that pass found.
 
-Tile images are compared as integer keys.  Each tile stores its vertices
-as reduced int rows (polytope); the cell tiles' rows are brought over
-their common denominator d as X = d x, and the image of a tiling under
-x -> L x + t over one common denominator D of X, L and t, so each image
-vertex is A X + b and a lattice translate adds S k, all as Python ints.
+A tiling is its int cells: each tile stores its vertices as reduced int
+rows (polytope), and the tiling carries the cell tiles' rows over their
+common denominator d, X = d x (_ints), formed once where it is built and
+sorted with the tiles there (vertex tuple order); validation, Aut, images,
+candidates and the writer read them.  Its image under x -> L x + t is
+A X + b over one denominator D, a lattice translate adding S k: all ints.
 Inside one tiling a key is the sorted int vertex tuple over d, less the
 floor shift (X // d) d of its least vertex, flattened, with no gcd
 (_flat_key): facet matching, automorphism checks and the translation
 lattice hash these, and find translates through the shape index of
 _int_cells.  Where denominators differ (image keys, pulled-back patches)
 a key is reduced (_key, one gcd), equal exactly when the vertex tuples
-are.  A translation found among the keys becomes rational again only for
-its Seitz pair.  Aut(T) is closed from verified generators, as int Seitz
-pairs over the cell tiles' denominator d: a point part in the closure of
-the pairs verified so far needs no check (automorphism_group_with_embedding).
-Cell tiles are sorted by their int rows over one denominator, the order
-of their vertex tuples.
+are.  Aut(T) is closed from verified generators, as int Seitz pairs over
+d (automorphism_group_with_embedding).
 
 The hull of a tiling with crystallographic automorphism group Aut(T) is,
 as a topological space with its isometry action, the group quotient
@@ -52,7 +49,6 @@ from .linalg import (
     mat_mul,
     transpose,
     vec,
-    vsub,
     zero_vec,
 )
 from .isometry import (
@@ -110,6 +106,11 @@ class PeriodicTiling:
     frame: Frame
     cell_tiles: tuple
     provenance: Provenance = field(default=None, compare=False)
+    _ints: tuple = field(default=None, compare=False, repr=False)  # (d, cells): _int_vertices
+
+    def __post_init__(self):
+        if self._ints is None:  # not handed over by periodic_tiling
+            object.__setattr__(self, "_ints", _int_vertices(self.cell_tiles))
 
     @property
     def dim(self) -> int:
@@ -153,13 +154,14 @@ def _placed(frame: Frame, forms, polys) -> list:
 def periodic_tiling(frame: Frame, tiles, provenance=None, validate=True) -> PeriodicTiling:
     # every tile is kept: a repeated tile is a double cover, which validation
     # rejects; it checks the tiles in input order, so a problem names a tile
-    # by its index among the given tiles, and then they are sorted
-    canon = tuple(canonical_tile(t) for t in tiles)
-    if validate:
-        problems = validate_tiling(PeriodicTiling(frame=frame, cell_tiles=canon))
-        if problems:
-            raise TilingValidationError(problems)
-    return PeriodicTiling(frame=frame, cell_tiles=_sorted_tiles(canon), provenance=provenance)
+    # by its index among them.  The rows, formed once, are sorted with them
+    canon = PeriodicTiling(frame, tuple(canonical_tile(t) for t in tiles))
+    if validate and (problems := validate_tiling(canon)):
+        raise TilingValidationError(problems)
+    d, cells = canon._ints
+    order = sorted(range(len(cells)), key=cells.__getitem__)
+    return PeriodicTiling(frame, tuple(canon.cell_tiles[i] for i in order), provenance,
+                          (d, tuple(cells[i] for i in order)))
 
 
 def validate_tiling(tiling: PeriodicTiling) -> list:
@@ -218,7 +220,7 @@ def validate_tiling(tiling: PeriodicTiling) -> list:
     if total != 1:
         problems.append(f"cell volumes sum to {rat_str(total)}, expected 1")
     held = {}
-    d, cells = _int_vertices(tiles)
+    d, cells = tiling._ints
     for i, (t, rows) in enumerate(zip(tiles, cells)):  # a facet's vertices are rows of its tile
         for on, (_, ac) in zip(_facet_vertices(t), t._facets):
             held.setdefault(_flat_key(d, [rows[j] for j in on]), []).append((i, ac[:-1], on))
@@ -254,13 +256,6 @@ def _int_vertices(tiles):
     d = math.lcm(*(t._den for t in tiles))
     return d, tuple(t._rows if t._den == d else tuple(tuple(d // t._den * c for c in p) for p in t._rows)
                     for t in tiles)
-
-
-def _sorted_tiles(tiles) -> tuple:
-    """The tiles sorted by their vertex tuples, compared as int rows over
-    one common denominator (_int_vertices)."""
-    rows = _int_vertices(tiles)[1]
-    return tuple(tiles[i] for i in sorted(range(len(tiles)), key=rows.__getitem__))
 
 
 def _key(d, flat):
@@ -301,7 +296,7 @@ def _int_image(tiling: PeriodicTiling, iso: Isometry):
     an endomorphism of the tiling's frame."""
     if iso.frame != tiling.frame or iso.target != tiling.frame:
         raise IsometryError("isometry incompatible with the tiling frame")
-    d, cells = _int_vertices(tiling.cell_tiles)
+    d, cells = tiling._ints
     m, a, b = iso._ints
     b = tuple(d * c for c in b)
     images = [sorted(_affine(a, b, p) for p in pts) for pts in cells]
@@ -353,8 +348,8 @@ def patch(tiling: PeriodicTiling, center, r2) -> Patch:
 
     Each cell tile t found near the centre is moved by its int lattice
     vector k on its rows (polytope._moved), and the tiles are sorted as
-    periodic_tiling sorts cell tiles (_sorted_tiles); no Q vertex is
-    formed."""
+    periodic_tiling sorts cell tiles, by their rows over one denominator
+    (_int_vertices); no Q vertex is formed."""
     center = vec(center, tiling.dim)
     r2 = rat(r2)
     if r2 <= 0:
@@ -362,7 +357,8 @@ def patch(tiling: PeriodicTiling, center, r2) -> Patch:
     frame = tiling.frame
     near = _tiles_near(tiling, integral(center), (r2.numerator, r2.denominator))
     tiles = [_moved(t, frame, 1, None, k) for _, t, k in near]
-    return Patch(tiles=_sorted_tiles(tiles), center=center, sq_radius=r2)
+    rows = _int_vertices(tiles)[1]
+    return Patch(tuple(tiles[i] for i in sorted(range(len(tiles)), key=rows.__getitem__)), center, r2)
 
 
 def _preimage(iso: Isometry, e, eo):
@@ -460,16 +456,16 @@ def prototile_index(tiling: PeriodicTiling) -> dict:
 # --- automorphisms -------------------------------------------------------------
 
 def _fixes_tiling(d, cells, keys, m, c) -> bool:
-    """Whether X -> m X + c, on the cell tiles' int vertices X = d x
-    (_int_vertices), maps every cell tile onto a tile: its _flat_key is one
+    """Whether X -> m X + c, on the cell tiles' int vertices X = d x (the
+    tiling's _ints), maps every cell tile onto a tile: its _flat_key is one
     of the cell keys."""
     return all(_flat_key(d, sorted(_affine(m, c, p) for p in pts)) in keys for pts in cells)
 
 
 def _int_cells(tiling: PeriodicTiling):
-    """(d, cells, keys, shapes): _int_vertices of the cell tiles, their
-    _flat_keys and each _shape's cells, in cell order."""
-    d, cells = _int_vertices(tiling.cell_tiles)
+    """(d, cells, keys, shapes): the tiling's _ints, the cells' _flat_keys
+    and each _shape's cells, in cell order."""
+    d, cells = tiling._ints
     shapes = {}
     for pts in cells:
         shapes.setdefault(_shape(pts), []).append(pts)
@@ -740,27 +736,26 @@ def default_candidates(t1: PeriodicTiling, t2: PeriodicTiling, origin) -> list:
 
     Anchors: from the first vertex of tile 0 of T to that of tile 0 of T',
     and to every tile of T' that is a translate of tile 0 of T (a shift may
-    reorder the canonical tiles); each also reduced to [-1/2, 1/2)^n."""
+    reorder the canonical tiles); each also reduced to [-1/2, 1/2)^n.  They
+    are int rows over the lcm d of the tilings' denominators (_ints), taken
+    once each in sorted order: the order of their Q tuples."""
     frame = t1.frame
     ident = identity_iso(frame)
     pairs = [(ident, ident)]
-    anchors = [vsub(t2.cell_tiles[0].vertices[0], t1.cell_tiles[0].vertices[0])]
-    d, cells = _int_vertices((t1.cell_tiles[0],) + t2.cell_tiles)
-    anchors += [tuple(Q(x - y, d) for x, y in zip(pts[0], cells[0][0])) for pts in cells[1:]
-                if _shape(pts) == _shape(cells[0])]
+    (d1, c1), (d2, c2) = t1._ints, t2._ints
+    d = math.lcm(d1, d2)
+    s1, s2 = d // d1, d // d2
+    shape = tuple(s1 * x for x in _shape(c1[0]))
     taus = set()
-    for v in anchors:
-        # x - floor(x + 1/2) lies in [-1/2, 1/2)
-        taus.update((v, tuple(x - (2 * x.numerator + x.denominator) // (2 * x.denominator)
-                              for x in v)))
-    for tau in taus:
-        if all(x == 0 for x in tau):
-            continue
-        # x -> x +- tau / 2 is (m x +- T) / m over m = 2 e, for tau = T / e
-        e, t = integral(tau)
-        a = tuple(tuple(2 * e * x for x in row) for row in ident._ints[1])
-        pairs.append((Isometry._of_ints(frame, 2 * e, a, t, frame),
-                      Isometry._of_ints(frame, 2 * e, a, tuple(-x for x in t), frame)))
+    for p in [c2[0][0]] + [pts[0] for pts in c2 if tuple(s2 * x for x in _shape(pts)) == shape]:
+        v = tuple(s2 * x - s1 * y for x, y in zip(p, c1[0][0]))
+        # x / d - floor(x / d + 1/2) lies in [-1/2, 1/2)
+        taus.update((v, tuple(x - (2 * x + d) // (2 * d) * d for x in v)))
+    a = tuple(tuple(2 * d * x for x in row) for row in ident._ints[1])
+    for t in sorted(taus - {(0,) * frame.dim}):
+        # x -> x +- tau / 2 is (2 d x +- T) / (2 d) for tau = T / d
+        pairs.append((Isometry._of_ints(frame, 2 * d, a, t, frame),
+                      Isometry._of_ints(frame, 2 * d, a, tuple(-x for x in t), frame)))
     return pairs
 
 

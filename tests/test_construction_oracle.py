@@ -10,7 +10,10 @@ on Fraction mat_vec and gram_norm2.
 The new code must give the same stabilizers (Seitz pairs, with Fraction
 entries) and orbit verdicts on hypothesis points, special positions among
 them; the same certificate, or the same refusal, on hypothesis apexes in the
-seed-0 cells; and the same candidate isometries, field for field.  Aut of
+seed-0 cells; and the same candidate isometries, field for field: the
+identity pair first, then the old pairs sorted by phi's translation, as the
+new code takes its int anchors in sorted order and the old code took its
+Fraction anchors in a set's hash order.  Aut of
 every preset's seed 0-2 construction must be the preset, and Aut of the
 half-scale tiling, which takes the re-expression path, must match
 test_tile_once_oracle.py's reference, where the other Aut references are.
@@ -228,7 +231,10 @@ def test_certificates_match_the_fraction_code(data):
 
 
 def assert_same_candidates(t1, t2, origin):
-    got, want = default_candidates(t1, t2, origin), old_default_candidates(t1, t2, origin)
+    # the identity pair comes first, then the half-shift pairs in the order
+    # of phi's translation; the old code took them in the set's hash order
+    got, (ident, *rest) = default_candidates(t1, t2, origin), old_default_candidates(t1, t2, origin)
+    want = [ident] + sorted(rest, key=lambda pair: pair[0].translation)
     assert len(got) == len(want)
     for pair, old_pair in zip(got, want):
         for iso, old in zip(pair, old_pair):

@@ -7,19 +7,23 @@ group files as --group; aut, render, ld, mld and distance read a mutated
 seed-0 construction file (aut in 3D too), the two-tiling verbs beside the
 unmutated file; and ld reads a mutated --gamma isometry file, where the
 Gram rule refuses outside values.  Every run ends with exit code 0, 1 or 2
-and no traceback."""
+and no traceback.  A JSON object in place of a vector or a matrix, whose
+keys iteration would read as one, is an input error for every verb that
+reads a file: exit 2."""
 
 import copy
 import json
 import re
 from functools import lru_cache
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from crystile.cli import main
 from crystile.groups import DEMO3D_NAMES, PRESET_NAMES, WALLPAPER_NAMES, preset
 from crystile.rational import Q, rat_json
-from crystile.serialize import dump_json, group_to_json, isometry_to_json, tiling_to_json
+from crystile.serialize import (SchemaError, dump_json, group_to_json, isometry_to_json, parse_matrix,
+                                 parse_vector, tiling_to_json)
 
 from conftest import seed0_construction
 
@@ -174,3 +178,80 @@ def test_construct_and_voronoi_refuse_a_gram_far_outside_crystallographic_scale(
         capsys.readouterr()
         assert main([verb, "--group", group]) == 1
         assert "MAX_BALL_POINTS" in capsys.readouterr().err
+
+
+# --- objects where vectors and matrices go ---------------------------------------
+
+def as_object(value):
+    """A JSON object whose keys, iterated, read as the vector or matrix value:
+    the keys "0", "00", ... (zeros) of a vector, or each row "a,b" of a
+    matrix, made distinct by trailing spaces."""
+    if value and isinstance(value[0], list):
+        return {",".join(map(str, row)) + " " * i: 0 for i, row in enumerate(value)}
+    return {"0" * (i + 1): x for i, x in enumerate(value)}
+
+
+def test_parse_vector_and_matrix_refuse_objects():
+    # iterating an object reads its keys, which parsed as a vector and a matrix
+    with pytest.raises(SchemaError, match="JSON array"):
+        parse_vector({"0": 0, "1": 0}, 2)
+    with pytest.raises(SchemaError, match="JSON array"):
+        parse_matrix({"1,0": 0, "0,1": 0}, 2)
+    for value in (5, None, ("1", "2")):
+        with pytest.raises(SchemaError, match="JSON array"):
+            parse_vector(value, 2)
+    assert parse_vector("1, -1/2", 2) == parse_vector([1, "-1/2"], 2) == (1, Q(-1, 2))
+    assert parse_matrix([[1, 0], "0,1"], 2) == ((1, 0), (0, 1))
+
+
+GROUP_SPOTS = [("gram",), ("reps", 1, "linear"), ("reps", 1, "translation")]
+TILING_SPOTS = [("gram",), ("cell_tiles", 0, "vertices", 0), ("cell_tiles", 0, "vertices"),
+                ("provenance", "base_point"), ("provenance", "base_cell", "vertices", 0),
+                ("provenance", "apex")] + [("provenance", "group") + p for p in GROUP_SPOTS]
+
+
+def with_object(text, path):
+    """The JSON of text with the value at path made an object (as_object)."""
+    data = json.loads(text)
+    *head, key = path
+    _at(data, head)[key] = as_object(_at(data, path))
+    return data
+
+
+def refused(capsys, argv):
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert (code, "Traceback" in err, "JSON array" in err) == (2, False, True), (argv, err)
+
+
+@pytest.mark.parametrize("path", GROUP_SPOTS)
+def test_group_verbs_refuse_an_object_for_a_vector_or_matrix(tmp_path, capsys, path):
+    # validate-group printed the identity group for a gram and a translation
+    # given as objects, with exit 0
+    group = write(tmp_path, "g.json", with_object(group_text("p4m"), path))
+    for argv in (["validate-group", group], ["construct", "--group", group],
+                 ["voronoi", "--group", group],
+                 ["orbit", "--group", group, "--point", "1/5,1/10", "--radius2", "1/4"]):
+        refused(capsys, argv)
+
+
+@pytest.mark.parametrize("path", TILING_SPOTS)
+def test_tiling_verbs_refuse_an_object_for_a_vector_or_matrix(tmp_path, capsys, path):
+    # aut accepted a tiling file with a vertex {"0": 0, "1": 0}, with exit 0
+    good = write(tmp_path, "a.json", tiling_text("p4m"))
+    bad = write(tmp_path, "b.json", with_object(tiling_text("p4m"), path))
+    refused(capsys, ["aut", bad])
+    refused(capsys, ["render", bad, "--svg", str(tmp_path / "out.svg")])
+    for verb in ("ld", "mld", "distance"):
+        refused(capsys, [verb, bad, good])
+        refused(capsys, [verb, good, bad])
+
+
+@pytest.mark.parametrize("key", ["linear", "translation"])
+def test_ld_refuses_an_object_in_the_gamma_file(tmp_path, capsys, key):
+    g = preset("p4m")
+    gamma = write(tmp_path, "gamma.json",
+                  with_object(dump_json(isometry_to_json(g.element(g.point_parts()[1]))), (key,)))
+    tiling = write(tmp_path, "a.json", tiling_text("p4m"))
+    refused(capsys, ["ld", tiling, tiling, "--gamma", gamma])

@@ -29,6 +29,7 @@ from crystile.isometry import (
 from crystile.construction import construct_tiling
 from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset
 from crystile.polytope import ConvexPolytope, _tight_sets, faces
+from crystile.serialize import tiling_to_json
 from crystile.tiling import (
     LN_3_2,
     DistanceBound,
@@ -357,15 +358,6 @@ def test_automorphism_half_scale(half_scale_tiling):
     assert emb.linear == ((Q(1, 2), 0), (0, Q(1, 2)))
 
 
-def test_automorphism_group_forms_int_cells_once(count_calls):
-    # the translation-lattice search reads the cells that the Aut search
-    # formed, so one automorphism_group call forms them once
-    tiling = seed0_construction("p6m")
-    calls = count_calls(tiling_mod, "_int_cells")
-    assert automorphism_group(tiling).order() == 12
-    assert len(calls) == 1
-
-
 def test_automorphisms_fix_tiling(square_tiling, rhomb_tiling):
     for tiling in (square_tiling, rhomb_tiling):
         aut, emb = automorphism_group_with_embedding(tiling)
@@ -591,19 +583,25 @@ def test_distance_bound_takes_each_pairs_terms_once_and_inverts_nothing(square_t
 METRIC_WITNESS_DIGEST = "e05c3c81431cc3c612adf94524921afe0e8e9cdca91e5b0857e86d80222230b2"
 
 
-def metric_jobs(seeds):
-    """The benchmark's metric-2d job lists at the seeds (bench/workloads.py)."""
+def workload_jobs(workload, seeds):
+    """The benchmark's job lists of the workload (a function name of
+    bench/workloads.py) at the seeds."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up
     try:
         spec.loader.exec_module(workloads)
-        names = ("isometry", "polytope", "groups", "voronoi", "tiling")
+        names = ("isometry", "polytope", "groups", "voronoi", "tiling", "construction", "serialize")
         cr = SimpleNamespace(**{m: importlib.import_module(f"crystile.{m}") for m in names})
-        return [workloads.metric_2d(cr, seed, None) for seed in seeds]
+        return [getattr(workloads, workload)(cr, seed, None) for seed in seeds]
     finally:
         del sys.modules[spec.name]
+
+
+def metric_jobs(seeds):
+    """The benchmark's metric-2d job lists at the seeds."""
+    return workload_jobs("metric_2d", seeds)
 
 
 def test_metric_workload_witnesses_are_pinned():
@@ -626,9 +624,9 @@ def test_metric_workload_forms_few_fractions(monkeypatch):
     # the job list runs twice, as the benchmark repeats its passes, and the
     # second run is counted.  It formed 2,467 Fractions when the d_O terms,
     # size caps, pulled-back centres, patch distances and ball bounds were
-    # Q; left are the size caps, the witness radii, one ball bound per cell
-    # tile, default_candidates' half-shift anchors and the int origins that
-    # distance_upper_bound reads as Q
+    # Q, and 188 when default_candidates' anchors were; left are the size
+    # caps, the witness radii, one ball bound per cell tile and the int
+    # origins that distance_upper_bound reads as Q
     (jobs,) = metric_jobs((0,))
     for job in jobs:
         job.check(job.run())
@@ -640,7 +638,49 @@ def test_metric_workload_forms_few_fractions(monkeypatch):
     monkeypatch.undo()
     for job, out in zip(jobs, outs):
         job.check(out)
-    assert len(formed) == 188
+    assert len(formed) == 92
+
+
+def test_construct_workload_forms_each_tilings_rows_once(count_calls):
+    # one seed-0 construct-2d pass, its checks (Aut and the JSON digest)
+    # included: each of the 17 tilings forms its cell rows once, where
+    # periodic_tiling builds it.  Validation, the sort and Aut formed them
+    # again, and the check's Aut once more: 68 calls, 51 without the checks
+    (jobs,) = workload_jobs("construct_2d", (0,))
+    calls = count_calls(tiling_mod, "_int_vertices")
+    for job in jobs:
+        job.check(job.run())
+    assert len(calls) == 17
+
+
+def test_warm_metric_workload_forms_no_cell_rows(count_calls):
+    # the warm seed-0 metric-2d jobs build no tiling, and their images,
+    # candidates and witness checks read each tiling's rows: they formed
+    # them 124 times, 104 without the checks
+    (jobs,) = metric_jobs((0,))
+    for job in jobs:
+        job.check(job.run())
+    calls = count_calls(tiling_mod, "_int_vertices")
+    for job in jobs:
+        job.check(job.run())
+    assert calls == []
+
+
+def test_writing_a_tiling_forms_no_fraction_per_vertex(monkeypatch):
+    # the seed-0 Pm-3m tiling's 2,304 vertex coordinates are printed from
+    # their int rows.  The Q vertices, and a Q for each value rat_json
+    # printed, formed 6,828 Fractions, or 4,368 once the vertices and the
+    # group's reps were formed; the reps, read first, are formed once per group
+    tiling = seed0_construction("Pm-3m")
+    tiling.provenance.group.reps
+    formed = []
+    real = fractions.Fraction.__new__
+    monkeypatch.setattr(fractions.Fraction, "__new__",
+                        lambda cls, *a, **k: formed.append(cls) or real(cls, *a, **k))
+    data = tiling_to_json(tiling)
+    monkeypatch.undo()
+    assert len(formed) == 0
+    assert sum(len(p) for t in data["cell_tiles"] for p in t["vertices"]) == 2304
 
 
 def test_shift_bound_stops_at_the_centre_when_it_differs(square_tiling, frame2, count_calls):
