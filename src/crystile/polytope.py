@@ -19,27 +19,22 @@ checked where input arrives: facets() builds one per pair, and clip and
 halfspace_intersection take them.  Facets made inside (images under
 invertible maps, bisectors of distinct sites, hull facets) are not
 checked again.  ConvexPolytope(frame, vertices) checks outside input and
-hulls its rows once (_hull, off the polar that clip builds), and
-halfspace_intersection scales the vertices it solves for to rows.  Internal
-code builds from rows with ConvexPolytope._from_rows: clip and
-halfspace_intersection keep the input facets that bound the result,
-translate and transform map them, and the cones, the Voronoi box and the
-bisectors come with their own.  The tight sets (the facets through each
-vertex, _tight_sets) are the one source of faces, volumes and rings (see
-_facet_edges), which name vertices by their index among the rows; the
-hull, clip, translate and transform carry them.  The arithmetic is on ints
+hulls its rows once (_hull, by the double description step _dd_step that
+clip takes too), and halfspace_intersection scales the vertices it solves
+for to rows.  Internal code builds from rows with
+ConvexPolytope._from_rows: clip and halfspace_intersection keep the input
+facets that bound the result, translate and transform map them, and the
+cones, the Voronoi box and the bisectors come with their own.  The tight
+sets (the facets through each vertex, _tight_sets) are the one source of
+faces, volumes and rings (see _facet_edges), which name vertices by their
+index among the rows; the hull, clip, translate and transform carry them.  The arithmetic is on ints
 (linalg's integer layer): side values, tight sets, containment and volumes
-are int dots and determinants of the facet pairs and the vertex rows, and
-the hull, the rank tests and congruent eliminate on rows (int_rref).
+are int dots and determinants of the facet pairs and the vertex rows, the
+hull and clip step on homogeneous int rows, and the rank tests and
+congruent eliminate on rows (int_rref).
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
-held as Python ints over one common denominator D per polytope:
-- D G;
-- per vertex v: G v and v.Gv;
-- per edge u -> w, with d = w - u: the index of u, G d, d.Gd and Gd.u;
-- in space, per facet (or for a polygon itself): its plane basis e1, e2
-  from ring[0], their covectors G e_i, the 2x2 Gram and its determinant,
-  and one side test per ring edge.
+held as Python ints over one common denominator D per polytope.
 sq_distance_point scales x once to an integer vector over its denominator
 and runs every test in integers (_sq_distance, which the patch query calls
 with its own int points), comparing rational candidates by
@@ -55,10 +50,11 @@ which _moved carries within one frame, and congruent's _profile.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, itemgetter, sub
 
 from .rational import Q, ZERO, ONE, rat
@@ -79,7 +75,7 @@ from .linalg import (
     vec,
     vsub,
 )
-from .isometry import Frame, Isometry, int_gram, int_inv_gram, standard_frame
+from .isometry import Frame, Isometry, int_gram, int_inv_gram
 
 
 class PolytopeError(ValueError):
@@ -294,20 +290,16 @@ def _hull(frame: Frame, den, rows):
     polygon in space, the ring.
 
     Sorted collinear points run along their line, so the ends are the first
-    and last (on the line, the facets x >= lo and -x >= -hi).  Otherwise the
-    hull is read off its polar (Ziegler, Lectures on Polytopes, 2.3), which
-    clip builds.  In coordinates x of the affine hull of rank r (the points,
-    or for a planar set in space the two coordinates left after dropping one
-    whose axis crosses the plane), let c be the centroid of r + 1 affinely
-    independent points: c is interior, and each point p gives the dual
-    halfspace (x_p - c).y <= 1, which holds y = 0 inside.  Those of the
-    r + 1 points bound a simplex; clipping it by each other point's
-    halfspace gives the polar.  The points whose halfspaces are its facets
-    are the vertices, and in full dimension each of its vertices y is the
-    facet (x - c).y <= 1, that is -y.x >= -1 - y.c.  Incidences reverse (p
-    is on facet y iff y is on p's polar facet), and a polygon's edges are
-    the pairs of polar facets through each polar vertex.  All on ints, over
-    W = (r + 1) den, where c = S / W for the sum S of the base rows."""
+    and last (on the line, the facets x >= lo and -x >= -hi).  Otherwise,
+    in coordinates x of the affine hull of rank r (the points, or for a
+    planar set in space the two coordinates left after dropping one whose
+    axis crosses the plane), each facet is a primitive int row (A, C) of
+    A.X >= C den with the set of the points on it: first the r + 1 facets
+    of a simplex on affinely independent points, then one _dd_step per
+    point outside them.  The vertices are the points on at least r facets,
+    and a polygon's edges the vertex pairs on its facets.  A facet is
+    stored with slack 1 at the simplex's centroid S / W, for the sum S of
+    its rows and W = (r + 1) den, and the facets are sorted by -a."""
     n = frame.dim
     base = _independent_points(rows, n)
     rank = len(base) - 1
@@ -321,35 +313,66 @@ def _hull(frame: Frame, den, rows):
         normal = _cross(*(tuple(map(sub, rows[i], rows[0])) for i in base[1:]))
         k = next(i for i, a in enumerate(normal) if a != 0)
         coords = [p[:k] + p[k + 1:] for p in rows]
-    w = (rank + 1) * den
-    c = tuple(map(sum, zip(*(coords[i] for i in base))))
-    # the row X gives Y.y >= -W for Y = S - (r + 1) X; a point at c gives none
-    ys = [tuple(ci - (rank + 1) * xi for ci, xi in zip(c, x)) for x in coords]
-    dual = [_reduced_facet(w, (*y, -w)) if any(y) else None for y in ys]
-    # [M | I] -> [d I | N] for the rows M = (Y, W) of the base points: column
-    # j of N, over its last entry, is corner j, on the planes of all but the j-th
-    aug = [(*ys[i], w, *(int(k == j) for j in range(rank + 1))) for k, i in enumerate(base)]
-    int_rref(aug, rank + 1)
-    cols = list(zip(*(row[rank + 1:] for row in aug)))
-    u = lcm(*(col[-1] for col in cols))
-    corners = sorted(tuple(u // col[-1] * z for z in col[:-1]) for col in cols)
-    polar = ConvexPolytope._from_rows(frame if rank == n else standard_frame(rank),
-                                      *_reduced(u, corners), tuple(dual[i] for i in base))
-    for i, h in enumerate(dual):
-        if h is not None and i not in base:
-            polar = _clip(polar, h)
-    # polar facet j is the dual halfspace of the hull vertex rows[vertex_of[j]]
-    vertex_of = [dual.index(h) for h in polar._facets]
-    polar_tight = _tight_sets(polar)
-    order = sorted(range(len(vertex_of)), key=vertex_of.__getitem__)
-    vertices = _reduced(den, [rows[vertex_of[j]] for j in order])
+    # the value of the facet row (A, C) at the point X is (A, C).(X, -den)
+    points = [(*x, -den) for x in coords]
+    facets, sets = [], []
+    for j in base:
+        o, *others = [coords[i] for i in base if i != j]
+        d = [tuple(map(sub, x, o)) for x in others]
+        a = (-d[0][1], d[0][0]) if rank == 2 else _cross(*d)
+        f = _primitive((*(den * x for x in a), int_dot(a, o)))
+        facets.append(f if int_dot(f, points[j]) > 0 else tuple(-x for x in f))
+        sets.append(frozenset(base) - {j})
+    for k, p in enumerate(points):
+        vals = [int_dot(f, p) for f in facets]
+        if any(s < 0 for s in vals):
+            facets, sets = _dd_step(facets, sets, vals, k, rank)
+    count = Counter(i for t in sets for i in t)
+    index = {i: j for j, i in enumerate(sorted(i for i, m in count.items() if m >= rank))}
+    vertices = _reduced(den, [rows[i] for i in index])
     if rank < n:
-        return (*vertices, None, None, _walk([order.index(j) for j in t] for t in polar_tight))
-    # the polar vertex y = Z / U gives the facet (-W Z, -U W - Z.S) / (U W)
-    uw = polar._den * w
-    return (*vertices,
-            tuple(_reduced_facet(uw, (*(-w * x for x in z), -uw - int_dot(z, c))) for z in polar._rows),
-            tuple(frozenset(k for k, t in enumerate(polar_tight) if j in t) for j in order))
+        return (*vertices, None, None, _walk([index[i] for i in t if i in index] for t in sets))
+    w = (rank + 1) * den
+    c = tuple(map(sum, zip(*(rows[i] for i in base))))
+    stored = [_reduced_facet(int_dot(f[:-1], c) - f[-1] * w, tuple(w * x for x in f)) for f in facets]
+    el = lcm(*(s for s, _ in stored))  # -a = -A / s, compared over el
+    stored, sets = zip(*sorted(zip(stored, sets), key=lambda f: [-(el // f[0][0]) * x for x in f[0][1][:-1]]))
+    return (*vertices, stored, tuple(frozenset(k for k, t in enumerate(sets) if i in t) for i in index))
+
+
+def _primitive(row):
+    """The int row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return tuple(x // g for x in row)
+
+
+def _dd_step(rows, sets, vals, k, rank):
+    """One step of the double description method (Fukuda & Prodon 1996) on
+    the homogeneous int rows of a cone's generators, each with the set of
+    constraints it lies on, by the constraint k, of value s_u at the row u.
+    A row with s_u >= 0 stays (gaining k if s_u = 0), and each pair with
+    s_u > 0 > s_w whose sets share at least rank - 1 constraints gives the
+    row s_u w - s_w u over the gcd of its entries, on those and on k.  Such
+    pairs are the edges of the cone's section, a polytope of dimension
+    rank: for rank <= 3 the shared constraints meet it in a face of
+    dimension at most 1 through both rows, their edge (from rank 4 on,
+    Fukuda & Prodon's test also needs no third row on all of them).
+
+    clip steps on the vertex rows (P, V) of v = P / V, by the stored facet
+    (m, (A, C)) of value s_v = A.P - C V = m V (a.v - c): the new rows are
+    the crossings (s_u W - s_w U, V (s_u - s_w)) of the edges u -> w.  The
+    hull steps on its own facet rows (A, C), each a minor of input rows."""
+    out_rows = [u for u, s in zip(rows, vals) if s >= 0]
+    out_sets = [t | {k} if s == 0 else t for t, s in zip(sets, vals) if s >= 0]
+    outside = [(w, t, s) for w, t, s in zip(rows, sets, vals) if s < 0]
+    for u, tu, su in zip(rows, sets, vals):
+        if su > 0:
+            for w, tw, sw in outside:
+                common = tu & tw
+                if len(common) >= rank - 1:
+                    out_rows.append(_primitive([su * x - sw * y for x, y in zip(w, u)]))
+                    out_sets.append(common | {k})
+    return out_rows, out_sets
 
 
 def _independent_points(rows, rank):
@@ -524,37 +547,25 @@ def _tight_halfspaces(n: int, pts, hs):
 
 
 def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
-    """poly n h by one exact step of the double description method.
+    """poly n h by one exact step of the double description method
+    (_dd_step, on the vertex rows).
 
     poly is full-dimensional and h keeps part of its interior.  Vertices
     with a.v >= c stay, and each edge from a vertex strictly inside to one
-    strictly outside gives the point where it crosses the hyperplane.  Two
-    vertices span an edge iff at least n-1 facets hold both: for n <= 3
-    those facets meet poly in a face of dimension at most 1 through both
-    vertices, which is their edge.  (From n = 4 on, the combinatorial test
-    of Fukuda & Prodon 1996 also needs that no third vertex lies on all of
-    them.)  The facets are the old ones that still hold a vertex strictly
-    inside, then h.  A redundant h returns poly.
-
-    The tight sets (_tight_sets) are carried, not recomputed: a vertex
-    strictly inside keeps its set, a vertex on h keeps the facets of its
-    set that stay and gains h, and a crossing point on the edge u -> w lies
-    on exactly the facets through both u and w (a supporting hyperplane
-    through an interior point of an edge holds the edge), and on h.
-
-    The arithmetic is on ints (_clip): with the vertex rows P over V and
-    the stored facet (m, (A, C)) of h, the side value of v = P / V is
-    s = A.P - C V = m V (a.v - c), of the same sign.  The crossing on u -> w
-    is u + t (w - u) with t = s_u / (s_u - s_w), that is
-    (s_u W - s_w U) / (V (s_u - s_w)).  The kept rows and the crossings are
-    brought over V L, L the lcm of the s_u - s_w, sorted and reduced.
-    """
+    strictly outside gives the point where it crosses the hyperplane.  The
+    facets are the old ones that still hold a vertex strictly inside, then
+    h.  A redundant h returns poly.  The tight sets (_tight_sets) are
+    carried: a vertex strictly inside keeps its set, one on h keeps the
+    facets of its set that stay and gains h, and a crossing on the edge
+    u -> w lies on h and on exactly the facets through both u and w (a
+    supporting hyperplane through an interior point of an edge holds it).
+    The rows are brought over the lcm of their denominators, sorted and
+    reduced."""
     return _clip(poly, integral(h.covector + (h.offset,)))
 
 
 def _clip(poly: ConvexPolytope, facet) -> ConvexPolytope:
-    """clip by a stored facet."""
-    n = poly.frame.dim
+    """clip by a stored facet: one _dd_step on the vertex rows (P, V)."""
     facets = _facet_pairs(poly)
     vden, rows = poly._den, poly._rows
     *a, c = facet[1]
@@ -567,25 +578,12 @@ def _clip(poly: ConvexPolytope, facet) -> ConvexPolytope:
     tight = _tight_sets(poly)
     held = sorted(frozenset().union(*(tight[i] for i in inside)))
     renumber = {k: i for i, k in enumerate(held)}
-    on_h = len(held)
-    outside = [(j, s) for j, s in enumerate(vals) if s < 0]
-    crossings = []
-    for i in inside:
-        si, u = vals[i], rows[i]
-        for j, s in outside:
-            common = tight[i] & tight[j]
-            if len(common) >= n - 1:
-                crossings.append((si - s, [si * wk - s * uk for uk, wk in zip(u, rows[j])],
-                                  frozenset([on_h, *(renumber[k] for k in common)])))
-    el = lcm(*(d for d, _, _ in crossings))
-    # a vertex inside keeps its facets, all held, and one on h gains h
-    out = [([el * x for x in p], frozenset([*(renumber[k] for k in t if k in renumber),
-                                            *([on_h] if s == 0 else [])]))
-           for p, s, t in zip(rows, vals, tight) if s >= 0]
-    out += [([el // d * x for x in p], t) for d, p, t in crossings]
-    out.sort(key=itemgetter(0))
+    sets = [frozenset(renumber[k] for k in t if k in renumber) for t in tight]
+    out, sets = _dd_step([(*p, vden) for p in rows], sets, vals, len(held), poly.frame.dim)
+    el = lcm(*(p[-1] for p in out))
+    out = sorted(zip([tuple(el // p[-1] * x for x in p[:-1]) for p in out], sets), key=itemgetter(0))
     kept = tuple(facets[k] for k in held) + (facet,)
-    return ConvexPolytope._from_rows(poly.frame, *_reduced(vden * el, [tuple(p) for p, _ in out]),
+    return ConvexPolytope._from_rows(poly.frame, *_reduced(el, [p for p, _ in out]),
                                      kept, tuple(t for _, t in out))
 
 

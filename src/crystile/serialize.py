@@ -4,6 +4,8 @@ Rationals are written as plain ints when integral, else as "p/q" strings;
 both forms (plus integer strings) parse back, and no other string does.
 Their digits are capped by Python's int_max_str_digits.  A vector is an
 array or an "a,b" string, a matrix an array of them; objects are refused.
+A tiling file lists at most MAX_CELL_TILES cell tiles of at most
+MAX_TILE_VERTICES vertices, checked before any vertex is parsed or hulled.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from .isometry import Frame, Isometry
 from .groups import CrystalGroup, validate_group
 from .polytope import ConvexPolytope, PolytopeError
 from .tiling import PeriodicTiling, Provenance, periodic_tiling
+
+
+MAX_TILE_VERTICES = 256
+MAX_CELL_TILES = 16384
 
 
 class SchemaError(ValueError):
@@ -100,12 +106,13 @@ def matrix_json(m):
 # --- groups -------------------------------------------------------------------
 
 def group_to_json(group: CrystalGroup) -> dict:
+    d, pairs = group._ints
     out = {
         "dim": group.dim,
         "gram": matrix_json(group.frame.gram),
         "reps": [
-            {"linear": matrix_json(m), "translation": vector_json(v)}
-            for m, v in group.reps
+            {"linear": [list(row) for row in m], "translation": [_ratio_json(x, d) for x in t]}
+            for m, t in pairs
         ],
     }
     if group.name is not None:
@@ -133,8 +140,17 @@ def _tile_json(tile: ConvexPolytope) -> dict:
     return {"vertices": [[_ratio_json(c, tile._den) for c in p] for p in tile._rows]}
 
 
-def _tile_from_json(frame: Frame, data: dict) -> ConvexPolytope:
-    return ConvexPolytope(frame, [parse_vector(p, frame.dim) for p in _array(data["vertices"])])
+def _tile_vertices(data: dict) -> list:
+    """A tile's raw vertex array, at most MAX_TILE_VERTICES long."""
+    vertices = _array(data["vertices"])
+    if len(vertices) > MAX_TILE_VERTICES:
+        raise SchemaError(f"a tile lists {len(vertices)} vertices, more than "
+                          f"MAX_TILE_VERTICES = {MAX_TILE_VERTICES}")
+    return vertices
+
+
+def _tile_from_json(frame: Frame, vertices: list) -> ConvexPolytope:
+    return ConvexPolytope(frame, [parse_vector(p, frame.dim) for p in vertices])
 
 
 def tiling_to_json(tiling: PeriodicTiling) -> dict:
@@ -161,11 +177,18 @@ def tiling_to_json(tiling: PeriodicTiling) -> dict:
 def tiling_from_json(data: dict) -> PeriodicTiling:
     try:
         frame = _frame_from_json(data)
-        tiles = [_tile_from_json(frame, t) for t in data["cell_tiles"]]
-        prov = None
+        cells = _array(data["cell_tiles"])
+        if len(cells) > MAX_CELL_TILES:
+            raise SchemaError(f"the file lists {len(cells)} cell tiles, more than "
+                              f"MAX_CELL_TILES = {MAX_CELL_TILES}")
         pj = data.get("provenance")
         if pj is not None and not isinstance(pj, dict):
             raise SchemaError(f"provenance must be an object, got {pj!r}")
+        # every cap is checked before a vertex is parsed
+        cells = [_tile_vertices(t) for t in cells]
+        base_cell = _tile_vertices(pj["base_cell"]) if pj and "base_cell" in pj else None
+        tiles = [_tile_from_json(frame, t) for t in cells]
+        prov = None
         if pj:
             group = group_from_json(pj["group"]) if "group" in pj else None
             if group is not None and group.frame != frame:
@@ -174,7 +197,7 @@ def tiling_from_json(data: dict) -> PeriodicTiling:
                 kind=_label(pj, "kind", "unknown"),
                 group=group,
                 base_point=parse_vector(pj["base_point"], frame.dim) if "base_point" in pj else None,
-                base_cell=_tile_from_json(frame, pj["base_cell"]) if "base_cell" in pj else None,
+                base_cell=None if base_cell is None else _tile_from_json(frame, base_cell),
                 apex=parse_vector(pj["apex"], frame.dim) if "apex" in pj else None,
             )
     except (KeyError, TypeError, PolytopeError) as exc:  # PolytopeError: e.g. an empty tile
@@ -185,7 +208,9 @@ def tiling_from_json(data: dict) -> PeriodicTiling:
 # --- isometries ------------------------------------------------------------------
 
 def isometry_to_json(iso: Isometry) -> dict:
-    return {"linear": matrix_json(iso.linear), "translation": vector_json(iso.translation)}
+    m, a, b = iso._ints
+    return {"linear": [[_ratio_json(x, m) for x in row] for row in a],
+            "translation": [_ratio_json(x, m) for x in b]}
 
 
 def isometry_from_json(data: dict, frame: Frame, target: Frame = None) -> Isometry:

@@ -14,20 +14,23 @@ reads a file: exit 2."""
 import copy
 import json
 import re
+import time
 from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from crystile import polytope as polytope_mod
 from crystile.cli import main
 from crystile.groups import DEMO3D_NAMES, PRESET_NAMES, WALLPAPER_NAMES, preset
 from crystile.rational import Q, rat_json
-from crystile.serialize import (SchemaError, dump_json, group_to_json, isometry_to_json, parse_matrix,
-                                 parse_vector, tiling_to_json)
+from crystile.serialize import (MAX_CELL_TILES, MAX_TILE_VERTICES, SchemaError, dump_json, group_to_json,
+                                 isometry_to_json, parse_matrix, parse_vector, tiling_to_json)
 
 from conftest import seed0_construction
 
-RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# no zero denominator: "1/0" is among OTHER_VALUES, and perturbing it would fail in Q
+RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 OTHER_VALUES = [None, True, 1.5, "x", "1/0", [], {}, 0, -7, [[1, 0], [0, 1]]]
 FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -255,3 +258,69 @@ def test_ld_refuses_an_object_in_the_gamma_file(tmp_path, capsys, key):
                   with_object(dump_json(isometry_to_json(g.element(g.point_parts()[1]))), (key,)))
     tiling = write(tmp_path, "a.json", tiling_text("p4m"))
     refused(capsys, ["ld", tiling, tiling, "--gamma", gamma])
+
+
+# --- caps at the file boundary ------------------------------------------------------
+
+def square_listed(count, provenance=None):
+    """A p1 tiling file whose one tile, the unit square, lists `count` points
+    of its boundary (corners included, 4 <= count <= 256), or, past 256,
+    those 256 and count - 256 interior points; with provenance if given."""
+    side = [Q(i, 64) for i in range(64)]
+    pts = [p for t in side for p in ((t, 0), (1, t), (1 - t, 1), (0, 1 - t))]
+    if count < 256:
+        pts = pts[:count]
+    pts += [(Q(1, 2), Q(i + 1, count)) for i in range(count - 256)]
+    data = {"dim": 2, "gram": [[1, 0], [0, 1]],
+            "cell_tiles": [{"vertices": [[rat_json(x) for x in p] for p in pts]}]}
+    if provenance is not None:
+        data["provenance"] = provenance
+    return data
+
+
+def refused_at_once(tmp_path, capsys, count_calls, data, cap):
+    """aut on the file exits 2 within 0.5 s with one stderr line naming the
+    cap, and hulls nothing."""
+    hulls = count_calls(polytope_mod, "_hull")
+    path = write(tmp_path, "capped.json", data)
+    capsys.readouterr()
+    start = time.perf_counter()
+    code = main(["aut", path])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert (code, hulls) == (2, [])
+    assert elapsed < 0.5
+    assert err.count("\n") == 1 and cap in err
+    return err
+
+
+def test_a_tile_past_the_vertex_cap_is_refused_before_any_hull(tmp_path, capsys, count_calls):
+    err = refused_at_once(tmp_path, capsys, count_calls, square_listed(MAX_TILE_VERTICES + 1),
+                          "MAX_TILE_VERTICES = 256")
+    assert "257 vertices" in err
+
+
+def test_a_base_cell_past_the_vertex_cap_is_refused_before_any_hull(tmp_path, capsys, count_calls):
+    # the cell tiles are within the caps; the provenance base cell is not
+    base_cell = square_listed(MAX_TILE_VERTICES + 1)["cell_tiles"][0]
+    refused_at_once(tmp_path, capsys, count_calls,
+                    square_listed(4, {"kind": "voronoi", "base_cell": base_cell}), "MAX_TILE_VERTICES = 256")
+
+
+def test_a_file_past_the_tile_cap_is_refused_before_any_hull(tmp_path, capsys, count_calls):
+    data = square_listed(4)
+    data["cell_tiles"] *= MAX_CELL_TILES + 1
+    err = refused_at_once(tmp_path, capsys, count_calls, data, "MAX_CELL_TILES = 16384")
+    assert "16385 cell tiles" in err
+
+
+def test_a_tile_at_the_vertex_cap_is_hulled(tmp_path, capsys, count_calls):
+    # 256 listed points of the unit square hull to its 4 corners: a valid
+    # tiling, whose automorphisms have the point group of the square
+    hulls = count_calls(polytope_mod, "_hull")
+    data = square_listed(MAX_TILE_VERTICES)
+    assert len(data["cell_tiles"][0]["vertices"]) == 256
+    capsys.readouterr()
+    assert main(["aut", write(tmp_path, "square.json", data)]) == 0
+    assert len(hulls) == 1
+    assert len(json.loads(capsys.readouterr().out)["group"]["reps"]) == 8

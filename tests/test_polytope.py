@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -115,19 +116,53 @@ def test_hull_reduction(frame2):
 
 
 def test_vertex_input_hulls_in_one_pass(frame3, count_calls):
-    # the polar is a simplex on the first four affinely independent points,
-    # clipped once by each other distinct point (the corner (1, 1, 1) is
-    # given twice), and its vertices are kept as the facets, so facets()
-    # makes no second pass; the hull clips on the int body _clip
+    # the facets start as a simplex on the first four affinely independent
+    # points, and each other distinct point (the corner (1, 1, 1) is given
+    # twice) lies outside them when its turn comes, so it is one double
+    # description step; the facets are kept, so facets() makes no second pass
     h = Q(1, 2)
     corners = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    calls = count_calls(polytope_mod, "_clip")
+    calls = count_calls(polytope_mod, "_dd_step")
     cube = ConvexPolytope(frame3, corners + [(h, h, h), (h, 0, 0), (h, h, 0), (1, 1, 1)])
     assert cube.vertices == tuple(sorted(corners))
     facets = cube.facets()
     assert len(calls) == 11 - 4 == 7
     assert len(facets) == 6
     assert facet_key_set(facets) == facet_key_set(recovered_facets(frame3, cube))
+
+
+def _parabola(n):
+    """The n + 1 vertices (i/n, i^2/n^2) of a convex chain, over n^2."""
+    return [(Q(i, n), Q(i * i, n * n)) for i in range(n + 1)]
+
+
+def test_hull_rows_stay_the_size_of_the_input(frame2, monkeypatch):
+    # the chain for n = 200 lies over 40,000 (16 bits); through the polar,
+    # whose vertices shared one denominator, that denominator reached 1,671
+    # bits.  Each facet row the steps form is its own primitive int row
+    real, bits = polytope_mod._dd_step, []
+
+    def step(*args):
+        rows, sets = real(*args)
+        bits.append(max(abs(x).bit_length() for row in rows for x in row))
+        return rows, sets
+
+    monkeypatch.setattr(polytope_mod, "_dd_step", step)
+    poly = ConvexPolytope(frame2, _parabola(200))
+    assert len(poly.vertices) == 201 and poly._den.bit_length() == 16
+    assert len(bits) == 201 - 3 and max(bits) == 16
+
+
+def test_many_vertex_hulls_build_in_under_a_second(frame2, frame3):
+    # through the polar, the 801-gon took 104 s and a 256-point rational
+    # sphere (stereographic images of a 16 x 16 grid) did not finish in 250 s
+    grid = [(Q(2 * a - 15, 16), Q(2 * b - 15, 16)) for a in range(16) for b in range(16)]
+    sphere = [tuple(x / (1 + s * s + t * t) for x in (2 * s, 2 * t, s * s + t * t - 1)) for s, t in grid]
+    for frame, pts in ((frame2, _parabola(800)), (frame3, sphere)):
+        start = time.perf_counter()
+        poly = ConvexPolytope(frame, pts)
+        assert time.perf_counter() - start < 1
+        assert len(poly.vertices) == len(pts)
 
 
 def test_transform_carries_facets(hexframe, frame3):

@@ -1,24 +1,27 @@
 """Differential oracle for the cached polytope boundary and the vertex hull.
 
 old_faces is the boundary code that derived a polytope's faces and edges
-afresh on every call, and old_hull and old_congruent are the hull through
-the polar and congruent on Fractions.  They are kept verbatim (apart from
-their names) and compared for exact equality with the cached and int
-versions: faces, volumes (old_volume), pulling triangulations (old_fan,
-both in test_motion_oracle.py), point distances (old_sq_distance_point,
-test_distance_oracle.py) and walked rings (old_ring, conftest.py) on the
-cell tiles of real tilings; patches, at the centres and radii the
-translate-first patch loop ran on, against assert_same_patch
-(test_delone_patch_oracle.py); and hulls on small rational point clouds
-and large degenerate inputs.  On the same inputs, the facets every
-polytope carries are compared with recovered_facets (conftest.py), the
-recovery from vertices that the kernel no longer has.
+afresh on every call, old_hull the hull read off the polar that clip
+built, and old_congruent congruent on Fractions.  They are kept
+verbatim (apart from their names) and compared for exact equality with
+the cached, double description and int versions: faces, volumes
+(old_volume), pulling triangulations (old_fan, both in test_motion_oracle.py), point distances
+(old_sq_distance_point, test_distance_oracle.py) and walked rings
+(old_ring, conftest.py) on the cell tiles of real tilings; patches, at the
+centres and radii the translate-first patch loop ran on, against
+assert_same_patch (test_delone_patch_oracle.py); and hulls on small
+rational point clouds, many-vertex convex chains and large degenerate
+inputs.  On the same inputs, the facets every polytope carries are compared
+with recovered_facets (conftest.py), the recovery from vertices that the
+kernel no longer has.
 """
 
 import random
 import re
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from math import lcm
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +29,10 @@ from hypothesis import given, settings, strategies as st
 from crystile.construction import construct_tiling
 from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset
 from crystile.linalg import (
+    _reduced,
     gram_norm2,
-    integral,
+    int_dot,
+    int_rref,
     integral_rows,
     mat_mul,
     mat_vec,
@@ -46,6 +51,8 @@ from crystile.polytope import (
     _cross,
     _fan,
     _hull,
+    _independent_points,
+    _reduced_facet,
     _tight_sets,
     _walk,
     clip,
@@ -55,7 +62,7 @@ from crystile.polytope import (
     sq_distance_point,
     volume,
 )
-from crystile.rational import Q, ONE
+from crystile.rational import Q
 from crystile.svg import _cell_range, _fmt, _linear, tiling_svg
 from crystile import tiling as tiling_mod
 from crystile.tiling import patch
@@ -71,7 +78,6 @@ from conftest import (
     old_mat_inv,
     old_mat_rank,
     old_ring,
-    old_solve_linear,
     random_rational_orthogonal,
     random_rational_point,
     recovered_facets,
@@ -114,45 +120,70 @@ def _edges_3d(poly: ConvexPolytope):
     return out
 
 
-# --- the hull and congruence on Fractions ----------------------------------------
+# --- the hull through the polar, and congruence on Fractions -----------------------
 
-def old_hull(frame, pts):
-    """ConvexPolytope._set's arguments for conv(pts), pts sorted, distinct and
-    exact, with Q vertices: vertices, facets (None below rank frame.dim),
-    then the tight sets or, for a polygon in space, the ring."""
-    base = old_independent_points(pts, frame.dim)
+def old_hull(frame, den, rows):
+    """ConvexPolytope._set's arguments after the frame for conv(rows / den),
+    the int rows sorted and distinct, den > 0: the reduced vertex rows (den,
+    rows), facets (None below rank frame.dim), then the tight sets or, for a
+    polygon in space, the ring.
+
+    Sorted collinear points run along their line, so the ends are the first
+    and last (on the line, the facets x >= lo and -x >= -hi).  Otherwise the
+    hull is read off its polar (Ziegler, Lectures on Polytopes, 2.3), which
+    clip builds.  In coordinates x of the affine hull of rank r (the points,
+    or for a planar set in space the two coordinates left after dropping one
+    whose axis crosses the plane), let c be the centroid of r + 1 affinely
+    independent points: c is interior, and each point p gives the dual
+    halfspace (x_p - c).y <= 1, which holds y = 0 inside.  Those of the
+    r + 1 points bound a simplex; clipping it by each other point's
+    halfspace gives the polar.  The points whose halfspaces are its facets
+    are the vertices, and in full dimension each of its vertices y is the
+    facet (x - c).y <= 1, that is -y.x >= -1 - y.c.  Incidences reverse (p
+    is on facet y iff y is on p's polar facet), and a polygon's edges are
+    the pairs of polar facets through each polar vertex.  All on ints, over
+    W = (r + 1) den, where c = S / W for the sum S of the base rows."""
+    n = frame.dim
+    base = _independent_points(rows, n)
     rank = len(base) - 1
-    if rank <= 1 and rank < frame.dim:
-        return ([pts[0], pts[-1]] if rank else pts), None
+    if rank <= 1 and rank < n:
+        return (*_reduced(den, [rows[0], rows[-1]] if rank else rows), None)
     if rank == 1:
-        return [pts[0], pts[-1]], (integral((ONE, pts[0][0])), integral((-ONE, -pts[-1][0])))
-    coords = pts
-    if rank < frame.dim:
-        normal = _cross(*(vsub(pts[i], pts[0]) for i in base[1:]))
+        return (*_reduced(den, [rows[0], rows[-1]]),
+                (_reduced_facet(den, (den, rows[0][0])), _reduced_facet(den, (-den, -rows[-1][0]))))
+    coords = rows
+    if rank < n:
+        normal = _cross(*(tuple(map(sub, rows[i], rows[0])) for i in base[1:]))
         k = next(i for i, a in enumerate(normal) if a != 0)
-        coords = [p[:k] + p[k + 1:] for p in pts]
-    c = old_centroid([coords[i] for i in base])
-    # a point at c lies inside and gives no halfspace
-    ys = [vsub(c, x) if x != c else None for x in coords]
-    dual = [None if y is None else integral(y + (-ONE,)) for y in ys]
-    # corner j of the simplex is on the planes of all base points but the j-th
-    corners = [old_solve_linear(tuple(ys[i] for k, i in enumerate(base) if k != j),
-                                (-ONE,) * rank) for j in range(rank + 1)]
-    polar = ConvexPolytope._from_rows(frame if rank == frame.dim else standard_frame(rank),
-                                      *integral_rows(sorted(corners)), tuple(dual[i] for i in base))
+        coords = [p[:k] + p[k + 1:] for p in rows]
+    w = (rank + 1) * den
+    c = tuple(map(sum, zip(*(coords[i] for i in base))))
+    # the row X gives Y.y >= -W for Y = S - (r + 1) X; a point at c gives none
+    ys = [tuple(ci - (rank + 1) * xi for ci, xi in zip(c, x)) for x in coords]
+    dual = [_reduced_facet(w, (*y, -w)) if any(y) else None for y in ys]
+    # [M | I] -> [d I | N] for the rows M = (Y, W) of the base points: column
+    # j of N, over its last entry, is corner j, on the planes of all but the j-th
+    aug = [(*ys[i], w, *(int(k == j) for j in range(rank + 1))) for k, i in enumerate(base)]
+    int_rref(aug, rank + 1)
+    cols = list(zip(*(row[rank + 1:] for row in aug)))
+    u = lcm(*(col[-1] for col in cols))
+    corners = sorted(tuple(u // col[-1] * z for z in col[:-1]) for col in cols)
+    polar = ConvexPolytope._from_rows(frame if rank == n else standard_frame(rank),
+                                      *_reduced(u, corners), tuple(dual[i] for i in base))
     for i, h in enumerate(dual):
         if h is not None and i not in base:
             polar = _clip(polar, h)
-    point_of = {h: p for h, p in zip(dual, pts) if h is not None}
-    # polar facet j is the dual halfspace of the hull vertex vertex_of[j]
-    vertex_of = [point_of[h] for h in polar._facets]
+    # polar facet j is the dual halfspace of the hull vertex rows[vertex_of[j]]
+    vertex_of = [dual.index(h) for h in polar._facets]
     polar_tight = _tight_sets(polar)
     order = sorted(range(len(vertex_of)), key=vertex_of.__getitem__)
-    if rank < frame.dim:
-        return ([vertex_of[j] for j in order], None, None,
-                _walk([order.index(j) for j in t] for t in polar_tight))
-    return ([vertex_of[j] for j in order],
-            tuple(integral(tuple(-a for a in y) + (-ONE - vdot(y, c),)) for y in polar.vertices),
+    vertices = _reduced(den, [rows[vertex_of[j]] for j in order])
+    if rank < n:
+        return (*vertices, None, None, _walk([order.index(j) for j in t] for t in polar_tight))
+    # the polar vertex y = Z / U gives the facet (-W Z, -U W - Z.S) / (U W)
+    uw = polar._den * w
+    return (*vertices,
+            tuple(_reduced_facet(uw, (*(-w * x for x in z), -uw - int_dot(z, c))) for z in polar._rows),
             tuple(frozenset(k for k, t in enumerate(polar_tight) if j in t) for j in order))
 
 
@@ -207,11 +238,10 @@ def old_congruent(p: ConvexPolytope, q: ConvexPolytope):
 
 
 def check_hull(frame, points):
-    """The int hull of the points is old_hull's: the vertex rows, the facets
-    in order, and the tight sets or the ring."""
-    pts = sorted(set(map(vec, points)))
-    vertices, *rest = old_hull(frame, pts)
-    assert _hull(frame, *integral_rows(pts)) == (*integral_rows(vertices), *rest)
+    """The hull of the points is old_hull's: the vertex rows, the facets in
+    order and scale, and the tight sets or the ring."""
+    den, rows = integral_rows(sorted(set(map(vec, points))))
+    assert _hull(frame, den, rows) == old_hull(frame, den, rows)
 
 
 @pytest.mark.parametrize("name", ["P222", "p4g", "p6m"])
@@ -273,6 +303,40 @@ def test_hull_of_large_degenerate_input(case, vertices):
     assert len(poly.vertices) == vertices
     check_hull(frame, pts)
     check_facet_invariant(poly)
+
+
+@st.composite
+def chains(draw, case):
+    """Up to 40 rational points in convex position, each a vertex of their
+    hull: on a parabola, on a parabola in a tilted plane in space, or a grid
+    on a paraboloid (whose lower facets hold four cocircular grid points,
+    and each side facet a whole row of the grid); then up to three
+    centroids of two or three of them (edge and interior points)."""
+    den = draw(st.integers(1, 12))
+    coords = st.integers(-40, 40)
+    if case == "paraboloid":
+        xs, ys = (draw(st.lists(coords, min_size=2, max_size=6, unique=True)) for _ in range(2))
+        pts = [(Q(a, den), Q(b, den), Q(a * a + b * b, den * den)) for a in xs for b in ys]
+    else:
+        pts = [(Q(a, den), Q(a * a, den * den))
+               for a in draw(st.lists(coords, min_size=3, max_size=40, unique=True))]
+        if case == "plane-in-space":
+            pts = [_in_space(*p) for p in pts]
+    vertices = len(pts)
+    for _ in range(draw(st.integers(0, 3))):
+        some = draw(st.lists(st.sampled_from(pts[:vertices]), min_size=2, max_size=3, unique=True))
+        pts.append(tuple(Q(sum(xs), len(some)) for xs in zip(*some)))
+    return pts, vertices
+
+
+@pytest.mark.parametrize("case", ["parabola", "paraboloid", "plane-in-space"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_hull_of_many_vertex_chains(case, data):
+    pts, vertices = data.draw(chains(case))
+    frame = standard_frame(len(pts[0]))
+    check_hull(frame, pts)
+    assert len(ConvexPolytope(frame, pts).vertices) == vertices
 
 
 # --- facets exactly on full-dimensional polytopes --------------------------------
@@ -431,7 +495,7 @@ def test_rings_and_hull_incidences_on_clouds(case, data):
     check_hull(frame, pts)
     poly = ConvexPolytope(frame, pts)
     if poly.dim == frame.dim:
-        # the hull carries its tight sets, read off the polar
+        # the hull carries its tight sets, read off the point sets of its facets
         assert poly._tight == tuple(
             frozenset(k for k, h in enumerate(poly.facets()) if vdot(h.covector, v) == h.offset)
             for v in poly.vertices)

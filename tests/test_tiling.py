@@ -27,9 +27,9 @@ from crystile.isometry import (
     translation_iso,
 )
 from crystile.construction import construct_tiling
-from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, generic_point, preset
+from crystile.groups import PRESET_NAMES, WALLPAPER_NAMES, CrystalGroup, generic_point, preset
 from crystile.polytope import ConvexPolytope, _tight_sets, faces
-from crystile.serialize import tiling_to_json
+from crystile.serialize import isometry_to_json, matrix_json, tiling_to_json, vector_json
 from crystile.tiling import (
     LN_3_2,
     DistanceBound,
@@ -668,18 +668,26 @@ def test_warm_metric_workload_forms_no_cell_rows(count_calls):
 
 def test_writing_a_tiling_forms_no_fraction_per_vertex(monkeypatch):
     # the seed-0 Pm-3m tiling's 2,304 vertex coordinates are printed from
-    # their int rows.  The Q vertices, and a Q for each value rat_json
-    # printed, formed 6,828 Fractions, or 4,368 once the vertices and the
-    # group's reps were formed; the reps, read first, are formed once per group
+    # their int rows, and its group's 48 reps and their isometries from
+    # their int forms.  The Q vertices, and a Q for each value rat_json
+    # printed, formed 6,828 Fractions; once the vertices were formed, the
+    # 144 translation entries of reps no code had read before still formed
+    # 144.  The tiling is written with a copy of its group whose reps no
+    # code has read
     tiling = seed0_construction("Pm-3m")
-    tiling.provenance.group.reps
+    group = tiling.provenance.group
+    cold = CrystalGroup._of_ints(group.frame, *group._ints, group.name)
+    tiling = replace(tiling, provenance=replace(tiling.provenance, group=cold))
     formed = []
     real = fractions.Fraction.__new__
     monkeypatch.setattr(fractions.Fraction, "__new__",
                         lambda cls, *a, **k: formed.append(cls) or real(cls, *a, **k))
     data = tiling_to_json(tiling)
+    isos = [isometry_to_json(cold.element(m)) for m in cold.point_parts()]
     monkeypatch.undo()
     assert len(formed) == 0
+    # as the Q fields print
+    assert isos == [{"linear": matrix_json(m), "translation": vector_json(v)} for m, v in group.reps]
     assert sum(len(p) for t in data["cell_tiles"] for p in t["vertices"]) == 2304
 
 
