@@ -96,7 +96,7 @@ class Frame:
         return self._hash
 
     def norm2(self, v: Vec):
-        return gram_norm2(self.gram, v)
+        return gram_norm2(self.gram, vec(v, self.dim))
 
     def norm(self, v: Vec) -> float:
         return sqrt_float(self.norm2(v))

@@ -15,23 +15,25 @@ tuples built from the rows when first read.  A full-dimensional polytope
 stores each facet a.x >= c once, as the int pair (s, (A..., C)) =
 linalg.integral(a + (c,)), (A, C) = s (a, c) for the least s > 0; a
 lower-dimensional one has _facets None.  HalfSpace is the public form,
-checked where input arrives: facets() builds one per pair, and clip and
-halfspace_intersection take them.  Facets made inside (images under
-invertible maps, bisectors of distinct sites, hull facets) are not
-checked again.  ConvexPolytope(frame, vertices) checks outside input and
-hulls its rows once (_hull, by the double description step _dd_step that
-clip takes too), and halfspace_intersection scales the vertices it solves
-for to rows.  Internal code builds from rows with
-ConvexPolytope._from_rows: clip and halfspace_intersection keep the input
-facets that bound the result, translate and transform map them, and the
-cones, the Voronoi box and the bisectors come with their own.  The tight
-sets (the facets through each vertex, _tight_sets) are the one source of
-faces, volumes and rings (see _facet_edges), which name vertices by their
-index among the rows; the hull, clip, translate and transform carry them.  The arithmetic is on ints
-(linalg's integer layer): side values, tight sets, containment and volumes
-are int dots and determinants of the facet pairs and the vertex rows, the
-hull and clip step on homogeneous int rows, and the rank tests and
-congruent eliminate on rows (int_rref).
+checked where input arrives (its dimension by _facet_of): facets() builds
+one per pair, and clip and halfspace_intersection take them.  Facets made
+inside (images under invertible maps, bisectors of distinct sites, hull
+facets) are not checked again.  ConvexPolytope(frame, vertices) checks
+outside input and hulls its rows once (_hull), and halfspace_intersection
+finds its vertices as the extreme rays of a cone on its facet rows: both
+by the double description step _dd_step, which clip takes too.  Internal
+code builds from rows with ConvexPolytope._from_rows: clip and
+halfspace_intersection keep the input facets that bound the result,
+translate and transform map them, and the cones, the Voronoi box and the
+bisectors come with their own.  The tight sets (the facets through each
+vertex, _tight_sets) are the one source of faces, volumes and rings (see
+_facet_edges), which name vertices by their index among the rows; the
+hull, clip, translate and transform carry them.  The arithmetic is on
+ints (linalg's integer layer), and no set logic forms a Q: side values,
+tight sets, containment and volumes are int dots and determinants of the
+facet pairs and the vertex rows, the hull, clip and halfspace_intersection
+step on homogeneous int rows, and the rank tests and congruent eliminate
+on rows (int_rref).
 
 Point distances read one more cache, the quadratic data of _quadratic_data,
 held as Python ints over one common denominator D per polytope.
@@ -53,11 +55,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import factorial, gcd, lcm
 from operator import add, itemgetter, sub
 
-from .rational import Q, ZERO, ONE, rat
+from .rational import Q, rat
 from .linalg import (
     _reduced,
     int_dot,
@@ -67,11 +69,7 @@ from .linalg import (
     integral,
     integral_rows,
     mat_det,
-    mat_rank,
-    nullspace,
-    solve_linear,
     transpose,
-    vdot,
     vec,
     vsub,
 )
@@ -361,7 +359,9 @@ def _dd_step(rows, sets, vals, k, rank):
     clip steps on the vertex rows (P, V) of v = P / V, by the stored facet
     (m, (A, C)) of value s_v = A.P - C V = m V (a.v - c): the new rows are
     the crossings (s_u W - s_w U, V (s_u - s_w)) of the edges u -> w.  The
-    hull steps on its own facet rows (A, C), each a minor of input rows."""
+    hull steps on its own facet rows (A, C), each a minor of input rows, and
+    halfspace_intersection on the rays (X, t) of a cone whose constraints may
+    repeat or hold it below full dimension, so it also tests each new ray."""
     out_rows = [u for u, s in zip(rows, vals) if s >= 0]
     out_sets = [t | {k} if s == 0 else t for t, s in zip(sets, vals) if s >= 0]
     outside = [(w, t, s) for w, t, s in zip(rows, sets, vals) if s < 0]
@@ -513,37 +513,62 @@ def volume(poly: ConvexPolytope):
 def halfspace_intersection(frame: Frame, halfspaces):
     """Exact intersection of halfspaces: a polytope, "unbounded", or "empty".
 
-    A full-dimensional result carries its facets, taken from the input
-    (as int pairs, see the module docstring).
+    On the int rows (A, C) of the input facets, the vertices X / t are the
+    extreme rays (X, t), t > 0, of the cone (A, -C).(X, t) >= 0, t >= 0, and
+    a ray at t = 0 is a recession direction.  Covectors of rank r < n get
+    x_j = 0 for the n - r coordinates without a pivot (int_rref), which
+    meets every class of points along their kernel, and the answer is
+    "empty" or "unbounded".  The rays start as the simplicial cone's on
+    n + 1 independent rows (the columns of their inverse); each other row
+    takes one _dd_step, whose new rays stay if their tight rows have rank
+    n, the extreme ones (below full dimension the step's count test also
+    pairs non-edges).  No ray at t > 0 is "empty" (an empty system can
+    still have rays at t = 0), then one at t = 0 "unbounded".  A
+    full-dimensional result carries, for each vertex set that spans a
+    hyperplane, the first input halfspace on it, in input order.
     """
-    hs = list(halfspaces)
     n = frame.dim
-    if not hs:
-        return "unbounded"
-    if mat_rank(tuple(h.covector for h in hs)) < n:
-        return "unbounded" if _feasible(n, hs) else "empty"
-    pts = _candidate_vertices(n, hs)
-    if not pts:
+    facets = [_facet_of(frame, h) for h in halfspaces]
+    pivots = int_rref([ac[:-1] for _, ac in facets], n)[0]
+    unit = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+    rows = [(*ac[:-1], -ac[-1]) for _, ac in facets]
+    rows += [e for j in range(n) if j not in pivots for e in (unit[j], tuple(-x for x in unit[j]))]
+    rows.append(unit[n])
+    base = [i - 1 for i in _independent_points([(0,) * (n + 1)] + rows, n + 1)[1:]]
+    aug = [(*rows[i], *e) for i, e in zip(base, unit)]
+    d = int_rref(aug, n + 1)[1]  # the inverse of the base rows is aug[:][n + 1:] / d
+    rays = [_primitive([row[n + 1 + j] * d for row in aug]) for j in range(n + 1)]
+    sets = [frozenset(base) - {i} for i in base]
+    for k, row in enumerate(rows):
+        vals = [int_dot(row, r) for r in rays]
+        if k in base or all(s > 0 for s in vals):
+            continue
+        kept = sum(s >= 0 for s in vals)  # the rays that stay are extreme still
+        rays, sets = _dd_step(rays, sets, vals, k, n)
+        keep = [i < kept or len(int_rref([rows[m] for m in t], n + 1)[0]) == n for i, t in enumerate(sets)]
+        rays, sets = (list(compress(x, keep)) for x in (rays, sets))
+    if all(r[-1] == 0 for r in rays):
         return "empty"
-    if _has_recession_ray(n, hs):
+    if len(pivots) < n or any(r[-1] == 0 for r in rays):
         return "unbounded"
-    den, rows = integral_rows(pts)
-    facets = None
-    if _affine_rank(rows) == n:
-        facets = tuple(integral(h.covector + (h.offset,)) for h in _tight_halfspaces(n, pts, hs))
-    return ConvexPolytope._from_rows(frame, den, rows, facets)
-
-
-def _tight_halfspaces(n: int, pts, hs):
-    """The halfspaces of hs that are facets of the full-dimensional polytope
-    with vertices pts: those tight on n affinely independent vertices, each
-    facet once (its vertices span its hyperplane), in input order."""
+    el = lcm(*(r[-1] for r in rays))
+    out = sorted(((tuple(el // r[-1] * x for x in r[:-1]), t) for r, t in zip(rays, sets)), key=itemgetter(0))
+    den, verts = _reduced(el, [p for p, _ in out])
+    if _affine_rank(verts) < n:
+        return ConvexPolytope._from_rows(frame, den, verts, None)
     found = {}
-    for h in hs:
-        on = tuple(p for p in pts if vdot(h.covector, p) == h.offset)
-        if len(on) >= n and _affine_rank(integral_rows(on)[1]) == n - 1:
-            found.setdefault(on, h)
-    return tuple(found.values())
+    for k, facet in enumerate(facets):
+        on = tuple(i for i, (_, t) in enumerate(out) if k in t)
+        if len(on) >= n and on not in found and _affine_rank([verts[i] for i in on]) == n - 1:
+            found[on] = facet
+    return ConvexPolytope._from_rows(frame, den, verts, tuple(found.values()))
+
+
+def _facet_of(frame: Frame, h: HalfSpace):
+    """The stored facet of h (see the module docstring), checked to be over frame."""
+    if len(h.covector) != frame.dim:
+        raise PolytopeError(f"a halfspace in dimension {frame.dim} has {len(h.covector)} covector entries")
+    return integral(h.covector + (h.offset,))
 
 
 def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
@@ -561,7 +586,7 @@ def clip(poly: ConvexPolytope, h: HalfSpace) -> ConvexPolytope:
     supporting hyperplane through an interior point of an edge holds it).
     The rows are brought over the lcm of their denominators, sorted and
     reduced."""
-    return _clip(poly, integral(h.covector + (h.offset,)))
+    return _clip(poly, _facet_of(poly.frame, h))
 
 
 def _clip(poly: ConvexPolytope, facet) -> ConvexPolytope:
@@ -597,56 +622,6 @@ def _tight_sets(poly: ConvexPolytope):
         poly._tight = tuple(frozenset(k for k, s in enumerate(_slacks(poly._facets, vden, p))
                                       if s == 0) for p in poly._rows)
     return poly._tight
-
-
-def _candidate_vertices(n: int, hs):
-    """Sorted points of the intersection where n independent hyperplanes meet."""
-    out = set()
-    for system in combinations(hs, n):
-        rows = tuple(h.covector for h in system)
-        if mat_rank(rows) != n:
-            continue
-        x = solve_linear(rows, tuple(h.offset for h in system))
-        if x is None:
-            continue
-        if all(vdot(h.covector, x) >= h.offset for h in hs):
-            out.add(x)
-    return sorted(out)
-
-
-def _has_recession_ray(n: int, hs) -> bool:
-    """Pointed-case check: any extreme recession direction lies on n-1
-    independent active constraints of the cone {d : a_i . d >= 0}."""
-    rows = [h.covector for h in hs]
-
-    def admissible(d):
-        return not all(x == 0 for x in d) and all(vdot(row, d) >= 0 for row in rows)
-
-    if n == 1:
-        return admissible((ONE,)) or admissible((-ONE,))
-    for sub in combinations(rows, n - 1):
-        ker = nullspace(sub)
-        if len(ker) != 1:
-            continue
-        d = ker[0]
-        if admissible(d) or admissible(tuple(-x for x in d)):
-            return True
-    return False
-
-
-def _feasible(n: int, hs) -> bool:
-    """Exact feasibility of an intersection of halfspaces (any rank)."""
-    if not hs:
-        return True
-    covectors = [h.covector for h in hs]
-    pts = [(ZERO,) * n] + covectors
-    basis = [pts[i] for i in _independent_points(integral_rows(pts)[1], n)[1:]]
-    if len(basis) == n:
-        return bool(_candidate_vertices(n, hs))
-    # x -> (a_i . b)_b over the basis b of the covectors' span keeps every
-    # constraint value and reaches all of R^r; recurse there
-    return _feasible(len(basis), [HalfSpace(tuple(vdot(a, b) for b in basis), h.offset)
-                                  for a, h in zip(covectors, hs)])
 
 
 # --- congruence ---------------------------------------------------------------
@@ -903,14 +878,12 @@ def meet_face_to_face(p: ConvexPolytope, q: ConvexPolytope) -> MeetResult:
     for (lo1, hi1), (lo2, hi2) in zip(p.bounding_box(), q.bounding_box()):
         if hi1 < lo2 or hi2 < lo1:
             return MeetResult("disjoint")
-    n = p.frame.dim
-    inter = _candidate_vertices(n, list(p.facets()) + list(q.facets()))
-    if not inter:
+    inter = halfspace_intersection(p.frame, p.facets() + q.facets())
+    if inter == "empty":
         return MeetResult("disjoint")
-    rank = _affine_rank(integral_rows(inter)[1])
-    if rank == n:
-        raise InteriorOverlapError(f"interiors overlap; intersection spans dimension {n}")
-    vset = frozenset(inter)
+    if inter.dim == p.frame.dim:
+        raise InteriorOverlapError(f"interiors overlap; intersection spans dimension {inter.dim}")
+    vset = frozenset(inter.vertices)
     if vset in face_vertex_sets(p) and vset in face_vertex_sets(q):
-        return MeetResult("shared-face", face_dim=rank, witness=tuple(inter))
-    return MeetResult("violation", face_dim=rank, witness=tuple(inter))
+        return MeetResult("shared-face", face_dim=inter.dim, witness=inter.vertices)
+    return MeetResult("violation", face_dim=inter.dim, witness=inter.vertices)

@@ -5,7 +5,9 @@ both forms (plus integer strings) parse back, and no other string does.
 Their digits are capped by Python's int_max_str_digits.  A vector is an
 array or an "a,b" string, a matrix an array of them; objects are refused.
 A tiling file lists at most MAX_CELL_TILES cell tiles of at most
-MAX_TILE_VERTICES vertices, checked before any vertex is parsed or hulled.
+MAX_TILE_VERTICES vertices, and the squares of the vertex counts of its
+tiles and provenance base cell sum to at most MAX_HULL_WORK (a hull of m
+points takes about m^2 work), checked before any vertex is parsed or hulled.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .tiling import PeriodicTiling, Provenance, periodic_tiling
 
 MAX_TILE_VERTICES = 256
 MAX_CELL_TILES = 16384
+MAX_HULL_WORK = 1 << 20
 
 
 class SchemaError(ValueError):
@@ -187,6 +190,10 @@ def tiling_from_json(data: dict) -> PeriodicTiling:
         # every cap is checked before a vertex is parsed
         cells = [_tile_vertices(t) for t in cells]
         base_cell = _tile_vertices(pj["base_cell"]) if pj and "base_cell" in pj else None
+        work = sum(len(t) ** 2 for t in cells + [base_cell or []])
+        if work > MAX_HULL_WORK:
+            raise SchemaError(f"the squared vertex counts of the file's tiles sum to {work}, "
+                              f"more than MAX_HULL_WORK = {MAX_HULL_WORK}")
         tiles = [_tile_from_json(frame, t) for t in cells]
         prov = None
         if pj:

@@ -27,7 +27,10 @@ from crystile.linalg import (
     is_integral_mat,
     mat,
     mat_mul,
+    mat_rank,
     mat_vec,
+    nullspace,
+    solve_linear,
     transpose,
     vdot,
     vec,
@@ -46,7 +49,12 @@ from crystile.polytope import (
     ConvexPolytope,
     HalfSpace,
     InteriorOverlapError,
+    MeetResult,
+    PolytopeError,
+    _affine_rank,
     _fan,
+    _independent_points,
+    face_vertex_sets,
     faces,
     meet_face_to_face,
     volume,
@@ -825,3 +833,121 @@ def old_solve_mod_lattice(a_stack: Mat, b_stack: Vec):
             return None
     x = mat_vec(V, tuple(y))
     return x
+
+
+# halfspace_intersection and meet_face_to_face as they enumerated vertices by
+# brute force on Q halfspaces, before both ran on the double description
+# step: verbatim but for the old_ prefix (old_tight_halfspaces,
+# old_candidate_vertices, old_has_recession_ray and old_feasible were the
+# kernel's _-prefixed helpers); the reference of tests/test_halfspace_oracle.py
+# and of the tests that check clip and the hull against an intersection
+
+def old_halfspace_intersection(frame: Frame, halfspaces):
+    """Exact intersection of halfspaces: a polytope, "unbounded", or "empty".
+
+    A full-dimensional result carries its facets, taken from the input
+    (as int pairs, see the module docstring).
+    """
+    hs = list(halfspaces)
+    n = frame.dim
+    if not hs:
+        return "unbounded"
+    if mat_rank(tuple(h.covector for h in hs)) < n:
+        return "unbounded" if old_feasible(n, hs) else "empty"
+    pts = old_candidate_vertices(n, hs)
+    if not pts:
+        return "empty"
+    if old_has_recession_ray(n, hs):
+        return "unbounded"
+    den, rows = integral_rows(pts)
+    facets = None
+    if _affine_rank(rows) == n:
+        facets = tuple(integral(h.covector + (h.offset,)) for h in old_tight_halfspaces(n, pts, hs))
+    return ConvexPolytope._from_rows(frame, den, rows, facets)
+
+
+def old_tight_halfspaces(n: int, pts, hs):
+    """The halfspaces of hs that are facets of the full-dimensional polytope
+    with vertices pts: those tight on n affinely independent vertices, each
+    facet once (its vertices span its hyperplane), in input order."""
+    found = {}
+    for h in hs:
+        on = tuple(p for p in pts if vdot(h.covector, p) == h.offset)
+        if len(on) >= n and _affine_rank(integral_rows(on)[1]) == n - 1:
+            found.setdefault(on, h)
+    return tuple(found.values())
+
+
+def old_candidate_vertices(n: int, hs):
+    """Sorted points of the intersection where n independent hyperplanes meet."""
+    out = set()
+    for system in combinations(hs, n):
+        rows = tuple(h.covector for h in system)
+        if mat_rank(rows) != n:
+            continue
+        x = solve_linear(rows, tuple(h.offset for h in system))
+        if x is None:
+            continue
+        if all(vdot(h.covector, x) >= h.offset for h in hs):
+            out.add(x)
+    return sorted(out)
+
+
+def old_has_recession_ray(n: int, hs) -> bool:
+    """Pointed-case check: any extreme recession direction lies on n-1
+    independent active constraints of the cone {d : a_i . d >= 0}."""
+    rows = [h.covector for h in hs]
+
+    def admissible(d):
+        return not all(x == 0 for x in d) and all(vdot(row, d) >= 0 for row in rows)
+
+    if n == 1:
+        return admissible((ONE,)) or admissible((-ONE,))
+    for sub in combinations(rows, n - 1):
+        ker = nullspace(sub)
+        if len(ker) != 1:
+            continue
+        d = ker[0]
+        if admissible(d) or admissible(tuple(-x for x in d)):
+            return True
+    return False
+
+
+def old_feasible(n: int, hs) -> bool:
+    """Exact feasibility of an intersection of halfspaces (any rank)."""
+    if not hs:
+        return True
+    covectors = [h.covector for h in hs]
+    pts = [(ZERO,) * n] + covectors
+    basis = [pts[i] for i in _independent_points(integral_rows(pts)[1], n)[1:]]
+    if len(basis) == n:
+        return bool(old_candidate_vertices(n, hs))
+    # x -> (a_i . b)_b over the basis b of the covectors' span keeps every
+    # constraint value and reaches all of R^r; recurse there
+    return old_feasible(len(basis), [HalfSpace(tuple(vdot(a, b) for b in basis), h.offset)
+                                     for a, h in zip(covectors, hs)])
+
+
+def old_meet_face_to_face(p: ConvexPolytope, q: ConvexPolytope) -> MeetResult:
+    """Classify how two tiles meet.
+
+    Returns shared-face(m) when p n q is a face of BOTH, a violation
+    witness otherwise; overlapping interiors raise InteriorOverlapError.
+    """
+    if p.frame != q.frame:
+        raise PolytopeError("frame mismatch")
+    # cheap reject via coordinate bounding boxes
+    for (lo1, hi1), (lo2, hi2) in zip(p.bounding_box(), q.bounding_box()):
+        if hi1 < lo2 or hi2 < lo1:
+            return MeetResult("disjoint")
+    n = p.frame.dim
+    inter = old_candidate_vertices(n, list(p.facets()) + list(q.facets()))
+    if not inter:
+        return MeetResult("disjoint")
+    rank = _affine_rank(integral_rows(inter)[1])
+    if rank == n:
+        raise InteriorOverlapError(f"interiors overlap; intersection spans dimension {n}")
+    vset = frozenset(inter)
+    if vset in face_vertex_sets(p) and vset in face_vertex_sets(q):
+        return MeetResult("shared-face", face_dim=rank, witness=tuple(inter))
+    return MeetResult("violation", face_dim=rank, witness=tuple(inter))

@@ -24,8 +24,9 @@ from crystile import polytope as polytope_mod
 from crystile.cli import main
 from crystile.groups import DEMO3D_NAMES, PRESET_NAMES, WALLPAPER_NAMES, preset
 from crystile.rational import Q, rat_json
-from crystile.serialize import (MAX_CELL_TILES, MAX_TILE_VERTICES, SchemaError, dump_json, group_to_json,
-                                 isometry_to_json, parse_matrix, parse_vector, tiling_to_json)
+from crystile.serialize import (MAX_CELL_TILES, MAX_HULL_WORK, MAX_TILE_VERTICES, SchemaError, dump_json,
+                                 group_to_json, isometry_to_json, parse_matrix, parse_vector,
+                                 tiling_to_json)
 
 from conftest import seed0_construction
 
@@ -312,6 +313,21 @@ def test_a_file_past_the_tile_cap_is_refused_before_any_hull(tmp_path, capsys, c
     data["cell_tiles"] *= MAX_CELL_TILES + 1
     err = refused_at_once(tmp_path, capsys, count_calls, data, "MAX_CELL_TILES = 16384")
     assert "16385 cell tiles" in err
+
+
+def test_a_file_past_the_hull_work_cap_is_refused_before_any_hull(tmp_path, capsys, count_calls):
+    # 16 tiles at the vertex cap make 16 * 256^2 = MAX_HULL_WORK; a 4-vertex
+    # base cell, or a 17th tile, passes it
+    base_cell = square_listed(4)["cell_tiles"][0]
+    data = square_listed(MAX_TILE_VERTICES, {"kind": "voronoi", "base_cell": base_cell})
+    data["cell_tiles"] *= 16
+    assert 16 * MAX_TILE_VERTICES ** 2 == MAX_HULL_WORK
+    err = refused_at_once(tmp_path, capsys, count_calls, data, "MAX_HULL_WORK = 1048576")
+    assert "sum to 1048592" in err
+    del data["provenance"]
+    data["cell_tiles"].append(data["cell_tiles"][0])
+    err = refused_at_once(tmp_path, capsys, count_calls, data, "MAX_HULL_WORK = 1048576")
+    assert "sum to 1114112" in err
 
 
 def test_a_tile_at_the_vertex_cap_is_hulled(tmp_path, capsys, count_calls):

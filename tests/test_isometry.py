@@ -92,6 +92,15 @@ def test_a_point_of_another_dimension_is_refused(frame2):
             quarter(x)
 
 
+def test_frame_norms_refuse_a_vector_of_another_dimension(frame2):
+    # zip truncated these: norm2 of (3, 4, 12) was 25 and norm 5.0
+    assert (frame2.norm2((3, 4)), frame2.norm((3, 4))) == (25, 5.0)
+    for norm in (frame2.norm2, frame2.norm):
+        for v in ((3, 4, 12), (3,)):
+            with pytest.raises(ValueError, match="expected a 2-vector"):
+                norm(v)
+
+
 def test_linear_about_refuses_a_center_of_another_dimension(frame2):
     # the translation (3, 1) of the center (1, 2) came back for (1, 2, 3)
     with pytest.raises(ValueError, match="expected a 2-vector"):

@@ -30,8 +30,9 @@ from crystile.serialize import tiling_from_json, tiling_to_json
 from crystile.tiling import patch, prototiles
 from crystile.voronoi import delone_params, voronoi_cell, voronoi_tiling
 
-from conftest import (facet_key_set, fan_simplices, old_centroid, random_rational_isometry,
-                      random_rational_point, recovered_facets, seed0_construction)
+from conftest import (facet_key_set, fan_simplices, old_centroid, old_halfspace_intersection,
+                      random_rational_isometry, random_rational_point, recovered_facets,
+                      seed0_construction)
 
 
 @pytest.fixture
@@ -81,6 +82,60 @@ def test_halfspace_unbounded_and_empty(frame2):
 def test_halfspace_strip_unbounded(frame2):
     strip = [HalfSpace((1, 0), 0), HalfSpace((-1, 0), -1)]
     assert halfspace_intersection(frame2, strip) == "unbounded"
+
+
+def test_halfspace_empty_before_unbounded(frame2, frame3):
+    # each system is empty, yet its cone (A, -C).(X, t) >= 0, t >= 0 has a
+    # ray at t = 0: the recession direction (0, 1), or (0, 0, 1)
+    assert halfspace_intersection(frame2, [HalfSpace((1, 0), 1), HalfSpace((-1, 0), 0),
+                                           HalfSpace((0, 1), 0)]) == "empty"
+    assert halfspace_intersection(frame3, [HalfSpace((1, 1, 0), 1), HalfSpace((-1, 0, 0), 0),
+                                           HalfSpace((0, -1, 0), 0), HalfSpace((0, 0, 1), 0)]) == "empty"
+
+
+def test_halfspace_intersection_below_full_dimension(frame3):
+    # the unit square in the plane z = 0, taken from both sides (and twice
+    # from one), less the corner x + y < 1/2: every vertex is on z = 0 and
+    # -z = 0, so the last step's count test pairs the diagonal (0, 0)-(1, 1)
+    # too, and only the rank test drops its point (1/4, 1/4, 0)
+    square = [HalfSpace((1, 0, 0), 0), HalfSpace((-1, 0, 0), -1), HalfSpace((0, 1, 0), 0),
+              HalfSpace((0, -1, 0), -1)]
+    corner = HalfSpace((1, 1, 0), Q(1, 2))
+    half = Q(1, 2)
+    for flat in ([HalfSpace((0, 0, 1), 0), HalfSpace((0, 0, -1), 0)],
+                 [HalfSpace((0, 0, 2), 0), HalfSpace((0, 0, 1), 0), HalfSpace((0, 0, -3), 0)]):
+        for hs in (flat + square, square + flat):
+            poly = halfspace_intersection(frame3, hs + [corner])
+            assert poly.vertices == ((0, half, 0), (0, 1, 0), (half, 0, 0), (1, 0, 0), (1, 1, 0))
+            assert poly._facets is None and poly.dim == 2
+
+
+def test_halfspace_intersection_enumerates_by_double_description(frame3, count_calls):
+    # the tangent planes at the 49 stereographic images of the grid
+    # {(i/3, j/3) : |i|, |j| <= 3} on the unit sphere (one of them z >= -1)
+    # and z >= -1 again: one _dd_step at most per halfspace, no rational
+    # elimination (the brute-force enumeration solved C(50, 3) = 19,600 systems)
+    grid = [(Q(i, 3), Q(j, 3)) for i in range(-3, 4) for j in range(-3, 4)]
+    sphere = [tuple(x / (1 + s * s + t * t) for x in (2 * s, 2 * t, s * s + t * t - 1)) for s, t in grid]
+    hs = [HalfSpace(tuple(-x for x in p), -1) for p in sphere] + [HalfSpace((0, 0, 1), -1)]
+    steps = count_calls(polytope_mod, "_dd_step")
+    solves = []
+    for name in ("solve_linear", "mat_rank", "nullspace"):
+        count_calls(linalg_mod, name, solves)
+    poly = halfspace_intersection(frame3, hs)
+    assert (len(poly.vertices), len(poly.facets())) == (41, 49)
+    assert len(steps) <= len(hs) and solves == []
+
+
+def test_halfspaces_of_another_dimension_are_refused(unit_square, frame2):
+    # clip kept the x >= 1/2 half of the square for this one, and the
+    # intersection answered "unbounded" for the other
+    with pytest.raises(PolytopeError, match="dimension 2 has 3 covector entries"):
+        clip(unit_square, HalfSpace((1, 0, 5), Q(1, 2)))
+    with pytest.raises(PolytopeError, match="dimension 2 has 3 covector entries"):
+        halfspace_intersection(frame2, [HalfSpace((1, 0, 0), 0)])
+    with pytest.raises(PolytopeError, match="dimension 2 has 1 covector entries"):
+        halfspace_intersection(frame2, [HalfSpace((1, 0), 0), HalfSpace((1,), 0)])
 
 
 def test_faces_square(unit_square):
@@ -257,7 +312,7 @@ def check_clip(poly, h):
     if all(s >= 0 for s in vals):
         assert out is poly
         return
-    assert out.vertices == halfspace_intersection(frame, list(poly.facets()) + [h]).vertices
+    assert out.vertices == old_halfspace_intersection(frame, list(poly.facets()) + [h]).vertices
     recovered = recovered_facets(frame, out)
     assert facet_key_set(out.facets()) == facet_key_set(recovered)
     assert len(out.facets()) == len(recovered)

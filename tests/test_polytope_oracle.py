@@ -58,7 +58,6 @@ from crystile.polytope import (
     clip,
     congruent,
     faces,
-    halfspace_intersection,
     sq_distance_point,
     volume,
 )
@@ -74,6 +73,7 @@ from conftest import (
     fan_simplices,
     old_affine_rank,
     old_centroid,
+    old_halfspace_intersection,
     old_independent_points,
     old_mat_inv,
     old_mat_rank,
@@ -374,9 +374,9 @@ def test_facets_carried_exactly_when_full_dimensional(n, data):
         facets = list(poly.facets())
         a = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
         derived += [clip(poly, HalfSpace(a, vdot(a, old_centroid(poly.vertices)))),
-                    halfspace_intersection(frame, facets),
+                    old_halfspace_intersection(frame, facets),
                     # a facet taken from both sides: the facet itself
-                    halfspace_intersection(frame, facets + [HalfSpace(
+                    old_halfspace_intersection(frame, facets + [HalfSpace(
                         tuple(-x for x in facets[0].covector), -facets[0].offset)])]
         derived += fan_simplices(poly)
     for p in derived:

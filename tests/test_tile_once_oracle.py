@@ -29,8 +29,10 @@ one.  The translation lattice, which fully checks only the translates
 outside the group of those accepted, must also match on the a x b grids
 of 1/a by 1/b rectangles up to 8 x 8.  These references are also the ones that the Fraction-keyed Aut and
 the Aut loop that fully checked every lattice automorphism gave way to.  validate_tiling must also reject
-four mutants of each seed-0 wallpaper construction and Voronoi tiling,
-with the old problem lists and the verdict of conftest.pairwise_problems.
+five mutants of each seed-0 wallpaper construction and Voronoi tiling,
+with the old problem lists and the verdict of conftest.pairwise_problems,
+and of the P1, P222 and Pm-3m seed-0 constructions with the old problem
+lists.
 """
 
 from math import factorial
@@ -44,12 +46,13 @@ from crystile import tiling as tiling_mod
 from crystile import voronoi as voronoi_mod
 from crystile.rational import Q, ZERO, rat_str
 from crystile.linalg import (Mat, hermite_column_basis, identity_mat, int_dot, int_mat_vec,
-                             mat_det, mat_mul, transpose, vec, zero_vec)
+                             mat_det, mat_mul, transpose, vdot, vec, vsub, zero_vec)
 from crystile.isometry import (Frame, Isometry, IsometryError, compose, identity_iso, inverse,
                                standard_frame, translation_iso)
 from crystile.groups import (PRESET_NAMES, WALLPAPER_NAMES, CrystalGroup, _lattice_isometries,
                              generic_point, lattice_isometries, preset)
-from crystile.polytope import (ConvexPolytope, PolytopeError, _facet_edges, _fan, faces)
+from crystile.polytope import (ConvexPolytope, HalfSpace, PolytopeError, _cross, _facet_edges, _fan,
+                               clip, faces)
 from crystile.tiling import (PeriodicTiling, Provenance, _affine, _facet_problem, _int_vertices,
                              _key, _normalizes_lattice, _shape,
                              canonical_tile, periodic_tiling, reexpress_over_lattice,
@@ -57,7 +60,7 @@ from crystile.tiling import (PeriodicTiling, Provenance, _affine, _facet_problem
 from crystile.construction import GenericityCertificate, _cone, generic_apex
 from crystile.voronoi import cell_with_certificate
 
-from conftest import pairwise_problems, table_int_closure as _int_closure
+from conftest import old_centroid, pairwise_problems, table_int_closure as _int_closure
 from test_construction_oracle import CASES, _translate_match, tilings
 from test_tiling import F2, REJECTED
 from test_witness_oracle import FIXTURES
@@ -526,14 +529,34 @@ def test_reexpression_moves_each_tile_once(half_scale_tiling, count_calls):
 
 def mutants(tiling):
     """Tile lists of the tiling with a tile duplicated, a lattice translate of
-    a tile added, a tile dropped, and one vertex moved by a small rational."""
+    a tile added, a tile dropped, one vertex moved by a small rational, and
+    a tile cut in two (cut)."""
     tiles = list(tiling.cell_tiles)
     t, n = tiles[0], tiling.dim
     moved = [tuple(c + Q(1, 101 + i) for i, c in enumerate(p)) for p in t.vertices[:1]]
     return {"duplicate": tiles + [t],
             "translate": tiles + [t.translate((1,) + (0,) * (n - 1))],
             "drop": tiles[1:],
-            "moved-vertex": [ConvexPolytope(t.frame, moved + list(t.vertices[1:]))] + tiles[1:]}
+            "moved-vertex": [ConvexPolytope(t.frame, moved + list(t.vertices[1:]))] + tiles[1:],
+            "cut": cut(t) + tiles[1:]}
+
+
+def cut(t):
+    """The two parts of t on either side of a hyperplane through the vertex
+    centroid f of its first facet F, a point of F's relative interior, and
+    through p = c + (u - c) / 5 for t's vertex centroid c and F's first
+    vertex u, an interior point off the line from f through c (so that on
+    a centrally symmetric tile, whose translate across F has the facet
+    opposite F, the cut does not also pass through 2c - f); in space the
+    hyperplane also holds a coordinate axis.  It crosses F's hyperplane
+    and splits F, whose neighbour then meets each part in a part of its own
+    facet.  (A cut that splits no facet, such as a square's diagonal, gives
+    a face-to-face tiling.)"""
+    facet = faces(t, t.dim - 1)[0].vertices
+    c, f = old_centroid(t.vertices), old_centroid(facet)
+    d = vsub(tuple(x + (y - x) / 5 for x, y in zip(c, facet[0])), f)
+    a = (-d[1], d[0]) if t.dim == 2 else next(filter(any, (_cross(d, e) for e in identity_mat(3))))
+    return [clip(t, HalfSpace(a, vdot(a, f))), clip(t, HalfSpace(tuple(-x for x in a), -vdot(a, f)))]
 
 
 @pytest.mark.parametrize("name", WALLPAPER_NAMES)
@@ -544,6 +567,16 @@ def test_validation_rejects_mutants_as_the_old_code_did(name):
             problems = tiling_mod.validate_tiling(mutant)
             assert problems and problems == validate_tiling(mutant), kind
             assert pairwise_problems(mutant), kind
+
+
+@pytest.mark.parametrize("name", ["P1", "P222", "Pm-3m"])
+def test_validation_rejects_mutants_in_space_as_the_old_code_did(name):
+    # without pairwise_problems, which takes too long on these
+    tiling = tilings(name, 0)[0]
+    for kind, tiles in mutants(tiling).items():
+        mutant = PeriodicTiling(frame=tiling.frame, cell_tiles=tuple(tiles))
+        problems = tiling_mod.validate_tiling(mutant)
+        assert problems and problems == validate_tiling(mutant), kind
 
 
 def test_aut_finds_translates_through_the_shape_index(count_calls):
